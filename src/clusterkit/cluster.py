@@ -347,6 +347,15 @@ def _mc_graph_sum(
         return float(w.mean()) * measure
 
     chunk_means = np.asarray(_run_chunks(one_chunk, nchunks, workers))
+    # with fewer than two nonzero chunk means the value rests on at most one
+    # chunk and the spread between chunks says nothing about its error
+    nonzero = int(np.count_nonzero(chunk_means))
+    if nonzero < 2:
+        raise DomainError(
+            f"only {nonzero} of {nchunks} Monte Carlo chunk means are nonzero at "
+            f"n={n}: too few samples hit a contributing configuration; raise "
+            f"samples (now {samples})"
+        )
     value = float(chunk_means.mean())
     err = float(chunk_means.std(ddof=1) / math.sqrt(nchunks))
     return value, err
@@ -372,7 +381,8 @@ def mayer_bn(
 
     ``volume=None`` is the infinite-volume coefficient (x_1 pinned at the
     origin); a float is the side of a finite box, integrated verbatim and
-    divided by the volume.
+    divided by the volume.  Monte Carlo raises DomainError when fewer than
+    two of its chunk means are nonzero.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")

@@ -9,19 +9,31 @@ u = e^(2 beta B) >= 1:
 The two maxima agree (substitute w = ln(1 + u(1 - e^-a))), which this module
 verifies numerically rather than assuming.  The certified density radius is
 F(u) / (u C(beta)); the fugacity-series radius is 1 / (e^(2 beta B + 1)
-C(beta)).  K* = 1/F(u) is also recomputed through its defining tree-function
-series as an independent check.
+C(beta)).
 
-The optimizers use a 64-point bracketing scan (with a unimodality guard)
-followed by golden-section refinement to 1e-12 in the argument.
+K* = 1/F(u) is also recomputed through its defining tree-function series
+S(x) = sum_{n>=1} n^(n-1)/n! x^(n-1) as an independent check, without ln c,
+the closed form or Lambert W.  ``tree_series_excess`` encloses S(x) - 1: a
+2048-term head summed from a log-coefficient table, plus a tail bounded
+above and below in closed form from Robbins' Stirling bounds and the
+integral test, about 1e-9 wide at x = 1/e.  The largest x whose upper bound
+is at most c - 1 is found by bracketed Newton steps to 1e-14 relative.
+
+The optimizers use a 64-point bracketing scan (with a unimodality guard),
+starting at a = min(1e-6, 1/u) so that the maximizer a* ~ (e - 1)/u stays
+inside it, followed by golden-section refinement to 1e-12 in the argument,
+relative once the bracket lies below 1e-6.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -33,6 +45,8 @@ REFERENCE_A_ZERO_COUPLING = 0.426
 LP_BOUND_DENOMINATOR = 0.28952
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: below this the golden-section tolerance scales with the bracket's upper end
+_GOLDEN_RELATIVE_BELOW = 1e-6
 
 
 def _grid_max(f: Callable[[float], float], grid: Sequence[float]) -> Tuple[float, float]:
@@ -66,7 +80,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> Tuple[float, flo
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol * min(1.0, b / _GOLDEN_RELATIVE_BELOW):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -87,6 +101,11 @@ def _maximize(f, grid) -> Tuple[float, float]:
 def _log_grid(lo: float, hi: float, count: int = 64):
     step = (math.log(hi) - math.log(lo)) / (count - 1)
     return [math.exp(math.log(lo) + step * i) for i in range(count)]
+
+
+def _a_grid(u: float):
+    """Scan grid for a; a* ~ (e - 1)/u must lie above its lower end."""
+    return _log_grid(min(1e-6, 1.0 / u), 20.0)
 
 
 def _lin_grid(lo: float, hi: float, count: int = 64):
@@ -110,7 +129,7 @@ def F_of_u(u: float) -> Tuple[float, float]:
         c = 1.0 - u * math.expm1(-a)
         return math.log(c) / (math.exp(a) * c)
 
-    a_star, val = _maximize(obj, _log_grid(1e-6, 20.0))
+    a_star, val = _maximize(obj, _a_grid(u))
     return val, a_star
 
 
@@ -128,67 +147,158 @@ def g_of_u(u: float) -> Tuple[float, float]:
     return val, w_star
 
 
-def _tree_series_sum(x: float, term_floor: float = 1e-14, max_terms: int = 500_000) -> float:
-    """sum_{n>=1} n^(n-1)/n! x^(n-1); converges for x <= 1/e."""
-    term = 1.0
-    total = 1.0
-    n = 1
-    while term > term_floor and n < max_terms:
-        term *= x * (1.0 + 1.0 / n) ** (n - 1)
-        total += term
-        n += 1
-    return total
+# ---------------------------------------------------------------------------
+# the certified tree-function series and the recomputed K*
+# ---------------------------------------------------------------------------
+
+#: the tree series converges on 0 < x <= 1/e, where it sums to e
+_X_MAX = 1.0 / math.e
+#: 1/e - _X_MAX (40-digit arithmetic): with it x - 1/e is exact near 1/e
+_X_MAX_LO = -1.2428753672788363e-17
+#: terms summed one by one; everything beyond is bounded in closed form
+_HEAD_TERMS = 2048
+#: log s_n for n = 2 .. _HEAD_TERMS, s_n = n^(n-1) e^-(n-1) / n!, so that
+#: term n is s_n z^(n-1) with z = e x; the term n = 1 is the 1 that S - 1 drops
+_LOG_S = np.array([(n - 1) * (math.log(n) - 1.0) - math.lgamma(n + 1)
+                   for n in range(2, _HEAD_TERMS + 1)])
+_N_MINUS_1 = np.arange(1, _HEAD_TERMS, dtype=float)
+#: the head is widened by this share of itself on both sides: a majorant for
+#: the rounding of _LOG_S (at most 3.4e-12 against 40-digit arithmetic), of
+#: the exponentials and of the sum
+_HEAD_ROUNDING = 1e-11
+#: Robbins: s_n = _STIRLING n^(-3/2) e^(-r_n) with 1/(12n+1) < r_n < 1/(12n)
+_STIRLING = math.e / math.sqrt(2.0 * math.pi)
+#: relative bracket width at which the root of the upper bound is accepted
+_ROOT_TOL = 1e-14
 
 
-def _kappa_critical(a: float, u: float) -> float:
-    """Smallest kappa with sum_{n} n^(n-1)/n! (e^a/kappa)^(n-1) <= 1 + u(1-e^-a).
+def _tail_integrals(lam: float, A: float) -> Tuple[float, float, float]:
+    """Integrals from A to infinity of e^(-lam (t-1)) t^(-p) for p = 3/2, 5/2, 1/2.
 
-    Bisection on kappa; the series diverges for e^a/kappa > 1/e, so any such
-    kappa fails the condition.
+    Closed forms by parts and erfc; the p = 1/2 integral is infinite at lam = 0.
     """
-    c = 1.0 - u * math.expm1(-a)
-    x_max = 1.0 / math.e
+    w = math.exp(-lam * (A - 1.0))
+    if lam == 0.0:
+        return 2.0 / math.sqrt(A), (2.0 / 3.0) * A ** -1.5, math.inf
+    i1 = math.exp(lam) * math.sqrt(math.pi / lam) * math.erfc(math.sqrt(lam * A))
+    i3 = 2.0 * w / math.sqrt(A) - 2.0 * lam * i1
+    i5 = (2.0 / 3.0) * (w * A ** -1.5 - lam * i3)
+    return i3, i5, i1
 
-    def ok(kappa: float) -> bool:
-        x = math.exp(a) / kappa
-        if x > x_max:
-            return False
-        return _tree_series_sum(x) <= c
 
-    lo = math.exp(a)  # x = 1 certainly diverges
-    hi = math.exp(a + 1.0)
-    while not ok(hi):
-        hi *= 2.0
+def tree_series_excess(x: float) -> Tuple[float, float, float]:
+    """Certified enclosure lo <= S(x) - 1 <= hi of the tree-function series.
+
+    S(x) = sum_{n>=1} n^(n-1)/n! x^(n-1) converges on 0 < x <= 1/e.  The
+    enclosure covers x from the smallest normal float (below it the rounding
+    allowance no longer holds) to 1/e; the float nearest 1/e, which lies just
+    above it, is taken as 1/e.  Leaving out the leading 1 keeps full relative
+    precision as x -> 0.
+
+    With z = e x, term n is s_n z^(n-1).  Terms 2 .. 2048 are summed from a
+    log-coefficient table.  In the rest, Robbins' bounds on Stirling's
+    remainder give 1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which
+    reduce the tail to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p.
+    Each such sum from N+1 on lies between int_{N+1}^inf phi_p + phi_p(N+1)/2
+    and int_{N+1/2}^inf phi_p, both in closed form through erfc.  No term is
+    dropped unreported: the enclosure is about 1.1e-9 wide at x = 1/e, and
+    2e-11 (S(x) - 1) wide (the rounding allowance) once the tail is negligible.
+
+    Returns (lo, hi, slope); slope approximates d hi / dx by the derivatives
+    of the head and of the leading tail integral, and only proposes steps.
+    """
+    if not sys.float_info.min <= x <= _X_MAX:
+        raise DomainError(f"the tree series is enclosed for x from the smallest normal "
+                          f"float to 1/e, not at x = {x!r}")
+    if x >= 0.5 * _X_MAX:
+        # ln z from x - 1/e: -1 - log(x) would leave it to log's rounding,
+        # and S - 1 ~ e - 1 - e sqrt(2 lam) is steep in lam near 1/e
+        lam = max(-math.log1p(math.e * ((x - _X_MAX) - _X_MAX_LO)), 0.0)
+    else:
+        lam = -1.0 - math.log(x)  # z = e^-lam
+    terms = np.exp(_LOG_S - _N_MINUS_1 * lam)
+    head = float(terms.sum())
+    lo = head * (1.0 - _HEAD_ROUNDING)
+    hi = head * (1.0 + _HEAD_ROUNDING)
+    slope = float(terms @ _N_MINUS_1) / x * (1.0 + _HEAD_ROUNDING)
+    N = _HEAD_TERMS
+    # past lam N = 700 the tail is below e^-600 of the head, inside the
+    # rounding allowance; l*/u* bound the sums of phi_p from below/above
+    if lam * N < 700.0:
+        first, mid = N + 1.0, N + 0.5
+        w = math.exp(-lam * N)
+        l3, l5, _ = _tail_integrals(lam, first)
+        u3, u5, u1 = _tail_integrals(lam, mid)
+        l3 += 0.5 * w * first ** -1.5
+        l5 += 0.5 * w * first ** -2.5
+        u7 = math.exp(-lam * (N - 0.5)) * 0.4 * mid ** -2.5
+        lo += _STIRLING * (l3 - u5 / 12.0)
+        hi += _STIRLING * (u3 - l5 / 12.0 + u7 / 96.0)
+        slope += _STIRLING * (u1 - u3) / x
+    return lo, hi, slope
+
+
+def _largest_x(c1: float, top: float) -> float:
+    """Largest x in (0, 1/e] whose upper bound on S(x) - 1 is at most c1 > 0.
+
+    top is that bound at x = 1/e.  Below it, Newton steps on the upper bound,
+    taken in s = sqrt(1 - e x), are clamped inside the bracket (else the
+    bracket is bisected) and aimed a quarter of the tolerance past their own
+    estimate, so that the bracket closes from both sides; the loop exits only
+    when the bracket is at most 1e-14 wide, relative, and returns its left end.
+    """
+    if top <= c1:
+        return _X_MAX
+    lo, hi = 0.0, _X_MAX
+    # S(x) >= 1/(1 - x), and S >= e (1 - sqrt(2) s) in s = sqrt(1 - e x),
+    # where S is convex: both guesses lie at or right of the root.  For
+    # c >= e the root lies within the tolerance of 1/e.
+    s0 = (1.0 - (1.0 + c1) / math.e) / math.sqrt(2.0)
+    x = min(c1 / (1.0 + c1), (1.0 - s0 * s0) / math.e if s0 > 0.0
+            else _X_MAX * (1.0 - 0.5 * _ROOT_TOL))
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+        _, f, slope = tree_series_excess(x)
+        if f <= c1:
+            lo = x
         else:
-            lo = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return hi
+            hi = x
+        if hi - lo <= _ROOT_TOL * hi:
+            return lo
+        # the Newton step r in x, redone in s, where S stays smooth up to
+        # x = 1/e: s changes by q s, so x by -r (1 + q/2); q <= -1 would step
+        # past x = 1/e, and that or an out-of-bracket proposal bisects instead
+        r = (f - c1) / slope
+        s2 = 1.0 - math.e * x
+        q = math.e * r / (2.0 * s2) if s2 > 0.0 else -math.inf
+        x_new = (x - r * (1.0 + 0.5 * q) if q > -1.0 else hi) \
+            - math.copysign(0.25 * _ROOT_TOL * x, f - c1)
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    raise DomainError(f"tree-series root at c - 1 = {c1!r} not bracketed to 1e-14 in 200 steps")
 
 
 def K_star(u: float) -> Tuple[float, float]:
     """The explicit minimum e^a c / ln c over a, and its series recomputation.
 
     The closed form is the reciprocal of F(u).  The series check replays the
-    defining condition: the smallest kappa admitting the tree-function bound,
-    minimized over a by the same scan-plus-golden-section machinery, with the
-    inner infimum found by bisection.  The two must agree to ~1e-8.
+    defining condition and never uses ln c: kappa(a) = e^a / x*(c) with
+    c = 1 + u(1 - e^-a) and x*(c) the largest x whose certified upper bound
+    on the tree series (``tree_series_excess``) is at most c, found by
+    bracketed Newton steps to 1e-14; kappa is minimized over a by the same
+    scan-plus-golden-section machinery as F.  The upper bound errs towards a
+    larger kappa, by under 1e-11 relative over u = 1 ... 1e12 (mostly the
+    rounding allowance).  The two values must agree to 1e-8.
     """
     if u < 1.0:
         raise DomainError("u = e^(2 beta B) is always >= 1")
     val, _ = F_of_u(u)
     closed = 1.0 / val
+    _, top, _ = tree_series_excess(_X_MAX)
 
-    def neg_obj(a: float) -> float:
-        return -_kappa_critical(a, u)
+    def neg_kappa(a: float) -> float:
+        return -math.exp(a) / _largest_x(-u * math.expm1(-a), top)
 
-    _, neg_val = _maximize(neg_obj, _log_grid(1e-6, 20.0))
-    series = -neg_val
-    return closed, series
+    _, neg_val = _maximize(neg_kappa, _a_grid(u))
+    return closed, -neg_val
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,9 @@ _ROD = PairPotential("hard_rod", 1.0, 1)
 _SPHERE = PairPotential("hard_sphere", 1.0, 3)
 _WELL = PairPotential("square_well", 1.0, 1, epsilon=1.0, lambda_w=1.5, B=1.0)
 
+#: u at which K*'s tree-series recomputation must match its closed form
+KSTAR_U = (1.0, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+
 
 # ---------------------------------------------------------------------------
 # the checks
@@ -446,7 +449,7 @@ def _check_monotonicity(ctx: VerifyContext) -> Tuple[bool, str]:
 
 def _check_kstar(ctx: VerifyContext) -> Tuple[bool, str]:
     msgs = []
-    for u in (1.0, 2.0, 10.0):
+    for u in KSTAR_U:
         closed, series = K_star(u)
         F, _ = F_of_u(u)
         if abs(closed * F - 1.0) > 1e-10:

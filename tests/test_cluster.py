@@ -11,7 +11,7 @@ from clusterkit.cluster import (
     penrose_bn_bound,
     virial_bk_direct,
 )
-from clusterkit.errors import CapacityError, ConfigError, InputError
+from clusterkit.errors import CapacityError, ConfigError, DomainError, InputError
 from clusterkit.graphs import enum_graphs, vertex_pairs
 from clusterkit.potentials import c_beta
 
@@ -110,6 +110,14 @@ def test_mc_worker_count_independent(sphere, rod):
     v4 = virial_bk_direct(sphere, 1.0, 2, method="monte_carlo", seed=12,
                           samples=60_000, workers=4)
     assert v1 == v4
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mc_too_few_nonzero_chunks(sphere, seed):
+    # hard-sphere b_5 at the default 400k samples: seed 2 leaves every chunk
+    # mean zero and seed 1 all but one
+    with pytest.raises(DomainError, match=r"only [01] of 20 .*raise samples"):
+        mayer_bn(sphere, 1.0, 5, method="monte_carlo", seed=seed)
 
 
 def test_mc_seed_mandatory(sphere):

@@ -1,8 +1,12 @@
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from clusterkit import tonks
+from clusterkit import radii, tonks
 from clusterkit.errors import DomainError
 from clusterkit.radii import (
     F_of_u,
@@ -14,7 +18,12 @@ from clusterkit.radii import (
     mayer_radius,
     radius_report,
     rho_star,
+    tree_series_excess,
 )
+from clusterkit.verify import KSTAR_U
+
+#: beyond the K* gate's range: a* ~ (e - 1)/u lies below 1e-6 here
+LARGE_U = (1e7, 1e8, 1e12)
 
 # frozen from an 40-digit Newton refinement of the two stationary points
 F1_EXACT = 0.14476699807000783
@@ -50,18 +59,21 @@ def test_g_at_one():
     assert 2.0 * math.exp(-w) * (1.0 - w) == pytest.approx(1.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("u", [1.0, 2.0, 5.0, 10.0, 100.0])
+@pytest.mark.parametrize("u", [1.0, 2.0, 5.0, 10.0, 100.0, *LARGE_U])
 def test_g_equals_F(u):
     assert g_of_u(u)[0] == pytest.approx(F_of_u(u)[0], abs=1e-10)
 
 
-def test_K_star():
-    closed, series = K_star(1.0)
-    assert closed == pytest.approx(K_STAR_EXACT, abs=1e-8)
-    assert closed == pytest.approx(1.0 / F_of_u(1.0)[0], rel=1e-12)
+@pytest.mark.parametrize("u", KSTAR_U + LARGE_U)
+def test_K_star(u):
+    closed, series = K_star(u)
+    assert closed == pytest.approx(1.0 / F_of_u(u)[0], rel=1e-12)
     assert abs(closed - series) < 1e-8
-    big, _ = K_star(1e6)
-    assert big == pytest.approx(math.e, abs=1e-2)
+    if u == 1.0:
+        assert closed == pytest.approx(K_STAR_EXACT, abs=1e-8)
+    if u >= 1e6:
+        # K*(u) = e + O(1/u), about e + 4.7/u
+        assert abs(closed - math.e) <= 10.0 / u
 
 
 def test_rho_star_examples():
@@ -125,3 +137,79 @@ def test_radius_report_structure():
     d = rep.to_dict()
     assert len(d["bounds"]) == 3
     assert d["a_reference"] == REFERENCE_A_ZERO_COUPLING
+
+
+# ---------------------------------------------------------------------------
+# the certified tree-series enclosure
+# ---------------------------------------------------------------------------
+
+X_MAX = 1.0 / math.e
+xs = st.floats(min_value=sys.float_info.min, max_value=X_MAX)
+
+
+def _exact_partial_sum(x: float, terms: int) -> Fraction:
+    """sum_{n <= terms} n^(n-1)/n! x^(n-1) in exact rationals."""
+    m, d = x.as_integer_ratio()
+    f = math.factorial(terms)
+    num = sum(n ** (n - 1) * (f // math.factorial(n)) * m ** (n - 1) * d ** (terms - n)
+              for n in range(1, terms + 1))
+    return Fraction(num, f * d ** (terms - 1))
+
+
+@settings(deadline=None)
+@given(xs, xs)
+def test_tree_series_enclosure_ordered_and_increasing(x1, x2):
+    x1, x2 = sorted((x1, x2))
+    lo1, hi1, _ = tree_series_excess(x1)
+    lo2, hi2, _ = tree_series_excess(x2)
+    assert 0.0 < lo1 <= hi1 and lo2 <= hi2
+    # adjacent floats may differ by the tail formula's rounding alone
+    assume(x2 >= x1 * (1.0 + 1e-12))
+    assert lo1 <= lo2 and hi1 <= hi2
+
+
+def test_tree_series_contains_e_at_one_over_e():
+    lo, hi, _ = tree_series_excess(X_MAX)
+    assert lo <= math.e - 1.0 <= hi
+    assert hi - lo < 2e-9
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 40, 300, 10 ** 4, 10 ** 7, 10 ** 10])
+def test_tree_series_near_one_over_e(steps):
+    # steps floats below 1/e, S - 1 = e (1 - p + 5p^2/6 - 47p^3/72) - 1 + O(p^4)
+    # with p = sqrt(2 (1 - e x)): steep in x, so ln z must not carry the
+    # rounding of log(x)
+    x = X_MAX - steps * 2.0 ** -54
+    with localcontext() as ctx:
+        ctx.prec = 40
+        e = Decimal(1).exp()
+        p = (2 * (1 - e * Decimal(x))).sqrt()
+        want = e * (1 - p + p * p * 5 / 6 - p ** 3 * 47 / 72) - 1
+    lo, hi, _ = tree_series_excess(x)
+    assert Decimal(lo) <= want <= Decimal(hi)
+
+
+def test_one_over_e_split():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        inv_e = Fraction(Decimal(-1).exp())
+    assert abs(Fraction(X_MAX) + Fraction(radii._X_MAX_LO) - inv_e) < Fraction(1, 10 ** 32)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(min_value=sys.float_info.min, max_value=0.2))
+def test_tree_series_contains_exact_sum(x):
+    terms = 200
+    head = _exact_partial_sum(x, terms) - 1
+    # term ratios x (1 + 1/n)^(n-1) stay below e x < 2.72 x
+    t_next = Fraction((terms + 1) ** terms, math.factorial(terms + 1)) * Fraction(x) ** terms
+    rest = t_next / (1 - Fraction(272, 100) * Fraction(x))
+    lo, hi, _ = tree_series_excess(x)
+    assert Fraction(lo) <= head + rest
+    assert head <= Fraction(hi)
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, -0.1, 0.4, math.nan])
+def test_tree_series_domain(x):
+    with pytest.raises(DomainError):
+        tree_series_excess(x)
