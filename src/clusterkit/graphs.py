@@ -14,6 +14,9 @@ The module provides:
     (generations from the root, parent = smallest-index neighbor one
     generation up) and the trees whose preimage under that map is a
     singleton ("Penrose trees"),
+  * ``mask_tree_images``, the array form of the connectivity test and the
+    tree image over int64 edge masks, processed in fixed-size blocks; the
+    scalar ``_mask_connected`` / ``_mask_tree_image`` stay as its oracle,
   * intersection graphs of subset tuples.
 """
 
@@ -355,10 +358,7 @@ def connected_mask_flags(n: int) -> np.ndarray:
     if n > 6:
         raise CapacityError("full mask tables are kept only up to n=6")
     npairs = n * (n - 1) // 2
-    flags = np.zeros(1 << npairs, dtype=bool)
-    for mask in range(1 << npairs):
-        flags[mask] = _mask_connected(n, mask)
-    return flags
+    return mask_tree_images(n, np.arange(1 << npairs, dtype=np.int64))[0]
 
 
 @lru_cache(maxsize=None)
@@ -374,12 +374,7 @@ def ursell_table(n: int) -> np.ndarray:
     npairs = n * (n - 1) // 2
     flags = connected_mask_flags(n)
     idx = np.arange(1 << npairs, dtype=np.int64)
-    parity = np.zeros(1 << npairs, dtype=np.int64)
-    v = idx.copy()
-    while v.any():
-        parity ^= v & 1
-        v >>= 1
-    tab = np.where(flags, 1 - 2 * parity, 0).astype(np.int64)
+    tab = np.where(flags, 1 - 2 * bit_parity(idx), 0).astype(np.int64)
     for k in range(npairs):
         bit = 1 << k
         has = (idx & bit) != 0
@@ -432,6 +427,73 @@ def _mask_tree_image(n: int, gmask: int, root: int) -> int:
         i, j = (best, v) if best < v else (v, best)
         tmask |= 1 << idx[(i, j)]
     return tmask
+
+
+#: masks per step of the array kernel; bounds its scratch memory
+MASK_BLOCK = 4096
+
+
+def bit_parity(x: np.ndarray) -> np.ndarray:
+    """Parity (0 or 1) of the number of set bits of each nonnegative int64."""
+    x = np.array(x, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return x & 1
+
+
+def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """Connected flag and rooted tree-image mask of each edge mask on [n].
+
+    The array form of ``_mask_connected`` and ``_mask_tree_image``.  Each
+    block of masks gets per-vertex neighbor bitsets; a breadth-first sweep
+    then reaches one generation at a time, and every vertex keeps the layer
+    it was reached from.  Its parent is the lowest set bit of its neighbors
+    in that layer.  For a disconnected mask the tree spans only the root's
+    component.  ``masks`` is a 1-D array processed MASK_BLOCK at a time, so
+    scratch memory does not grow with its length.
+    """
+    if n > 11:
+        raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
+    if not (1 <= root <= n):
+        raise ValueError(f"root {root} outside [1..{n}]")
+    masks = np.asarray(masks, dtype=np.int64)
+    pairs = vertex_pairs(n)
+    # parent_edge[w-1, 1 << (p-1)] is the edge bit of {p, w}; column 0 holds 0
+    parent_edge = np.zeros((n, 1 << n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        parent_edge[i - 1, 1 << (j - 1)] = 1 << k
+        parent_edge[j - 1, 1 << (i - 1)] = 1 << k
+    # vertex bitsets fit in 16 bits, which keeps each block's scratch small
+    vertex_bit = np.arange(n, dtype=np.uint16)[:, None]
+    full = (1 << n) - 1
+    connected = np.empty(masks.shape, dtype=bool)
+    trees = np.empty(masks.shape, dtype=np.int64)
+    for start in range(0, masks.shape[0], MASK_BLOCK):
+        block = masks[start:start + MASK_BLOCK]
+        adj = np.zeros((n,) + block.shape, dtype=np.uint16)
+        for k, (i, j) in enumerate(pairs):
+            e = ((block >> k) & 1).astype(np.uint16)
+            adj[i - 1] |= e << (j - 1)
+            adj[j - 1] |= e << (i - 1)
+        seen = np.full(block.shape, 1 << (root - 1), dtype=np.uint16)
+        layer = seen
+        up_layer = np.zeros_like(adj)  # the layer each vertex was reached from
+        for _ in range(n - 1):
+            reach = np.bitwise_or.reduce(adj & -((layer >> vertex_bit) & 1), axis=0)
+            new = reach & ~seen
+            if not new.any():
+                break
+            up_layer |= layer & -((new >> vertex_bit) & 1)
+            seen = seen | new
+            layer = new
+        up = adj & up_layer
+        low = up & -up
+        tree = np.zeros(block.shape, dtype=np.int64)
+        for w in range(n):
+            tree |= parent_edge[w, low[w]]
+        connected[start:start + MASK_BLOCK] = seen == full
+        trees[start:start + MASK_BLOCK] = tree
+    return connected, trees
 
 
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:

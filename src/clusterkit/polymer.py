@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import CapacityError, InputError
 from .graphs import LabeledGraph, penrose_trees, ursell_table, vertex_pairs
@@ -83,9 +86,6 @@ class ActivityProfile:
     def c_rho(self, m: int) -> float:
         """Summability weight |zeta_m| C(N-1, m-1)."""
         return abs(float(self.activity(m))) * math.comb(self.N - 1, m - 1)
-
-    def c_rho_map(self) -> Dict[int, float]:
-        return {m: self.c_rho(m) for m in sorted(self.zeta)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,44 +147,72 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
     Term n is (1/n!) times the sum over ordered n-tuples of subsets (sizes
     >= 2) of the alternating connected-subgraph sum of their intersection
     graph times the activity product; tuples with disconnected intersection
-    graph contribute nothing.  Enumerates unordered multisets and multiplies
-    by the number of orderings.
+    graph contribute nothing.  The brute force runs as numpy blocks: see
+    ``_ursell_class_sums``.  The integer sums per size signature are then
+    combined exactly; float activities are taken as their exact Fractions,
+    and the term is rounded to float once.
     """
     if N > URSELL_MAX_N:
         raise CapacityError(f"log-expansion brute force capped at N={URSELL_MAX_N}")
     if n_max > URSELL_MAX_ORDER:
         raise CapacityError(f"expansion order capped at {URSELL_MAX_ORDER}")
-    zeta = profile.zeta
-    sizes = sorted(zeta)
-    subsets = []  # (bitmask, activity)
-    for m in sizes:
-        for combo in itertools.combinations(range(N), m):
-            mask = 0
-            for c in combo:
-                mask |= 1 << c
-            subsets.append((mask, zeta[m]))
+    sizes = sorted(m for m in profile.zeta if m <= N)  # larger sizes have no subsets
+    if not sizes:
+        return {n: 0 for n in range(1, n_max + 1)}
+    zeta = [profile.zeta[m] for m in sizes]
+    inexact = any(not isinstance(z, numbers.Rational) for z in zeta)
+    exact = [Fraction(z) if isinstance(z, numbers.Rational) else Fraction(float(z)) for z in zeta]
+    # every subset of [N] with an activity, as a bitmask, grouped by size
+    masks = [sum(1 << x for x in combo)
+             for m in sizes for combo in itertools.combinations(range(N), m)]
+    starts = np.cumsum([0] + [math.comb(N, m) for m in sizes[:-1]])
+    meet = (np.bitwise_and.outer(masks, masks) != 0).astype(np.intp)
     terms: Dict[int, Number] = {}
     for n in range(1, n_max + 1):
-        table = ursell_table(n)
-        pairs = vertex_pairs(n)
+        sums = _ursell_class_sums(n, meet, starts)
+        by_signature: Dict[tuple, int] = {}
+        for key, value in np.ndenumerate(sums):
+            sig = tuple(sorted(key))
+            by_signature[sig] = by_signature.get(sig, 0) + int(value)
         total: Number = 0
-        for picks in itertools.combinations_with_replacement(range(len(subsets)), n):
-            emask = 0
-            for idx, (a, b) in enumerate(pairs):
-                if subsets[picks[a - 1]][0] & subsets[picks[b - 1]][0]:
-                    emask |= 1 << idx
-            phi = int(table[emask])
-            if phi == 0:
-                continue
-            prod: Number = 1
-            for i in picks:
-                prod = prod * subsets[i][1]
-            mult = 1
-            for _, grp in itertools.groupby(picks):
-                mult *= math.factorial(sum(1 for _ in grp))
-            total = total + Fraction(phi, mult) * prod
-        terms[n] = total
+        for sig, count in by_signature.items():
+            if count:
+                prod = Fraction(count, math.factorial(n))
+                for c in sig:
+                    prod *= exact[c]
+                total = total + prod
+        terms[n] = float(total) if inexact else total
     return terms
+
+
+def _ursell_class_sums(n: int, meet: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of Ursell values over ordered n-tuples of subsets, by size class.
+
+    ``meet`` is the 0/1 subset-intersection matrix, its rows grouped by size
+    class starting at ``starts``.  Entry [c_1, ..., c_n] of the result sums
+    ursell_table(n)[intersection graph] over tuples whose i-th subset is in
+    class c_i.  The first n-2 subsets are fixed one head at a time; the last
+    two span the grid of all subset pairs, whose edge masks are looked up in
+    the table and summed over class blocks.
+    """
+    K = len(starts)
+    class_sizes = np.diff(np.append(starts, meet.shape[0]))
+    if n == 1:
+        return class_sizes
+    table = ursell_table(n)
+    bit = {pair: 1 << k for k, pair in enumerate(vertex_pairs(n))}
+    cls = np.repeat(np.arange(K), class_sizes)
+    last = meet * bit[(n - 1, n)]
+    out = np.zeros((K,) * n, dtype=np.int64)
+    for head in itertools.product(range(len(cls)), repeat=n - 2):
+        emask = last + sum(bit[(a + 1, b + 1)] * int(meet[head[a], head[b]])
+                           for a in range(n - 2) for b in range(a + 1, n - 2))
+        for a, h in enumerate(head):
+            emask = emask + (meet[h] * bit[(a + 1, n - 1)])[:, None]
+            emask = emask + (meet[h] * bit[(a + 1, n)])[None, :]
+        block = np.add.reduceat(np.add.reduceat(table[emask], starts, axis=0), starts, axis=1)
+        out[tuple(cls[list(head)])] += block
+    return out
 
 
 # ---------------------------------------------------------------------------

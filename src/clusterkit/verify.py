@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,14 +24,16 @@ from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError
 from .graphs import (
+    MASK_BLOCK,
     LabeledGraph,
     _decode_tree_sequence,
     _mask_connected,
-    _mask_tree_image,
     _tree_from_edge_list,
+    bit_parity,
     connected_mask_flags,
     enum_graphs,
     enum_trees,
+    mask_tree_images,
     penrose_map,
     penrose_trees,
     penrose_trees_fast,
@@ -75,29 +77,26 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
         return 1, 0
     flags = connected_mask_flags(n)
     urs = ursell_table(n)
-    conn_masks = np.flatnonzero(flags).astype(np.int64)
+    conn_masks = np.flatnonzero(flags).astype(np.int64, copy=False)
 
-    # one pass over all connected spanning masks of the complete graph
-    classes: Dict[int, List[int]] = {}
-    for g in conn_masks.tolist():
-        t = _mask_tree_image(n, g, root)
-        entry = classes.get(t)
-        if entry is None:
-            classes[t] = [1, g & ~t]
-        else:
-            entry[0] += 1
-            entry[1] |= g & ~t
-    # each preimage class must be the full interval [tree, tree | slack]
-    for t, (cnt, extra) in classes.items():
-        if cnt != 1 << bin(extra).count("1"):
+    # one pass over all connected spanning masks of the complete graph; the
+    # preimage classes are tallied by tree mask, then kept only where present
+    _, trees = mask_tree_images(n, conn_masks, root)
+    sizes = np.bincount(trees, minlength=len(flags))
+    covers = np.zeros(len(flags), dtype=np.int64)
+    np.bitwise_or.at(covers, trees, conn_masks)
+    del trees
+    classes = np.flatnonzero(sizes)
+    sizes, covers = sizes[classes], covers[classes]
+    counts = np.zeros(len(conn_masks), dtype=np.int64)
+    for t, size, cover in zip(classes.tolist(), sizes.tolist(), covers.tolist()):
+        extra = cover & ~t
+        # each preimage class must be the full interval [tree, tree | slack]
+        if size != 1 << bin(extra).count("1"):
             raise ClusterKitError(
                 f"preimage class of tree mask {t} is not a boolean interval"
             )
-
-    counts = np.zeros(len(conn_masks), dtype=np.int64)
-    for t, (_, extra) in classes.items():
-        sel = ((conn_masks & t) == t) & ((conn_masks & extra) == 0)
-        counts[sel] += 1
+        counts += (conn_masks & (t | extra)) == t  # t <= g and g misses extra
     sign = 1 if (n - 1) % 2 == 0 else -1
     expected = sign * urs[conn_masks]
     mism = int(np.count_nonzero((counts != expected) | (expected <= 0)))
@@ -108,9 +107,15 @@ def penrose_identity_random(
     n: int = 7, count: int = 100, seed: int = 20260808, edge_prob: float = 0.5,
     root: int = 1,
 ) -> Tuple[int, int]:
-    """Spot-check the identity on random connected graphs (default n = 7)."""
+    """Spot-check the identity on random connected graphs (default n = 7).
+
+    Brute force over every submask of each host graph, generated and mapped
+    by ``mask_tree_images`` MASK_BLOCK at a time, so memory stays flat as
+    hosts grow.
+    """
     rng = random.Random(seed)
     npairs = n * (n - 1) // 2
+    sign = 1 if (n - 1) % 2 == 0 else -1
     mism = 0
     for _ in range(count):
         while True:
@@ -120,19 +125,23 @@ def penrose_identity_random(
                     mask |= 1 << k
             if _mask_connected(n, mask):
                 break
-        preimage: Dict[int, int] = {}
+        # every submask of the host, MASK_BLOCK at a time: block index bits
+        # are deposited onto the host's edge bits, so parity is kept
+        bits = [k for k in range(npairs) if mask >> k & 1]
+        trees = np.zeros(0, dtype=np.int64)  # distinct tree images so far
+        preimages = np.zeros(0, dtype=np.int64)  # and their preimage counts
         total = 0
-        sub = mask
-        while True:
-            if _mask_connected(n, sub):
-                t = _mask_tree_image(n, sub, root)
-                preimage[t] = preimage.get(t, 0) + 1
-                total += -1 if bin(sub).count("1") & 1 else 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        singles = sum(1 for c in preimage.values() if c == 1)
-        sign = 1 if (n - 1) % 2 == 0 else -1
+        for start in range(0, 1 << len(bits), MASK_BLOCK):
+            idx = np.arange(start, min(start + MASK_BLOCK, 1 << len(bits)), dtype=np.int64)
+            sub = np.zeros_like(idx)
+            for j, k in enumerate(bits):
+                sub |= ((idx >> j) & 1) << k
+            conn, image = mask_tree_images(n, sub, root)
+            total += int(np.sum(1 - 2 * bit_parity(idx[conn])))
+            trees, cls = np.unique(np.concatenate([trees, image[conn]]), return_inverse=True)
+            weight = np.concatenate([preimages, np.ones(int(conn.sum()), dtype=np.int64)])
+            preimages = np.bincount(cls, weights=weight, minlength=len(trees)).astype(np.int64)
+        singles = int(np.count_nonzero(preimages == 1))
         if total != sign * singles or sign * total <= 0:
             mism += 1
     return count, mism
@@ -221,11 +230,12 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
 
 
 def _check_cayley(ctx: VerifyContext) -> Tuple[bool, str]:
-    for n in range(2, 9):
+    top = min(8, ctx.nmax + 2)
+    for n in range(2, top + 1):
         count = sum(1 for _ in enum_trees(n))
         if count != n ** (n - 2):
             return False, f"n={n}: {count} != {n ** (n - 2)}"
-    return True, "tree counts match n^(n-2) for n = 2..8"
+    return True, f"tree counts match n^(n-2) for n = 2..{top}"
 
 
 def _check_map_idempotent(ctx: VerifyContext) -> Tuple[bool, str]:

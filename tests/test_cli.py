@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clusterkit import verify
 from clusterkit.cli import main, run_for_test
 
 
@@ -105,6 +106,13 @@ def test_verify_subcommand_exit_codes(capsys):
     assert main(["verify", "--suite", "graphs", "--nmax", "4"]) == 0
     text = capsys.readouterr().out
     assert "PASS graphs.cayley_counts" in text
+
+
+def test_cayley_check_follows_nmax():
+    ok, detail = verify._check_cayley(verify.VerifyContext(nmax=2))
+    assert ok and detail.endswith("n = 2..4")
+    ok, detail = verify._check_cayley(verify.VerifyContext(nmax=4))
+    assert ok and detail.endswith("n = 2..6")
 
 
 def test_determinism_modulo_timestamp():

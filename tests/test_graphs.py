@@ -1,17 +1,24 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterkit.errors import CapacityError, DomainError
 from clusterkit.graphs import (
+    MASK_BLOCK,
     LabeledGraph,
     RootedTree,
     SubsetTuple,
+    _mask_connected,
+    _mask_tree_image,
+    connected_mask_flags,
     count_graphs,
     edge_mask,
     enum_graphs,
     enum_trees,
     intersection_graph,
+    mask_tree_images,
     penrose_map,
     penrose_slack_edges,
     penrose_trees,
@@ -194,6 +201,64 @@ def test_slack_edges_structure():
     # the edge (1,3) jumps a generation, so nothing is addable
     path = RootedTree(3, {2: 1, 3: 2})
     assert penrose_slack_edges(path) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the scalar pair
+# ---------------------------------------------------------------------------
+
+@st.composite
+def masks_on(draw):
+    n = draw(st.integers(1, 7))
+    top = (1 << (n * (n - 1) // 2)) - 1
+    root = draw(st.integers(1, n))
+    masks = draw(st.lists(st.integers(0, top), min_size=1, max_size=40))
+    return n, root, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_on())
+def test_mask_tree_images_match_scalar(case):
+    n, root, masks = case
+    connected, trees = mask_tree_images(n, np.array(masks, dtype=np.int64), root)
+    for mask, flag, tree in zip(masks, connected.tolist(), trees.tolist()):
+        assert flag == _mask_connected(n, mask)
+        if flag:
+            assert tree == _mask_tree_image(n, mask, root)
+
+
+def test_mask_tree_images_across_blocks():
+    masks = np.arange(1 << 15, dtype=np.int64)  # every graph on [6]: 8 blocks
+    assert masks.size > MASK_BLOCK
+    connected, trees = mask_tree_images(6, masks, root=4)
+    # connectivity does not depend on the root; the flags are checked below
+    assert np.array_equal(connected, connected_mask_flags(6))
+    sample = np.flatnonzero(connected)[::7].tolist()
+    assert [int(trees[m]) for m in sample] == [_mask_tree_image(6, m, 4) for m in sample]
+
+
+def test_mask_tree_images_disconnected_spans_root_component():
+    # edges {1,2} and {3,4}: from root 3 only the edge {3,4} is reached
+    n = 4
+    mask = edge_mask(n, [(1, 2), (3, 4)])
+    connected, trees = mask_tree_images(n, [mask], root=3)
+    assert not connected[0]
+    assert int(trees[0]) == edge_mask(n, [(3, 4)])
+
+
+def test_mask_tree_images_validation():
+    with pytest.raises(ValueError):
+        mask_tree_images(4, [0], root=5)
+    with pytest.raises(CapacityError):
+        mask_tree_images(12, [0])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_connected_mask_flags_match_scalar(n):
+    flags = connected_mask_flags(n)
+    assert flags.dtype == bool
+    want = [_mask_connected(n, m) for m in range(1 << (n * (n - 1) // 2))]
+    assert flags.tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterkit import tonks
 from clusterkit.errors import CapacityError, InputError
@@ -116,6 +117,78 @@ def test_truncation_scales_as_fourth_power():
     sxy = sum(x * y for x, y in pts)
     slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     assert slope == pytest.approx(4.0, abs=0.2)
+
+
+class TSeries:
+    """Power series in t with exact coefficients, truncated above degree ``top``."""
+
+    def __init__(self, coeffs, top):
+        self.top = top
+        self.c = (list(coeffs) + [0] * (top + 1))[:top + 1]
+
+    def _lift(self, other):
+        return other if isinstance(other, TSeries) else TSeries([other], self.top)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return TSeries([a + b for a, b in zip(self.c, other.c)], self.top)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        out = [0] * (self.top + 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c[:self.top + 1 - i]):
+                out[i + j] += a * b
+        return TSeries(out, self.top)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.c == self._lift(other).c
+
+
+def log_coefficients(N, zeta, top):
+    """[t^n] log Xi(t), n = 1..top, from the xi_exact recursion with zeta -> t zeta."""
+    t = TSeries([0, 1], top)
+    x = xi_exact(N, ActivityProfile(N, {m: t * z for m, z in zeta.items()})).c
+    log = [0] * (top + 1)
+    for k in range(1, top + 1):
+        log[k] = x[k] - sum(j * log[j] * x[k - j] for j in range(1, k)) / Fraction(k)
+    return log[1:]
+
+
+@st.composite
+def rational_profiles(draw):
+    N = draw(st.integers(2, 6))
+    nonzero = st.integers(-60, 60).filter(bool)
+    sizes = draw(st.sets(st.integers(2, N), min_size=1))
+    zeta = {m: Fraction(draw(nonzero), draw(st.integers(1, 40))) for m in sizes}
+    return N, zeta, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_profiles())
+def test_log_xi_equals_log_of_recursion(case):
+    N, zeta, order = case
+    terms = log_xi_ursell(N, ActivityProfile(N, zeta), order)
+    assert [terms[n] for n in range(1, order + 1)] == log_coefficients(N, zeta, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda N: st.tuples(
+    st.just(N),
+    st.dictionaries(st.integers(2, N),
+                    st.floats(-2.0, 2.0, allow_nan=False).filter(bool), min_size=1),
+    st.integers(1, 3))))
+def test_log_xi_float_is_rounded_exact(case):
+    N, zeta, order = case
+    got = log_xi_ursell(N, ActivityProfile(N, zeta), order)
+    exact = log_xi_ursell(N, ActivityProfile(N, {m: Fraction(z) for m, z in zeta.items()}), order)
+    for n in range(1, order + 1):
+        assert isinstance(exact[n], Fraction)
+        assert type(got[n]) is float and got[n] == float(exact[n])
 
 
 def test_log_xi_capacity():
