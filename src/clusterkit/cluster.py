@@ -13,9 +13,10 @@ the volume.  ``virial_bk_direct`` does the same over two-connected graphs on
 Quadrature (d = 1) reduces the integral to ordered-gap coordinates: the
 graph sum is permutation symmetric, so the integral equals n! times the
 ordered-sector integral, and the sector is parametrized by the n-1
-consecutive gaps.  The gap integrand is evaluated either through the
-alternating-sum table (pure hard cores) or through the subset convolution
-that extracts the connected part of the full Boltzmann product.
+consecutive gaps.  The gap integrand is the subset convolution that extracts
+the connected part of the full Boltzmann product (or the sum over the
+two-connected graph list); for a piecewise constant bond it is evaluated
+once per distinct row of bond levels.
 
 Monte Carlo (any d, default d = 3) samples the free points in the ball of
 radius (n-1) * range around the pinned particle, with radius-stratified
@@ -26,15 +27,14 @@ a given (seed, samples, chunk size).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError, InputError
-from .graphs import enum_graphs, ursell_table, vertex_pairs
+from .errors import CapacityError, ConfigError, DomainError
+from .graphs import enum_graphs, vertex_pairs
 from .potentials import PairPotential, f_bond_array
 from .quadrature import (
     difference_closure,
@@ -48,61 +48,6 @@ QUADRATURE_MAX_N = 6
 MONTE_CARLO_MAX_N = 5
 VIRIAL_QUADRATURE_MAX_K = 3
 VIRIAL_MC_MAX_K = 2
-
-
-@dataclass(frozen=True)
-class MayerCoefficients:
-    """Table of fugacity-series coefficients b_n with error estimates."""
-
-    values: Mapping[int, Tuple[float, float]]
-    beta: float
-    volume: Optional[float] = None  # None means infinite volume
-    method: str = "quadrature"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        vals = dict(self.values)
-        vals.setdefault(1, (1.0, 0.0))
-        if abs(vals[1][0] - 1.0) > 1e-15:
-            raise InputError("b_1 must equal 1")
-        if any(e < 0 for _, e in vals.values()):
-            raise InputError("error estimates must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    def coeff(self, n: int) -> float:
-        if n not in self.values:
-            raise InputError(f"b_{n} not present in this table")
-        return self.values[n][0]
-
-    def error(self, n: int) -> float:
-        return self.values[n][1]
-
-    def orders(self):
-        return sorted(self.values)
-
-    def as_dict(self) -> Dict[int, float]:
-        return {n: v for n, (v, _) in self.values.items()}
-
-
-@dataclass(frozen=True)
-class VirialDirect:
-    """Directly integrated density-series coefficients beta_k."""
-
-    values: Mapping[int, Tuple[float, float]]
-    beta: float
-    method: str = "quadrature"
-    seed: Optional[int] = None
-
-    def coeff(self, k: int) -> float:
-        if k not in self.values:
-            raise InputError(f"beta_{k} not present in this table")
-        return self.values[k][0]
-
-    def error(self, k: int) -> float:
-        return self.values[k][1]
-
-    def as_dict(self) -> Dict[int, float]:
-        return {k: v for k, (v, _) in self.values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +128,56 @@ def graph_list_weight_sum(fvals: np.ndarray, edge_columns) -> np.ndarray:
     return total
 
 
+def _bond_level_keys(windows: np.ndarray, cuts) -> np.ndarray:
+    """One int64 key per row: its pairs' bond levels packed in base len(cuts)+1.
+
+    The level of a window is the number of cuts at or below it; a piecewise
+    constant bond function takes one value per level.  Windows are sums of
+    nonnegative gaps, so no absolute value is needed.
+    """
+    base = len(cuts) + 1
+    levels = np.zeros_like(windows, dtype=np.int8)
+    for c in cuts:
+        levels += windows >= c
+    keys = np.zeros(windows.shape[0], dtype=np.int64)
+    for k in range(windows.shape[1]):
+        keys = keys * base + levels[:, k]
+    return keys
+
+
 def _gap_weight_fn(p: PairPotential, beta: float, n: int, graph_class: str):
-    """Integrand over gap vectors for the connected / two-connected sum."""
-    hard_core_only = p.kind in ("hard_rod", "hard_sphere")
-    use_table = hard_core_only and graph_class == "connected"
-    if use_table:
-        table = ursell_table(n)
-        sigma = p.sigma
-        npairs = n * (n - 1) // 2
-        bits = (1 << np.arange(npairs, dtype=np.int64))
+    """Integrand over gap vectors for the connected / two-connected sum.
 
-        def weight(points):
-            w = pair_window_matrix(points)
-            masks = ((w < sigma) @ bits).astype(np.int64)
-            return table[masks].astype(float)
-
-        return weight
-
+    For a piecewise constant bond every row with the same bond levels has the
+    same bond values, so the graph sum runs once per distinct level row and
+    is gathered back.  Both sums work row by row, so the values are the same
+    bits as a sum over every row.
+    """
     if graph_class == "connected":
+        def graph_sum(fvals):
+            return connected_weight_sum(fvals, n)
+    else:
+        cols = _two_connected_columns_cached(n)
+
+        def graph_sum(fvals):
+            return graph_list_weight_sum(fvals, cols)
+
+    if not p.piecewise_constant_bond:
         def weight(points):
-            w = pair_window_matrix(points)
-            return connected_weight_sum(f_bond_array(p, beta, w), n)
+            return graph_sum(f_bond_array(p, beta, pair_window_matrix(points)))
 
         return weight
 
-    cols = _two_connected_columns_cached(n)
+    cuts = p.breakpoints()
+    npairs = n * (n - 1) // 2
+    if (len(cuts) + 1) ** npairs > np.iinfo(np.int64).max:
+        raise CapacityError(f"{npairs} pairs at {len(cuts) + 1} bond levels overflow an int64 key")
 
     def weight(points):
         w = pair_window_matrix(points)
-        return graph_list_weight_sum(f_bond_array(p, beta, w), cols)
+        _, first, inverse = np.unique(_bond_level_keys(w, cuts),
+                                      return_index=True, return_inverse=True)
+        return graph_sum(f_bond_array(p, beta, w[first]))[inverse]
 
     return weight
 
@@ -413,21 +379,6 @@ def mayer_bn(
             scale /= float(volume) ** p.dimension
         return val * scale, err * scale
     raise ConfigError(f"unknown method {method!r}")
-
-
-def mayer_coefficients(
-    p: PairPotential,
-    beta: float,
-    n_max: int,
-    volume: Optional[float] = None,
-    method: str = "quadrature",
-    **kw,
-) -> MayerCoefficients:
-    values = {1: (1.0, 0.0)}
-    for n in range(2, n_max + 1):
-        values[n] = mayer_bn(p, beta, n, volume, method, **kw)
-    return MayerCoefficients(values, beta=beta, volume=volume, method=method,
-                             seed=kw.get("seed"))
 
 
 def virial_bk_direct(

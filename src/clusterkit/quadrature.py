@@ -165,16 +165,21 @@ def pair_window_matrix(points: np.ndarray) -> np.ndarray:
     """Window sums for every vertex pair of [m+1] from gap vectors (P, m).
 
     Column order matches graphs.vertex_pairs(m + 1): for the pair (i, j) the
-    window is t_i + ... + t_{j-1}.
+    window is t_i + ... + t_{j-1}, the difference of two running sums.  The
+    result is column-major, so each pair's column is contiguous.
     """
     P, m = points.shape
-    cs = np.zeros((P, m + 1))
-    np.cumsum(points, axis=1, out=cs[:, 1:])
-    cols = []
-    for i in range(1, m + 2):
-        for j in range(i + 1, m + 2):
-            cols.append(cs[:, j - 1] - cs[:, i - 1])
-    return np.stack(cols, axis=1)
+    cs = np.empty((m + 1, P))
+    cs[0] = 0.0
+    for j in range(m):
+        np.add(cs[j], points[:, j], out=cs[j + 1])
+    out = np.empty((m * (m + 1) // 2, P))
+    k = 0
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            np.subtract(cs[j], cs[i], out=out[k])
+            k += 1
+    return out.T
 
 
 def _q_schedule(n_gaps: int, boxed: bool, q_offset: int):
@@ -188,7 +193,10 @@ def _q_schedule(n_gaps: int, boxed: bool, q_offset: int):
 
 
 def _level_breakpoints(ts, radii, box_cuts, upper):
-    """Panel edges for the next gap given the prefix gaps ``ts``."""
+    """Panel edges for the next gap given the prefix gaps ``ts``.
+
+    The scalar rule, kept as the oracle of ``_expand_level``.
+    """
     suffix = [0.0]
     acc = 0.0
     for t in reversed(ts):
@@ -208,6 +216,124 @@ def _level_breakpoints(ts, radii, box_cuts, upper):
     return _merge(cand)
 
 
+def _expand_row(ts, wgt, xq, wq, radii, box_cuts, support, box_length):
+    """Scalar expansion of one row by one gap: a list of (gaps, weight).
+
+    The per-row oracle of ``_expand_level``: panels between the breakpoints,
+    Gauss nodes a + h*x and weights (w*h)*wq in panel then node order.
+    """
+    upper = support if support is not None else box_length
+    if box_length is not None:
+        upper = min(upper, box_length - sum(ts))
+    if upper <= _MERGE_TOL:
+        return []
+    edges = [0.0] + _level_breakpoints(ts, radii, box_cuts, upper) + [upper]
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        h = b - a
+        if h <= _MERGE_TOL:
+            continue
+        for xg, wg in zip(xq, wq):
+            out.append((ts + (a + h * xg,), wgt * h * wg))
+    return out
+
+
+#: rows expanded per step of ``_expand_level``, scaled down by the number of
+#: breakpoint candidates per row; bounds its scratch memory
+_CANDIDATE_BLOCK = 1 << 20
+
+
+def _expand_level(ts, wts, xq, wq, radii, box_cuts, support, box_length):
+    """Expand every row of gaps ``ts`` (P, k) with weights ``wts`` (P,) by one gap.
+
+    The array form of ``_expand_row``, node for node and weight for weight:
+    forward sums give the box-limited upper end, reversed suffix sums the
+    breakpoint candidates r - s and c - (reversed total), which are filtered
+    to (tol, upper - tol), sorted and merged by one sweep over the columns.
+    Output rows come in row, panel, node order.
+    """
+    ncand = len(radii) * (ts.shape[1] + 1) + len(box_cuts)
+    step = max(1, _CANDIDATE_BLOCK // max(1, ncand))
+    parts = [_expand_block(ts[i:i + step], wts[i:i + step], xq, wq, radii, box_cuts,
+                           support, box_length)
+             for i in range(0, max(1, ts.shape[0]), step)]
+    if len(parts) == 1:
+        return parts[0]
+    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+
+
+def _expand_block(ts, wts, xq, wq, radii, box_cuts, support, box_length):
+    P, k = ts.shape
+    upper = np.full(P, support if support is not None else box_length, dtype=float)
+    if box_length is not None:
+        forward = np.zeros(P)
+        for j in range(k):
+            forward = forward + ts[:, j]
+        upper = np.minimum(upper, box_length - forward)
+    live = upper > _MERGE_TOL
+    if not live.all():
+        ts, wts, upper = ts[live], wts[live], upper[live]
+        P = ts.shape[0]
+    # candidates r - s over suffix sums s, then c - total; invalid ones -> inf
+    suffix = [np.zeros(P)]
+    for j in reversed(range(k)):
+        suffix.append(suffix[-1] + ts[:, j])
+    cand = np.empty((P, len(radii) * (k + 1) + len(box_cuts)))
+    col = 0
+    for r in radii:
+        for s in suffix:
+            cand[:, col] = r - s
+            col += 1
+    for c in box_cuts:
+        cand[:, col] = c - suffix[-1]
+        col += 1
+    valid = (cand > _MERGE_TOL) & (cand < (upper - _MERGE_TOL)[:, None])
+    cand[~valid] = np.inf
+    cand.sort(axis=1)
+    # merge: keep a value when it exceeds the last kept one by more than tol
+    last = np.full(P, -np.inf)
+    for j in range(cand.shape[1]):
+        v = cand[:, j]
+        keep = (v < np.inf) & (v - last > _MERGE_TOL)
+        last = np.where(keep, v, last)
+        v[~keep] = np.inf
+    cand.sort(axis=1)
+    # edges 0, kept..., upper; the inf padding collapses onto upper
+    edges = np.empty((P, cand.shape[1] + 2))
+    edges[:, 0] = 0.0
+    edges[:, 1:-1] = cand
+    edges[:, -1] = np.inf
+    np.minimum(edges, upper[:, None], out=edges)
+    a = edges[:, :-1]
+    h = edges[:, 1:] - a
+    row, panel = np.nonzero(h > _MERGE_TOL)
+    a = a[row, panel]
+    h = h[row, panel]
+    q = xq.shape[0]
+    out = np.empty((row.shape[0] * q, k + 1))
+    out[:, :k] = np.repeat(ts[row], q, axis=0)
+    out[:, k] = (a[:, None] + h[:, None] * xq).ravel()
+    weights = ((wts[row] * h)[:, None] * wq).ravel()
+    return out, weights
+
+
+def _box_cuts(radii, n_gaps, box_length):
+    """Total-span breakpoints: box_length minus every sum of up to n_gaps radii."""
+    cuts = [box_length]
+    if radii:
+        for s in sum_closure(radii, n_gaps):
+            c = box_length - s
+            if c > _MERGE_TOL:
+                cuts.append(c)
+    return _merge(cuts)
+
+
+#: prefix rows per partial sum of the final level
+PREFIX_BLOCK = 20_000
+#: integrand rows per weight_fn call; bounds the callback's scratch memory
+WEIGHT_BLOCK = 32_768
+
+
 def gap_quadrature(
     weight_fn: Callable[[np.ndarray], np.ndarray],
     n_gaps: int,
@@ -216,7 +342,6 @@ def gap_quadrature(
     box_length: Optional[float] = None,
     include_box_factor: bool = False,
     q_offset: int = 0,
-    prefix_block: int = 20_000,
 ) -> float:
     """Integrate weight_fn over gap vectors t in [0, U]^n_gaps.
 
@@ -225,24 +350,18 @@ def gap_quadrature(
     and, with ``include_box_factor``, multiplies the integrand by
     (box_length - sum t), the free-translation measure of the ordered chain
     in a box.  weight_fn receives an array (P, n_gaps) and returns (P,).
+
+    The prefix rows are expanded one level at a time as arrays.  The final
+    level is expanded PREFIX_BLOCK prefix rows at a time, each block reduced
+    to one partial sum, and weight_fn sees at most WEIGHT_BLOCK rows a call.
     """
     if support is None and box_length is None:
         raise ValueError("need a support radius or a box length")
     if n_gaps == 0:
         base = float(weight_fn(np.zeros((1, 0)))[0])
         return base * (box_length if include_box_factor else 1.0)
-    boxed = box_length is not None
     radii = list(radii)
-    box_cuts = []
-    if boxed:
-        top = box_length
-        box_cuts = [box_length]
-        if radii:
-            for s in sum_closure(radii, n_gaps):
-                c = box_length - s
-                if c > _MERGE_TOL:
-                    box_cuts.append(c)
-        box_cuts = _merge(box_cuts)
+    box_cuts = _box_cuts(radii, n_gaps, box_length) if box_length is not None else []
     qs = _q_schedule(n_gaps, include_box_factor, q_offset)
 
     est = 1.0
@@ -254,53 +373,23 @@ def gap_quadrature(
             "reduce the order or use Monte Carlo"
         )
 
-    # rows: (gaps tuple, accumulated weight); expanded level by level
-    rows = [(( ), 1.0)]
-    for m in range(1, n_gaps):
-        xq, wq = gauss_nodes(qs[m - 1])
-        new_rows = []
-        for ts, wgt in rows:
-            upper = support if support is not None else box_length
-            if boxed:
-                upper = min(upper, box_length - sum(ts))
-            if upper <= _MERGE_TOL:
-                continue
-            edges = [0.0] + _level_breakpoints(ts, radii, box_cuts, upper) + [upper]
-            for a, b in zip(edges[:-1], edges[1:]):
-                h = b - a
-                if h <= _MERGE_TOL:
-                    continue
-                for xg, wg in zip(xq, wq):
-                    new_rows.append((ts + (a + h * xg,), wgt * h * wg))
-        rows = new_rows
+    rule = (radii, box_cuts, support, box_length)
+    ts, wts = np.zeros((1, 0)), np.ones(1)
+    for q in qs[:-1]:
+        ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
 
-    # final level: expand in blocks and reduce immediately
     xq, wq = gauss_nodes(qs[-1])
     partials = []
-    for start in range(0, len(rows), prefix_block):
-        block = rows[start:start + prefix_block]
-        pts = []
-        wts = []
-        for ts, wgt in block:
-            upper = support if support is not None else box_length
-            if boxed:
-                upper = min(upper, box_length - sum(ts))
-            if upper <= _MERGE_TOL:
-                continue
-            edges = [0.0] + _level_breakpoints(ts, radii, box_cuts, upper) + [upper]
-            for a, b in zip(edges[:-1], edges[1:]):
-                h = b - a
-                if h <= _MERGE_TOL:
-                    continue
-                for xg, wg in zip(xq, wq):
-                    pts.append(ts + (a + h * xg,))
-                    wts.append(wgt * h * wg)
-        if not pts:
+    for start in range(0, ts.shape[0], PREFIX_BLOCK):
+        pts, warr = _expand_level(ts[start:start + PREFIX_BLOCK],
+                                  wts[start:start + PREFIX_BLOCK], xq, wq, *rule)
+        if not warr.shape[0]:
             continue
-        pmat = np.asarray(pts)
-        warr = np.asarray(wts)
-        vals = np.asarray(weight_fn(pmat), dtype=float)
+        vals = np.concatenate([
+            np.asarray(weight_fn(pts[i:i + WEIGHT_BLOCK]), dtype=float)
+            for i in range(0, pts.shape[0], WEIGHT_BLOCK)
+        ])
         if include_box_factor:
-            vals = vals * (box_length - pmat.sum(axis=1))
+            vals = vals * (box_length - pts.sum(axis=1))
         partials.append(float(np.dot(vals, warr)))
     return math.fsum(partials)

@@ -7,11 +7,10 @@ from clusterkit import tonks
 from clusterkit.cluster import (
     connected_weight_sum,
     mayer_bn,
-    mayer_coefficients,
     penrose_bn_bound,
     virial_bk_direct,
 )
-from clusterkit.errors import CapacityError, ConfigError, DomainError, InputError
+from clusterkit.errors import CapacityError, ConfigError, DomainError
 from clusterkit.graphs import enum_graphs, vertex_pairs
 from clusterkit.potentials import c_beta
 
@@ -161,15 +160,6 @@ def test_capacity_errors(rod, sphere):
         virial_bk_direct(rod, 1.0, 4)
     with pytest.raises(CapacityError):
         virial_bk_direct(sphere, 1.0, 3, method="monte_carlo", seed=1)
-
-
-def test_coefficient_table(rod):
-    table = mayer_coefficients(rod, 1.0, 4)
-    assert table.coeff(1) == 1.0
-    assert table.coeff(3) == pytest.approx(1.5, rel=1e-9)
-    assert table.orders() == [1, 2, 3, 4]
-    with pytest.raises(InputError):
-        table.coeff(9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,237 @@
+"""Gap quadrature: the array kernels against their scalar oracles, and the
+square well against the exact nearest-neighbour gas."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from clusterkit.canonical import ztilde_direct
+from clusterkit.cluster import (
+    _gap_weight_fn,
+    _two_connected_columns_cached,
+    connected_weight_sum,
+    graph_list_weight_sum,
+    mayer_bn,
+    virial_bk_direct,
+)
+from clusterkit.errors import CapacityError
+from clusterkit.potentials import PairPotential, f_bond_array
+from clusterkit.quadrature import (
+    _box_cuts,
+    _expand_level,
+    _expand_row,
+    _q_schedule,
+    difference_closure,
+    gauss_nodes,
+    pair_window_matrix,
+)
+
+# ---------------------------------------------------------------------------
+# exact oracle: the square well with lambda <= 2 is a nearest-neighbour gas
+# ---------------------------------------------------------------------------
+#
+# Only neighbours interact, so with the gap Boltzmann factor h(t) the
+# isobaric transform gives z = p / g(p), g(t) = t * Laplace[h](t)
+#   = w (e^(-sigma t) - e^(-lam sigma t)) + e^(-lam sigma t),
+# with w = e^(beta eps).  Lagrange inversion gives b_n = [t^(n-1)] g^n / n,
+# and 1/rho = 1/p - g'(p)/g(p) gives the pressure in rho, whose coefficient
+# B_(k+1) = [t^k] D^(k+1) / (k+1), D = 1 - t g'/g, is -k/(k+1) beta_k.
+
+SIGMA, LAM = Fraction(1), Fraction(3, 2)
+
+
+def _mul(a, b, order):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order + 1)]
+
+
+def _pow(a, n, order):
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(n):
+        out = _mul(out, a, order)
+    return out
+
+
+def _inv(a, order):
+    out = [1 / a[0]]
+    for k in range(1, order + 1):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def _gap_series(w, order):
+    def exp_series(rate):  # e^(-rate t)
+        return [(-rate) ** k / math.factorial(k) for k in range(order + 1)]
+
+    inner, outer = exp_series(SIGMA), exp_series(LAM * SIGMA)
+    return [w * (a - b) + b for a, b in zip(inner, outer)]
+
+
+def nn_mayer_b(w, n):
+    return _pow(_gap_series(w, n), n, n - 1)[n - 1] / n
+
+
+def nn_virial_beta(w, k):
+    order = k + 1
+    g = _gap_series(w, order)
+    dg = [(j + 1) * g[j + 1] for j in range(order)] + [Fraction(0)]
+    ratio = _mul(dg, _inv(g, order), order)
+    D = [Fraction(1)] + [-ratio[j - 1] for j in range(1, order + 1)]
+    B = _pow(D, k + 1, k)[k] / (k + 1)
+    return -(k + 1) * B / k
+
+
+def nn_ztilde_box(w, L, N):
+    """Ordered gaps, h = w on [sigma, lam sigma) and 1 beyond: each choice of
+    k outer steps integrates to ((L - span)_+ / L)^N times its weight."""
+    total = Fraction(0)
+    for k in range(N):
+        span = (N - 1 - k) * SIGMA + k * LAM * SIGMA
+        if span < L:
+            total += math.comb(N - 1, k) * w ** (N - 1 - k) * (1 - w) ** k * ((L - span) / L) ** N
+    return total
+
+
+@pytest.fixture(scope="module")
+def well_w():
+    return Fraction(math.exp(1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_square_well_bn_exact(well, well_w, n):
+    val, _ = mayer_bn(well, 1.0, n)
+    assert val == pytest.approx(float(nn_mayer_b(well_w, n)), rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_square_well_beta_exact(well, well_w, k):
+    val, _ = virial_bk_direct(well, 1.0, k)
+    assert val == pytest.approx(float(nn_virial_beta(well_w, k)), rel=1e-10)
+
+
+@pytest.mark.parametrize("N,L", [(3, Fraction(13, 2)), (4, Fraction(33, 4))])
+def test_square_well_box_ztilde_exact(well, well_w, N, L):
+    got = ztilde_direct(well, 1.0, float(L), N, "quadrature")
+    assert got.ztilde == pytest.approx(float(nn_ztilde_box(well_w, L, N)), rel=1e-10)
+
+
+def test_nn_oracle_reduces_to_tonks():
+    # w = 1 is the hard rod: b_n = (-n)^(n-1)/n!, beta_k = -(k+1)/k
+    for n in range(2, 6):
+        assert nn_mayer_b(Fraction(1), n) == Fraction((-n) ** (n - 1), math.factorial(n))
+    for k in range(1, 4):
+        assert nn_virial_beta(Fraction(1), k) == Fraction(-(k + 1), k)
+    assert nn_ztilde_box(Fraction(1), Fraction(10), 4) == Fraction(7, 10) ** 4
+
+
+def test_square_well_b5_bits(well):
+    # the (value, error) pair of the per-row tuple integrator this replaced
+    assert mayer_bn(well, 1.0, 5) == (0.05234621010122331, 2.220446049250313e-16)
+
+
+# ---------------------------------------------------------------------------
+# the array level step against the scalar per-row rule
+# ---------------------------------------------------------------------------
+
+#: rows carried from one level to the next; keeps the scalar oracle cheap
+_ROWS_PER_LEVEL = 50
+
+
+@st.composite
+def gap_setups(draw):
+    # dyadic radii make breakpoints coincide exactly, arbitrary ones do not
+    raw = draw(st.lists(st.one_of(st.integers(1, 16).map(lambda k: k / 8.0),
+                                  st.floats(0.05, 2.0)), min_size=1, max_size=3))
+    # a gap support, a box, or both (a Mayer coefficient in a box)
+    box_length = draw(st.none() | st.floats(0.5, 6.0))
+    support = max(raw) if box_length is None or draw(st.booleans()) else None
+    n_gaps = draw(st.integers(1, 4))
+    try:
+        radii = difference_closure(raw, support)
+        box_cuts = _box_cuts(radii, n_gaps, box_length) if box_length is not None else []
+    except CapacityError:
+        assume(False)
+    assume(len(radii) <= 8)
+    qs = _q_schedule(n_gaps, box_length is not None, draw(st.integers(0, 1)))
+    # start at a drawn level from drawn prefix rows; gaps a hair off a radius
+    # put candidates r - s within the merge tolerance of each other
+    start = draw(st.integers(0, n_gaps - 1))
+    near = st.tuples(st.sampled_from(radii), st.floats(-3e-11, 3e-11)).map(
+        lambda rd: max(0.0, rd[0] + rd[1]))
+    gap = near | st.floats(0.0, 2.0)
+    wts = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8)))
+    size = wts.shape[0] * start
+    ts = np.array(draw(st.lists(gap, min_size=size, max_size=size))).reshape(wts.shape[0], start)
+    return (radii, box_cuts, support, box_length), qs[start:], ts, wts
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_setups())
+def test_expand_level_matches_scalar_rule(setup):
+    rule, qs, ts, wts = setup
+    for q in qs:
+        xq, wq = gauss_nodes(q)
+        got_ts, got_w = _expand_level(ts, wts, xq, wq, *rule)
+        want = [node for row, wgt in zip(ts.tolist(), wts.tolist())
+                for node in _expand_row(tuple(row), wgt, xq, wq, *rule)]
+        assert got_ts.shape == (len(want), ts.shape[1] + 1)
+        assert got_ts.tolist() == [list(node) for node, _ in want]
+        assert got_w.tolist() == [wgt for _, wgt in want]
+        stride = max(1, got_w.shape[0] // _ROWS_PER_LEVEL)
+        ts, wts = got_ts[::stride], got_w[::stride]
+        if not wts.shape[0]:
+            break
+
+
+# ---------------------------------------------------------------------------
+# the distinct-row weight against the plain weight
+# ---------------------------------------------------------------------------
+
+@st.composite
+def bond_rows(draw):
+    kind = draw(st.sampled_from(["hard_rod", "square_well"]))
+    sigma = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    if kind == "square_well":
+        lam = draw(st.sampled_from([1.2, 1.5, 1.9]))
+        pot = PairPotential(kind, sigma, 1, epsilon=draw(st.floats(0.0, 2.0)),
+                            lambda_w=lam, B=1.0)
+    else:
+        pot = PairPotential(kind, sigma, 1)
+    n = draw(st.integers(2, 6))
+    graph_class = draw(st.sampled_from(["connected", "two_connected"]))
+    assume(graph_class == "connected" or n <= 5)
+    # gaps on and between the breakpoints, so bond levels repeat across rows
+    cuts = pot.breakpoints()
+    gap = st.one_of(st.sampled_from([0.0, *cuts, *(c / 2 for c in cuts)]),
+                    st.floats(0.0, 2.0 * cuts[-1]))
+    size = (n - 1) * draw(st.integers(1, 40))
+    rows = np.array(draw(st.lists(gap, min_size=size, max_size=size))).reshape(-1, n - 1)
+    return pot, draw(st.floats(0.1, 3.0)), n, graph_class, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(bond_rows())
+def test_distinct_row_weight_is_bitwise_plain(case):
+    pot, beta, n, graph_class, points = case
+    fvals = f_bond_array(pot, beta, pair_window_matrix(points))
+    if graph_class == "connected":
+        plain = connected_weight_sum(fvals, n)
+    else:
+        plain = graph_list_weight_sum(fvals, _two_connected_columns_cached(n))
+    got = _gap_weight_fn(pot, beta, n, graph_class)(points)
+    assert got.tobytes() == plain.tobytes()
+
+
+def test_bond_level_key_overflow_is_loud(well):
+    # 45 pairs at 3 bond levels: 3^45 keys do not fit an int64
+    with pytest.raises(CapacityError):
+        _gap_weight_fn(well, 1.0, 10, "connected")
+
+
+def test_pair_window_matrix_columns():
+    points = np.array([[0.5, 1.0, 2.0], [1.0, 0.25, 0.125]])
+    # pairs (1,2) (1,3) (1,4) (2,3) (2,4) (3,4)
+    want = [[0.5, 1.5, 3.5, 1.0, 3.0, 2.0], [1.0, 1.25, 1.375, 0.25, 0.375, 0.125]]
+    assert pair_window_matrix(points).tolist() == want
