@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, JammedError
 from . import tonks
-from .cluster import QUADRATURE_MAX_N, _run_chunks, mayer_bn
+from .cluster import QUADRATURE_MAX_N, _chunk_generator, _run_chunks, mayer_bn
 from .graphs import vertex_pairs
 from .potentials import PairPotential, c_beta, f_bond_array
 from .quadrature import difference_closure, gap_quadrature, pair_window_matrix
@@ -53,10 +53,6 @@ class CanonicalResult:
     @property
     def volume(self) -> float:
         return self.L ** self.dimension
-
-    @property
-    def Q(self) -> float:
-        return q_lambda(self)
 
 
 def q_lambda(result: CanonicalResult) -> float:
@@ -104,7 +100,7 @@ def _ztilde_monte_carlo(
     nchunks = max(2, math.ceil(samples / chunk))
 
     def one_chunk(c: int) -> float:
-        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(c)]))
+        rng = _chunk_generator(seed, c)
         pts = [rng.random((chunk, d)) * L for _ in range(N)]
         boltz = np.ones(chunk)
         for i, j in pairs:

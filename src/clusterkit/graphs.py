@@ -17,7 +17,10 @@ The module provides:
   * ``mask_tree_images``, the array form of the connectivity test and the
     tree image over int64 edge masks, processed in fixed-size blocks; the
     scalar ``_mask_connected`` / ``_mask_tree_image`` stay as its oracle,
-  * intersection graphs of subset tuples.
+  * ``submask_tree_classes``, the one brute-force engine over the submasks
+    of a host graph, behind ``penrose_trees``, ``polymer.p_exact`` and the
+    random identity check; the slack-edge ``penrose_trees_fast`` and the
+    scalar ``ursell_value`` stay as its independent oracles.
 """
 
 from __future__ import annotations
@@ -166,13 +169,6 @@ class LabeledGraph:
 
     def is_connected(self) -> bool:
         return _mask_connected(self.n, self.mask)
-
-    def is_two_connected(self) -> bool:
-        return _mask_two_connected(self.n, self.mask)
-
-    def edge_list(self) -> list:
-        """Sorted edge list; the JSON serialization of a graph."""
-        return [list(e) for e in sorted(self.edges)]
 
 
 def enum_graphs(n: int, klass: str = "connected") -> Iterator[LabeledGraph]:
@@ -496,6 +492,34 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     return connected, trees
 
 
+def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Brute force over every submask of the host graph ``gmask`` on [n].
+
+    Returns the alternating sum of (-1)^|edges| over the connected spanning
+    submasks (the Ursell value of the host), the distinct rooted tree-image
+    masks of those submasks, and the preimage count of each image.  The
+    submasks are generated and mapped by ``mask_tree_images`` MASK_BLOCK at
+    a time: the bits of a block index are deposited onto the host's edge
+    bits, so the index has the parity of its submask, and memory stays flat
+    as hosts grow.  A disconnected host has no connected spanning submask.
+    """
+    bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
+    trees = np.zeros(0, dtype=np.int64)
+    preimages = np.zeros(0, dtype=np.int64)
+    total = 0
+    for start in range(0, 1 << len(bits), MASK_BLOCK):
+        idx = np.arange(start, min(start + MASK_BLOCK, 1 << len(bits)), dtype=np.int64)
+        sub = np.zeros_like(idx)
+        for j, k in enumerate(bits):
+            sub |= ((idx >> j) & 1) << k
+        conn, image = mask_tree_images(n, sub, root)
+        total += int(np.sum(1 - 2 * bit_parity(idx[conn])))
+        trees, cls = np.unique(np.concatenate([trees, image[conn]]), return_inverse=True)
+        weight = np.concatenate([preimages, np.ones(int(conn.sum()), dtype=np.int64)])
+        preimages = np.bincount(cls, weights=weight, minlength=len(trees)).astype(np.int64)
+    return total, trees, preimages
+
+
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
     """Deterministic rooted spanning tree of a connected graph.
 
@@ -512,28 +536,16 @@ def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
 def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     """Spanning trees of ``g`` whose preimage under penrose_map is a singleton.
 
-    Defined by brute force: every connected spanning subgraph of ``g`` is
-    mapped, and a tree qualifies exactly when it is its own sole preimage.
-    The count of these trees equals |ursell_value(g)|.
+    Defined by brute force: ``submask_tree_classes`` maps every connected
+    spanning subgraph of ``g``, and a tree qualifies exactly when it is its
+    own sole preimage.  The count of these trees equals |ursell_value(g)|.
     """
-    n = g.n
     if not g.is_connected():
         raise DomainError("Penrose trees are defined for connected graphs only")
-    if n == 1:
-        return frozenset([RootedTree(1, {}, root=1)])
-    gmask = g.mask
-    counts: Dict[int, int] = {}
-    sub = gmask
-    while True:
-        if _mask_connected(n, sub):
-            t = _mask_tree_image(n, sub, root)
-            counts[t] = counts.get(t, 0) + 1
-        if sub == 0:
-            break
-        sub = (sub - 1) & gmask
-    singles = [t for t, c in counts.items() if c == 1]
+    n = g.n
+    _, trees, preimages = submask_tree_classes(n, g.mask, root)
     return frozenset(
-        _tree_from_edge_list(n, mask_edges(n, t), root) for t in singles
+        _tree_from_edge_list(n, mask_edges(n, t), root) for t in trees[preimages == 1].tolist()
     )
 
 
@@ -593,40 +605,3 @@ def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
         if slack_mask & gmask == 0:
             out.append(tree)
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Subset tuples and their intersection graphs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubsetTuple:
-    """An ordered tuple of subsets of [N], each of size at least 2."""
-
-    N: int
-    subsets: Tuple[FrozenSet[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "subsets", tuple(frozenset(s) for s in self.subsets)
-        )
-        for k, s in enumerate(self.subsets, start=1):
-            if len(s) < 2:
-                raise ValueError(f"subset #{k} has size {len(s)} < 2")
-            bad = [x for x in s if not (1 <= x <= self.N)]
-            if bad:
-                raise ValueError(f"subset #{k} has elements {bad} outside [1..{self.N}]")
-
-    def __len__(self):
-        return len(self.subsets)
-
-
-def intersection_graph(t: SubsetTuple) -> LabeledGraph:
-    """Graph on [len(t)] with an edge {i, j} when subsets i and j intersect."""
-    n = len(t)
-    edges = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            if t.subsets[a] & t.subsets[b]:
-                edges.add((a + 1, b + 1))
-    return LabeledGraph(n, frozenset(edges))

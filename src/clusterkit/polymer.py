@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import LabeledGraph, penrose_trees, ursell_table, vertex_pairs
+from .graphs import submask_tree_classes, ursell_table, vertex_pairs
 
 Number = Union[int, float, Fraction]
 
@@ -68,9 +68,8 @@ class ActivityProfile:
         zeta_s = rho^(s-1) * mu_s with mu_s = b_s s!/N^(s-1); equivalently
         zeta_s = b_s s!/V^(s-1) with V = N/rho.
         """
-        bm = b.as_dict() if hasattr(b, "as_dict") else dict(b)
         zeta = {}
-        for s, val in bm.items():
+        for s, val in dict(b).items():
             if s < 2 or s > N:
                 continue
             zeta[s] = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
@@ -78,10 +77,6 @@ class ActivityProfile:
 
     def activity(self, m: int) -> Number:
         return self.zeta.get(m, 0)
-
-    def mu(self, s: int, rho: float) -> float:
-        """Density-free part of the activity: zeta_s / rho^(s-1)."""
-        return float(self.activity(s)) / rho ** (s - 1)
 
     def c_rho(self, m: int) -> float:
         """Summability weight |zeta_m| C(N-1, m-1)."""
@@ -242,12 +237,10 @@ def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _penrose_membership(n: int, emask: int) -> frozenset:
-    """Singleton-preimage trees of the graph on [n] with edge mask ``emask``."""
-    g = LabeledGraph.from_mask(n, emask)
-    if not g.is_connected():
-        return frozenset()
-    return penrose_trees(g, root=1)
+def _penrose_count(n: int, emask: int) -> int:
+    """Number of singleton-preimage trees of the graph on [n] with edge mask ``emask``."""
+    _, _, preimages = submask_tree_classes(n, emask)
+    return int(np.count_nonzero(preimages == 1))
 
 
 def _count_tuples(N: int, s: Sequence[int]) -> int:
@@ -268,7 +261,7 @@ def _count_tuples(N: int, s: Sequence[int]) -> int:
                 emask |= 1 << idx
         # every singleton-preimage tree is one of the rooted trees on [n],
         # so the indicator sum over all trees is just the member count
-        count += len(_penrose_membership(n, emask))
+        count += _penrose_count(n, emask)
     return count
 
 
@@ -334,7 +327,7 @@ def ck_finite_N(N: int, b, k: int) -> Number:
         raise InputError("order must be >= 1")
     if k > CK_FINITE_MAX_K:
         raise CapacityError(f"finite-N coefficients capped at k={CK_FINITE_MAX_K}")
-    bm = b.as_dict() if hasattr(b, "as_dict") else dict(b)
+    bm = dict(b)
     missing = [i for i in range(2, k + 2) if i not in bm]
     if missing:
         raise InputError(f"missing fugacity coefficients: {missing}")

@@ -130,28 +130,6 @@ class PairPotential:
         return float(np.interp(r, rs, vs))
 
 
-@dataclass(frozen=True)
-class ThermoState:
-    """Inverse temperature plus optional box side and particle count."""
-
-    beta: float
-    L: Optional[float] = None
-    N: Optional[int] = None
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
-        if self.L is not None and self.L <= 0:
-            raise ConfigError("box side L must be positive")
-        if self.N is not None and self.N < 1:
-            raise ConfigError("particle count N must be >= 1")
-
-    def density(self, dimension: int = 1) -> float:
-        if self.L is None or self.N is None:
-            raise ConfigError("density needs both L and N")
-        return self.N / self.L ** dimension
-
-
 # ---------------------------------------------------------------------------
 # bond function
 # ---------------------------------------------------------------------------
@@ -159,7 +137,9 @@ class ThermoState:
 def f_bond(p: PairPotential, beta: float, x) -> float:
     """e^(-beta V(x)) - 1 at separation ``x`` (vector or radius).
 
-    Inside a hard core the value is exactly -1.
+    Inside a hard core the value is exactly -1.  This scalar form is the
+    reference that ``f_bond_array`` (the evaluator the integrals run) is
+    tested against.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")

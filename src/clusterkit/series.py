@@ -20,7 +20,7 @@ formal identity between them can be asserted to machine precision or better.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -65,31 +65,6 @@ class VirialCoefficients:
             raise InputError(f"order-{k} coefficient not present")
         return self.values[k]
 
-    def orders(self):
-        return sorted(self.values)
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series: coefficients by order plus an optional tail bound."""
-
-    coefficients: Mapping[int, float]
-    order: int
-    tail_bound: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
-
-    def evaluate(self, x: float) -> float:
-        return math.fsum(c * x ** p for p, c in sorted(self.coefficients.items()))
-
-
-def _coeff_map(b) -> Dict[int, Number]:
-    """Accept a plain mapping or anything with .as_dict() (coefficient tables)."""
-    if hasattr(b, "as_dict"):
-        return dict(b.as_dict())
-    return dict(b)
-
 
 # ---------------------------------------------------------------------------
 # multiset partitions
@@ -128,7 +103,7 @@ def virial_from_mayer(b, k: int) -> Number:
     """
     if k < 1:
         raise DomainError("order must be >= 1")
-    bm = _coeff_map(b)
+    bm = dict(b)
     missing = [i for i in range(2, k + 2) if i not in bm]
     if missing:
         raise InputError(f"missing fugacity coefficients: {missing}")
@@ -172,7 +147,7 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
     """
     if k_max < 1:
         raise DomainError("order must be >= 1")
-    bm = _coeff_map(b)
+    bm = dict(b)
     order = k_max + 1
     missing = [i for i in range(1, order + 1) if i not in bm]
     if missing:
@@ -277,7 +252,6 @@ class FreeEnergyEstimate:
     certified: bool
     k_max: int
     rho_star: float
-    series: PowerSeries = field(repr=False, default=None)
 
 
 def _teo2_term(k: int, rho: float, beta: float, B: float, cbeta: float,
@@ -319,12 +293,7 @@ def free_energy_series(
         tail = head / (1.0 - ratio)
     else:
         tail = math.nan
-    series = PowerSeries(
-        {k + 1: float(cm[k]) / (k + 1) for k in range(1, k_max + 1)},
-        order=k_max + 1,
-        tail_bound=None if not certified else tail,
-    )
-    return FreeEnergyEstimate(value, tail, certified, k_max, rstar, series)
+    return FreeEnergyEstimate(value, tail, certified, k_max, rstar)
 
 
 _EXACT_LOGFACT_MAX = 10 ** 6

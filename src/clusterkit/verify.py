@@ -24,12 +24,10 @@ from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError
 from .graphs import (
-    MASK_BLOCK,
     LabeledGraph,
     _decode_tree_sequence,
     _mask_connected,
     _tree_from_edge_list,
-    bit_parity,
     connected_mask_flags,
     enum_graphs,
     enum_trees,
@@ -37,10 +35,11 @@ from .graphs import (
     penrose_map,
     penrose_trees,
     penrose_trees_fast,
+    submask_tree_classes,
     ursell_table,
 )
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
-from .potentials import PairPotential, c_beta, f_bond
+from .potentials import PairPotential, c_beta, f_bond_array
 from .quadrature import integrate_1d
 from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, REFERENCE_A_ZERO_COUPLING, ck_bound, g_of_u
 from .series import combi_identity_check, free_energy_series, invert_mayer_oracle, virial_from_mayer
@@ -109,9 +108,8 @@ def penrose_identity_random(
 ) -> Tuple[int, int]:
     """Spot-check the identity on random connected graphs (default n = 7).
 
-    Brute force over every submask of each host graph, generated and mapped
-    by ``mask_tree_images`` MASK_BLOCK at a time, so memory stays flat as
-    hosts grow.
+    Brute force over every submask of each host graph by
+    ``submask_tree_classes``.
     """
     rng = random.Random(seed)
     npairs = n * (n - 1) // 2
@@ -125,22 +123,7 @@ def penrose_identity_random(
                     mask |= 1 << k
             if _mask_connected(n, mask):
                 break
-        # every submask of the host, MASK_BLOCK at a time: block index bits
-        # are deposited onto the host's edge bits, so parity is kept
-        bits = [k for k in range(npairs) if mask >> k & 1]
-        trees = np.zeros(0, dtype=np.int64)  # distinct tree images so far
-        preimages = np.zeros(0, dtype=np.int64)  # and their preimage counts
-        total = 0
-        for start in range(0, 1 << len(bits), MASK_BLOCK):
-            idx = np.arange(start, min(start + MASK_BLOCK, 1 << len(bits)), dtype=np.int64)
-            sub = np.zeros_like(idx)
-            for j, k in enumerate(bits):
-                sub |= ((idx >> j) & 1) << k
-            conn, image = mask_tree_images(n, sub, root)
-            total += int(np.sum(1 - 2 * bit_parity(idx[conn])))
-            trees, cls = np.unique(np.concatenate([trees, image[conn]]), return_inverse=True)
-            weight = np.concatenate([preimages, np.ones(int(conn.sum()), dtype=np.int64)])
-            preimages = np.bincount(cls, weights=weight, minlength=len(trees)).astype(np.int64)
+        total, _, preimages = submask_tree_classes(n, mask, root)
         singles = int(np.count_nonzero(preimages == 1))
         if total != sign * singles or sign * total <= 0:
             mism += 1
@@ -266,19 +249,17 @@ def _check_f_bond_range(ctx: VerifyContext) -> Tuple[bool, str]:
     beta = 1.3
     top = math.expm1(beta * _WELL.epsilon)
     rng = random.Random(ctx.seed + 3)
-    for _ in range(400):
-        r = rng.uniform(0.0, 3.0)
-        v = f_bond(_WELL, beta, r)
-        if not (-1.0 <= v <= top + 1e-15):
-            return False, f"f({r}) = {v} outside [-1, {top}]"
+    r = np.array([rng.uniform(0.0, 3.0) for _ in range(400)])
+    v = f_bond_array(_WELL, beta, r)
+    bad = np.flatnonzero(~((v >= -1.0) & (v <= top + 1e-15)))  # NaN is bad too
+    if bad.size:
+        return False, f"f({r[bad[0]]}) = {v[bad[0]]} outside [-1, {top}]"
     return True, "sampled bond values inside [-1, e^(beta eps) - 1]"
 
 
 def _check_refinement(ctx: VerifyContext) -> Tuple[bool, str]:
     # tabulated potential: the bond integrand is genuinely non-polynomial, so
     # the mesh-doubling error estimate is nonzero and must halve (or better)
-    from .potentials import f_bond_array
-
     tab = PairPotential(
         "custom_tabulated", 0.5, 1,
         table=((0.0, 2.0), (0.5, 1.0), (1.0, -0.5), (2.0, 0.0)), cutoff=2.0,

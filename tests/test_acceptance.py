@@ -25,7 +25,7 @@ from clusterkit.radii import (
     radius_report,
 )
 from clusterkit.series import combi_identity_check, invert_mayer_oracle, virial_from_mayer
-from clusterkit.verify import penrose_identity_random, penrose_identity_scan
+from clusterkit.verify import _combi_tuples, _fit_slope, penrose_identity_random, penrose_identity_scan
 
 ROD = PairPotential("hard_rod", 1.0, 1)
 SPHERE = PairPotential("hard_sphere", 1.0, 3)
@@ -39,14 +39,6 @@ def criterion(num, title):
         print(f"ACCEPTANCE {num}: FAIL - {title}")
         raise
     print(f"ACCEPTANCE {num}: PASS - {title}")
-
-
-def fit_slope(xs, ys):
-    n = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
 def test_criterion_1_radius_constants():
@@ -107,26 +99,11 @@ def test_criterion_5_combinatorial_identity():
         checked = 0
         for n in range(2, 11):
             for k in range(1, 13 - n):
-                for t in _tuples(n, k):
+                for t in _combi_tuples(n, k):
                     lhs, rhs = combi_identity_check(t, n, k)
                     assert lhs == rhs, f"n={n} k={k} t={t}: {lhs} != {rhs}"
                     checked += 1
         assert checked > 200
-
-
-def _tuples(n, k):
-    total = n + k - 1
-
-    def rec(i, rem):
-        lo = 1 if i == 0 else 2
-        if i == n - 1:
-            if rem >= lo:
-                yield (rem,)
-            return
-        for v in range(lo, rem + 1):
-            yield from ((v,) + rest for rest in rec(i + 1, rem - v))
-
-    yield from rec(0, total)
 
 
 def test_criterion_6_polymer_exactness():
@@ -148,7 +125,7 @@ def test_criterion_6_polymer_exactness():
             resid = abs(math.log(float(xi_exact(4, prof))) - partial)
             xs.append(math.log(lam))
             ys.append(math.log(resid))
-        slope = fit_slope(xs, ys)
+        slope = _fit_slope(xs, ys)
         assert abs(slope - 4.0) <= 0.2, f"slope {slope}"
 
 
@@ -162,7 +139,7 @@ def test_criterion_7_finite_N_convergence():
             resid = abs(float(ck_finite_N(N, b, 2)) - (-1.5))
             xs.append(math.log(1.0 / N))
             ys.append(math.log(resid))
-        slope = fit_slope(xs, ys)
+        slope = _fit_slope(xs, ys)
         assert abs(slope - 1.0) <= 0.15, f"slope {slope}"
 
 
@@ -175,7 +152,7 @@ def test_criterion_8_end_to_end():
             assert rep.passed, f"budget failed at N={N}: gap {rep.gap} > {rep.budget}"
             xs.append(math.log(N))
             ys.append(math.log(rep.gap))
-        slope = fit_slope(xs, ys)
+        slope = _fit_slope(xs, ys)
         assert abs(slope + 1.0) <= 0.1, f"gap slope {slope}"
 
         # bound chain on every coefficient computed in this run

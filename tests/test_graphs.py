@@ -9,20 +9,20 @@ from clusterkit.graphs import (
     MASK_BLOCK,
     LabeledGraph,
     RootedTree,
-    SubsetTuple,
     _mask_connected,
     _mask_tree_image,
+    bit_parity,
     connected_mask_flags,
     count_graphs,
     edge_mask,
     enum_graphs,
     enum_trees,
-    intersection_graph,
     mask_tree_images,
     penrose_map,
     penrose_slack_edges,
     penrose_trees,
     penrose_trees_fast,
+    submask_tree_classes,
     ursell_table,
     ursell_value,
     vertex_pairs,
@@ -262,30 +262,58 @@ def test_connected_mask_flags_match_scalar(n):
 
 
 # ---------------------------------------------------------------------------
-# subset tuples
+# the submask engine against its oracles
 # ---------------------------------------------------------------------------
 
-def test_intersection_graph_path():
-    t = SubsetTuple(4, (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})))
-    g = intersection_graph(t)
-    assert g.edges == frozenset({(1, 2), (2, 3)})
+def _all_submask_classes(n, host, root):
+    """Engine output rebuilt from every mask on [n] at once, filtered to the host."""
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    subs = masks[(masks & ~host) == 0]
+    conn, images = mask_tree_images(n, subs, root)
+    total = int(np.sum(1 - 2 * bit_parity(subs[conn])))
+    trees, counts = np.unique(images[conn], return_counts=True)
+    return total, trees.tolist(), counts.tolist()
 
 
-def test_intersection_graph_disjoint():
-    t = SubsetTuple(6, (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})))
-    assert intersection_graph(t).edges == frozenset()
+def _check_engine(n, host, root):
+    total, trees, preimages = submask_tree_classes(n, host, root)
+    assert (total, trees.tolist(), preimages.tolist()) == _all_submask_classes(n, host, root)
+    assert total == ursell_table(n)[host]
+    g = LabeledGraph.from_mask(n, host)
+    if g.is_connected():
+        found = penrose_trees(g, root)
+        assert found == penrose_trees_fast(g, root)
+        assert len(found) == abs(int(ursell_table(n)[host]))
+    return total
 
 
-def test_intersection_graph_complete():
-    t = SubsetTuple(5, (frozenset({1, 2}), frozenset({1, 2}), frozenset({2, 5})))
-    assert intersection_graph(t).edges == frozenset({(1, 2), (1, 3), (2, 3)})
+@st.composite
+def hosts_on(draw):
+    n = draw(st.integers(1, 6))
+    root = draw(st.integers(1, n))
+    host = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return n, host, root
 
 
-def test_subset_tuple_validation():
-    with pytest.raises(ValueError):
-        SubsetTuple(4, (frozenset({1}),))
-    with pytest.raises(ValueError):
-        SubsetTuple(4, (frozenset({1, 9}),))
+@settings(max_examples=60, deadline=None)
+@given(hosts_on())
+def test_submask_engine_matches_oracles(case):
+    n, host, root = case
+    assert _check_engine(n, host, root) == ursell_value(LabeledGraph.from_mask(n, host))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.sets(st.integers(0, 14), max_size=2), st.integers(1, 6))
+def test_submask_engine_merges_blocks(missing, root):
+    # 13 to 15 of the 15 edges on [6]: 2 to 8 blocks of submasks are merged
+    host = (1 << 15) - 1 - sum(1 << k for k in missing)
+    assert 1 << (15 - len(missing)) > MASK_BLOCK
+    _check_engine(6, host, root)
+
+
+def test_penrose_trees_complete_graph_every_root():
+    K6 = complete_graph(6)
+    assert [len(penrose_trees(K6, root=r)) for r in range(1, 7)] == [120] * 6
 
 
 def test_edge_mask_roundtrip():
@@ -293,8 +321,3 @@ def test_edge_mask_roundtrip():
     g = LabeledGraph.from_edges(5, [pairs[0], pairs[3], pairs[9]])
     assert LabeledGraph.from_mask(5, g.mask) == g
     assert edge_mask(5, g.edges) == g.mask
-
-
-def test_graph_json_edge_list():
-    g = LabeledGraph.from_edges(4, [(3, 4), (1, 2)])
-    assert g.edge_list() == [[1, 2], [3, 4]]

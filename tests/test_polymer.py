@@ -37,8 +37,6 @@ def test_profile_from_mayer_consistency():
     for s in range(2, 6):
         assert prof.activity(s) == pytest.approx(
             b[s] * math.factorial(s) / V ** (s - 1), rel=1e-12)
-        assert prof.mu(s, rho) == pytest.approx(
-            b[s] * math.factorial(s) / N ** (s - 1), rel=1e-12)
 
 
 def test_c_rho_weights():

@@ -6,7 +6,6 @@ import pytest
 from clusterkit.errors import ConfigError, DivergenceError
 from clusterkit.potentials import (
     PairPotential,
-    ThermoState,
     c_beta,
     f_bond,
     f_bond_array,
@@ -111,15 +110,6 @@ def test_config_loader():
         potential_from_config({"sigma": 1.0})
     with pytest.raises(ConfigError):
         potential_from_config({"kind": "hard_rod", "sigma": 1.0, "cutoff": 3.0})
-
-
-def test_thermo_state():
-    st = ThermoState(beta=1.0, L=10.0, N=5)
-    assert st.density() == pytest.approx(0.5)
-    with pytest.raises(ConfigError):
-        ThermoState(beta=-1.0)
-    with pytest.raises(ConfigError):
-        ThermoState(beta=1.0).density()
 
 
 def test_breakpoints(well, rod):
