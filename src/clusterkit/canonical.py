@@ -7,8 +7,10 @@ The normalized configurational integral
 is computed three ways: the hard-rod closed form (1 - (N-1) sigma/L)^N,
 one-dimensional nested quadrature over ordered gaps (N <= 4), and plain
 hit-or-miss Monte Carlo on the Boltzmann factor (N <= 12, adequate exactly
-in the low-density regime the series certifies).  Free boundary conditions
-throughout: no periodic images.
+in the low-density regime the series certifies).  The Boltzmann factor is
+prod (1 + f), the sum over all graphs: quadrature and Monte Carlo run the
+drivers of ``cluster`` (graph class "all", the box points of box b_n).
+Free boundary conditions throughout: no periodic images.
 
 ``compare_series_direct`` is the end-to-end harness: it evaluates the
 interaction free-energy term Q = (1/V) ln ztilde directly and from the
@@ -22,16 +24,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, JammedError
 from . import tonks
-from .cluster import QUADRATURE_MAX_N, _chunk_generator, _run_chunks, mayer_bn
+from .cluster import (
+    MONTE_CARLO_MAX_N,
+    QUADRATURE_MAX_N,
+    _box_points,
+    _gap_integral,
+    _monte_carlo,
+    mayer_bn,
+)
 from .graphs import vertex_pairs
 from .potentials import PairPotential, c_beta, f_bond_array
-from .quadrature import difference_closure, gap_quadrature, pair_window_matrix
 from .series import free_energy_series, virial_from_mayer
 
 ZTILDE_QUADRATURE_MAX_N = 4
@@ -65,52 +73,6 @@ def q_lambda(result: CanonicalResult) -> float:
 # ---------------------------------------------------------------------------
 # direct evaluation
 # ---------------------------------------------------------------------------
-
-def _ztilde_quadrature(p: PairPotential, beta: float, L: float, N: int) -> Tuple[float, float]:
-    radii = difference_closure(p.breakpoints(), None)
-
-    def weight(points: np.ndarray) -> np.ndarray:
-        w = pair_window_matrix(points)
-        fv = f_bond_array(p, beta, w)
-        return np.prod(1.0 + fv, axis=1)
-
-    kwargs = dict(
-        weight_fn=weight,
-        n_gaps=N - 1,
-        radii=radii,
-        support=None,
-        box_length=L,
-        include_box_factor=True,
-    )
-    scale = math.factorial(N) / L ** N
-    fine = scale * gap_quadrature(q_offset=1, **kwargs)
-    coarse = scale * gap_quadrature(q_offset=0, **kwargs)
-    return fine, abs(fine - coarse)
-
-
-def _ztilde_monte_carlo(
-    p: PairPotential, beta: float, L: float, N: int,
-    seed: Optional[int], samples: int, chunk: int,
-    workers: Optional[int] = None,
-) -> Tuple[float, float]:
-    if seed is None:
-        raise ConfigError("Monte Carlo needs an explicit seed")
-    d = p.dimension
-    pairs = vertex_pairs(N)
-    nchunks = max(2, math.ceil(samples / chunk))
-
-    def one_chunk(c: int) -> float:
-        rng = _chunk_generator(seed, c)
-        pts = [rng.random((chunk, d)) * L for _ in range(N)]
-        boltz = np.ones(chunk)
-        for i, j in pairs:
-            r = np.linalg.norm(pts[i - 1] - pts[j - 1], axis=1)
-            boltz *= 1.0 + f_bond_array(p, beta, r)
-        return float(boltz.mean())
-
-    means = np.asarray(_run_chunks(one_chunk, nchunks, workers))
-    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(nchunks))
-
 
 def ztilde_direct(
     p: PairPotential,
@@ -156,13 +118,28 @@ def ztilde_direct(
             raise CapacityError("direct quadrature is one-dimensional only")
         if N > ZTILDE_QUADRATURE_MAX_N:
             raise CapacityError(f"direct quadrature capped at N={ZTILDE_QUADRATURE_MAX_N}")
-        val, err = _ztilde_quadrature(p, beta, L, N)
-        return _checked_result(p, CanonicalResult(N, L, beta, val, err,
+        scale = math.factorial(N) / L ** N
+        fine, coarse = _gap_integral(p, beta, N, "all", L)
+        fine, coarse = scale * fine, scale * coarse
+        return _checked_result(p, CanonicalResult(N, L, beta, fine, abs(fine - coarse),
                                                   "quadrature", 1))
     if method == "monte_carlo":
         if N > ZTILDE_MC_MAX_N:
             raise CapacityError(f"Monte Carlo capped at N={ZTILDE_MC_MAX_N}")
-        val, err = _ztilde_monte_carlo(p, beta, L, N, seed, samples, chunk, workers)
+        pairs = vertex_pairs(N)
+
+        def chunk_mean(rng: np.random.Generator) -> float:
+            # pair by pair: a (chunk, pairs) bond matrix would more than
+            # double the peak memory at N = 12
+            pts = _box_points(rng, N, p.dimension, L, chunk)
+            boltz = np.ones(chunk)
+            for i, j in pairs:
+                r = np.linalg.norm(pts[i - 1] - pts[j - 1], axis=1)
+                boltz *= 1.0 + f_bond_array(p, beta, r)
+            return float(boltz.mean())
+
+        means = _monte_carlo(chunk_mean, seed, samples, chunk, workers)
+        val, err = float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
         return _checked_result(p, CanonicalResult(N, L, beta, val, err,
                                                   "monte_carlo", p.dimension))
     raise ConfigError(f"unknown method {method!r}")
@@ -237,7 +214,7 @@ def _mayer_table_for_series(p: PairPotential, beta: float, n_max: int,
             out[n], _ = mayer_bn(p, beta, n, method="quadrature")
         elif p.kind == "hard_rod":
             out[n] = tonks.bn_value(n, p.sigma)
-        elif n <= 5:
+        elif n <= MONTE_CARLO_MAX_N:
             out[n], _ = mayer_bn(p, beta, n, method="monte_carlo", seed=seed,
                                  workers=workers)
         else:

@@ -8,20 +8,22 @@
 with f the bond function of the potential.  Infinite volume pins x_1 = 0 by
 translation invariance; a finite box integrates all n points and divides by
 the volume.  ``virial_bk_direct`` does the same over two-connected graphs on
-[k+1] vertices, giving the order-k density-series coefficient directly.
+[k+1] vertices, giving the order-k density-series coefficient directly.  The
+canonical ztilde is the same integral over all graphs, whose sum is the
+product of (1 + f) over the pairs.
 
-Quadrature (d = 1) reduces the integral to ordered-gap coordinates: the
-graph sum is permutation symmetric, so the integral equals n! times the
-ordered-sector integral, and the sector is parametrized by the n-1
-consecutive gaps.  The gap integrand is the subset convolution that extracts
-the connected part of the full Boltzmann product (or the sum over the
-two-connected graph list); for a piecewise constant bond it is evaluated
-once per distinct row of bond levels.
-
-Monte Carlo (any d, default d = 3) samples the free points in the ball of
-radius (n-1) * range around the pinned particle, with radius-stratified
-sampling and fixed per-chunk substreams so results are bit-reproducible for
-a given (seed, samples, chunk size).
+The three graph classes of graphs.GRAPH_CLASSES share one selector,
+``_graph_class_sum``, and two drivers.  Quadrature (d = 1), ``_gap_integral``,
+reduces the integral to the n-1 ordered gaps: the graph sum is permutation
+symmetric, so the integral is n! times the ordered-sector integral.  For a
+piecewise constant bond the graph sum runs once per distinct row of bond
+levels.  Each caller scales gap_quadrature's refined and base sums and
+reports their difference as the error.  Monte Carlo (any d, default d = 3),
+``_monte_carlo``, draws chunk c from a Philox substream keyed by (seed, c),
+so results are bit-reproducible for a given (seed, samples, chunk size) at
+any worker count.  b_n and beta_k stratify the free points by radius in the
+ball of radius (n-1) * range around the pinned particle; in a box, b_n and
+ztilde draw the same uniform points.
 """
 
 from __future__ import annotations
@@ -101,20 +103,13 @@ def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
     return conn[full]
 
 
-def _two_connected_edge_columns(n: int):
-    pairs = vertex_pairs(n)
-    col = {e: k for k, e in enumerate(pairs)}
-    if n == 2:
-        return [[col[(1, 2)]]]
-    graphs = []
-    for g in enum_graphs(n, "two_connected"):
-        graphs.append([col[e] for e in sorted(g.edges)])
-    return graphs
-
-
 @lru_cache(maxsize=None)
 def _two_connected_columns_cached(n: int):
-    return _two_connected_edge_columns(n)
+    """Edge columns of each two-connected graph on [n] (the single edge at n = 2)."""
+    col = {e: k for k, e in enumerate(vertex_pairs(n))}
+    if n == 2:
+        return [[col[(1, 2)]]]
+    return [[col[e] for e in sorted(g.edges)] for g in enum_graphs(n, "two_connected")]
 
 
 def graph_list_weight_sum(fvals: np.ndarray, edge_columns) -> np.ndarray:
@@ -145,28 +140,35 @@ def _bond_level_keys(windows: np.ndarray, cuts) -> np.ndarray:
     return keys
 
 
+def _graph_class_sum(n: int, graph_class: str):
+    """The sum over the graphs of a class on [n], as a function of the bond
+    values (P, pairs) -> (P,).
+
+    ``connected`` peels components by the subset identity, ``two_connected``
+    runs the explicit graph list, and ``all`` is the row-wise product of
+    (1 + f).  Each works row by row.
+    """
+    if graph_class == "connected":
+        return lambda fvals: connected_weight_sum(fvals, n)
+    if graph_class == "two_connected":
+        cols = _two_connected_columns_cached(n)
+        return lambda fvals: graph_list_weight_sum(fvals, cols)
+    if graph_class == "all":
+        return lambda fvals: np.prod(1.0 + fvals, axis=1)
+    raise ValueError(f"unknown graph class {graph_class!r}")
+
+
 def _gap_weight_fn(p: PairPotential, beta: float, n: int, graph_class: str):
-    """Integrand over gap vectors for the connected / two-connected sum.
+    """Integrand over gap vectors: the graph-class sum of the bond values.
 
     For a piecewise constant bond every row with the same bond levels has the
     same bond values, so the graph sum runs once per distinct level row and
-    is gathered back.  Both sums work row by row, so the values are the same
-    bits as a sum over every row.
+    is gathered back.  Every class sum works row by row, so the values are
+    the same bits as a sum over every row.
     """
-    if graph_class == "connected":
-        def graph_sum(fvals):
-            return connected_weight_sum(fvals, n)
-    else:
-        cols = _two_connected_columns_cached(n)
-
-        def graph_sum(fvals):
-            return graph_list_weight_sum(fvals, cols)
-
+    graph_sum = _graph_class_sum(n, graph_class)
     if not p.piecewise_constant_bond:
-        def weight(points):
-            return graph_sum(f_bond_array(p, beta, pair_window_matrix(points)))
-
-        return weight
+        return lambda points: graph_sum(f_bond_array(p, beta, pair_window_matrix(points)))
 
     cuts = p.breakpoints()
     npairs = n * (n - 1) // 2
@@ -198,52 +200,26 @@ def _radial_pair_integral(p: PairPotential, beta: float) -> Tuple[float, float]:
     return s * val, s * err
 
 
-def _bn_gap_quadrature(
-    p: PairPotential, beta: float, n: int, box: Optional[float]
+def _gap_integral(
+    p: PairPotential, beta: float, n: int, graph_class: str, box: Optional[float]
 ) -> Tuple[float, float]:
-    radii = difference_closure(p.breakpoints(), p.range_radius)
-    weight = _gap_weight_fn(p, beta, n, "connected")
-    support = p.range_radius
+    """Ordered-sector integral of the graph-class sum on [n] over its n-1 gaps.
+
+    Connected and two-connected sums vanish once a gap exceeds the range, so
+    their gaps stop there; the sum over all graphs is confined by the box
+    alone.  Returns gap_quadrature's refined and base sums, unscaled.
+    """
+    support = None if graph_class == "all" else p.range_radius
+    radii = difference_closure(p.breakpoints(), support)
+    weight = _gap_weight_fn(p, beta, n, graph_class)
     if box is not None and box <= 0:
         raise DomainError("box side must be positive")
-    kwargs = dict(
-        weight_fn=weight,
-        n_gaps=n - 1,
-        radii=radii,
-        support=support,
-        box_length=box,
-        include_box_factor=box is not None,
-    )
-    fine = gap_quadrature(q_offset=1, **kwargs)
-    coarse = gap_quadrature(q_offset=0, **kwargs)
-    if box is not None:
-        fine /= box
-        coarse /= box
-    return fine, abs(fine - coarse)
-
-
-def _bk_gap_quadrature(p: PairPotential, beta: float, k: int) -> Tuple[float, float]:
-    n = k + 1
-    radii = difference_closure(p.breakpoints(), p.range_radius)
-    weight = _gap_weight_fn(p, beta, n, "two_connected")
-    kwargs = dict(
-        weight_fn=weight,
-        n_gaps=n - 1,
-        radii=radii,
-        support=p.range_radius,
-    )
-    fine = (k + 1) * gap_quadrature(q_offset=1, **kwargs)
-    coarse = (k + 1) * gap_quadrature(q_offset=0, **kwargs)
-    return fine, abs(fine - coarse)
+    return gap_quadrature(weight, n - 1, radii, support, box)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo path
 # ---------------------------------------------------------------------------
-
-def _chunk_generator(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(index)]))
-
 
 def _stratified_ball(rng: np.random.Generator, m: int, d: int, radius: float) -> np.ndarray:
     """m points roughly uniform in the d-ball, radius-stratified per point."""
@@ -258,18 +234,33 @@ def _stratified_ball(rng: np.random.Generator, m: int, d: int, radius: float) ->
     return dirs * r[:, None]
 
 
-def _run_chunks(fn, nchunks: int, workers: Optional[int]) -> list:
-    """Evaluate fn(0..nchunks-1), optionally on a thread pool.
+def _box_points(rng: np.random.Generator, n: int, d: int, side: float, size: int) -> list:
+    """n arrays of ``size`` points, each uniform in the box [0, side]^d."""
+    return [rng.random((size, d)) * side for _ in range(n)]
 
-    Results are collected in chunk order, so the reduction is deterministic
-    and independent of the worker count.
+
+def _monte_carlo(chunk_mean, seed: Optional[int], samples: int, chunk: int,
+                 workers: Optional[int]) -> np.ndarray:
+    """The chunk means chunk_mean(rng) of a Monte Carlo estimate.
+
+    Chunk c draws from its own Philox stream keyed by (seed, c), optionally
+    on a thread pool.  The means are collected in chunk order, so the
+    reduction is deterministic and independent of the worker count.
     """
-    if workers is None or workers <= 1 or nchunks < 2:
-        return [fn(c) for c in range(nchunks)]
+    if seed is None:
+        raise ConfigError("Monte Carlo needs an explicit seed")
+    nchunks = max(2, math.ceil(samples / chunk))
+
+    def one_chunk(c: int) -> float:
+        return chunk_mean(np.random.Generator(
+            np.random.Philox(key=[np.uint64(seed), np.uint64(c)])))
+
+    if workers is None or workers <= 1:
+        return np.asarray([one_chunk(c) for c in range(nchunks)])
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(nchunks)))
+        return np.asarray(list(pool.map(one_chunk, range(nchunks))))
 
 
 def _mc_graph_sum(
@@ -283,48 +274,36 @@ def _mc_graph_sum(
     box: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> Tuple[float, float]:
-    if seed is None:
-        raise ConfigError("Monte Carlo needs an explicit seed")
     d = p.dimension
     pairs = vertex_pairs(n)
-    cols = _two_connected_columns_cached(n) if graph_class == "two_connected" else None
-    nchunks = max(2, math.ceil(samples / chunk))
+    graph_sum = _graph_class_sum(n, graph_class)
     radius = (n - 1) * p.range_radius
     ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
 
-    def one_chunk(c: int) -> float:
-        rng = _chunk_generator(seed, c)
+    def chunk_mean(rng: np.random.Generator) -> float:
         if box is None:
-            pts = [np.zeros((chunk, d))]
-            for _ in range(n - 1):
-                pts.append(_stratified_ball(rng, chunk, d, radius))
+            pts = [np.zeros((chunk, d))] + [_stratified_ball(rng, chunk, d, radius)
+                                            for _ in range(n - 1)]
             measure = ball_vol ** (n - 1)
         else:
-            pts = [rng.random((chunk, d)) * box for _ in range(n)]
+            pts = _box_points(rng, n, d, box, chunk)
             measure = float(box) ** (d * n)
         seps = np.empty((chunk, len(pairs)))
         for idx, (i, j) in enumerate(pairs):
             seps[:, idx] = np.linalg.norm(pts[i - 1] - pts[j - 1], axis=1)
-        fv = f_bond_array(p, beta, seps)
-        if graph_class == "connected":
-            w = connected_weight_sum(fv, n)
-        else:
-            w = graph_list_weight_sum(fv, cols)
-        return float(w.mean()) * measure
+        return float(graph_sum(f_bond_array(p, beta, seps)).mean()) * measure
 
-    chunk_means = np.asarray(_run_chunks(one_chunk, nchunks, workers))
+    chunk_means = _monte_carlo(chunk_mean, seed, samples, chunk, workers)
     # with fewer than two nonzero chunk means the value rests on at most one
     # chunk and the spread between chunks says nothing about its error
     nonzero = int(np.count_nonzero(chunk_means))
     if nonzero < 2:
         raise DomainError(
-            f"only {nonzero} of {nchunks} Monte Carlo chunk means are nonzero at "
+            f"only {nonzero} of {chunk_means.size} Monte Carlo chunk means are nonzero at "
             f"n={n}: too few samples hit a contributing configuration; raise "
             f"samples (now {samples})"
         )
-    value = float(chunk_means.mean())
-    err = float(chunk_means.std(ddof=1) / math.sqrt(nchunks))
-    return value, err
+    return float(chunk_means.mean()), float(chunk_means.std(ddof=1) / math.sqrt(chunk_means.size))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +345,11 @@ def mayer_bn(
             raise CapacityError("n >= 3 quadrature is one-dimensional; use monte_carlo")
         if n > QUADRATURE_MAX_N:
             raise CapacityError(f"quadrature capped at n={QUADRATURE_MAX_N}, got {n}")
-        return _bn_gap_quadrature(p, beta, n, volume)
+        fine, coarse = _gap_integral(p, beta, n, "connected", volume)
+        if volume is not None:
+            fine /= volume
+            coarse /= volume
+        return fine, abs(fine - coarse)
     if method == "monte_carlo":
         if n > MONTE_CARLO_MAX_N:
             raise CapacityError(f"Monte Carlo capped at n={MONTE_CARLO_MAX_N}, got {n}")
@@ -407,7 +390,9 @@ def virial_bk_direct(
             raise CapacityError("k >= 2 quadrature is one-dimensional; use monte_carlo")
         if k > VIRIAL_QUADRATURE_MAX_K:
             raise CapacityError(f"quadrature capped at k={VIRIAL_QUADRATURE_MAX_K}")
-        return _bk_gap_quadrature(p, beta, k)
+        fine, coarse = _gap_integral(p, beta, k + 1, "two_connected", None)
+        fine, coarse = (k + 1) * fine, (k + 1) * coarse
+        return fine, abs(fine - coarse)
     if method == "monte_carlo":
         if k > VIRIAL_MC_MAX_K:
             raise CapacityError(f"Monte Carlo capped at k={VIRIAL_MC_MAX_K}")

@@ -303,6 +303,38 @@ def enum_trees(n: int) -> Iterator[RootedTree]:
         yield _tree_from_edge_list(n, edges, 1)
 
 
+def prufer_tree_masks(n: int) -> np.ndarray:
+    """Edge masks of all n^(n-2) labeled trees on [n], in sequence order.
+
+    The array form of ``_decode_tree_sequence``, run on every sequence of
+    [n]^(n-2) at once in lexicographic order: each step joins the smallest
+    vertex of degree one to the next entry, and the last edge joins the two
+    vertices left with degree one.
+    """
+    if n < 2:
+        raise ValueError("tree masks need at least two vertices")
+    if n > MAX_TREE_N:
+        raise CapacityError(f"tree enumeration capped at n={MAX_TREE_N}, got {n}")
+    bit = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for k, (i, j) in enumerate(vertex_pairs(n)):
+        bit[i, j] = bit[j, i] = 1 << k
+    # row r is one plus the base-n digits of r, most significant first
+    seq = np.arange(n ** (n - 2))[:, None] // n ** np.arange(n - 3, -1, -1) % n + 1
+    rows = np.arange(seq.shape[0])
+    degree = np.ones((seq.shape[0], n + 1), dtype=np.int8)
+    degree[:, 0] = 0
+    for v in seq.T:
+        degree[rows, v] += 1
+    masks = np.zeros(seq.shape[0], dtype=np.int64)
+    for v in seq.T:
+        leaf = np.argmax(degree == 1, axis=1)
+        masks |= bit[leaf, v]
+        degree[rows, leaf] -= 1
+        degree[rows, v] -= 1
+    ones = degree == 1
+    return masks | bit[np.argmax(ones, axis=1), n - np.argmax(ones[:, ::-1], axis=1)]
+
+
 def _tree_from_edge_list(n: int, edges, root: int) -> RootedTree:
     adj = {v: [] for v in range(1, n + 1)}
     for i, j in edges:

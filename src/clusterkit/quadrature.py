@@ -14,7 +14,8 @@ Two engines live here:
   essentially exactly: each nesting level places panel boundaries wherever a
   window sum ending at that level can cross a radius, and the radius set is
   closed under differences so that breakpoint crossings at deeper levels are
-  panel boundaries too.
+  panel boundaries too.  It returns the sums under a refined and a base node
+  schedule, whose difference is the error of b_n, beta_k and ztilde alike.
 """
 
 from __future__ import annotations
@@ -340,40 +341,41 @@ def gap_quadrature(
     radii: Sequence[float],
     support: Optional[float] = None,
     box_length: Optional[float] = None,
-    include_box_factor: bool = False,
-    q_offset: int = 0,
-) -> float:
+) -> Tuple[float, float]:
     """Integrate weight_fn over gap vectors t in [0, U]^n_gaps.
 
     ``radii`` must already be difference-closed.  ``support`` truncates every
     gap (integrand vanishes beyond); ``box_length`` restricts the total span
-    and, with ``include_box_factor``, multiplies the integrand by
-    (box_length - sum t), the free-translation measure of the ordered chain
-    in a box.  weight_fn receives an array (P, n_gaps) and returns (P,).
+    and multiplies the integrand by (box_length - sum t), the free-translation
+    measure of the ordered chain in a box.  weight_fn receives an array
+    (P, n_gaps) with n_gaps >= 1 and returns (P,).
 
-    The prefix rows are expanded one level at a time as arrays.  The final
-    level is expanded PREFIX_BLOCK prefix rows at a time, each block reduced
-    to one partial sum, and weight_fn sees at most WEIGHT_BLOCK rows a call.
+    Returns the sums under the refined and the base node schedule, in that
+    order; their difference is the callers' error estimate.  Each schedule
+    expands the prefix rows one level at a time as arrays.  The final level
+    is expanded PREFIX_BLOCK prefix rows at a time, each block reduced to one
+    partial sum, and weight_fn sees at most WEIGHT_BLOCK rows a call.
     """
     if support is None and box_length is None:
         raise ValueError("need a support radius or a box length")
-    if n_gaps == 0:
-        base = float(weight_fn(np.zeros((1, 0)))[0])
-        return base * (box_length if include_box_factor else 1.0)
     radii = list(radii)
     box_cuts = _box_cuts(radii, n_gaps, box_length) if box_length is not None else []
-    qs = _q_schedule(n_gaps, include_box_factor, q_offset)
+    rule = (radii, box_cuts, support, box_length)
+    boxed = box_length is not None
+    return tuple(_schedule_sum(weight_fn, _q_schedule(n_gaps, boxed, q_offset), rule)
+                 for q_offset in (1, 0))
 
-    est = 1.0
-    for m, q in enumerate(qs, start=1):
-        est *= (len(radii) * m + len(box_cuts) + 1) * q
+
+def _schedule_sum(weight_fn, qs, rule) -> float:
+    """The nested sum of ``gap_quadrature`` under one node schedule ``qs``."""
+    radii, box_cuts, _, box_length = rule
+    est = math.prod((len(radii) * m + len(box_cuts) + 1) * q for m, q in enumerate(qs, start=1))
     if est > _MAX_NODES:
         raise CapacityError(
             f"nested quadrature would need ~{est:.2e} nodes; "
             "reduce the order or use Monte Carlo"
         )
 
-    rule = (radii, box_cuts, support, box_length)
     ts, wts = np.zeros((1, 0)), np.ones(1)
     for q in qs[:-1]:
         ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
@@ -389,7 +391,7 @@ def gap_quadrature(
             np.asarray(weight_fn(pts[i:i + WEIGHT_BLOCK]), dtype=float)
             for i in range(0, pts.shape[0], WEIGHT_BLOCK)
         ])
-        if include_box_factor:
+        if box_length is not None:
             vals = vals * (box_length - pts.sum(axis=1))
         partials.append(float(np.dot(vals, warr)))
     return math.fsum(partials)

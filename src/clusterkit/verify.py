@@ -30,11 +30,11 @@ from .graphs import (
     _tree_from_edge_list,
     connected_mask_flags,
     enum_graphs,
-    enum_trees,
     mask_tree_images,
     penrose_map,
     penrose_trees,
     penrose_trees_fast,
+    prufer_tree_masks,
     submask_tree_classes,
     ursell_table,
 )
@@ -215,7 +215,10 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
 def _check_cayley(ctx: VerifyContext) -> Tuple[bool, str]:
     top = min(8, ctx.nmax + 2)
     for n in range(2, top + 1):
-        count = sum(1 for _ in enum_trees(n))
+        # every decoded mask is a spanning tree, and no two are equal
+        masks = prufer_tree_masks(n)
+        connected, images = mask_tree_images(n, masks)
+        count = np.unique(masks[connected & (images == masks)]).size
         if count != n ** (n - 2):
             return False, f"n={n}: {count} != {n ** (n - 2)}"
     return True, f"tree counts match n^(n-2) for n = 2..{top}"

@@ -134,6 +134,17 @@ def test_mc_hard_rod_matches_quadrature(rod):
     assert abs(val - tonks.bn_value(4)) < 4.0 * err
 
 
+@pytest.mark.parametrize("L", [1.5, 10.0])
+def test_mc_box_matches_quadrature(rod, L):
+    # box b_3 draws all three points uniformly in [0, L]
+    kwargs = dict(volume=L, method="monte_carlo", seed=3, samples=200_000)
+    val, err = mayer_bn(rod, 1.0, 3, **kwargs)
+    want, _ = mayer_bn(rod, 1.0, 3, volume=L)
+    assert err > 0.0
+    assert abs(val - want) < 4.0 * err
+    assert mayer_bn(rod, 1.0, 3, workers=3, **kwargs) == (val, err)
+
+
 def test_mc_virial_hard_sphere(sphere):
     val, err = virial_bk_direct(sphere, 1.0, 2, method="monte_carlo", seed=17,
                                 samples=600_000)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from clusterkit.graphs import (
     MASK_BLOCK,
     LabeledGraph,
     RootedTree,
+    _decode_tree_sequence,
     _mask_connected,
     _mask_tree_image,
     bit_parity,
@@ -22,6 +24,7 @@ from clusterkit.graphs import (
     penrose_slack_edges,
     penrose_trees,
     penrose_trees_fast,
+    prufer_tree_masks,
     submask_tree_classes,
     ursell_table,
     ursell_value,
@@ -69,6 +72,20 @@ def test_enum_graphs_capacity():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_cayley_count(n):
     assert sum(1 for _ in enum_trees(n)) == n ** (n - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_prufer_tree_masks_match_scalar_decode(n):
+    want = [edge_mask(n, _decode_tree_sequence(n, seq))
+            for seq in itertools.product(range(1, n + 1), repeat=n - 2)]
+    assert prufer_tree_masks(n).tolist() == want
+
+
+def test_prufer_tree_masks_caps():
+    with pytest.raises(ValueError):
+        prufer_tree_masks(1)
+    with pytest.raises(CapacityError):
+        prufer_tree_masks(10)
 
 
 def test_enum_trees_small():

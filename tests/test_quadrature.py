@@ -200,8 +200,8 @@ def bond_rows(draw):
     else:
         pot = PairPotential(kind, sigma, 1)
     n = draw(st.integers(2, 6))
-    graph_class = draw(st.sampled_from(["connected", "two_connected"]))
-    assume(graph_class == "connected" or n <= 5)
+    graph_class = draw(st.sampled_from(["connected", "two_connected", "all"]))
+    assume(graph_class != "two_connected" or n <= 5)
     # gaps on and between the breakpoints, so bond levels repeat across rows
     cuts = pot.breakpoints()
     gap = st.one_of(st.sampled_from([0.0, *cuts, *(c / 2 for c in cuts)]),
@@ -218,8 +218,10 @@ def test_distinct_row_weight_is_bitwise_plain(case):
     fvals = f_bond_array(pot, beta, pair_window_matrix(points))
     if graph_class == "connected":
         plain = connected_weight_sum(fvals, n)
-    else:
+    elif graph_class == "two_connected":
         plain = graph_list_weight_sum(fvals, _two_connected_columns_cached(n))
+    else:
+        plain = np.prod(1.0 + fvals, axis=1)
     got = _gap_weight_fn(pot, beta, n, graph_class)(points)
     assert got.tobytes() == plain.tobytes()
 
