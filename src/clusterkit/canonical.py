@@ -90,7 +90,8 @@ def ztilde_direct(
 
     method: ``tonks_closed`` (hard rods only), ``quadrature`` (d = 1,
     N <= 4), ``monte_carlo`` (N <= 12), or ``auto`` (closed form when exact,
-    else quadrature when feasible, else Monte Carlo).
+    else quadrature when feasible, else Monte Carlo).  Monte Carlo raises
+    DomainError when fewer than two of its chunk means are nonzero.
     """
     if beta <= 0 or L <= 0:
         raise DomainError("need beta > 0 and L > 0")
@@ -138,8 +139,7 @@ def ztilde_direct(
                 boltz *= 1.0 + f_bond_array(p, beta, r)
             return float(boltz.mean())
 
-        means = _monte_carlo(chunk_mean, seed, samples, chunk, workers)
-        val, err = float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
+        val, err = _monte_carlo(chunk_mean, N, seed, samples, chunk, workers)
         return _checked_result(p, CanonicalResult(N, L, beta, val, err,
                                                   "monte_carlo", p.dimension))
     raise ConfigError(f"unknown method {method!r}")

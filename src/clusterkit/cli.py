@@ -18,6 +18,7 @@ so a config value always beats a built-in default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -41,7 +42,7 @@ from .potentials import PairPotential, c_beta, potential_from_config
 from .radii import radius_report
 from .reporting import dump_csv, dump_json, json_payload, output_dir, rational_fields, render_table
 from .series import invert_mayer_oracle, virial_from_mayer
-from .verify import SUITES, run_checks
+from .verify import SUITES, VerifyContext, run_checks
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,7 @@ _DEFAULTS: Dict[str, Dict[str, object]] = {
     "canonical": {"beta": 1.0, "k_max": 6, "method": "auto",
                   "samples": 400_000, "chunk": 20_000,
                   "workers": os.cpu_count() or 1, "format": "json"},
-    "verify": {"suite": "all", "nmax": 6, "seed": 20260808, "profiles": 100,
-               "random_graphs": 100},
+    "verify": {"suite": "all", **dataclasses.asdict(VerifyContext())},
 }
 
 
@@ -503,12 +503,12 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(
-        suite=args.suite, nmax=args.nmax, seed=args.seed,
-        profiles=args.profiles, random_graphs=args.random_graphs,
-    )
+    ctx = VerifyContext(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(VerifyContext)})
+    results = run_checks(args.suite, ctx)
     ok = all(r.passed for r in results)
-    if args.out:
+    out = _out_path(args)
+    if out:
         payload = json_payload("verify_report", {
             "suite": args.suite,
             "checks": [
@@ -517,7 +517,7 @@ def _cmd_verify(args) -> int:
             ],
             "passed": ok,
         })
-        dump_json(payload, path=args.out)
+        dump_json(payload, path=out)
     print(f"{'PASS' if ok else 'FAIL'}: {sum(r.passed for r in results)}/{len(results)} checks")
     return 0 if ok else 1
 

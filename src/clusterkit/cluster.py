@@ -239,13 +239,15 @@ def _box_points(rng: np.random.Generator, n: int, d: int, side: float, size: int
     return [rng.random((size, d)) * side for _ in range(n)]
 
 
-def _monte_carlo(chunk_mean, seed: Optional[int], samples: int, chunk: int,
-                 workers: Optional[int]) -> np.ndarray:
-    """The chunk means chunk_mean(rng) of a Monte Carlo estimate.
+def _monte_carlo(chunk_mean, n: int, seed: Optional[int], samples: int, chunk: int,
+                 workers: Optional[int]) -> Tuple[float, float]:
+    """Mean and standard error of the chunk means chunk_mean(rng).
 
     Chunk c draws from its own Philox stream keyed by (seed, c), optionally
     on a thread pool.  The means are collected in chunk order, so the
-    reduction is deterministic and independent of the worker count.
+    reduction is deterministic and independent of the worker count.  Raises
+    DomainError when fewer than two chunk means are nonzero (n, the number
+    of points, only labels the message).
     """
     if seed is None:
         raise ConfigError("Monte Carlo needs an explicit seed")
@@ -256,11 +258,22 @@ def _monte_carlo(chunk_mean, seed: Optional[int], samples: int, chunk: int,
             np.random.Philox(key=[np.uint64(seed), np.uint64(c)])))
 
     if workers is None or workers <= 1:
-        return np.asarray([one_chunk(c) for c in range(nchunks)])
-    from concurrent.futures import ThreadPoolExecutor
+        means = np.asarray([one_chunk(c) for c in range(nchunks)])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.asarray(list(pool.map(one_chunk, range(nchunks))))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            means = np.asarray(list(pool.map(one_chunk, range(nchunks))))
+    # with fewer than two nonzero chunk means the value rests on at most one
+    # chunk and the spread between chunks says nothing about its error
+    nonzero = int(np.count_nonzero(means))
+    if nonzero < 2:
+        raise DomainError(
+            f"only {nonzero} of {means.size} Monte Carlo chunk means are nonzero at "
+            f"n={n}: too few samples hit a contributing configuration; raise "
+            f"samples (now {samples})"
+        )
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
 
 
 def _mc_graph_sum(
@@ -293,17 +306,7 @@ def _mc_graph_sum(
             seps[:, idx] = np.linalg.norm(pts[i - 1] - pts[j - 1], axis=1)
         return float(graph_sum(f_bond_array(p, beta, seps)).mean()) * measure
 
-    chunk_means = _monte_carlo(chunk_mean, seed, samples, chunk, workers)
-    # with fewer than two nonzero chunk means the value rests on at most one
-    # chunk and the spread between chunks says nothing about its error
-    nonzero = int(np.count_nonzero(chunk_means))
-    if nonzero < 2:
-        raise DomainError(
-            f"only {nonzero} of {chunk_means.size} Monte Carlo chunk means are nonzero at "
-            f"n={n}: too few samples hit a contributing configuration; raise "
-            f"samples (now {samples})"
-        )
-    return float(chunk_means.mean()), float(chunk_means.std(ddof=1) / math.sqrt(chunk_means.size))
+    return _monte_carlo(chunk_mean, n, seed, samples, chunk, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,6 @@ def test_ztilde_jammed(rod):
         tonks.ztilde_closed(4, 3.0)
 
 
-@pytest.mark.parametrize("N,L", [(2, 10.0), (3, 10.0), (4, 8.0)])
-def test_ztilde_quadrature_matches_closed(rod, N, L):
-    quad = ztilde_direct(rod, 1.0, L, N, "quadrature")
-    assert quad.ztilde == pytest.approx(tonks.ztilde_closed(N, L), rel=1e-6)
-
-
 def test_ztilde_quadrature_square_well(well):
     # N = 2 closed form: (2/L^2) int_0^L (L-t) e^{-beta V(t)} dt
     L, beta = 10.0, 1.0
@@ -55,6 +49,12 @@ def test_ztilde_monte_carlo(rod):
     pooled = ztilde_direct(rod, 1.0, 20.0, 8, "monte_carlo", seed=31,
                            samples=200_000, workers=3)
     assert res.ztilde == pooled.ztilde
+
+
+def test_ztilde_monte_carlo_too_few_nonzero_chunks(sphere):
+    # packing fraction 0.45: no sample of 12 spheres is overlap-free
+    with pytest.raises(DomainError, match=r"only 0 of 2 .*raise samples"):
+        ztilde_direct(sphere, 1.0, 2.4, 12, "monte_carlo", seed=1, samples=40_000)
 
 
 def test_ztilde_method_caps(rod, sphere):

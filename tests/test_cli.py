@@ -11,10 +11,6 @@ def run_json(argv):
     return json.loads(run_for_test(argv))
 
 
-def strip_timestamp(text):
-    return "\n".join(l for l in text.splitlines() if '"generated_at"' not in l)
-
-
 def test_radii_u1():
     out = run_json(["radii", "--u", "1.0"])
     assert out["schema"] == 1
@@ -119,8 +115,8 @@ def test_determinism_modulo_timestamp():
     argv = ["mayer", "--potential", "hard_sphere", "--sigma", "1",
             "--dimension", "3", "--beta", "1", "--n", "3",
             "--method", "monte_carlo", "--seed", "5", "--samples", "40000"]
-    a = strip_timestamp(run_for_test(argv))
-    b = strip_timestamp(run_for_test(argv))
+    a = verify._strip_timestamp(run_for_test(argv))
+    b = verify._strip_timestamp(run_for_test(argv))
     assert a == b
 
 
@@ -189,6 +185,13 @@ def test_out_dir_env(tmp_path, monkeypatch):
     run_for_test(["radii", "--u", "1.5", "--out", "r.json"])
     data = json.loads((tmp_path / "r.json").read_text())
     assert data["u"] == 1.5
+
+
+def test_verify_out_dir_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("CLUSTERKIT_OUT", str(tmp_path))
+    run_for_test(["verify", "--suite", "potentials", "--out", "v.json"])
+    data = json.loads((tmp_path / "v.json").read_text())
+    assert data["kind"] == "verify_report" and data["passed"] is True
 
 
 def test_virial_csv_long_format():

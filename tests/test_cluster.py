@@ -91,14 +91,6 @@ def test_finite_volume_drift(rod):
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def test_mc_reproducible(sphere):
-    a = mayer_bn(sphere, 1.0, 3, method="monte_carlo", seed=99, samples=40_000)
-    b = mayer_bn(sphere, 1.0, 3, method="monte_carlo", seed=99, samples=40_000)
-    c = mayer_bn(sphere, 1.0, 3, method="monte_carlo", seed=100, samples=40_000)
-    assert a == b
-    assert a != c
-
-
 def test_mc_worker_count_independent(sphere, rod):
     base = mayer_bn(sphere, 1.0, 3, method="monte_carlo", seed=12, samples=60_000)
     pooled = mayer_bn(sphere, 1.0, 3, method="monte_carlo", seed=12,

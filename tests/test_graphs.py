@@ -188,27 +188,6 @@ def test_penrose_trees_examples():
     assert len(penrose_trees(complete_graph(4))) == 6
 
 
-def test_identity_exhaustive_small():
-    for n in range(2, 6):
-        for g in enum_graphs(n, "connected"):
-            sign = (-1) ** (n - 1)
-            assert ursell_value(g) == sign * len(penrose_trees(g))
-            assert sign * ursell_value(g) > 0
-
-
-def test_root_independence_small():
-    for n in range(2, 5):
-        for g in enum_graphs(n, "connected"):
-            counts = {len(penrose_trees(g, root=r)) for r in range(1, n + 1)}
-            assert len(counts) == 1
-
-
-def test_fast_equivalence_small():
-    for n in range(2, 6):
-        for g in enum_graphs(n, "connected"):
-            assert penrose_trees_fast(g) == penrose_trees(g)
-
-
 def test_slack_edges_structure():
     # star rooted at 1: any edge between the leaves is addable without
     # changing the image, so the slack set is exactly the leaf pairs

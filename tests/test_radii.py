@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from clusterkit import radii, tonks
+from clusterkit import radii
 from clusterkit.errors import DomainError
 from clusterkit.radii import (
     F_of_u,
@@ -111,12 +111,6 @@ def test_reference_arithmetic():
     assert math.exp(1.0 + a_star) < 2.0 / 0.28952
 
 
-def test_bound_dominates_tonks_coefficients():
-    _, a_star = F_of_u(1.0)
-    for k in range(1, 6):
-        assert abs(tonks.beta_k_value(k)) <= ck_bound(k, 1.0, 0.0, 2.0, a_star).ours
-
-
 def test_monotonicity_grid():
     us = [1.0, 2.0, 5.0, 20.0, 100.0, 1e3, 1e4]
     pairs = [F_of_u(u) for u in us]
@@ -133,6 +127,8 @@ def test_radius_report_structure():
     assert rep.k_star_closed * rep.F == pytest.approx(1.0, rel=1e-10)
     assert 0.0 < rep.F < 1.0 / math.e
     assert rep.rho_star == pytest.approx(rep.F / (rep.u * rep.cbeta), rel=1e-12)
+    assert rep.a_star == pytest.approx(A_STAR_EXACT, abs=1e-6)
+    assert rep.base_constant_reference == pytest.approx(0.24026, abs=1e-5)
     assert rep.a_discrepancy_flagged
     d = rep.to_dict()
     assert len(d["bounds"]) == 3
