@@ -33,9 +33,12 @@ from . import tonks
 from .cluster import (
     MONTE_CARLO_MAX_N,
     QUADRATURE_MAX_N,
+    _bond_levels,
     _box_points,
     _gap_integral,
+    _level_radii,
     _monte_carlo,
+    _pair_distances,
     mayer_bn,
 )
 from .graphs import vertex_pairs
@@ -128,6 +131,15 @@ def ztilde_direct(
         if N > ZTILDE_MC_MAX_N:
             raise CapacityError(f"Monte Carlo capped at N={ZTILDE_MC_MAX_N}")
         pairs = vertex_pairs(N)
+        if p.piecewise_constant_bond:
+            cuts = p.breakpoints()
+            level_factors = 1.0 + f_bond_array(p, beta, _level_radii(p))
+
+            def factor(r):
+                return level_factors.take(_bond_levels(r, cuts))
+        else:
+            def factor(r):
+                return 1.0 + f_bond_array(p, beta, r)
 
         def chunk_mean(rng: np.random.Generator) -> float:
             # pair by pair: a (chunk, pairs) bond matrix would more than
@@ -135,8 +147,7 @@ def ztilde_direct(
             pts = _box_points(rng, N, p.dimension, L, chunk)
             boltz = np.ones(chunk)
             for i, j in pairs:
-                r = np.linalg.norm(pts[i - 1] - pts[j - 1], axis=1)
-                boltz *= 1.0 + f_bond_array(p, beta, r)
+                boltz *= factor(_pair_distances(pts[i - 1], pts[j - 1]))
             return float(boltz.mean())
 
         val, err = _monte_carlo(chunk_mean, N, seed, samples, chunk, workers)

@@ -23,7 +23,12 @@ reports their difference as the error.  Monte Carlo (any d, default d = 3),
 so results are bit-reproducible for a given (seed, samples, chunk size) at
 any worker count.  b_n and beta_k stratify the free points by radius in the
 ball of radius (n-1) * range around the pinned particle; in a box, b_n and
-ztilde draw the same uniform points.
+ztilde draw the same uniform points.  Points are coordinate-major (d, m)
+arrays, and ``_pair_distances`` turns two of them into m distances.  For a
+piecewise constant bond ``_mc_graph_sum`` maps each sample's distances to
+its bond-level key and reads the graph sum from ``_graph_sum_table``, one
+entry per row of levels; other bonds evaluate the bond function and the
+graph sum per sample.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -123,21 +128,33 @@ def graph_list_weight_sum(fvals: np.ndarray, edge_columns) -> np.ndarray:
     return total
 
 
-def _bond_level_keys(windows: np.ndarray, cuts) -> np.ndarray:
-    """One int64 key per row: its pairs' bond levels packed in base len(cuts)+1.
+def _bond_levels(r: np.ndarray, cuts) -> np.ndarray:
+    """The bond level of each separation: the number of cuts at or below it.
 
-    The level of a window is the number of cuts at or below it; a piecewise
-    constant bond function takes one value per level.  Windows are sums of
-    nonnegative gaps, so no absolute value is needed.
+    A piecewise constant bond function takes one value per level.
+    Separations are nonnegative (gap sums or distances), so no absolute
+    value is needed.
     """
-    base = len(cuts) + 1
-    levels = np.zeros_like(windows, dtype=np.int8)
+    levels = np.zeros_like(r, dtype=np.int8)
     for c in cuts:
-        levels += windows >= c
+        levels += r >= c
+    return levels
+
+
+def _bond_level_keys(windows: np.ndarray, cuts) -> np.ndarray:
+    """One int64 key per row: its pairs' bond levels packed in base
+    len(cuts)+1, the first pair the most significant digit."""
+    base = len(cuts) + 1
+    levels = _bond_levels(windows, cuts)
     keys = np.zeros(windows.shape[0], dtype=np.int64)
     for k in range(windows.shape[1]):
         keys = keys * base + levels[:, k]
     return keys
+
+
+def _level_radii(p: PairPotential) -> np.ndarray:
+    """One separation on each bond level of a piecewise constant bond."""
+    return np.array((0.0,) + p.breakpoints())
 
 
 def _graph_class_sum(n: int, graph_class: str):
@@ -222,21 +239,59 @@ def _gap_integral(
 # ---------------------------------------------------------------------------
 
 def _stratified_ball(rng: np.random.Generator, m: int, d: int, radius: float) -> np.ndarray:
-    """m points roughly uniform in the d-ball, radius-stratified per point."""
+    """m points roughly uniform in the d-ball, radius-stratified per point.
+
+    Returns a (d, m) array: coordinate-major, so a norm over the d
+    coordinates is d elementwise passes.  The generator calls and their
+    shapes are those of the (m, d) layout, so the stream is unchanged.
+    """
     if d == 1:
-        dirs = rng.choice([-1.0, 1.0], size=(m, 1))
+        dirs = rng.choice([-1.0, 1.0], size=(m, 1)).T
     else:
-        dirs = rng.standard_normal((m, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = np.ascontiguousarray(rng.standard_normal((m, d)).T)
+        dirs /= np.linalg.norm(dirs, axis=0)
     strata = rng.permutation(m)
     u = (strata + rng.random(m)) / m
     r = radius * u ** (1.0 / d)
-    return dirs * r[:, None]
+    return dirs * r
 
 
 def _box_points(rng: np.random.Generator, n: int, d: int, side: float, size: int) -> list:
-    """n arrays of ``size`` points, each uniform in the box [0, side]^d."""
-    return [rng.random((size, d)) * side for _ in range(n)]
+    """n (d, size) arrays of points, each uniform in the box [0, side]^d."""
+    return [np.ascontiguousarray(rng.random((size, d)).T) * side for _ in range(n)]
+
+
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the columns of two (d, m) point arrays.
+
+    For d < 8 these are the bits of a norm over the rows of the (m, d)
+    layout: NumPy adds up to seven squares in order either way (from eight
+    on, the row norm adds them pairwise).  For d = 1 the distance is |x|,
+    which is sqrt(x * x) exactly unless x * x underflows.
+    """
+    if a.shape[0] == 1:
+        return np.abs(a[0] - b[0])
+    return np.linalg.norm(a - b, axis=0)
+
+
+def _graph_sum_table(p: PairPotential, beta: float, graph_sum, npairs: int,
+                     block: int) -> np.ndarray:
+    """The graph sum of every row of bond levels, indexed by its level key.
+
+    A piecewise constant bond takes one value per level, so a sample's graph
+    sum is the table entry at its _bond_level_keys key.  Every class sum
+    works row by row, so the entries are the bits the sum gives sample by
+    sample.  Rows are evaluated ``block`` at a time.
+    """
+    cuts = p.breakpoints()
+    radii = _level_radii(p)
+    shape = (len(radii),) * npairs
+    table = np.empty(math.prod(shape))
+    for start in range(0, table.size, block):
+        rows = np.arange(start, min(start + block, table.size))
+        windows = radii[np.stack(np.unravel_index(rows, shape), axis=1)]
+        table[_bond_level_keys(windows, cuts)] = graph_sum(f_bond_array(p, beta, windows))
+    return table
 
 
 def _monte_carlo(chunk_mean, n: int, seed: Optional[int], samples: int, chunk: int,
@@ -292,19 +347,29 @@ def _mc_graph_sum(
     graph_sum = _graph_class_sum(n, graph_class)
     radius = (n - 1) * p.range_radius
     ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
+    if p.piecewise_constant_bond:
+        cuts = p.breakpoints()
+        table = _graph_sum_table(p, beta, graph_sum, len(pairs), chunk)
+
+        def weights(seps):
+            return table[_bond_level_keys(seps, cuts)]
+    else:
+        def weights(seps):
+            return graph_sum(f_bond_array(p, beta, seps))
 
     def chunk_mean(rng: np.random.Generator) -> float:
         if box is None:
-            pts = [np.zeros((chunk, d))] + [_stratified_ball(rng, chunk, d, radius)
+            pts = [np.zeros((d, chunk))] + [_stratified_ball(rng, chunk, d, radius)
                                             for _ in range(n - 1)]
             measure = ball_vol ** (n - 1)
         else:
             pts = _box_points(rng, n, d, box, chunk)
             measure = float(box) ** (d * n)
-        seps = np.empty((chunk, len(pairs)))
+        # pair-major, so each pair's distances and each key digit are contiguous
+        seps = np.empty((len(pairs), chunk))
         for idx, (i, j) in enumerate(pairs):
-            seps[:, idx] = np.linalg.norm(pts[i - 1] - pts[j - 1], axis=1)
-        return float(graph_sum(f_bond_array(p, beta, seps)).mean()) * measure
+            seps[idx] = _pair_distances(pts[i - 1], pts[j - 1])
+        return float(weights(seps.T).mean()) * measure
 
     return _monte_carlo(chunk_mean, n, seed, samples, chunk, workers)
 

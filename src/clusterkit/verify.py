@@ -43,7 +43,7 @@ from .graphs import (
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
 from .potentials import PairPotential, c_beta, f_bond_array
 from .quadrature import integrate_1d
-from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, REFERENCE_A_ZERO_COUPLING, ck_bound, g_of_u
+from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, ck_bound, g_of_u, radius_report
 from .series import combi_identity_check, free_energy_series, invert_mayer_oracle, virial_from_mayer
 
 
@@ -483,20 +483,21 @@ def _check_kstar(ctx: VerifyContext) -> Tuple[bool, str]:
 
 
 def _check_printed_constants(ctx: VerifyContext) -> Tuple[bool, str]:
-    F1, a1 = F_of_u(1.0)
-    if abs(F1 - 0.1448) > 5e-4:
-        return False, f"F(1) = {F1} not within 5e-4 of 0.1448"
+    # the report `clusterkit radii` prints, at u = e^(2 beta B) = 1
+    rep = radius_report(1.0, 0.0, 1.0, k_orders=())
+    if abs(rep.F - 0.1448) > 5e-4:
+        return False, f"F(1) = {rep.F} not within 5e-4 of 0.1448"
     F6, _ = F_of_u(1e6)
     if abs(F6 - 1.0 / math.e) > 1e-2:
         return False, f"F(1e6) = {F6} not within 1e-2 of 1/e"
-    ref = 1.0 / math.exp(1.0 + REFERENCE_A_ZERO_COUPLING)
-    if REFERENCE_A_ZERO_COUPLING != 0.426 or abs(ref - 0.24026) > 1e-5:
+    ref = rep.base_constant_reference
+    if rep.a_reference != 0.426 or abs(ref - 0.24026) > 1e-5:
         return False, f"reference base arithmetic gives {ref}"
     if 1.0 / LP_BOUND_DENOMINATOR != 1.0 / 0.28952:
         return False, "comparison-bound constant drifted"
-    flagged = abs(a1 - REFERENCE_A_ZERO_COUPLING) > 1e-3
+    flagged = rep.a_discrepancy_flagged
     return flagged, (
-        f"F(1)={F1:.6f}, a*={a1:.6f} vs quoted {REFERENCE_A_ZERO_COUPLING} "
+        f"F(1)={rep.F:.6f}, a*={rep.a_star:.6f} vs quoted {rep.a_reference} "
         f"(discrepancy flagged: {flagged}), 1/e^(1+0.426)={ref:.5f}"
     )
 

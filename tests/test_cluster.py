@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterkit import tonks
+from clusterkit.canonical import ztilde_direct
 from clusterkit.cluster import (
+    _bond_level_keys,
+    _graph_class_sum,
+    _graph_sum_table,
+    _pair_distances,
     connected_weight_sum,
     mayer_bn,
     penrose_bn_bound,
@@ -12,7 +18,7 @@ from clusterkit.cluster import (
 )
 from clusterkit.errors import CapacityError, ConfigError, DomainError
 from clusterkit.graphs import enum_graphs, vertex_pairs
-from clusterkit.potentials import c_beta
+from clusterkit.potentials import PairPotential, c_beta, f_bond_array
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -141,6 +147,96 @@ def test_mc_virial_hard_sphere(sphere):
     val, err = virial_bk_direct(sphere, 1.0, 2, method="monte_carlo", seed=17,
                                 samples=600_000)
     assert abs(val - HS_BETA2) < 4.0 * err
+
+
+TABULATED = PairPotential("custom_tabulated", 1.0, 1, B=1.0, cutoff=1.4,
+                          table=((0.0, 3.0), (0.5, 1.0), (1.0, -0.3), (1.4, 0.0)))
+
+# (value, error) recorded from the kernel that evaluated every bond function
+# and graph sum sample by sample; the bond-level kernel must give the same
+# bits at any worker count.  Rows: id, routine, potential, arguments after
+# (potential, beta), keywords, (value, error).
+MC_PINS = [
+    ("hard_sphere b_3", mayer_bn, "sphere", (3,), dict(seed=11),
+     (7.2336158360102605, 0.04678923567923832)),
+    ("hard_sphere b_4", mayer_bn, "sphere", (4,), dict(seed=12),
+     (-36.16572111990169, 6.027620186650282)),
+    ("square_well b_4", mayer_bn, "well", (4,), dict(seed=13),
+     (0.5717933825141674, 0.0792313861887702)),
+    ("hard_sphere beta_2", virial_bk_direct, "sphere", (2,), dict(seed=14),
+     (-4.0425899626862005, 0.2526618726678873)),
+    ("square_well beta_2", virial_bk_direct, "well", (2,), dict(seed=15),
+     (-1.6924671212092925, 0.059785471051116416)),
+    ("hard_rod box b_3", mayer_bn, "rod", (3,), dict(volume=5.0, seed=16),
+     (1.2217708333333335, 0.029687499999999995)),
+    ("square_well ztilde N=12", ztilde_direct, "well", (48.0, 12), dict(seed=17),
+     (0.46082331359832396, 0.01583351390633214)),
+    ("custom_tabulated b_3", mayer_bn, "tabulated", (3,), dict(seed=18),
+     (0.3203764459469366, 0.009199025120667354)),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("fn, pot, args, kwargs, want", [row[1:] for row in MC_PINS],
+                         ids=[row[0] for row in MC_PINS])
+def test_mc_pinned_bits(request, fn, pot, args, kwargs, want, workers):
+    p = TABULATED if pot == "tabulated" else request.getfixturevalue(pot)
+    out = fn(p, 1.0, *args, method="monte_carlo", samples=40_000, workers=workers, **kwargs)
+    if fn is ztilde_direct:
+        out = (out.ztilde, out.error)
+    assert out == want
+
+
+# coordinates whose squares neither underflow nor overflow, so that
+# sqrt(x * x) == |x| holds for every difference of two of them
+_coordinate = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+
+
+@st.composite
+def point_pairs(draw):
+    d = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 20))
+    a, b = (np.array(draw(st.lists(_coordinate, min_size=m * d, max_size=m * d))).reshape(m, d)
+            for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_pairs())
+def test_pair_distances_is_bitwise_row_norm(ab):
+    a, b = ab
+    got = _pair_distances(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    assert got.tobytes() == np.linalg.norm(a - b, axis=1).tobytes()
+
+
+@st.composite
+def level_rows(draw):
+    sigma = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    if draw(st.booleans()):
+        pot = PairPotential("square_well", sigma, 3, epsilon=draw(st.floats(0.0, 2.0)),
+                            lambda_w=draw(st.sampled_from([1.2, 1.5, 1.9])), B=1.0)
+    else:
+        pot = PairPotential("hard_sphere", sigma, 3)
+    n = draw(st.integers(2, 5))
+    graph_class = draw(st.sampled_from(["connected", "two_connected"]))
+    # separations on and between the breakpoints
+    cuts = pot.breakpoints()
+    sep = st.one_of(st.sampled_from([0.0, *cuts]), st.floats(0.0, 2.0 * cuts[-1]))
+    npairs = n * (n - 1) // 2
+    size = npairs * draw(st.integers(1, 40))
+    seps = np.array(draw(st.lists(sep, min_size=size, max_size=size))).reshape(-1, npairs)
+    block = draw(st.integers(1000, 30_000))
+    return pot, draw(st.floats(0.1, 3.0)), n, graph_class, seps, block
+
+
+@settings(max_examples=30, deadline=None)
+@given(level_rows())
+def test_graph_sum_table_is_bitwise_plain(case):
+    pot, beta, n, graph_class, seps, block = case
+    graph_sum = _graph_class_sum(n, graph_class)
+    table = _graph_sum_table(pot, beta, graph_sum, seps.shape[1], block)
+    got = table[_bond_level_keys(seps, pot.breakpoints())]
+    assert got.tobytes() == graph_sum(f_bond_array(pot, beta, seps)).tobytes()
 
 
 def test_virial_k1_radial(sphere):
