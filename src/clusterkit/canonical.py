@@ -35,6 +35,7 @@ from .cluster import (
     QUADRATURE_MAX_N,
     _bond_levels,
     _box_points,
+    _check_monte_carlo,
     _gap_integral,
     _level_radii,
     _monte_carlo,
@@ -130,6 +131,7 @@ def ztilde_direct(
     if method == "monte_carlo":
         if N > ZTILDE_MC_MAX_N:
             raise CapacityError(f"Monte Carlo capped at N={ZTILDE_MC_MAX_N}")
+        _check_monte_carlo(seed, samples, chunk)
         pairs = vertex_pairs(N)
         if p.piecewise_constant_bond:
             cuts = p.breakpoints()

@@ -8,11 +8,16 @@ Subcommands:
   canonical  series-vs-direct free-energy comparison report
   verify     run named invariant suites, one PASS/FAIL line each
 
-Exit status: 0 success, 1 verification failure, 2 invalid input.  A JSON
-config file can predefine any flag per subcommand plus a shared "potential"
-section; command-line flags override config values, and unknown keys are
-rejected by name.  Flag defaults are applied only after the config merge,
-so a config value always beats a built-in default.
+Exit status: 0 success, 1 verification failure, 2 invalid input.
+
+``build_parser`` declares each flag once, with its type, choices and
+default.  A JSON config file can predefine flags per subcommand: a
+section's keys are the dests of its subcommand's flags, and each value is
+parsed by that flag's type and choices, as if it were given on the command
+line.  A shared "potential" section takes the keys of
+``potentials.potential_from_config``.  The command line beats the config,
+which beats the flag's default; unknown sections and keys are rejected by
+name.
 """
 
 from __future__ import annotations
@@ -24,21 +29,16 @@ import json
 import math
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stdout, suppress
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import __version__, tonks
 from .canonical import compare_series_direct
-from .cluster import (
-    VIRIAL_QUADRATURE_MAX_K,
-    mayer_bn,
-    penrose_bn_bound,
-    virial_bk_direct,
-)
-from .errors import ClusterKitError, ConfigError
+from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
+from .errors import CapacityError, ClusterKitError, ConfigError
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
-from .potentials import PairPotential, c_beta, potential_from_config
+from .potentials import CONFIG_KEYS, PairPotential, c_beta, potential_from_config
 from .radii import radius_report
 from .reporting import dump_csv, dump_json, json_payload, output_dir, rational_fields, render_table
 from .series import invert_mayer_oracle, virial_from_mayer
@@ -50,22 +50,36 @@ from .verify import SUITES, VerifyContext, run_checks
 # ---------------------------------------------------------------------------
 
 def _add_potential_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--potential", choices=("hard_rod", "hard_sphere", "square_well"),
-                    help="potential kind")
-    sp.add_argument("--sigma", type=float, help="core diameter")
+    # the dests of the potential flags are potential config keys
+    sp.add_argument("--potential", dest="kind",
+                    choices=("hard_rod", "hard_sphere", "square_well"), help="potential kind")
+    sp.add_argument("--sigma", type=float, default=1.0, help="core diameter")
     sp.add_argument("--epsilon", type=float, help="well depth (square_well)")
     sp.add_argument("--lambda-w", dest="lambda_w", type=float,
                     help="well width ratio (square_well)")
     sp.add_argument("--B", type=float, help="declared stability constant")
     sp.add_argument("--dimension", type=int, help="spatial dimension")
+    sp.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
+
+
+def _add_sampling_args(sp: argparse.ArgumentParser, methods):
+    """The route flags of mayer, virial and canonical; the first method is the default."""
+    sp.add_argument("--method", choices=methods, default=methods[0])
+    sp.add_argument("--samples", type=int, help="Monte Carlo samples (default: the library's)")
+    sp.add_argument("--chunk", type=int, help="Monte Carlo samples per chunk")
+    sp.add_argument("--seed", type=int, help="Monte Carlo seed, mandatory for monte_carlo")
+    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                    help="worker hint; results are worker-count independent")
 
 
 def _add_output_args(sp: argparse.ArgumentParser):
     sp.add_argument("--out", help="output file (default: stdout)")
-    sp.add_argument("--format", choices=("json", "csv", "table"), help="output format")
+    sp.add_argument("--format", choices=("json", "csv", "table"), default="json",
+                    help="output format")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The clusterkit parser; a loaded ``config`` sets the flags' defaults."""
     ap = argparse.ArgumentParser(prog="clusterkit",
                                  description="cluster-expansion toolkit")
     ap.add_argument("--version", action="version", version=f"clusterkit {__version__}")
@@ -73,107 +87,111 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("radii", help="radius and bound report")
+    sp.set_defaults(run=_cmd_radii)
     sp.add_argument("--u", type=float, help="combined variable e^(2 beta B)")
-    sp.add_argument("--beta", type=float, help="inverse temperature")
     sp.add_argument("--cbeta", type=float, help="interaction volume C(beta)")
-    sp.add_argument("--k-max", dest="k_max", type=int)
+    sp.add_argument("--k-max", dest="k_max", type=int, default=8)
     _add_potential_args(sp)
     _add_output_args(sp)
 
     sp = sub.add_parser("mayer", help="fugacity-series coefficient table")
+    sp.set_defaults(run=_cmd_mayer)
     _add_potential_args(sp)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--n", type=int, help="highest order")
-    sp.add_argument("--volume", help="'inf' or a box side")
-    sp.add_argument("--method", choices=("quadrature", "monte_carlo"))
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--chunk", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int,
-                    help="worker hint; results are worker-count independent")
+    sp.add_argument("--n", type=int, default=4, help="highest order")
+    sp.add_argument("--volume", help="'inf' (default) or a box side")
+    _add_sampling_args(sp, ("quadrature", "monte_carlo"))
     _add_output_args(sp)
 
     sp = sub.add_parser("virial", help="density-series coefficients, all routes")
+    sp.set_defaults(run=_cmd_virial)
     _add_potential_args(sp)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--k-max", dest="k_max", type=int)
-    sp.add_argument("--method", choices=("quadrature", "monte_carlo"))
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--chunk", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int,
-                    help="worker hint; results are worker-count independent")
+    sp.add_argument("--k-max", dest="k_max", type=int, default=3)
+    _add_sampling_args(sp, ("quadrature", "monte_carlo"))
     _add_output_args(sp)
 
     sp = sub.add_parser("polymer", help="subset-polymer operations")
+    sp.set_defaults(run=_cmd_polymer)
     sp.add_argument("action", choices=("xi", "ursell", "fpcheck", "pexact", "ckn"))
     sp.add_argument("--n-ground", dest="n_ground", type=int,
                     help="ground-set size N")
     sp.add_argument("--zeta", help="activities like '2=0.5,3=-1/3'")
-    sp.add_argument("--orders", type=int, help="expansion order (ursell)")
+    sp.add_argument("--orders", type=int, default=3, help="expansion order (ursell)")
     sp.add_argument("--a", type=float, help="weight parameter (fpcheck)")
     sp.add_argument("--rho", type=float, help="density for derived activities")
-    sp.add_argument("--beta", type=float)
     sp.add_argument("--s", help="part sizes like '2,3' (pexact)")
-    sp.add_argument("--k", type=int, help="coefficient order (ckn)")
+    sp.add_argument("--k", type=int, default=1, help="coefficient order (ckn)")
     _add_potential_args(sp)
     _add_output_args(sp)
 
     sp = sub.add_parser("canonical", help="series-vs-direct comparison")
+    sp.set_defaults(run=_cmd_canonical)
     _add_potential_args(sp)
-    sp.add_argument("--beta", type=float)
     sp.add_argument("--L", type=float)
     sp.add_argument("--N", type=int)
-    sp.add_argument("--k-max", dest="k_max", type=int)
-    sp.add_argument("--method",
-                    choices=("auto", "tonks_closed", "quadrature", "monte_carlo"))
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--chunk", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int,
-                    help="worker hint; results are worker-count independent")
+    sp.add_argument("--k-max", dest="k_max", type=int, default=6)
+    _add_sampling_args(sp, ("auto", "tonks_closed", "quadrature", "monte_carlo"))
     _add_output_args(sp)
 
     sp = sub.add_parser("verify", help="run invariant suites")
-    sp.add_argument("--suite", choices=SUITES)
+    sp.set_defaults(run=_cmd_verify)
+    sp.add_argument("--suite", choices=SUITES, default="all")
+    # unset inputs keep the VerifyContext defaults
     sp.add_argument("--nmax", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--profiles", type=int)
     sp.add_argument("--random-graphs", dest="random_graphs", type=int)
     sp.add_argument("--out", help="also write results as JSON")
+
+    config = config or {}
+    unknown = sorted(set(config) - set(sub.choices) - {"potential"})
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
+    ap.set_defaults(potential_config=_config_section(config, "potential", CONFIG_KEYS))
+    for name, sp in sub.choices.items():
+        sp.set_defaults(**_config_defaults(sp, name, config))
     return ap
 
 
-# config sections accepted per subcommand: dest names of their flags
-_CONFIG_SECTIONS: Dict[str, set] = {
-    "potential": {"kind", "sigma", "epsilon", "lambda_w", "B", "dimension", "table", "cutoff"},
-    "radii": {"u", "beta", "cbeta", "k_max", "out", "format"},
-    "mayer": {"beta", "n", "volume", "method", "samples", "chunk", "seed", "workers", "out", "format"},
-    "virial": {"beta", "k_max", "method", "samples", "chunk", "seed", "workers", "out", "format"},
-    "polymer": {"n_ground", "zeta", "orders", "a", "rho", "beta", "s", "k", "out", "format"},
-    "canonical": {"beta", "L", "N", "k_max", "method", "samples", "chunk", "seed", "workers", "out", "format"},
-    "verify": {"suite", "nmax", "seed", "profiles", "random_graphs", "out"},
-}
-
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "radii": {"k_max": 8, "format": "json"},
-    "mayer": {"beta": 1.0, "n": 4, "volume": "inf", "method": "quadrature",
-              "samples": 400_000, "chunk": 20_000,
-              "workers": os.cpu_count() or 1, "format": "json"},
-    "virial": {"beta": 1.0, "k_max": 3, "method": "quadrature",
-               "samples": 400_000, "chunk": 20_000,
-               "workers": os.cpu_count() or 1, "format": "json"},
-    "polymer": {"orders": 3, "beta": 1.0, "k": 1, "format": "json"},
-    "canonical": {"beta": 1.0, "k_max": 6, "method": "auto",
-                  "samples": 400_000, "chunk": 20_000,
-                  "workers": os.cpu_count() or 1, "format": "json"},
-    "verify": {"suite": "all", **dataclasses.asdict(VerifyContext())},
-}
+def _config_section(config: dict, name: str, keys) -> dict:
+    """One config section, rejecting keys outside ``keys``."""
+    body = config.get(name, {})
+    if not isinstance(body, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    bad = sorted(set(body) - set(keys))
+    if bad:
+        raise ConfigError(f"unknown key(s) in config section {name!r}: {', '.join(bad)}")
+    return body
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
+def _config_defaults(sp: argparse.ArgumentParser, name: str, config: dict) -> dict:
+    """A subcommand's config section, each value parsed as its flag parses it.
+
+    The keys are the dests of the subcommand's flags, less the potential
+    flags, whose values come from the "potential" section.  A value that is
+    not a string is parsed as its JSON text; a null leaves the flag's default.
+    """
+    flags = {a.dest: a for a in sp._actions
+             if a.option_strings and a.dest != "help" and a.dest not in CONFIG_KEYS}
+    defaults = {}
+    for key, value in _config_section(config, name, flags).items():
+        if value is None:
+            continue
+        flag = flags[key]
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            parsed = flag.type(text) if flag.type else text
+            valid = flag.choices is None or parsed in flag.choices
+        except ValueError:
+            valid = False
+        if not valid:
+            choices = f" (choose from {', '.join(flag.choices)})" if flag.choices else ""
+            raise ConfigError(
+                f"invalid {key!r} value {value!r} in config section {name!r}{choices}")
+        defaults[key] = parsed
+    return defaults
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -183,65 +201,42 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - set(_CONFIG_SECTIONS))
-    if unknown:
-        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
-    for section, body in cfg.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        bad = sorted(set(body) - _CONFIG_SECTIONS[section])
-        if bad:
-            raise ConfigError(
-                f"unknown key(s) in config section {section!r}: {', '.join(bad)}"
-            )
     return cfg
 
 
-def _apply_config(args: argparse.Namespace, cfg: dict):
-    """Config fills unset flags; built-in defaults fill whatever remains."""
-    for key, value in cfg.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    for key, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    pot = cfg.get("potential")
-    args._config_potential = pot if getattr(args, "potential", None) is None else None
-
-
 def _potential_from_args(args) -> Optional[PairPotential]:
-    cfgpot = getattr(args, "_config_potential", None)
-    if getattr(args, "potential", None) is None and cfgpot:
-        return potential_from_config(cfgpot)
-    if getattr(args, "potential", None) is None:
-        return None
-    cfg = {"kind": args.potential, "sigma": args.sigma if args.sigma is not None else 1.0}
-    if args.dimension is not None:
-        cfg["dimension"] = args.dimension
-    elif args.potential == "hard_sphere":
-        cfg["dimension"] = 3
-    if args.epsilon is not None:
-        cfg["epsilon"] = args.epsilon
-    if args.lambda_w is not None:
-        cfg["lambda_w"] = args.lambda_w
-    if args.B is not None:
-        cfg["B"] = args.B
+    """The --potential flags if given, else the config's "potential" section."""
+    if args.kind is None:
+        return potential_from_config(args.potential_config) if args.potential_config else None
+    cfg = {key: getattr(args, key) for key in CONFIG_KEYS
+           if getattr(args, key, None) is not None}
+    if args.kind == "hard_sphere":
+        cfg.setdefault("dimension", 3)
     return potential_from_config(cfg)
 
 
-def _emit(args, payload: dict, rows=None, header=None) -> str:
+def _sampling(args) -> dict:
+    """Keyword arguments of the sampled routes; unset ones keep the library's defaults."""
+    if args.method == "monte_carlo" and args.seed is None:
+        raise ConfigError("--seed is mandatory for monte_carlo")
+    return {key: getattr(args, key) for key in ("seed", "samples", "chunk", "workers")
+            if getattr(args, key) is not None}
+
+
+def _emit(args, payload: dict, rows=None, header=None, preamble: str = ""):
+    """Write the JSON payload, or the rows as csv or a table, to --out or stdout."""
+    out = _out_path(args)
     if args.format == "json" or rows is None:
-        text = dump_json(payload, path=_out_path(args))
+        text = dump_json(payload, path=out)
     elif args.format == "csv":
-        text = dump_csv(header, rows, path=_out_path(args))
+        text = dump_csv(header, rows, path=out)
     else:
-        text = render_table(header, rows) + "\n"
-        if _out_path(args):
-            with open(_out_path(args), "w", encoding="utf-8") as fh:
+        text = preamble + render_table(header, rows) + "\n"
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    if not _out_path(args):
+    if not out:
         sys.stdout.write(text)
-    return text
 
 
 def _out_path(args) -> Optional[str]:
@@ -259,45 +254,37 @@ def _out_path(args) -> Optional[str]:
 
 def _cmd_radii(args) -> int:
     pot = _potential_from_args(args)
+    beta = args.beta
     if args.u is not None:
         if args.u < 1.0:
             raise ConfigError("--u must be >= 1")
         beta, B = 1.0, math.log(args.u) / 2.0
         cb = args.cbeta if args.cbeta is not None else 1.0
     elif args.cbeta is not None:
-        beta = args.beta if args.beta is not None else 1.0
         B = args.B if args.B is not None else 0.0
         cb = args.cbeta
     elif pot is not None:
-        beta = args.beta if args.beta is not None else 1.0
         B = pot.B
         cb, _ = c_beta(pot, beta)
     else:
         raise ConfigError("radii needs --u, or --cbeta, or a potential")
     report = radius_report(beta, B, cb, k_orders=tuple(range(1, args.k_max + 1)))
-    if args.format == "table":
-        rows = [[b.k, b.ours, b.lp] for b in report.bounds]
-        text = (
-            f"u = {report.u:.10g}\n"
-            f"F(u) = {report.F:.10g}   maximizer a* = {report.a_star:.10g}\n"
-            f"g(u) = {report.g:.10g}   maximizer w* = {report.w_star:.10g}\n"
-            f"K* = {report.k_star_closed:.10g} (series check {report.k_star_series:.10g})\n"
-            f"density radius = {report.rho_star:.10g}\n"
-            f"fugacity radius = {report.mayer_radius:.10g}\n"
-            f"base constant (computed a*) = {report.base_constant:.10g}\n"
-            f"base constant (reference a = {report.a_reference}) = "
-            f"{report.base_constant_reference:.10g}"
-            + ("  [discrepancy flagged]\n" if report.a_discrepancy_flagged else "\n")
-            + render_table(["k", "bound_ours", "bound_lp"], rows)
-            + "\n"
-        )
-        if _out_path(args):
-            with open(_out_path(args), "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    _emit(args, json_payload("radius_report", report.to_dict()))
+    preamble = (
+        f"u = {report.u:.10g}\n"
+        f"F(u) = {report.F:.10g}   maximizer a* = {report.a_star:.10g}\n"
+        f"g(u) = {report.g:.10g}   maximizer w* = {report.w_star:.10g}\n"
+        f"K* = {report.k_star_closed:.10g} (series check {report.k_star_series:.10g})\n"
+        f"density radius = {report.rho_star:.10g}\n"
+        f"fugacity radius = {report.mayer_radius:.10g}\n"
+        f"base constant (computed a*) = {report.base_constant:.10g}\n"
+        f"base constant (reference a = {report.a_reference}) = "
+        f"{report.base_constant_reference:.10g}"
+        + ("  [discrepancy flagged]\n" if report.a_discrepancy_flagged else "\n")
+    )
+    # the bound rows alone are no radius report, so csv keeps the JSON
+    rows = [[b.k, b.ours, b.lp] for b in report.bounds] if args.format == "table" else None
+    _emit(args, json_payload("radius_report", report.to_dict()), rows=rows,
+          header=["k", "bound_ours", "bound_lp"], preamble=preamble)
     return 0
 
 
@@ -316,7 +303,7 @@ def _require_potential(args) -> PairPotential:
     return pot
 
 
-def _parse_volume(raw) -> Optional[float]:
+def _parse_volume(raw: Optional[str]) -> Optional[float]:
     if raw in (None, "inf", "infinite", ""):
         return None
     v = float(raw)
@@ -327,8 +314,7 @@ def _parse_volume(raw) -> Optional[float]:
 
 def _cmd_mayer(args) -> int:
     pot = _require_potential(args)
-    if args.method == "monte_carlo" and args.seed is None:
-        raise ConfigError("--seed is mandatory for monte_carlo")
+    sampling = _sampling(args)
     volume = _parse_volume(args.volume)
     cb, _ = c_beta(pot, args.beta)
     rows = []
@@ -337,9 +323,7 @@ def _cmd_mayer(args) -> int:
         if n == 1:
             val, err = 1.0, 0.0
         else:
-            val, err = mayer_bn(pot, args.beta, n, volume, args.method,
-                                seed=args.seed, samples=args.samples,
-                                chunk=args.chunk, workers=args.workers)
+            val, err = mayer_bn(pot, args.beta, n, volume, args.method, **sampling)
         bound = penrose_bn_bound(n, args.beta, pot.B, cb) if n >= 2 else 1.0
         rows.append([f"b_{n}", n, args.beta, val, err, bound])
         records.append({
@@ -357,25 +341,22 @@ def _cmd_mayer(args) -> int:
 
 def _cmd_virial(args) -> int:
     pot = _require_potential(args)
-    if args.method == "monte_carlo" and args.seed is None:
-        raise ConfigError("--seed is mandatory for monte_carlo")
+    sampling = _sampling(args)
     k_max = args.k_max
     b = {1: 1.0}
     for n in range(2, k_max + 2):
-        b[n], _ = mayer_bn(pot, args.beta, n, method=args.method, seed=args.seed,
-                           samples=args.samples, chunk=args.chunk,
-                           workers=args.workers)
+        b[n], _ = mayer_bn(pot, args.beta, n, method=args.method, **sampling)
     inv = invert_mayer_oracle(b, k_max)
     rows = []
     records = []
     for k in range(1, k_max + 1):
         transform = float(virial_from_mayer(b, k))
         inversion = float(inv.coeff(k))
-        if k == 1 or (args.method == "quadrature" and k <= VIRIAL_QUADRATURE_MAX_K
-                      and pot.dimension == 1):
-            direct, derr = virial_bk_direct(pot, args.beta, k)
-        else:
-            direct, derr = None, None
+        # the direct row: the pair integral at k = 1, quadrature within its caps beyond
+        direct, derr = None, None
+        if k == 1 or args.method == "quadrature":
+            with suppress(CapacityError):
+                direct, derr = virial_bk_direct(pot, args.beta, k)
         closed = tonks.beta_k_value(k, pot.sigma) if pot.kind == "hard_rod" else None
         rows.append([k, transform, "mayer_transform", 0.0])
         rows.append([k, inversion, "inversion_oracle", 0.0])
@@ -491,20 +472,15 @@ def _cmd_canonical(args) -> int:
     pot = _require_potential(args)
     if args.L is None or args.N is None:
         raise ConfigError("canonical needs --L and --N")
-    if args.method == "monte_carlo" and args.seed is None:
-        raise ConfigError("--seed is mandatory for monte_carlo")
-    rep = compare_series_direct(
-        pot, args.beta, args.L, args.N, args.k_max,
-        direct_method=args.method, seed=args.seed,
-        samples=args.samples, chunk=args.chunk, workers=args.workers,
-    )
+    rep = compare_series_direct(pot, args.beta, args.L, args.N, args.k_max,
+                                direct_method=args.method, **_sampling(args))
     _emit(args, json_payload("canonical_comparison", rep.to_dict()))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    ctx = VerifyContext(**{f.name: getattr(args, f.name)
-                           for f in dataclasses.fields(VerifyContext)})
+    ctx = VerifyContext(**{f.name: value for f in dataclasses.fields(VerifyContext)
+                           if (value := getattr(args, f.name)) is not None})
     results = run_checks(args.suite, ctx)
     ok = all(r.passed for r in results)
     out = _out_path(args)
@@ -522,27 +498,14 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "radii": _cmd_radii,
-    "mayer": _cmd_mayer,
-    "virial": _cmd_virial,
-    "polymer": _cmd_polymer,
-    "canonical": _cmd_canonical,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        _apply_config(args, cfg)
-        return _COMMANDS[args.command](args)
-    except ClusterKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if args.config:
+            # parse again with the config's values as defaults under the command line
+            args = build_parser(_load_config(args.config)).parse_args(argv)
+        return args.run(args)
+    except (ClusterKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -294,7 +294,16 @@ def _graph_sum_table(p: PairPotential, beta: float, graph_sum, npairs: int,
     return table
 
 
-def _monte_carlo(chunk_mean, n: int, seed: Optional[int], samples: int, chunk: int,
+def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int) -> None:
+    """Reject a missing seed and sample sizes below one, before any set-up."""
+    if seed is None:
+        raise ConfigError("Monte Carlo needs an explicit seed")
+    for key, value in (("samples", samples), ("chunk", chunk)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigError(f"Monte Carlo {key} must be an integer >= 1, got {value!r}")
+
+
+def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
                  workers: Optional[int]) -> Tuple[float, float]:
     """Mean and standard error of the chunk means chunk_mean(rng).
 
@@ -302,10 +311,9 @@ def _monte_carlo(chunk_mean, n: int, seed: Optional[int], samples: int, chunk: i
     on a thread pool.  The means are collected in chunk order, so the
     reduction is deterministic and independent of the worker count.  Raises
     DomainError when fewer than two chunk means are nonzero (n, the number
-    of points, only labels the message).
+    of points, only labels the message).  Callers pass their inputs through
+    ``_check_monte_carlo`` before any set-up.
     """
-    if seed is None:
-        raise ConfigError("Monte Carlo needs an explicit seed")
     nchunks = max(2, math.ceil(samples / chunk))
 
     def one_chunk(c: int) -> float:
@@ -342,6 +350,7 @@ def _mc_graph_sum(
     box: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> Tuple[float, float]:
+    _check_monte_carlo(seed, samples, chunk)
     d = p.dimension
     pairs = vertex_pairs(n)
     graph_sum = _graph_class_sum(n, graph_class)

@@ -197,12 +197,13 @@ def c_beta(p: PairPotential, beta: float, tol: float = 1e-12) -> Tuple[float, fl
 # config loading
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"kind", "sigma", "epsilon", "lambda_w", "B", "dimension", "table", "cutoff"}
+# also the keys of the CLI's "potential" config section and the dests of its potential flags
+CONFIG_KEYS = {"kind", "sigma", "epsilon", "lambda_w", "B", "dimension", "table", "cutoff"}
 
 
 def potential_from_config(cfg: Mapping) -> PairPotential:
     """Build a potential from a flat config mapping, rejecting unknown keys."""
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown potential config key(s): {', '.join(unknown)}")
     if "kind" not in cfg:

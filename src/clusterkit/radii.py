@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
@@ -383,34 +383,7 @@ class RadiusReport:
     a_discrepancy_flagged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "B": self.B,
-            "cbeta": self.cbeta,
-            "u": self.u,
-            "F": self.F,
-            "a_star": self.a_star,
-            "g": self.g,
-            "w_star": self.w_star,
-            "k_star_closed": self.k_star_closed,
-            "k_star_series": self.k_star_series,
-            "rho_star": self.rho_star,
-            "mayer_radius": self.mayer_radius,
-            "bounds": [
-                {
-                    "k": b.k,
-                    "ours": b.ours,
-                    "lp": b.lp,
-                    "base_ours": b.base_ours,
-                    "base_lp": b.base_lp,
-                }
-                for b in self.bounds
-            ],
-            "base_constant": self.base_constant,
-            "base_constant_reference": self.base_constant_reference,
-            "a_reference": self.a_reference,
-            "a_discrepancy_flagged": self.a_discrepancy_flagged,
-        }
+        return asdict(self)
 
 
 def radius_report(beta: float, B: float, cbeta: float,

@@ -202,3 +202,71 @@ def test_virial_csv_long_format():
     sources = {line.split(",")[2] for line in lines[1:]}
     assert {"mayer_transform", "inversion_oracle",
             "direct_integral", "closed_form"} <= sources
+
+
+ROD = ["--potential", "hard_rod", "--sigma", "1"]
+
+# (command and its positionals, section, the same values as flags)
+SECTION_AS_FLAGS = {
+    "mayer": (["mayer", *ROD], {"n": 3, "beta": 2, "volume": 12},
+              ["--n", "3", "--beta", "2", "--volume", "12"]),
+    "mayer_mc": (["mayer", "--potential", "hard_sphere"],
+                 {"n": 3, "method": "monte_carlo", "seed": 5, "samples": 10000,
+                  "chunk": 5000, "workers": 2},
+                 ["--n", "3", "--method", "monte_carlo", "--seed", "5",
+                  "--samples", "10000", "--chunk", "5000", "--workers", "2"]),
+    "virial": (["virial", *ROD], {"k_max": 2, "beta": 0.5, "format": "table"},
+               ["--k-max", "2", "--beta", "0.5", "--format", "table"]),
+    "canonical": (["canonical", *ROD], {"L": 50, "N": 5, "k_max": 4},
+                  ["--L", "50", "--N", "5", "--k-max", "4"]),
+    "radii": (["radii"], {"u": 1, "k_max": 3, "format": "table"},
+              ["--u", "1", "--k-max", "3", "--format", "table"]),
+    "polymer": (["polymer", "xi"], {"n_ground": 4, "zeta": "2=1/3,3=-1/4"},
+                ["--n-ground", "4", "--zeta", "2=1/3,3=-1/4"]),
+    "string_as_int": (["mayer", *ROD], {"n": "3"}, ["--n", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", SECTION_AS_FLAGS)
+def test_config_section_equals_flags(tmp_path, case):
+    argv, section, flags = SECTION_AS_FLAGS[case]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({argv[0]: section}))
+    via_config = run_for_test(["--config", str(cfg), *argv])
+    via_flags = run_for_test([*argv, *flags])
+    assert verify._strip_timestamp(via_config) == verify._strip_timestamp(via_flags)
+
+
+@pytest.mark.parametrize("section", [
+    {"mayer": {"n": 3.5}},
+    {"mayer": {"format": "xml"}},
+    {"mayer": {"method": "montecarlo"}},
+    {"mayer": {"seed": [1, 2]}},
+    {"verify": {"suite": "everything"}},
+], ids=["n", "format", "method", "seed", "suite"])
+def test_config_value_parsed_like_its_flag(tmp_path, capsys, section):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(section))
+    assert main(["--config", str(cfg), "mayer", *ROD]) == 2
+    (key,) = next(iter(section.values()))
+    assert f"invalid {key!r} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("radii", "chunk"),  # a flag of another subcommand
+    ("mayer", "sigma"),  # a potential flag, which belongs in "potential"
+])
+def test_config_rejects_keys_of_other_sections(tmp_path, capsys, section, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({section: {key: 1}}))
+    assert main(["--config", str(cfg), "radii", "--u", "1"]) == 2
+    assert f"{section!r}: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mayer", "--potential", "hard_sphere", "--n", "3"],
+    ["canonical", "--potential", "hard_sphere", "--L", "6", "--N", "4", "--k-max", "3"],
+])
+def test_mc_chunk_zero_exits_2(capsys, argv):
+    assert main([*argv, "--method", "monte_carlo", "--seed", "1", "--chunk", "0"]) == 2
+    assert "chunk" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterkit import tonks
-from clusterkit.canonical import ztilde_direct
+from clusterkit.canonical import compare_series_direct, ztilde_direct
 from clusterkit.cluster import (
     _bond_level_keys,
     _graph_class_sum,
@@ -120,6 +120,22 @@ def test_mc_too_few_nonzero_chunks(sphere, seed):
 def test_mc_seed_mandatory(sphere):
     with pytest.raises(ConfigError):
         mayer_bn(sphere, 1.0, 3, method="monte_carlo")
+
+
+MC_ENTRY_POINTS = {
+    "mayer_bn": lambda p, **kw: mayer_bn(p, 1.0, 3, method="monte_carlo", **kw),
+    "virial_bk_direct": lambda p, **kw: virial_bk_direct(p, 1.0, 2, "monte_carlo", **kw),
+    "ztilde_direct": lambda p, **kw: ztilde_direct(p, 1.0, 6.0, 4, "monte_carlo", **kw),
+    "compare_series_direct": lambda p, **kw: compare_series_direct(
+        p, 1.0, 6.0, 4, 3, direct_method="monte_carlo", **kw),
+}
+
+
+@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+@pytest.mark.parametrize("key, value", [("chunk", 0), ("chunk", -3), ("samples", 0)])
+def test_mc_sizes_below_one_rejected(sphere, entry, key, value):
+    with pytest.raises(ConfigError, match=rf"Monte Carlo {key} must be an integer >= 1"):
+        MC_ENTRY_POINTS[entry](sphere, seed=1, **{key: value})
 
 
 def test_mc_hard_sphere_b3(sphere):
