@@ -33,7 +33,6 @@ from . import tonks
 from .cluster import (
     MONTE_CARLO_MAX_N,
     QUADRATURE_MAX_N,
-    _bond_levels,
     _box_points,
     _check_monte_carlo,
     _gap_integral,
@@ -44,6 +43,7 @@ from .cluster import (
 )
 from .graphs import vertex_pairs
 from .potentials import PairPotential, c_beta, f_bond_array
+from .quadrature import bond_levels
 from .series import free_energy_series, virial_from_mayer
 
 ZTILDE_QUADRATURE_MAX_N = 4
@@ -138,7 +138,7 @@ def ztilde_direct(
             level_factors = 1.0 + f_bond_array(p, beta, _level_radii(p))
 
             def factor(r):
-                return level_factors.take(_bond_levels(r, cuts))
+                return level_factors.take(bond_levels(r, cuts))
         else:
             def factor(r):
                 return 1.0 + f_bond_array(p, beta, r)

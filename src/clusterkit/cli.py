@@ -49,8 +49,9 @@ from .verify import SUITES, VerifyContext, run_checks
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_potential_args(sp: argparse.ArgumentParser):
-    # the dests of the potential flags are potential config keys
+def _add_potential_args(sp: argparse.ArgumentParser, beta: bool = True):
+    # the dests of the potential flags are potential config keys; --beta is
+    # offered only where the report depends on it
     sp.add_argument("--potential", dest="kind",
                     choices=("hard_rod", "hard_sphere", "square_well"), help="potential kind")
     sp.add_argument("--sigma", type=float, default=1.0, help="core diameter")
@@ -59,7 +60,8 @@ def _add_potential_args(sp: argparse.ArgumentParser):
                     help="well width ratio (square_well)")
     sp.add_argument("--B", type=float, help="declared stability constant")
     sp.add_argument("--dimension", type=int, help="spatial dimension")
-    sp.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
+    if beta:
+        sp.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
 
 
 def _add_sampling_args(sp: argparse.ArgumentParser, methods):
@@ -120,7 +122,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float, help="density for derived activities")
     sp.add_argument("--s", help="part sizes like '2,3' (pexact)")
     sp.add_argument("--k", type=int, default=1, help="coefficient order (ckn)")
-    _add_potential_args(sp)
+    _add_potential_args(sp, beta=False)
     _add_output_args(sp)
 
     sp = sub.add_parser("canonical", help="series-vs-direct comparison")

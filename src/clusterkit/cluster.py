@@ -13,22 +13,24 @@ canonical ztilde is the same integral over all graphs, whose sum is the
 product of (1 + f) over the pairs.
 
 The three graph classes of graphs.GRAPH_CLASSES share one selector,
-``_graph_class_sum``, and two drivers.  Quadrature (d = 1), ``_gap_integral``,
-reduces the integral to the n-1 ordered gaps: the graph sum is permutation
-symmetric, so the integral is n! times the ordered-sector integral.  For a
-piecewise constant bond the graph sum runs once per distinct row of bond
-levels.  Each caller scales gap_quadrature's refined and base sums and
-reports their difference as the error.  Monte Carlo (any d, default d = 3),
-``_monte_carlo``, draws chunk c from a Philox substream keyed by (seed, c),
-so results are bit-reproducible for a given (seed, samples, chunk size) at
-any worker count.  b_n and beta_k stratify the free points by radius in the
-ball of radius (n-1) * range around the pinned particle; in a box, b_n and
-ztilde draw the same uniform points.  Points are coordinate-major (d, m)
-arrays, and ``_pair_distances`` turns two of them into m distances.  For a
-piecewise constant bond ``_mc_graph_sum`` maps each sample's distances to
-its bond-level key and reads the graph sum from ``_graph_sum_table``, one
-entry per row of levels; other bonds evaluate the bond function and the
-graph sum per sample.  Both give the same bits.
+``_graph_class_sum``, and two drivers.  Quadrature (d = 1),
+``_gap_integral``, reduces the integral to the n-1 ordered gaps: the graph
+sum is permutation symmetric, so the integral is n! times the ordered-sector
+integral.  For a piecewise constant bond it passes the breakpoints to
+gap_quadrature as level cuts, which runs the graph sum once per distinct row
+of bond levels among the last gap's panels.  Each caller scales
+gap_quadrature's refined and base sums and reports their difference as the
+error.  Monte Carlo (any d, default d = 3), ``_monte_carlo``, draws chunk c
+from a Philox substream keyed by (seed, c), so results are bit-reproducible
+for a given (seed, samples, chunk size) at any worker count.  b_n and beta_k
+stratify the free points by radius in the ball of radius (n-1) * range
+around the pinned particle; in a box, b_n and ztilde draw the same uniform
+points.  Points are coordinate-major (d, m) arrays, and ``_pair_distances``
+turns two of them into m distances.  For a piecewise constant bond
+``_mc_graph_sum`` maps each sample's distances to its bond-level key and
+reads the graph sum from ``_graph_sum_table``, one entry per row of levels;
+other bonds evaluate the bond function and the graph sum per sample.  Both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .errors import CapacityError, ConfigError, DomainError
 from .graphs import enum_graphs, vertex_pairs
 from .potentials import PairPotential, f_bond_array
 from .quadrature import (
+    bond_levels,
     difference_closure,
     gap_quadrature,
     integrate_1d,
@@ -128,24 +131,11 @@ def graph_list_weight_sum(fvals: np.ndarray, edge_columns) -> np.ndarray:
     return total
 
 
-def _bond_levels(r: np.ndarray, cuts) -> np.ndarray:
-    """The bond level of each separation: the number of cuts at or below it.
-
-    A piecewise constant bond function takes one value per level.
-    Separations are nonnegative (gap sums or distances), so no absolute
-    value is needed.
-    """
-    levels = np.zeros_like(r, dtype=np.int8)
-    for c in cuts:
-        levels += r >= c
-    return levels
-
-
 def _bond_level_keys(windows: np.ndarray, cuts) -> np.ndarray:
     """One int64 key per row: its pairs' bond levels packed in base
     len(cuts)+1, the first pair the most significant digit."""
     base = len(cuts) + 1
-    levels = _bond_levels(windows, cuts)
+    levels = bond_levels(windows, cuts)
     keys = np.zeros(windows.shape[0], dtype=np.int64)
     for k in range(windows.shape[1]):
         keys = keys * base + levels[:, k]
@@ -176,29 +166,10 @@ def _graph_class_sum(n: int, graph_class: str):
 
 
 def _gap_weight_fn(p: PairPotential, beta: float, n: int, graph_class: str):
-    """Integrand over gap vectors: the graph-class sum of the bond values.
-
-    For a piecewise constant bond every row with the same bond levels has the
-    same bond values, so the graph sum runs once per distinct level row and
-    is gathered back.  Every class sum works row by row, so the values are
-    the same bits as a sum over every row.
-    """
+    """Integrand over gap vectors: the graph-class sum of the bond values of
+    the pair windows."""
     graph_sum = _graph_class_sum(n, graph_class)
-    if not p.piecewise_constant_bond:
-        return lambda points: graph_sum(f_bond_array(p, beta, pair_window_matrix(points)))
-
-    cuts = p.breakpoints()
-    npairs = n * (n - 1) // 2
-    if (len(cuts) + 1) ** npairs > np.iinfo(np.int64).max:
-        raise CapacityError(f"{npairs} pairs at {len(cuts) + 1} bond levels overflow an int64 key")
-
-    def weight(points):
-        w = pair_window_matrix(points)
-        _, first, inverse = np.unique(_bond_level_keys(w, cuts),
-                                      return_index=True, return_inverse=True)
-        return graph_sum(f_bond_array(p, beta, w[first]))[inverse]
-
-    return weight
+    return lambda points: graph_sum(f_bond_array(p, beta, pair_window_matrix(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +202,8 @@ def _gap_integral(
     weight = _gap_weight_fn(p, beta, n, graph_class)
     if box is not None and box <= 0:
         raise DomainError("box side must be positive")
-    return gap_quadrature(weight, n - 1, radii, support, box)
+    level_cuts = p.breakpoints() if p.piecewise_constant_bond else None
+    return gap_quadrature(weight, n - 1, radii, support, box, level_cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ Two engines live here:
   closed under differences so that breakpoint crossings at deeper levels are
   panel boundaries too.  It returns the sums under a refined and a base node
   schedule, whose difference is the error of b_n, beta_k and ztilde alike.
+  An integrand that depends only on the bond level of each window (the
+  graph sums of a piecewise constant bond) is constant on each panel of the
+  last gap, so it runs once per distinct row of levels among those panels
+  and gives the bits of the node-by-node sum.  (A panel with a level
+  crossing inside it, closer to an edge than the merge tolerance, is taken
+  node by node.)
 """
 
 from __future__ import annotations
@@ -162,6 +168,16 @@ def sum_closure(radii: Sequence[float], terms: int):
 # nested ordered-gap quadrature
 # ---------------------------------------------------------------------------
 
+def _running_sums(points: np.ndarray) -> np.ndarray:
+    """Running sums (m + 1, P) of gap vectors (P, m): 0, t_1, t_1 + t_2, ..."""
+    P, m = points.shape
+    cs = np.empty((m + 1, P))
+    cs[0] = 0.0
+    for j in range(m):
+        np.add(cs[j], points[:, j], out=cs[j + 1])
+    return cs
+
+
 def pair_window_matrix(points: np.ndarray) -> np.ndarray:
     """Window sums for every vertex pair of [m+1] from gap vectors (P, m).
 
@@ -170,10 +186,7 @@ def pair_window_matrix(points: np.ndarray) -> np.ndarray:
     result is column-major, so each pair's column is contiguous.
     """
     P, m = points.shape
-    cs = np.empty((m + 1, P))
-    cs[0] = 0.0
-    for j in range(m):
-        np.add(cs[j], points[:, j], out=cs[j + 1])
+    cs = _running_sums(points)
     out = np.empty((m * (m + 1) // 2, P))
     k = 0
     for i in range(m + 1):
@@ -181,6 +194,39 @@ def pair_window_matrix(points: np.ndarray) -> np.ndarray:
             np.subtract(cs[j], cs[i], out=out[k])
             k += 1
     return out.T
+
+
+def bond_levels(r: np.ndarray, cuts) -> np.ndarray:
+    """The bond level of each separation: the number of cuts at or below it.
+
+    A piecewise constant bond function takes one value per level.
+    Separations are nonnegative (gap sums or distances), so no absolute
+    value is needed.
+    """
+    levels = np.zeros_like(r, dtype=np.int8)
+    for c in cuts:
+        levels += r >= c
+    return levels
+
+
+_ID_LIMIT = np.iinfo(np.int64).max
+
+
+def _append_levels(ids: np.ndarray, count: int, levels, base: int):
+    """Extend row ids by one digit per array of bond levels below ``base``.
+
+    ``ids`` lie in [0, count).  Two rows end with equal ids exactly when
+    they started with equal ids and have equal levels in every array.  The
+    ids are renumbered densely before a digit could overflow an int64.
+    Returns the ids and the new bound on them.
+    """
+    for lv in levels:
+        if count > _ID_LIMIT // base:
+            _, ids = np.unique(ids, return_inverse=True)
+            count = int(ids.max()) + 1
+        ids = ids * base + lv
+        count *= base
+    return ids, count
 
 
 def _q_schedule(n_gaps: int, boxed: bool, q_offset: int):
@@ -196,7 +242,7 @@ def _q_schedule(n_gaps: int, boxed: bool, q_offset: int):
 def _level_breakpoints(ts, radii, box_cuts, upper):
     """Panel edges for the next gap given the prefix gaps ``ts``.
 
-    The scalar rule, kept as the oracle of ``_expand_level``.
+    The scalar rule, kept as the oracle of ``_panels``.
     """
     suffix = [0.0]
     acc = 0.0
@@ -239,31 +285,32 @@ def _expand_row(ts, wgt, xq, wq, radii, box_cuts, support, box_length):
     return out
 
 
-#: rows expanded per step of ``_expand_level``, scaled down by the number of
+#: rows handled per step of ``_panels``, scaled down by the number of
 #: breakpoint candidates per row; bounds its scratch memory
 _CANDIDATE_BLOCK = 1 << 20
 
 
-def _expand_level(ts, wts, xq, wq, radii, box_cuts, support, box_length):
-    """Expand every row of gaps ``ts`` (P, k) with weights ``wts`` (P,) by one gap.
+def _panels(ts, radii, box_cuts, support, box_length):
+    """The panels of the next gap for every row of gaps ``ts`` (P, k).
 
-    The array form of ``_expand_row``, node for node and weight for weight:
+    Returns (row, a, h): each panel's prefix row, left edge and width, in row
+    then panel order.  The array form of the panel rule of ``_expand_row``:
     forward sums give the box-limited upper end, reversed suffix sums the
     breakpoint candidates r - s and c - (reversed total), which are filtered
     to (tol, upper - tol), sorted and merged by one sweep over the columns.
-    Output rows come in row, panel, node order.
     """
     ncand = len(radii) * (ts.shape[1] + 1) + len(box_cuts)
     step = max(1, _CANDIDATE_BLOCK // max(1, ncand))
-    parts = [_expand_block(ts[i:i + step], wts[i:i + step], xq, wq, radii, box_cuts,
-                           support, box_length)
-             for i in range(0, max(1, ts.shape[0]), step)]
+    starts = range(0, max(1, ts.shape[0]), step)
+    parts = [_panel_block(ts[i:i + step], radii, box_cuts, support, box_length)
+             for i in starts]
     if len(parts) == 1:
         return parts[0]
-    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+    return (np.concatenate([p[0] + i for p, i in zip(parts, starts)]),
+            np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts]))
 
 
-def _expand_block(ts, wts, xq, wq, radii, box_cuts, support, box_length):
+def _panel_block(ts, radii, box_cuts, support, box_length):
     P, k = ts.shape
     upper = np.full(P, support if support is not None else box_length, dtype=float)
     if box_length is not None:
@@ -272,10 +319,12 @@ def _expand_block(ts, wts, xq, wq, radii, box_cuts, support, box_length):
             forward = forward + ts[:, j]
         upper = np.minimum(upper, box_length - forward)
     live = upper > _MERGE_TOL
+    rows = None
     if not live.all():
-        ts, wts, upper = ts[live], wts[live], upper[live]
+        rows = np.flatnonzero(live)
+        ts, upper = ts[rows], upper[rows]
         P = ts.shape[0]
-    # candidates r - s over suffix sums s, then c - total; invalid ones -> inf
+    # candidates r - s over suffix sums s, then c - total
     suffix = [np.zeros(P)]
     for j in reversed(range(k)):
         suffix.append(suffix[-1] + ts[:, j])
@@ -288,34 +337,111 @@ def _expand_block(ts, wts, xq, wq, radii, box_cuts, support, box_length):
     for c in box_cuts:
         cand[:, col] = c - suffix[-1]
         col += 1
-    valid = (cand > _MERGE_TOL) & (cand < (upper - _MERGE_TOL)[:, None])
-    cand[~valid] = np.inf
+    # invalid candidates become 0, which sorts them first and merges them away
+    cand[(cand <= _MERGE_TOL) | (cand >= (upper - _MERGE_TOL)[:, None])] = 0.0
     cand.sort(axis=1)
-    # merge: keep a value when it exceeds the last kept one by more than tol
-    last = np.full(P, -np.inf)
+    # merge: keep a value when it exceeds the last kept one (or 0) by more
+    # than tol; a dropped value repeats the last kept one, an empty panel
+    last = np.zeros(P)
     for j in range(cand.shape[1]):
         v = cand[:, j]
-        keep = (v < np.inf) & (v - last > _MERGE_TOL)
-        last = np.where(keep, v, last)
-        v[~keep] = np.inf
-    cand.sort(axis=1)
-    # edges 0, kept..., upper; the inf padding collapses onto upper
+        np.copyto(v, last, where=v - last <= _MERGE_TOL)
+        last = v
     edges = np.empty((P, cand.shape[1] + 2))
     edges[:, 0] = 0.0
     edges[:, 1:-1] = cand
-    edges[:, -1] = np.inf
-    np.minimum(edges, upper[:, None], out=edges)
+    edges[:, -1] = upper
     a = edges[:, :-1]
     h = edges[:, 1:] - a
     row, panel = np.nonzero(h > _MERGE_TOL)
     a = a[row, panel]
     h = h[row, panel]
+    if rows is not None:
+        row = rows[row]
+    return row, a, h
+
+
+def _nodes(ts, row, a, h, xq):
+    """Gap rows of the Gauss nodes a + h*x of the panels: the prefix row
+    ts[row], then the node; in panel then node order."""
     q = xq.shape[0]
+    k = ts.shape[1]
     out = np.empty((row.shape[0] * q, k + 1))
     out[:, :k] = np.repeat(ts[row], q, axis=0)
     out[:, k] = (a[:, None] + h[:, None] * xq).ravel()
-    weights = ((wts[row] * h)[:, None] * wq).ravel()
-    return out, weights
+    return out
+
+
+def _node_weights(wts, row, h, wq):
+    """Weights (w * h) * wq of the panels' Gauss nodes, in panel then node order."""
+    return ((wts[row] * h)[:, None] * wq).ravel()
+
+
+def _expand_level(ts, wts, xq, wq, radii, box_cuts, support, box_length):
+    """Expand every row of gaps ``ts`` (P, k) with weights ``wts`` (P,) by one gap.
+
+    The array form of ``_expand_row``, node for node and weight for weight.
+    Output rows come in row, panel, node order.
+    """
+    row, a, h = _panels(ts, radii, box_cuts, support, box_length)
+    return _nodes(ts, row, a, h, xq), _node_weights(wts, row, h, wq)
+
+
+def _evaluate(weight_fn, points):
+    """weight_fn over the rows of ``points``, WEIGHT_BLOCK rows a call."""
+    return np.concatenate([
+        np.asarray(weight_fn(points[i:i + WEIGHT_BLOCK]), dtype=float)
+        for i in range(0, points.shape[0], WEIGHT_BLOCK)
+    ])
+
+
+def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
+    """weight_fn at the Gauss nodes of the panels (row, a, h), in panel then
+    node order, called once per distinct row of bond levels.
+
+    The levels of the prefix pairs are taken once per prefix row; each node
+    adds the windows that end at its last vertex.  All are differences of
+    the running sums ``pair_window_matrix`` takes, so a node's levels are
+    the ones weight_fn sees for it.  A window grows with the last gap, so a
+    panel whose first and last node share their levels has them at every
+    node and is evaluated at its first node.  A panel with a level crossing
+    inside it, closer to an edge than the merge tolerance, is evaluated node
+    by node.
+    """
+    k = ts.shape[1]
+    q = xq.shape[0]
+    base = len(level_cuts) + 1
+    cs = _running_sums(ts)
+    pairs = (bond_levels(cs[j] - cs[i], level_cuts)
+             for i in range(k + 1) for j in range(i + 1, k + 1))
+    pre_ids, count = _append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base)
+
+    def last_levels(c, x):
+        end = c[k] + x
+        return [bond_levels(end - c[i], level_cuts) for i in range(k + 1)]
+
+    c = cs[:, row]
+    x = a + h * xq[0]
+    levels = last_levels(c, x)
+    split = np.zeros(row.shape[0], dtype=bool)
+    for lo, hi in zip(levels, last_levels(c, a + h * xq[-1])):
+        split |= lo != hi
+    repeats = q
+    if split.any():
+        start = np.zeros((row.shape[0], q), dtype=bool)
+        start[:, 0] = True
+        start[split] = True
+        unit = np.flatnonzero(start)
+        repeats = np.diff(np.append(unit, start.size))
+        x = (a[:, None] + h[:, None] * xq).ravel()[unit]
+        row = row[unit // q]
+        levels = last_levels(cs[:, row], x)
+    ids, _ = _append_levels(pre_ids[row], count, levels, base)
+    _, rep, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    points = np.empty((rep.shape[0], k + 1))
+    points[:, :k] = ts[row[rep]]
+    points[:, k] = x[rep]
+    return np.repeat(_evaluate(weight_fn, points)[inverse], repeats)
 
 
 def _box_cuts(radii, n_gaps, box_length):
@@ -341,6 +467,7 @@ def gap_quadrature(
     radii: Sequence[float],
     support: Optional[float] = None,
     box_length: Optional[float] = None,
+    level_cuts: Optional[Sequence[float]] = None,
 ) -> Tuple[float, float]:
     """Integrate weight_fn over gap vectors t in [0, U]^n_gaps.
 
@@ -350,10 +477,19 @@ def gap_quadrature(
     measure of the ordered chain in a box.  weight_fn receives an array
     (P, n_gaps) with n_gaps >= 1 and returns (P,).
 
+    ``level_cuts`` declares that weight_fn depends on a point only through
+    the bond level of each window sum (``bond_levels`` against these cuts),
+    as the graph sums of a piecewise constant bond do.  With the cuts among
+    ``radii``, the last gap's panel edges are where a window ending at the
+    last vertex crosses a cut, so the levels are constant on a panel:
+    weight_fn then runs once per distinct row of levels among the panels
+    (``_panel_values``) and each value is repeated onto its panel's nodes.
+    Without ``level_cuts`` it runs at every node.  Both give the same bits.
+
     Returns the sums under the refined and the base node schedule, in that
     order; their difference is the callers' error estimate.  Each schedule
     expands the prefix rows one level at a time as arrays.  The final level
-    is expanded PREFIX_BLOCK prefix rows at a time, each block reduced to one
+    is taken PREFIX_BLOCK prefix rows at a time, each block reduced to one
     partial sum, and weight_fn sees at most WEIGHT_BLOCK rows a call.
     """
     if support is None and box_length is None:
@@ -362,11 +498,12 @@ def gap_quadrature(
     box_cuts = _box_cuts(radii, n_gaps, box_length) if box_length is not None else []
     rule = (radii, box_cuts, support, box_length)
     boxed = box_length is not None
-    return tuple(_schedule_sum(weight_fn, _q_schedule(n_gaps, boxed, q_offset), rule)
+    return tuple(_schedule_sum(weight_fn, _q_schedule(n_gaps, boxed, q_offset), rule,
+                               level_cuts)
                  for q_offset in (1, 0))
 
 
-def _schedule_sum(weight_fn, qs, rule) -> float:
+def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
     """The nested sum of ``gap_quadrature`` under one node schedule ``qs``."""
     radii, box_cuts, _, box_length = rule
     est = math.prod((len(radii) * m + len(box_cuts) + 1) * q for m, q in enumerate(qs, start=1))
@@ -383,15 +520,19 @@ def _schedule_sum(weight_fn, qs, rule) -> float:
     xq, wq = gauss_nodes(qs[-1])
     partials = []
     for start in range(0, ts.shape[0], PREFIX_BLOCK):
-        pts, warr = _expand_level(ts[start:start + PREFIX_BLOCK],
-                                  wts[start:start + PREFIX_BLOCK], xq, wq, *rule)
-        if not warr.shape[0]:
+        prefix = ts[start:start + PREFIX_BLOCK]
+        row, a, h = _panels(prefix, *rule)
+        if not row.shape[0]:
             continue
-        vals = np.concatenate([
-            np.asarray(weight_fn(pts[i:i + WEIGHT_BLOCK]), dtype=float)
-            for i in range(0, pts.shape[0], WEIGHT_BLOCK)
-        ])
+        pts = None
+        if level_cuts is None or box_length is not None:
+            pts = _nodes(prefix, row, a, h, xq)
+        if level_cuts is None:
+            vals = _evaluate(weight_fn, pts)
+        else:
+            vals = _panel_values(weight_fn, prefix, row, a, h, xq, level_cuts)
         if box_length is not None:
             vals = vals * (box_length - pts.sum(axis=1))
+        warr = _node_weights(wts[start:start + PREFIX_BLOCK], row, h, wq)
         partials.append(float(np.dot(vals, warr)))
     return math.fsum(partials)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
 from . import radii as radii_mod
@@ -294,32 +294,3 @@ def free_energy_series(
     else:
         tail = math.nan
     return FreeEnergyEstimate(value, tail, certified, k_max, rstar)
-
-
-_EXACT_LOGFACT_MAX = 10 ** 6
-
-
-def log_factorial(N: int) -> float:
-    """ln N! by exact summation up to 1e6, Stirling with corrections beyond."""
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if N <= _EXACT_LOGFACT_MAX:
-        return math.fsum(math.log(k) for k in range(2, N + 1))
-    x = float(N)
-    return (
-        x * math.log(x) - x + 0.5 * math.log(2.0 * math.pi * x)
-        + 1.0 / (12.0 * x) - 1.0 / (360.0 * x ** 3)
-    )
-
-
-def assemble_free_energy(beta: float, rho: Optional[float], N: int, V: float,
-                         Q: float) -> float:
-    """Finite-volume free energy per volume: -(1/beta)[(1/V) ln(V^N/N!) + Q]."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    if N < 1 or V <= 0:
-        raise DomainError("need N >= 1 and V > 0")
-    if rho is not None and abs(rho - N / V) > 1e-9 * max(1.0, N / V):
-        raise InputError(f"inconsistent density: rho={rho} but N/V={N / V}")
-    ideal = (N * math.log(V) - log_factorial(N)) / V
-    return -(ideal + Q) / beta

@@ -91,6 +91,15 @@ def test_polymer_ckn():
     assert abs(out["limit"] + 2.0) < 1e-12
 
 
+def test_polymer_has_no_beta_flag(capsys):
+    # the polymer reports come from hard-rod closed forms that do not depend on beta
+    with pytest.raises(SystemExit) as exc:
+        main(["polymer", "ckn", "--n-ground", "8", "--potential", "hard_rod", "--k", "1",
+              "--beta", "2"])
+    assert exc.value.code == 2
+    assert "--beta" in capsys.readouterr().err
+
+
 def test_canonical_report():
     out = run_json(["canonical", "--potential", "hard_rod", "--sigma", "1",
                     "--L", "2000", "--N", "100", "--k-max", "6"])

@@ -8,23 +8,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from clusterkit import quadrature
 from clusterkit.canonical import ztilde_direct
-from clusterkit.cluster import (
-    _gap_weight_fn,
-    _two_connected_columns_cached,
-    connected_weight_sum,
-    graph_list_weight_sum,
-    mayer_bn,
-    virial_bk_direct,
-)
+from clusterkit.cluster import _gap_weight_fn, mayer_bn, virial_bk_direct
 from clusterkit.errors import CapacityError
-from clusterkit.potentials import PairPotential, f_bond_array
+from clusterkit.potentials import PairPotential
 from clusterkit.quadrature import (
+    _append_levels,
     _box_cuts,
+    _evaluate,
     _expand_level,
     _expand_row,
+    _nodes,
+    _panel_values,
+    _panels,
     _q_schedule,
+    bond_levels,
     difference_closure,
+    gap_quadrature,
     gauss_nodes,
     pair_window_matrix,
 )
@@ -131,6 +132,23 @@ def test_square_well_b5_bits(well):
     assert mayer_bn(well, 1.0, 5) == (0.05234621010122331, 2.220446049250313e-16)
 
 
+def test_square_well_b6_bits(well):
+    # the pair the per-node last level gave
+    assert mayer_bn(well, 1.0, 6) == (-1.5580422838771786, 1.7763568394002505e-15)
+
+
+def test_square_well_box_ztilde_bits(well):
+    got = ztilde_direct(well, 1.0, 6.25, 4, "quadrature")
+    assert (got.ztilde, got.error) == (0.414168800857891, 5.551115123125783e-17)
+
+
+def test_node_estimate_guards_before_expansion():
+    # ~1.25e8 nodes by the per-level bound: refused before any level is built
+    wide = PairPotential("square_well", 0.75, 1, epsilon=0.3, lambda_w=1.9, B=1.0)
+    with pytest.raises(CapacityError, match="1.25e\\+08 nodes"):
+        mayer_bn(wide, 1.0, 5)
+
+
 # ---------------------------------------------------------------------------
 # the array level step against the scalar per-row rule
 # ---------------------------------------------------------------------------
@@ -185,51 +203,90 @@ def test_expand_level_matches_scalar_rule(setup):
             break
 
 
+@pytest.mark.parametrize("box_length", [None, 2.5])
+def test_panels_in_blocks_match_one_block(monkeypatch, box_length):
+    radii = difference_closure([1.0, 1.5], 1.5)
+    rule = (radii, _box_cuts(radii, 3, box_length) if box_length else [], 1.5, box_length)
+    ts, wts = np.zeros((1, 0)), np.ones(1)
+    for q in (3, 2):
+        ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
+    # in the box the shifted copies fill it, so block offsets and dead rows mix
+    ts = np.concatenate([ts, ts + 1.0])
+    whole = _panels(ts, *rule)
+    assert box_length is None or len(set(whole[0].tolist())) < ts.shape[0]
+    monkeypatch.setattr(quadrature, "_CANDIDATE_BLOCK", 7 * len(radii) * 3)
+    blocks = _panels(ts, *rule)
+    assert [x.tolist() for x in blocks] == [x.tolist() for x in whole]
+
+
 # ---------------------------------------------------------------------------
-# the distinct-row weight against the plain weight
+# the last level by bond-level rows against the last level node by node
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=40, deadline=None)
+@given(gap_setups(), st.data())
+def test_panel_values_bitwise_from_any_prefix(setup, data):
+    # prefix gaps a hair off a radius put level crossings inside panels
+    rule, qs, ts, _ = setup
+    cuts = data.draw(st.lists(st.sampled_from(rule[0]) | st.floats(0.05, 2.0),
+                              min_size=1, max_size=3).map(sorted))
+    xq, _ = gauss_nodes(qs[-1])
+    row, a, h = _panels(ts, *rule)
+    assume(row.shape[0])
+    # any function of the levels alone
+    k = ts.shape[1]
+    coef = np.arange(1.0, (k + 1) * (k + 2) // 2 + 1)
+    weight = lambda points: np.cos(bond_levels(pair_window_matrix(points), cuts) @ coef)
+    got = _panel_values(weight, ts, row, a, h, xq, cuts)
+    assert got.tobytes() == _evaluate(weight, _nodes(ts, row, a, h, xq)).tobytes()
+
+
 @st.composite
-def bond_rows(draw):
+def level_setups(draw):
     kind = draw(st.sampled_from(["hard_rod", "square_well"]))
-    sigma = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    sigma = draw(st.integers(1, 12).map(lambda k: k / 8.0) | st.floats(0.3, 1.5))
+    graph_class = draw(st.sampled_from(["connected", "two_connected", "all"]))
+    n = draw(st.integers(2, 4 if graph_class == "two_connected" else 5))
     if kind == "square_well":
-        lam = draw(st.sampled_from([1.2, 1.5, 1.9]))
+        lam = draw(st.sampled_from([1.25, 1.5, 2.0, 1.2, 1.4]))
         pot = PairPotential(kind, sigma, 1, epsilon=draw(st.floats(0.0, 2.0)),
                             lambda_w=lam, B=1.0)
     else:
         pot = PairPotential(kind, sigma, 1)
-    n = draw(st.integers(2, 6))
-    graph_class = draw(st.sampled_from(["connected", "two_connected", "all"]))
-    assume(graph_class != "two_connected" or n <= 5)
-    # gaps on and between the breakpoints, so bond levels repeat across rows
-    cuts = pot.breakpoints()
-    gap = st.one_of(st.sampled_from([0.0, *cuts, *(c / 2 for c in cuts)]),
-                    st.floats(0.0, 2.0 * cuts[-1]))
-    size = (n - 1) * draw(st.integers(1, 40))
-    rows = np.array(draw(st.lists(gap, min_size=size, max_size=size))).reshape(-1, n - 1)
-    return pot, draw(st.floats(0.1, 3.0)), n, graph_class, rows
+    # the sum over all graphs needs a box; the other classes may have one
+    box = draw(st.floats(0.5, 2.0) | st.none())
+    if graph_class == "all" and box is None:
+        box = 1.0
+    box = None if box is None else box * n * pot.range_radius
+    return pot, draw(st.floats(0.1, 3.0)), n, graph_class, box
 
 
 @settings(max_examples=40, deadline=None)
-@given(bond_rows())
-def test_distinct_row_weight_is_bitwise_plain(case):
-    pot, beta, n, graph_class, points = case
-    fvals = f_bond_array(pot, beta, pair_window_matrix(points))
-    if graph_class == "connected":
-        plain = connected_weight_sum(fvals, n)
-    elif graph_class == "two_connected":
-        plain = graph_list_weight_sum(fvals, _two_connected_columns_cached(n))
-    else:
-        plain = np.prod(1.0 + fvals, axis=1)
-    got = _gap_weight_fn(pot, beta, n, graph_class)(points)
-    assert got.tobytes() == plain.tobytes()
+@given(level_setups())
+def test_panel_sum_is_bitwise_node_sum(case):
+    pot, beta, n, graph_class, box = case
+    support = None if graph_class == "all" else pot.range_radius
+    radii = difference_closure(pot.breakpoints(), support)
+    weight = _gap_weight_fn(pot, beta, n, graph_class)
+    try:
+        by_panel = gap_quadrature(weight, n - 1, radii, support, box, pot.breakpoints())
+    except CapacityError:
+        assume(False)
+    by_node = gap_quadrature(weight, n - 1, radii, support, box)
+    assert np.array(by_panel).tobytes() == np.array(by_node).tobytes()
 
 
-def test_bond_level_key_overflow_is_loud(well):
-    # 45 pairs at 3 bond levels: 3^45 keys do not fit an int64
-    with pytest.raises(CapacityError):
-        _gap_weight_fn(well, 1.0, 10, "connected")
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 12), st.integers(1, 60), st.randoms())
+def test_level_ids_renumber_before_overflow(base, ncols, rows, rnd):
+    # up to 300^12 digit rows: no int64 holds them, so the ids get renumbered
+    levels = np.array([[rnd.randrange(min(base, 3)) if rnd.random() < 0.7 else rnd.randrange(base)
+                        for _ in range(ncols)] for _ in range(rows)])
+    ids, count = _append_levels(np.zeros(rows, dtype=np.int64), 1, levels.T, base)
+    assert 0 <= ids.min() and ids.max() < count
+    _, want = np.unique(levels, axis=0, return_inverse=True)
+    _, got = np.unique(ids, return_inverse=True)
+    assert got.ravel().tolist() == want.ravel().tolist()
 
 
 def test_pair_window_matrix_columns():

@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 
 from clusterkit import tonks
-from clusterkit.errors import DomainError, InputError
+from clusterkit.errors import InputError
 from clusterkit.series import (
     MultisetPartition,
-    assemble_free_energy,
     combi_identity_check,
     enum_partitions,
     free_energy_series,
     invert_mayer_oracle,
-    log_factorial,
     virial_from_mayer,
 )
 
@@ -163,31 +161,3 @@ def test_tail_shrinks_with_more_terms():
     tails = [free_energy_series(0.05, coeffs, k, 1.0, 0.0, 2.0).tail_bound
              for k in (4, 6, 8)]
     assert tails[0] > tails[1] > tails[2]
-
-
-def test_assemble_examples():
-    assert assemble_free_energy(1.0, None, 1, 1.0, 0.0) == pytest.approx(0.0)
-    assert assemble_free_energy(1.0, None, 2, 1.0, 0.0) == pytest.approx(math.log(2.0))
-
-
-def test_assemble_against_closed_form():
-    N, L = 100, 2000.0
-    q_closed = tonks.q_box(N, L)
-    f1 = assemble_free_energy(1.0, 0.05, N, L, q_closed)
-    # same assembly with the identical closed-form Q must agree to 1e-10
-    ideal = (N * math.log(L) - log_factorial(N)) / L
-    assert f1 == pytest.approx(-(ideal + q_closed), rel=1e-12)
-
-
-def test_assemble_density_consistency():
-    with pytest.raises(InputError):
-        assemble_free_energy(1.0, 0.9, 10, 100.0, 0.0)
-
-
-def test_log_factorial():
-    for n in (0, 1, 2, 5, 50, 1000):
-        assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), abs=1e-9)
-    big = 10 ** 7
-    assert log_factorial(big) == pytest.approx(math.lgamma(big + 1), rel=1e-12)
-    with pytest.raises(DomainError):
-        log_factorial(-1)
