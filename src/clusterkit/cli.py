@@ -74,10 +74,12 @@ def _add_sampling_args(sp: argparse.ArgumentParser, methods):
                     help="worker hint; results are worker-count independent")
 
 
-def _add_output_args(sp: argparse.ArgumentParser):
+def _add_output_args(sp: argparse.ArgumentParser, row_formats=()):
+    """--out, and --format where the report has rows to print as ``row_formats``."""
     sp.add_argument("--out", help="output file (default: stdout)")
-    sp.add_argument("--format", choices=("json", "csv", "table"), default="json",
-                    help="output format")
+    if row_formats:
+        sp.add_argument("--format", choices=("json", *row_formats), default="json",
+                        help="output format")
 
 
 def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
@@ -94,7 +96,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--cbeta", type=float, help="interaction volume C(beta)")
     sp.add_argument("--k-max", dest="k_max", type=int, default=8)
     _add_potential_args(sp)
-    _add_output_args(sp)
+    _add_output_args(sp, ("table",))
 
     sp = sub.add_parser("mayer", help="fugacity-series coefficient table")
     sp.set_defaults(run=_cmd_mayer)
@@ -102,14 +104,14 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=4, help="highest order")
     sp.add_argument("--volume", help="'inf' (default) or a box side")
     _add_sampling_args(sp, ("quadrature", "monte_carlo"))
-    _add_output_args(sp)
+    _add_output_args(sp, ("csv", "table"))
 
     sp = sub.add_parser("virial", help="density-series coefficients, all routes")
     sp.set_defaults(run=_cmd_virial)
     _add_potential_args(sp)
     sp.add_argument("--k-max", dest="k_max", type=int, default=3)
     _add_sampling_args(sp, ("quadrature", "monte_carlo"))
-    _add_output_args(sp)
+    _add_output_args(sp, ("csv", "table"))
 
     sp = sub.add_parser("polymer", help="subset-polymer operations")
     sp.set_defaults(run=_cmd_polymer)
@@ -228,9 +230,10 @@ def _sampling(args) -> dict:
 def _emit(args, payload: dict, rows=None, header=None, preamble: str = ""):
     """Write the JSON payload, or the rows as csv or a table, to --out or stdout."""
     out = _out_path(args)
-    if args.format == "json" or rows is None:
+    fmt = getattr(args, "format", "json")
+    if fmt == "json":
         text = dump_json(payload, path=out)
-    elif args.format == "csv":
+    elif fmt == "csv":
         text = dump_csv(header, rows, path=out)
     else:
         text = preamble + render_table(header, rows) + "\n"
@@ -283,8 +286,7 @@ def _cmd_radii(args) -> int:
         f"{report.base_constant_reference:.10g}"
         + ("  [discrepancy flagged]\n" if report.a_discrepancy_flagged else "\n")
     )
-    # the bound rows alone are no radius report, so csv keeps the JSON
-    rows = [[b.k, b.ours, b.lp] for b in report.bounds] if args.format == "table" else None
+    rows = [[b.k, b.ours, b.lp] for b in report.bounds]
     _emit(args, json_payload("radius_report", report.to_dict()), rows=rows,
           header=["k", "bound_ours", "bound_lp"], preamble=preamble)
     return 0

@@ -459,4 +459,11 @@ def penrose_bn_bound(n: int, beta: float, B: float, cbeta: float) -> float:
     if B < 0 or cbeta <= 0:
         raise DomainError("need B >= 0 and C(beta) > 0")
     comb = Fraction(n ** (n - 2), math.factorial(n))
-    return math.exp(2.0 * beta * B * (n - 2)) * float(comb) * cbeta ** (n - 1)
+    try:
+        bound = math.exp(2.0 * beta * B * (n - 2)) * float(comb) * cbeta ** (n - 1)
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise DomainError(
+            f"the b_{n} bound overflows at beta*B = {beta * B:g}, C(beta) = {cbeta:g}")
+    return bound

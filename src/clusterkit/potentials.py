@@ -150,7 +150,10 @@ def f_bond(p: PairPotential, beta: float, x) -> float:
     v = p.value(r)
     if math.isinf(v):
         return -1.0
-    return math.expm1(-beta * v)
+    try:
+        return math.expm1(-beta * v)
+    except OverflowError:
+        raise DomainError(f"-beta*V = {-beta * v:g} at r = {r:g} overflows e^(-beta V)") from None
 
 
 def f_bond_array(p: PairPotential, beta: float, r: np.ndarray) -> np.ndarray:
@@ -159,7 +162,11 @@ def f_bond_array(p: PairPotential, beta: float, r: np.ndarray) -> np.ndarray:
     if p.kind in ("hard_rod", "hard_sphere"):
         return np.where(r < p.sigma, -1.0, 0.0)
     if p.kind == "square_well":
-        well = math.expm1(beta * p.epsilon)
+        try:
+            well = math.expm1(beta * p.epsilon)
+        except OverflowError:
+            raise DomainError(
+                f"beta*epsilon = {beta * p.epsilon:g} overflows e^(beta epsilon)") from None
         out = np.zeros_like(r)
         out[r < p.lambda_w * p.sigma] = well
         out[r < p.sigma] = -1.0

@@ -305,11 +305,19 @@ def K_star(u: float) -> Tuple[float, float]:
 # radii
 # ---------------------------------------------------------------------------
 
+def _exp_beta_B(x: float, beta: float, B: float) -> float:
+    """e^x for an exponent x built from beta*B; an overflow names beta*B."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"beta*B = {beta * B:g} overflows e^(2 beta B)") from None
+
+
 def rho_star(beta: float, B: float, cbeta: float) -> float:
     """Certified density radius F(e^(2 beta B)) / (e^(2 beta B) C(beta))."""
     if cbeta <= 0:
         raise DomainError("C(beta) must be positive")
-    u = math.exp(2.0 * beta * B)
+    u = _exp_beta_B(2.0 * beta * B, beta, B)
     val, _ = F_of_u(u)
     return val / (u * cbeta)
 
@@ -318,7 +326,7 @@ def mayer_radius(beta: float, B: float, cbeta: float) -> float:
     """Fugacity-series radius 1 / (e^(2 beta B + 1) C(beta))."""
     if cbeta <= 0:
         raise DomainError("C(beta) must be positive")
-    return 1.0 / (math.exp(2.0 * beta * B + 1.0) * cbeta)
+    return 1.0 / (_exp_beta_B(2.0 * beta * B + 1.0, beta, B) * cbeta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +354,17 @@ def ck_bound(k: int, beta: float, B: float, cbeta: float, a_star: float) -> Coef
     """
     if k < 1:
         raise DomainError("order must be >= 1")
-    u = math.exp(2.0 * beta * B)
+    u = _exp_beta_B(2.0 * beta * B, beta, B)
     comb = Fraction((k + 1) ** k, math.factorial(k))
-    bracket = 1.0 / (k + 1) + math.expm1(a_star) * math.exp(a_star * k)
-    ours = bracket * math.exp(2.0 * beta * B * (k - 1)) * float(comb) * cbeta ** k
-    lp = ((u + 1.0) * cbeta / LP_BOUND_DENOMINATOR) ** k / k
+    try:
+        bracket = 1.0 / (k + 1) + math.expm1(a_star) * math.exp(a_star * k)
+        ours = bracket * math.exp(2.0 * beta * B * (k - 1)) * float(comb) * cbeta ** k
+        lp = ((u + 1.0) * cbeta / LP_BOUND_DENOMINATOR) ** k / k
+    except OverflowError:
+        ours = lp = math.inf
+    if math.isinf(ours) or math.isinf(lp):
+        raise DomainError(
+            f"the order-{k} coefficient bounds overflow at u = {u:g}, C(beta) = {cbeta:g}")
     base_ours = math.exp(1.0 + a_star) * u * cbeta
     base_lp = (u + 1.0) * cbeta / LP_BOUND_DENOMINATOR
     return CoefficientBound(k, ours, lp, base_ours, base_lp)
@@ -394,7 +408,7 @@ def radius_report(beta: float, B: float, cbeta: float,
     value 0.426 with its arithmetic 1/e^(1+0.426) = 0.24026...; when the two
     disagree beyond 1e-3 the discrepancy flag is set (it is, at u = 1).
     """
-    u = math.exp(2.0 * beta * B)
+    u = _exp_beta_B(2.0 * beta * B, beta, B)
     F, a_star = F_of_u(u)
     g, w_star = g_of_u(u)
     closed, series = K_star(u)

@@ -1,20 +1,28 @@
 """Power-series layer: density-series coefficients from fugacity-series ones.
 
-Two independent routes to the same coefficients are kept deliberately:
+One production route and one independent oracle give the same coefficients:
 
-* ``virial_from_mayer`` evaluates the closed multiset formula
+* ``virial_from_mayer`` evaluates Mayer's sum over partitions in its
+  Lagrange-Buermann form.  With g(z) = sum_n n b_n z^(n-1), so that the
+  density is rho = z g(z),
 
-      C_k = sum_{n=1..k} (-1)^(n-1) (k-1+n)!/k! *
-            sum over {m_i >= 0 : sum m_i = n, sum (i-1) m_i = k}
-            prod_i (b_i * i)^(m_i) / m_i!
+      beta_k = -(1/k) [z^k] g(z)^(-k),
+
+  whose multinomial expansion is exactly Mayer's partition sum.  The power
+  g^(-k) comes from J.C.P. Miller's recurrence for powers of a series,
+
+      p_0 = 1,  p_m = (1/m) sum_{j=1..m} ((1-k) j - m) g_j p_(m-j),
+
+  O(k^2) exact rational operations per order.
 
 * ``invert_mayer_oracle`` eliminates the fugacity between the pressure
   series sum b_n z^n and the density series sum n b_n z^n by formal power
   series reversion, then reads the density-series coefficients off the
   pressure-vs-density expansion.
 
-Both routes work with exact rationals when the inputs are rational, so the
-formal identity between them can be asserted to machine precision or better.
+Both routes are exact on rational input, so the identity between them is
+asserted with ``==``.  The transform converts float input to its exact
+rationals and rounds its result once.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
 from . import radii as radii_mod
@@ -31,31 +39,10 @@ Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
-class MultisetPartition:
-    """Multiplicities m_i (i = 2..k+1) with sum m_i = n, sum (i-1) m_i = k."""
-
-    k: int
-    n: int
-    m: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", dict(self.m))
-        if any(i < 2 or i > self.k + 1 for i in self.m):
-            raise ValueError("part sizes must lie in 2..k+1")
-        if any(v < 0 for v in self.m.values()):
-            raise ValueError("multiplicities must be nonnegative")
-        if sum(self.m.values()) != self.n:
-            raise ValueError("multiplicities must sum to n")
-        if sum((i - 1) * v for i, v in self.m.items()) != self.k:
-            raise ValueError("weighted multiplicities must sum to k")
-
-
-@dataclass(frozen=True)
 class VirialCoefficients:
-    """Density-series coefficients keyed by order, with their provenance."""
+    """Density-series coefficients keyed by order."""
 
     values: Mapping[int, Number]
-    source: str = "mayer_transform"
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))
@@ -67,39 +54,14 @@ class VirialCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# multiset partitions
-# ---------------------------------------------------------------------------
-
-def enum_partitions(k: int, n: int) -> Iterator[MultisetPartition]:
-    """All multiplicity vectors with sum m_i = n and sum (i-1) m_i = k."""
-    if not (1 <= n <= k):
-        raise InputError("need 1 <= n <= k")
-
-    def rec(i: int, rem_n: int, rem_k: int, acc: Dict[int, int]):
-        if i > k + 1:
-            if rem_n == 0 and rem_k == 0:
-                yield MultisetPartition(k, n, dict(acc))
-            return
-        cap = min(rem_n, rem_k // (i - 1))
-        for m in range(cap + 1):
-            if m:
-                acc[i] = m
-            yield from rec(i + 1, rem_n - m, rem_k - (i - 1) * m, acc)
-            if m:
-                acc.pop(i)
-
-    yield from rec(2, n, k, {})
-
-
-# ---------------------------------------------------------------------------
-# multiset transform
+# the transform
 # ---------------------------------------------------------------------------
 
 def virial_from_mayer(b, k: int) -> Number:
-    """Order-k density-series coefficient from fugacity-series coefficients.
+    """Order-k density-series coefficient beta_k from b_2..b_(k+1).
 
-    Needs b_2..b_(k+1).  Combinatorial weights are exact rationals; the
-    result is a Fraction when every input coefficient is rational.
+    Exact arithmetic throughout: a Fraction when every input coefficient is
+    rational, else the float nearest the exact value for the given floats.
     """
     if k < 1:
         raise DomainError("order must be >= 1")
@@ -107,19 +69,15 @@ def virial_from_mayer(b, k: int) -> Number:
     missing = [i for i in range(2, k + 2) if i not in bm]
     if missing:
         raise InputError(f"missing fugacity coefficients: {missing}")
-    total = Fraction(0)
+    if any(isinstance(bm[i], float) and not math.isfinite(bm[i]) for i in range(2, k + 2)):
+        raise DomainError("fugacity coefficients must be finite")
     exact = all(isinstance(bm[i], (int, Fraction)) for i in range(2, k + 2))
-    for n in range(1, k + 1):
-        lead = Fraction(math.factorial(k - 1 + n), math.factorial(k))
-        for part in enum_partitions(k, n):
-            weight = lead
-            prod: Number = 1
-            for i, mi in part.m.items():
-                prod = prod * (bm[i] * i) ** mi
-                weight /= math.factorial(mi)
-            term = prod * (weight if exact else float(weight))
-            total = total + (term if n % 2 == 1 else -term)
-    return total if exact else float(total)
+    g = [Fraction(1)] + [n * Fraction(bm[n]) for n in range(2, k + 2)]  # g_j = (j+1) b_(j+1)
+    p = [Fraction(1)]  # coefficients of g^(-k)
+    for m in range(1, k + 1):
+        p.append(sum(((1 - k) * j - m) * g[j] * p[m - j] for j in range(1, m + 1)) / m)
+    value = -p[k] / k
+    return value if exact else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +151,7 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
             values[k] = -Fraction(k + 1, k) * coeff
         else:
             values[k] = -float(k + 1) / k * coeff
-    return VirialCoefficients(values, source="inversion_oracle")
+    return VirialCoefficients(values)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +233,7 @@ def free_energy_series(
     ratio |rho| * e^(1+a*) * e^(2 beta B) * C(beta), which is below one for
     |rho| inside the certified radius.
     """
-    cm = coeffs.values if isinstance(coeffs, VirialCoefficients) else dict(coeffs)
+    cm = dict(coeffs)
     missing = [k for k in range(1, k_max + 1) if k not in cm]
     if missing:
         raise InputError(f"missing density-series coefficients: {missing}")

@@ -384,6 +384,14 @@ def _check_transform_vs_inversion(ctx: VerifyContext) -> Tuple[bool, str]:
     return worst < 1e-10, f"worst relative gap {worst:.2e} over random inputs"
 
 
+def _check_tonks_exact_transform(ctx: VerifyContext) -> Tuple[bool, str]:
+    b = {n: tonks.bn_exact(n) for n in range(1, 42)}
+    for k in range(1, 41):
+        if virial_from_mayer(b, k) != tonks.beta_k_exact(k):
+            return False, f"hard-rod beta_{k} is not -(k+1)/k"
+    return True, "hard-rod beta_k = -(k+1)/k exactly for k <= 40"
+
+
 def _check_combi(ctx: VerifyContext) -> Tuple[bool, str]:
     checked = 0
     for n in range(2, 11):
@@ -667,6 +675,7 @@ CHECKS: Tuple[Tuple[str, str, Callable[[VerifyContext], Tuple[bool, str]]], ...]
     ("cluster.mc_reproducible", "cluster", _check_mc_reproducible),
     ("cluster.mc_vs_quadrature", "cluster", _check_mc_vs_quadrature),
     ("series.transform_vs_inversion", "series", _check_transform_vs_inversion),
+    ("series.tonks_exact_transform", "series", _check_tonks_exact_transform),
     ("series.combi_identity_exhaustive", "series", _check_combi),
     ("series.tonks_three_way", "series", _check_three_way),
     ("series.tail_honesty", "series", _check_tail_honesty),

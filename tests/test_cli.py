@@ -279,3 +279,30 @@ def test_config_rejects_keys_of_other_sections(tmp_path, capsys, section, key):
 def test_mc_chunk_zero_exits_2(capsys, argv):
     assert main([*argv, "--method", "monte_carlo", "--seed", "1", "--chunk", "0"]) == 2
     assert "chunk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["radii", "--u", "2", "--format", "csv"],
+    ["polymer", "pexact", "--n-ground", "8", "--s", "2,3", "--format", "table"],
+    ["polymer", "ckn", "--n-ground", "8", *ROD, "--k", "2", "--format", "csv"],
+    ["canonical", *ROD, "--L", "50", "--N", "5", "--format", "table"],
+], ids=["radii_csv", "pexact", "ckn", "canonical"])
+def test_format_only_where_the_report_has_rows(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+WELL = ["--potential", "square_well", "--lambda-w", "1.5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["mayer", *WELL, "--epsilon", "800", "--B", "800", "--n", "3"], "beta*epsilon = 800"),
+    (["mayer", *WELL, "--epsilon", "1", "--B", "300", "--n", "4"], "beta*B = 300"),
+    (["radii", "--cbeta", "1", "--B", "400"], "beta*B = 400"),
+    (["radii", "--u", "1e100"], "order-4 coefficient bounds overflow at u = 1e+100"),
+], ids=["well_bond", "penrose_bound", "u", "ck_bound"])
+def test_overflow_exits_2_naming_the_input(capsys, argv, named):
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err

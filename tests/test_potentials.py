@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clusterkit.errors import ConfigError, DivergenceError
+from clusterkit.errors import ConfigError, DivergenceError, DomainError
 from clusterkit.potentials import (
     PairPotential,
     c_beta,
@@ -35,6 +35,14 @@ def test_f_bond_array_matches_scalar(well):
     arr = f_bond_array(well, 1.3, rs)
     for r, v in zip(rs, arr):
         assert v == pytest.approx(f_bond(well, 1.3, float(r)), abs=1e-15)
+
+
+def test_bond_overflow_names_beta_epsilon():
+    deep = PairPotential("square_well", 1.0, 1, epsilon=800.0, lambda_w=1.5, B=800.0)
+    with pytest.raises(DomainError, match="800"):
+        f_bond(deep, 1.0, 1.2)
+    with pytest.raises(DomainError, match=r"beta\*epsilon = 800"):
+        f_bond_array(deep, 1.0, np.array([1.2]))
 
 
 def test_c_beta_hard_rod(rod):
