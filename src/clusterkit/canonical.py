@@ -36,13 +36,12 @@ from .cluster import (
     _box_points,
     _check_monte_carlo,
     _gap_integral,
-    _level_radii,
     _monte_carlo,
     _pair_distances,
     mayer_bn,
 )
 from .graphs import vertex_pairs
-from .potentials import PairPotential, c_beta, f_bond_array
+from .potentials import PairPotential, bond_level_values, c_beta, f_bond_array
 from .quadrature import bond_levels
 from .series import free_energy_series, virial_from_mayer
 
@@ -97,7 +96,7 @@ def ztilde_direct(
     else quadrature when feasible, else Monte Carlo).  Monte Carlo raises
     DomainError when fewer than two of its chunk means are nonzero.
     """
-    if beta <= 0 or L <= 0:
+    if not (beta > 0 and L > 0):
         raise DomainError("need beta > 0 and L > 0")
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -135,7 +134,7 @@ def ztilde_direct(
         pairs = vertex_pairs(N)
         if p.piecewise_constant_bond:
             cuts = p.breakpoints()
-            level_factors = 1.0 + f_bond_array(p, beta, _level_radii(p))
+            level_factors = 1.0 + bond_level_values(p, beta)
 
             def factor(r):
                 return level_factors.take(bond_levels(r, cuts))

@@ -142,8 +142,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     # unset inputs keep the VerifyContext defaults
     sp.add_argument("--nmax", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--profiles", type=int)
-    sp.add_argument("--random-graphs", dest="random_graphs", type=int)
     sp.add_argument("--out", help="also write results as JSON")
 
     config = config or {}
@@ -261,7 +259,7 @@ def _cmd_radii(args) -> int:
     pot = _potential_from_args(args)
     beta = args.beta
     if args.u is not None:
-        if args.u < 1.0:
+        if not args.u >= 1.0:
             raise ConfigError("--u must be >= 1")
         beta, B = 1.0, math.log(args.u) / 2.0
         cb = args.cbeta if args.cbeta is not None else 1.0
@@ -311,8 +309,8 @@ def _parse_volume(raw: Optional[str]) -> Optional[float]:
     if raw in (None, "inf", "infinite", ""):
         return None
     v = float(raw)
-    if v <= 0:
-        raise ConfigError("box side must be positive")
+    if not v > 0:
+        raise ConfigError(f"--volume must be 'inf' or a positive box side, got {raw!r}")
     return v
 
 
@@ -321,14 +319,13 @@ def _cmd_mayer(args) -> int:
     sampling = _sampling(args)
     volume = _parse_volume(args.volume)
     cb, _ = c_beta(pot, args.beta)
+    # every bound before the first integral, so an overflowing one fails fast
+    bounds = [penrose_bn_bound(n, args.beta, pot.B, cb) if n >= 2 else 1.0
+              for n in range(1, args.n + 1)]
     rows = []
     records = []
-    for n in range(1, args.n + 1):
-        if n == 1:
-            val, err = 1.0, 0.0
-        else:
-            val, err = mayer_bn(pot, args.beta, n, volume, args.method, **sampling)
-        bound = penrose_bn_bound(n, args.beta, pot.B, cb) if n >= 2 else 1.0
+    for n, bound in enumerate(bounds, start=1):
+        val, err = mayer_bn(pot, args.beta, n, volume, args.method, **sampling)
         rows.append([f"b_{n}", n, args.beta, val, err, bound])
         records.append({
             "quantity": "b_n", "n": n, "beta": args.beta,

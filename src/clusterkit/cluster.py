@@ -27,10 +27,10 @@ stratify the free points by radius in the ball of radius (n-1) * range
 around the pinned particle; in a box, b_n and ztilde draw the same uniform
 points.  Points are coordinate-major (d, m) arrays, and ``_pair_distances``
 turns two of them into m distances.  For a piecewise constant bond
-``_mc_graph_sum`` maps each sample's distances to its bond-level key and
-reads the graph sum from ``_graph_sum_table``, one entry per row of levels;
-other bonds evaluate the bond function and the graph sum per sample.  Both
-give the same bits.
+``_mc_graph_sum`` packs each sample's bond levels into its row of levels and
+reads the graph sum from ``_graph_sum_table``, one entry per row, built from
+the potential's level values; other bonds evaluate the bond function and the
+graph sum per sample.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
 from .graphs import enum_graphs, vertex_pairs
-from .potentials import PairPotential, f_bond_array
+from .potentials import PairPotential, bond_level_values, f_bond_array
 from .quadrature import (
+    _append_levels,
     bond_levels,
     difference_closure,
     gap_quadrature,
@@ -131,22 +132,6 @@ def graph_list_weight_sum(fvals: np.ndarray, edge_columns) -> np.ndarray:
     return total
 
 
-def _bond_level_keys(windows: np.ndarray, cuts) -> np.ndarray:
-    """One int64 key per row: its pairs' bond levels packed in base
-    len(cuts)+1, the first pair the most significant digit."""
-    base = len(cuts) + 1
-    levels = bond_levels(windows, cuts)
-    keys = np.zeros(windows.shape[0], dtype=np.int64)
-    for k in range(windows.shape[1]):
-        keys = keys * base + levels[:, k]
-    return keys
-
-
-def _level_radii(p: PairPotential) -> np.ndarray:
-    """One separation on each bond level of a piecewise constant bond."""
-    return np.array((0.0,) + p.breakpoints())
-
-
 def _graph_class_sum(n: int, graph_class: str):
     """The sum over the graphs of a class on [n], as a function of the bond
     values (P, pairs) -> (P,).
@@ -200,7 +185,7 @@ def _gap_integral(
     support = None if graph_class == "all" else p.range_radius
     radii = difference_closure(p.breakpoints(), support)
     weight = _gap_weight_fn(p, beta, n, graph_class)
-    if box is not None and box <= 0:
+    if box is not None and not box > 0:
         raise DomainError("box side must be positive")
     level_cuts = p.breakpoints() if p.piecewise_constant_bond else None
     return gap_quadrature(weight, n - 1, radii, support, box, level_cuts)
@@ -248,21 +233,20 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _graph_sum_table(p: PairPotential, beta: float, graph_sum, npairs: int,
                      block: int) -> np.ndarray:
-    """The graph sum of every row of bond levels, indexed by its level key.
+    """The graph sum of every row of bond levels, indexed by the row.
 
     A piecewise constant bond takes one value per level, so a sample's graph
-    sum is the table entry at its _bond_level_keys key.  Every class sum
-    works row by row, so the entries are the bits the sum gives sample by
-    sample.  Rows are evaluated ``block`` at a time.
+    sum is the entry at its row of levels, packed by ``_append_levels`` with
+    the first pair the most significant digit.  Every class sum works row by
+    row, so the entries are the bits the sum gives sample by sample.  Rows
+    are evaluated ``block`` at a time.
     """
-    cuts = p.breakpoints()
-    radii = _level_radii(p)
-    shape = (len(radii),) * npairs
+    values = bond_level_values(p, beta)
+    shape = (values.size,) * npairs
     table = np.empty(math.prod(shape))
     for start in range(0, table.size, block):
         rows = np.arange(start, min(start + block, table.size))
-        windows = radii[np.stack(np.unravel_index(rows, shape), axis=1)]
-        table[_bond_level_keys(windows, cuts)] = graph_sum(f_bond_array(p, beta, windows))
+        table[rows] = graph_sum(values[np.stack(np.unravel_index(rows, shape), axis=1)])
     return table
 
 
@@ -331,12 +315,14 @@ def _mc_graph_sum(
     if p.piecewise_constant_bond:
         cuts = p.breakpoints()
         table = _graph_sum_table(p, beta, graph_sum, len(pairs), chunk)
+        start = np.zeros(chunk, dtype=np.int64)
 
         def weights(seps):
-            return table[_bond_level_keys(seps, cuts)]
+            rows, _ = _append_levels(start, 1, bond_levels(seps, cuts), len(cuts) + 1)
+            return table[rows]
     else:
         def weights(seps):
-            return graph_sum(f_bond_array(p, beta, seps))
+            return graph_sum(f_bond_array(p, beta, seps.T))
 
     def chunk_mean(rng: np.random.Generator) -> float:
         if box is None:
@@ -346,11 +332,11 @@ def _mc_graph_sum(
         else:
             pts = _box_points(rng, n, d, box, chunk)
             measure = float(box) ** (d * n)
-        # pair-major, so each pair's distances and each key digit are contiguous
+        # pair-major, so each pair's distances and each row digit are contiguous
         seps = np.empty((len(pairs), chunk))
         for idx, (i, j) in enumerate(pairs):
             seps[idx] = _pair_distances(pts[i - 1], pts[j - 1])
-        return float(weights(seps.T).mean()) * measure
+        return float(weights(seps).mean()) * measure
 
     return _monte_carlo(chunk_mean, n, seed, samples, chunk, workers)
 
@@ -378,7 +364,7 @@ def mayer_bn(
     divided by the volume.  Monte Carlo raises DomainError when fewer than
     two of its chunk means are nonzero.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     if n == 1:
         return 1.0, 0.0
@@ -428,7 +414,7 @@ def virial_bk_direct(
 
     k = 1 is the plain pair integral (the single edge on two vertices).
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     if k < 1:
         raise DomainError("order must be >= 1")
@@ -456,7 +442,7 @@ def penrose_bn_bound(n: int, beta: float, B: float, cbeta: float) -> float:
     """Upper bound e^(2 beta B (n-2)) n^(n-2) C^( n-1) / n! on |b_n|."""
     if n < 2:
         raise DomainError("bound defined for n >= 2")
-    if B < 0 or cbeta <= 0:
+    if not (B >= 0 and cbeta > 0):
         raise DomainError("need B >= 0 and C(beta) > 0")
     comb = Fraction(n ** (n - 2), math.factorial(n))
     try:

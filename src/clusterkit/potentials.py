@@ -1,5 +1,9 @@
 """Radial pair potentials, bond functions, and the interaction volume C(beta).
 
+The Mayer bond f = e^(-beta V) - 1 is built here only: ``f_bond`` is the
+scalar oracle, ``f_bond_array`` the evaluator, and ``bond_level_values``
+the level table of a piecewise constant bond.
+
 A potential carries a declared stability constant B (the constant in the
 lower bound U >= -B*N on configuration energies).  B is a *declared* field:
 purely repulsive potentials get B = 0 automatically, while a square well
@@ -18,7 +22,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
-from .quadrature import integrate_1d, sphere_surface
+from .quadrature import bond_levels, integrate_1d, sphere_surface
 
 KINDS = ("hard_rod", "hard_sphere", "square_well", "custom_tabulated")
 
@@ -47,16 +51,16 @@ class PairPotential:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown potential kind {self.kind!r}; want one of {KINDS}")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError("sigma must be positive")
         if self.dimension < 1:
             raise ConfigError("dimension must be a positive integer")
         if self.kind == "hard_rod" and self.dimension != 1:
             raise ConfigError("hard_rod is one-dimensional; use hard_sphere for d > 1")
         if self.kind == "square_well":
-            if self.lambda_w <= 1.0:
+            if not self.lambda_w > 1.0:
                 raise ConfigError("square_well needs well width ratio lambda_w > 1")
-            if self.epsilon < 0:
+            if not self.epsilon >= 0:
                 raise ConfigError("square_well well depth epsilon must be >= 0")
             if self.B is None:
                 raise ConfigError(
@@ -67,13 +71,13 @@ class PairPotential:
             if not self.table:
                 raise ConfigError("custom_tabulated needs (r, V) samples")
             rs = [r for r, _ in self.table]
-            if any(b <= a for a, b in zip(rs, rs[1:])):
+            if not all(b > a for a, b in zip(rs, rs[1:])):
                 raise ConfigError("table radii must be strictly increasing")
             if self.cutoff is None:
                 raise ConfigError("custom_tabulated needs an explicit finite cutoff radius")
         if self.B is None:
             object.__setattr__(self, "B", 0.0)
-        if self.B < 0:
+        if not self.B >= 0:
             raise ConfigError("stability constant B must be >= 0")
 
     # -- shape queries ------------------------------------------------------
@@ -123,10 +127,7 @@ class PairPotential:
             return 0.0
         if r >= self.cutoff:
             return 0.0
-        rs = [p[0] for p in self.table]
-        vs = [p[1] for p in self.table]
-        if r <= rs[0]:
-            return vs[0]
+        rs, vs = zip(*self.table)
         return float(np.interp(r, rs, vs))
 
 
@@ -141,7 +142,7 @@ def f_bond(p: PairPotential, beta: float, x) -> float:
     reference that ``f_bond_array`` (the evaluator the integrals run) is
     tested against.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     if isinstance(x, (list, tuple, np.ndarray)):
         r = float(np.linalg.norm(np.asarray(x, dtype=float)))
@@ -150,42 +151,59 @@ def f_bond(p: PairPotential, beta: float, x) -> float:
     v = p.value(r)
     if math.isinf(v):
         return -1.0
+    if v == 0.0:
+        return 0.0  # outside the range; expm1(-beta * 0.0) would be -0.0
     try:
         return math.expm1(-beta * v)
     except OverflowError:
         raise DomainError(f"-beta*V = {-beta * v:g} at r = {r:g} overflows e^(-beta V)") from None
 
 
-def f_bond_array(p: PairPotential, beta: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized bond function over an array of separations."""
-    r = np.abs(np.asarray(r, dtype=float))
+def bond_level_values(p: PairPotential, beta: float) -> np.ndarray:
+    """The bond value on each level of a piecewise constant bond.
+
+    Level k holds the separations with k breakpoints at or below them
+    (``quadrature.bond_levels``): the core is -1, a well e^(beta epsilon) - 1,
+    and the outside 0.
+    """
     if p.kind in ("hard_rod", "hard_sphere"):
-        return np.where(r < p.sigma, -1.0, 0.0)
-    if p.kind == "square_well":
-        try:
-            well = math.expm1(beta * p.epsilon)
-        except OverflowError:
-            raise DomainError(
-                f"beta*epsilon = {beta * p.epsilon:g} overflows e^(beta epsilon)") from None
-        out = np.zeros_like(r)
-        out[r < p.lambda_w * p.sigma] = well
-        out[r < p.sigma] = -1.0
-        return out
-    rs = np.array([q[0] for q in p.table])
-    vs = np.array([q[1] for q in p.table])
+        return np.array([-1.0, 0.0])
+    if p.kind != "square_well":
+        raise ValueError(f"a {p.kind} bond is not piecewise constant")
+    try:
+        well = math.expm1(beta * p.epsilon)
+    except OverflowError:
+        raise DomainError(
+            f"beta*epsilon = {beta * p.epsilon:g} overflows e^(beta epsilon)") from None
+    return np.array([-1.0, well, 0.0])
+
+
+def f_bond_array(p: PairPotential, beta: float, r: np.ndarray) -> np.ndarray:
+    """Vectorized bond function: ``bond_level_values`` read at each
+    separation's bond level, or e^(-beta V) - 1 of the interpolated table."""
+    r = np.abs(np.asarray(r, dtype=float))
+    if p.piecewise_constant_bond:
+        return bond_level_values(p, beta)[bond_levels(r, p.breakpoints())]
+    rs, vs = np.array(p.table).T
     v = np.interp(r, rs, vs, left=vs[0], right=0.0)
     v = np.where(r >= p.cutoff, 0.0, v)
-    return np.expm1(-beta * v)
+    with np.errstate(over="ignore"):
+        f = np.expm1(-beta * v)
+    i = np.argmax(f == math.inf)  # the first overflow, if any
+    if f.flat[i] == math.inf:
+        raise DomainError(f"-beta*V = {-beta * v.flat[i]:g} at r = {r.flat[i]:g} "
+                          "overflows e^(-beta V)")
+    return f
 
 
-def c_beta(p: PairPotential, beta: float, tol: float = 1e-12) -> Tuple[float, float]:
+def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
     """Interaction volume: integral of |e^(-beta V(x)) - 1| over R^d.
 
     Computed radially as surface(d) * integral of r^(d-1) |f(r)| dr with the
     potential's discontinuity radii as quadrature breakpoints.  Returns the
     value and a mesh-doubling error estimate.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     top = p.range_radius
     if not math.isfinite(top):
@@ -195,7 +213,7 @@ def c_beta(p: PairPotential, beta: float, tol: float = 1e-12) -> Tuple[float, fl
     def integrand(r):
         return np.abs(f_bond_array(p, beta, r)) * r ** (d - 1)
 
-    val, err = integrate_1d(integrand, 0.0, top, breakpoints=p.breakpoints(), tol=tol)
+    val, err = integrate_1d(integrand, 0.0, top, breakpoints=p.breakpoints(), tol=1e-12)
     s = sphere_surface(d)
     return s * val, s * err
 

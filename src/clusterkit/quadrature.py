@@ -201,11 +201,12 @@ def bond_levels(r: np.ndarray, cuts) -> np.ndarray:
 
     A piecewise constant bond function takes one value per level.
     Separations are nonnegative (gap sums or distances), so no absolute
-    value is needed.
+    value is needed.  A NaN separation is beyond every cut, where the bond
+    vanishes.
     """
-    levels = np.zeros_like(r, dtype=np.int8)
+    levels = np.full_like(r, len(cuts), dtype=np.int8)
     for c in cuts:
-        levels += r >= c
+        levels -= r < c
     return levels
 
 

@@ -122,7 +122,7 @@ def F_of_u(u: float) -> Tuple[float, float]:
 
     Valid for u >= 1 (u = e^(2 beta B) can never be smaller).
     """
-    if u < 1.0:
+    if not u >= 1.0:
         raise DomainError("u = e^(2 beta B) is always >= 1")
 
     def obj(a: float) -> float:
@@ -135,7 +135,7 @@ def F_of_u(u: float) -> Tuple[float, float]:
 
 def g_of_u(u: float) -> Tuple[float, float]:
     """Maximum and maximizer of ((1+u) e^-w - 1) w / u on (0, ln(1+u))."""
-    if u <= 0.0:
+    if not u > 0.0:
         raise DomainError("u must be positive")
     top = math.log1p(u)
 
@@ -288,7 +288,7 @@ def K_star(u: float) -> Tuple[float, float]:
     larger kappa, by under 1e-11 relative over u = 1 ... 1e12 (mostly the
     rounding allowance).  The two values must agree to 1e-8.
     """
-    if u < 1.0:
+    if not u >= 1.0:
         raise DomainError("u = e^(2 beta B) is always >= 1")
     val, _ = F_of_u(u)
     closed = 1.0 / val
@@ -315,7 +315,7 @@ def _exp_beta_B(x: float, beta: float, B: float) -> float:
 
 def rho_star(beta: float, B: float, cbeta: float) -> float:
     """Certified density radius F(e^(2 beta B)) / (e^(2 beta B) C(beta))."""
-    if cbeta <= 0:
+    if not cbeta > 0:
         raise DomainError("C(beta) must be positive")
     u = _exp_beta_B(2.0 * beta * B, beta, B)
     val, _ = F_of_u(u)
@@ -324,7 +324,7 @@ def rho_star(beta: float, B: float, cbeta: float) -> float:
 
 def mayer_radius(beta: float, B: float, cbeta: float) -> float:
     """Fugacity-series radius 1 / (e^(2 beta B + 1) C(beta))."""
-    if cbeta <= 0:
+    if not cbeta > 0:
         raise DomainError("C(beta) must be positive")
     return 1.0 / (_exp_beta_B(2.0 * beta * B + 1.0, beta, B) * cbeta)
 
@@ -409,11 +409,11 @@ def radius_report(beta: float, B: float, cbeta: float,
     disagree beyond 1e-3 the discrepancy flag is set (it is, at u = 1).
     """
     u = _exp_beta_B(2.0 * beta * B, beta, B)
+    mradius = mayer_radius(beta, B, cbeta)
     F, a_star = F_of_u(u)
     g, w_star = g_of_u(u)
     closed, series = K_star(u)
     rstar = F / (u * cbeta)
-    mradius = mayer_radius(beta, B, cbeta)
     bounds = tuple(ck_bound(k, beta, B, cbeta, a_star) for k in k_orders)
     return RadiusReport(
         beta=beta,

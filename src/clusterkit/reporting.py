@@ -43,10 +43,9 @@ def _jsonable(obj):
     return obj
 
 
-def json_payload(kind: str, data: Mapping, timestamp: bool = True) -> dict:
-    payload = {"schema": SCHEMA_VERSION, "kind": kind}
-    if timestamp:
-        payload["generated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
+def json_payload(kind: str, data: Mapping) -> dict:
+    payload = {"schema": SCHEMA_VERSION, "kind": kind,
+               "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat()}
     payload.update(_jsonable(data))
     return payload
 

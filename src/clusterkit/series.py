@@ -208,8 +208,6 @@ class FreeEnergyEstimate:
     value: float
     tail_bound: float
     certified: bool
-    k_max: int
-    rho_star: float
 
 
 def _teo2_term(k: int, rho: float, beta: float, B: float, cbeta: float,
@@ -251,4 +249,4 @@ def free_energy_series(
         tail = head / (1.0 - ratio)
     else:
         tail = math.nan
-    return FreeEnergyEstimate(value, tail, certified, k_max, rstar)
+    return FreeEnergyEstimate(value, tail, certified)

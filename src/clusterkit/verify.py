@@ -61,8 +61,6 @@ class VerifyContext:
 
     nmax: int = 6
     seed: int = 20260808
-    random_graphs: int = 100
-    profiles: int = 100
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def _check_penrose_identity(ctx: VerifyContext) -> Tuple[bool, str]:
         parts.append(f"n={n}: {total} graphs, {mism} mismatches")
     if ctx.nmax >= 6:
         # the invariant pairs the exhaustive scan with a random 7-vertex sample
-        total, mism = penrose_identity_random(7, ctx.random_graphs, ctx.seed)
+        total, mism = penrose_identity_random(7, 100, ctx.seed)
         ok &= mism == 0
         parts.append(f"n=7 random: {total} graphs, {mism} mismatches")
     return ok, "; ".join(parts)
@@ -524,7 +522,7 @@ def _check_ck_bound_dominates(ctx: VerifyContext) -> Tuple[bool, str]:
 def _check_xi_agreement(ctx: VerifyContext) -> Tuple[bool, str]:
     rng = random.Random(ctx.seed + 5)
     trials = 0
-    for _ in range(ctx.profiles):
+    for _ in range(100):
         N = rng.randint(2, 7)
         prof = _random_profile(rng, N)
         if xi_exact(N, prof, "recursion") != xi_exact(N, prof, "bruteforce"):

@@ -303,6 +303,34 @@ WELL = ["--potential", "square_well", "--lambda-w", "1.5"]
     (["radii", "--cbeta", "1", "--B", "400"], "beta*B = 400"),
     (["radii", "--u", "1e100"], "order-4 coefficient bounds overflow at u = 1e+100"),
 ], ids=["well_bond", "penrose_bound", "u", "ck_bound"])
-def test_overflow_exits_2_naming_the_input(capsys, argv, named):
+def test_overflow_exits_2_naming_the_input(monkeypatch, capsys, argv, named):
+    # each input fails before any integral: mayer checks every b_n bound first
+    def never(*args, **kwargs):
+        raise AssertionError("mayer_bn ran before the inputs were checked")
+
+    monkeypatch.setattr("clusterkit.cli.mayer_bn", never)
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_tabulated_overflow_exits_2_naming_minus_beta_v(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": {
+        "kind": "custom_tabulated", "sigma": 1, "table": [[0, 5], [1, -800], [1.5, 0]],
+        "cutoff": 1.5}}))
+    assert main(["--config", str(cfg), "mayer", "--n", "2"]) == 2
+    assert "overflows e^(-beta V)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["mayer", *ROD, "--n", "3", "--beta", "nan"], "beta must be positive"),
+    (["mayer", *ROD, "--n", "3", "--volume", "nan"], "--volume"),
+    (["canonical", *ROD, "--L", "nan", "--N", "4", "--k-max", "2"], "L > 0"),
+    (["radii", "--cbeta", "nan"], "C(beta) must be positive"),
+    (["mayer", *WELL, "--epsilon", "nan", "--B", "1", "--n", "3"], "epsilon"),
+    (["mayer", *ROD, "--sigma", "nan", "--n", "3"], "sigma must be positive"),
+    (["radii", "--u", "nan"], "--u must be >= 1"),
+], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u"])
+def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert main(argv) == 2
     assert named in capsys.readouterr().err

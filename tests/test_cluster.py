@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from clusterkit import tonks
 from clusterkit.canonical import compare_series_direct, ztilde_direct
 from clusterkit.cluster import (
-    _bond_level_keys,
     _graph_class_sum,
     _graph_sum_table,
     _pair_distances,
@@ -19,6 +18,7 @@ from clusterkit.cluster import (
 from clusterkit.errors import CapacityError, ConfigError, DomainError
 from clusterkit.graphs import enum_graphs, vertex_pairs
 from clusterkit.potentials import PairPotential, c_beta, f_bond_array
+from clusterkit.quadrature import _append_levels, bond_levels
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -251,7 +251,10 @@ def test_graph_sum_table_is_bitwise_plain(case):
     pot, beta, n, graph_class, seps, block = case
     graph_sum = _graph_class_sum(n, graph_class)
     table = _graph_sum_table(pot, beta, graph_sum, seps.shape[1], block)
-    got = table[_bond_level_keys(seps, pot.breakpoints())]
+    cuts = pot.breakpoints()
+    rows, _ = _append_levels(np.zeros(seps.shape[0], dtype=np.int64), 1,
+                             bond_levels(seps, cuts).T, len(cuts) + 1)
+    got = table[rows]
     assert got.tobytes() == graph_sum(f_bond_array(pot, beta, seps)).tobytes()
 
 

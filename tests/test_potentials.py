@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterkit.errors import ConfigError, DivergenceError, DomainError
 from clusterkit.potentials import (
@@ -35,6 +36,42 @@ def test_f_bond_array_matches_scalar(well):
     arr = f_bond_array(well, 1.3, rs)
     for r, v in zip(rs, arr):
         assert v == pytest.approx(f_bond(well, 1.3, float(r)), abs=1e-15)
+
+
+@st.composite
+def constant_bonds(draw):
+    """A piecewise constant bond, a beta, and separations on every breakpoint,
+    at zero, beyond the range, NaN and in between."""
+    sigma = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    kind = draw(st.sampled_from(["hard_rod", "hard_sphere", "square_well"]))
+    if kind == "square_well":
+        pot = PairPotential(kind, sigma, 1, epsilon=draw(st.floats(0.0, 5.0)),
+                            lambda_w=draw(st.sampled_from([1.2, 1.5, 1.9])), B=1.0)
+    else:
+        pot = PairPotential(kind, sigma, 1 if kind == "hard_rod" else 3)
+    cuts = pot.breakpoints()
+    sep = st.one_of(st.sampled_from([0.0, *cuts, -cuts[0], 3.0 * cuts[-1], math.inf, math.nan]),
+                    st.floats(-2.0 * cuts[-1], 2.0 * cuts[-1]))
+    return pot, draw(st.floats(0.01, 10.0)), draw(st.lists(sep, min_size=1, max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_bonds())
+def test_f_bond_array_is_bitwise_f_bond(case):
+    pot, beta, rs = case
+    want = np.array([f_bond(pot, beta, r) for r in rs])
+    assert f_bond_array(pot, beta, np.array(rs)).tobytes() == want.tobytes()
+
+
+def test_tabulated_overflow_names_minus_beta_v():
+    pot = PairPotential("custom_tabulated", 1.0, 1,
+                        table=((0.0, 5.0), (1.0, -800.0), (1.5, 0.0)), cutoff=1.5)
+    with pytest.raises(DomainError, match=r"-beta\*V = 800 at r = 1 "):
+        f_bond_array(pot, 1.0, np.array([0.5, 1.0, 1.2]))
+    with pytest.raises(DomainError, match=r"-beta\*V = 800 at r = 1 "):
+        f_bond(pot, 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"-beta\*V"):
+        c_beta(pot, 1.0)
 
 
 def test_bond_overflow_names_beta_epsilon():
