@@ -49,19 +49,32 @@ from .verify import SUITES, VerifyContext, run_checks
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _real(text: str) -> float:
+    """The type of every float flag: a float that is not infinite.
+
+    An infinity, typed or overflowing like 1e400, is refused here, where
+    the error names the flag.  NaN passes on to the input checks, which
+    refuse it by name too.
+    """
+    value = float(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_potential_args(sp: argparse.ArgumentParser, beta: bool = True):
     # the dests of the potential flags are potential config keys; --beta is
     # offered only where the report depends on it
     sp.add_argument("--potential", dest="kind",
                     choices=("hard_rod", "hard_sphere", "square_well"), help="potential kind")
-    sp.add_argument("--sigma", type=float, default=1.0, help="core diameter")
-    sp.add_argument("--epsilon", type=float, help="well depth (square_well)")
-    sp.add_argument("--lambda-w", dest="lambda_w", type=float,
+    sp.add_argument("--sigma", type=_real, default=1.0, help="core diameter")
+    sp.add_argument("--epsilon", type=_real, help="well depth (square_well)")
+    sp.add_argument("--lambda-w", dest="lambda_w", type=_real,
                     help="well width ratio (square_well)")
-    sp.add_argument("--B", type=float, help="declared stability constant")
+    sp.add_argument("--B", type=_real, help="declared stability constant")
     sp.add_argument("--dimension", type=int, help="spatial dimension")
     if beta:
-        sp.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
+        sp.add_argument("--beta", type=_real, default=1.0, help="inverse temperature")
 
 
 def _add_sampling_args(sp: argparse.ArgumentParser, methods):
@@ -92,10 +105,13 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("radii", help="radius and bound report")
     sp.set_defaults(run=_cmd_radii)
-    sp.add_argument("--u", type=float, help="combined variable e^(2 beta B)")
-    sp.add_argument("--cbeta", type=float, help="interaction volume C(beta)")
+    sp.add_argument("--u", type=_real,
+                    help="combined variable e^(2 beta B); sets beta = 1 and B = ln(u)/2")
+    sp.add_argument("--cbeta", type=_real, help="interaction volume C(beta)")
     sp.add_argument("--k-max", dest="k_max", type=int, default=8)
     _add_potential_args(sp)
+    # unset unless given, so that --u can refuse a --beta it would override
+    sp.set_defaults(beta=None)
     _add_output_args(sp, ("table",))
 
     sp = sub.add_parser("mayer", help="fugacity-series coefficient table")
@@ -120,8 +136,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
                     help="ground-set size N")
     sp.add_argument("--zeta", help="activities like '2=0.5,3=-1/3'")
     sp.add_argument("--orders", type=int, default=3, help="expansion order (ursell)")
-    sp.add_argument("--a", type=float, help="weight parameter (fpcheck)")
-    sp.add_argument("--rho", type=float, help="density for derived activities")
+    sp.add_argument("--a", type=_real, help="weight parameter (fpcheck)")
+    sp.add_argument("--rho", type=_real, help="density for derived activities")
     sp.add_argument("--s", help="part sizes like '2,3' (pexact)")
     sp.add_argument("--k", type=int, default=1, help="coefficient order (ckn)")
     _add_potential_args(sp, beta=False)
@@ -130,7 +146,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("canonical", help="series-vs-direct comparison")
     sp.set_defaults(run=_cmd_canonical)
     _add_potential_args(sp)
-    sp.add_argument("--L", type=float)
+    sp.add_argument("--L", type=_real)
     sp.add_argument("--N", type=int)
     sp.add_argument("--k-max", dest="k_max", type=int, default=6)
     _add_sampling_args(sp, ("auto", "tonks_closed", "quadrature", "monte_carlo"))
@@ -183,7 +199,7 @@ def _config_defaults(sp: argparse.ArgumentParser, name: str, config: dict) -> di
         try:
             parsed = flag.type(text) if flag.type else text
             valid = flag.choices is None or parsed in flag.choices
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             valid = False
         if not valid:
             choices = f" (choose from {', '.join(flag.choices)})" if flag.choices else ""
@@ -257,10 +273,13 @@ def _out_path(args) -> Optional[str]:
 
 def _cmd_radii(args) -> int:
     pot = _potential_from_args(args)
-    beta = args.beta
+    beta = 1.0 if args.beta is None else args.beta
     if args.u is not None:
         if not args.u >= 1.0:
             raise ConfigError("--u must be >= 1")
+        for flag, value in (("--beta", args.beta), ("--B", args.B), ("--potential", args.kind)):
+            if value is not None:
+                raise ConfigError(f"--u sets beta = 1 and B = ln(u)/2, so it cannot take {flag}")
         beta, B = 1.0, math.log(args.u) / 2.0
         cb = args.cbeta if args.cbeta is not None else 1.0
     elif args.cbeta is not None:
@@ -309,8 +328,8 @@ def _parse_volume(raw: Optional[str]) -> Optional[float]:
     if raw in (None, "inf", "infinite", ""):
         return None
     v = float(raw)
-    if not v > 0:
-        raise ConfigError(f"--volume must be 'inf' or a positive box side, got {raw!r}")
+    if not 0 < v < math.inf:
+        raise ConfigError(f"--volume must be 'inf' or a finite positive box side, got {raw!r}")
     return v
 
 

@@ -14,10 +14,15 @@ C(beta)).
 K* = 1/F(u) is also recomputed through its defining tree-function series
 S(x) = sum_{n>=1} n^(n-1)/n! x^(n-1) as an independent check, without ln c,
 the closed form or Lambert W.  ``tree_series_excess`` encloses S(x) - 1: a
-2048-term head summed from a log-coefficient table, plus a tail bounded
-above and below in closed form from Robbins' Stirling bounds and the
-integral test, about 1e-9 wide at x = 1/e.  The largest x whose upper bound
-is at most c - 1 is found by bracketed Newton steps to 1e-14 relative.
+head summed from a log-coefficient table, plus a tail bounded above and
+below in closed form from Robbins' Stirling bounds and the integral test,
+about 1e-9 wide at x = 1/e.  Term n falls like e^(-lam n) with lam =
+-1 - ln x, so the head's length is chosen per x: the shortest of a few
+lengths from 32 to 2047 terms past which every term is below e^-45 of
+those kept.  Near x = 1/e that is the full 2047 terms.  What it leaves out
+never reaches the bits of the sum, and the tail bound holds for any
+length.  The largest x whose upper bound is at most c - 1 is found by
+bracketed Newton steps to 1e-14 relative.
 
 The optimizers use a 64-point bracketing scan (with a unimodality guard),
 starting at a = min(1e-6, 1/u) so that the maximizer a* ~ (e - 1)/u stays
@@ -155,13 +160,37 @@ def g_of_u(u: float) -> Tuple[float, float]:
 _X_MAX = 1.0 / math.e
 #: 1/e - _X_MAX (40-digit arithmetic): with it x - 1/e is exact near 1/e
 _X_MAX_LO = -1.2428753672788363e-17
-#: terms summed one by one; everything beyond is bounded in closed form
+#: the last term of the longest head; the terms past the head are bounded
+#: in closed form
 _HEAD_TERMS = 2048
 #: log s_n for n = 2 .. _HEAD_TERMS, s_n = n^(n-1) e^-(n-1) / n!, so that
 #: term n is s_n z^(n-1) with z = e x; the term n = 1 is the 1 that S - 1 drops
 _LOG_S = np.array([(n - 1) * (math.log(n) - 1.0) - math.lgamma(n + 1)
                    for n in range(2, _HEAD_TERMS + 1)])
 _N_MINUS_1 = np.arange(1, _HEAD_TERMS, dtype=float)
+#: head lengths in terms, the shortest first.  numpy sums an array pairwise,
+#: splitting it at half its length rounded down to a multiple of 8 and
+#: summing blocks of at most 128 in 8 interleaved partial sums, so the full
+#: 2047-term head splits at 1016, 504, 248 and 120 terms.  The sum of each
+#: shorter head here is a left part of that tree, so it keeps the full
+#: head's bits whenever the terms it leaves out are below half an ulp of
+#: what they are added to.  Below 120 the lengths are multiples of 32,
+#: which OpenBLAS's AVX dot kernels take in whole blocks, so that the slope
+#: keeps its bits there too.
+_HEAD_LENGTHS = (32, 64, 96, 248, 504, 1016, _HEAD_TERMS - 1)
+#: a head of m terms is used once lam m >= _HEAD_MARGIN.  Term n + d is
+#: below e^(-lam d) of term n, so every term left out is below e^-45 =
+#: 2.9e-20 of the one it meets in the sum, and all of them together are
+#: below 23 times that share of the first term (lam >= 45/1016 wherever a
+#: term is left out): far inside both half an ulp (5.5e-17 relative at
+#: least) and the 1e-11 rounding allowance.  The tail bound holds for any
+#: head length, but its integral-test overshoot grows like e^(lam/2)/lam:
+#: a one-term head at lam = 20.5 raises hi by 1.3e-6 relative, and hi
+#: would fall where a longer head takes over.  With this margin the tail
+#: stays out of the bits of lo and hi.
+_HEAD_MARGIN = 45.0
+#: (m, log s_n, n - 1) over the first m head terms, per head length
+_HEADS = tuple((m, _LOG_S[:m], _N_MINUS_1[:m]) for m in _HEAD_LENGTHS)
 #: the head is widened by this share of itself on both sides: a majorant for
 #: the rounding of _LOG_S (at most 3.4e-12 against 40-digit arithmetic), of
 #: the exponentials and of the sum
@@ -195,8 +224,11 @@ def tree_series_excess(x: float) -> Tuple[float, float, float]:
     above it, is taken as 1/e.  Leaving out the leading 1 keeps full relative
     precision as x -> 0.
 
-    With z = e x, term n is s_n z^(n-1).  Terms 2 .. 2048 are summed from a
-    log-coefficient table.  In the rest, Robbins' bounds on Stirling's
+    With z = e x = e^-lam, term n is s_n z^(n-1).  Terms 2 .. m + 1 are
+    summed from a log-coefficient table, m being the shortest of
+    ``_HEAD_LENGTHS`` (32 ... 2047) with lam m >= 45, past which no term
+    reaches the bits of the full 2047-term head's sum; x near 1/e takes
+    all 2047.  In the rest, Robbins' bounds on Stirling's
     remainder give 1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which
     reduce the tail to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p.
     Each such sum from N+1 on lies between int_{N+1}^inf phi_p + phi_p(N+1)/2
@@ -216,12 +248,15 @@ def tree_series_excess(x: float) -> Tuple[float, float, float]:
         lam = max(-math.log1p(math.e * ((x - _X_MAX) - _X_MAX_LO)), 0.0)
     else:
         lam = -1.0 - math.log(x)  # z = e^-lam
-    terms = np.exp(_LOG_S - _N_MINUS_1 * lam)
+    for m, log_s, n_minus_1 in _HEADS:
+        if lam * m >= _HEAD_MARGIN:
+            break  # else the loop ends on the full head
+    terms = np.exp(log_s - n_minus_1 * lam)
     head = float(terms.sum())
     lo = head * (1.0 - _HEAD_ROUNDING)
     hi = head * (1.0 + _HEAD_ROUNDING)
-    slope = float(terms @ _N_MINUS_1) / x * (1.0 + _HEAD_ROUNDING)
-    N = _HEAD_TERMS
+    slope = float(terms @ n_minus_1) / x * (1.0 + _HEAD_ROUNDING)
+    N = m + 1
     # past lam N = 700 the tail is below e^-600 of the head, inside the
     # rounding allowance; l*/u* bound the sums of phi_p from below/above
     if lam * N < 700.0:

@@ -252,7 +252,8 @@ def test_config_section_equals_flags(tmp_path, case):
     {"mayer": {"method": "montecarlo"}},
     {"mayer": {"seed": [1, 2]}},
     {"verify": {"suite": "everything"}},
-], ids=["n", "format", "method", "seed", "suite"])
+    {"mayer": {"beta": math.inf}},
+], ids=["n", "format", "method", "seed", "suite", "beta_inf"])
 def test_config_value_parsed_like_its_flag(tmp_path, capsys, section):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(section))
@@ -334,3 +335,39 @@ def test_tabulated_overflow_exits_2_naming_minus_beta_v(tmp_path, capsys):
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's exit status, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["radii", "--u", "inf"], "argument --u: must be finite"),
+    (["radii", "--cbeta", "inf"], "argument --cbeta: must be finite"),
+    (["mayer", *ROD, "--n", "3", "--beta", "1e400"], "argument --beta: must be finite"),
+    (["mayer", *WELL, "--epsilon=-inf", "--B", "1", "--n", "3"],
+     "argument --epsilon: must be finite"),
+    (["mayer", *ROD, "--n", "3", "--volume", "1e400"], "--volume must be"),
+    (["canonical", *ROD, "--L", "inf", "--N", "4", "--k-max", "2"],
+     "argument --L: must be finite"),
+], ids=["u", "cbeta", "beta", "epsilon", "volume", "L"])
+def test_infinite_input_exits_2_naming_the_flag(capsys, argv, named):
+    assert _exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "3"), ("--beta", "1"), ("--B", "1"), ("--potential", "hard_rod"),
+])
+def test_radii_u_refuses_what_it_overrides(capsys, flag, value):
+    assert main(["radii", "--u", "2", flag, value]) == 2
+    assert f"cannot take {flag}" in capsys.readouterr().err
+
+
+def test_radii_u_takes_cbeta():
+    out = run_json(["radii", "--u", "2", "--cbeta", "3"])
+    assert (out["beta"], out["B"], out["cbeta"]) == (1.0, math.log(2.0) / 2.0, 3.0)

@@ -76,6 +76,27 @@ def test_K_star(u):
         assert abs(closed - math.e) <= 10.0 / u
 
 
+# (closed, series) recorded before the tree-series head got its per-x length
+K_STAR_PINS = {
+    1.0: (6.90765169777445, 6.907651697815062),
+    2.0: (4.8631037446990915, 4.863103744719772),
+    10.0: (3.1704705176523724, 3.170470517656791),
+    1e2: (2.7647950686920555, 2.7647950687000167),
+    1e3: (2.7229505931545437, 2.72295059315561),
+    1e4: (2.71874888572299, 2.7187488857231026),
+    1e5: (2.718328536000051, 2.7183285360000693),
+    1e6: (2.7182864992313034, 2.718286499231314),
+    1e7: (2.718282295536452, 2.7182822955364596),
+    1e8: (2.7182818751667934, 2.7182818751667917),
+    1e12: (2.718281828463745, 2.7182818284637156),
+}
+
+
+@pytest.mark.parametrize("u", KSTAR_U + LARGE_U)
+def test_k_star_pinned_bits(u):
+    assert K_star(u) == K_STAR_PINS[u]
+
+
 def test_rho_star_examples():
     assert rho_star(1.0, 0.0, 2.0) == pytest.approx(0.0723835, abs=1e-6)
     assert rho_star(1.0, 0.0, 4.0 * math.pi / 3.0) == pytest.approx(0.0345606, abs=1e-6)
@@ -192,9 +213,7 @@ def test_one_over_e_split():
     assert abs(Fraction(X_MAX) + Fraction(radii._X_MAX_LO) - inv_e) < Fraction(1, 10 ** 32)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.floats(min_value=sys.float_info.min, max_value=0.2))
-def test_tree_series_contains_exact_sum(x):
+def _assert_contains_exact_sum(x: float):
     terms = 200
     head = _exact_partial_sum(x, terms) - 1
     # term ratios x (1 + 1/n)^(n-1) stay below e x < 2.72 x
@@ -203,6 +222,45 @@ def test_tree_series_contains_exact_sum(x):
     lo, hi, _ = tree_series_excess(x)
     assert Fraction(lo) <= head + rest
     assert head <= Fraction(hi)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(min_value=sys.float_info.min, max_value=0.2))
+def test_tree_series_contains_exact_sum(x):
+    _assert_contains_exact_sum(x)
+
+
+#: where the head grows from each length to the next: lam m = _HEAD_MARGIN
+HEAD_SWITCH_X = [math.exp(-1.0 - radii._HEAD_MARGIN / m) for m in radii._HEAD_LENGTHS[:-1]]
+
+
+def _full_head_enclosure(x: float):
+    """(lo, hi) with every x summing the full 2047-term head."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radii, "_HEADS", radii._HEADS[-1:])
+        return tree_series_excess(x)[:2]
+
+
+@pytest.mark.parametrize("m, x", zip(radii._HEAD_LENGTHS, HEAD_SWITCH_X))
+def test_tree_series_across_head_switch(m, x):
+    steps = [x * (1.0 + k * 1e-12) for k in range(-3, 4)]
+    # the head has m terms at the first step and more at the last
+    assert (-1.0 - math.log(steps[0])) * m >= radii._HEAD_MARGIN
+    assert (-1.0 - math.log(steps[-1])) * m < radii._HEAD_MARGIN
+    got = [tree_series_excess(s)[:2] for s in steps]
+    for (lo1, hi1), (lo2, hi2) in zip(got, got[1:]):
+        assert lo1 <= lo2 and hi1 <= hi2
+    assert got == [_full_head_enclosure(s) for s in steps]
+    if x <= 0.2:
+        for s in steps:
+            _assert_contains_exact_sum(s)
+
+
+@settings(deadline=None)
+@given(xs)
+def test_tree_series_head_keeps_full_head_bits(x):
+    # what the shorter heads leave out is below half an ulp of the sum
+    assert tree_series_excess(x)[:2] == _full_head_enclosure(x)
 
 
 @pytest.mark.parametrize("x", [0.0, 5e-324, -0.1, 0.4, math.nan])
