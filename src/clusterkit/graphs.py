@@ -15,12 +15,21 @@ The module provides:
     generation up) and the trees whose preimage under that map is a
     singleton ("Penrose trees"),
   * ``mask_tree_images``, the array form of the connectivity test and the
-    tree image over int64 edge masks, processed in fixed-size blocks; the
-    scalar ``_mask_connected`` / ``_mask_tree_image`` stay as its oracle,
+    tree image over int64 edge masks, processed in fixed-size blocks: the
+    neighbor bitsets come from one byte-table lookup per byte of the masks
+    and the parent edges from one table lookup per vertex, with the tables
+    rebuilt per call; the scalar ``_mask_connected`` / ``_mask_tree_image``
+    stay as its oracle,
+  * ``mask_tree_table``, that kernel's flags and images for every edge mask
+    on up to 6 vertices, kept per (n, root); ``connected_mask_flags`` reads
+    its flags and ``ursell_table`` is built on them,
   * ``submask_tree_classes``, the one brute-force engine over the submasks
     of a host graph, behind ``penrose_trees``, ``polymer.p_exact`` and the
-    random identity check; the slack-edge ``penrose_trees_fast`` and the
-    scalar ``ursell_value`` stay as its independent oracles.
+    random identity check.  Up to 6 vertices it looks the submasks up in
+    ``mask_tree_table``; above, it runs the kernel a block of submasks at a
+    time.  Hosts of more than MAX_HOST_EDGES edges are refused.  The
+    slack-edge ``penrose_trees_fast`` and the scalar ``ursell_value`` stay
+    as its independent oracles.
 """
 
 from __future__ import annotations
@@ -225,11 +234,22 @@ class RootedTree:
             base = gen[u]
             for off, w in enumerate(reversed(chain), start=1):
                 gen[w] = base + off
+        self._set(n, root, dict(parent), gen)
+
+    def _set(self, n: int, root: int, parent: Dict[int, int], gen: Dict[int, int]) -> None:
         self.n = n
         self.root = root
-        self.parent = dict(parent)
+        self.parent = parent
         self.gen = gen
-        self._key = (n, root, tuple(sorted(self.parent.items())))
+        self._key = (n, root, tuple(sorted(parent.items())))
+
+    @classmethod
+    def _unchecked(cls, n: int, root: int, parent: Dict[int, int],
+                   gen: Dict[int, int]) -> "RootedTree":
+        """A tree from maps already known to be consistent, taken as they are."""
+        tree = cls.__new__(cls)
+        tree._set(n, root, parent, gen)
+        return tree
 
     @classmethod
     def from_edges(cls, n: int, edges, root: int = 1) -> "RootedTree":
@@ -335,22 +355,32 @@ def prufer_tree_masks(n: int) -> np.ndarray:
     return masks | bit[np.argmax(ones, axis=1), n - np.argmax(ones[:, ::-1], axis=1)]
 
 
-def _tree_from_edge_list(n: int, edges, root: int) -> RootedTree:
+def _search_tree(n: int, edges, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Parent and generation of each vertex reached from ``root`` over ``edges``."""
     adj = {v: [] for v in range(1, n + 1)}
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     parent = {}
-    seen = {root}
+    gen = {root: 0}
     stack = [root]
     while stack:
         v = stack.pop()
         for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
+            if w not in gen:
+                gen[w] = gen[v] + 1
                 parent[w] = v
                 stack.append(w)
-    return RootedTree(n, parent, root)
+    return parent, gen
+
+
+def _tree_from_edge_list(n: int, edges, root: int) -> RootedTree:
+    if not (1 <= root <= n):
+        raise ValueError(f"root {root} outside [1..{n}]")
+    parent, gen = _search_tree(n, edges, root)
+    if len(gen) < n:
+        raise ValueError("parent map must cover exactly the non-root vertices")
+    return RootedTree._unchecked(n, root, parent, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +408,6 @@ def ursell_value(g: LabeledGraph) -> int:
             break
         sub = (sub - 1) & mask
     return total
-
-
-@lru_cache(maxsize=None)
-def connected_mask_flags(n: int) -> np.ndarray:
-    """Boolean array over all 2^(n(n-1)/2) edge masks: connected and spanning."""
-    if n > 6:
-        raise CapacityError("full mask tables are kept only up to n=6")
-    npairs = n * (n - 1) // 2
-    return mask_tree_images(n, np.arange(1 << npairs, dtype=np.int64))[0]
 
 
 @lru_cache(maxsize=None)
@@ -459,6 +480,21 @@ def _mask_tree_image(n: int, gmask: int, root: int) -> int:
 
 #: masks per step of the array kernel; bounds its scratch memory
 MASK_BLOCK = 4096
+_BLOCK_BITS = MASK_BLOCK.bit_length() - 1
+#: vertex counts up to which the tree image of every edge mask is kept, in
+#: one table per root
+TABLE_MAX_N = 6
+#: host edges up to which ``submask_tree_classes`` walks the 2^edges
+#: submasks.  On a 2-core x86 machine the complete graph on 7 vertices (21
+#: edges) takes about 0.6 s and 22 edges on 8 vertices about 2 s; each edge
+#: more at least doubles it, as the merged preimage classes grow too.
+MAX_HOST_EDGES = 22
+
+#: row o holds bit o of every byte value
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint16)
+#: index of the lowest vertex in each vertex bitset on up to 11 vertices, -1
+#: for the empty set
+_LOWEST_VERTEX = np.frexp(np.arange(1 << 11) & -np.arange(1 << 11))[1] - 1
 
 
 def bit_parity(x: np.ndarray) -> np.ndarray:
@@ -469,14 +505,61 @@ def bit_parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
+def _kernel_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Byte tables of the array kernel on [n], rebuilt per call (about 45 us at n = 7).
+
+    ``adjacency[b, v, x]`` is the neighbor bitset of vertex v + 1 through the
+    edges in byte b of an edge mask whose byte b is x.  ``parent_edge[w, s]``
+    is the edge bit of {p, w + 1}, p the lowest vertex of the bitset s, and
+    0 for the empty set.
+    """
+    pairs = np.array(vertex_pairs(n), dtype=np.int64).reshape(-1, 2) - 1
+    i, j = pairs.T
+    k = np.arange(pairs.shape[0])
+    neighbor = np.zeros((-(-k.size // 8) * 8, n), dtype=np.uint16)
+    neighbor[k, i] = 1 << j
+    neighbor[k, j] = 1 << i
+    # the edges of one byte add distinct neighbor bits, so their sum is their OR
+    adjacency = np.einsum("bov,ox->bvx", neighbor.reshape(-1, 8, n), _BYTE_BITS)
+    edge = np.zeros((n, n + 1), dtype=np.int64)  # the last column: no parent
+    edge[i, j] = edge[j, i] = 1 << k
+    return adjacency, edge[:, _LOWEST_VERTEX[:1 << n]]
+
+
+def _block_tree_images(n: int, block: np.ndarray, root: int, adjacency: np.ndarray,
+                       parent_edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``mask_tree_images`` of one block of masks, given ``_kernel_tables(n)``."""
+    adj = np.zeros((n, block.size), dtype=np.uint16)
+    for b, table in enumerate(adjacency):
+        adj |= np.take(table, (block >> 8 * b) & 255, axis=1)
+    vertex = np.arange(n, dtype=np.uint16)[:, None]
+    seen = np.full(block.shape, 1 << (root - 1), dtype=np.uint16)
+    layer = seen
+    up_layer = np.zeros_like(adj)  # the layer each vertex was reached from
+    for _ in range(n - 1):
+        reach = np.bitwise_or.reduce(adj & -((layer >> vertex) & 1), axis=0)
+        new = reach & ~seen
+        if not new.any():
+            break
+        up_layer |= layer & -((new >> vertex) & 1)
+        seen = seen | new
+        layer = new
+    up = adj & up_layer
+    tree = np.zeros(block.shape, dtype=np.int64)
+    for w in range(n):
+        tree |= parent_edge[w, up[w]]
+    return seen == (1 << n) - 1, tree
+
+
 def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """Connected flag and rooted tree-image mask of each edge mask on [n].
 
     The array form of ``_mask_connected`` and ``_mask_tree_image``.  Each
-    block of masks gets per-vertex neighbor bitsets; a breadth-first sweep
-    then reaches one generation at a time, and every vertex keeps the layer
-    it was reached from.  Its parent is the lowest set bit of its neighbors
-    in that layer.  For a disconnected mask the tree spans only the root's
+    block of masks gets per-vertex neighbor bitsets, one byte-table lookup
+    per byte of the masks; a breadth-first sweep then reaches one generation
+    at a time, and every vertex keeps the layer it was reached from.  Its
+    parent is the lowest vertex of its neighbors in that layer, read from a
+    table.  For a disconnected mask the tree spans only the root's
     component.  ``masks`` is a 1-D array processed MASK_BLOCK at a time, so
     scratch memory does not grow with its length.
     """
@@ -485,43 +568,38 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     if not (1 <= root <= n):
         raise ValueError(f"root {root} outside [1..{n}]")
     masks = np.asarray(masks, dtype=np.int64)
-    pairs = vertex_pairs(n)
-    # parent_edge[w-1, 1 << (p-1)] is the edge bit of {p, w}; column 0 holds 0
-    parent_edge = np.zeros((n, 1 << n), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        parent_edge[i - 1, 1 << (j - 1)] = 1 << k
-        parent_edge[j - 1, 1 << (i - 1)] = 1 << k
-    # vertex bitsets fit in 16 bits, which keeps each block's scratch small
-    vertex_bit = np.arange(n, dtype=np.uint16)[:, None]
-    full = (1 << n) - 1
+    tables = _kernel_tables(n)
     connected = np.empty(masks.shape, dtype=bool)
     trees = np.empty(masks.shape, dtype=np.int64)
     for start in range(0, masks.shape[0], MASK_BLOCK):
-        block = masks[start:start + MASK_BLOCK]
-        adj = np.zeros((n,) + block.shape, dtype=np.uint16)
-        for k, (i, j) in enumerate(pairs):
-            e = ((block >> k) & 1).astype(np.uint16)
-            adj[i - 1] |= e << (j - 1)
-            adj[j - 1] |= e << (i - 1)
-        seen = np.full(block.shape, 1 << (root - 1), dtype=np.uint16)
-        layer = seen
-        up_layer = np.zeros_like(adj)  # the layer each vertex was reached from
-        for _ in range(n - 1):
-            reach = np.bitwise_or.reduce(adj & -((layer >> vertex_bit) & 1), axis=0)
-            new = reach & ~seen
-            if not new.any():
-                break
-            up_layer |= layer & -((new >> vertex_bit) & 1)
-            seen = seen | new
-            layer = new
-        up = adj & up_layer
-        low = up & -up
-        tree = np.zeros(block.shape, dtype=np.int64)
-        for w in range(n):
-            tree |= parent_edge[w, low[w]]
-        connected[start:start + MASK_BLOCK] = seen == full
-        trees[start:start + MASK_BLOCK] = tree
+        stop = start + MASK_BLOCK
+        connected[start:stop], trees[start:stop] = _block_tree_images(
+            n, masks[start:stop], root, *tables)
     return connected, trees
+
+
+@lru_cache(maxsize=None)
+def _mask_tree_table(n: int, root: int) -> Tuple[np.ndarray, np.ndarray]:
+    connected, trees = mask_tree_images(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), root)
+    trees = trees.astype(np.uint16)
+    connected.flags.writeable = trees.flags.writeable = False
+    return connected, trees
+
+
+def mask_tree_table(n: int, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """``mask_tree_images`` of every edge mask on [n], indexed by mask (n <= 6).
+
+    Built once per (n, root) and kept, read-only.  The tree masks of at most
+    15 edges are held as uint16, a quarter of the int64 memory.
+    """
+    if n > TABLE_MAX_N:
+        raise CapacityError(f"full mask tables are kept only up to n={TABLE_MAX_N}, got {n}")
+    return _mask_tree_table(n, root)  # positional: one cache entry per (n, root)
+
+
+def connected_mask_flags(n: int) -> np.ndarray:
+    """Boolean array over all 2^(n(n-1)/2) edge masks: connected and spanning."""
+    return mask_tree_table(n)[0]
 
 
 def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.ndarray, np.ndarray]:
@@ -529,25 +607,55 @@ def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.nda
 
     Returns the alternating sum of (-1)^|edges| over the connected spanning
     submasks (the Ursell value of the host), the distinct rooted tree-image
-    masks of those submasks, and the preimage count of each image.  The
-    submasks are generated and mapped by ``mask_tree_images`` MASK_BLOCK at
-    a time: the bits of a block index are deposited onto the host's edge
-    bits, so the index has the parity of its submask, and memory stays flat
-    as hosts grow.  A disconnected host has no connected spanning submask.
+    masks of those submasks, and the preimage count of each image.  Up to
+    n = TABLE_MAX_N the submasks are picked out of all masks on [n], their
+    flags and images are read from ``mask_tree_table``, and the sum is the
+    host's entry of ``ursell_table``; larger n takes the blocked path.  A
+    disconnected host has no connected spanning submask.  Hosts of more than
+    MAX_HOST_EDGES edges are refused.
+    """
+    edges = bin(gmask).count("1")
+    if edges > MAX_HOST_EDGES:
+        raise CapacityError(f"the submask brute force is capped at {MAX_HOST_EDGES} host "
+                            f"edges (2^edges submasks); the host has {edges}")
+    if n > TABLE_MAX_N:
+        return _blocked_submask_classes(n, gmask, root)
+    connected, images = mask_tree_table(n, root)
+    subs = np.flatnonzero((np.arange(connected.size) & ~gmask) == 0)
+    trees, preimages = np.unique(images[subs[connected[subs]]], return_counts=True)
+    return int(ursell_table(n)[gmask]), trees.astype(np.int64), preimages
+
+
+def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
+
+    The first 12 host edges are deposited once onto the bits of the index
+    within a block, by doubling, along with each index's parity; a block
+    adds the deposit of its number onto the remaining edges, so a submask
+    has the parity of its index.  The preimage counts are merged across
+    blocks, so memory stays flat as hosts grow.
     """
     bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
-    trees = np.zeros(0, dtype=np.int64)
-    preimages = np.zeros(0, dtype=np.int64)
+    inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
+    low = np.zeros(1, dtype=np.int64)
+    odd = np.zeros(1, dtype=bool)
+    for k in inner:
+        low = np.concatenate([low, low | (1 << k)])
+        odd = np.concatenate([odd, ~odd])
+    tables = _kernel_tables(n)
     total = 0
-    for start in range(0, 1 << len(bits), MASK_BLOCK):
-        idx = np.arange(start, min(start + MASK_BLOCK, 1 << len(bits)), dtype=np.int64)
-        sub = np.zeros_like(idx)
-        for j, k in enumerate(bits):
-            sub |= ((idx >> j) & 1) << k
-        conn, image = mask_tree_images(n, sub, root)
-        total += int(np.sum(1 - 2 * bit_parity(idx[conn])))
-        trees, cls = np.unique(np.concatenate([trees, image[conn]]), return_inverse=True)
-        weight = np.concatenate([preimages, np.ones(int(conn.sum()), dtype=np.int64)])
+    trees = preimages = None
+    for high in range(1 << len(outer)):
+        conn, image = _block_tree_images(
+            n, low | sum(1 << k for j, k in enumerate(outer) if high >> j & 1), root, *tables)
+        signed = np.count_nonzero(conn) - 2 * np.count_nonzero(conn & odd)
+        total += -signed if bin(high).count("1") & 1 else signed
+        block_trees, counts = np.unique(image[conn], return_counts=True)
+        if trees is None:
+            trees, preimages = block_trees, counts
+            continue
+        trees, cls = np.unique(np.concatenate([trees, block_trees]), return_inverse=True)
+        weight = np.concatenate([preimages, counts])
         preimages = np.bincount(cls, weights=weight, minlength=len(trees)).astype(np.int64)
     return total, trees, preimages
 
@@ -581,6 +689,17 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     )
 
 
+def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> int:
+    """Edge mask of ``penrose_slack_edges`` for a tree given by its maps."""
+    mask = 0
+    for k, (i, j) in enumerate(vertex_pairs(n)):
+        dg = gen[i] - gen[j]
+        # a tree edge joins a child to its parent, so the strict test drops it
+        if dg == 0 or (dg == 1 and j > parent[i]) or (dg == -1 and i > parent[j]):
+            mask |= 1 << k
+    return mask
+
+
 def penrose_slack_edges(tree: RootedTree) -> FrozenSet[Edge]:
     """Non-tree edges whose addition leaves the tree image unchanged.
 
@@ -590,24 +709,7 @@ def penrose_slack_edges(tree: RootedTree) -> FrozenSet[Edge]:
     an index larger than the current parent.  A tree is a singleton preimage
     inside a host graph exactly when the host contains none of these edges.
     """
-    n = tree.n
-    gen = tree.gen
-    parent = tree.parent
-    tree_edges = tree.edges
-    slack = set()
-    for i, j in vertex_pairs(n):
-        if (i, j) in tree_edges:
-            continue
-        dg = gen[i] - gen[j]
-        if abs(dg) > 1:
-            continue
-        if dg == 0:
-            slack.add((i, j))
-            continue
-        child, up = (i, j) if dg == 1 else (j, i)
-        if up > parent[child]:
-            slack.add((i, j))
-    return frozenset(slack)
+    return frozenset(mask_edges(tree.n, _slack_mask(tree.n, tree.parent, tree.gen)))
 
 
 def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
@@ -620,20 +722,15 @@ def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     n = g.n
     if not g.is_connected():
         raise DomainError("Penrose trees are defined for connected graphs only")
+    if not (1 <= root <= n):
+        raise ValueError(f"root {root} outside [1..{n}]")
     if n == 1:
         return frozenset([RootedTree(1, {}, root=1)])
-    edges = sorted(g.edges)
     gmask = g.mask
-    idx = _pair_index(n)
     out = []
-    for combo in itertools.combinations(edges, n - 1):
-        tmask = 0
-        for e in combo:
-            tmask |= 1 << idx[e]
-        if not _mask_connected(n, tmask):
-            continue
-        tree = _tree_from_edge_list(n, combo, root)
-        slack_mask = edge_mask(n, penrose_slack_edges(tree))
-        if slack_mask & gmask == 0:
-            out.append(tree)
+    for combo in itertools.combinations(sorted(g.edges), n - 1):
+        parent, gen = _search_tree(n, combo, root)
+        # n - 1 edges that reach every vertex form a spanning tree
+        if len(gen) == n and _slack_mask(n, parent, gen) & gmask == 0:
+            out.append(RootedTree._unchecked(n, root, parent, gen))
     return frozenset(out)

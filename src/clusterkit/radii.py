@@ -228,9 +228,11 @@ def tree_series_excess(x: float) -> Tuple[float, float, float]:
     summed from a log-coefficient table, m being the shortest of
     ``_HEAD_LENGTHS`` (32 ... 2047) with lam m >= 45, past which no term
     reaches the bits of the full 2047-term head's sum; x near 1/e takes
-    all 2047.  In the rest, Robbins' bounds on Stirling's
-    remainder give 1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which
-    reduce the tail to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p.
+    all 2047.  Only then is the rest added: past a shorter head it is below
+    e^-44 of the head, inside the rounding allowance.  Robbins' bounds on
+    Stirling's remainder give
+    1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which reduce the
+    tail to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p.
     Each such sum from N+1 on lies between int_{N+1}^inf phi_p + phi_p(N+1)/2
     and int_{N+1/2}^inf phi_p, both in closed form through erfc.  No term is
     dropped unreported: the enclosure is about 1.1e-9 wide at x = 1/e, and
@@ -242,35 +244,54 @@ def tree_series_excess(x: float) -> Tuple[float, float, float]:
     if not sys.float_info.min <= x <= _X_MAX:
         raise DomainError(f"the tree series is enclosed for x from the smallest normal "
                           f"float to 1/e, not at x = {x!r}")
-    if x >= 0.5 * _X_MAX:
-        # ln z from x - 1/e: -1 - log(x) would leave it to log's rounding,
-        # and S - 1 ~ e - 1 - e sqrt(2 lam) is steep in lam near 1/e
-        lam = max(-math.log1p(math.e * ((x - _X_MAX) - _X_MAX_LO)), 0.0)
-    else:
-        lam = -1.0 - math.log(x)  # z = e^-lam
-    for m, log_s, n_minus_1 in _HEADS:
-        if lam * m >= _HEAD_MARGIN:
-            break  # else the loop ends on the full head
+    lam = _lam(x)
+    m, log_s, n_minus_1 = _head(lam)
     terms = np.exp(log_s - n_minus_1 * lam)
     head = float(terms.sum())
     lo = head * (1.0 - _HEAD_ROUNDING)
     hi = head * (1.0 + _HEAD_ROUNDING)
     slope = float(terms @ n_minus_1) / x * (1.0 + _HEAD_ROUNDING)
-    N = m + 1
-    # past lam N = 700 the tail is below e^-600 of the head, inside the
-    # rounding allowance; l*/u* bound the sums of phi_p from below/above
-    if lam * N < 700.0:
-        first, mid = N + 1.0, N + 0.5
-        w = math.exp(-lam * N)
-        l3, l5, _ = _tail_integrals(lam, first)
-        u3, u5, u1 = _tail_integrals(lam, mid)
-        l3 += 0.5 * w * first ** -1.5
-        l5 += 0.5 * w * first ** -2.5
-        u7 = math.exp(-lam * (N - 0.5)) * 0.4 * mid ** -2.5
-        lo += _STIRLING * (l3 - u5 / 12.0)
-        hi += _STIRLING * (u3 - l5 / 12.0 + u7 / 96.0)
-        slope += _STIRLING * (u1 - u3) / x
+    # a shorter head has lam m >= 45, which puts the tail below e^-44 of the
+    # head: inside the rounding allowance, and below the bits of lo and hi
+    if m == _HEAD_TERMS - 1:
+        tail_lo, tail_hi, tail_slope = _tail_bounds(lam, m + 1, x)
+        lo += tail_lo
+        hi += tail_hi
+        slope += tail_slope
     return lo, hi, slope
+
+
+def _lam(x: float) -> float:
+    """lam = -ln z = -1 - ln x, with z = e x, for x in the series' domain."""
+    if x >= 0.5 * _X_MAX:
+        # ln z from x - 1/e: -1 - log(x) would leave it to log's rounding,
+        # and S - 1 ~ e - 1 - e sqrt(2 lam) is steep in lam near 1/e
+        return max(-math.log1p(math.e * ((x - _X_MAX) - _X_MAX_LO)), 0.0)
+    return -1.0 - math.log(x)
+
+
+def _head(lam: float) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The shortest head with lam m >= _HEAD_MARGIN, else the full head."""
+    for head in _HEADS:
+        if lam * head[0] >= _HEAD_MARGIN:
+            return head
+    return _HEADS[-1]
+
+
+def _tail_bounds(lam: float, N: int, x: float) -> Tuple[float, float, float]:
+    """What the terms past N add to lo, hi and the slope of the enclosure.
+
+    l*/u* bound the sums of phi_p from below/above.
+    """
+    first, mid = N + 1.0, N + 0.5
+    w = math.exp(-lam * N)
+    l3, l5, _ = _tail_integrals(lam, first)
+    u3, u5, u1 = _tail_integrals(lam, mid)
+    l3 += 0.5 * w * first ** -1.5
+    l5 += 0.5 * w * first ** -2.5
+    u7 = math.exp(-lam * (N - 0.5)) * 0.4 * mid ** -2.5
+    return (_STIRLING * (l3 - u5 / 12.0), _STIRLING * (u3 - l5 / 12.0 + u7 / 96.0),
+            _STIRLING * (u1 - u3) / x)
 
 
 def _largest_x(c1: float, top: float) -> float:

@@ -32,6 +32,7 @@ from .graphs import (
     connected_mask_flags,
     enum_graphs,
     mask_tree_images,
+    mask_tree_table,
     penrose_map,
     penrose_trees,
     penrose_trees_fast,
@@ -76,13 +77,14 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     """
     if n == 1:
         return 1, 0
-    flags = connected_mask_flags(n)
+    flags, images = mask_tree_table(n, root)
     urs = ursell_table(n)
     conn_masks = np.flatnonzero(flags).astype(np.int64, copy=False)
 
-    # one pass over all connected spanning masks of the complete graph; the
-    # preimage classes are tallied by tree mask, then kept only where present
-    _, trees = mask_tree_images(n, conn_masks, root)
+    # every connected spanning mask of the complete graph, its tree image
+    # read from the table; the preimage classes are tallied by tree mask,
+    # then kept only where present
+    trees = images[conn_masks]
     sizes = np.bincount(trees, minlength=len(flags))
     covers = np.zeros(len(flags), dtype=np.int64)
     np.bitwise_or.at(covers, trees, conn_masks)

@@ -5,21 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterkit import graphs, polymer, verify
 from clusterkit.errors import CapacityError, DomainError
 from clusterkit.graphs import (
     MASK_BLOCK,
+    MAX_HOST_EDGES,
     LabeledGraph,
     RootedTree,
+    _blocked_submask_classes,
     _decode_tree_sequence,
     _mask_connected,
     _mask_tree_image,
-    bit_parity,
     connected_mask_flags,
     count_graphs,
     edge_mask,
     enum_graphs,
     enum_trees,
     mask_tree_images,
+    mask_tree_table,
     penrose_map,
     penrose_slack_edges,
     penrose_trees,
@@ -223,6 +226,21 @@ def test_mask_tree_images_match_scalar(case):
             assert tree == _mask_tree_image(n, mask, root)
 
 
+@pytest.mark.parametrize("n", range(2, 12))
+def test_byte_table_kernel_matches_scalar(n):
+    npairs = n * (n - 1) // 2
+    rng = random.Random(n)
+    # random masks, every single edge (each byte of the mask tables), and K_n
+    masks = [rng.getrandbits(npairs) for _ in range(150)]
+    masks += [1 << k for k in range(npairs)] + [(1 << npairs) - 1]
+    for root in sorted({1, (n + 1) // 2, n}):
+        connected, trees = mask_tree_images(n, np.array(masks, dtype=np.int64), root)
+        for mask, flag, tree in zip(masks, connected.tolist(), trees.tolist()):
+            assert flag == _mask_connected(n, mask)
+            if flag:
+                assert tree == _mask_tree_image(n, mask, root)
+
+
 def test_mask_tree_images_across_blocks():
     masks = np.arange(1 << 15, dtype=np.int64)  # every graph on [6]: 8 blocks
     assert masks.size > MASK_BLOCK
@@ -261,19 +279,12 @@ def test_connected_mask_flags_match_scalar(n):
 # the submask engine against its oracles
 # ---------------------------------------------------------------------------
 
-def _all_submask_classes(n, host, root):
-    """Engine output rebuilt from every mask on [n] at once, filtered to the host."""
-    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-    subs = masks[(masks & ~host) == 0]
-    conn, images = mask_tree_images(n, subs, root)
-    total = int(np.sum(1 - 2 * bit_parity(subs[conn])))
-    trees, counts = np.unique(images[conn], return_counts=True)
-    return total, trees.tolist(), counts.tolist()
-
-
 def _check_engine(n, host, root):
+    # the table path against the blocked kernel path, which n >= 7 takes
     total, trees, preimages = submask_tree_classes(n, host, root)
-    assert (total, trees.tolist(), preimages.tolist()) == _all_submask_classes(n, host, root)
+    blocked = _blocked_submask_classes(n, host, root)
+    assert (total, trees.tolist(), preimages.tolist()) == (
+        blocked[0], blocked[1].tolist(), blocked[2].tolist())
     assert total == ursell_table(n)[host]
     g = LabeledGraph.from_mask(n, host)
     if g.is_connected():
@@ -298,13 +309,80 @@ def test_submask_engine_matches_oracles(case):
     assert _check_engine(n, host, root) == ursell_value(LabeledGraph.from_mask(n, host))
 
 
+@settings(max_examples=40, deadline=None)
+@given(hosts_on())
+def test_blocked_path_equals_table_path_at_every_root(case):
+    n, host, _ = case
+    for root in range(1, n + 1):
+        table = submask_tree_classes(n, host, root)
+        blocked = _blocked_submask_classes(n, host, root)
+        assert table[0] == blocked[0]
+        for a, b in zip(table[1:], blocked[1:]):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.sets(st.integers(0, 14), max_size=2), st.integers(1, 6))
 def test_submask_engine_merges_blocks(missing, root):
-    # 13 to 15 of the 15 edges on [6]: 2 to 8 blocks of submasks are merged
+    # 13 to 15 of the 15 edges on [6]: the blocked path merges 2 to 8 blocks
     host = (1 << 15) - 1 - sum(1 << k for k in missing)
     assert 1 << (15 - len(missing)) > MASK_BLOCK
     _check_engine(6, host, root)
+
+
+def test_mask_tree_table_is_read_only_and_capped():
+    connected, images = mask_tree_table(4, 2)
+    assert not connected.flags.writeable and not images.flags.writeable
+    assert mask_tree_table(4, 2)[1] is images
+    with pytest.raises(CapacityError):
+        mask_tree_table(7)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sets(st.integers(0, 20), max_size=12), st.integers(1, 7))
+def test_blocked_path_on_seven_vertices(edges, root):
+    # n = 7 has no table: the blocked path against the scalar oracles
+    host = sum(1 << k for k in edges)
+    total, trees, preimages = submask_tree_classes(7, host, root)
+    g = LabeledGraph.from_mask(7, host)
+    assert total == ursell_value(g)
+    if g.is_connected():
+        singles = {t for t, c in zip(trees.tolist(), preimages.tolist()) if c == 1}
+        assert singles == {t.to_graph().mask for t in penrose_trees_fast(g, root)}
+
+
+def test_submask_engine_host_edge_cap():
+    assert MAX_HOST_EDGES >= 21  # every host on 7 vertices stays under it
+    with pytest.raises(CapacityError, match="has 36"):
+        penrose_trees(complete_graph(9))
+    with pytest.raises(CapacityError, match=f"has {MAX_HOST_EDGES + 1}"):
+        submask_tree_classes(8, (1 << (MAX_HOST_EDGES + 1)) - 1)
+
+
+def _cache_sizes():
+    return {(mod.__name__, name): fn.cache_info().currsize
+            for mod in (graphs, polymer) for name, fn in vars(mod).items()
+            if hasattr(fn, "cache_info")}
+
+
+def test_penrose_engine_grows_no_cache_once_filled():
+    # the tables a benchmark fills before timing: ursell tables, the vertex
+    # pairs of each n, and p_exact's intersection graphs on up to 3 parts
+    for n in range(1, 13):
+        edge_mask(n, ())
+    for n in range(1, 7):
+        ursell_table(n)
+    for s in ((2, 2), (2, 2, 2)):
+        polymer.p_exact(6, s)
+    before = _cache_sizes()
+    for g in list(enum_graphs(5, "connected"))[::20]:
+        penrose_trees(g)
+        penrose_trees_fast(g)
+    for s in ((2, 3), (4, 4), (3, 3, 2)):
+        polymer.p_exact(10, s)
+    verify.penrose_identity_scan(6)
+    verify.penrose_identity_random(7, 3)
+    assert _cache_sizes() == before
 
 
 def test_penrose_trees_complete_graph_every_root():

@@ -263,6 +263,31 @@ def test_tree_series_head_keeps_full_head_bits(x):
     assert tree_series_excess(x)[:2] == _full_head_enclosure(x)
 
 
+def _tail_below_bits(x: float) -> bool:
+    """Checks a short head's x; False where x takes the full head."""
+    lam = radii._lam(x)
+    m = radii._head(lam)[0]
+    if m == radii._HEAD_TERMS - 1:
+        return False
+    got = tree_series_excess(x)
+    tail = radii._tail_bounds(lam, m + 1, x)
+    assert tuple(v + t for v, t in zip(got, tail)) == got
+    return True
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(min_value=sys.float_info.min, max_value=HEAD_SWITCH_X[-1]))
+def test_tree_series_short_heads_need_no_tail(x):
+    # a shorter head skips the tail bound: adding it back keeps every bit
+    assume(_tail_below_bits(x))
+
+
+@pytest.mark.parametrize("x", HEAD_SWITCH_X)
+def test_tree_series_short_heads_need_no_tail_at_switch(x):
+    checked = [_tail_below_bits(x * (1.0 + k * 1e-12)) for k in range(-3, 4)]
+    assert checked[0] and (checked[-1] or x == HEAD_SWITCH_X[-1])
+
+
 @pytest.mark.parametrize("x", [0.0, 5e-324, -0.1, 0.4, math.nan])
 def test_tree_series_domain(x):
     with pytest.raises(DomainError):
