@@ -486,8 +486,8 @@ _BLOCK_BITS = MASK_BLOCK.bit_length() - 1
 TABLE_MAX_N = 6
 #: host edges up to which ``submask_tree_classes`` walks the 2^edges
 #: submasks.  On a 2-core x86 machine the complete graph on 7 vertices (21
-#: edges) takes about 0.6 s and 22 edges on 8 vertices about 2 s; each edge
-#: more at least doubles it, as the merged preimage classes grow too.
+#: edges) takes about 0.45 s and 22 edges on 8 vertices about 1.1 s; each
+#: edge more about doubles it.
 MAX_HOST_EDGES = 22
 
 #: row o holds bit o of every byte value
@@ -632,8 +632,9 @@ def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.nda
     The first 12 host edges are deposited once onto the bits of the index
     within a block, by doubling, along with each index's parity; a block
     adds the deposit of its number onto the remaining edges, so a submask
-    has the parity of its index.  The preimage counts are merged across
-    blocks, so memory stays flat as hosts grow.
+    has the parity of its index.  The blocks' preimage counts are merged
+    once they reach as many entries as the merged classes (at least 2^16),
+    so memory stays within about twice the class count as hosts grow.
     """
     bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
     inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
@@ -644,20 +645,22 @@ def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.nda
         odd = np.concatenate([odd, ~odd])
     tables = _kernel_tables(n)
     total = 0
-    trees = preimages = None
-    for high in range(1 << len(outer)):
+    trees, counts, pending = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], 0
+    last = (1 << len(outer)) - 1
+    for high in range(last + 1):
         conn, image = _block_tree_images(
             n, low | sum(1 << k for j, k in enumerate(outer) if high >> j & 1), root, *tables)
         signed = np.count_nonzero(conn) - 2 * np.count_nonzero(conn & odd)
         total += -signed if bin(high).count("1") & 1 else signed
-        block_trees, counts = np.unique(image[conn], return_counts=True)
-        if trees is None:
-            trees, preimages = block_trees, counts
-            continue
-        trees, cls = np.unique(np.concatenate([trees, block_trees]), return_inverse=True)
-        weight = np.concatenate([preimages, counts])
-        preimages = np.bincount(cls, weights=weight, minlength=len(trees)).astype(np.int64)
-    return total, trees, preimages
+        block_trees, block_counts = np.unique(image[conn], return_counts=True)
+        trees.append(block_trees)
+        counts.append(block_counts)
+        pending += block_trees.size
+        if pending >= max(trees[0].size, 1 << 16) or high == last:
+            merged, cls = np.unique(np.concatenate(trees), return_inverse=True)
+            counts = [np.bincount(cls, np.concatenate(counts), merged.size).astype(np.int64)]
+            trees, pending = [merged], 0
+    return total, trees[0], counts[0]
 
 
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:

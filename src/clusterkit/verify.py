@@ -3,11 +3,11 @@
 Every module invariant has one named check in ``CHECKS``.  ``run_checks``
 executes a suite and reports one PASS/FAIL line per check, and
 ``tests/test_verify.py`` runs every entry under pytest at the defaults of
-``VerifyContext``.  The exhaustive tree-identity scan uses one shared
-mask-level pass: every connected spanning subgraph of the complete graph is
-mapped once, the preimage classes are grouped globally, and per-graph counts
-follow exactly because each class is verified to be a full boolean interval
-(class size == 2^|slack|).
+``VerifyContext``.  The exhaustive tree-identity scan checks the premise
+of Penrose's proof: grouped by tree image, the connected spanning masks of
+the complete graph form the boolean intervals [tree, tree | slack(tree)]
+of ``penrose_trees_fast``'s slack rule.  The identity on every host follows
+by summing over the intervals, so per host only the sign is checked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import tonks
+from . import graphs, tonks
 from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError
@@ -69,41 +69,33 @@ class VerifyContext:
 # ---------------------------------------------------------------------------
 
 def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
-    """Verify the alternating-sum identity on every connected graph on [n].
+    """Check the premise of Penrose's proof on every connected graph on [n].
 
-    Returns (graphs checked, mismatches).  A mismatch is any connected graph
-    whose ursell value differs from (-1)^(n-1) times its singleton-preimage
-    tree count, or whose sign is wrong.  Exhaustive up to n = 6.
+    The connected masks with tree image t must be the interval [t, t | slack]
+    for the slack rule of ``penrose_trees_fast``, or ClusterKitError names t.
+    Inside a host G such a class sums (-1)^|A| to (-1)^(n-1) if G holds t and
+    misses slack, else to 0; so the identity holds on every host, and a
+    mismatch is a connected graph whose ursell value has the wrong sign.
+    Returns (graphs checked, mismatches).  Exhaustive up to n = 6.
     """
     if n == 1:
         return 1, 0
     flags, images = mask_tree_table(n, root)
-    urs = ursell_table(n)
-    conn_masks = np.flatnonzero(flags).astype(np.int64, copy=False)
-
-    # every connected spanning mask of the complete graph, its tree image
-    # read from the table; the preimage classes are tallied by tree mask,
-    # then kept only where present
-    trees = images[conn_masks]
-    sizes = np.bincount(trees, minlength=len(flags))
-    covers = np.zeros(len(flags), dtype=np.int64)
-    np.bitwise_or.at(covers, trees, conn_masks)
-    del trees
-    classes = np.flatnonzero(sizes)
-    sizes, covers = sizes[classes], covers[classes]
-    counts = np.zeros(len(conn_masks), dtype=np.int64)
-    for t, size, cover in zip(classes.tolist(), sizes.tolist(), covers.tolist()):
-        extra = cover & ~t
-        # each preimage class must be the full interval [tree, tree | slack]
-        if size != 1 << bin(extra).count("1"):
-            raise ClusterKitError(
-                f"preimage class of tree mask {t} is not a boolean interval"
-            )
-        counts += (conn_masks & (t | extra)) == t  # t <= g and g misses extra
+    conn = np.flatnonzero(flags)
+    trees, cls, sizes = np.unique(images[conn], return_inverse=True, return_counts=True)
+    slack = np.array([graphs._slack_mask(n, *graphs._search_tree(n, graphs.mask_edges(n, t), root))
+                      for t in trees.tolist()], dtype=np.int64)
+    # a class is as large as its interval, and each member holds its tree
+    # and no edge outside tree | slack
+    bad = sizes != [1 << bin(s).count("1") for s in slack.tolist()]
+    t, top = trees[cls], (trees | slack)[cls]
+    bad[cls[((conn & t) != t) | ((conn & ~top) != 0)]] = True
+    if bad.any():
+        raise ClusterKitError(f"preimage class of tree mask {trees[bad.argmax()]} is not "
+                              "the interval [tree, tree | slack]")
     sign = 1 if (n - 1) % 2 == 0 else -1
-    expected = sign * urs[conn_masks]
-    mism = int(np.count_nonzero((counts != expected) | (expected <= 0)))
-    return len(conn_masks), mism
+    mism = int(np.count_nonzero(sign * ursell_table(n)[conn] <= 0))
+    return len(conn), mism
 
 
 def penrose_identity_random(
@@ -207,9 +199,10 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
             trees = penrose_trees(g)
             if trees != penrose_trees_fast(g):
                 return False, f"fast/brute mismatch at n={n} mask {g.mask}"
-            # the identity on the scalar oracle; penrose_identity runs ursell_table
-            if len(trees) != sign * ursell_value(g) or not trees:
-                return False, f"tree count != (-1)^(n-1) ursell value at n={n} mask {g.mask}"
+            # the identity on the scalar oracle, which also checks ursell_table
+            value = ursell_value(g)
+            if len(trees) != sign * value or not trees or ursell_table(n)[g.mask] != value:
+                return False, f"tree count or ursell table off the scalar at n={n} mask {g.mask}"
             checked += 1
     flags = connected_mask_flags(6)
     masks = np.flatnonzero(flags)
@@ -217,6 +210,8 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
         g = LabeledGraph.from_mask(6, int(masks[rng.randrange(len(masks))]))
         if penrose_trees(g) != penrose_trees_fast(g):
             return False, f"fast/brute mismatch at n=6 mask {g.mask}"
+        if ursell_table(6)[g.mask] != ursell_value(g):
+            return False, f"ursell table != scalar ursell value at n=6 mask {g.mask}"
         checked += 1
     return True, f"{checked} graphs agree"
 

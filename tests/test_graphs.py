@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterkit import graphs, polymer, verify
-from clusterkit.errors import CapacityError, DomainError
+from clusterkit.errors import CapacityError, ClusterKitError, DomainError
 from clusterkit.graphs import (
     MASK_BLOCK,
     MAX_HOST_EDGES,
@@ -141,9 +141,10 @@ def test_ursell_examples():
 
 
 def test_ursell_table_matches_direct():
-    tab = ursell_table(4)
-    for g in enum_graphs(4, "all"):
-        assert tab[g.mask] == ursell_value(g)
+    for n in range(1, 6):
+        tab = ursell_table(n)
+        for g in enum_graphs(n, "all"):
+            assert tab[g.mask] == ursell_value(g)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,86 @@ def test_penrose_engine_grows_no_cache_once_filled():
     verify.penrose_identity_scan(6)
     verify.penrose_identity_random(7, 3)
     assert _cache_sizes() == before
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive identity scan
+# ---------------------------------------------------------------------------
+
+#: connected labelled graphs on [n]
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+
+
+def _recount_penrose_trees(n, root):
+    """Per connected host g, the tree classes whose only member inside g is the tree.
+
+    The class of tree mask t lies in [t, cover], cover the union of its
+    members, and is checked to fill it; its members inside g are then t
+    alone exactly when t <= g and g misses cover minus t.  The slack rule
+    is not used.
+    """
+    flags, images = mask_tree_table(n, root)
+    conn = np.flatnonzero(flags)
+    trees = images[conn]
+    sizes = np.bincount(trees, minlength=len(flags))
+    covers = np.zeros(len(flags), dtype=np.int64)
+    np.bitwise_or.at(covers, trees, conn)
+    counts = np.zeros(len(conn), dtype=np.int64)
+    for t in np.flatnonzero(sizes).tolist():
+        extra = int(covers[t]) & ~t
+        assert sizes[t] == 1 << bin(extra).count("1")
+        counts += (conn & (t | extra)) == t
+    return conn, counts
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ursell_table_counts_penrose_trees(n):
+    conn, counts = _recount_penrose_trees(n, 1)
+    sign = 1 if (n - 1) % 2 == 0 else -1
+    assert (ursell_table(n)[conn] == sign * counts).all()
+    assert (counts > 0).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_identity_scan_at_every_root(n):
+    for root in range(1, n + 1):
+        assert verify.penrose_identity_scan(n, root) == (CONNECTED_COUNTS[n], 0)
+
+
+@pytest.mark.parametrize("rule", ("flip", "tree_edge"))
+def test_identity_scan_refuses_a_wrong_slack_rule(monkeypatch, rule):
+    right = graphs._slack_mask
+
+    def wrong(n, parent, gen):
+        if rule == "flip":
+            # the last edge's slack bit, flipped on trees with vertex n next to the root
+            return right(n, parent, gen) ^ (1 << (n * (n - 1) // 2 - 1) if gen[n] == 1 else 0)
+        # vertex 2's tree edge counted as slack: each member stays in the
+        # interval, which is now twice the class
+        return right(n, parent, gen) | edge_mask(n, [(2, parent[2])])
+
+    monkeypatch.setattr(graphs, "_slack_mask", wrong)
+    for n in (3, 6):
+        with pytest.raises(ClusterKitError, match="tree mask"):
+            verify.penrose_identity_scan(n)
+
+
+@pytest.mark.parametrize("n", (4, 6))
+@pytest.mark.parametrize("swap", (False, True))
+def test_identity_scan_refuses_a_moved_preimage(monkeypatch, n, swap):
+    flags, images = mask_tree_table(n)
+    moved = images.copy()
+    conn = np.flatnonzero(flags)
+    # the complete graph leaves the star's class for another tree's class;
+    # swapped with a member of that class, every class keeps its size
+    other = conn[images[conn] != images[conn[-1]]][0]
+    moved[conn[-1]] = images[other]
+    if swap:
+        moved[other] = images[conn[-1]]
+    monkeypatch.setattr(verify, "mask_tree_table", lambda n, root=1: (flags, moved))
+    with pytest.raises(ClusterKitError, match="tree mask"):
+        verify.penrose_identity_scan(n)
+    assert not images.flags.writeable
 
 
 def test_penrose_trees_complete_graph_every_root():
