@@ -1,13 +1,23 @@
 """Convergence radii and coefficient bounds for the density expansions.
 
-Everything is driven by two scalar optimizations in the combined variable
-u = e^(2 beta B) >= 1:
+Everything is driven by one scalar optimum in the combined variable
+u = e^(2 beta B) >= 1, which has two forms:
 
     F(u) = max_{a>0} ln(1 + u(1 - e^-a)) / (e^a (1 + u(1 - e^-a)))
     g(u) = max_{0<w<ln(1+u)} ((1+u) e^-w - 1) w / u
 
-The two maxima agree (substitute w = ln(1 + u(1 - e^-a))), which this module
-verifies numerically rather than assuming.  The certified density radius is
+The two maxima agree (substitute w = ln(1 + u(1 - e^-a))).  g is stationary
+where (1 - w) e^(1-w) = e/(1+u), so with W = W0(e/(1+u)) on the principal
+branch of Lambert W the optimum is in closed form:
+
+    w* = 1 - W,   F = g = (1 - W)^2 e^(W-1) (1+u)/u,   a* = -log1p(-expm1(w*)/u).
+
+W is found by Halley steps (Corless et al., "On the Lambert W function",
+Adv. Comput. Math. 5, 329 (1996)); F, a* and w* come out within about 1e-15
+relative of the true values for u from 1 to the largest float.  This form
+of F uses W e^W = e/(1+u) in place of a division by W, which is subnormal
+once u > ~1.2e308.  ``verify`` checks the closed form against a direct
+maximization of the a form.  The certified density radius is
 F(u) / (u C(beta)); the fugacity-series radius is 1 / (e^(2 beta B + 1)
 C(beta)).
 
@@ -22,13 +32,10 @@ lengths from 32 to 2047 terms past which every term is below e^-45 of
 those kept.  Near x = 1/e that is the full 2047 terms.  What it leaves out
 never reaches the bits of the sum, and the tail bound holds for any
 length.  The largest x whose upper bound is at most c - 1 is found by
-bracketed Newton steps to 1e-14 relative.
-
-The optimizers use a 64-point bracketing scan (with a unimodality guard),
-starting at a = min(1e-6, 1/u) so that the maximizer a* ~ (e - 1)/u stays
-inside it, then a golden-section search.  F is correct to about 1e-14, but
-the objective is flat at its maximum, so a* is placed only to about
-sqrt(eps) relative: 2.7e-9 at u = 1, up to 2.3e-7 at u = 1e12.
+bracketed Newton steps to 1e-14 relative; the minimum over a is taken by
+a 64-point bracketing scan (with a unimodality guard), starting at
+a = min(1e-6, 1/u) so that the minimizer a* ~ (e - 1)/u stays inside it,
+then a golden-section search.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ REFERENCE_A_ZERO_COUPLING = 0.426
 
 #: denominator constant of the comparison bound on k * beta_k
 LP_BOUND_DENOMINATOR = 0.28952
+
+# ---------------------------------------------------------------------------
+# scan plus golden section: K*'s series minimization and the verify oracle
+# ---------------------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: below this the golden-section tolerance scales with the bracket's upper end
@@ -114,43 +125,39 @@ def _a_grid(u: float):
     return _log_grid(min(1e-6, 1.0 / u), 20.0)
 
 
-def _lin_grid(lo: float, hi: float, count: int = 64):
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+# ---------------------------------------------------------------------------
+# the optimum in closed form
+# ---------------------------------------------------------------------------
+
+#: Halley steps on W0 from log1p(x): on 0 < x <= e/2 the second leaves W
+#: within 1e-9 relative and the third at full precision; the fourth is margin
+_HALLEY_STEPS = 4
 
 
-# ---------------------------------------------------------------------------
-# the two optimization forms and the explicit minimum
-# ---------------------------------------------------------------------------
+def _optimum(u: float) -> Tuple[float, float, float]:
+    """(F, a*, w*) at u >= 1 from W = W0(e/(1+u)); g = F and g's maximizer is w*."""
+    if not 1.0 <= u < math.inf:
+        raise DomainError(f"u = e^(2 beta B) must be finite and >= 1, not {u!r}")
+    x = math.e / (1.0 + u)
+    W = math.log1p(x)
+    for _ in range(_HALLEY_STEPS):
+        ew = math.exp(W)
+        f = W * ew - x
+        W -= f / (ew * (W + 1.0) - (W + 2.0) * f / (2.0 * W + 2.0))
+    w_star = 1.0 - W
+    F = w_star * w_star * math.exp(-w_star) * ((1.0 + u) / u)
+    a_star = -math.log1p(-math.expm1(w_star) / u)
+    return F, a_star, w_star
+
 
 def F_of_u(u: float) -> Tuple[float, float]:
     """Maximum and maximizer of ln(c)/(e^a c) with c = 1 + u(1 - e^-a).
 
-    Valid for u >= 1 (u = e^(2 beta B) can never be smaller).
+    In closed form through Lambert W (see the module docstring).  Valid for
+    u >= 1 (u = e^(2 beta B) can never be smaller).
     """
-    if not u >= 1.0:
-        raise DomainError("u = e^(2 beta B) is always >= 1")
-
-    def obj(a: float) -> float:
-        c = 1.0 - u * math.expm1(-a)
-        return math.log(c) / (math.exp(a) * c)
-
-    a_star, val = _maximize(obj, _a_grid(u))
-    return val, a_star
-
-
-def g_of_u(u: float) -> Tuple[float, float]:
-    """Maximum and maximizer of ((1+u) e^-w - 1) w / u on (0, ln(1+u))."""
-    if not u > 0.0:
-        raise DomainError("u must be positive")
-    top = math.log1p(u)
-
-    def obj(w: float) -> float:
-        return ((1.0 + u) * math.exp(-w) - 1.0) * w / u
-
-    eps = 1e-9 * top
-    w_star, val = _maximize(obj, _lin_grid(eps, top - eps))
-    return val, w_star
+    F, a_star, _ = _optimum(u)
+    return F, a_star
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +347,12 @@ def K_star(u: float) -> Tuple[float, float]:
     defining condition and never uses ln c: kappa(a) = e^a / x*(c) with
     c = 1 + u(1 - e^-a) and x*(c) the largest x whose certified upper bound
     on the tree series (``tree_series_excess``) is at most c, found by
-    bracketed Newton steps to 1e-14; kappa is minimized over a by the same
-    scan-plus-golden-section machinery as F.  The upper bound errs towards a
+    bracketed Newton steps to 1e-14; kappa is minimized over a by a scan
+    plus golden-section search, which serves only this check (and the
+    oracle in ``verify``).  The upper bound errs towards a
     larger kappa, by under 1e-11 relative over u = 1 ... 1e12 (mostly the
     rounding allowance).  The two values must agree to 1e-8.
     """
-    if not u >= 1.0:
-        raise DomainError("u = e^(2 beta B) is always >= 1")
     val, _ = F_of_u(u)
     closed = 1.0 / val
     _, top, _ = tree_series_excess(_X_MAX)
@@ -467,8 +473,7 @@ def radius_report(beta: float, B: float, cbeta: float,
     """
     u = _exp_beta_B(2.0 * beta * B, beta, B)
     mradius = mayer_radius(beta, B, cbeta)
-    F, a_star = F_of_u(u)
-    g, w_star = g_of_u(u)
+    F, a_star, w_star = _optimum(u)
     closed, series = K_star(u)
     rstar = F / (u * cbeta)
     bounds = tuple(ck_bound(k, beta, B, cbeta, a_star) for k in k_orders)
@@ -479,7 +484,7 @@ def radius_report(beta: float, B: float, cbeta: float,
         u=u,
         F=F,
         a_star=a_star,
-        g=g,
+        g=F,
         w_star=w_star,
         k_star_closed=closed,
         k_star_series=series,

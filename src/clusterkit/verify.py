@@ -44,7 +44,7 @@ from .graphs import (
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
 from .potentials import PairPotential, c_beta, f_bond_array
 from .quadrature import integrate_1d
-from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, ck_bound, g_of_u, radius_report
+from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, _a_grid, _maximize, ck_bound, radius_report
 from .series import combi_identity_check, free_energy_series, invert_mayer_oracle, virial_from_mayer
 
 
@@ -446,13 +446,31 @@ def _check_tail_honesty(ctx: VerifyContext) -> Tuple[bool, str]:
     return True, "closed form stays inside a shrinking tail bound"
 
 
-def _check_g_equals_F(ctx: VerifyContext) -> Tuple[bool, str]:
-    worst = 0.0
-    for u in (1.0, 1.5, 2.0, 5.0, 10.0, 100.0, 1e4):
-        F, _ = F_of_u(u)
-        g, _ = g_of_u(u)
-        worst = max(worst, abs(F - g))
-    return worst < 1e-10, f"max |F - g| = {worst:.2e} on the u grid"
+def _F_by_optimizer(u: float) -> Tuple[float, float]:
+    """Max and argmax of ln(c)/(e^a c), c = 1 + u(1 - e^-a), by scan and golden section."""
+
+    def obj(a: float) -> float:
+        c = 1.0 - u * math.expm1(-a)
+        return math.log(c) / (math.exp(a) * c)
+
+    a_star, val = _maximize(obj, _a_grid(u))
+    return val, a_star
+
+
+def _check_closed_form_vs_optimizer(ctx: VerifyContext) -> Tuple[bool, str]:
+    # the objective is flat at its peak, so comparing its values places the
+    # optimizer's a* only to about sqrt(eps): 2.3e-7 relative at u = 1e12.
+    # 1e-6 on a* is that flatness limit; F itself agrees to 1e-14.
+    worst_F = worst_a = 0.0
+    for u in (1.0, 1.5, 2.0, 5.0, 10.0, 100.0, 1e4, 1e12):
+        F, a = F_of_u(u)
+        F_opt, a_opt = _F_by_optimizer(u)
+        worst_F = max(worst_F, abs(F - F_opt) / F_opt)
+        worst_a = max(worst_a, abs(a - a_opt) / a_opt)
+    return worst_F < 1e-13 and worst_a < 1e-6, (
+        f"closed form vs scan-plus-golden optimizer on the u grid: max relative "
+        f"difference {worst_F:.2e} in F (gate 1e-13), {worst_a:.2e} in a* "
+        f"(gate 1e-6, the optimizer's flatness limit)")
 
 
 def _check_monotonicity(ctx: VerifyContext) -> Tuple[bool, str]:
@@ -674,7 +692,7 @@ CHECKS: Tuple[Tuple[str, str, Callable[[VerifyContext], Tuple[bool, str]]], ...]
     ("series.combi_identity_exhaustive", "series", _check_combi),
     ("series.tonks_three_way", "series", _check_three_way),
     ("series.tail_honesty", "series", _check_tail_honesty),
-    ("radii.g_equals_F", "radii", _check_g_equals_F),
+    ("radii.closed_form_vs_optimizer", "radii", _check_closed_form_vs_optimizer),
     ("radii.monotonicity", "radii", _check_monotonicity),
     ("radii.kstar_closed_vs_series", "radii", _check_kstar),
     ("radii.printed_constants", "radii", _check_printed_constants),

@@ -14,7 +14,6 @@ from clusterkit.radii import (
     LP_BOUND_DENOMINATOR,
     REFERENCE_A_ZERO_COUPLING,
     ck_bound,
-    g_of_u,
     mayer_radius,
     radius_report,
     rho_star,
@@ -25,17 +24,39 @@ from clusterkit.verify import KSTAR_U
 #: beyond the K* gate's range: a* ~ (e - 1)/u lies below 1e-6 here
 LARGE_U = (1e7, 1e8, 1e12)
 
-# frozen from an 40-digit Newton refinement of the two stationary points
+# frozen from a 40-digit Newton refinement of the two stationary points
 F1_EXACT = 0.14476699807000783
 A_STAR_EXACT = 0.46227975024132334
 W_STAR_EXACT = 0.31492305784540605
 K_STAR_EXACT = 6.907651697774449
 
+#: u -> (F, a*, w*) from W0(e/(1+u)) in 60-digit arithmetic, to 40 digits
+OPTIMUM_40 = {
+    1.0: ("0.1447669980700078299739158924603052531180",
+          "0.4622797502413233447006165121573919393763",
+          "0.3149230578454060539717505194623698115859"),
+    7.5: ("0.3015117596024204237148651530606492329039",
+          "0.1615148333093780733480770106761640922578",
+          "0.7507534503463051051094858979720125377771"),
+    1e6: ("0.3678788090522426301299290916240350535231",
+          "0.000001718275915675679121907731090390677750995",
+          "0.9999972817282788312577157879379069174356"),
+    1e12: ("0.3678794411708102010366965716239706169164",
+           "0.000000000001718281828453132425482389612955716901528",
+           "0.9999999999972817181715510621025670545994"),
+    1e100: ("0.3678794411714423215955237701614608674458",
+            "1.718281828459045208034638657489295917278e-100", "1"),
+    1e300: ("0.3678794411714423215955237701614608674458",
+            "1.718281828459045145142312017236209467121e-300", "1"),
+    1.7e308: ("0.3678794411714423215955237701614608674458",
+              "1.010754016740614880698415487524424453879e-308", "1"),
+}
+
 
 def test_F_at_one():
     F, a = F_of_u(1.0)
     assert F == pytest.approx(F1_EXACT, abs=1e-11)
-    assert a == pytest.approx(A_STAR_EXACT, abs=1e-6)
+    assert a == pytest.approx(A_STAR_EXACT, rel=1e-14)
     # the printed approximations
     assert F == pytest.approx(0.1448, abs=5e-4)
     assert a == pytest.approx(0.4627, abs=1e-3)
@@ -47,21 +68,46 @@ def test_F_large_u_limit():
 
 
 def test_F_domain():
-    with pytest.raises(DomainError):
-        F_of_u(0.5)
+    for u in (0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            F_of_u(u)
 
 
 def test_g_at_one():
-    g, w = g_of_u(1.0)
-    assert g == pytest.approx(F1_EXACT, abs=1e-11)
-    assert w == pytest.approx(W_STAR_EXACT, abs=1e-6)
+    rep = radius_report(1.0, 0.0, 1.0, k_orders=())
+    assert rep.g == pytest.approx(F1_EXACT, abs=1e-11)
+    assert rep.w_star == pytest.approx(W_STAR_EXACT, rel=1e-14)
     # stationarity of the quoted form: 2 e^-w (1 - w) = 1
-    assert 2.0 * math.exp(-w) * (1.0 - w) == pytest.approx(1.0, abs=1e-7)
+    assert 2.0 * math.exp(-rep.w_star) * (1.0 - rep.w_star) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("u", [1.0, 2.0, 5.0, 10.0, 100.0, *LARGE_U])
 def test_g_equals_F(u):
-    assert g_of_u(u)[0] == pytest.approx(F_of_u(u)[0], abs=1e-10)
+    # both objectives, each at its closed-form maximizer, give F
+    F, a, w = radii._optimum(u)
+    c = 1.0 - u * math.expm1(-a)
+    assert math.log(c) / (math.exp(a) * c) == pytest.approx(F, rel=2e-15)
+    assert ((1.0 + u) * math.exp(-w) - 1.0) * w / u == pytest.approx(F, rel=2e-15)
+
+
+@pytest.mark.parametrize("u", OPTIMUM_40)
+def test_optimum_matches_40_digits(u):
+    F, a = F_of_u(u)
+    _, _, w = radii._optimum(u)
+    for got, want in zip((F, a, w), OPTIMUM_40[u]):
+        assert got == pytest.approx(float(want), rel=2e-15)
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e300))
+def test_a_star_is_stationary(u):
+    # h has the sign of the a form's derivative: it changes sign at a*
+    def h(a):
+        c = 1.0 - u * math.expm1(-a)
+        return u * math.exp(-a) * (1.0 - math.log(c)) - c * math.log(c)
+
+    _, a = F_of_u(u)
+    assert h(a * (1.0 - 1e-10)) > 0.0 > h(a * (1.0 + 1e-10))
 
 
 @pytest.mark.parametrize("u", KSTAR_U + LARGE_U)
@@ -76,19 +122,20 @@ def test_K_star(u):
         assert abs(closed - math.e) <= 10.0 / u
 
 
-# (closed, series) recorded before the tree-series head got its per-x length
+# (closed, series): the series recorded before the tree-series head got its
+# per-x length, the closed element from the Lambert W form of F
 K_STAR_PINS = {
-    1.0: (6.90765169777445, 6.907651697815062),
-    2.0: (4.8631037446990915, 4.863103744719772),
-    10.0: (3.1704705176523724, 3.170470517656791),
-    1e2: (2.7647950686920555, 2.7647950687000167),
-    1e3: (2.7229505931545437, 2.72295059315561),
+    1.0: (6.9076516977744475, 6.907651697815062),
+    2.0: (4.86310374469909, 4.863103744719772),
+    10.0: (3.1704705176523715, 3.170470517656791),
+    1e2: (2.764795068692055, 2.7647950687000167),
+    1e3: (2.7229505931545432, 2.72295059315561),
     1e4: (2.71874888572299, 2.7187488857231026),
     1e5: (2.718328536000051, 2.7183285360000693),
-    1e6: (2.7182864992313034, 2.718286499231314),
-    1e7: (2.718282295536452, 2.7182822955364596),
-    1e8: (2.7182818751667934, 2.7182818751667917),
-    1e12: (2.718281828463745, 2.7182818284637156),
+    1e6: (2.7182864992312985, 2.718286499231314),
+    1e7: (2.7182822955364516, 2.7182822955364596),
+    1e8: (2.718281875166788, 2.7182818751667917),
+    1e12: (2.718281828463716, 2.7182818284637156),
 }
 
 
@@ -144,11 +191,11 @@ def test_monotonicity_grid():
 def test_radius_report_structure():
     rep = radius_report(1.0, 0.0, 2.0, k_orders=(1, 2, 3))
     assert rep.u == 1.0
-    assert rep.F == pytest.approx(rep.g, abs=1e-10)
+    assert rep.g == rep.F
     assert rep.k_star_closed * rep.F == pytest.approx(1.0, rel=1e-10)
     assert 0.0 < rep.F < 1.0 / math.e
     assert rep.rho_star == pytest.approx(rep.F / (rep.u * rep.cbeta), rel=1e-12)
-    assert rep.a_star == pytest.approx(A_STAR_EXACT, abs=1e-6)
+    assert rep.a_star == pytest.approx(A_STAR_EXACT, rel=1e-14)
     assert rep.base_constant_reference == pytest.approx(0.24026, abs=1e-5)
     assert rep.a_discrepancy_flagged
     d = rep.to_dict()
