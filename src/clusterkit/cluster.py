@@ -446,7 +446,9 @@ def penrose_bn_bound(n: int, beta: float, B: float, cbeta: float) -> float:
         raise DomainError("need B >= 0 and C(beta) > 0")
     comb = Fraction(n ** (n - 2), math.factorial(n))
     try:
-        bound = math.exp(2.0 * beta * B * (n - 2)) * float(comb) * cbeta ** (n - 1)
+        # at n = 2 the exponent is 0 even where 2 beta B overflows
+        exponent = 2.0 * beta * B * (n - 2) if n > 2 else 0.0
+        bound = math.exp(exponent) * float(comb) * cbeta ** (n - 1)
     except OverflowError:
         bound = math.inf
     if math.isinf(bound):

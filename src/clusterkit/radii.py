@@ -23,19 +23,16 @@ C(beta)).
 
 K* = 1/F(u) is also recomputed through its defining tree-function series
 S(x) = sum_{n>=1} n^(n-1)/n! x^(n-1) as an independent check, without ln c,
-the closed form or Lambert W.  ``tree_series_excess`` encloses S(x) - 1: a
-head summed from a log-coefficient table, plus a tail bounded above and
-below in closed form from Robbins' Stirling bounds and the integral test,
-about 1e-9 wide at x = 1/e.  Term n falls like e^(-lam n) with lam =
--1 - ln x, so the head's length is chosen per x: the shortest of a few
-lengths from 32 to 2047 terms past which every term is below e^-45 of
-those kept.  Near x = 1/e that is the full 2047 terms.  What it leaves out
-never reaches the bits of the sum, and the tail bound holds for any
-length.  The largest x whose upper bound is at most c - 1 is found by
-bracketed Newton steps to 1e-14 relative; the minimum over a is taken by
-a 64-point bracketing scan (with a unimodality guard), starting at
-a = min(1e-6, 1/u) so that the minimizer a* ~ (e - 1)/u stays inside it,
-then a golden-section search.
+the closed form or Lambert W.  K* is the minimum over a of e^a / x with
+S(x) = c = 1 + u(1 - e^-a); it is stationary where T'(x) = 1 + u for the
+tree function T = x S, and there K* = u / (x (1 + u - S(x))).
+``tree_series_excess`` encloses S(x) - 1 and T'(x) - 1: a 2047-term head
+summed from a log-coefficient table, plus tails bounded above and below in
+closed form from Robbins' Stirling bounds and the integral test (about
+1e-9 wide for S at x = 1/e, where T' diverges).  The root of the upper
+bound on T' - 1 is bracketed by regula falsi in s = sqrt(1 - e x), in a
+handful of steps, and the recomputed K* matches the closed form to about
+6e-12 relative for u from 1 to 1e300.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -56,74 +53,6 @@ REFERENCE_A_ZERO_COUPLING = 0.426
 
 #: denominator constant of the comparison bound on k * beta_k
 LP_BOUND_DENOMINATOR = 0.28952
-
-# ---------------------------------------------------------------------------
-# scan plus golden section: K*'s series minimization and the verify oracle
-# ---------------------------------------------------------------------------
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: below this the golden-section tolerance scales with the bracket's upper end
-_GOLDEN_RELATIVE_BELOW = 1e-6
-
-
-def _grid_max(f: Callable[[float], float], grid: Sequence[float]) -> Tuple[float, float]:
-    """Locate the bracketing interval of the single interior maximum on a grid.
-
-    Raises if the sampled values show more than one local maximum: the
-    optimizers here assume (and verify) unimodal objectives.
-    """
-    vals = [f(x) for x in grid]
-    peaks = [
-        i
-        for i in range(1, len(grid) - 1)
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
-    ]
-    if not peaks:
-        peaks = [0] if vals[0] >= vals[1] else [len(grid) - 1]
-    # adjacent indices are one flat peak; distinct clusters mean multimodal
-    clusters = 1 + sum(1 for a, b in zip(peaks, peaks[1:]) if b - a > 1)
-    if clusters != 1:
-        raise DomainError(
-            f"objective is not unimodal on the scan grid ({clusters} separated peaks)"
-        )
-    i_lo, i_hi = peaks[0], peaks[-1]
-    lo = grid[max(i_lo - 1, 0)]
-    hi = grid[min(i_hi + 1, len(grid) - 1)]
-    return lo, hi
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> Tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * min(1.0, b / _GOLDEN_RELATIVE_BELOW):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _maximize(f, grid) -> Tuple[float, float]:
-    lo, hi = _grid_max(f, list(grid))
-    return _golden_max(f, lo, hi)
-
-
-def _log_grid(lo: float, hi: float, count: int = 64):
-    step = (math.log(hi) - math.log(lo)) / (count - 1)
-    return [math.exp(math.log(lo) + step * i) for i in range(count)]
-
-
-def _a_grid(u: float):
-    """Scan grid for a; a* ~ (e - 1)/u must lie above its lower end."""
-    return _log_grid(min(1e-6, 1.0 / u), 20.0)
-
 
 # ---------------------------------------------------------------------------
 # the optimum in closed form
@@ -168,45 +97,26 @@ def F_of_u(u: float) -> Tuple[float, float]:
 _X_MAX = 1.0 / math.e
 #: 1/e - _X_MAX (40-digit arithmetic): with it x - 1/e is exact near 1/e
 _X_MAX_LO = -1.2428753672788363e-17
-#: the last term of the longest head; the terms past the head are bounded
-#: in closed form
+#: the last term of the head; the terms past it are bounded in closed form
 _HEAD_TERMS = 2048
 #: log s_n for n = 2 .. _HEAD_TERMS, s_n = n^(n-1) e^-(n-1) / n!, so that
 #: term n is s_n z^(n-1) with z = e x; the term n = 1 is the 1 that S - 1 drops
 _LOG_S = np.array([(n - 1) * (math.log(n) - 1.0) - math.lgamma(n + 1)
                    for n in range(2, _HEAD_TERMS + 1)])
 _N_MINUS_1 = np.arange(1, _HEAD_TERMS, dtype=float)
-#: head lengths in terms, the shortest first.  numpy sums an array pairwise,
-#: splitting it at half its length rounded down to a multiple of 8 and
-#: summing blocks of at most 128 in 8 interleaved partial sums, so the full
-#: 2047-term head splits at 1016, 504, 248 and 120 terms.  The sum of each
-#: shorter head here is a left part of that tree, so it keeps the full
-#: head's bits whenever the terms it leaves out are below half an ulp of
-#: what they are added to.  Below 120 the lengths are multiples of 32,
-#: which OpenBLAS's AVX dot kernels take in whole blocks, so that the slope
-#: keeps its bits there too.
-_HEAD_LENGTHS = (32, 64, 96, 248, 504, 1016, _HEAD_TERMS - 1)
-#: a head of m terms is used once lam m >= _HEAD_MARGIN.  Term n + d is
-#: below e^(-lam d) of term n, so every term left out is below e^-45 =
-#: 2.9e-20 of the one it meets in the sum, and all of them together are
-#: below 23 times that share of the first term (lam >= 45/1016 wherever a
-#: term is left out): far inside both half an ulp (5.5e-17 relative at
-#: least) and the 1e-11 rounding allowance.  The tail bound holds for any
-#: head length, but its integral-test overshoot grows like e^(lam/2)/lam:
-#: a one-term head at lam = 20.5 raises hi by 1.3e-6 relative, and hi
-#: would fall where a longer head takes over.  With this margin the tail
-#: stays out of the bits of lo and hi.
-_HEAD_MARGIN = 45.0
-#: (m, log s_n, n - 1) over the first m head terms, per head length
-_HEADS = tuple((m, _LOG_S[:m], _N_MINUS_1[:m]) for m in _HEAD_LENGTHS)
+_N = _N_MINUS_1 + 1.0
 #: the head is widened by this share of itself on both sides: a majorant for
 #: the rounding of _LOG_S (at most 3.4e-12 against 40-digit arithmetic), of
 #: the exponentials and of the sum
 _HEAD_ROUNDING = 1e-11
 #: Robbins: s_n = _STIRLING n^(-3/2) e^(-r_n) with 1/(12n+1) < r_n < 1/(12n)
 _STIRLING = math.e / math.sqrt(2.0 * math.pi)
-#: relative bracket width at which the root of the upper bound is accepted
-_ROOT_TOL = 1e-14
+#: relative width in s = sqrt(1 - e x) at which the root of the upper bound
+#: on T' - 1 is accepted; K* is stationary there, so it errs by about the
+#: square of this
+_ROOT_TOL = 1e-12
+#: step cap of the root search; it takes at most 10 steps for u = 1 ... 1e300
+_ROOT_STEPS = 100
 
 
 def _tail_integrals(lam: float, A: float) -> Tuple[float, float, float]:
@@ -223,50 +133,44 @@ def _tail_integrals(lam: float, A: float) -> Tuple[float, float, float]:
     return i3, i5, i1
 
 
-def tree_series_excess(x: float) -> Tuple[float, float, float]:
-    """Certified enclosure lo <= S(x) - 1 <= hi of the tree-function series.
+def tree_series_excess(x: float) -> Tuple[float, float, float, float]:
+    """Certified enclosures of S(x) - 1 and of T'(x) - 1 for the tree function.
 
-    S(x) = sum_{n>=1} n^(n-1)/n! x^(n-1) converges on 0 < x <= 1/e.  The
-    enclosure covers x from the smallest normal float (below it the rounding
-    allowance no longer holds) to 1/e; the float nearest 1/e, which lies just
-    above it, is taken as 1/e.  Leaving out the leading 1 keeps full relative
-    precision as x -> 0.
+    S(x) = sum_{n>=1} n^(n-1)/n! x^(n-1) converges on 0 < x <= 1/e; the tree
+    function T = x S has T'(x) = sum_{n>=1} n^n/n! x^(n-1), which diverges at
+    x = 1/e.  The enclosures cover x from the smallest normal float (below it
+    the rounding allowance no longer holds) to 1/e; the float nearest 1/e,
+    which lies just above it, is taken as 1/e.  Leaving out the leading 1s
+    keeps full relative precision as x -> 0.
 
-    With z = e x = e^-lam, term n is s_n z^(n-1).  Terms 2 .. m + 1 are
-    summed from a log-coefficient table, m being the shortest of
-    ``_HEAD_LENGTHS`` (32 ... 2047) with lam m >= 45, past which no term
-    reaches the bits of the full 2047-term head's sum; x near 1/e takes
-    all 2047.  Only then is the rest added: past a shorter head it is below
-    e^-44 of the head, inside the rounding allowance.  Robbins' bounds on
-    Stirling's remainder give
+    With z = e x = e^-lam, term n of S is s_n z^(n-1) and that of T' is
+    n s_n z^(n-1).  Terms 2 .. 2048 are summed from a log-coefficient table.
+    Robbins' bounds on Stirling's remainder give
     1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which reduce the
-    tail to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p.
-    Each such sum from N+1 on lies between int_{N+1}^inf phi_p + phi_p(N+1)/2
-    and int_{N+1/2}^inf phi_p, both in closed form through erfc.  No term is
-    dropped unreported: the enclosure is about 1.1e-9 wide at x = 1/e, and
-    2e-11 (S(x) - 1) wide (the rounding allowance) once the tail is negligible.
+    tails to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p, with
+    p = 3/2 for S and one power of n lower for T'.  Each such sum from N+1
+    on lies between int_{N+1}^inf phi_p + phi_p(N+1)/2 and
+    int_{N+1/2}^inf phi_p, both in closed form through erfc.  No term is
+    dropped unreported: the enclosure of S - 1 is about 1.1e-9 wide at
+    x = 1/e, and 2e-11 (S(x) - 1) wide (the rounding allowance) once the
+    tail is negligible; both bounds on T' - 1 are infinite at x = 1/e.
 
-    Returns (lo, hi, slope); slope approximates d hi / dx by the derivatives
-    of the head and of the leading tail integral, and only proposes steps.
+    Returns (lo, hi, lo', hi') with lo <= S(x) - 1 <= hi and
+    lo' <= T'(x) - 1 <= hi'.
     """
     if not sys.float_info.min <= x <= _X_MAX:
         raise DomainError(f"the tree series is enclosed for x from the smallest normal "
                           f"float to 1/e, not at x = {x!r}")
     lam = _lam(x)
-    m, log_s, n_minus_1 = _head(lam)
-    terms = np.exp(log_s - n_minus_1 * lam)
+    terms = np.exp(_LOG_S - _N_MINUS_1 * lam)
     head = float(terms.sum())
+    head_t = float(terms @ _N)
     lo = head * (1.0 - _HEAD_ROUNDING)
     hi = head * (1.0 + _HEAD_ROUNDING)
-    slope = float(terms @ n_minus_1) / x * (1.0 + _HEAD_ROUNDING)
-    # a shorter head has lam m >= 45, which puts the tail below e^-44 of the
-    # head: inside the rounding allowance, and below the bits of lo and hi
-    if m == _HEAD_TERMS - 1:
-        tail_lo, tail_hi, tail_slope = _tail_bounds(lam, m + 1, x)
-        lo += tail_lo
-        hi += tail_hi
-        slope += tail_slope
-    return lo, hi, slope
+    lo_t = head_t * (1.0 - _HEAD_ROUNDING)
+    hi_t = head_t * (1.0 + _HEAD_ROUNDING)
+    tail = _tail_bounds(lam)
+    return lo + tail[0], hi + tail[1], lo_t + tail[2], hi_t + tail[3]
 
 
 def _lam(x: float) -> float:
@@ -278,90 +182,94 @@ def _lam(x: float) -> float:
     return -1.0 - math.log(x)
 
 
-def _head(lam: float) -> Tuple[int, np.ndarray, np.ndarray]:
-    """The shortest head with lam m >= _HEAD_MARGIN, else the full head."""
-    for head in _HEADS:
-        if lam * head[0] >= _HEAD_MARGIN:
-            return head
-    return _HEADS[-1]
-
-
-def _tail_bounds(lam: float, N: int, x: float) -> Tuple[float, float, float]:
-    """What the terms past N add to lo, hi and the slope of the enclosure.
+def _tail_bounds(lam: float) -> Tuple[float, float, float, float]:
+    """What the terms past the head add to the bounds on S - 1 and on T' - 1.
 
     l*/u* bound the sums of phi_p from below/above.
     """
+    N = _HEAD_TERMS
     first, mid = N + 1.0, N + 0.5
     w = math.exp(-lam * N)
-    l3, l5, _ = _tail_integrals(lam, first)
+    l3, l5, l1 = _tail_integrals(lam, first)
     u3, u5, u1 = _tail_integrals(lam, mid)
+    l1 += 0.5 * w * first ** -0.5
     l3 += 0.5 * w * first ** -1.5
     l5 += 0.5 * w * first ** -2.5
     u7 = math.exp(-lam * (N - 0.5)) * 0.4 * mid ** -2.5
     return (_STIRLING * (l3 - u5 / 12.0), _STIRLING * (u3 - l5 / 12.0 + u7 / 96.0),
-            _STIRLING * (u1 - u3) / x)
+            _STIRLING * (l1 - u3 / 12.0), _STIRLING * (u1 - l3 / 12.0 + u5 / 96.0))
 
 
-def _largest_x(c1: float, top: float) -> float:
-    """Largest x in (0, 1/e] whose upper bound on S(x) - 1 is at most c1 > 0.
+def _largest_x(u: float) -> Tuple[float, float]:
+    """Largest x in (0, 1/e] whose upper bound on T'(x) - 1 is at most u >= 1.
 
-    top is that bound at x = 1/e.  Below it, Newton steps on the upper bound,
-    taken in s = sqrt(1 - e x), are clamped inside the bracket (else the
-    bracket is bisected) and aimed a quarter of the tolerance past their own
-    estimate, so that the bracket closes from both sides; the loop exits only
-    when the bracket is at most 1e-14 wide, relative, and returns its left end.
+    Returns x and the upper bound on S(x) - 1 there.  In s = sqrt(1 - e x),
+    1 / T' = (1 - T) e^-T rises smoothly from 0 at s = 0 (x = 1/e) to 1 at
+    s = 1 (x = 0), about like sqrt(2) s / e near s = 0, so the root of
+    1 / (1 + hi') = 1 / (1 + u) is bracketed in s by regula falsi with the
+    Illinois halving, starting from the asymptote s = e / (sqrt(2) (1 + u)).
+    Each step is taken on the float x it maps to; a step that maps onto an
+    end of the bracket moves to the float next to it.  The search stops
+    when the bracket is at most _ROOT_TOL wide in s, relative, and returns
+    its left end, or when no float lies inside; if the right end is then
+    1/e, where hi' is infinite, it snaps x to 1/e.
     """
-    if top <= c1:
-        return _X_MAX
-    lo, hi = 0.0, _X_MAX
-    # S(x) >= 1/(1 - x), and S >= e (1 - sqrt(2) s) in s = sqrt(1 - e x),
-    # where S is convex: both guesses lie at or right of the root.  For
-    # c >= e the root lies within the tolerance of 1/e.
-    s0 = (1.0 - (1.0 + c1) / math.e) / math.sqrt(2.0)
-    x = min(c1 / (1.0 + c1), (1.0 - s0 * s0) / math.e if s0 > 0.0
-            else _X_MAX * (1.0 - 0.5 * _ROOT_TOL))
-    for _ in range(200):
-        _, f, slope = tree_series_excess(x)
-        if f <= c1:
-            lo = x
+    target = 1.0 / (1.0 + u)
+    # the ends: left has hi' <= u (x = 0, s = 1, to start), right hi' > u
+    x_left, s_left, f_left, s1_left = 0.0, 1.0, 1.0 - target, 0.0
+    x_right, s_right, f_right = _X_MAX, 0.0, -target
+    s = math.e / (math.sqrt(2.0) * (1.0 + u))
+    side = 0
+    for _ in range(_ROOT_STEPS):
+        x = (1.0 - s) * (1.0 + s) / math.e
+        # a step onto or past an end moves to the float next to that end
+        if x >= x_right:
+            x = math.nextafter(x_right, 0.0)
+        elif x <= x_left:
+            x = math.nextafter(x_left, 1.0)
+        if not x_left < x < x_right:
+            if x_right == _X_MAX:
+                return _X_MAX, tree_series_excess(_X_MAX)[1]
+            return x_left, s1_left
+        _, s1, _, t1 = tree_series_excess(x)
+        f = 1.0 / (1.0 + t1) - target
+        if math.isnan(f):
+            raise DomainError(f"the bound on T' - 1 is not a number at x = {x!r}")
+        s = math.sqrt(-math.expm1(-_lam(x)))
+        if f >= 0.0:
+            x_left, s_left, f_left, s1_left = x, s, f, s1
+            if side == 1:
+                f_right *= 0.5
+            side = 1
         else:
-            hi = x
-        if hi - lo <= _ROOT_TOL * hi:
-            return lo
-        # the Newton step r in x, redone in s, where S stays smooth up to
-        # x = 1/e: s changes by q s, so x by -r (1 + q/2); q <= -1 would step
-        # past x = 1/e, and that or an out-of-bracket proposal bisects instead
-        r = (f - c1) / slope
-        s2 = 1.0 - math.e * x
-        q = math.e * r / (2.0 * s2) if s2 > 0.0 else -math.inf
-        x_new = (x - r * (1.0 + 0.5 * q) if q > -1.0 else hi) \
-            - math.copysign(0.25 * _ROOT_TOL * x, f - c1)
-        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
-    raise DomainError(f"tree-series root at c - 1 = {c1!r} not bracketed to 1e-14 in 200 steps")
+            x_right, s_right, f_right = x, s, f
+            if side == -1:
+                f_left *= 0.5
+            side = -1
+        if s_left - s_right <= _ROOT_TOL * s_left:
+            return x_left, s1_left
+        s = s_right + (s_left - s_right) * f_right / (f_right - f_left)
+    raise DomainError(f"the root of T'(x) = 1 + u at u = {u!r} is not bracketed "
+                      f"to {_ROOT_TOL:g} in {_ROOT_STEPS} steps")
 
 
 def K_star(u: float) -> Tuple[float, float]:
     """The explicit minimum e^a c / ln c over a, and its series recomputation.
 
     The closed form is the reciprocal of F(u).  The series check replays the
-    defining condition and never uses ln c: kappa(a) = e^a / x*(c) with
-    c = 1 + u(1 - e^-a) and x*(c) the largest x whose certified upper bound
-    on the tree series (``tree_series_excess``) is at most c, found by
-    bracketed Newton steps to 1e-14; kappa is minimized over a by a scan
-    plus golden-section search, which serves only this check (and the
-    oracle in ``verify``).  The upper bound errs towards a
-    larger kappa, by under 1e-11 relative over u = 1 ... 1e12 (mostly the
-    rounding allowance).  The two values must agree to 1e-8.
+    defining condition without ln c, the closed form or Lambert W: K* is the
+    minimum over a of kappa(a) = e^a / x*(c), with c = 1 + u(1 - e^-a) and
+    S(x*) = c.  d kappa / da = 0 gives S + x S' = 1 + u, that is
+    T'(x) = 1 + u for the tree function T = x S, whose root is unique since
+    T' - 1 has positive coefficients.  There K* = u / (x (1 + u - S(x))),
+    which is stationary in x.  The root is that of the certified upper bound
+    on T' - 1 (``tree_series_excess``), and S takes its upper bound, so the
+    value errs towards a larger K*, by under 1e-11 relative for u from 1 to
+    1e300 (mostly the rounding allowance).  The two values must agree to 1e-8.
     """
     val, _ = F_of_u(u)
-    closed = 1.0 / val
-    _, top, _ = tree_series_excess(_X_MAX)
-
-    def neg_kappa(a: float) -> float:
-        return -math.exp(a) / _largest_x(-u * math.expm1(-a), top)
-
-    _, neg_val = _maximize(neg_kappa, _a_grid(u))
-    return closed, -neg_val
+    x, s1 = _largest_x(u)
+    return 1.0 / val, u / (x * (u - s1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +277,14 @@ def K_star(u: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _exp_beta_B(x: float, beta: float, B: float) -> float:
-    """e^x for an exponent x built from beta*B; an overflow names beta*B."""
+    """e^x for an exponent x built from beta*B; a result that is not finite names beta*B."""
     try:
-        return math.exp(x)
+        value = math.exp(x)
     except OverflowError:
-        raise DomainError(f"beta*B = {beta * B:g} overflows e^(2 beta B)") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"beta*B = {beta * B:g} overflows e^(2 beta B)")
+    return value
 
 
 def rho_star(beta: float, B: float, cbeta: float) -> float:

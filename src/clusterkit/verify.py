@@ -23,7 +23,7 @@ import numpy as np
 from . import graphs, tonks
 from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
-from .errors import ClusterKitError
+from .errors import ClusterKitError, DomainError
 from .graphs import (
     LabeledGraph,
     _decode_tree_sequence,
@@ -44,7 +44,7 @@ from .graphs import (
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
 from .potentials import PairPotential, c_beta, f_bond_array
 from .quadrature import integrate_1d
-from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, _a_grid, _maximize, ck_bound, radius_report
+from .radii import F_of_u, K_star, LP_BOUND_DENOMINATOR, ck_bound, radius_report
 from .series import combi_identity_check, free_energy_series, invert_mayer_oracle, virial_from_mayer
 
 
@@ -147,7 +147,7 @@ _SPHERE = PairPotential("hard_sphere", 1.0, 3)
 _WELL = PairPotential("square_well", 1.0, 1, epsilon=1.0, lambda_w=1.5, B=1.0)
 
 #: u at which K*'s tree-series recomputation must match its closed form
-KSTAR_U = (1.0, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+KSTAR_U = (1.0, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e20)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +446,72 @@ def _check_tail_honesty(ctx: VerifyContext) -> Tuple[bool, str]:
     return True, "closed form stays inside a shrinking tail bound"
 
 
+# scan plus golden section over a: the oracle for the closed-form optimum
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: below this the golden-section tolerance scales with the bracket's upper end
+_GOLDEN_RELATIVE_BELOW = 1e-6
+
+
+def _grid_max(f: Callable[[float], float], grid: Sequence[float]) -> Tuple[float, float]:
+    """Locate the bracketing interval of the single interior maximum on a grid.
+
+    Raises if the sampled values show more than one local maximum: the
+    optimizers here assume (and verify) unimodal objectives.
+    """
+    vals = [f(x) for x in grid]
+    peaks = [
+        i
+        for i in range(1, len(grid) - 1)
+        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
+    ]
+    if not peaks:
+        peaks = [0] if vals[0] >= vals[1] else [len(grid) - 1]
+    # adjacent indices are one flat peak; distinct clusters mean multimodal
+    clusters = 1 + sum(1 for a, b in zip(peaks, peaks[1:]) if b - a > 1)
+    if clusters != 1:
+        raise DomainError(
+            f"objective is not unimodal on the scan grid ({clusters} separated peaks)"
+        )
+    i_lo, i_hi = peaks[0], peaks[-1]
+    lo = grid[max(i_lo - 1, 0)]
+    hi = grid[min(i_hi + 1, len(grid) - 1)]
+    return lo, hi
+
+
+def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> Tuple[float, float]:
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol * min(1.0, b / _GOLDEN_RELATIVE_BELOW):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def _F_by_optimizer(u: float) -> Tuple[float, float]:
-    """Max and argmax of ln(c)/(e^a c), c = 1 + u(1 - e^-a), by scan and golden section."""
+    """Max and argmax of ln(c)/(e^a c), c = 1 + u(1 - e^-a), by scan and golden section.
+
+    The scan is 64 log-spaced points from a = min(1e-6, 1/u), below the
+    maximizer a* ~ (e - 1)/u, to a = 20.
+    """
 
     def obj(a: float) -> float:
         c = 1.0 - u * math.expm1(-a)
         return math.log(c) / (math.exp(a) * c)
 
-    a_star, val = _maximize(obj, _a_grid(u))
+    log_lo = math.log(min(1e-6, 1.0 / u))
+    step = (math.log(20.0) - log_lo) / 63
+    lo, hi = _grid_max(obj, [math.exp(log_lo + step * i) for i in range(64)])
+    a_star, val = _golden_max(obj, lo, hi)
     return val, a_star
 
 

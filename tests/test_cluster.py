@@ -307,6 +307,13 @@ def test_penrose_bound_beta_dependence():
     assert b1 == pytest.approx(b0 * math.exp(2.0 * 1.0 * 0.5 * 2))
 
 
+def test_penrose_bound_overflowing_beta_B():
+    # 2 beta B = inf: n = 2 carries e^0, not inf * 0
+    assert penrose_bn_bound(2, 10.0, 1e308, 3.0) == 1.5
+    with pytest.raises(DomainError, match=r"beta\*B"):
+        penrose_bn_bound(3, 10.0, 1e308, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # the connected-sum evaluator
 # ---------------------------------------------------------------------------

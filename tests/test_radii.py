@@ -21,7 +21,7 @@ from clusterkit.radii import (
 )
 from clusterkit.verify import KSTAR_U
 
-#: beyond the K* gate's range: a* ~ (e - 1)/u lies below 1e-6 here
+#: large u outside verify's K* grid
 LARGE_U = (1e7, 1e8, 1e12)
 
 # frozen from a 40-digit Newton refinement of the two stationary points
@@ -122,26 +122,36 @@ def test_K_star(u):
         assert abs(closed - math.e) <= 10.0 / u
 
 
-# (closed, series): the series recorded before the tree-series head got its
-# per-x length, the closed element from the Lambert W form of F
+# (closed, series): the closed element from the Lambert W form of F, the
+# series from the root of T'(x) = 1 + u
 K_STAR_PINS = {
-    1.0: (6.9076516977744475, 6.907651697815062),
-    2.0: (4.86310374469909, 4.863103744719772),
-    10.0: (3.1704705176523715, 3.170470517656791),
-    1e2: (2.764795068692055, 2.7647950687000167),
-    1e3: (2.7229505931545432, 2.72295059315561),
-    1e4: (2.71874888572299, 2.7187488857231026),
-    1e5: (2.718328536000051, 2.7183285360000693),
-    1e6: (2.7182864992312985, 2.718286499231314),
-    1e7: (2.7182822955364516, 2.7182822955364596),
-    1e8: (2.718281875166788, 2.7182818751667917),
+    1.0: (6.9076516977744475, 6.907651697815044),
+    2.0: (4.86310374469909, 4.863103744719761),
+    10.0: (3.1704705176523715, 3.170470517656783),
+    1e2: (2.764795068692055, 2.7647950687000087),
+    1e3: (2.7229505931545432, 2.722950593155603),
+    1e4: (2.71874888572299, 2.718748885723096),
+    1e5: (2.718328536000051, 2.718328536000062),
+    1e6: (2.7182864992312985, 2.7182864992313),
+    1e7: (2.7182822955364516, 2.718282295536452),
+    1e8: (2.718281875166788, 2.718281875166788),
     1e12: (2.718281828463716, 2.7182818284637156),
+    1e20: (2.718281828459045, 2.718281828459045),
 }
 
 
 @pytest.mark.parametrize("u", KSTAR_U + LARGE_U)
 def test_k_star_pinned_bits(u):
     assert K_star(u) == K_STAR_PINS[u]
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e300))
+def test_k_star_series_matches_closed_form(u):
+    closed, series = K_star(u)
+    assert series == pytest.approx(1.0 / F_of_u(u)[0], rel=1e-10)
+    # the upper bounds on S and T' err towards a larger K*
+    assert series >= closed * (1.0 - 1e-15)
 
 
 def test_rho_star_examples():
@@ -157,6 +167,13 @@ def test_mayer_radius_examples():
     # beta B = 0.5 shrinks the radius by e
     assert mayer_radius(0.5, 1.0, 2.0) == pytest.approx(
         mayer_radius(1.0, 0.0, 2.0) / math.e, rel=1e-12)
+
+
+@pytest.mark.parametrize("fn", [mayer_radius, rho_star, radius_report])
+def test_overflowing_beta_B_raises(fn):
+    # 2 beta B = inf: e^inf does not raise OverflowError, it returns inf
+    with pytest.raises(DomainError, match=r"beta\*B"):
+        fn(1.0, 1e308, 1.0)
 
 
 def test_ck_bound_k1():
@@ -211,12 +228,15 @@ X_MAX = 1.0 / math.e
 xs = st.floats(min_value=sys.float_info.min, max_value=X_MAX)
 
 
-def _exact_partial_sum(x: float, terms: int) -> Fraction:
-    """sum_{n <= terms} n^(n-1)/n! x^(n-1) in exact rationals."""
+def _exact_partial_sum(x: float, terms: int, power: int = 0) -> Fraction:
+    """sum_{n <= terms} n^(n-1+power)/n! x^(n-1) in exact rationals.
+
+    power = 0 sums S, power = 1 sums T' = (x S)'.
+    """
     m, d = x.as_integer_ratio()
     f = math.factorial(terms)
-    num = sum(n ** (n - 1) * (f // math.factorial(n)) * m ** (n - 1) * d ** (terms - n)
-              for n in range(1, terms + 1))
+    num = sum(n ** (n - 1 + power) * (f // math.factorial(n)) * m ** (n - 1)
+              * d ** (terms - n) for n in range(1, terms + 1))
     return Fraction(num, f * d ** (terms - 1))
 
 
@@ -224,18 +244,22 @@ def _exact_partial_sum(x: float, terms: int) -> Fraction:
 @given(xs, xs)
 def test_tree_series_enclosure_ordered_and_increasing(x1, x2):
     x1, x2 = sorted((x1, x2))
-    lo1, hi1, _ = tree_series_excess(x1)
-    lo2, hi2, _ = tree_series_excess(x2)
+    lo1, hi1, tlo1, thi1 = tree_series_excess(x1)
+    lo2, hi2, tlo2, thi2 = tree_series_excess(x2)
     assert 0.0 < lo1 <= hi1 and lo2 <= hi2
+    assert 0.0 < tlo1 <= thi1 and tlo2 <= thi2
     # adjacent floats may differ by the tail formula's rounding alone
     assume(x2 >= x1 * (1.0 + 1e-12))
     assert lo1 <= lo2 and hi1 <= hi2
+    assert tlo1 <= tlo2 and thi1 <= thi2
 
 
 def test_tree_series_contains_e_at_one_over_e():
-    lo, hi, _ = tree_series_excess(X_MAX)
+    lo, hi, tlo, thi = tree_series_excess(X_MAX)
     assert lo <= math.e - 1.0 <= hi
     assert hi - lo < 2e-9
+    # T' = T / (x (1 - T)) diverges as T -> 1
+    assert tlo == thi == math.inf
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 40, 300, 10 ** 4, 10 ** 7, 10 ** 10])
@@ -249,8 +273,28 @@ def test_tree_series_near_one_over_e(steps):
         e = Decimal(1).exp()
         p = (2 * (1 - e * Decimal(x))).sqrt()
         want = e * (1 - p + p * p * 5 / 6 - p ** 3 * 47 / 72) - 1
-    lo, hi, _ = tree_series_excess(x)
+    lo, hi, _, _ = tree_series_excess(x)
     assert Decimal(lo) <= want <= Decimal(hi)
+
+
+@pytest.mark.parametrize("x", [0.2, 0.3, 0.35, 0.367,
+                               *(X_MAX - k * 2.0 ** -54 for k in (1, 40, 10 ** 4, 10 ** 10))])
+def test_tree_derivative_against_lambert_root(x):
+    # T e^-T = x by Newton from T = 1 - p + p^2/3 - 11 p^3/72, p = sqrt(2 (1 - e x)),
+    # then T' - 1 = T / (x (1 - T)) - 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        X = Decimal(x)
+        p = (2 * (1 - Decimal(1).exp() * X)).sqrt()
+        T = 1 - p + p * p / 3 - p ** 3 * 11 / 72
+        for _ in range(100):
+            T -= (T - X * T.exp()) / (1 - X * T.exp())
+        want = T / (X * (1 - T)) - 1
+    _, _, lo, hi = tree_series_excess(x)
+    assert Decimal(lo) <= want <= Decimal(hi)
+    # the p = 1/2 tail integrals are the loosest near lam * 2048 ~ 1 (x ~ 0.3677),
+    # where the enclosure is about 1e-8 wide, relative
+    assert hi - lo <= 2e-8 * hi
 
 
 def test_one_over_e_split():
@@ -260,13 +304,14 @@ def test_one_over_e_split():
     assert abs(Fraction(X_MAX) + Fraction(radii._X_MAX_LO) - inv_e) < Fraction(1, 10 ** 32)
 
 
-def _assert_contains_exact_sum(x: float):
+def _assert_contains_exact_sum(x: float, power: int):
     terms = 200
-    head = _exact_partial_sum(x, terms) - 1
-    # term ratios x (1 + 1/n)^(n-1) stay below e x < 2.72 x
-    t_next = Fraction((terms + 1) ** terms, math.factorial(terms + 1)) * Fraction(x) ** terms
+    head = _exact_partial_sum(x, terms, power) - 1
+    # term ratios x (1 + 1/n)^(n-1+power) stay below e x < 2.72 x
+    t_next = (Fraction((terms + 1) ** (terms + power), math.factorial(terms + 1))
+              * Fraction(x) ** terms)
     rest = t_next / (1 - Fraction(272, 100) * Fraction(x))
-    lo, hi, _ = tree_series_excess(x)
+    lo, hi = tree_series_excess(x)[2 * power:2 * power + 2]
     assert Fraction(lo) <= head + rest
     assert head <= Fraction(hi)
 
@@ -274,65 +319,13 @@ def _assert_contains_exact_sum(x: float):
 @settings(deadline=None, max_examples=40)
 @given(st.floats(min_value=sys.float_info.min, max_value=0.2))
 def test_tree_series_contains_exact_sum(x):
-    _assert_contains_exact_sum(x)
+    _assert_contains_exact_sum(x, 0)
 
 
-#: where the head grows from each length to the next: lam m = _HEAD_MARGIN
-HEAD_SWITCH_X = [math.exp(-1.0 - radii._HEAD_MARGIN / m) for m in radii._HEAD_LENGTHS[:-1]]
-
-
-def _full_head_enclosure(x: float):
-    """(lo, hi) with every x summing the full 2047-term head."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radii, "_HEADS", radii._HEADS[-1:])
-        return tree_series_excess(x)[:2]
-
-
-@pytest.mark.parametrize("m, x", zip(radii._HEAD_LENGTHS, HEAD_SWITCH_X))
-def test_tree_series_across_head_switch(m, x):
-    steps = [x * (1.0 + k * 1e-12) for k in range(-3, 4)]
-    # the head has m terms at the first step and more at the last
-    assert (-1.0 - math.log(steps[0])) * m >= radii._HEAD_MARGIN
-    assert (-1.0 - math.log(steps[-1])) * m < radii._HEAD_MARGIN
-    got = [tree_series_excess(s)[:2] for s in steps]
-    for (lo1, hi1), (lo2, hi2) in zip(got, got[1:]):
-        assert lo1 <= lo2 and hi1 <= hi2
-    assert got == [_full_head_enclosure(s) for s in steps]
-    if x <= 0.2:
-        for s in steps:
-            _assert_contains_exact_sum(s)
-
-
-@settings(deadline=None)
-@given(xs)
-def test_tree_series_head_keeps_full_head_bits(x):
-    # what the shorter heads leave out is below half an ulp of the sum
-    assert tree_series_excess(x)[:2] == _full_head_enclosure(x)
-
-
-def _tail_below_bits(x: float) -> bool:
-    """Checks a short head's x; False where x takes the full head."""
-    lam = radii._lam(x)
-    m = radii._head(lam)[0]
-    if m == radii._HEAD_TERMS - 1:
-        return False
-    got = tree_series_excess(x)
-    tail = radii._tail_bounds(lam, m + 1, x)
-    assert tuple(v + t for v, t in zip(got, tail)) == got
-    return True
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.floats(min_value=sys.float_info.min, max_value=HEAD_SWITCH_X[-1]))
-def test_tree_series_short_heads_need_no_tail(x):
-    # a shorter head skips the tail bound: adding it back keeps every bit
-    assume(_tail_below_bits(x))
-
-
-@pytest.mark.parametrize("x", HEAD_SWITCH_X)
-def test_tree_series_short_heads_need_no_tail_at_switch(x):
-    checked = [_tail_below_bits(x * (1.0 + k * 1e-12)) for k in range(-3, 4)]
-    assert checked[0] and (checked[-1] or x == HEAD_SWITCH_X[-1])
+@settings(deadline=None, max_examples=40)
+@given(st.floats(min_value=sys.float_info.min, max_value=0.2))
+def test_tree_derivative_contains_exact_sum(x):
+    _assert_contains_exact_sum(x, 1)
 
 
 @pytest.mark.parametrize("x", [0.0, 5e-324, -0.1, 0.4, math.nan])
