@@ -8,7 +8,9 @@ generating sequence.
 
 The module provides:
   * enumeration of all / connected / two-connected labeled graphs,
-  * rooted labeled trees with generation (depth) numbers,
+  * rooted labeled trees held as edge masks (``RootedTree``, keyed by
+    (n, root, mask)), whose parent and generation (depth) maps are derived
+    on first use by one breadth-first sweep over the mask,
   * the alternating connected-subgraph sum (Ursell value) of a graph,
   * the deterministic rooted-tree image of a connected spanning subgraph
     (generations from the root, parent = smallest-index neighbor one
@@ -27,9 +29,11 @@ The module provides:
     of a host graph, behind ``penrose_trees``, ``polymer.p_exact`` and the
     random identity check.  Up to 6 vertices it looks the submasks up in
     ``mask_tree_table``; above, it runs the kernel a block of submasks at a
-    time.  Hosts of more than MAX_HOST_EDGES edges are refused.  The
-    slack-edge ``penrose_trees_fast`` and the scalar ``ursell_value`` stay
-    as its independent oracles.
+    time.  Hosts of more than MAX_HOST_EDGES edges are refused.  Its
+    Penrose trees come out as masks and stay masks.  Its independent
+    oracles are the scalar ``ursell_value`` and ``penrose_trees_fast``,
+    which grows the trees with no slack edge in the host one generation at
+    a time and never looks at a non-tree subgraph.
 """
 
 from __future__ import annotations
@@ -206,22 +210,60 @@ def count_graphs(n: int, klass: str = "connected") -> int:
     return sum(1 for _ in enum_graphs(n, klass))
 
 
+def _check_root(n: int, root: int) -> None:
+    if not (1 <= root <= n):
+        raise ValueError(f"root {root} outside [1..{n}]")
+
+
+def _mask_tree_maps(n: int, mask: int, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Parent and generation of each vertex reached from ``root`` over a tree mask.
+
+    One breadth-first sweep over neighbor bitsets: each vertex of a layer
+    adopts its neighbors not yet reached.
+    """
+    adj = _mask_adjacency(n, mask)
+    parent: Dict[int, int] = {}
+    gen = {root: 0}
+    seen = layer = 1 << (root - 1)
+    depth = 0
+    while layer:
+        depth += 1
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            v = low.bit_length()
+            kids = adj[v] & ~seen
+            nxt |= kids
+            while kids:
+                k = kids & -kids
+                kids ^= k
+                w = k.bit_length()
+                parent[w] = v
+                gen[w] = depth
+        seen |= nxt
+        layer = nxt
+    return parent, gen
+
+
 class RootedTree:
-    """A labeled tree on [n] rooted at ``root`` with generation numbers.
+    """A labeled spanning tree on [n], held as its edge mask, rooted at ``root``.
 
     ``parent`` maps every non-root vertex to its parent; ``gen`` maps every
-    vertex to its depth (tree distance from the root; gen(root) = 0).
-    Equality and hashing use (n, root, parent), so trees behave as set
-    elements.
+    vertex to its depth (tree distance from the root; gen(root) = 0).  For a
+    given root the mask and the parent map determine each other, so equality
+    and hashing use (n, root, mask) and trees behave as set elements.
     """
 
-    __slots__ = ("n", "root", "parent", "gen", "_key")
+    __slots__ = ("n", "root", "mask", "_parent", "_gen")
 
     def __init__(self, n: int, parent: Mapping[int, int], root: int = 1):
-        if not (1 <= root <= n):
-            raise ValueError(f"root {root} outside [1..{n}]")
+        _check_root(n, root)
         if set(parent) != {v for v in range(1, n + 1) if v != root}:
             raise ValueError("parent map must cover exactly the non-root vertices")
+        for v, p in parent.items():
+            if not (1 <= p <= n):
+                raise ValueError(f"parent {p} of vertex {v} outside [1..{n}]")
         gen = {root: 0}
         for v in parent:
             chain = []
@@ -234,21 +276,18 @@ class RootedTree:
             base = gen[u]
             for off, w in enumerate(reversed(chain), start=1):
                 gen[w] = base + off
-        self._set(n, root, dict(parent), gen)
-
-    def _set(self, n: int, root: int, parent: Dict[int, int], gen: Dict[int, int]) -> None:
-        self.n = n
-        self.root = root
-        self.parent = parent
-        self.gen = gen
-        self._key = (n, root, tuple(sorted(parent.items())))
+        self.n, self.root, self.mask = n, root, edge_mask(n, parent.items())
+        self._parent, self._gen = dict(parent), gen
 
     @classmethod
-    def _unchecked(cls, n: int, root: int, parent: Dict[int, int],
-                   gen: Dict[int, int]) -> "RootedTree":
-        """A tree from maps already known to be consistent, taken as they are."""
+    def from_mask(cls, n: int, mask: int, root: int = 1) -> "RootedTree":
+        """The tree with edge mask ``mask``, taken as a spanning tree of [n] unchecked.
+
+        ``parent`` and ``gen`` are derived on first access.
+        """
         tree = cls.__new__(cls)
-        tree._set(n, root, parent, gen)
+        tree.n, tree.root, tree.mask = n, root, mask
+        tree._parent = tree._gen = None
         return tree
 
     @classmethod
@@ -258,11 +297,26 @@ class RootedTree:
             raise ValueError(f"a tree on [{n}] needs {n - 1} edges, got {len(g.edges)}")
         if not g.is_connected():
             raise ValueError("edge set is not a connected tree")
-        return penrose_map(g, root)  # on a tree the image is the tree itself
+        _check_root(n, root)
+        return cls.from_mask(n, g.mask, root)
+
+    def _maps(self) -> None:
+        if self._parent is None:
+            self._parent, self._gen = _mask_tree_maps(self.n, self.mask, self.root)
+
+    @property
+    def parent(self) -> Dict[int, int]:
+        self._maps()
+        return self._parent
+
+    @property
+    def gen(self) -> Dict[int, int]:
+        self._maps()
+        return self._gen
 
     @property
     def edges(self) -> FrozenSet[Edge]:
-        return frozenset((min(v, p), max(v, p)) for v, p in self.parent.items())
+        return frozenset(mask_edges(self.n, self.mask))
 
     def to_graph(self) -> LabeledGraph:
         return LabeledGraph(self.n, self.edges)
@@ -274,10 +328,11 @@ class RootedTree:
         return d
 
     def __eq__(self, other):
-        return isinstance(other, RootedTree) and self._key == other._key
+        return (isinstance(other, RootedTree) and self.mask == other.mask
+                and self.root == other.root and self.n == other.n)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.n, self.root, self.mask))
 
     def __repr__(self):
         return f"RootedTree(n={self.n}, root={self.root}, parent={self.parent})"
@@ -315,12 +370,8 @@ def enum_trees(n: int) -> Iterator[RootedTree]:
     if n == 1:
         yield RootedTree(1, {}, root=1)
         return
-    if n == 2:
-        yield RootedTree(2, {2: 1}, root=1)
-        return
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        edges = _decode_tree_sequence(n, seq)
-        yield _tree_from_edge_list(n, edges, 1)
+        yield RootedTree.from_mask(n, edge_mask(n, _decode_tree_sequence(n, seq)))
 
 
 def prufer_tree_masks(n: int) -> np.ndarray:
@@ -353,34 +404,6 @@ def prufer_tree_masks(n: int) -> np.ndarray:
         degree[rows, v] -= 1
     ones = degree == 1
     return masks | bit[np.argmax(ones, axis=1), n - np.argmax(ones[:, ::-1], axis=1)]
-
-
-def _search_tree(n: int, edges, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Parent and generation of each vertex reached from ``root`` over ``edges``."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = {}
-    gen = {root: 0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in gen:
-                gen[w] = gen[v] + 1
-                parent[w] = v
-                stack.append(w)
-    return parent, gen
-
-
-def _tree_from_edge_list(n: int, edges, root: int) -> RootedTree:
-    if not (1 <= root <= n):
-        raise ValueError(f"root {root} outside [1..{n}]")
-    parent, gen = _search_tree(n, edges, root)
-    if len(gen) < n:
-        raise ValueError("parent map must cover exactly the non-root vertices")
-    return RootedTree._unchecked(n, root, parent, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +588,7 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     """
     if n > 11:
         raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
-    if not (1 <= root <= n):
-        raise ValueError(f"root {root} outside [1..{n}]")
+    _check_root(n, root)
     masks = np.asarray(masks, dtype=np.int64)
     tables = _kernel_tables(n)
     connected = np.empty(masks.shape, dtype=bool)
@@ -612,8 +634,9 @@ def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.nda
     flags and images are read from ``mask_tree_table``, and the sum is the
     host's entry of ``ursell_table``; larger n takes the blocked path.  A
     disconnected host has no connected spanning submask.  Hosts of more than
-    MAX_HOST_EDGES edges are refused.
+    MAX_HOST_EDGES edges are refused, and so is a root outside [1..n].
     """
+    _check_root(n, root)
     edges = bin(gmask).count("1")
     if edges > MAX_HOST_EDGES:
         raise CapacityError(f"the submask brute force is capped at {MAX_HOST_EDGES} host "
@@ -670,10 +693,10 @@ def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
     in the previous generation (graph distance from ``root``).  Applied to a
     tree it returns the tree itself.
     """
+    _check_root(g.n, root)
     if not g.is_connected():
         raise DomainError("tree image is defined for connected graphs only")
-    tmask = _mask_tree_image(g.n, g.mask, root)
-    return _tree_from_edge_list(g.n, mask_edges(g.n, tmask), root)
+    return RootedTree.from_mask(g.n, _mask_tree_image(g.n, g.mask, root), root)
 
 
 def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
@@ -687,9 +710,7 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
         raise DomainError("Penrose trees are defined for connected graphs only")
     n = g.n
     _, trees, preimages = submask_tree_classes(n, g.mask, root)
-    return frozenset(
-        _tree_from_edge_list(n, mask_edges(n, t), root) for t in trees[preimages == 1].tolist()
-    )
+    return frozenset(RootedTree.from_mask(n, t, root) for t in trees[preimages == 1].tolist())
 
 
 def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> int:
@@ -716,24 +737,50 @@ def penrose_slack_edges(tree: RootedTree) -> FrozenSet[Edge]:
 
 
 def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
-    """Same set as penrose_trees via the local slack-edge characterization.
+    """Same set as penrose_trees, grown one generation at a time by the slack rule.
 
-    Iterates spanning trees of ``g`` and keeps those with no slack edge inside
-    ``g``.  Must agree with the brute force; the equivalence is property-tested
-    exhaustively for small n.
+    A spanning tree T of ``g`` has no slack edge (``penrose_slack_edges``)
+    in ``g`` exactly when each generation of T is an independent set of
+    ``g`` and each vertex's parent is its largest-index neighbor in ``g``
+    one generation up: a same-generation edge is slack, and so is an edge
+    to an upper neighbor of larger index than the parent.  So the trees are
+    grown from the root: the next generation is any nonempty independent
+    subset of the unused neighbors of the current one, each member takes
+    its forced parent, and a tree is complete when every vertex is used.
+    Only those trees and their prefixes are visited.  Must agree with the
+    brute force; the equivalence is property-tested exhaustively for small n.
     """
     n = g.n
     if not g.is_connected():
         raise DomainError("Penrose trees are defined for connected graphs only")
-    if not (1 <= root <= n):
-        raise ValueError(f"root {root} outside [1..{n}]")
-    if n == 1:
-        return frozenset([RootedTree(1, {}, root=1)])
-    gmask = g.mask
+    _check_root(n, root)
+    adj = _mask_adjacency(n, g.mask)
+    idx = _pair_index(n)
+    full = (1 << n) - 1
     out = []
-    for combo in itertools.combinations(sorted(g.edges), n - 1):
-        parent, gen = _search_tree(n, combo, root)
-        # n - 1 edges that reach every vertex form a spanning tree
-        if len(gen) == n and _slack_mask(n, parent, gen) & gmask == 0:
-            out.append(RootedTree._unchecked(n, root, parent, gen))
+
+    def grow(layer: int, used: int, tree: int, free: int, new: int) -> None:
+        # each independent subset of ``free`` joins the generation ``new``
+        # under ``layer``; then the generation after it is grown
+        if free:
+            low = free & -free
+            v = low.bit_length()
+            p = (adj[v] & layer).bit_length()
+            grow(layer, used, tree | 1 << idx[(p, v) if p < v else (v, p)],
+                 free & ~low & ~adj[v], new | low)
+            grow(layer, used, tree, free ^ low, new)
+            return
+        used |= new
+        if used == full:
+            out.append(RootedTree.from_mask(n, tree, root))
+        elif new:
+            reach = 0
+            f = new
+            while f:
+                low = f & -f
+                reach |= adj[low.bit_length()]
+                f ^= low
+            grow(new, used, tree, reach & ~used, 0)
+
+    grow(0, 0, 0, 0, 1 << (root - 1))
     return frozenset(out)

@@ -6,8 +6,9 @@ executes a suite and reports one PASS/FAIL line per check, and
 ``VerifyContext``.  The exhaustive tree-identity scan checks the premise
 of Penrose's proof: grouped by tree image, the connected spanning masks of
 the complete graph form the boolean intervals [tree, tree | slack(tree)]
-of ``penrose_trees_fast``'s slack rule.  The identity on every host follows
-by summing over the intervals, so per host only the sign is checked.
+of the slack rule that ``penrose_trees_fast`` searches by.  The identity
+on every host follows by summing over the intervals, so per host only the
+sign is checked.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError, DomainError
 from .graphs import (
     LabeledGraph,
+    RootedTree,
     _decode_tree_sequence,
     _mask_connected,
-    _tree_from_edge_list,
     connected_mask_flags,
+    edge_mask,
     enum_graphs,
     mask_tree_images,
     mask_tree_table,
@@ -72,18 +74,16 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     """Check the premise of Penrose's proof on every connected graph on [n].
 
     The connected masks with tree image t must be the interval [t, t | slack]
-    for the slack rule of ``penrose_trees_fast``, or ClusterKitError names t.
+    for the slack rule ``graphs._slack_mask``, or ClusterKitError names t.
     Inside a host G such a class sums (-1)^|A| to (-1)^(n-1) if G holds t and
     misses slack, else to 0; so the identity holds on every host, and a
     mismatch is a connected graph whose ursell value has the wrong sign.
     Returns (graphs checked, mismatches).  Exhaustive up to n = 6.
     """
-    if n == 1:
-        return 1, 0
     flags, images = mask_tree_table(n, root)
     conn = np.flatnonzero(flags)
     trees, cls, sizes = np.unique(images[conn], return_inverse=True, return_counts=True)
-    slack = np.array([graphs._slack_mask(n, *graphs._search_tree(n, graphs.mask_edges(n, t), root))
+    slack = np.array([graphs._slack_mask(n, *graphs._mask_tree_maps(n, t, root))
                       for t in trees.tolist()], dtype=np.int64)
     # a class is as large as its interval, and each member holds its tree
     # and no edge outside tree | slack
@@ -235,8 +235,7 @@ def _check_map_idempotent(ctx: VerifyContext) -> Tuple[bool, str]:
     for n in range(2, 9):
         for _ in range(30):
             seq = tuple(rng.randrange(1, n + 1) for _ in range(max(0, n - 2)))
-            edges = _decode_tree_sequence(n, seq) if n > 2 else [(1, 2)]
-            tree = _tree_from_edge_list(n, edges, 1)
+            tree = RootedTree.from_mask(n, edge_mask(n, _decode_tree_sequence(n, seq)))
             if penrose_map(tree.to_graph()) != tree:
                 return False, f"map not identity on a tree with n={n}"
             checked += 1

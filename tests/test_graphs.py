@@ -113,9 +113,33 @@ def test_rooted_tree_validation():
         RootedTree(3, {2: 3, 3: 2})  # cycle, misses the root
     with pytest.raises(ValueError):
         RootedTree(3, {2: 1})  # vertex 3 missing
+    with pytest.raises(ValueError, match="parent 7 "):
+        RootedTree(3, {2: 7, 3: 1})
+    with pytest.raises(ValueError, match="root 0 "):
+        RootedTree(3, {2: 1, 3: 1}, root=0)
     t = RootedTree(4, {2: 1, 3: 2, 4: 2})
     assert t.gen == {1: 0, 2: 1, 3: 2, 4: 2}
     assert t.degree(2) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rooted_tree_from_maps_equals_from_mask(n):
+    for t in enum_trees(n):
+        for root in range(1, n + 1):
+            lazy = RootedTree.from_mask(n, t.mask, root)
+            built = RootedTree(n, lazy.parent, root)
+            assert built == lazy and hash(built) == hash(lazy) and built.mask == t.mask
+            # the derived generations against the ones the constructor walks
+            assert lazy.gen == built.gen
+
+
+def test_rooted_tree_key_is_root_and_mask():
+    path = edge_mask(3, [(1, 2), (2, 3)])
+    assert RootedTree.from_mask(3, path, 1) != RootedTree.from_mask(3, path, 3)
+    assert RootedTree.from_mask(3, path, 2) != RootedTree.from_mask(3, edge_mask(3, [(1, 2), (1, 3)]), 2)
+    assert RootedTree.from_edges(3, [(3, 2), (2, 1)], root=2) == RootedTree(3, {1: 2, 3: 2}, root=2)
+    with pytest.raises(ValueError, match="root 4 "):
+        RootedTree.from_edges(3, [(1, 2), (2, 3)], root=4)
 
 
 def test_graph_validation():
@@ -176,6 +200,12 @@ def random_tree(rng, n):
     for v in range(2, n + 1):
         parent[v] = rng.randrange(1, v)
     return RootedTree(n, parent)
+
+
+@pytest.mark.parametrize("root", (0, 5))
+def test_penrose_map_names_a_bad_root(root):
+    with pytest.raises(ValueError, match=f"root {root} outside"):
+        penrose_map(complete_graph(4), root=root)
 
 
 def test_penrose_map_disconnected():
@@ -349,7 +379,23 @@ def test_blocked_path_on_seven_vertices(edges, root):
     assert total == ursell_value(g)
     if g.is_connected():
         singles = {t for t, c in zip(trees.tolist(), preimages.tolist()) if c == 1}
-        assert singles == {t.to_graph().mask for t in penrose_trees_fast(g, root)}
+        assert singles == {t.mask for t in penrose_trees_fast(g, root)}
+
+
+def test_engine_refuses_a_root_outside_the_vertices():
+    path = edge_mask(7, [(v, v + 1) for v in range(1, 7)])
+    assert submask_tree_classes(7, path, 7)[0] == 1
+    # the table path (n <= 6) and the blocked path (n = 7)
+    for n, host in ((5, edge_mask(5, [(v, v + 1) for v in range(1, 5)])), (7, path)):
+        for root in (0, n + 1):
+            with pytest.raises(ValueError, match=rf"root {root} outside \[1\.\.{n}\]"):
+                submask_tree_classes(n, host, root)
+    with pytest.raises(ValueError, match="root 8 outside"):
+        penrose_trees(LabeledGraph.from_mask(7, path), 8)
+    with pytest.raises(ValueError, match="root 8 outside"):
+        penrose_trees_fast(LabeledGraph.from_mask(7, path), 8)
+    with pytest.raises(ValueError, match="root 8 outside"):
+        verify.penrose_identity_random(7, 5, root=8)
 
 
 def test_submask_engine_host_edge_cap():
@@ -358,6 +404,93 @@ def test_submask_engine_host_edge_cap():
         penrose_trees(complete_graph(9))
     with pytest.raises(CapacityError, match=f"has {MAX_HOST_EDGES + 1}"):
         submask_tree_classes(8, (1 << (MAX_HOST_EDGES + 1)) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the generation search against the slack rule
+# ---------------------------------------------------------------------------
+
+def _search_tree(n, edges, root):
+    """Parent and generation of each vertex reached from ``root`` over ``edges``."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = {}
+    gen = {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in gen:
+                gen[w] = gen[v] + 1
+                parent[w] = v
+                stack.append(w)
+    return parent, gen
+
+
+def _slack_rule_tree_masks(g, root):
+    """Masks of the (n - 1)-edge subsets of g that span [n] and have no slack edge in g."""
+    n = g.n
+    out = set()
+    for combo in itertools.combinations(sorted(g.edges), n - 1):
+        parent, gen = _search_tree(n, combo, root)
+        # n - 1 edges that reach every vertex form a spanning tree
+        if len(gen) == n and graphs._slack_mask(n, parent, gen) & g.mask == 0:
+            out.add(edge_mask(n, combo))
+    return out
+
+
+def _fast_tree_masks(g, root):
+    trees = penrose_trees_fast(g, root)
+    assert all(t.root == root for t in trees)
+    return {t.mask for t in trees}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_penrose_trees_fast_matches_slack_rule(n):
+    for g in enum_graphs(n, "connected"):
+        for root in range(1, n + 1):
+            assert _fast_tree_masks(g, root) == _slack_rule_tree_masks(g, root)
+
+
+def test_penrose_trees_fast_matches_slack_rule_on_six_vertices():
+    K6 = complete_graph(6)
+    for root in range(1, 7):
+        assert _fast_tree_masks(K6, root) == _slack_rule_tree_masks(K6, root)
+    rng = random.Random(6)
+    masks = np.flatnonzero(connected_mask_flags(6))
+    for _ in range(40):
+        g = LabeledGraph.from_mask(6, int(masks[rng.randrange(masks.size)]))
+        root = rng.randint(1, 6)
+        assert _fast_tree_masks(g, root) == _slack_rule_tree_masks(g, root)
+
+
+def test_penrose_trees_fast_complete_graph_on_seven_vertices():
+    assert len(penrose_trees_fast(complete_graph(7))) == 720  # = 6!
+
+
+@st.composite
+def connected_hosts(draw):
+    # a random recursive tree on [n] plus up to 10 more edges
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    if n > 1:
+        edges += draw(st.lists(st.sampled_from(vertex_pairs(n)), max_size=10))
+    return LabeledGraph.from_edges(n, edges), draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_hosts())
+def test_penrose_trees_fast_equals_engine(case):
+    g, root = case
+    n = g.n
+    fast = penrose_trees_fast(g, root)
+    assert fast == penrose_trees(g, root)
+    for t in fast:
+        assert t.root == root and len(t.gen) == n and bin(t.mask).count("1") == n - 1
+        assert t.mask & ~g.mask == 0
+        assert graphs._slack_mask(n, t.parent, t.gen) & g.mask == 0
 
 
 def _cache_sizes():
@@ -428,6 +561,12 @@ def test_ursell_table_counts_penrose_trees(n):
 def test_identity_scan_at_every_root(n):
     for root in range(1, n + 1):
         assert verify.penrose_identity_scan(n, root) == (CONNECTED_COUNTS[n], 0)
+
+
+@pytest.mark.parametrize("n", (1, 6))
+def test_identity_scan_names_a_bad_root(n):
+    with pytest.raises(ValueError, match=f"root {n + 1} outside"):
+        verify.penrose_identity_scan(n, n + 1)
 
 
 @pytest.mark.parametrize("rule", ("flip", "tree_edge"))
