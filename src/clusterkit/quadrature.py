@@ -21,7 +21,10 @@ Two engines live here:
   last gap, so it runs once per distinct row of levels among those panels
   and gives the bits of the node-by-node sum.  (A panel with a level
   crossing inside it, closer to an edge than the merge tolerance, is taken
-  node by node.)
+  node by node.)  The level steps run on flat arrays: each step's
+  breakpoint candidates form one contiguous row per candidate, and the
+  distinct level rows of a block of the last level are ranked in a table
+  over their ids, no larger than the id array, rather than sorted.
 """
 
 from __future__ import annotations
@@ -286,8 +289,10 @@ def _expand_row(ts, wgt, xq, wq, radii, box_cuts, support, box_length):
     return out
 
 
-#: rows handled per step of ``_panels``, scaled down by the number of
-#: breakpoint candidates per row; bounds its scratch memory
+#: breakpoint candidates per step of ``_panels``: a step takes
+#: _CANDIDATE_BLOCK // ncand rows, so each of its scratch arrays (the edge
+#: array, the widths, the kept-panel indices and gathers) holds at most about
+#: 8 MB, and each boolean mask 1 MB
 _CANDIDATE_BLOCK = 1 << 20
 
 
@@ -298,7 +303,9 @@ def _panels(ts, radii, box_cuts, support, box_length):
     then panel order.  The array form of the panel rule of ``_expand_row``:
     forward sums give the box-limited upper end, reversed suffix sums the
     breakpoint candidates r - s and c - (reversed total), which are filtered
-    to (tol, upper - tol), sorted and merged by one sweep over the columns.
+    to (tol, upper - tol), sorted and merged by one sweep.  ``_panel_block``
+    holds the candidates column-major, one contiguous row of the edge array
+    per candidate, so the sweep and the widths run over whole rows.
     """
     ncand = len(radii) * (ts.shape[1] + 1) + len(box_cuts)
     step = max(1, _CANDIDATE_BLOCK // max(1, ncand))
@@ -312,6 +319,14 @@ def _panels(ts, radii, box_cuts, support, box_length):
 
 
 def _panel_block(ts, radii, box_cuts, support, box_length):
+    """``_panels`` on one step of rows.
+
+    The edge array is (ncand + 2, P), one contiguous row per candidate, so
+    the candidates are written, filtered, sorted along axis 0 and merged by
+    whole rows.  The kept panels are the flat positions of the row-major
+    (P, ncand + 1) width mask, and their edges and widths are gathered from
+    the flat arrays by index.
+    """
     P, k = ts.shape
     upper = np.full(P, support if support is not None else box_length, dtype=float)
     if box_length is not None:
@@ -325,38 +340,40 @@ def _panel_block(ts, radii, box_cuts, support, box_length):
         rows = np.flatnonzero(live)
         ts, upper = ts[rows], upper[rows]
         P = ts.shape[0]
-    # candidates r - s over suffix sums s, then c - total
-    suffix = [np.zeros(P)]
+    # edges: 0, the candidates r - s over suffix sums s and c - total, upper
+    width = len(radii) * (k + 1) + len(box_cuts) + 1
+    edges = np.empty((width + 1, P))
+    edges[0] = 0.0
+    edges[-1] = upper
+    cand = edges[1:-1]
+    suffix = [edges[0]]
     for j in reversed(range(k)):
         suffix.append(suffix[-1] + ts[:, j])
-    cand = np.empty((P, len(radii) * (k + 1) + len(box_cuts)))
     col = 0
     for r in radii:
         for s in suffix:
-            cand[:, col] = r - s
+            np.subtract(r, s, out=cand[col])
             col += 1
     for c in box_cuts:
-        cand[:, col] = c - suffix[-1]
+        np.subtract(c, suffix[-1], out=cand[col])
         col += 1
     # invalid candidates become 0, which sorts them first and merges them away
-    cand[(cand <= _MERGE_TOL) | (cand >= (upper - _MERGE_TOL)[:, None])] = 0.0
-    cand.sort(axis=1)
+    cand[(cand <= _MERGE_TOL) | (cand >= upper - _MERGE_TOL)] = 0.0
+    cand.sort(axis=0)
     # merge: keep a value when it exceeds the last kept one (or 0) by more
     # than tol; a dropped value repeats the last kept one, an empty panel
-    last = np.zeros(P)
-    for j in range(cand.shape[1]):
-        v = cand[:, j]
+    last = edges[0]
+    for v in cand:
         np.copyto(v, last, where=v - last <= _MERGE_TOL)
         last = v
-    edges = np.empty((P, cand.shape[1] + 2))
-    edges[:, 0] = 0.0
-    edges[:, 1:-1] = cand
-    edges[:, -1] = upper
-    a = edges[:, :-1]
-    h = edges[:, 1:] - a
-    row, panel = np.nonzero(h > _MERGE_TOL)
-    a = a[row, panel]
-    h = h[row, panel]
+    # the kept panels in row then panel order: flat positions in the
+    # row-major (P, width) mask, read back from the column-major widths
+    h = edges[1:] - edges[:-1]
+    flat = np.flatnonzero((h > _MERGE_TOL).T)
+    row = flat // width
+    at = (flat - row * width) * P + row
+    a = edges.ravel()[at]
+    h = h.ravel()[at]
     if rows is not None:
         row = rows[row]
     return row, a, h
@@ -400,14 +417,18 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
     """weight_fn at the Gauss nodes of the panels (row, a, h), in panel then
     node order, called once per distinct row of bond levels.
 
-    The levels of the prefix pairs are taken once per prefix row; each node
-    adds the windows that end at its last vertex.  All are differences of
-    the running sums ``pair_window_matrix`` takes, so a node's levels are
-    the ones weight_fn sees for it.  A window grows with the last gap, so a
-    panel whose first and last node share their levels has them at every
-    node and is evaluated at its first node.  A panel with a level crossing
-    inside it, closer to an edge than the merge tolerance, is evaluated node
-    by node.
+    The levels of the prefix pairs are taken once per prefix row and their
+    ids renumbered densely; each node adds the windows that end at its last
+    vertex.  All are differences of the running sums ``pair_window_matrix``
+    takes, so a node's levels are the ones weight_fn sees for it.  A window
+    grows with the last gap, so a panel whose first and last node share
+    their levels has them at every node and is evaluated at its first node.
+    A panel with a level crossing inside it, closer to an edge than the
+    merge tolerance, is evaluated node by node.  The distinct ids are ranked
+    in a table over their range, distinct prefixes times base^(k+1), which
+    is used only when it is no larger than the id array (else one sort);
+    weight_fn sees the rows in increasing id order, any row standing for its
+    id.
     """
     k = ts.shape[1]
     q = xq.shape[0]
@@ -415,13 +436,14 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
     cs = _running_sums(ts)
     pairs = (bond_levels(cs[j] - cs[i], level_cuts)
              for i in range(k + 1) for j in range(i + 1, k + 1))
-    pre_ids, count = _append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base)
+    pre_ids, _ = _append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base)
+    prefixes, pre_ids = np.unique(pre_ids, return_inverse=True)
 
     def last_levels(c, x):
         end = c[k] + x
         return [bond_levels(end - c[i], level_cuts) for i in range(k + 1)]
 
-    c = cs[:, row]
+    c = np.take(cs, row, axis=1)
     x = a + h * xq[0]
     levels = last_levels(c, x)
     split = np.zeros(row.shape[0], dtype=bool)
@@ -436,9 +458,16 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
         repeats = np.diff(np.append(unit, start.size))
         x = (a[:, None] + h[:, None] * xq).ravel()[unit]
         row = row[unit // q]
-        levels = last_levels(cs[:, row], x)
-    ids, _ = _append_levels(pre_ids[row], count, levels, base)
-    _, rep, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        levels = last_levels(np.take(cs, row, axis=1), x)
+    ids, count = _append_levels(pre_ids[row], prefixes.shape[0], levels, base)
+    if count <= ids.shape[0]:
+        seen = np.zeros(count, dtype=bool)
+        seen[ids] = True
+        inverse = (np.cumsum(seen) - 1)[ids]
+    else:
+        _, inverse = np.unique(ids, return_inverse=True)
+    rep = np.empty(int(inverse.max(initial=-1)) + 1, dtype=np.intp)
+    rep[inverse] = np.arange(ids.shape[0])
     points = np.empty((rep.shape[0], k + 1))
     points[:, :k] = ts[row[rep]]
     points[:, k] = x[rep]

@@ -24,7 +24,7 @@ import numpy as np
 from . import graphs, tonks
 from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
-from .errors import ClusterKitError, DomainError
+from .errors import ClusterKitError, ConfigError, DomainError
 from .graphs import (
     LabeledGraph,
     RootedTree,
@@ -98,27 +98,38 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     return len(conn), mism
 
 
+#: random graphs drawn per host of ``penrose_identity_random`` before it gives up
+MAX_HOST_DRAWS = 10_000
+
+
 def penrose_identity_random(
     n: int = 7, count: int = 100, seed: int = 20260808, edge_prob: float = 0.5,
     root: int = 1,
 ) -> Tuple[int, int]:
     """Spot-check the identity on random connected graphs (default n = 7).
 
+    Each host is the first connected graph among G(n, edge_prob) draws, with
+    edge_prob in (0, 1]; DomainError if MAX_HOST_DRAWS draws find none.
     Brute force over every submask of each host graph by
     ``submask_tree_classes``.
     """
+    if not 0.0 < edge_prob <= 1.0:
+        raise ConfigError(f"edge_prob must lie in (0, 1], got {edge_prob!r}")
     rng = random.Random(seed)
     npairs = n * (n - 1) // 2
     sign = 1 if (n - 1) % 2 == 0 else -1
     mism = 0
     for _ in range(count):
-        while True:
+        for _ in range(MAX_HOST_DRAWS):
             mask = 0
             for k in range(npairs):
                 if rng.random() < edge_prob:
                     mask |= 1 << k
             if _mask_connected(n, mask):
                 break
+        else:
+            raise DomainError(f"no connected host on n={n} vertices in {MAX_HOST_DRAWS} "
+                              f"draws at edge_prob={edge_prob!r}")
         total, _, preimages = submask_tree_classes(n, mask, root)
         singles = int(np.count_nonzero(preimages == 1))
         if total != sign * singles or sign * total <= 0:

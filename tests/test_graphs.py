@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterkit import graphs, polymer, verify
-from clusterkit.errors import CapacityError, ClusterKitError, DomainError
+from clusterkit.errors import CapacityError, ClusterKitError, ConfigError, DomainError
 from clusterkit.graphs import (
     MASK_BLOCK,
     MAX_HOST_EDGES,
@@ -603,6 +603,37 @@ def test_identity_scan_refuses_a_moved_preimage(monkeypatch, n, swap):
     with pytest.raises(ClusterKitError, match="tree mask"):
         verify.penrose_identity_scan(n)
     assert not images.flags.writeable
+
+
+def test_identity_random_draws_the_same_hosts(monkeypatch):
+    # the default check's hosts: the first connected G(7, 1/2) draw each,
+    # from the seeded stream, as an unbounded draw loop finds them
+    rng = random.Random(20260808)
+    want = []
+    while len(want) < 100:
+        mask = sum(1 << k for k in range(21) if rng.random() < 0.5)
+        if _mask_connected(7, mask):
+            want.append(mask)
+    seen = []
+    engine = verify.submask_tree_classes
+    monkeypatch.setattr(verify, "submask_tree_classes",
+                        lambda n, mask, root: seen.append(mask) or engine(n, mask, root))
+    assert verify.penrose_identity_random(7, 100) == (100, 0)
+    assert seen == want
+
+
+@pytest.mark.parametrize("edge_prob", [0.0, -0.5, 1.5, float("nan")])
+def test_identity_random_refuses_an_edge_prob_outside_the_unit_interval(edge_prob):
+    with pytest.raises(ConfigError, match="edge_prob must lie in"):
+        verify.penrose_identity_random(3, 2, edge_prob=edge_prob)
+
+
+def test_identity_random_caps_the_draws_per_host():
+    # about one edge in 5e7 draws: no connected host within the cap
+    with pytest.raises(DomainError, match=rf"n=7 vertices in {verify.MAX_HOST_DRAWS} "
+                                          r"draws at edge_prob=1e-09"):
+        verify.penrose_identity_random(7, 1, edge_prob=1e-9)
+    assert verify.penrose_identity_random(3, 2, edge_prob=1.0) == (2, 0)
 
 
 def test_penrose_trees_complete_graph_every_root():

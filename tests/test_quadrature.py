@@ -142,6 +142,15 @@ def test_square_well_box_ztilde_bits(well):
     assert (got.ztilde, got.error) == (0.414168800857891, 5.551115123125783e-17)
 
 
+def test_panel_path_bits(well, rod):
+    # the other ops whose last level runs by rows of bond levels
+    assert virial_bk_direct(well, 1.0, 2) == (-1.7813022744929938, 0.0)
+    assert virial_bk_direct(well, 1.0, 3) == (1.065201521458977, 1.7763568394002505e-15)
+    assert mayer_bn(rod, 1.0, 5, volume=10.375) == (4.450100401606426, 0.0)
+    got = ztilde_direct(well, 1.0, 6.25, 3, "quadrature")
+    assert (got.ztilde, got.error) == (0.720725259741731, 2.220446049250313e-16)
+
+
 def test_node_estimate_guards_before_expansion():
     # ~1.25e8 nodes by the per-level bound: refused before any level is built
     wide = PairPotential("square_well", 0.75, 1, epsilon=0.3, lambda_w=1.9, B=1.0)
@@ -237,6 +246,27 @@ def test_panel_values_bitwise_from_any_prefix(setup, data):
     k = ts.shape[1]
     coef = np.arange(1.0, (k + 1) * (k + 2) // 2 + 1)
     weight = lambda points: np.cos(bond_levels(pair_window_matrix(points), cuts) @ coef)
+    got = _panel_values(weight, ts, row, a, h, xq, cuts)
+    assert got.tobytes() == _evaluate(weight, _nodes(ts, row, a, h, xq)).tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 50])
+def test_panel_values_table_and_its_size_guard(well, rows):
+    # all 1,638 prefix rows of square-well b_5 rank their ids in a table;
+    # 50 of them have more possible ids than panels, so they take the sort
+    cuts = well.breakpoints()
+    rule = (difference_closure(cuts, well.range_radius), [], well.range_radius, None)
+    qs = _q_schedule(4, False, 1)
+    ts, wts = np.zeros((1, 0)), np.ones(1)
+    for q in qs[:-1]:
+        ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
+    ts = ts[:rows]
+    row, a, h = _panels(ts, *rule)
+    prefixes = np.unique(bond_levels(pair_window_matrix(ts), cuts), axis=0).shape[0]
+    ids = prefixes * (len(cuts) + 1) ** (ts.shape[1] + 1)
+    assert (ids > row.shape[0]) == (rows is not None)
+    xq, _ = gauss_nodes(qs[-1])
+    weight = _gap_weight_fn(well, 1.0, 5, "connected")
     got = _panel_values(weight, ts, row, a, h, xq, cuts)
     assert got.tobytes() == _evaluate(weight, _nodes(ts, row, a, h, xq)).tobytes()
 
