@@ -429,6 +429,8 @@ def _num_field(v) -> object:
 def _cmd_polymer(args) -> int:
     if args.n_ground is None:
         raise ConfigError("polymer needs --n-ground")
+    if args.n_ground < 1:
+        raise ConfigError(f"--n-ground must be >= 1, got {args.n_ground}")
     N = args.n_ground
     if args.action == "xi":
         prof = _polymer_profile(args)

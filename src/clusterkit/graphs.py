@@ -206,10 +206,6 @@ def enum_graphs(n: int, klass: str = "connected") -> Iterator[LabeledGraph]:
         yield LabeledGraph.from_mask(n, mask)
 
 
-def count_graphs(n: int, klass: str = "connected") -> int:
-    return sum(1 for _ in enum_graphs(n, klass))
-
-
 def _check_root(n: int, root: int) -> None:
     if not (1 <= root <= n):
         raise ValueError(f"root {root} outside [1..{n}]")

@@ -15,7 +15,8 @@ and computes the finite-N tree-counting factors
                   the intersection graph],  k = sum s_i - n,
 
 together with the finite-N density-series coefficients built from them.
-All combinatorial values are exact rationals; activities may be Fractions
+P is counted by Venn-region occupancy, exactly at any N >= 1.  All
+combinatorial values are exact rationals; activities may be Fractions
 (exact results) or floats.
 """
 
@@ -26,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
@@ -39,7 +40,6 @@ Number = Union[int, float, Fraction]
 XI_BRUTEFORCE_MAX_N = 8
 URSELL_MAX_N = 8
 URSELL_MAX_ORDER = 4
-P_EXACT_MAX_N = 10
 P_EXACT_MAX_PARTS = 3
 P_EXACT_MAX_TOTAL = 8
 CK_FINITE_MAX_K = 3
@@ -243,26 +243,20 @@ def _penrose_count(n: int, emask: int) -> int:
     return int(np.count_nonzero(preimages == 1))
 
 
-def _count_tuples(N: int, s: Sequence[int]) -> int:
-    """Count (tree, tuple) incidences with fixed first subset, by symmetry."""
-    n = len(s)
-    first = frozenset(range(1, s[0] + 1))
-    rest_choices = [
-        [frozenset(c) for c in itertools.combinations(range(1, N + 1), sz)]
-        for sz in s[1:]
-    ]
-    pairs = vertex_pairs(n)
-    count = 0
-    for rest in itertools.product(*rest_choices):
-        subs = (first,) + rest
-        emask = 0
-        for idx, (a, b) in enumerate(pairs):
-            if subs[a - 1] & subs[b - 1]:
-                emask |= 1 << idx
-        # every singleton-preimage tree is one of the rooted trees on [n],
-        # so the indicator sum over all trees is just the member count
-        count += _penrose_count(n, emask)
-    return count
+def _occupancies(rem: Sequence[int], regions: Sequence[int]):
+    """Ways to spread rem[i] elements of each part i over the Venn regions.
+
+    Yields (counts, rest): counts[j] elements lie in exactly the parts of
+    regions[j], a bitmask over the parts, and rest[i] in part i alone.
+    """
+    if not regions:
+        yield (), tuple(rem)
+        return
+    R = regions[0]
+    for c in range(min(r for i, r in enumerate(rem) if R >> i & 1) + 1):
+        left = [r - c if R >> i & 1 else r for i, r in enumerate(rem)]
+        for counts, rest in _occupancies(left, regions[1:]):
+            yield (c,) + counts, rest
 
 
 def p_exact(N: int, s: Sequence[int]) -> Fraction:
@@ -272,25 +266,34 @@ def p_exact(N: int, s: Sequence[int]) -> Fraction:
     prescribed sizes, the indicator that the tree survives as a
     singleton-preimage tree of the intersection graph; normalized by
     N^(k+1) with k = sum(s) - n.  Exact rational.
+
+    The intersection graph depends only on which Venn regions of the tuple
+    hold elements, and c_R elements in exactly the subsets of each region R
+    arise from perm(N, sum c) / prod c_R! tuples.  So the tuples are counted
+    by occupancy, at a cost that does not grow with N; a part above N gives 0.
     """
     s = tuple(int(x) for x in s)
     n = len(s)
+    if N < 1:
+        raise InputError("ground-set size must be >= 1")
     if n < 1:
         raise InputError("need at least one part")
     if any(x < 2 for x in s):
         raise InputError("every part must be >= 2")
-    if n > P_EXACT_MAX_PARTS or sum(s) > P_EXACT_MAX_TOTAL or N > P_EXACT_MAX_N:
+    if n > P_EXACT_MAX_PARTS or sum(s) > P_EXACT_MAX_TOTAL:
         raise CapacityError(
-            f"exact enumeration capped at n<={P_EXACT_MAX_PARTS}, "
-            f"sum(s)<={P_EXACT_MAX_TOTAL}, N<={P_EXACT_MAX_N}"
+            f"exact enumeration capped at n<={P_EXACT_MAX_PARTS}, sum(s)<={P_EXACT_MAX_TOTAL}"
         )
-    if max(s) > N:
-        raise InputError("a part exceeds the ground-set size")
-    k_plus_1 = sum(s) - n + 1
-    if n == 1:
-        return Fraction(math.comb(N, s[0]), N ** s[0])
-    total = math.comb(N, s[0]) * _count_tuples(N, s)
-    return Fraction(total, N ** (k_plus_1))
+    pairs = vertex_pairs(n)
+    shared = [R for R in range(1, 1 << n) if R & (R - 1)]  # regions of >= 2 parts
+    edges = [sum(1 << idx for idx, (a, b) in enumerate(pairs)
+                 if R >> (a - 1) & 1 and R >> (b - 1) & 1) for R in shared]
+    total = 0
+    for counts, rest in _occupancies(s, shared):
+        emask = reduce(int.__or__, (e for c, e in zip(counts, edges) if c), 0)
+        tuples = math.perm(N, sum(counts + rest)) // math.prod(map(math.factorial, counts + rest))
+        total += tuples * _penrose_count(n, emask)
+    return Fraction(total, N ** (sum(s) - n + 1))
 
 
 def p_limit(s: Sequence[int]) -> Fraction:

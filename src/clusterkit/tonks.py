@@ -69,8 +69,3 @@ def ztilde_closed(N: int, L: float, sigma: float = 1.0) -> float:
     if free <= 0.0:
         raise JammedError(f"box of side {L} cannot hold {N} rods of size {sigma}")
     return free ** N
-
-
-def q_box(N: int, L: float, sigma: float = 1.0) -> float:
-    """Free-energy interaction term (1/L) ln ztilde for the finite box."""
-    return math.log(ztilde_closed(N, L, sigma)) / L

@@ -665,18 +665,17 @@ def _check_p_limit(ctx: VerifyContext) -> Tuple[bool, str]:
 
 def _check_ck_finite(ctx: VerifyContext) -> Tuple[bool, str]:
     b = {n: tonks.bn_exact(n) for n in range(2, 5)}
-    for N in range(2, 11):
-        got = ck_finite_N(N, b, 1)
-        want = 2 * b[2] * (1 - Fraction(1, N))
-        if got != want:
-            return False, f"k=1 coefficient differs at N={N}"
+    for k in (1, 2, 3):
+        for N in (*range(1, 13), 10**9):
+            if ck_finite_N(N, b, k) != tonks.beta_k_exact(k) * (1 - Fraction(1, N)):
+                return False, f"k={k} coefficient differs from beta_k (1 - 1/N) at N={N}"
     xs, ys = [], []
     for N in range(6, 11):
         resid = abs(float(ck_finite_N(N, b, 2)) + 1.5)
         xs.append(math.log(1.0 / N))
         ys.append(math.log(resid))
     slope = _fit_slope(xs, ys)
-    return abs(slope - 1.0) < 0.15, f"k=1 exact; k=2 residual slope in 1/N: {slope:.3f}"
+    return abs(slope - 1.0) < 0.15, f"k<=3 exact; k=2 residual slope in 1/N: {slope:.3f}"
 
 
 def _check_ztilde_closed_vs_quadrature(ctx: VerifyContext) -> Tuple[bool, str]:

@@ -73,6 +73,18 @@ def test_polymer_pexact():
     assert out["limit"]["value"] == 1.0
 
 
+@pytest.mark.parametrize("action,extra", [
+    ("xi", ["--zeta", "2=1/3"]),
+    ("ursell", ["--zeta", "2=1/3"]),
+    ("fpcheck", ["--zeta", "2=1/3", "--a", "0.5"]),
+    ("pexact", ["--s", "2,2"]),
+    ("ckn", ["--potential", "hard_rod", "--k", "1"]),
+])
+def test_polymer_rejects_an_empty_ground_set(capsys, action, extra):
+    assert main(["polymer", action, "--n-ground", "0", *extra]) == 2
+    assert "--n-ground must be >= 1" in capsys.readouterr().err
+
+
 def test_polymer_fpcheck():
     out = run_json(["polymer", "fpcheck", "--n-ground", "12",
                     "--potential", "hard_rod", "--sigma", "1",

@@ -257,9 +257,17 @@ def _p_naive(N, s):
 
 
 @pytest.mark.parametrize("N,s", [
-    (4, (2, 2)), (5, (2, 2)), (5, (2, 3)), (4, (2, 2, 2)), (6, (3, 2)),
+    (4, (2, 2)), (5, (2, 2)), (5, (2, 3)), (4, (2, 2, 2)), (6, (3, 2)), (2, (3, 2)),
 ])
 def test_p_exact_matches_naive_enumerator(N, s):
+    assert p_exact(N, s) == _p_naive(N, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(1, 5),
+       s=st.lists(st.integers(2, 5), min_size=1, max_size=3).filter(lambda s: sum(s) <= 7))
+def test_p_exact_equals_naive_enumerator_at_any_size(N, s):
+    # parts above N are drawn too: they have no subsets, so P is 0
     assert p_exact(N, s) == _p_naive(N, s)
 
 
@@ -280,11 +288,11 @@ def test_p_exact_converges_to_limit():
 
 def test_p_exact_capacity():
     with pytest.raises(CapacityError):
-        p_exact(12, (2, 2))
-    with pytest.raises(CapacityError):
         p_exact(8, (2, 2, 2, 2))
     with pytest.raises(InputError):
         p_exact(8, (1, 2))
+    with pytest.raises(InputError, match="ground-set size"):
+        p_exact(0, (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +300,11 @@ def test_p_exact_capacity():
 # ---------------------------------------------------------------------------
 
 def test_ck_finite_k1_closed_form():
-    b = {n: tonks.bn_exact(n) for n in range(2, 3)}
-    for N in range(2, 11):
-        assert ck_finite_N(N, b, 1) == 2 * b[2] * (1 - Fraction(1, N))
+    # for rods C_k(N) = beta_k (1 - 1/N) exactly, N <= k included
+    b = {n: tonks.bn_exact(n) for n in range(2, 5)}
+    for k in (1, 2, 3):
+        for N in (*range(1, 13), 10**9):
+            assert ck_finite_N(N, b, k) == tonks.beta_k_exact(k) * (1 - Fraction(1, N))
 
 
 def test_ck_finite_k2_converges():

@@ -55,9 +55,9 @@ def test_scaling_in_sigma():
 
 
 def test_ztilde_closed_form_properties():
-    # free length to the N-th power; q_box consistent with it
+    # free length to the N-th power; the box term (1/L) ln ztilde consistent with it
     assert tonks.ztilde_closed(3, 10.0) == pytest.approx((0.8) ** 3)
-    assert tonks.q_box(3, 10.0) == pytest.approx(math.log(0.512) / 10.0)
+    assert math.log(tonks.ztilde_closed(3, 10.0)) / 10.0 == pytest.approx(math.log(0.512) / 10.0)
     with pytest.raises(JammedError):
         tonks.ztilde_closed(11, 10.0)
     with pytest.raises(JammedError):
