@@ -442,6 +442,8 @@ def _cmd_polymer(args) -> int:
         _emit(args, json_payload("polymer_xi", data))
         return 0
     if args.action == "ursell":
+        if args.orders < 1:
+            raise ConfigError(f"--orders must be >= 1, got {args.orders}")
         prof = _polymer_profile(args)
         terms = log_xi_ursell(N, prof, args.orders)
         partial = {}

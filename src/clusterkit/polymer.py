@@ -3,8 +3,9 @@
 The partition function sums, over collections of pairwise disjoint subsets
 of [N] of size >= 2, the product of their activities.  Its logarithm expands
 over ordered subset tuples weighted by the alternating connected-subgraph
-sum of their intersection graph; this module evaluates both sides exactly at
-desk scale, checks the summability criterion
+sum of their intersection graph.  This module evaluates the partition
+function exactly by an O(N^2) recursion, takes the log-expansion term by
+term as a formal log of that recursion, checks the summability criterion
 
     sum_{m=2..N} e^(a m) |zeta_m| C(N-1, m-1) <= e^a - 1,
 
@@ -22,7 +23,6 @@ combinatorial values are exact rationals; activities may be Fractions
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,14 +32,14 @@ from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, InputError
-from .graphs import submask_tree_classes, ursell_table, vertex_pairs
+from .errors import CapacityError, DomainError, InputError
+from .graphs import submask_tree_classes, vertex_pairs
 
 Number = Union[int, float, Fraction]
 
 XI_BRUTEFORCE_MAX_N = 8
-URSELL_MAX_N = 8
-URSELL_MAX_ORDER = 4
+URSELL_MAX_N = 64
+URSELL_MAX_ORDER = 12
 P_EXACT_MAX_PARTS = 3
 P_EXACT_MAX_TOTAL = 8
 CK_FINITE_MAX_K = 3
@@ -137,77 +137,52 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
 # ---------------------------------------------------------------------------
 
 def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Number]:
-    """Order-by-order terms of log Xi over ordered subset tuples.
+    """Order-by-order terms of log Xi, n = 1..n_max.
 
     Term n is (1/n!) times the sum over ordered n-tuples of subsets (sizes
     >= 2) of the alternating connected-subgraph sum of their intersection
-    graph times the activity product; tuples with disconnected intersection
-    graph contribute nothing.  The brute force runs as numpy blocks: see
-    ``_ursell_class_sums``.  The integer sums per size signature are then
-    combined exactly; float activities are taken as their exact Fractions,
-    and the term is rounded to float once.
+    graph times the activity product.  It is homogeneous of degree n in the
+    activities, so it is [t^n] log Xi(t) with zeta -> t zeta: the ``xi_exact``
+    recursion runs on coefficient lists in t cut at degree n_max, and a
+    formal log of Xi_N gives the terms.  Scaling the activities by the
+    common denominator D keeps the recursion in integers; term n is divided
+    by D^n.  Float activities are taken as their exact Fractions, and each
+    term is rounded to float once.
     """
+    if n_max < 1:
+        raise InputError("expansion order must be >= 1")
     if N > URSELL_MAX_N:
-        raise CapacityError(f"log-expansion brute force capped at N={URSELL_MAX_N}")
+        raise CapacityError(f"log-expansion capped at N={URSELL_MAX_N}")
     if n_max > URSELL_MAX_ORDER:
         raise CapacityError(f"expansion order capped at {URSELL_MAX_ORDER}")
-    sizes = sorted(m for m in profile.zeta if m <= N)  # larger sizes have no subsets
-    if not sizes:
+    zeta = {m: z for m, z in profile.zeta.items() if m <= N}  # larger sizes have no subsets
+    if not zeta:
         return {n: 0 for n in range(1, n_max + 1)}
-    zeta = [profile.zeta[m] for m in sizes]
-    inexact = any(not isinstance(z, numbers.Rational) for z in zeta)
-    exact = [Fraction(z) if isinstance(z, numbers.Rational) else Fraction(float(z)) for z in zeta]
-    # every subset of [N] with an activity, as a bitmask, grouped by size
-    masks = [sum(1 << x for x in combo)
-             for m in sizes for combo in itertools.combinations(range(N), m)]
-    starts = np.cumsum([0] + [math.comb(N, m) for m in sizes[:-1]])
-    meet = (np.bitwise_and.outer(masks, masks) != 0).astype(np.intp)
+    inexact = any(not isinstance(z, numbers.Rational) for z in zeta.values())
+    exact = {m: Fraction(z) if isinstance(z, numbers.Rational) else Fraction(float(z))
+             for m, z in zeta.items()}
+    D = math.lcm(*(z.denominator for z in exact.values()))
+    scaled = {m: z.numerator * (D // z.denominator) for m, z in exact.items()}
+    xi = [[1] + [0] * n_max] * 2  # Xi_0 = Xi_1 = 1; rows are never mutated
+    for j in range(2, N + 1):
+        row = list(xi[j - 1])
+        for m, a in scaled.items():
+            if m <= j:
+                w = math.comb(j - 1, m - 1) * a
+                for k, c in enumerate(xi[j - m][:n_max], 1):  # one factor t per activity
+                    row[k] += w * c
+        xi.append(row)
+    x = xi[N]
+    log = [Fraction(0)] * (n_max + 1)
     terms: Dict[int, Number] = {}
-    for n in range(1, n_max + 1):
-        sums = _ursell_class_sums(n, meet, starts)
-        by_signature: Dict[tuple, int] = {}
-        for key, value in np.ndenumerate(sums):
-            sig = tuple(sorted(key))
-            by_signature[sig] = by_signature.get(sig, 0) + int(value)
-        total: Number = 0
-        for sig, count in by_signature.items():
-            if count:
-                prod = Fraction(count, math.factorial(n))
-                for c in sig:
-                    prod *= exact[c]
-                total = total + prod
-        terms[n] = float(total) if inexact else total
+    for k in range(1, n_max + 1):
+        log[k] = x[k] - sum((j * log[j] * x[k - j] for j in range(1, k)), Fraction(0)) / k
+        term = log[k] / D ** k
+        try:
+            terms[k] = float(term) if inexact else term
+        except OverflowError:
+            raise DomainError(f"log-expansion term of order {k} overflows a float") from None
     return terms
-
-
-def _ursell_class_sums(n: int, meet: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum of Ursell values over ordered n-tuples of subsets, by size class.
-
-    ``meet`` is the 0/1 subset-intersection matrix, its rows grouped by size
-    class starting at ``starts``.  Entry [c_1, ..., c_n] of the result sums
-    ursell_table(n)[intersection graph] over tuples whose i-th subset is in
-    class c_i.  The first n-2 subsets are fixed one head at a time; the last
-    two span the grid of all subset pairs, whose edge masks are looked up in
-    the table and summed over class blocks.
-    """
-    K = len(starts)
-    class_sizes = np.diff(np.append(starts, meet.shape[0]))
-    if n == 1:
-        return class_sizes
-    table = ursell_table(n)
-    bit = {pair: 1 << k for k, pair in enumerate(vertex_pairs(n))}
-    cls = np.repeat(np.arange(K), class_sizes)
-    last = meet * bit[(n - 1, n)]
-    out = np.zeros((K,) * n, dtype=np.int64)
-    for head in itertools.product(range(len(cls)), repeat=n - 2):
-        emask = last + sum(bit[(a + 1, b + 1)] * int(meet[head[a], head[b]])
-                           for a in range(n - 2) for b in range(a + 1, n - 2))
-        for a, h in enumerate(head):
-            emask = emask + (meet[h] * bit[(a + 1, n - 1)])[:, None]
-            emask = emask + (meet[h] * bit[(a + 1, n)])[None, :]
-        block = np.add.reduceat(np.add.reduceat(table[emask], starts, axis=0), starts, axis=1)
-        out[tuple(cls[list(head)])] += block
-    return out
 
 
 # ---------------------------------------------------------------------------

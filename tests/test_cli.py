@@ -85,6 +85,19 @@ def test_polymer_rejects_an_empty_ground_set(capsys, action, extra):
     assert "--n-ground must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("orders", ["0", "-2"])
+def test_polymer_ursell_refuses_orders_below_one(capsys, orders):
+    assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1/3",
+                 "--orders", orders]) == 2
+    assert "--orders must be >= 1" in capsys.readouterr().err
+
+
+def test_polymer_ursell_float_overflow_exits_2(capsys):
+    assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1e200",
+                 "--orders", "2"]) == 2
+    assert "order 2 overflows a float" in capsys.readouterr().err
+
+
 def test_polymer_fpcheck():
     out = run_json(["polymer", "fpcheck", "--n-ground", "12",
                     "--potential", "hard_rod", "--sigma", "1",

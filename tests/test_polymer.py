@@ -1,11 +1,15 @@
+import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clusterkit import tonks
-from clusterkit.errors import CapacityError, InputError
+from clusterkit.errors import CapacityError, DomainError, InputError
+from clusterkit.graphs import ursell_table, vertex_pairs
 from clusterkit.polymer import (
     ActivityProfile,
     ck_finite_N,
@@ -102,49 +106,33 @@ def test_truncation_scales_as_fourth_power():
     assert _fit_slope(xs, ys) == pytest.approx(4.0, abs=0.2)
 
 
-class TSeries:
-    """Power series in t with exact coefficients, truncated above degree ``top``."""
+def _log_naive(N, zeta, order):
+    """Term ``order`` of log Xi summed over multisets of subsets of [N], outright.
 
-    def __init__(self, coeffs, top):
-        self.top = top
-        self.c = (list(coeffs) + [0] * (top + 1))[:top + 1]
-
-    def _lift(self, other):
-        return other if isinstance(other, TSeries) else TSeries([other], self.top)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return TSeries([a + b for a, b in zip(self.c, other.c)], self.top)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        out = [0] * (self.top + 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(other.c[:self.top + 1 - i]):
-                out[i + j] += a * b
-        return TSeries(out, self.top)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return self.c == self._lift(other).c
-
-
-def log_coefficients(N, zeta, top):
-    """[t^n] log Xi(t), n = 1..top, from the xi_exact recursion with zeta -> t zeta."""
-    t = TSeries([0, 1], top)
-    x = xi_exact(N, ActivityProfile(N, {m: t * z for m, z in zeta.items()})).c
-    log = [0] * (top + 1)
-    for k in range(1, top + 1):
-        log[k] = x[k] - sum(j * log[j] * x[k - j] for j in range(1, k)) / Fraction(k)
-    return log[1:]
+    Each multiset of ``order`` subsets with activities weighs the Ursell value
+    of its intersection graph times the activity product, over the product
+    of its multiplicities' factorials.
+    """
+    subsets = [(frozenset(c), z) for m, z in zeta.items() if m <= N
+               for c in itertools.combinations(range(N), m)]
+    pairs = vertex_pairs(order)
+    table = ursell_table(order)
+    total = Fraction(0)
+    for picks in itertools.combinations_with_replacement(range(len(subsets)), order):
+        emask = sum(1 << k for k, (a, b) in enumerate(pairs)
+                    if subsets[picks[a - 1]][0] & subsets[picks[b - 1]][0])
+        weight = Fraction(int(table[emask]))
+        for i in picks:
+            weight *= subsets[i][1]
+        for mult in Counter(picks).values():
+            weight /= math.factorial(mult)
+        total += weight
+    return total
 
 
 @st.composite
 def rational_profiles(draw):
-    N = draw(st.integers(2, 6))
+    N = draw(st.integers(2, 5))
     nonzero = st.integers(-60, 60).filter(bool)
     sizes = draw(st.sets(st.integers(2, N), min_size=1))
     zeta = {m: Fraction(draw(nonzero), draw(st.integers(1, 40))) for m in sizes}
@@ -153,10 +141,26 @@ def rational_profiles(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(rational_profiles())
-def test_log_xi_equals_log_of_recursion(case):
+# three disjoint polymers fit only from N = 6 on: few sizes keep the oracle quick
+@example((6, {2: Fraction(1, 3), 3: Fraction(-2, 5)}, 3))
+@example((7, {2: Fraction(-3, 7)}, 3))
+def test_log_xi_equals_tuple_oracle(case):
     N, zeta, order = case
     terms = log_xi_ursell(N, ActivityProfile(N, zeta), order)
-    assert [terms[n] for n in range(1, order + 1)] == log_coefficients(N, zeta, order)
+    assert [terms[n] for n in range(1, order + 1)] == [
+        _log_naive(N, zeta, n) for n in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("N", [5, 17, 64])
+def test_log_xi_orders_1_and_2_closed_form(N):
+    # term 1 counts subsets; term 2 counts ordered pairs of subsets that meet
+    rng = random.Random(N)
+    zeta = {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 99)) for m in range(2, N + 1)}
+    terms = log_xi_ursell(N, ActivityProfile(N, zeta), 2)
+    assert terms[1] == sum(math.comb(N, m) * z for m, z in zeta.items())
+    assert terms[2] == -Fraction(1, 2) * sum(
+        z * y * math.comb(N, m) * (math.comb(N, q) - math.comb(N - m, q))
+        for m, z in zeta.items() for q, y in zeta.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,9 +180,21 @@ def test_log_xi_float_is_rounded_exact(case):
 
 def test_log_xi_capacity():
     with pytest.raises(CapacityError):
-        log_xi_ursell(9, ActivityProfile(9, {2: 0.1}), 2)
+        log_xi_ursell(65, ActivityProfile(65, {2: 0.1}), 2)
     with pytest.raises(CapacityError):
-        log_xi_ursell(4, ActivityProfile(4, {2: 0.1}), 5)
+        log_xi_ursell(4, ActivityProfile(4, {2: 0.1}), 13)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_log_xi_refuses_order_below_one(order):
+    with pytest.raises(InputError, match="expansion order must be >= 1"):
+        log_xi_ursell(3, ActivityProfile(3, {2: Fraction(1, 3)}), order)
+
+
+def test_log_xi_float_overflow_names_the_order():
+    # term 1 is 3e200; term 2 is -4.5e400, beyond any float
+    with pytest.raises(DomainError, match="order 2"):
+        log_xi_ursell(3, ActivityProfile(3, {2: 1e200}), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +247,7 @@ def test_p_exact_symmetric():
 
 def _p_naive(N, s):
     # no symmetry shortcuts: every ordered subset tuple enumerated outright
-    import itertools
-
-    from clusterkit.graphs import LabeledGraph, enum_trees, penrose_trees, vertex_pairs
+    from clusterkit.graphs import LabeledGraph, enum_trees, penrose_trees
 
     n = len(s)
     pairs = vertex_pairs(n)
