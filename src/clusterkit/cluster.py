@@ -26,11 +26,14 @@ for a given (seed, samples, chunk size) at any worker count.  b_n and beta_k
 stratify the free points by radius in the ball of radius (n-1) * range
 around the pinned particle; in a box, b_n and ztilde draw the same uniform
 points.  Points are coordinate-major (d, m) arrays, and ``_pair_distances``
-turns two of them into m distances.  For a piecewise constant bond
-``_mc_graph_sum`` packs each sample's bond levels into its row of levels and
-reads the graph sum from ``_graph_sum_table``, one entry per row, built from
-the potential's level values; other bonds evaluate the bond function and the
-graph sum per sample.  Both give the same bits.
+turns two of them into m distances, squaring and rooting in place.  For a
+piecewise constant bond ``_mc_graph_sum`` packs each sample's bond levels
+into its row of levels and reads the graph sum from ``_graph_sum_table``,
+one entry per row, built from the potential's level values; other bonds
+evaluate the bond function and the graph sum per sample.  Both give the same
+bits.  ztilde (``canonical``) needs only two counters per sample, its core
+flag and its well count, in place of a row of levels.  A mean or standard
+error that is not finite raises DomainError.
 """
 
 from __future__ import annotations
@@ -228,7 +231,11 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[0] == 1:
         return np.abs(a[0] - b[0])
-    return np.linalg.norm(a - b, axis=0)
+    # np.linalg.norm(a - b, axis=0), its squares and root taken in place
+    squares = a - b
+    squares *= squares
+    out = np.add.reduce(squares, axis=0)
+    return np.sqrt(out, out=out)
 
 
 def _graph_sum_table(p: PairPotential, beta: float, graph_sum, npairs: int,
@@ -266,8 +273,9 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
     Chunk c draws from its own Philox stream keyed by (seed, c), optionally
     on a thread pool.  The means are collected in chunk order, so the
     reduction is deterministic and independent of the worker count.  Raises
-    DomainError when fewer than two chunk means are nonzero (n, the number
-    of points, only labels the message).  Callers pass their inputs through
+    DomainError when fewer than two chunk means are nonzero, or when the
+    mean or its standard error is not finite (n, the number of points, only
+    labels the message).  Callers pass their inputs through
     ``_check_monte_carlo`` before any set-up.
     """
     nchunks = max(2, math.ceil(samples / chunk))
@@ -292,7 +300,14 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
             f"n={n}: too few samples hit a contributing configuration; raise "
             f"samples (now {samples})"
         )
-    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, error = means.mean(), means.std(ddof=1) / math.sqrt(means.size)
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise DomainError(
+            f"the Monte Carlo mean or its standard error is not finite at n={n}: "
+            f"a sampled weight overflows the float range"
+        )
+    return float(value), float(error)
 
 
 def _mc_graph_sum(
@@ -362,7 +377,7 @@ def mayer_bn(
     ``volume=None`` is the infinite-volume coefficient (x_1 pinned at the
     origin); a float is the side of a finite box, integrated verbatim and
     divided by the volume.  Monte Carlo raises DomainError when fewer than
-    two of its chunk means are nonzero.
+    two of its chunk means are nonzero, or when its estimate is not finite.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")

@@ -1,15 +1,24 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterkit import tonks
 from clusterkit.canonical import (
     CanonicalResult,
+    _boltzmann_factors,
+    _level_count_factors,
+    _well_powers,
     compare_series_direct,
     q_lambda,
     ztilde_direct,
 )
+from clusterkit.cluster import _pair_distances
 from clusterkit.errors import CapacityError, ConfigError, DomainError, JammedError
+from clusterkit.graphs import vertex_pairs
+from clusterkit.potentials import PairPotential, bond_level_values
+from clusterkit.quadrature import bond_levels
 
 
 def test_ztilde_single_particle(rod):
@@ -55,6 +64,74 @@ def test_ztilde_monte_carlo_too_few_nonzero_chunks(sphere):
     # packing fraction 0.45: no sample of 12 spheres is overlap-free
     with pytest.raises(DomainError, match=r"only 0 of 2 .*raise samples"):
         ztilde_direct(sphere, 1.0, 2.4, 12, "monte_carlo", seed=1, samples=40_000)
+
+
+# ---------------------------------------------------------------------------
+# the level-count kernel against the pair-by-pair product
+# ---------------------------------------------------------------------------
+
+def _pair_product(dists, m, cuts, level_factors):
+    """The Boltzmann factor multiplied pair by pair, each pair's factor read
+    from one value per bond level: the kernel the level counts replace."""
+    boltz = np.ones(m)
+    for r in dists:
+        boltz *= level_factors.take(bond_levels(r, cuts))
+    return boltz
+
+
+def _distances(pts):
+    return [_pair_distances(pts[i - 1], pts[j - 1]) for i, j in vertex_pairs(len(pts))]
+
+
+@st.composite
+def level_count_cases(draw):
+    kind = draw(st.sampled_from(["hard_rod", "hard_sphere", "square_well"]))
+    d = 1 if kind == "hard_rod" else draw(st.integers(1, 3))
+    N = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 64))
+    side = draw(st.sampled_from([2.0, 5.0, 12.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # grid coordinates put distances exactly on the cuts
+        pts = rng.integers(0, int(4 * side) + 1, (N, d, m)) / 4
+    else:
+        pts = rng.random((N, d, m)) * side
+    sigma = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    if kind == "square_well":
+        # negative depths (a repulsive shoulder, w < 1) exercise the same arithmetic
+        cuts = (sigma, sigma * draw(st.sampled_from([1.5, 2.0])))
+        values = np.array([-1.0, math.expm1(draw(st.floats(-3.0, 5.0))), 0.0])
+    else:
+        cuts, values = (sigma,), np.array([-1.0, 0.0])
+    return list(pts), cuts, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_count_cases())
+def test_level_counts_are_bitwise_pair_product(case):
+    pts, cuts, values = case
+    dists, m = _distances(pts), pts[0].shape[1]
+    want = _pair_product(dists, m, cuts, 1.0 + values)
+    got = _level_count_factors(iter(dists), m, cuts, _well_powers(1.0 + values[1], len(dists)))
+    finite = np.isfinite(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p, beta", [
+    (PairPotential("hard_sphere", 1.0, 3), 1.0),
+    (PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0), 1.0),
+    # w^66 overflows: the pair-by-pair product, NaN and inf included
+    (PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0), 100.0),
+], ids=["hard_sphere", "square_well", "square_well overflow"])
+def test_boltzmann_factors_are_bitwise_pair_product(p, beta):
+    rng = np.random.default_rng(5)
+    pts = list(rng.random((12, 3, 4000)) * 4.0)
+    dists = _distances(pts)
+    want = _pair_product(dists, 4000, p.breakpoints(), 1.0 + bond_level_values(p, beta))
+    got = _boltzmann_factors(p, beta, len(dists))(iter(dists), 4000)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(want).any() == (beta == 100.0)
 
 
 def test_ztilde_method_caps(rod, sphere):

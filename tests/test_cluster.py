@@ -168,10 +168,14 @@ def test_mc_virial_hard_sphere(sphere):
 TABULATED = PairPotential("custom_tabulated", 1.0, 1, B=1.0, cutoff=1.4,
                           table=((0.0, 3.0), (0.5, 1.0), (1.0, -0.3), (1.4, 0.0)))
 
-# (value, error) recorded from the kernel that evaluated every bond function
-# and graph sum sample by sample; the bond-level kernel must give the same
-# bits at any worker count.  Rows: id, routine, potential, arguments after
-# (potential, beta), keywords, (value, error).
+WELL_3D = PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0)
+MODULE_POTENTIALS = {"tabulated": TABULATED, "well_3d": WELL_3D}
+
+# (value, error) recorded from the kernels that evaluated every bond function
+# and graph sum sample by sample (b_n, beta_k) and multiplied ztilde's
+# Boltzmann factor pair by pair; the bond-level and level-count kernels must
+# give the same bits at any worker count.  Rows: id, routine, potential,
+# arguments after (potential, beta), keywords, (value, error).
 MC_PINS = [
     ("hard_sphere b_3", mayer_bn, "sphere", (3,), dict(seed=11),
      (7.2336158360102605, 0.04678923567923832)),
@@ -189,6 +193,14 @@ MC_PINS = [
      (0.46082331359832396, 0.01583351390633214)),
     ("custom_tabulated b_3", mayer_bn, "tabulated", (3,), dict(seed=18),
      (0.3203764459469366, 0.009199025120667354)),
+    ("hard_sphere ztilde N=8", ztilde_direct, "sphere", (4.0, 8), dict(seed=19),
+     (0.23604999999999998, 0.0021999999999999936)),
+    ("hard_rod ztilde N=10", ztilde_direct, "rod", (30.0, 10), dict(seed=20),
+     (0.02905, 0.0013500000000000003)),
+    ("square_well d=3 ztilde N=6", ztilde_direct, "well_3d", (6.0, 6), dict(seed=21),
+     (1.8265509762417826, 0.006808492332067151)),
+    ("custom_tabulated ztilde N=4", ztilde_direct, "tabulated", (6.0, 4), dict(seed=22),
+     (0.3317646118626987, 0.0036606103715419447)),
 ]
 
 
@@ -196,11 +208,26 @@ MC_PINS = [
 @pytest.mark.parametrize("fn, pot, args, kwargs, want", [row[1:] for row in MC_PINS],
                          ids=[row[0] for row in MC_PINS])
 def test_mc_pinned_bits(request, fn, pot, args, kwargs, want, workers):
-    p = TABULATED if pot == "tabulated" else request.getfixturevalue(pot)
+    p = MODULE_POTENTIALS.get(pot) or request.getfixturevalue(pot)
     out = fn(p, 1.0, *args, method="monte_carlo", samples=40_000, workers=workers, **kwargs)
     if fn is ztilde_direct:
         out = (out.ztilde, out.error)
     assert out == want
+
+
+# a weight that overflows the float range: the parent kernels returned NaN or
+# inf for these (overflow within a sample's graph sum or product, or in the
+# spread of the chunk means)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fn, beta, args, n", [
+    (mayer_bn, 300.0, (4,), 4),
+    (mayer_bn, 100.0, (4,), 4),
+    (ztilde_direct, 100.0, (5.0, 12), 12),
+    (ztilde_direct, 30.0, (4.0, 12), 12),
+], ids=["b_4 nan", "b_4 inf error", "ztilde nan", "ztilde inf error"])
+def test_mc_non_finite_refused(fn, beta, args, n):
+    with pytest.raises(DomainError, match=rf"not finite at n={n}\b"):
+        fn(WELL_3D, beta, *args, method="monte_carlo", seed=1, samples=40_000)
 
 
 # coordinates whose squares neither underflow nor overflow, so that
@@ -210,7 +237,7 @@ _coordinate = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
 
 @st.composite
 def point_pairs(draw):
-    d = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 12))
     m = draw(st.integers(1, 20))
     a, b = (np.array(draw(st.lists(_coordinate, min_size=m * d, max_size=m * d))).reshape(m, d)
             for _ in range(2))
@@ -220,9 +247,14 @@ def point_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(point_pairs())
 def test_pair_distances_is_bitwise_row_norm(ab):
+    # the column norm of the (d, m) layout at every d; the row norm of the
+    # (m, d) layout adds its squares in the same order only for d < 8
     a, b = ab
-    got = _pair_distances(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
-    assert got.tobytes() == np.linalg.norm(a - b, axis=1).tobytes()
+    a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    got = _pair_distances(a_t, b_t)
+    assert got.tobytes() == np.linalg.norm(a_t - b_t, axis=0).tobytes()
+    if a.shape[1] < 8:
+        assert got.tobytes() == np.linalg.norm(a - b, axis=1).tobytes()
 
 
 @st.composite
