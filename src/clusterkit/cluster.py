@@ -246,14 +246,17 @@ def _graph_sum_table(p: PairPotential, beta: float, graph_sum, npairs: int,
     sum is the entry at its row of levels, packed by ``_append_levels`` with
     the first pair the most significant digit.  Every class sum works row by
     row, so the entries are the bits the sum gives sample by sample.  Rows
-    are evaluated ``block`` at a time.
+    are evaluated ``block`` at a time.  A row whose sum overflows holds inf
+    or NaN without a warning; it is refused only if a sample reaches it, by
+    ``_monte_carlo``'s check of the mean.
     """
     values = bond_level_values(p, beta)
     shape = (values.size,) * npairs
     table = np.empty(math.prod(shape))
-    for start in range(0, table.size, block):
-        rows = np.arange(start, min(start + block, table.size))
-        table[rows] = graph_sum(values[np.stack(np.unravel_index(rows, shape), axis=1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, table.size, block):
+            rows = np.arange(start, min(start + block, table.size))
+            table[rows] = graph_sum(values[np.stack(np.unravel_index(rows, shape), axis=1)])
     return table
 
 

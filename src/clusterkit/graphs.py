@@ -17,23 +17,27 @@ The module provides:
     generation up) and the trees whose preimage under that map is a
     singleton ("Penrose trees"),
   * ``mask_tree_images``, the array form of the connectivity test and the
-    tree image over int64 edge masks, processed in fixed-size blocks: the
-    neighbor bitsets come from one byte-table lookup per byte of the masks
-    and the parent edges from one table lookup per vertex, with the tables
-    rebuilt per call; the scalar ``_mask_connected`` / ``_mask_tree_image``
-    stay as its oracle,
-  * ``mask_tree_table``, that kernel's flags and images for every edge mask
-    on up to 6 vertices, kept per (n, root); ``connected_mask_flags`` reads
-    its flags and ``ursell_table`` is built on them,
+    tree image over int64 edge masks, processed in fixed-size blocks: one
+    byte-table lookup per byte of the masks gives each vertex's neighbor
+    bitset ("row"; uint8 up to 8 vertices, uint16 up to 11), and the one
+    breadth-first kernel ``_tree_images`` runs on the rows, reading parent
+    edges from one table per vertex; the tables are rebuilt per call, and
+    the scalar ``_mask_connected`` / ``_mask_tree_image`` stay as its oracle,
+  * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
+    every edge mask on up to 6 vertices, kept per (n, root);
+    ``connected_mask_flags`` reads its flags and ``ursell_table`` is built
+    on them,
   * ``submask_tree_classes``, the one brute-force engine over the submasks
     of a host graph, behind ``penrose_trees``, ``polymer.p_exact`` and the
     random identity check.  Up to 6 vertices it looks the submasks up in
-    ``mask_tree_table``; above, it runs the kernel a block of submasks at a
-    time.  Hosts of more than MAX_HOST_EDGES edges are refused.  Its
-    Penrose trees come out as masks and stay masks.  Its independent
-    oracles are the scalar ``ursell_value`` and ``penrose_trees_fast``,
-    which grows the trees with no slack edge in the host one generation at
-    a time and never looks at a non-tree subgraph.
+    ``mask_tree_table``; above, it deposits the rows of the submasks of the
+    first 12 host edges once per host and runs the kernel on them a block
+    at a time, each block ORing in the rows of its remaining edges as one
+    constant per vertex.  Hosts of more than MAX_HOST_EDGES edges are
+    refused.  Its Penrose trees come out as masks and stay masks.  Its
+    independent oracles are the scalar ``ursell_value`` and
+    ``penrose_trees_fast``, which grows the trees with no slack edge in the
+    host one generation at a time and never looks at a non-tree subgraph.
 """
 
 from __future__ import annotations
@@ -504,9 +508,9 @@ _BLOCK_BITS = MASK_BLOCK.bit_length() - 1
 #: one table per root
 TABLE_MAX_N = 6
 #: host edges up to which ``submask_tree_classes`` walks the 2^edges
-#: submasks.  On a 2-core x86 machine the complete graph on 7 vertices (21
-#: edges) takes about 0.45 s and 22 edges on 8 vertices about 1.1 s; each
-#: edge more about doubles it.
+#: submasks.  On a shared 2-core x86 machine the complete graph on 7
+#: vertices (21 edges) takes about 0.24 s and 22 edges on 8 vertices about
+#: 0.55 s; each edge more about doubles it.
 MAX_HOST_EDGES = 22
 
 #: row o holds bit o of every byte value
@@ -524,13 +528,16 @@ def bit_parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
-def _kernel_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Byte tables of the array kernel on [n], rebuilt per call (about 45 us at n = 7).
+def _bitset_dtype(n: int):
+    """Vertex bitsets of the kernel: uint8 up to 8 vertices, uint16 up to 11."""
+    return np.uint8 if n <= 8 else np.uint16
+
+
+def _kernel_tables(n: int) -> np.ndarray:
+    """Byte tables of ``mask_tree_images`` on [n], rebuilt per call (about 40 us at n = 7).
 
     ``adjacency[b, v, x]`` is the neighbor bitset of vertex v + 1 through the
-    edges in byte b of an edge mask whose byte b is x.  ``parent_edge[w, s]``
-    is the edge bit of {p, w + 1}, p the lowest vertex of the bitset s, and
-    0 for the empty set.
+    edges in byte b of an edge mask whose byte b is x.
     """
     pairs = np.array(vertex_pairs(n), dtype=np.int64).reshape(-1, 2) - 1
     i, j = pairs.T
@@ -540,34 +547,51 @@ def _kernel_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     neighbor[k, j] = 1 << i
     # the edges of one byte add distinct neighbor bits, so their sum is their OR
     adjacency = np.einsum("bov,ox->bvx", neighbor.reshape(-1, 8, n), _BYTE_BITS)
+    return adjacency.astype(_bitset_dtype(n))
+
+
+def _parent_edges(n: int) -> np.ndarray:
+    """Parent-edge table of the array kernel on [n].
+
+    ``parent_edge[w, s]`` is the edge bit of {p, w + 1}, p the lowest vertex
+    of the bitset s, and 0 for the empty set.
+    """
     edge = np.zeros((n, n + 1), dtype=np.int64)  # the last column: no parent
-    edge[i, j] = edge[j, i] = 1 << k
-    return adjacency, edge[:, _LOWEST_VERTEX[:1 << n]]
+    for k, (i, j) in enumerate(vertex_pairs(n)):
+        edge[i - 1, j - 1] = edge[j - 1, i - 1] = 1 << k
+    return edge[:, _LOWEST_VERTEX[:1 << n]]
 
 
-def _block_tree_images(n: int, block: np.ndarray, root: int, adjacency: np.ndarray,
-                       parent_edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``mask_tree_images`` of one block of masks, given ``_kernel_tables(n)``."""
-    adj = np.zeros((n, block.size), dtype=np.uint16)
-    for b, table in enumerate(adjacency):
-        adj |= np.take(table, (block >> 8 * b) & 255, axis=1)
-    vertex = np.arange(n, dtype=np.uint16)[:, None]
-    seen = np.full(block.shape, 1 << (root - 1), dtype=np.uint16)
-    layer = seen
-    up_layer = np.zeros_like(adj)  # the layer each vertex was reached from
+def _tree_images(adj: np.ndarray, root: int,
+                 parent_edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Connected flags and tree-image masks of the graphs with neighbor rows ``adj``.
+
+    ``adj[v]`` holds the neighbor bitset of vertex v + 1 in each graph on
+    [n], n = len(adj), in ``_bitset_dtype(n)``; ``parent_edge`` is
+    ``_parent_edges(n)``.  As the adjacency is symmetric, ``adj & layer`` is
+    nonzero in the rows of the vertices next to the layer and holds their
+    neighbors in it; kept for the vertices not yet reached, it is their
+    parent candidates.
+    """
+    n = adj.shape[0]
+    bit = (1 << np.arange(n, dtype=adj.dtype))[:, None]
+    unseen = np.ones(adj.shape, dtype=bool)
+    unseen[root - 1] = False
+    layer = bit[root - 1]
+    up = np.zeros_like(adj)  # each vertex's neighbors in the layer it was reached from
     for _ in range(n - 1):
-        reach = np.bitwise_or.reduce(adj & -((layer >> vertex) & 1), axis=0)
-        new = reach & ~seen
-        if not new.any():
+        reached = adj & layer
+        reached *= unseen
+        if not reached.any():
             break
-        up_layer |= layer & -((new >> vertex) & 1)
-        seen = seen | new
-        layer = new
-    up = adj & up_layer
-    tree = np.zeros(block.shape, dtype=np.int64)
+        up |= reached
+        new = reached != 0
+        unseen ^= new
+        layer = np.bitwise_or.reduce(bit * new, axis=0)
+    tree = np.zeros(adj.shape[1], dtype=np.int64)
     for w in range(n):
-        tree |= parent_edge[w, up[w]]
-    return seen == (1 << n) - 1, tree
+        tree |= np.take(parent_edge[w], up[w])
+    return ~unseen.any(axis=0), tree
 
 
 def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
@@ -575,10 +599,10 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
 
     The array form of ``_mask_connected`` and ``_mask_tree_image``.  Each
     block of masks gets per-vertex neighbor bitsets, one byte-table lookup
-    per byte of the masks; a breadth-first sweep then reaches one generation
-    at a time, and every vertex keeps the layer it was reached from.  Its
-    parent is the lowest vertex of its neighbors in that layer, read from a
-    table.  For a disconnected mask the tree spans only the root's
+    per byte of the masks; a breadth-first sweep (``_tree_images``) then
+    reaches one generation at a time, and every vertex keeps its neighbors
+    in the layer it was reached from.  Its parent is the lowest of them,
+    read from a table.  For a disconnected mask the tree spans only the root's
     component.  ``masks`` is a 1-D array processed MASK_BLOCK at a time, so
     scratch memory does not grow with its length.
     """
@@ -586,13 +610,16 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
         raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
     _check_root(n, root)
     masks = np.asarray(masks, dtype=np.int64)
-    tables = _kernel_tables(n)
+    adjacency, parent_edge = _kernel_tables(n), _parent_edges(n)
     connected = np.empty(masks.shape, dtype=bool)
     trees = np.empty(masks.shape, dtype=np.int64)
     for start in range(0, masks.shape[0], MASK_BLOCK):
         stop = start + MASK_BLOCK
-        connected[start:stop], trees[start:stop] = _block_tree_images(
-            n, masks[start:stop], root, *tables)
+        block = masks[start:stop]
+        adj = np.zeros((n, block.size), dtype=adjacency.dtype)
+        for b, table in enumerate(adjacency):
+            adj |= np.take(table, (block >> 8 * b) & 255, axis=1)
+        connected[start:stop], trees[start:stop] = _tree_images(adj, root, parent_edge)
     return connected, trees
 
 
@@ -648,38 +675,43 @@ def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.nda
 def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.ndarray, np.ndarray]:
     """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
 
-    The first 12 host edges are deposited once onto the bits of the index
-    within a block, by doubling, along with each index's parity; a block
-    adds the deposit of its number onto the remaining edges, so a submask
-    has the parity of its index.  The blocks' preimage counts are merged
-    once they reach as many entries as the merged classes (at least 2^16),
-    so memory stays within about twice the class count as hosts grow.
+    The neighbor rows of the submasks of the first 12 host edges are
+    deposited once per host, by doubling, along with each one's parity; a
+    block ORs in the neighbor rows of its number's remaining edges, one
+    constant per vertex, so a submask has the parity of its index.  A host
+    of one block returns that block's classes; otherwise the blocks'
+    preimage counts are merged once they reach as many entries as the merged
+    classes (at least 2^16), so memory stays within about twice the class
+    count as hosts grow.
     """
     bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
     inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
-    low = np.zeros(1, dtype=np.int64)
-    odd = np.zeros(1, dtype=bool)
-    for k in inner:
-        low = np.concatenate([low, low | (1 << k)])
-        odd = np.concatenate([odd, ~odd])
-    tables = _kernel_tables(n)
+    dtype = _bitset_dtype(n)
+    rows = np.zeros((n, 1 << len(inner)), dtype=dtype)
+    odd = np.zeros(rows.shape[1], dtype=bool)
+    for t, k in enumerate(inner):
+        half = 1 << t
+        np.bitwise_or(rows[:, :half], np.array(_mask_adjacency(n, 1 << k)[1:], dtype)[:, None],
+                      out=rows[:, half:2 * half])
+        odd[half:2 * half] = ~odd[:half]
+    parent_edge = _parent_edges(n)
     total = 0
-    trees, counts, pending = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], 0
+    trees, counts, pending = [], [], 0
     last = (1 << len(outer)) - 1
     for high in range(last + 1):
-        conn, image = _block_tree_images(
-            n, low | sum(1 << k for j, k in enumerate(outer) if high >> j & 1), root, *tables)
+        extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
+        conn, image = _tree_images(rows | np.array(extra[1:], dtype)[:, None], root, parent_edge)
         signed = np.count_nonzero(conn) - 2 * np.count_nonzero(conn & odd)
         total += -signed if bin(high).count("1") & 1 else signed
         block_trees, block_counts = np.unique(image[conn], return_counts=True)
         trees.append(block_trees)
         counts.append(block_counts)
         pending += block_trees.size
-        if pending >= max(trees[0].size, 1 << 16) or high == last:
+        if high and (pending >= max(trees[0].size, 1 << 16) or high == last):
             merged, cls = np.unique(np.concatenate(trees), return_inverse=True)
-            counts = [np.bincount(cls, np.concatenate(counts), merged.size).astype(np.int64)]
+            counts = [np.bincount(cls, np.concatenate(counts), merged.size)]
             trees, pending = [merged], 0
-    return total, trees[0], counts[0]
+    return total, trees[0], counts[0].astype(np.int64)
 
 
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ def test_mc_pinned_bits(request, fn, pot, args, kwargs, want, workers):
 def test_mc_non_finite_refused(fn, beta, args, n):
     with pytest.raises(DomainError, match=rf"not finite at n={n}\b"):
         fn(WELL_3D, beta, *args, method="monte_carlo", seed=1, samples=40_000)
+
+
+def test_overflowing_graph_sum_table_is_refused_without_warnings():
+    # the level table holds inf and NaN rows here; they are built silently,
+    # and the refusal of the mean is the only signal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"not finite at n=4\b"):
+            mayer_bn(WELL_3D, 300.0, 4, method="monte_carlo", seed=1, samples=40_000)
 
 
 # coordinates whose squares neither underflow nor overflow, so that

@@ -381,6 +381,35 @@ def test_blocked_path_on_seven_vertices(edges, root):
         assert singles == {t.mask for t in penrose_trees_fast(g, root)}
 
 
+@pytest.mark.parametrize("n, edges, root", [
+    (7, 13, 1), (7, 14, 4), (7, 16, 7), (8, 14, 1), (8, 15, 8), (9, 13, 9), (9, 14, 5),
+])
+def test_blocked_path_against_the_mask_kernel(n, edges, root):
+    # hosts of 2 to 16 blocks on [7], and on both sides of the uint8/uint16
+    # bitset boundary: a spanning path plus random edges
+    rng = random.Random(100 * n + edges)
+    path = edge_mask(n, [(v, v + 1) for v in range(1, n)])
+    rest = [k for k in range(n * (n - 1) // 2) if not path >> k & 1]
+    host = path | sum(1 << k for k in rng.sample(rest, edges - n + 1))
+    subs = np.zeros(1, dtype=np.int64)
+    for k in range(n * (n - 1) // 2):
+        if host >> k & 1:
+            subs = np.concatenate([subs, subs | (1 << k)])
+    assert subs.size > MASK_BLOCK
+    connected, images = mask_tree_images(n, subs, root)
+    trees, preimages = np.unique(images[connected], return_counts=True)
+    total = int(np.sum(1 - 2 * graphs.bit_parity(subs[connected])))
+    got = _blocked_submask_classes(n, host, root)
+    assert got[0] == total
+    for a, b in zip(got[1:], (trees, preimages.astype(np.int64))):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the mask kernel against the scalar oracles on a sample of the submasks
+    sample = rng.sample(range(subs.size), 30)
+    assert connected[sample].tolist() == [_mask_connected(n, int(subs[i])) for i in sample]
+    sample = rng.sample(np.flatnonzero(connected).tolist(), 30)
+    assert images[sample].tolist() == [_mask_tree_image(n, int(subs[i]), root) for i in sample]
+
+
 def test_engine_refuses_a_root_outside_the_vertices():
     path = edge_mask(7, [(v, v + 1) for v in range(1, 7)])
     assert submask_tree_classes(7, path, 7)[0] == 1
