@@ -172,8 +172,10 @@ def _boltzmann_factors(p: PairPotential, beta: float, npairs: int):
 
     def product(dists, m):
         boltz = np.ones(m)
-        for r in dists:
-            boltz *= 1.0 + f_bond_array(p, beta, r)
+        # an overflowing product is refused by _monte_carlo's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in dists:
+                boltz *= 1.0 + f_bond_array(p, beta, r)
         return boltz
 
     return product

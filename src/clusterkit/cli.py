@@ -40,7 +40,7 @@ from .errors import CapacityError, ClusterKitError, ConfigError
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
 from .potentials import CONFIG_KEYS, PairPotential, c_beta, potential_from_config
 from .radii import radius_report
-from .reporting import dump_csv, dump_json, json_payload, output_dir, rational_fields, render_table
+from .reporting import dump_csv, dump_json, json_payload, output_dir, render_table
 from .series import invert_mayer_oracle, virial_from_mayer
 from .verify import SUITES, VerifyContext, run_checks
 
@@ -422,10 +422,6 @@ def _polymer_profile(args) -> ActivityProfile:
     raise ConfigError("polymer needs --zeta or a potential with --rho")
 
 
-def _num_field(v) -> object:
-    return rational_fields(v) if isinstance(v, Fraction) else v
-
-
 def _cmd_polymer(args) -> int:
     if args.n_ground is None:
         raise ConfigError("polymer needs --n-ground")
@@ -435,10 +431,10 @@ def _cmd_polymer(args) -> int:
     if args.action == "xi":
         prof = _polymer_profile(args)
         data = {"N": N,
-                "zeta": {str(m): _num_field(v) for m, v in sorted(prof.zeta.items())},
-                "xi": _num_field(xi_exact(N, prof, "recursion"))}
+                "zeta": dict(sorted(prof.zeta.items())),
+                "xi": xi_exact(N, prof, "recursion")}
         if N <= 8:
-            data["xi_bruteforce"] = _num_field(xi_exact(N, prof, "bruteforce"))
+            data["xi_bruteforce"] = xi_exact(N, prof, "bruteforce")
         _emit(args, json_payload("polymer_xi", data))
         return 0
     if args.action == "ursell":
@@ -453,7 +449,7 @@ def _cmd_polymer(args) -> int:
             partial[str(n)] = acc
         _emit(args, json_payload("polymer_ursell", {
             "N": N,
-            "orders": {str(n): _num_field(v) for n, v in terms.items()},
+            "orders": terms,
             "partial_sums": partial,
         }))
         return 0
@@ -472,8 +468,8 @@ def _cmd_polymer(args) -> int:
         s = tuple(int(x) for x in args.s.split(","))
         _emit(args, json_payload("polymer_pexact", {
             "N": N, "s": list(s),
-            "value": rational_fields(p_exact(N, s)),
-            "limit": rational_fields(p_limit(s)),
+            "value": p_exact(N, s),
+            "limit": p_limit(s),
         }))
         return 0
     if args.action == "ckn":
@@ -485,7 +481,7 @@ def _cmd_polymer(args) -> int:
         b = {n: tonks.bn_exact(n) for n in range(2, args.k + 2)}
         _emit(args, json_payload("polymer_ckn", {
             "N": N, "k": args.k,
-            "value": _num_field(ck_finite_N(N, b, args.k)),
+            "value": ck_finite_N(N, b, args.k),
             "limit": float(virial_from_mayer(b, args.k)),
         }))
         return 0

@@ -18,11 +18,14 @@ The module provides:
     singleton ("Penrose trees"),
   * ``mask_tree_images``, the array form of the connectivity test and the
     tree image over int64 edge masks, processed in fixed-size blocks: one
-    byte-table lookup per byte of the masks gives each vertex's neighbor
-    bitset ("row"; uint8 up to 8 vertices, uint16 up to 11), and the one
-    breadth-first kernel ``_tree_images`` runs on the rows, reading parent
-    edges from one table per vertex; the tables are rebuilt per call, and
-    the scalar ``_mask_connected`` / ``_mask_tree_image`` stay as its oracle,
+    lookup per 12 edges of the masks gives each vertex's neighbor bitset
+    ("row"; uint8 up to 8 vertices, uint16 up to 11), in a 4,096-column
+    table that ``_deposit_rows`` builds per call, and the one breadth-first
+    kernel ``_tree_images`` runs on the rows, reading parent edges from one
+    table per vertex.  Its scalar oracles are ``_mask_connected`` (on the
+    closure ``_reach``, shared with the two-connected test) and
+    ``_mask_tree_image`` (on ``_mask_tree_maps``, the one scalar
+    breadth-first sweep, which also derives and checks tree maps),
   * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
     every edge mask on up to 6 vertices, kept per (n, root);
     ``connected_mask_flags`` reads its flags and ``ursell_table`` is built
@@ -31,13 +34,14 @@ The module provides:
     of a host graph, behind ``penrose_trees``, ``polymer.p_exact`` and the
     random identity check.  Up to 6 vertices it looks the submasks up in
     ``mask_tree_table``; above, it deposits the rows of the submasks of the
-    first 12 host edges once per host and runs the kernel on them a block
-    at a time, each block ORing in the rows of its remaining edges as one
-    constant per vertex.  Hosts of more than MAX_HOST_EDGES edges are
-    refused.  Its Penrose trees come out as masks and stay masks.  Its
-    independent oracles are the scalar ``ursell_value`` and
-    ``penrose_trees_fast``, which grows the trees with no slack edge in the
-    host one generation at a time and never looks at a non-tree subgraph.
+    first 12 host edges once per host (``_deposit_rows`` again) and runs
+    the kernel on them a block at a time, each block ORing in the rows of
+    its remaining edges as one constant per vertex.  Hosts of more than
+    MAX_HOST_EDGES edges are refused.  Its Penrose trees come out as masks
+    and stay masks.  Its independent oracles are the scalar
+    ``ursell_value`` and ``penrose_trees_fast``, which grows the trees with
+    no slack edge in the host one generation at a time and never looks at a
+    non-tree subgraph.
 """
 
 from __future__ import annotations
@@ -101,55 +105,36 @@ def _mask_adjacency(n: int, mask: int) -> list:
     return adj
 
 
-def _mask_connected(n: int, mask: int) -> bool:
-    """True when the graph covers all of [n] in one component (n=1: yes)."""
-    if n == 1:
-        return True
-    adj = _mask_adjacency(n, mask)
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
+def _reach(adj: list, seen: int) -> int:
+    """The vertex bitset ``seen`` closed under the neighbor bitsets ``adj``."""
+    frontier = seen
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
             nxt |= adj[low.bit_length()]
-            f ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == full
+    return seen
+
+
+def _mask_connected(n: int, mask: int) -> bool:
+    """True when the graph covers all of [n] in one component (n=1: yes)."""
+    return _reach(_mask_adjacency(n, mask), 1) == (1 << n) - 1
 
 
 def _mask_two_connected(n: int, mask: int) -> bool:
     """Connected with no cut vertex; the 2-vertex single edge is excluded."""
     if n < 3:
         return False
-    if not _mask_connected(n, mask):
-        return False
-    pairs = vertex_pairs(n)
-    npairs = len(pairs)
+    adj = _mask_adjacency(n, mask)
+    full = (1 << n) - 1
+    # every [n] \ {v} connected, reached from its smallest vertex; with
+    # n >= 3 any two vertices lie in one of them, so the graph is connected
     for v in range(1, n + 1):
-        sub = mask
-        for k in range(npairs):
-            if mask >> k & 1 and v in pairs[k]:
-                sub &= ~(1 << k)
-        # connectivity of [n] \ {v}
-        adj = _mask_adjacency(n, sub)
-        rest = [u for u in range(1, n + 1) if u != v]
-        seen = 1 << (rest[0] - 1)
-        frontier = seen
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length()]
-                f ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        target = ((1 << n) - 1) & ~(1 << (v - 1))
-        if seen != target:
+        cut = 1 << (v - 1)
+        if _reach([a & ~cut for a in adj], 2 if v == 1 else 1) != full & ~cut:
             return False
     return True
 
@@ -216,10 +201,12 @@ def _check_root(n: int, root: int) -> None:
 
 
 def _mask_tree_maps(n: int, mask: int, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Parent and generation of each vertex reached from ``root`` over a tree mask.
+    """Parent and generation of each vertex reached from ``root`` over ``mask``.
 
-    One breadth-first sweep over neighbor bitsets: each vertex of a layer
-    adopts its neighbors not yet reached.
+    One breadth-first sweep over neighbor bitsets: the vertices of a layer,
+    in increasing index order, adopt their neighbors not yet reached.  So
+    the parent of a vertex is its smallest-index neighbor one generation up,
+    and over a tree mask it is the tree parent.
     """
     adj = _mask_adjacency(n, mask)
     parent: Dict[int, int] = {}
@@ -233,7 +220,7 @@ def _mask_tree_maps(n: int, mask: int, root: int) -> Tuple[Dict[int, int], Dict[
             low = layer & -layer
             layer ^= low
             v = low.bit_length()
-            kids = adj[v] & ~seen
+            kids = adj[v] & ~seen & ~nxt
             nxt |= kids
             while kids:
                 k = kids & -kids
@@ -264,20 +251,16 @@ class RootedTree:
         for v, p in parent.items():
             if not (1 <= p <= n):
                 raise ValueError(f"parent {p} of vertex {v} outside [1..{n}]")
-        gen = {root: 0}
-        for v in parent:
-            chain = []
-            u = v
-            while u not in gen:
-                chain.append(u)
-                u = parent[u]
-                if len(chain) > n:
-                    raise ValueError("parent map contains a cycle")
-            base = gen[u]
-            for off, w in enumerate(reversed(chain), start=1):
-                gen[w] = base + off
-        self.n, self.root, self.mask = n, root, edge_mask(n, parent.items())
-        self._parent, self._gen = dict(parent), gen
+        # every non-root vertex has a parent, so the map is a tree exactly
+        # when it has no cycle, and then the sweep over its edges returns it;
+        # a vertex that is its own parent adds no edge and is never swept so
+        parent = dict(parent)
+        mask = edge_mask(n, ((v, p) for v, p in parent.items() if v != p))
+        swept, gen = _mask_tree_maps(n, mask, root)
+        if swept != parent:
+            raise ValueError("parent map contains a cycle")
+        self.n, self.root, self.mask = n, root, mask
+        self._parent, self._gen = parent, gen
 
     @classmethod
     def from_mask(cls, n: int, mask: int, root: int = 1) -> "RootedTree":
@@ -462,43 +445,11 @@ def _mask_tree_image(n: int, gmask: int, root: int) -> int:
     """Edge mask of the rooted-tree image of connected spanning mask ``gmask``.
 
     Generations are graph distances from the root; the parent of a vertex is
-    its smallest-index neighbor one generation closer to the root.
+    its smallest-index neighbor one generation closer to the root.  For a
+    disconnected mask the tree spans the root's component, as in the array
+    kernel ``mask_tree_images``, of which this is the scalar oracle.
     """
-    adj = _mask_adjacency(n, gmask)
-    dist = [-1] * (n + 1)
-    dist[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            nb = adj[v]
-            while nb:
-                low = nb & -nb
-                w = low.bit_length()
-                nb ^= low
-                if dist[w] < 0:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        frontier = nxt
-        d += 1
-    idx = _pair_index(n)
-    tmask = 0
-    for v in range(1, n + 1):
-        if v == root:
-            continue
-        nb = adj[v]
-        best = 0
-        while nb:
-            low = nb & -nb
-            w = low.bit_length()
-            nb ^= low
-            if dist[w] == dist[v] - 1:
-                best = w
-                break  # neighbor bits iterate in increasing index order
-        i, j = (best, v) if best < v else (v, best)
-        tmask |= 1 << idx[(i, j)]
-    return tmask
+    return edge_mask(n, _mask_tree_maps(n, gmask, root)[0].items())
 
 
 #: masks per step of the array kernel; bounds its scratch memory
@@ -513,8 +464,6 @@ TABLE_MAX_N = 6
 #: 0.55 s; each edge more about doubles it.
 MAX_HOST_EDGES = 22
 
-#: row o holds bit o of every byte value
-_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint16)
 #: index of the lowest vertex in each vertex bitset on up to 11 vertices, -1
 #: for the empty set
 _LOWEST_VERTEX = np.frexp(np.arange(1 << 11) & -np.arange(1 << 11))[1] - 1
@@ -533,21 +482,24 @@ def _bitset_dtype(n: int):
     return np.uint8 if n <= 8 else np.uint16
 
 
-def _kernel_tables(n: int) -> np.ndarray:
-    """Byte tables of ``mask_tree_images`` on [n], rebuilt per call (about 40 us at n = 7).
+def _deposit_rows(n: int, bits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Neighbor rows and parities of the submasks of the edges ``bits`` on [n].
 
-    ``adjacency[b, v, x]`` is the neighbor bitset of vertex v + 1 through the
-    edges in byte b of an edge mask whose byte b is x.
+    Column s of ``rows`` holds, for each vertex, its neighbor bitset through
+    the edges bits[t] with bit t of s set, in ``_bitset_dtype(n)``, and
+    ``odd[s]`` is the parity of the number of those edges.  Built by
+    doubling: the columns with bit t set are those without it, ORed with
+    the rows of edge bits[t].
     """
-    pairs = np.array(vertex_pairs(n), dtype=np.int64).reshape(-1, 2) - 1
-    i, j = pairs.T
-    k = np.arange(pairs.shape[0])
-    neighbor = np.zeros((-(-k.size // 8) * 8, n), dtype=np.uint16)
-    neighbor[k, i] = 1 << j
-    neighbor[k, j] = 1 << i
-    # the edges of one byte add distinct neighbor bits, so their sum is their OR
-    adjacency = np.einsum("bov,ox->bvx", neighbor.reshape(-1, 8, n), _BYTE_BITS)
-    return adjacency.astype(_bitset_dtype(n))
+    dtype = _bitset_dtype(n)
+    rows = np.zeros((n, 1 << len(bits)), dtype=dtype)
+    odd = np.zeros(rows.shape[1], dtype=bool)
+    for t, k in enumerate(bits):
+        half = 1 << t
+        np.bitwise_or(rows[:, :half], np.array(_mask_adjacency(n, 1 << k)[1:], dtype)[:, None],
+                      out=rows[:, half:2 * half])
+        odd[half:2 * half] = ~odd[:half]
+    return rows, odd
 
 
 def _parent_edges(n: int) -> np.ndarray:
@@ -598,27 +550,31 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     """Connected flag and rooted tree-image mask of each edge mask on [n].
 
     The array form of ``_mask_connected`` and ``_mask_tree_image``.  Each
-    block of masks gets per-vertex neighbor bitsets, one byte-table lookup
-    per byte of the masks; a breadth-first sweep (``_tree_images``) then
-    reaches one generation at a time, and every vertex keeps its neighbors
-    in the layer it was reached from.  Its parent is the lowest of them,
-    read from a table.  For a disconnected mask the tree spans only the root's
-    component.  ``masks`` is a 1-D array processed MASK_BLOCK at a time, so
-    scratch memory does not grow with its length.
+    block of masks gets per-vertex neighbor bitsets, one lookup per 12
+    edges of the masks in a table of ``_deposit_rows``; a breadth-first
+    sweep (``_tree_images``) then reaches one generation at a time, and
+    every vertex keeps its neighbors in the layer it was reached from.  Its
+    parent is the lowest of them, read from a table.  For a disconnected
+    mask the tree spans only the root's component.  ``masks`` is a 1-D
+    array processed MASK_BLOCK at a time, so scratch memory does not grow
+    with its length.
     """
     if n > 11:
         raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
     _check_root(n, root)
     masks = np.asarray(masks, dtype=np.int64)
-    adjacency, parent_edge = _kernel_tables(n), _parent_edges(n)
+    npairs = n * (n - 1) // 2
+    tables = [_deposit_rows(n, range(lo, min(lo + _BLOCK_BITS, npairs)))[0]
+              for lo in range(0, npairs, _BLOCK_BITS)]
+    parent_edge = _parent_edges(n)
     connected = np.empty(masks.shape, dtype=bool)
     trees = np.empty(masks.shape, dtype=np.int64)
     for start in range(0, masks.shape[0], MASK_BLOCK):
         stop = start + MASK_BLOCK
         block = masks[start:stop]
-        adj = np.zeros((n, block.size), dtype=adjacency.dtype)
-        for b, table in enumerate(adjacency):
-            adj |= np.take(table, (block >> 8 * b) & 255, axis=1)
+        adj = np.zeros((n, block.size), dtype=_bitset_dtype(n))
+        for c, table in enumerate(tables):
+            adj |= np.take(table, (block >> _BLOCK_BITS * c) & (table.shape[1] - 1), axis=1)
         connected[start:stop], trees[start:stop] = _tree_images(adj, root, parent_edge)
     return connected, trees
 
@@ -676,7 +632,7 @@ def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.nda
     """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
 
     The neighbor rows of the submasks of the first 12 host edges are
-    deposited once per host, by doubling, along with each one's parity; a
+    deposited once per host by ``_deposit_rows``, with their parities; a
     block ORs in the neighbor rows of its number's remaining edges, one
     constant per vertex, so a submask has the parity of its index.  A host
     of one block returns that block's classes; otherwise the blocks'
@@ -686,21 +642,15 @@ def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.nda
     """
     bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
     inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
-    dtype = _bitset_dtype(n)
-    rows = np.zeros((n, 1 << len(inner)), dtype=dtype)
-    odd = np.zeros(rows.shape[1], dtype=bool)
-    for t, k in enumerate(inner):
-        half = 1 << t
-        np.bitwise_or(rows[:, :half], np.array(_mask_adjacency(n, 1 << k)[1:], dtype)[:, None],
-                      out=rows[:, half:2 * half])
-        odd[half:2 * half] = ~odd[:half]
+    rows, odd = _deposit_rows(n, inner)
     parent_edge = _parent_edges(n)
     total = 0
     trees, counts, pending = [], [], 0
     last = (1 << len(outer)) - 1
     for high in range(last + 1):
         extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
-        conn, image = _tree_images(rows | np.array(extra[1:], dtype)[:, None], root, parent_edge)
+        extra = np.array(extra[1:], rows.dtype)[:, None]
+        conn, image = _tree_images(rows | extra, root, parent_edge)
         signed = np.count_nonzero(conn) - 2 * np.count_nonzero(conn & odd)
         total += -signed if bin(high).count("1") & 1 else signed
         block_trees, block_counts = np.unique(image[conn], return_counts=True)
@@ -711,7 +661,7 @@ def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.nda
             merged, cls = np.unique(np.concatenate(trees), return_inverse=True)
             counts = [np.bincount(cls, np.concatenate(counts), merged.size)]
             trees, pending = [merged], 0
-    return total, trees[0], counts[0].astype(np.int64)
+    return int(total), trees[0], counts[0].astype(np.int64)
 
 
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import graphs, tonks
+from . import graphs, polymer, tonks
 from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError, ConfigError, DomainError
@@ -401,28 +401,13 @@ def _check_combi(ctx: VerifyContext) -> Tuple[bool, str]:
     checked = 0
     for n in range(2, 11):
         for k in range(1, 13 - n):
-            for t in _combi_tuples(n, k):
+            # first entry >= 1, the rest >= 2, summing to n + k - 1
+            for t in ((t[0] - 1,) + t[1:] for t in polymer._compositions(n + k, n)):
                 lhs, rhs = combi_identity_check(t, n, k)
                 if lhs != rhs:
                     return False, f"mismatch at n={n} k={k} t={t}"
                 checked += 1
     return checked > 200, f"{checked} tuples with n+k <= 12, both sides equal"
-
-
-def _combi_tuples(n: int, k: int):
-    total = n + k - 1
-
-    def rec(i, rem):
-        lo = 1 if i == 0 else 2
-        if i == n - 1:
-            if rem >= lo:
-                yield (rem,)
-            return
-        for v in range(lo, rem + 1):
-            for rest in rec(i + 1, rem - v):
-                yield (v,) + rest
-
-    yield from rec(0, total)
 
 
 def _check_three_way(ctx: VerifyContext) -> Tuple[bool, str]:

@@ -232,12 +232,15 @@ def test_mc_non_finite_refused(fn, beta, args, n):
 
 
 def test_overflowing_graph_sum_table_is_refused_without_warnings():
-    # the level table holds inf and NaN rows here; they are built silently,
-    # and the refusal of the mean is the only signal
+    # the level table holds inf and NaN rows here, and the pair-by-pair
+    # product of ztilde overflows; both run silently, and the refusal of the
+    # mean is the only signal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"not finite at n=4\b"):
             mayer_bn(WELL_3D, 300.0, 4, method="monte_carlo", seed=1, samples=40_000)
+        with pytest.raises(DomainError, match=r"not finite at n=12\b"):
+            ztilde_direct(WELL_3D, 100.0, 5.0, 12, method="monte_carlo", seed=1, samples=40_000)
 
 
 # coordinates whose squares neither underflow nor overflow, so that

@@ -108,8 +108,12 @@ def test_enum_trees_capacity():
 
 
 def test_rooted_tree_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cycle"):
         RootedTree(3, {2: 3, 3: 2})  # cycle, misses the root
+    with pytest.raises(ValueError, match="cycle"):
+        RootedTree(4, {2: 1, 3: 4, 4: 3})  # a cycle beside the root's branch
+    with pytest.raises(ValueError, match="cycle"):
+        RootedTree(3, {2: 2, 3: 1})  # its own parent
     with pytest.raises(ValueError):
         RootedTree(3, {2: 1})  # vertex 3 missing
     with pytest.raises(ValueError, match="parent 7 "):
@@ -128,8 +132,10 @@ def test_rooted_tree_from_maps_equals_from_mask(n):
             lazy = RootedTree.from_mask(n, t.mask, root)
             built = RootedTree(n, lazy.parent, root)
             assert built == lazy and hash(built) == hash(lazy) and built.mask == t.mask
-            # the derived generations against the ones the constructor walks
-            assert lazy.gen == built.gen
+            # the swept generations against a walk up the parent chain
+            def depth(v):
+                return 0 if v == root else 1 + depth(lazy.parent[v])
+            assert lazy.gen == built.gen == {v: depth(v) for v in range(1, n + 1)}
 
 
 def test_rooted_tree_key_is_root_and_mask():
@@ -286,8 +292,8 @@ def test_mask_tree_images_disconnected_spans_root_component():
     n = 4
     mask = edge_mask(n, [(1, 2), (3, 4)])
     connected, trees = mask_tree_images(n, [mask], root=3)
-    assert not connected[0]
-    assert int(trees[0]) == edge_mask(n, [(3, 4)])
+    assert not connected[0] and not _mask_connected(n, mask)
+    assert int(trees[0]) == _mask_tree_image(n, mask, 3) == edge_mask(n, [(3, 4)])
 
 
 def test_mask_tree_images_validation():
@@ -375,7 +381,7 @@ def test_blocked_path_on_seven_vertices(edges, root):
     host = sum(1 << k for k in edges)
     total, trees, preimages = submask_tree_classes(7, host, root)
     g = LabeledGraph.from_mask(7, host)
-    assert total == ursell_value(g)
+    assert type(total) is int and total == ursell_value(g)
     if g.is_connected():
         singles = {t for t, c in zip(trees.tolist(), preimages.tolist()) if c == 1}
         assert singles == {t.mask for t in penrose_trees_fast(g, root)}
