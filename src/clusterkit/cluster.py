@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
-from .graphs import enum_graphs, vertex_pairs
+from .graphs import connected_weight_sum, enum_graphs, vertex_pairs
 from .potentials import PairPotential, bond_level_values, f_bond_array
 from .quadrature import (
     _append_levels,
@@ -67,53 +67,6 @@ VIRIAL_MC_MAX_K = 2
 # ---------------------------------------------------------------------------
 # graph-sum evaluators over pair-separation arrays
 # ---------------------------------------------------------------------------
-
-def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
-    """Sum over connected spanning graphs on [n] of the bond-value products.
-
-    ``fvals`` has one column per vertex pair in graphs.vertex_pairs(n) order.
-    Uses the subset identity: the full product over pairs inside S equals the
-    sum over partitions of S of connected parts, so the connected part is
-    extracted by peeling the component of the smallest element.
-    """
-    P = fvals.shape[0]
-    pairs = vertex_pairs(n)
-    col = {e: k for k, e in enumerate(pairs)}
-    full = (1 << n) - 1
-    ones = np.ones(P)
-
-    # boltz[S] = product of (1 + f_ij) over pairs inside S
-    boltz = {0: ones}
-    for s in range(1, full + 1):
-        top = s.bit_length()  # highest vertex in S (1-based)
-        rest = s & ~(1 << (top - 1))
-        acc = boltz[rest]
-        r = rest
-        while r:
-            low = r & -r
-            v = low.bit_length()
-            r ^= low
-            acc = acc * (1.0 + fvals[:, col[(v, top)]])
-        boltz[s] = acc
-
-    conn = {}
-    for s in range(1, full + 1):
-        if s & (s - 1) == 0:
-            conn[s] = ones
-            continue
-        low = s & -s
-        total = boltz[s].copy()
-        # subtract splits: T is the component of the lowest vertex, T proper
-        t = (s - 1) & s
-        while True:
-            if t & low and t != s:
-                total = total - conn[t] * boltz[s ^ t]
-            if t == 0:
-                break
-            t = (t - 1) & s
-        conn[s] = total
-    return conn[full]
-
 
 @lru_cache(maxsize=None)
 def _two_connected_columns_cached(n: int):
@@ -139,9 +92,10 @@ def _graph_class_sum(n: int, graph_class: str):
     """The sum over the graphs of a class on [n], as a function of the bond
     values (P, pairs) -> (P,).
 
-    ``connected`` peels components by the subset identity, ``two_connected``
-    runs the explicit graph list, and ``all`` is the row-wise product of
-    (1 + f).  Each works row by row.
+    ``connected`` peels components by the subset identity
+    (``graphs.connected_weight_sum``, which also gives the Ursell values),
+    ``two_connected`` runs the explicit graph list, and ``all`` is the
+    row-wise product of (1 + f).  Each works row by row.
     """
     if graph_class == "connected":
         return lambda fvals: connected_weight_sum(fvals, n)

@@ -11,7 +11,10 @@ The module provides:
   * rooted labeled trees held as edge masks (``RootedTree``, keyed by
     (n, root, mask)), whose parent and generation (depth) maps are derived
     on first use by one breadth-first sweep over the mask,
-  * the alternating connected-subgraph sum (Ursell value) of a graph,
+  * the Ursell value (alternating connected-subgraph sum) of a batch of
+    graphs, ``ursell_values``, by the subset recursion of the Mayer sums,
+    ``connected_weight_sum``; ``ursell_table`` holds it for every mask on
+    up to 6 vertices,
   * the deterministic rooted-tree image of a connected spanning subgraph
     (generations from the root, parent = smallest-index neighbor one
     generation up) and the trees whose preimage under that map is a
@@ -31,17 +34,17 @@ The module provides:
     ``connected_mask_flags`` reads its flags and ``ursell_table`` is built
     on them,
   * ``submask_tree_classes``, the one brute-force engine over the submasks
-    of a host graph, behind ``penrose_trees``, ``polymer.p_exact`` and the
-    random identity check.  Up to 6 vertices it looks the submasks up in
+    of a host graph, behind ``penrose_trees`` and the random identity
+    check.  Up to 6 vertices it looks the submasks up in
     ``mask_tree_table``; above, it deposits the rows of the submasks of the
     first 12 host edges once per host (``_deposit_rows`` again) and runs
     the kernel on them a block at a time, each block ORing in the rows of
     its remaining edges as one constant per vertex.  Hosts of more than
     MAX_HOST_EDGES edges are refused.  Its Penrose trees come out as masks
-    and stay masks.  Its independent oracles are the scalar
-    ``ursell_value`` and ``penrose_trees_fast``, which grows the trees with
-    no slack edge in the host one generation at a time and never looks at a
-    non-tree subgraph.
+    and stay masks.  Its independent oracles are ``ursell_values``, whose
+    size is the Penrose-tree count, and ``penrose_trees_fast``, which grows
+    the trees with no slack edge in the host one generation at a time and
+    never looks at a non-tree subgraph.
 """
 
 from __future__ import annotations
@@ -393,36 +396,76 @@ def prufer_tree_masks(n: int) -> np.ndarray:
 # Ursell value: alternating sum over connected spanning subgraphs
 # ---------------------------------------------------------------------------
 
-def ursell_value(g: LabeledGraph) -> int:
-    """Sum of (-1)^|edges| over connected spanning subgraphs of ``g``.
+def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
+    """Sum over connected spanning graphs on [n] of the bond-value products.
 
-    Returns 1 for the single-vertex graph and 0 when ``g`` is disconnected.
-    The result is an exact integer of sign (-1)^(n-1) for connected input.
+    ``fvals`` has one column per vertex pair in vertex_pairs(n) order, and
+    the result keeps its dtype.  Uses the subset identity: the full product
+    over pairs inside S equals the sum over partitions of S of connected
+    parts, so the connected part is extracted by peeling the component of
+    the smallest element.
     """
-    n = g.n
-    if n == 1:
-        return 1
-    mask = g.mask
-    if not _mask_connected(n, mask):
-        return 0
-    total = 0
-    sub = mask
-    while True:
-        if _mask_connected(n, sub):
-            total += -1 if bin(sub).count("1") & 1 else 1
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return total
+    col = {e: k for k, e in enumerate(vertex_pairs(n))}
+    full = (1 << n) - 1
+    # in increasing order of S: boltz[S], the product of (1 + f_ij) over the
+    # pairs inside S, then its connected part conn[S], less the splits in
+    # which U | low, U a proper subset of the rest of S in decreasing order,
+    # is the component of the lowest vertex
+    boltz, conn = {0: np.ones(fvals.shape[0], fvals.dtype)}, {}
+    for s in range(1, full + 1):
+        top = s.bit_length()  # highest vertex in S (1-based)
+        r = s ^ (1 << (top - 1))
+        acc = boltz[r]
+        while r:
+            low = r & -r
+            r ^= low
+            acc = acc * (1 + fvals[:, col[(low.bit_length(), top)]])
+        boltz[s] = total = acc
+        low = s & -s
+        u = rest = s ^ low
+        while u:
+            u = (u - 1) & rest
+            total = total - conn[u | low] * boltz[rest ^ u]
+        conn[s] = total
+    return conn[full]
+
+
+def _check_mask_range(n: int, lo: int, hi: int) -> None:
+    """ValueError unless edge masks from ``lo`` to ``hi`` lie in [0, 2^(n(n-1)/2))."""
+    npairs = n * (n - 1) // 2
+    if lo < 0 or hi >> npairs:
+        raise ValueError(f"edge mask {lo if lo < 0 else hi} outside [0, 2^{npairs}) on [{n}]")
+
+
+def ursell_values(n: int, masks) -> np.ndarray:
+    """Ursell value of each graph on [n] in the 1-D array of edge masks ``masks``.
+
+    The sum of (-1)^|edges| over the connected spanning subgraphs of G, of
+    size at most (n-1)!.  With f = -1 on the edges of G, the product of
+    (1 + f) over the pairs inside a vertex subset S is 1 when S is
+    independent in G and 0 otherwise; its connected part over [n] is that
+    sum (Penrose 1967; Scott & Sokal, J. Stat. Phys. 118, 1151 (2005)).
+    Exact on int64, O(3^n) per mask.  A mask outside [0, 2^(n(n-1)/2))
+    raises ValueError.
+    """
+    if n > 11:
+        raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
+    if n < 1:
+        raise ValueError("vertex count must be positive")
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.size:
+        _check_mask_range(n, int(masks.min()), int(masks.max()))
+    return connected_weight_sum(-((masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1), n)
 
 
 @lru_cache(maxsize=None)
 def ursell_table(n: int) -> np.ndarray:
-    """ursell_value for every graph on [n], indexed by edge mask.
+    """The Ursell value of every graph on [n] (n <= 6), indexed by edge mask.
 
     Built with one subset-sum (zeta) transform over the signed indicator of
     connected spanning masks, so tab[mask] = sum over connected spanning
-    submasks g of mask of (-1)^|g|.
+    submasks g of mask of (-1)^|g|: the numbers of ``ursell_values`` at a
+    fraction of its cost over all 2^15 masks on 6 vertices.
     """
     if n > 6:
         raise CapacityError("ursell tables are kept only up to n=6")
@@ -482,24 +525,21 @@ def _bitset_dtype(n: int):
     return np.uint8 if n <= 8 else np.uint16
 
 
-def _deposit_rows(n: int, bits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Neighbor rows and parities of the submasks of the edges ``bits`` on [n].
+def _deposit_rows(n: int, bits: Sequence[int]) -> np.ndarray:
+    """Neighbor rows of the submasks of the edges ``bits`` on [n].
 
-    Column s of ``rows`` holds, for each vertex, its neighbor bitset through
-    the edges bits[t] with bit t of s set, in ``_bitset_dtype(n)``, and
-    ``odd[s]`` is the parity of the number of those edges.  Built by
+    Column s holds, for each vertex, its neighbor bitset through the edges
+    bits[t] with bit t of s set, in ``_bitset_dtype(n)``.  Built by
     doubling: the columns with bit t set are those without it, ORed with
     the rows of edge bits[t].
     """
     dtype = _bitset_dtype(n)
     rows = np.zeros((n, 1 << len(bits)), dtype=dtype)
-    odd = np.zeros(rows.shape[1], dtype=bool)
     for t, k in enumerate(bits):
         half = 1 << t
         np.bitwise_or(rows[:, :half], np.array(_mask_adjacency(n, 1 << k)[1:], dtype)[:, None],
                       out=rows[:, half:2 * half])
-        odd[half:2 * half] = ~odd[:half]
-    return rows, odd
+    return rows
 
 
 def _parent_edges(n: int) -> np.ndarray:
@@ -564,7 +604,7 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     _check_root(n, root)
     masks = np.asarray(masks, dtype=np.int64)
     npairs = n * (n - 1) // 2
-    tables = [_deposit_rows(n, range(lo, min(lo + _BLOCK_BITS, npairs)))[0]
+    tables = [_deposit_rows(n, range(lo, min(lo + _BLOCK_BITS, npairs)))
               for lo in range(0, npairs, _BLOCK_BITS)]
     parent_edge = _parent_edges(n)
     connected = np.empty(masks.shape, dtype=bool)
@@ -603,19 +643,19 @@ def connected_mask_flags(n: int) -> np.ndarray:
     return mask_tree_table(n)[0]
 
 
-def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.ndarray, np.ndarray]:
+def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """Brute force over every submask of the host graph ``gmask`` on [n].
 
-    Returns the alternating sum of (-1)^|edges| over the connected spanning
-    submasks (the Ursell value of the host), the distinct rooted tree-image
-    masks of those submasks, and the preimage count of each image.  Up to
-    n = TABLE_MAX_N the submasks are picked out of all masks on [n], their
-    flags and images are read from ``mask_tree_table``, and the sum is the
-    host's entry of ``ursell_table``; larger n takes the blocked path.  A
-    disconnected host has no connected spanning submask.  Hosts of more than
-    MAX_HOST_EDGES edges are refused, and so is a root outside [1..n].
+    Returns the distinct rooted tree-image masks of the connected spanning
+    submasks and the preimage count of each image.  Up to n = TABLE_MAX_N
+    the submasks are picked out of all masks on [n] and their flags and
+    images are read from ``mask_tree_table``; larger n takes the blocked
+    path.  A disconnected host has no connected spanning submask.  Hosts of
+    more than MAX_HOST_EDGES edges are refused, and so are a root outside
+    [1..n] and a host mask outside [0, 2^(n(n-1)/2)).
     """
     _check_root(n, root)
+    _check_mask_range(n, gmask, gmask)
     edges = bin(gmask).count("1")
     if edges > MAX_HOST_EDGES:
         raise CapacityError(f"the submask brute force is capped at {MAX_HOST_EDGES} host "
@@ -625,34 +665,30 @@ def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[int, np.nda
     connected, images = mask_tree_table(n, root)
     subs = np.flatnonzero((np.arange(connected.size) & ~gmask) == 0)
     trees, preimages = np.unique(images[subs[connected[subs]]], return_counts=True)
-    return int(ursell_table(n)[gmask]), trees.astype(np.int64), preimages
+    return trees.astype(np.int64), preimages
 
 
-def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.ndarray, np.ndarray]:
+def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[np.ndarray, np.ndarray]:
     """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
 
     The neighbor rows of the submasks of the first 12 host edges are
-    deposited once per host by ``_deposit_rows``, with their parities; a
-    block ORs in the neighbor rows of its number's remaining edges, one
-    constant per vertex, so a submask has the parity of its index.  A host
-    of one block returns that block's classes; otherwise the blocks'
+    deposited once per host by ``_deposit_rows``; a block ORs in the
+    neighbor rows of its number's remaining edges, one constant per vertex.
+    A host of one block returns that block's classes; otherwise the blocks'
     preimage counts are merged once they reach as many entries as the merged
     classes (at least 2^16), so memory stays within about twice the class
     count as hosts grow.
     """
     bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
     inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
-    rows, odd = _deposit_rows(n, inner)
+    rows = _deposit_rows(n, inner)
     parent_edge = _parent_edges(n)
-    total = 0
     trees, counts, pending = [], [], 0
     last = (1 << len(outer)) - 1
     for high in range(last + 1):
         extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
         extra = np.array(extra[1:], rows.dtype)[:, None]
         conn, image = _tree_images(rows | extra, root, parent_edge)
-        signed = np.count_nonzero(conn) - 2 * np.count_nonzero(conn & odd)
-        total += -signed if bin(high).count("1") & 1 else signed
         block_trees, block_counts = np.unique(image[conn], return_counts=True)
         trees.append(block_trees)
         counts.append(block_counts)
@@ -661,7 +697,7 @@ def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[int, np.nda
             merged, cls = np.unique(np.concatenate(trees), return_inverse=True)
             counts = [np.bincount(cls, np.concatenate(counts), merged.size)]
             trees, pending = [merged], 0
-    return int(total), trees[0], counts[0].astype(np.int64)
+    return trees[0], counts[0].astype(np.int64)
 
 
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
@@ -682,12 +718,13 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
 
     Defined by brute force: ``submask_tree_classes`` maps every connected
     spanning subgraph of ``g``, and a tree qualifies exactly when it is its
-    own sole preimage.  The count of these trees equals |ursell_value(g)|.
+    own sole preimage.  The count of these trees equals the size of the
+    Ursell value of ``g`` (``ursell_values``).
     """
     if not g.is_connected():
         raise DomainError("Penrose trees are defined for connected graphs only")
     n = g.n
-    _, trees, preimages = submask_tree_classes(n, g.mask, root)
+    trees, preimages = submask_tree_classes(n, g.mask, root)
     return frozenset(RootedTree.from_mask(n, t, root) for t in trees[preimages == 1].tolist())
 
 

@@ -27,13 +27,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Dict, Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import CapacityError, DomainError, InputError
-from .graphs import submask_tree_classes, vertex_pairs
+from .graphs import ursell_values, vertex_pairs
 
 Number = Union[int, float, Fraction]
 
@@ -211,13 +209,6 @@ def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
 # finite-N tree-counting factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _penrose_count(n: int, emask: int) -> int:
-    """Number of singleton-preimage trees of the graph on [n] with edge mask ``emask``."""
-    _, _, preimages = submask_tree_classes(n, emask)
-    return int(np.count_nonzero(preimages == 1))
-
-
 def _occupancies(rem: Sequence[int], regions: Sequence[int]):
     """Ways to spread rem[i] elements of each part i over the Venn regions.
 
@@ -246,6 +237,9 @@ def p_exact(N: int, s: Sequence[int]) -> Fraction:
     hold elements, and c_R elements in exactly the subsets of each region R
     arise from perm(N, sum c) / prod c_R! tuples.  So the tuples are counted
     by occupancy, at a cost that does not grow with N; a part above N gives 0.
+    The counts are summed per intersection graph, whose singleton trees
+    number the size of its Ursell value (the Penrose identity), taken for
+    all the graphs by one ``ursell_values`` call.
     """
     s = tuple(int(x) for x in s)
     n = len(s)
@@ -263,11 +257,13 @@ def p_exact(N: int, s: Sequence[int]) -> Fraction:
     shared = [R for R in range(1, 1 << n) if R & (R - 1)]  # regions of >= 2 parts
     edges = [sum(1 << idx for idx, (a, b) in enumerate(pairs)
                  if R >> (a - 1) & 1 and R >> (b - 1) & 1) for R in shared]
-    total = 0
+    tuples: Dict[int, int] = {}
     for counts, rest in _occupancies(s, shared):
         emask = reduce(int.__or__, (e for c, e in zip(counts, edges) if c), 0)
-        tuples = math.perm(N, sum(counts + rest)) // math.prod(map(math.factorial, counts + rest))
-        total += tuples * _penrose_count(n, emask)
+        tuples[emask] = tuples.get(emask, 0) + (
+            math.perm(N, sum(counts + rest)) // math.prod(map(math.factorial, counts + rest)))
+    values = ursell_values(n, list(tuples)).tolist()
+    total = sum(t * abs(v) for t, v in zip(tuples.values(), values))
     return Fraction(total, N ** (sum(s) - n + 1))
 
 

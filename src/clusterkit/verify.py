@@ -41,7 +41,7 @@ from .graphs import (
     prufer_tree_masks,
     submask_tree_classes,
     ursell_table,
-    ursell_value,
+    ursell_values,
 )
 from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
 from .potentials import PairPotential, c_beta, f_bond_array
@@ -110,15 +110,19 @@ def penrose_identity_random(
 
     Each host is the first connected graph among G(n, edge_prob) draws, with
     edge_prob in (0, 1]; DomainError if MAX_HOST_DRAWS draws find none.
-    Brute force over every submask of each host graph by
-    ``submask_tree_classes``.
+    The Ursell values come from one ``ursell_values`` call, and
+    independently the Penrose trees from the brute force over every submask
+    of each host graph by ``submask_tree_classes``.  ConfigError for a
+    count below 1, which would check nothing.
     """
     if not 0.0 < edge_prob <= 1.0:
         raise ConfigError(f"edge_prob must lie in (0, 1], got {edge_prob!r}")
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count!r}")
     rng = random.Random(seed)
     npairs = n * (n - 1) // 2
     sign = 1 if (n - 1) % 2 == 0 else -1
-    mism = 0
+    hosts = []
     for _ in range(count):
         for _ in range(MAX_HOST_DRAWS):
             mask = 0
@@ -130,9 +134,12 @@ def penrose_identity_random(
         else:
             raise DomainError(f"no connected host on n={n} vertices in {MAX_HOST_DRAWS} "
                               f"draws at edge_prob={edge_prob!r}")
-        total, _, preimages = submask_tree_classes(n, mask, root)
+        hosts.append(mask)
+    mism = 0
+    for mask, value in zip(hosts, ursell_values(n, hosts).tolist()):
+        _, preimages = submask_tree_classes(n, mask, root)
         singles = int(np.count_nonzero(preimages == 1))
-        if total != sign * singles or sign * total <= 0:
+        if value != sign * singles or sign * value <= 0:
             mism += 1
     return count, mism
 
@@ -206,22 +213,22 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
     checked = 0
     for n in range(2, 6):
         sign = 1 if (n - 1) % 2 == 0 else -1
-        for g in enum_graphs(n, "connected"):
+        hosts = list(enum_graphs(n, "connected"))
+        for g, value in zip(hosts, ursell_values(n, [g.mask for g in hosts]).tolist()):
             trees = penrose_trees(g)
             if trees != penrose_trees_fast(g):
                 return False, f"fast/brute mismatch at n={n} mask {g.mask}"
-            # the identity on the scalar oracle, which also checks ursell_table
-            value = ursell_value(g)
+            # the identity on the subset log, which also checks ursell_table
             if len(trees) != sign * value or not trees or ursell_table(n)[g.mask] != value:
                 return False, f"tree count or ursell table off the scalar at n={n} mask {g.mask}"
             checked += 1
-    flags = connected_mask_flags(6)
-    masks = np.flatnonzero(flags)
-    for _ in range(40):
-        g = LabeledGraph.from_mask(6, int(masks[rng.randrange(len(masks))]))
+    masks = np.flatnonzero(connected_mask_flags(6))
+    sample = [int(masks[rng.randrange(len(masks))]) for _ in range(40)]
+    for mask, value in zip(sample, ursell_values(6, sample).tolist()):
+        g = LabeledGraph.from_mask(6, mask)
         if penrose_trees(g) != penrose_trees_fast(g):
             return False, f"fast/brute mismatch at n=6 mask {g.mask}"
-        if ursell_table(6)[g.mask] != ursell_value(g):
+        if ursell_table(6)[g.mask] != value:
             return False, f"ursell table != scalar ursell value at n=6 mask {g.mask}"
         checked += 1
     return True, f"{checked} graphs agree"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -29,13 +30,36 @@ from clusterkit.graphs import (
     prufer_tree_masks,
     submask_tree_classes,
     ursell_table,
-    ursell_value,
+    ursell_values,
     vertex_pairs,
 )
 
 
 def complete_graph(n):
     return LabeledGraph.from_mask(n, (1 << (n * (n - 1) // 2)) - 1)
+
+
+def ursell_value(g: LabeledGraph) -> int:
+    """Sum of (-1)^|edges| over connected spanning subgraphs of ``g``.
+
+    Returns 1 for the single-vertex graph and 0 when ``g`` is disconnected.
+    The result is an exact integer of sign (-1)^(n-1) for connected input.
+    """
+    n = g.n
+    if n == 1:
+        return 1
+    mask = g.mask
+    if not _mask_connected(n, mask):
+        return 0
+    total = 0
+    sub = mask
+    while True:
+        if _mask_connected(n, sub):
+            total += -1 if bin(sub).count("1") & 1 else 1
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +194,36 @@ def test_ursell_examples():
 
 
 def test_ursell_table_matches_direct():
+    # the zeta table and the subset log against the scalar oracle on every
+    # mask, disconnected ones included: a flipped sign or a dropped subset in
+    # the subset recursion moves some value
     for n in range(1, 6):
-        tab = ursell_table(n)
-        for g in enum_graphs(n, "all"):
-            assert tab[g.mask] == ursell_value(g)
+        want = [ursell_value(g) for g in enum_graphs(n, "all")]
+        assert ursell_table(n).tolist() == want
+        values = ursell_values(n, np.arange(len(want)))
+        assert values.dtype == np.int64 and values.tolist() == want
+
+
+def test_ursell_values_match_the_table_on_six_vertices():
+    assert np.array_equal(ursell_values(6, np.arange(1 << 15)), ursell_table(6))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ursell_values_of_complete_graphs(n):
+    values = ursell_values(n, [(1 << (n * (n - 1) // 2)) - 1, 0])
+    assert values.dtype == np.int64
+    assert values.tolist() == [(-1) ** (n - 1) * math.factorial(n - 1), int(n == 1)]
+
+
+def test_ursell_values_refuse_bad_input():
+    assert ursell_values(4, np.zeros(0, dtype=np.int64)).shape == (0,)
+    for n, mask in ((3, 8), (3, -1), (7, 1 << 21)):
+        with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
+            ursell_values(n, [0, mask])
+    with pytest.raises(ValueError, match="vertex count"):
+        ursell_values(0, [0])
+    with pytest.raises(CapacityError):
+        ursell_values(12, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +367,17 @@ def test_connected_mask_flags_match_scalar(n):
 
 def _check_engine(n, host, root):
     # the table path against the blocked kernel path, which n >= 7 takes
-    total, trees, preimages = submask_tree_classes(n, host, root)
+    trees, preimages = submask_tree_classes(n, host, root)
     blocked = _blocked_submask_classes(n, host, root)
-    assert (total, trees.tolist(), preimages.tolist()) == (
-        blocked[0], blocked[1].tolist(), blocked[2].tolist())
-    assert total == ursell_table(n)[host]
+    assert (trees.tolist(), preimages.tolist()) == (blocked[0].tolist(), blocked[1].tolist())
+    value = ursell_values(n, [host])[0]
+    assert value == ursell_table(n)[host]
     g = LabeledGraph.from_mask(n, host)
     if g.is_connected():
         found = penrose_trees(g, root)
         assert found == penrose_trees_fast(g, root)
-        assert len(found) == abs(int(ursell_table(n)[host]))
-    return total
+        assert len(found) == abs(value) == np.count_nonzero(preimages == 1)
+    return value
 
 
 @st.composite
@@ -352,8 +402,7 @@ def test_blocked_path_equals_table_path_at_every_root(case):
     for root in range(1, n + 1):
         table = submask_tree_classes(n, host, root)
         blocked = _blocked_submask_classes(n, host, root)
-        assert table[0] == blocked[0]
-        for a, b in zip(table[1:], blocked[1:]):
+        for a, b in zip(table, blocked):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
@@ -377,14 +426,18 @@ def test_mask_tree_table_is_read_only_and_capped():
 @settings(max_examples=10, deadline=None)
 @given(st.sets(st.integers(0, 20), max_size=12), st.integers(1, 7))
 def test_blocked_path_on_seven_vertices(edges, root):
-    # n = 7 has no table: the blocked path against the scalar oracles
+    # n = 7 has no table: the blocked path and the subset log against the
+    # scalar oracles
     host = sum(1 << k for k in edges)
-    total, trees, preimages = submask_tree_classes(7, host, root)
+    trees, preimages = submask_tree_classes(7, host, root)
     g = LabeledGraph.from_mask(7, host)
-    assert type(total) is int and total == ursell_value(g)
+    want = ursell_value(g)
+    value = ursell_values(7, [host])
+    assert value.dtype == np.int64 and value.tolist() == [want]
     if g.is_connected():
         singles = {t for t, c in zip(trees.tolist(), preimages.tolist()) if c == 1}
         assert singles == {t.mask for t in penrose_trees_fast(g, root)}
+        assert len(singles) == abs(want)
 
 
 @pytest.mark.parametrize("n, edges, root", [
@@ -405,9 +458,9 @@ def test_blocked_path_against_the_mask_kernel(n, edges, root):
     connected, images = mask_tree_images(n, subs, root)
     trees, preimages = np.unique(images[connected], return_counts=True)
     total = int(np.sum(1 - 2 * graphs.bit_parity(subs[connected])))
+    assert ursell_values(n, [host]).tolist() == [total]
     got = _blocked_submask_classes(n, host, root)
-    assert got[0] == total
-    for a, b in zip(got[1:], (trees, preimages.astype(np.int64))):
+    for a, b in zip(got, (trees, preimages.astype(np.int64))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     # the mask kernel against the scalar oracles on a sample of the submasks
     sample = rng.sample(range(subs.size), 30)
@@ -418,7 +471,7 @@ def test_blocked_path_against_the_mask_kernel(n, edges, root):
 
 def test_engine_refuses_a_root_outside_the_vertices():
     path = edge_mask(7, [(v, v + 1) for v in range(1, 7)])
-    assert submask_tree_classes(7, path, 7)[0] == 1
+    assert [a.tolist() for a in submask_tree_classes(7, path, 7)] == [[path], [1]]
     # the table path (n <= 6) and the blocked path (n = 7)
     for n, host in ((5, edge_mask(5, [(v, v + 1) for v in range(1, 5)])), (7, path)):
         for root in (0, n + 1):
@@ -430,6 +483,14 @@ def test_engine_refuses_a_root_outside_the_vertices():
         penrose_trees_fast(LabeledGraph.from_mask(7, path), 8)
     with pytest.raises(ValueError, match="root 8 outside"):
         verify.penrose_identity_random(7, 5, root=8)
+
+
+def test_engine_refuses_a_mask_outside_the_edges():
+    # the table path (n <= 6) and the blocked path (n = 7), past the top
+    # edge or negative
+    for n, mask in ((3, 8), (3, -1), (7, 1 << 21), (7, -1)):
+        with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
+            submask_tree_classes(n, mask)
 
 
 def test_submask_engine_host_edge_cap():
@@ -534,8 +595,8 @@ def _cache_sizes():
 
 
 def test_penrose_engine_grows_no_cache_once_filled():
-    # the tables a benchmark fills before timing: ursell tables, the vertex
-    # pairs of each n, and p_exact's intersection graphs on up to 3 parts
+    # the tables a benchmark fills before timing: ursell tables and the
+    # vertex pairs of each n; p_exact keeps no cache
     for n in range(1, 13):
         edge_mask(n, ())
     for n in range(1, 7):
@@ -654,6 +715,12 @@ def test_identity_random_draws_the_same_hosts(monkeypatch):
                         lambda n, mask, root: seen.append(mask) or engine(n, mask, root))
     assert verify.penrose_identity_random(7, 100) == (100, 0)
     assert seen == want
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_identity_random_refuses_a_count_below_one(count):
+    with pytest.raises(ConfigError, match=f"count must be at least 1, got {count}"):
+        verify.penrose_identity_random(7, count)
 
 
 @pytest.mark.parametrize("edge_prob", [0.0, -0.5, 1.5, float("nan")])
