@@ -172,10 +172,8 @@ def _boltzmann_factors(p: PairPotential, beta: float, npairs: int):
 
     def product(dists, m):
         boltz = np.ones(m)
-        # an overflowing product is refused by _monte_carlo's finiteness check
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in dists:
-                boltz *= 1.0 + f_bond_array(p, beta, r)
+        for r in dists:
+            boltz *= 1.0 + f_bond_array(p, beta, r)
         return boltz
 
     return product

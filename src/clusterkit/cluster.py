@@ -27,12 +27,12 @@ stratify the free points by radius in the ball of radius (n-1) * range
 around the pinned particle; in a box, b_n and ztilde draw the same uniform
 points.  Points are coordinate-major (d, m) arrays, and ``_pair_distances``
 turns two of them into m distances, squaring and rooting in place.  For a
-piecewise constant bond ``_mc_graph_sum`` packs each sample's bond levels
-into its row of levels and reads the graph sum from ``_graph_sum_table``,
-one entry per row, built from the potential's level values; other bonds
-evaluate the bond function and the graph sum per sample.  Both give the same
-bits.  ztilde (``canonical``) needs only two counters per sample, its core
-flag and its well count, in place of a row of levels.  A mean or standard
+piecewise constant bond ``_mc_weights`` packs each sample's bond levels
+into a row id and runs the graph sum once per distinct row of the chunk,
+ranked by ``distinct_ids`` as in quadrature; other bonds take it sample by
+sample.  Both give the same bits, and 0 on a disconnected bond graph.
+ztilde (``canonical``) needs only two counters per sample, its core flag
+and its well count, in place of a row of levels.  A mean or standard
 error that is not finite raises DomainError.
 """
 
@@ -46,12 +46,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
-from .graphs import connected_weight_sum, enum_graphs, vertex_pairs
+from .graphs import connected_mask_flags, connected_weight_sum, enum_graphs, vertex_pairs
 from .potentials import PairPotential, bond_level_values, f_bond_array
 from .quadrature import (
     _append_levels,
     bond_levels,
     difference_closure,
+    distinct_ids,
     gap_quadrature,
     integrate_1d,
     pair_window_matrix,
@@ -192,28 +193,6 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _graph_sum_table(p: PairPotential, beta: float, graph_sum, npairs: int,
-                     block: int) -> np.ndarray:
-    """The graph sum of every row of bond levels, indexed by the row.
-
-    A piecewise constant bond takes one value per level, so a sample's graph
-    sum is the entry at its row of levels, packed by ``_append_levels`` with
-    the first pair the most significant digit.  Every class sum works row by
-    row, so the entries are the bits the sum gives sample by sample.  Rows
-    are evaluated ``block`` at a time.  A row whose sum overflows holds inf
-    or NaN without a warning; it is refused only if a sample reaches it, by
-    ``_monte_carlo``'s check of the mean.
-    """
-    values = bond_level_values(p, beta)
-    shape = (values.size,) * npairs
-    table = np.empty(math.prod(shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, table.size, block):
-            rows = np.arange(start, min(start + block, table.size))
-            table[rows] = graph_sum(values[np.stack(np.unravel_index(rows, shape), axis=1)])
-    return table
-
-
 def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int) -> None:
     """Reject a missing seed and sample sizes below one, before any set-up."""
     if seed is None:
@@ -238,8 +217,10 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
     nchunks = max(2, math.ceil(samples / chunk))
 
     def one_chunk(c: int) -> float:
-        return chunk_mean(np.random.Generator(
-            np.random.Philox(key=[np.uint64(seed), np.uint64(c)])))
+        # a weight or mean that overflows is refused below as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return chunk_mean(np.random.Generator(
+                np.random.Philox(key=[np.uint64(seed), np.uint64(c)])))
 
     if workers is None or workers <= 1:
         means = np.asarray([one_chunk(c) for c in range(nchunks)])
@@ -267,6 +248,32 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
     return float(value), float(error)
 
 
+def _mc_weights(p: PairPotential, beta: float, n: int, graph_class: str):
+    """Pair-major (pairs, m) separations -> the m graph-class sums, exactly 0
+    where the bond graph (pairs with f != 0) is disconnected.  Row ids are
+    never renumbered up to MONTE_CARLO_MAX_N, so they decode to levels."""
+    graph_sum = _graph_class_sum(n, graph_class)
+    connected = connected_mask_flags(n)
+    bits = 1 << np.arange(n * (n - 1) // 2)
+
+    def bond_graph_sum(fvals):
+        return np.where(connected[(fvals != 0) @ bits], graph_sum(fvals), 0.0)
+
+    if not p.piecewise_constant_bond:
+        return lambda seps: bond_graph_sum(f_bond_array(p, beta, seps.T))
+    cuts = p.breakpoints()
+    values = bond_level_values(p, beta)
+    shape = (values.size,) * bits.size
+
+    def weights(seps):
+        ids, count = _append_levels(np.zeros(seps.shape[1], dtype=np.int64), 1,
+                                    bond_levels(seps, cuts), values.size)
+        rows, inverse = distinct_ids(ids, count)
+        return bond_graph_sum(values[np.stack(np.unravel_index(rows, shape), axis=1)])[inverse]
+
+    return weights
+
+
 def _mc_graph_sum(
     p: PairPotential,
     beta: float,
@@ -281,20 +288,9 @@ def _mc_graph_sum(
     _check_monte_carlo(seed, samples, chunk)
     d = p.dimension
     pairs = vertex_pairs(n)
-    graph_sum = _graph_class_sum(n, graph_class)
+    weights = _mc_weights(p, beta, n, graph_class)
     radius = (n - 1) * p.range_radius
     ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
-    if p.piecewise_constant_bond:
-        cuts = p.breakpoints()
-        table = _graph_sum_table(p, beta, graph_sum, len(pairs), chunk)
-        start = np.zeros(chunk, dtype=np.int64)
-
-        def weights(seps):
-            rows, _ = _append_levels(start, 1, bond_levels(seps, cuts), len(cuts) + 1)
-            return table[rows]
-    else:
-        def weights(seps):
-            return graph_sum(f_bond_array(p, beta, seps.T))
 
     def chunk_mean(rng: np.random.Generator) -> float:
         if box is None:

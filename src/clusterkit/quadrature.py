@@ -22,9 +22,9 @@ Two engines live here:
   and gives the bits of the node-by-node sum.  (A panel with a level
   crossing inside it, closer to an edge than the merge tolerance, is taken
   node by node.)  The level steps run on flat arrays: each step's
-  breakpoint candidates form one contiguous row per candidate, and the
-  distinct level rows of a block of the last level are ranked in a table
-  over their ids, no larger than the id array, rather than sorted.
+  breakpoint candidates form one contiguous row per candidate, and
+  ``distinct_ids`` ranks the level rows of a block of the last level, or
+  of a Monte Carlo chunk, in a table over their ids or by one sort.
 """
 
 from __future__ import annotations
@@ -233,6 +233,17 @@ def _append_levels(ids: np.ndarray, count: int, levels, base: int):
     return ids, count
 
 
+def distinct_ids(ids: np.ndarray, count: int):
+    """``np.unique(ids, return_inverse=True)`` for int64 ids in [0, count),
+    ranked in a boolean table over [0, count) when it is no larger than the
+    id array, else by one sort."""
+    if count <= ids.shape[0]:
+        seen = np.zeros(count, dtype=bool)
+        seen[ids] = True
+        return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
+    return np.unique(ids, return_inverse=True)
+
+
 def _q_schedule(n_gaps: int, boxed: bool, q_offset: int):
     """Per-level node counts: exact for piecewise polynomials of the nested
     integrand degree (n_gaps - m, plus one in box mode)."""
@@ -424,11 +435,9 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
     grows with the last gap, so a panel whose first and last node share
     their levels has them at every node and is evaluated at its first node.
     A panel with a level crossing inside it, closer to an edge than the
-    merge tolerance, is evaluated node by node.  The distinct ids are ranked
-    in a table over their range, distinct prefixes times base^(k+1), which
-    is used only when it is no larger than the id array (else one sort);
-    weight_fn sees the rows in increasing id order, any row standing for its
-    id.
+    merge tolerance, is evaluated node by node.  The ids, below distinct
+    prefixes times base^(k+1), are ranked by ``distinct_ids``; weight_fn
+    sees the rows in increasing id order, any row standing for its id.
     """
     k = ts.shape[1]
     q = xq.shape[0]
@@ -460,13 +469,8 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
         row = row[unit // q]
         levels = last_levels(np.take(cs, row, axis=1), x)
     ids, count = _append_levels(pre_ids[row], prefixes.shape[0], levels, base)
-    if count <= ids.shape[0]:
-        seen = np.zeros(count, dtype=bool)
-        seen[ids] = True
-        inverse = (np.cumsum(seen) - 1)[ids]
-    else:
-        _, inverse = np.unique(ids, return_inverse=True)
-    rep = np.empty(int(inverse.max(initial=-1)) + 1, dtype=np.intp)
+    distinct, inverse = distinct_ids(ids, count)
+    rep = np.empty(distinct.shape[0], dtype=np.intp)
     rep[inverse] = np.arange(ids.shape[0])
     points = np.empty((rep.shape[0], k + 1))
     points[:, :k] = ts[row[rep]]

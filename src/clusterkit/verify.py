@@ -220,7 +220,7 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
                 return False, f"fast/brute mismatch at n={n} mask {g.mask}"
             # the identity on the subset log, which also checks ursell_table
             if len(trees) != sign * value or not trees or ursell_table(n)[g.mask] != value:
-                return False, f"tree count or ursell table off the scalar at n={n} mask {g.mask}"
+                return False, f"tree count or ursell_table != ursell_values at n={n} mask {g.mask}"
             checked += 1
     masks = np.flatnonzero(connected_mask_flags(6))
     sample = [int(masks[rng.randrange(len(masks))]) for _ in range(40)]
@@ -229,7 +229,7 @@ def _check_fast_equivalence(ctx: VerifyContext) -> Tuple[bool, str]:
         if penrose_trees(g) != penrose_trees_fast(g):
             return False, f"fast/brute mismatch at n=6 mask {g.mask}"
         if ursell_table(6)[g.mask] != value:
-            return False, f"ursell table != scalar ursell value at n=6 mask {g.mask}"
+            return False, f"ursell_table != ursell_values at n=6 mask {g.mask}"
         checked += 1
     return True, f"{checked} graphs agree"
 

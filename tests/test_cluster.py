@@ -3,13 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clusterkit import tonks
 from clusterkit.canonical import compare_series_direct, ztilde_direct
 from clusterkit.cluster import (
     _graph_class_sum,
-    _graph_sum_table,
+    _mc_weights,
     _pair_distances,
     connected_weight_sum,
     mayer_bn,
@@ -17,9 +17,9 @@ from clusterkit.cluster import (
     virial_bk_direct,
 )
 from clusterkit.errors import CapacityError, ConfigError, DomainError
-from clusterkit.graphs import enum_graphs, vertex_pairs
+from clusterkit.graphs import LabeledGraph, enum_graphs, vertex_pairs
 from clusterkit.potentials import PairPotential, c_beta, f_bond_array
-from clusterkit.quadrature import _append_levels, bond_levels
+from clusterkit.quadrature import distinct_ids
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -175,7 +175,9 @@ MODULE_POTENTIALS = {"tabulated": TABULATED, "well_3d": WELL_3D}
 # (value, error) recorded from the kernels that evaluated every bond function
 # and graph sum sample by sample (b_n, beta_k) and multiplied ztilde's
 # Boltzmann factor pair by pair; the bond-level and level-count kernels must
-# give the same bits at any worker count.  Rows: id, routine, potential,
+# give the same bits at any worker count.  Square-well b_4 was recorded again
+# once a sample with a disconnected bond graph weighed exactly 0 rather than
+# the residue of the subset recursion.  Rows: id, routine, potential,
 # arguments after (potential, beta), keywords, (value, error).
 MC_PINS = [
     ("hard_sphere b_3", mayer_bn, "sphere", (3,), dict(seed=11),
@@ -183,7 +185,7 @@ MC_PINS = [
     ("hard_sphere b_4", mayer_bn, "sphere", (4,), dict(seed=12),
      (-36.16572111990169, 6.027620186650282)),
     ("square_well b_4", mayer_bn, "well", (4,), dict(seed=13),
-     (0.5717933825141674, 0.0792313861887702)),
+     (0.5717933825141668, 0.07923138618877033)),
     ("hard_sphere beta_2", virial_bk_direct, "sphere", (2,), dict(seed=14),
      (-4.0425899626862005, 0.2526618726678873)),
     ("square_well beta_2", virial_bk_direct, "well", (2,), dict(seed=15),
@@ -232,15 +234,24 @@ def test_mc_non_finite_refused(fn, beta, args, n):
 
 
 def test_overflowing_graph_sum_table_is_refused_without_warnings():
-    # the level table holds inf and NaN rows here, and the pair-by-pair
-    # product of ztilde overflows; both run silently, and the refusal of the
-    # mean is the only signal
+    # the graph sums of some reached level rows are inf or NaN here, and the
+    # pair-by-pair product of ztilde overflows; both run silently, and the
+    # refusal of the mean is the only signal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"not finite at n=4\b"):
             mayer_bn(WELL_3D, 300.0, 4, method="monte_carlo", seed=1, samples=40_000)
         with pytest.raises(DomainError, match=r"not finite at n=12\b"):
             ztilde_direct(WELL_3D, 100.0, 5.0, 12, method="monte_carlo", seed=1, samples=40_000)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_mc_disconnected_samples_weigh_zero(seed):
+    # no sample of these runs has a connected bond graph; the subset
+    # recursion leaves residue of up to 2.8e-14 on such rows, which once
+    # read as b_5 of about -1.1e-8
+    with pytest.raises(DomainError, match=r"only 0 of 2 "):
+        mayer_bn(WELL_3D, 1.0, 5, method="monte_carlo", seed=seed, samples=40_000)
 
 
 # coordinates whose squares neither underflow nor overflow, so that
@@ -280,27 +291,47 @@ def level_rows(draw):
         pot = PairPotential("hard_sphere", sigma, 3)
     n = draw(st.integers(2, 5))
     graph_class = draw(st.sampled_from(["connected", "two_connected"]))
-    # separations on and between the breakpoints
+    # separations on and between the breakpoints; the sample count falls on
+    # either side of the number of level rows, levels^pairs
     cuts = pot.breakpoints()
     sep = st.one_of(st.sampled_from([0.0, *cuts]), st.floats(0.0, 2.0 * cuts[-1]))
     npairs = n * (n - 1) // 2
     size = npairs * draw(st.integers(1, 40))
     seps = np.array(draw(st.lists(sep, min_size=size, max_size=size))).reshape(-1, npairs)
-    block = draw(st.integers(1000, 30_000))
-    return pot, draw(st.floats(0.1, 3.0)), n, graph_class, seps, block
+    return pot, draw(st.floats(0.1, 3.0)), n, graph_class, seps
 
 
 @settings(max_examples=30, deadline=None)
 @given(level_rows())
-def test_graph_sum_table_is_bitwise_plain(case):
-    pot, beta, n, graph_class, seps, block = case
-    graph_sum = _graph_class_sum(n, graph_class)
-    table = _graph_sum_table(pot, beta, graph_sum, seps.shape[1], block)
-    cuts = pot.breakpoints()
-    rows, _ = _append_levels(np.zeros(seps.shape[0], dtype=np.int64), 1,
-                             bond_levels(seps, cuts).T, len(cuts) + 1)
-    got = table[rows]
-    assert got.tobytes() == graph_sum(f_bond_array(pot, beta, seps)).tobytes()
+@example((PairPotential("hard_sphere", 1.0, 3), 1.0, 3, "connected",
+          np.array([[0.5, 0.5, 2.0]] * 9 + [[2.0, 0.5, 2.0]])))
+@example((PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0), 1.0, 5,
+          "connected", np.array([[1.2] * 4 + [2.0] * 6, [0.5] * 10])))
+def test_mc_level_weights_are_bitwise_plain(case):
+    # the level path ranks the rows of a chunk and sums each distinct row
+    # once: on a connected bond graph the bits of the sample-by-sample sum,
+    # elsewhere exactly 0
+    pot, beta, n, graph_class, seps = case
+    fvals = f_bond_array(pot, beta, seps)
+    got = _mc_weights(pot, beta, n, graph_class)(np.ascontiguousarray(seps.T))
+    pairs = vertex_pairs(n)
+    connected = np.array([LabeledGraph.from_edges(n, [e for e, f in zip(pairs, row) if f != 0])
+                          .is_connected() for row in fvals], dtype=bool)
+    want = _graph_class_sum(n, graph_class)(fvals)
+    assert got[connected].tobytes() == want[connected].tobytes()
+    assert got[~connected].tobytes() == np.zeros(int((~connected).sum())).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda count: st.tuples(
+    st.just(count), st.lists(st.integers(0, count - 1), max_size=2 * count))))
+def test_distinct_ids_is_unique_with_inverse(case):
+    # the table branch runs when count <= len(ids), the sort otherwise
+    count, ids = case
+    ids = np.array(ids, dtype=np.int64)
+    got, want = distinct_ids(ids, count), np.unique(ids, return_inverse=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_virial_k1_radial(sphere):
