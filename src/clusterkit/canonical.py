@@ -8,14 +8,10 @@ is computed three ways: the hard-rod closed form (1 - (N-1) sigma/L)^N,
 one-dimensional nested quadrature over ordered gaps (N <= 4), and plain
 hit-or-miss Monte Carlo on the Boltzmann factor (N <= 12, adequate exactly
 in the low-density regime the series certifies).  The Boltzmann factor is
-prod (1 + f), the sum over all graphs: quadrature runs the gap driver of
-``cluster`` (graph class "all"), and Monte Carlo its chunk driver on the
-box points of box b_n.  For a piecewise constant bond Monte Carlo keeps two
-counters per sample, a core flag and a count of the pairs in the well, and
-reads the factor from a table of the well factor's sequential powers,
-which gives the bits of the pair-by-pair product; other bonds, and wells
-whose powers overflow, multiply pair by pair.  Free boundary conditions
-throughout: no periodic images.
+prod (1 + f), the sum over all graphs, so both numerical routes are the
+drivers of ``cluster`` for graph class "all": the gap quadrature, and the
+Monte Carlo chunk loop of b_n and beta_k, whose box mean is ztilde itself.
+Free boundary conditions throughout: no periodic images.
 
 ``compare_series_direct`` is the end-to-end harness: it evaluates the
 interaction free-energy term Q = (1/V) ln ztilde directly and from the
@@ -31,22 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from .errors import CapacityError, ConfigError, DomainError, JammedError
 from . import tonks
-from .cluster import (
-    MONTE_CARLO_MAX_N,
-    QUADRATURE_MAX_N,
-    _box_points,
-    _check_monte_carlo,
-    _gap_integral,
-    _monte_carlo,
-    _pair_distances,
-    mayer_bn,
-)
-from .graphs import vertex_pairs
-from .potentials import PairPotential, bond_level_values, c_beta, f_bond_array
+from .cluster import MONTE_CARLO_MAX_N, QUADRATURE_MAX_N, _gap_integral, _mc_graph_sum, mayer_bn
+from .potentials import PairPotential, c_beta
 from .series import free_energy_series, virial_from_mayer
 
 ZTILDE_QUADRATURE_MAX_N = 4
@@ -101,8 +85,8 @@ def ztilde_direct(
     DomainError when fewer than two of its chunk means are nonzero, or when
     its estimate is not finite.
     """
-    if not (beta > 0 and L > 0):
-        raise DomainError("need beta > 0 and L > 0")
+    if not (beta > 0 and 0 < L < math.inf):
+        raise DomainError("need beta > 0 and finite L > 0")
     if N < 1:
         raise DomainError("N must be >= 1")
     if p.kind == "hard_rod" and L <= (N - 1) * p.sigma:
@@ -135,73 +119,11 @@ def ztilde_direct(
     if method == "monte_carlo":
         if N > ZTILDE_MC_MAX_N:
             raise CapacityError(f"Monte Carlo capped at N={ZTILDE_MC_MAX_N}")
-        _check_monte_carlo(seed, samples, chunk)
-        pairs = vertex_pairs(N)
-        factors = _boltzmann_factors(p, beta, len(pairs))
-
-        def chunk_mean(rng: np.random.Generator) -> float:
-            # pair by pair: a (chunk, pairs) distance matrix would more than
-            # double the peak memory at N = 12
-            pts = _box_points(rng, N, p.dimension, L, chunk)
-            return float(factors(
-                (_pair_distances(pts[i - 1], pts[j - 1]) for i, j in pairs), chunk).mean())
-
-        val, err = _monte_carlo(chunk_mean, N, seed, samples, chunk, workers)
+        val, err = _mc_graph_sum(p, beta, N, "all", seed, samples, chunk, box=L,
+                                 workers=workers)
         return _checked_result(p, CanonicalResult(N, L, beta, val, err,
                                                   "monte_carlo", p.dimension))
     raise ConfigError(f"unknown method {method!r}")
-
-
-def _boltzmann_factors(p: PairPotential, beta: float, npairs: int):
-    """The per-sample Boltzmann factors prod (1 + f) over ``npairs`` pairs,
-    as a function of the pairs' distance arrays (in pair order) and the
-    sample count.
-
-    A piecewise constant bond counts levels: a factor of 1.0 is exact, the
-    core factor is exactly 0.0, and only the well factor w is neither, so
-    the pair-order product is powers[k] (k wells, powers[k] the k-fold
-    sequential product 1 w ... w) or 0.0 once a pair is in the core.  These
-    are the product's bits while powers stays finite; where w^npairs
-    overflows, and for any other bond, the product runs pair by pair.
-    """
-    if p.piecewise_constant_bond:
-        cuts = p.breakpoints()
-        powers = _well_powers(1.0 + float(bond_level_values(p, beta)[1]), npairs)
-        if math.isfinite(powers[-1]):
-            return lambda dists, m: _level_count_factors(dists, m, cuts, powers)
-
-    def product(dists, m):
-        boltz = np.ones(m)
-        for r in dists:
-            boltz *= 1.0 + f_bond_array(p, beta, r)
-        return boltz
-
-    return product
-
-
-def _well_powers(w: float, npairs: int) -> np.ndarray:
-    """powers[k] = 1 w ... w, the k-fold product taken in sequence, for
-    k = 0..npairs."""
-    powers = [1.0]
-    for _ in range(npairs):
-        powers.append(powers[-1] * w)
-    return np.array(powers)
-
-
-def _level_count_factors(dists, m: int, cuts, powers: np.ndarray) -> np.ndarray:
-    """powers[wells], 0.0 where a pair is in the core, from two per-sample
-    counters: ``dead`` (some distance below the core cut) and ``wells`` (the
-    distances below the last cut; uint8 holds the 66 pairs at N = 12)."""
-    dead = np.zeros(m, dtype=bool)
-    wells = np.zeros(m, dtype=np.uint8)
-    below = np.empty(m, dtype=bool)
-    for r in dists:
-        dead |= np.less(r, cuts[0], out=below)
-        if len(cuts) > 1:
-            wells += np.less(r, cuts[-1], out=below)
-    factors = powers.take(wells)
-    factors[dead] = 0.0
-    return factors
 
 
 def _checked_result(p: PairPotential, res: CanonicalResult) -> CanonicalResult:

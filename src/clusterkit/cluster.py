@@ -20,20 +20,24 @@ integral.  For a piecewise constant bond it passes the breakpoints to
 gap_quadrature as level cuts, which runs the graph sum once per distinct row
 of bond levels among the last gap's panels.  Each caller scales
 gap_quadrature's refined and base sums and reports their difference as the
-error.  Monte Carlo (any d, default d = 3), ``_monte_carlo``, draws chunk c
-from a Philox substream keyed by (seed, c), so results are bit-reproducible
-for a given (seed, samples, chunk size) at any worker count.  b_n and beta_k
-stratify the free points by radius in the ball of radius (n-1) * range
-around the pinned particle; in a box, b_n and ztilde draw the same uniform
-points.  Points are coordinate-major (d, m) arrays, and ``_pair_distances``
-turns two of them into m distances, squaring and rooting in place.  For a
-piecewise constant bond ``_mc_weights`` packs each sample's bond levels
-into a row id and runs the graph sum once per distinct row of the chunk,
-ranked by ``distinct_ids`` as in quadrature; other bonds take it sample by
-sample.  Both give the same bits, and 0 on a disconnected bond graph.
-ztilde (``canonical``) needs only two counters per sample, its core flag
-and its well count, in place of a row of levels.  A mean or standard
-error that is not finite raises DomainError.
+error.  Monte Carlo (any d, default d = 3) has one chunk loop,
+``_mc_graph_sum``, for b_n, beta_k and ztilde; ``_monte_carlo`` draws
+chunk c from a Philox substream keyed by (seed, c), so results are
+bit-reproducible for a given (seed, samples, chunk size) at any worker
+count.  Free b_n and beta_k stratify the free points by radius in the ball
+of radius (n-1) * range around the pinned particle, and a chunk returns its
+mean times the ball measure.  In a box all n points are uniform and a chunk
+returns the plain mean of its class sums: ztilde itself, and V^(-n) times
+the box integral of b_n.  Points are coordinate-major (d, m) arrays, and
+``_pair_distances`` turns two of them into m distances, squaring and
+rooting in place; the chunk streams them pair by pair to ``_mc_weights``.
+For a piecewise constant bond the connected and two-connected sums pack
+each sample's bond levels into a row id and run the graph sum once per
+distinct row of the chunk, ranked by ``distinct_ids`` as in quadrature;
+other bonds take it sample by sample.  Both give the same bits, and 0 on a
+disconnected bond graph.  The sum over all graphs needs only two counters
+per sample, its core flag and its well count, in place of a row of levels.
+A mean or standard error that is not finite raises DomainError.
 """
 
 from __future__ import annotations
@@ -71,11 +75,10 @@ VIRIAL_MC_MAX_K = 2
 
 @lru_cache(maxsize=None)
 def _two_connected_columns_cached(n: int):
-    """Edge columns of each two-connected graph on [n] (the single edge at n = 2)."""
-    col = {e: k for k, e in enumerate(vertex_pairs(n))}
-    if n == 2:
-        return [[col[(1, 2)]]]
-    return [[col[e] for e in sorted(g.edges)] for g in enum_graphs(n, "two_connected")]
+    """Edge columns of each two-connected graph on [n] (the single edge at n = 2),
+    in increasing order: the set bits of its edge mask."""
+    masks = [1] if n == 2 else [g.mask for g in enum_graphs(n, "two_connected")]
+    return [[k for k in range(n * (n - 1) // 2) if mask >> k & 1] for mask in masks]
 
 
 def graph_list_weight_sum(fvals: np.ndarray, edge_columns) -> np.ndarray:
@@ -143,8 +146,6 @@ def _gap_integral(
     support = None if graph_class == "all" else p.range_radius
     radii = difference_closure(p.breakpoints(), support)
     weight = _gap_weight_fn(p, beta, n, graph_class)
-    if box is not None and not box > 0:
-        raise DomainError("box side must be positive")
     level_cuts = p.breakpoints() if p.piecewise_constant_bond else None
     return gap_quadrature(weight, n - 1, radii, support, box, level_cuts)
 
@@ -249,9 +250,18 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
 
 
 def _mc_weights(p: PairPotential, beta: float, n: int, graph_class: str):
-    """Pair-major (pairs, m) separations -> the m graph-class sums, exactly 0
-    where the bond graph (pairs with f != 0) is disconnected.  Row ids are
-    never renumbered up to MONTE_CARLO_MAX_N, so they decode to levels."""
+    """The graph-class sums of m samples, as a function of their distances
+    ``dists`` (an iterable of (m,) arrays in vertex_pairs(n) order) and m.
+
+    ``all`` is ``_boltzmann_factors``.  The connected and two-connected sums
+    are exactly 0 where the bond graph (pairs with f != 0) is disconnected;
+    a piecewise constant bond packs each sample's bond levels into a row id
+    and sums each distinct row of the chunk once (row ids are never
+    renumbered up to MONTE_CARLO_MAX_N, so they decode to levels), any other
+    bond sums sample by sample.
+    """
+    if graph_class == "all":
+        return _boltzmann_factors(p, beta, n * (n - 1) // 2)
     graph_sum = _graph_class_sum(n, graph_class)
     connected = connected_mask_flags(n)
     bits = 1 << np.arange(n * (n - 1) // 2)
@@ -260,18 +270,70 @@ def _mc_weights(p: PairPotential, beta: float, n: int, graph_class: str):
         return np.where(connected[(fvals != 0) @ bits], graph_sum(fvals), 0.0)
 
     if not p.piecewise_constant_bond:
-        return lambda seps: bond_graph_sum(f_bond_array(p, beta, seps.T))
+        return lambda dists, m: bond_graph_sum(f_bond_array(p, beta, np.stack([*dists], axis=1)))
     cuts = p.breakpoints()
     values = bond_level_values(p, beta)
     shape = (values.size,) * bits.size
 
-    def weights(seps):
-        ids, count = _append_levels(np.zeros(seps.shape[1], dtype=np.int64), 1,
-                                    bond_levels(seps, cuts), values.size)
+    def weights(dists, m):
+        ids, count = _append_levels(np.zeros(m, dtype=np.int64), 1,
+                                    (bond_levels(r, cuts) for r in dists), values.size)
         rows, inverse = distinct_ids(ids, count)
         return bond_graph_sum(values[np.stack(np.unravel_index(rows, shape), axis=1)])[inverse]
 
     return weights
+
+
+def _boltzmann_factors(p: PairPotential, beta: float, npairs: int):
+    """The per-sample Boltzmann factors prod (1 + f) over ``npairs`` pairs,
+    as a function of the pairs' distance arrays (in pair order) and the
+    sample count.
+
+    A piecewise constant bond counts levels: a factor of 1.0 is exact, the
+    core factor is exactly 0.0, and only the well factor w is neither, so
+    the pair-order product is powers[k] (k wells, powers[k] the k-fold
+    sequential product 1 w ... w) or 0.0 once a pair is in the core.  These
+    are the product's bits while powers stays finite; where w^npairs
+    overflows, and for any other bond, the product runs pair by pair.
+    """
+    if p.piecewise_constant_bond:
+        cuts = p.breakpoints()
+        powers = _well_powers(1.0 + float(bond_level_values(p, beta)[1]), npairs)
+        if math.isfinite(powers[-1]):
+            return lambda dists, m: _level_count_factors(dists, m, cuts, powers)
+
+    def product(dists, m):
+        boltz = np.ones(m)
+        for r in dists:
+            boltz *= 1.0 + f_bond_array(p, beta, r)
+        return boltz
+
+    return product
+
+
+def _well_powers(w: float, npairs: int) -> np.ndarray:
+    """powers[k] = 1 w ... w, the k-fold product taken in sequence, for
+    k = 0..npairs."""
+    powers = [1.0]
+    for _ in range(npairs):
+        powers.append(powers[-1] * w)
+    return np.array(powers)
+
+
+def _level_count_factors(dists, m: int, cuts, powers: np.ndarray) -> np.ndarray:
+    """powers[wells], 0.0 where a pair is in the core, from two per-sample
+    counters: ``dead`` (some distance below the core cut) and ``wells`` (the
+    distances below the last cut; uint8 holds the 66 pairs at N = 12)."""
+    dead = np.zeros(m, dtype=bool)
+    wells = np.zeros(m, dtype=np.uint8)
+    below = np.empty(m, dtype=bool)
+    for r in dists:
+        dead |= np.less(r, cuts[0], out=below)
+        if len(cuts) > 1:
+            wells += np.less(r, cuts[-1], out=below)
+    factors = powers.take(wells)
+    factors[dead] = 0.0
+    return factors
 
 
 def _mc_graph_sum(
@@ -285,6 +347,9 @@ def _mc_graph_sum(
     box: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> Tuple[float, float]:
+    """Mean and standard error of the chunk estimates of the graph-class sum
+    on [n]: its integral over the free points of the ball, or its average
+    over n points uniform in the box of side ``box``."""
     _check_monte_carlo(seed, samples, chunk)
     d = p.dimension
     pairs = vertex_pairs(n)
@@ -296,15 +361,13 @@ def _mc_graph_sum(
         if box is None:
             pts = [np.zeros((d, chunk))] + [_stratified_ball(rng, chunk, d, radius)
                                             for _ in range(n - 1)]
-            measure = ball_vol ** (n - 1)
         else:
             pts = _box_points(rng, n, d, box, chunk)
-            measure = float(box) ** (d * n)
-        # pair-major, so each pair's distances and each row digit are contiguous
-        seps = np.empty((len(pairs), chunk))
-        for idx, (i, j) in enumerate(pairs):
-            seps[idx] = _pair_distances(pts[i - 1], pts[j - 1])
-        return float(weights(seps).mean()) * measure
+        # pair by pair: a (pairs, chunk) distance matrix would more than
+        # double the peak memory of ztilde at N = 12
+        mean = float(weights((_pair_distances(pts[i - 1], pts[j - 1]) for i, j in pairs),
+                             chunk).mean())
+        return mean if box is not None else mean * ball_vol ** (n - 1)
 
     return _monte_carlo(chunk_mean, n, seed, samples, chunk, workers)
 
@@ -329,11 +392,14 @@ def mayer_bn(
 
     ``volume=None`` is the infinite-volume coefficient (x_1 pinned at the
     origin); a float is the side of a finite box, integrated verbatim and
-    divided by the volume.  Monte Carlo raises DomainError when fewer than
-    two of its chunk means are nonzero, or when its estimate is not finite.
+    divided by the volume, and a side that is not finite and positive raises
+    DomainError.  Monte Carlo raises DomainError when fewer than two of its
+    chunk means are nonzero, or when its estimate is not finite.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
+    if volume is not None and not 0 < volume < math.inf:
+        raise DomainError(f"box side must be positive and finite, got {volume!r}")
     if n == 1:
         return 1.0, 0.0
     if n < 1:
@@ -362,7 +428,9 @@ def mayer_bn(
         )
         scale = 1.0 / math.factorial(n)
         if volume is not None:
-            scale /= float(volume) ** p.dimension
+            # a box estimate averages over the box points: times V^n it is
+            # the integral, which b_n divides by V and n!
+            scale *= float(volume) ** (p.dimension * (n - 1))
         return val * scale, err * scale
     raise ConfigError(f"unknown method {method!r}")
 

@@ -405,7 +405,7 @@ def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
     parts, so the connected part is extracted by peeling the component of
     the smallest element.
     """
-    col = {e: k for k, e in enumerate(vertex_pairs(n))}
+    col = _pair_index(n)
     full = (1 << n) - 1
     # in increasing order of S: boltz[S], the product of (1 + f_ij) over the
     # pairs inside S, then its connected part conn[S], less the splits in

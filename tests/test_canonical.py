@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from clusterkit import tonks
 from clusterkit.canonical import (
     CanonicalResult,
-    _boltzmann_factors,
-    _level_count_factors,
-    _well_powers,
     compare_series_direct,
     q_lambda,
     ztilde_direct,
 )
-from clusterkit.cluster import _pair_distances
+from clusterkit.cluster import (
+    _boltzmann_factors,
+    _level_count_factors,
+    _pair_distances,
+    _well_powers,
+)
 from clusterkit.errors import CapacityError, ConfigError, DomainError, JammedError
 from clusterkit.graphs import vertex_pairs
 from clusterkit.potentials import PairPotential, bond_level_values

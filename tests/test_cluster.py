@@ -160,6 +160,21 @@ def test_mc_box_matches_quadrature(rod, L):
     assert mayer_bn(rod, 1.0, 3, workers=3, **kwargs) == (val, err)
 
 
+@pytest.mark.parametrize("fn, pot, args, method, match", [
+    *(pytest.param(mayer_bn, "rod", (3, side), method, "box side must be positive",
+                   id=f"b_3 {method} side={side}")
+      for side in (-5.0, 0.0, math.nan, math.inf) for method in ("quadrature", "monte_carlo")),
+    *(pytest.param(ztilde_direct, "well", (math.inf, 4), method, "L > 0",
+                   id=f"ztilde {method} L=inf")
+      for method in ("quadrature", "monte_carlo", "auto")),
+])
+def test_box_side_must_be_finite_and_positive(request, fn, pot, args, method, match):
+    # once a negative side gave box b_3 a negative error, a side of 0 or NaN
+    # a misleading refusal, and an infinite side NaN or a ztilde of 1 +- 0
+    with pytest.raises(DomainError, match=match):
+        fn(request.getfixturevalue(pot), 1.0, *args, method=method, seed=1, samples=40_000)
+
+
 def test_mc_virial_hard_sphere(sphere):
     val, err = virial_bk_direct(sphere, 1.0, 2, method="monte_carlo", seed=17,
                                 samples=600_000)
@@ -177,8 +192,10 @@ MODULE_POTENTIALS = {"tabulated": TABULATED, "well_3d": WELL_3D}
 # Boltzmann factor pair by pair; the bond-level and level-count kernels must
 # give the same bits at any worker count.  Square-well b_4 was recorded again
 # once a sample with a disconnected bond graph weighed exactly 0 rather than
-# the residue of the subset recursion.  Rows: id, routine, potential,
-# arguments after (potential, beta), keywords, (value, error).
+# the residue of the subset recursion, and hard-rod box b_3 once a box chunk
+# returned the plain mean and b_n scaled it by side^(d (n-1)) / n!.  Rows:
+# id, routine, potential, arguments after (potential, beta), keywords,
+# (value, error).
 MC_PINS = [
     ("hard_sphere b_3", mayer_bn, "sphere", (3,), dict(seed=11),
      (7.2336158360102605, 0.04678923567923832)),
@@ -191,7 +208,7 @@ MC_PINS = [
     ("square_well beta_2", virial_bk_direct, "well", (2,), dict(seed=15),
      (-1.6924671212092925, 0.059785471051116416)),
     ("hard_rod box b_3", mayer_bn, "rod", (3,), dict(volume=5.0, seed=16),
-     (1.2217708333333335, 0.029687499999999995)),
+     (1.2217708333333333, 0.029687499999999964)),
     ("square_well ztilde N=12", ztilde_direct, "well", (48.0, 12), dict(seed=17),
      (0.46082331359832396, 0.01583351390633214)),
     ("custom_tabulated b_3", mayer_bn, "tabulated", (3,), dict(seed=18),
@@ -290,7 +307,7 @@ def level_rows(draw):
     else:
         pot = PairPotential("hard_sphere", sigma, 3)
     n = draw(st.integers(2, 5))
-    graph_class = draw(st.sampled_from(["connected", "two_connected"]))
+    graph_class = draw(st.sampled_from(["connected", "two_connected", "all"]))
     # separations on and between the breakpoints; the sample count falls on
     # either side of the number of level rows, levels^pairs
     cuts = pot.breakpoints()
@@ -307,17 +324,25 @@ def level_rows(draw):
           np.array([[0.5, 0.5, 2.0]] * 9 + [[2.0, 0.5, 2.0]])))
 @example((PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0), 1.0, 5,
           "connected", np.array([[1.2] * 4 + [2.0] * 6, [0.5] * 10])))
+# w^10 overflows, so the Boltzmann factors run pair by pair, through inf and NaN
+@example((PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0), 100.0, 5,
+          "all", np.array([[1.2] * 10, [1.2] * 9 + [0.5], [0.5] + [1.2] * 9, [2.0] * 10])))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mc_level_weights_are_bitwise_plain(case):
     # the level path ranks the rows of a chunk and sums each distinct row
     # once: on a connected bond graph the bits of the sample-by-sample sum,
-    # elsewhere exactly 0
+    # elsewhere exactly 0; the Boltzmann factors of all graphs keep the bits
+    # of the row product on every row
     pot, beta, n, graph_class, seps = case
     fvals = f_bond_array(pot, beta, seps)
-    got = _mc_weights(pot, beta, n, graph_class)(np.ascontiguousarray(seps.T))
+    got = _mc_weights(pot, beta, n, graph_class)(iter(np.ascontiguousarray(seps.T)), len(seps))
+    want = _graph_class_sum(n, graph_class)(fvals)
+    if graph_class == "all":
+        assert got.tobytes() == want.tobytes()
+        return
     pairs = vertex_pairs(n)
     connected = np.array([LabeledGraph.from_edges(n, [e for e, f in zip(pairs, row) if f != 0])
                           .is_connected() for row in fvals], dtype=bool)
-    want = _graph_class_sum(n, graph_class)(fvals)
     assert got[connected].tobytes() == want[connected].tobytes()
     assert got[~connected].tobytes() == np.zeros(int((~connected).sum())).tobytes()
 
