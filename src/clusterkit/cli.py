@@ -62,6 +62,17 @@ def _real(text: str) -> float:
     return value
 
 
+def _workers(text: str) -> int:
+    """The type of --workers: an integer >= 1, refused here under its flag's name."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_potential_args(sp: argparse.ArgumentParser, beta: bool = True):
     # the dests of the potential flags are potential config keys; --beta is
     # offered only where the report depends on it
@@ -83,7 +94,7 @@ def _add_sampling_args(sp: argparse.ArgumentParser, methods):
     sp.add_argument("--samples", type=int, help="Monte Carlo samples (default: the library's)")
     sp.add_argument("--chunk", type=int, help="Monte Carlo samples per chunk")
     sp.add_argument("--seed", type=int, help="Monte Carlo seed, mandatory for monte_carlo")
-    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    sp.add_argument("--workers", type=_workers, default=os.cpu_count() or 1,
                     help="worker hint; results are worker-count independent")
 
 

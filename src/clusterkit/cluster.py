@@ -28,9 +28,13 @@ count.  Free b_n and beta_k stratify the free points by radius in the ball
 of radius (n-1) * range around the pinned particle, and a chunk returns its
 mean times the ball measure.  In a box all n points are uniform and a chunk
 returns the plain mean of its class sums: ztilde itself, and V^(-n) times
-the box integral of b_n.  Points are coordinate-major (d, m) arrays, and
-``_pair_distances`` turns two of them into m distances, squaring and
-rooting in place; the chunk streams them pair by pair to ``_mc_weights``.
+the box integral of b_n.  A chunk allocates no (m,) array for its draws
+or distances: each worker thread draws every chunk it runs into one
+``_Workspace`` with ``out=``, in the generator calls and arithmetic of the
+allocating draws, so the bits are theirs.  Points are coordinate-major
+(d, m) arrays, and ``_pair_distances`` writes the m distances of two of
+them into one buffer, which the chunk streams pair by pair to
+``_mc_weights``.
 For a piecewise constant bond the connected and two-connected sums pack
 each sample's bond levels into a row id and run the graph sum once per
 distinct row of the chunk, ranked by ``distinct_ids`` as in quadrature;
@@ -43,6 +47,7 @@ A mean or standard error that is not finite raises DomainError.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -154,31 +159,82 @@ def _gap_integral(
 # Monte Carlo path
 # ---------------------------------------------------------------------------
 
-def _stratified_ball(rng: np.random.Generator, m: int, d: int, radius: float) -> np.ndarray:
-    """m points roughly uniform in the d-ball, radius-stratified per point.
+class _Workspace:
+    """The buffers of one thread's Monte Carlo chunks of n points in d
+    dimensions, m samples each, reused by every chunk the thread runs.
 
-    Returns a (d, m) array: coordinate-major, so a norm over the d
-    coordinates is d elementwise passes.  The generator calls and their
-    shapes are those of the (m, d) layout, so the stream is unchanged.
+    ``points`` holds the n points as coordinate-major (d, m) arrays, so a
+    norm over the d coordinates is d elementwise passes; the pinned point of
+    a ball chunk stays at its zeros.  ``draws`` takes one point's (m, d)
+    draw, ``dists`` a norm or a pair's distances, and ``strata`` a copy of
+    ``order`` to shuffle.  Two names share memory, which keeps the peak at
+    that of the allocating draws: ``squares``, the (d, m) squares of a
+    norm, is ``draws`` once its draw is copied out, and ``u``, the
+    stratified radii, is ``dists`` once the norm is divided out.
     """
+
+    def __init__(self, n: int, d: int, m: int):
+        self.points = np.zeros((n, d, m))
+        self.draws = np.empty((m, d))
+        self.squares = self.draws.reshape(d, m)
+        self.dists = self.u = np.empty(m)
+        self.order = np.arange(m)
+        self.strata = np.empty(m, dtype=np.int64)
+
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _stratified_ball(rng: np.random.Generator, ws: _Workspace, i: int, radius: float) -> None:
+    """Draw point i of the m samples into ``ws.points[i]``: roughly uniform
+    in the d-ball, radius-stratified per point.
+
+    The generator calls and their order are those of the allocating draw
+    ``choice([-1.0, 1.0], (m, 1))`` or ``standard_normal((m, d))``, then
+    ``permutation(m)`` and ``random(m)``, in the (m, d) layout, so the
+    stream is unchanged; the arithmetic is that of
+    ``dirs / norm(dirs) * (radius * ((strata + random) / m) ** (1 / d))``
+    taken in place, so are the bits.
+    """
+    pts, (d, m) = ws.points[i], ws.points.shape[1:]
     if d == 1:
-        dirs = rng.choice([-1.0, 1.0], size=(m, 1)).T
+        np.take(_SIGNS, rng.integers(0, 2, size=m), out=pts[0])
     else:
-        dirs = np.ascontiguousarray(rng.standard_normal((m, d)).T)
-        dirs /= np.linalg.norm(dirs, axis=0)
-    strata = rng.permutation(m)
-    u = (strata + rng.random(m)) / m
-    r = radius * u ** (1.0 / d)
-    return dirs * r
+        rng.standard_normal(out=ws.draws)
+        np.copyto(pts, ws.draws.T)
+        # np.linalg.norm(pts, axis=0), as sqrt(add.reduce(pts * pts))
+        np.multiply(pts, pts, out=ws.squares)
+        np.sqrt(np.add.reduce(ws.squares, axis=0, out=ws.dists), out=ws.dists)
+        pts /= ws.dists
+    np.copyto(ws.strata, ws.order)
+    rng.shuffle(ws.strata)
+    u = rng.random(out=ws.u)
+    u += ws.strata
+    u /= m
+    u **= 1.0 / d
+    u *= radius
+    pts *= u
 
 
-def _box_points(rng: np.random.Generator, n: int, d: int, side: float, size: int) -> list:
-    """n (d, size) arrays of points, each uniform in the box [0, side]^d."""
-    return [np.ascontiguousarray(rng.random((size, d)).T) * side for _ in range(n)]
+def _box_points(rng: np.random.Generator, ws: _Workspace, side: float) -> None:
+    """Draw all n points of the m samples into ``ws.points``, each uniform
+    in the box [0, side]^d: point by point ``random((m, d))`` in the (m, d)
+    layout, the n draws of d = 1 in one call, times the side."""
+    pts = ws.points
+    n, d, m = pts.shape
+    if d == 1:
+        rng.random(out=pts.reshape(n, m))
+    else:
+        for point in pts:
+            rng.random(out=ws.draws)
+            np.copyto(point, ws.draws.T)
+    pts *= side
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the columns of two (d, m) point arrays.
+def _pair_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                    squares: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the columns of two (d, m) point arrays,
+    written into ``out`` (m,), with ``squares`` (d, m) as scratch.
 
     For d < 8 these are the bits of a norm over the rows of the (m, d)
     layout: NumPy adds up to seven squares in order either way (from eight
@@ -186,19 +242,23 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     which is sqrt(x * x) exactly unless x * x underflows.
     """
     if a.shape[0] == 1:
-        return np.abs(a[0] - b[0])
+        return np.abs(np.subtract(a[0], b[0], out=out), out=out)
     # np.linalg.norm(a - b, axis=0), its squares and root taken in place
-    squares = a - b
+    np.subtract(a, b, out=squares)
     squares *= squares
-    out = np.add.reduce(squares, axis=0)
-    return np.sqrt(out, out=out)
+    return np.sqrt(np.add.reduce(squares, axis=0, out=out), out=out)
 
 
-def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int) -> None:
-    """Reject a missing seed and sample sizes below one, before any set-up."""
+def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int,
+                       workers: Optional[int]) -> None:
+    """Reject a missing seed, and sample sizes or a worker count below one,
+    before any set-up."""
     if seed is None:
         raise ConfigError("Monte Carlo needs an explicit seed")
-    for key, value in (("samples", samples), ("chunk", chunk)):
+    counts = [("samples", samples), ("chunk", chunk)]
+    if workers is not None:
+        counts.append(("workers", workers))
+    for key, value in counts:
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ConfigError(f"Monte Carlo {key} must be an integer >= 1, got {value!r}")
 
@@ -223,7 +283,7 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
             return chunk_mean(np.random.Generator(
                 np.random.Philox(key=[np.uint64(seed), np.uint64(c)])))
 
-    if workers is None or workers <= 1:
+    if workers is None or workers == 1:
         means = np.asarray([one_chunk(c) for c in range(nchunks)])
     else:
         from concurrent.futures import ThreadPoolExecutor
@@ -251,7 +311,8 @@ def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
 
 def _mc_weights(p: PairPotential, beta: float, n: int, graph_class: str):
     """The graph-class sums of m samples, as a function of their distances
-    ``dists`` (an iterable of (m,) arrays in vertex_pairs(n) order) and m.
+    ``dists`` (an iterable of (m,) arrays in vertex_pairs(n) order, each
+    read before the next is drawn, since they may share one buffer) and m.
 
     ``all`` is ``_boltzmann_factors``.  The connected and two-connected sums
     are exactly 0 where the bond graph (pairs with f != 0) is disconnected;
@@ -270,7 +331,9 @@ def _mc_weights(p: PairPotential, beta: float, n: int, graph_class: str):
         return np.where(connected[(fvals != 0) @ bits], graph_sum(fvals), 0.0)
 
     if not p.piecewise_constant_bond:
-        return lambda dists, m: bond_graph_sum(f_bond_array(p, beta, np.stack([*dists], axis=1)))
+        # the stream may hand every pair the same buffer: copy before stacking
+        return lambda dists, m: bond_graph_sum(
+            f_bond_array(p, beta, np.stack([r.copy() for r in dists], axis=1)))
     cuts = p.breakpoints()
     values = bond_level_values(p, beta)
     shape = (values.size,) * bits.size
@@ -349,24 +412,35 @@ def _mc_graph_sum(
 ) -> Tuple[float, float]:
     """Mean and standard error of the chunk estimates of the graph-class sum
     on [n]: its integral over the free points of the ball, or its average
-    over n points uniform in the box of side ``box``."""
-    _check_monte_carlo(seed, samples, chunk)
+    over n points uniform in the box of side ``box``.
+
+    Each thread draws its chunks into one ``_Workspace``, made at its first
+    chunk and kept in a ``threading.local`` of this call, so it goes when
+    the call returns.  Every chunk writes all it reads of it.
+    """
+    _check_monte_carlo(seed, samples, chunk, workers)
     d = p.dimension
     pairs = vertex_pairs(n)
     weights = _mc_weights(p, beta, n, graph_class)
     radius = (n - 1) * p.range_radius
     ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
+    local = threading.local()
 
     def chunk_mean(rng: np.random.Generator) -> float:
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _Workspace(n, d, chunk)
         if box is None:
-            pts = [np.zeros((d, chunk))] + [_stratified_ball(rng, chunk, d, radius)
-                                            for _ in range(n - 1)]
+            for i in range(1, n):
+                _stratified_ball(rng, ws, i, radius)
         else:
-            pts = _box_points(rng, n, d, box, chunk)
-        # pair by pair: a (pairs, chunk) distance matrix would more than
-        # double the peak memory of ztilde at N = 12
-        mean = float(weights((_pair_distances(pts[i - 1], pts[j - 1]) for i, j in pairs),
-                             chunk).mean())
+            _box_points(rng, ws, box)
+        pts = ws.points
+        # pair by pair into one buffer: a (pairs, chunk) distance matrix
+        # would more than double the peak memory of ztilde at N = 12
+        dists = (_pair_distances(pts[i - 1], pts[j - 1], ws.dists, ws.squares)
+                 for i, j in pairs)
+        mean = float(weights(dists, chunk).mean())
         return mean if box is not None else mean * ball_vol ** (n - 1)
 
     return _monte_carlo(chunk_mean, n, seed, samples, chunk, workers)

@@ -49,7 +49,6 @@ The module provides:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, Mapping, Sequence, Tuple
@@ -341,23 +340,6 @@ def _decode_tree_sequence(n: int, seq: Sequence[int]) -> list:
     last = [v for v in range(1, n + 1) if degree[v] == 1]
     edges.append((last[0], last[1]))
     return edges
-
-
-def enum_trees(n: int) -> Iterator[RootedTree]:
-    """Yield all n^(n-2) labeled trees on [n], rooted at vertex 1.
-
-    Trees are generated from all sequences in [n]^(n-2) (bijective encoding),
-    in lexicographic sequence order.
-    """
-    if n < 1:
-        raise ValueError("vertex count must be positive")
-    if n > MAX_TREE_N:
-        raise CapacityError(f"tree enumeration capped at n={MAX_TREE_N}, got {n}")
-    if n == 1:
-        yield RootedTree(1, {}, root=1)
-        return
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield RootedTree.from_mask(n, edge_mask(n, _decode_tree_sequence(n, seq)))
 
 
 def prufer_tree_masks(n: int) -> np.ndarray:

@@ -217,18 +217,21 @@ _ID_LIMIT = np.iinfo(np.int64).max
 
 
 def _append_levels(ids: np.ndarray, count: int, levels, base: int):
-    """Extend row ids by one digit per array of bond levels below ``base``.
+    """Extend row ids in place by one digit per array of bond levels below
+    ``base``, each array read once, as it comes.
 
-    ``ids`` lie in [0, count).  Two rows end with equal ids exactly when
-    they started with equal ids and have equal levels in every array.  The
-    ids are renumbered densely before a digit could overflow an int64.
-    Returns the ids and the new bound on them.
+    ``ids`` (int64) lie in [0, count) and are overwritten.  Two rows end
+    with equal ids exactly when they started with equal ids and have equal
+    levels in every array.  The ids are renumbered densely, into a new
+    array, before a digit could overflow an int64.  Returns the ids and the
+    new bound on them.
     """
     for lv in levels:
         if count > _ID_LIMIT // base:
             _, ids = np.unique(ids, return_inverse=True)
             count = int(ids.max()) + 1
-        ids = ids * base + lv
+        ids *= base
+        ids += lv
         count *= base
     return ids, count
 

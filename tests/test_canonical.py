@@ -82,7 +82,9 @@ def _pair_product(dists, m, cuts, level_factors):
 
 
 def _distances(pts):
-    return [_pair_distances(pts[i - 1], pts[j - 1]) for i, j in vertex_pairs(len(pts))]
+    return [_pair_distances(pts[i - 1], pts[j - 1], np.empty(pts[0].shape[1]),
+                            np.empty(pts[0].shape))
+            for i, j in vertex_pairs(len(pts))]
 
 
 @st.composite

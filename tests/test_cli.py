@@ -278,7 +278,8 @@ def test_config_section_equals_flags(tmp_path, case):
     {"mayer": {"seed": [1, 2]}},
     {"verify": {"suite": "everything"}},
     {"mayer": {"beta": math.inf}},
-], ids=["n", "format", "method", "seed", "suite", "beta_inf"])
+    {"mayer": {"workers": 0}},
+], ids=["n", "format", "method", "seed", "suite", "beta_inf", "workers"])
 def test_config_value_parsed_like_its_flag(tmp_path, capsys, section):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(section))
@@ -305,6 +306,16 @@ def test_config_rejects_keys_of_other_sections(tmp_path, capsys, section, key):
 def test_mc_chunk_zero_exits_2(capsys, argv):
     assert main([*argv, "--method", "monte_carlo", "--seed", "1", "--chunk", "0"]) == 2
     assert "chunk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "2.5"])
+def test_mc_bad_workers_exit_2(capsys, workers):
+    # --workers 0 and -1 once ran on one thread and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["mayer", "--potential", "hard_sphere", "--n", "3", "--method", "monte_carlo",
+              "--seed", "1", "--samples", "40000", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,9 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from clusterkit import tonks
 from clusterkit.canonical import compare_series_direct, ztilde_direct
 from clusterkit.cluster import (
+    _Workspace,
+    _box_points,
     _graph_class_sum,
     _mc_weights,
     _pair_distances,
+    _stratified_ball,
     connected_weight_sum,
     mayer_bn,
     penrose_bn_bound,
@@ -139,6 +142,14 @@ def test_mc_sizes_below_one_rejected(sphere, entry, key, value):
         MC_ENTRY_POINTS[entry](sphere, seed=1, **{key: value})
 
 
+@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+@pytest.mark.parametrize("workers", [0, -1, 2.5])
+def test_mc_bad_workers_rejected(sphere, entry, workers):
+    # each of these once ran silently on one thread
+    with pytest.raises(ConfigError, match=r"Monte Carlo workers must be an integer >= 1"):
+        MC_ENTRY_POINTS[entry](sphere, seed=1, samples=40_000, workers=workers)
+
+
 def test_mc_hard_sphere_b3(sphere):
     val, err = mayer_bn(sphere, 1.0, 3, method="monte_carlo", seed=7, samples=600_000)
     assert abs(val - HS_B3) < 4.0 * err
@@ -185,7 +196,8 @@ TABULATED = PairPotential("custom_tabulated", 1.0, 1, B=1.0, cutoff=1.4,
                           table=((0.0, 3.0), (0.5, 1.0), (1.0, -0.3), (1.4, 0.0)))
 
 WELL_3D = PairPotential("square_well", 1.0, 3, epsilon=1.0, lambda_w=1.5, B=1.0)
-MODULE_POTENTIALS = {"tabulated": TABULATED, "well_3d": WELL_3D}
+DISK = PairPotential("hard_sphere", 1.0, 2)
+MODULE_POTENTIALS = {"tabulated": TABULATED, "well_3d": WELL_3D, "disk": DISK}
 
 # (value, error) recorded from the kernels that evaluated every bond function
 # and graph sum sample by sample (b_n, beta_k) and multiplied ztilde's
@@ -193,9 +205,10 @@ MODULE_POTENTIALS = {"tabulated": TABULATED, "well_3d": WELL_3D}
 # give the same bits at any worker count.  Square-well b_4 was recorded again
 # once a sample with a disconnected bond graph weighed exactly 0 rather than
 # the residue of the subset recursion, and hard-rod box b_3 once a box chunk
-# returned the plain mean and b_n scaled it by side^(d (n-1)) / n!.  Rows:
-# id, routine, potential, arguments after (potential, beta), keywords,
-# (value, error).
+# returned the plain mean and b_n scaled it by side^(d (n-1)) / n!.  The two
+# hard-disk rows were recorded from the samplers that allocated each draw,
+# for the (m, 2) -> (2, m) copy of the workspace draws.  Rows: id, routine,
+# potential, arguments after (potential, beta), keywords, (value, error).
 MC_PINS = [
     ("hard_sphere b_3", mayer_bn, "sphere", (3,), dict(seed=11),
      (7.2336158360102605, 0.04678923567923832)),
@@ -221,6 +234,10 @@ MC_PINS = [
      (1.8265509762417826, 0.006808492332067151)),
     ("custom_tabulated ztilde N=4", ztilde_direct, "tabulated", (6.0, 4), dict(seed=22),
      (0.3317646118626987, 0.0036606103715419447)),
+    ("hard_disk b_3", mayer_bn, "disk", (3,), dict(seed=23),
+     (3.963633127477486, 0.0026318945069571478)),
+    ("hard_disk ztilde N=6", ztilde_direct, "disk", (4.0, 6), dict(seed=24),
+     (0.055349999999999996, 0.0002499999999999967)),
 ]
 
 
@@ -292,10 +309,54 @@ def test_pair_distances_is_bitwise_row_norm(ab):
     # (m, d) layout adds its squares in the same order only for d < 8
     a, b = ab
     a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    got = _pair_distances(a_t, b_t)
+    out, squares = np.empty(a.shape[0]), np.empty(a_t.shape)
+    got = _pair_distances(a_t, b_t, out, squares)
+    assert got is out
     assert got.tobytes() == np.linalg.norm(a_t - b_t, axis=0).tobytes()
     if a.shape[1] < 8:
         assert got.tobytes() == np.linalg.norm(a - b, axis=1).tobytes()
+
+
+def _allocating_ball(rng, m, d, radius):
+    """The ball sampler that allocated every draw, kept as the oracle."""
+    if d == 1:
+        dirs = rng.choice([-1.0, 1.0], size=(m, 1)).T
+    else:
+        dirs = np.ascontiguousarray(rng.standard_normal((m, d)).T)
+        dirs /= np.linalg.norm(dirs, axis=0)
+    strata = rng.permutation(m)
+    u = (strata + rng.random(m)) / m
+    r = radius * u ** (1.0 / d)
+    return dirs * r
+
+
+def _allocating_box(rng, n, d, side, size):
+    """The box sampler that allocated every draw, kept as the oracle."""
+    return [np.ascontiguousarray(rng.random((size, d)).T) * side for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 400).map(lambda k: 2 * k + 1),
+       st.floats(0.25, 8.0), st.floats(0.25, 50.0), st.integers(0, 2 ** 64 - 1),
+       st.integers(2, 5))
+def test_workspace_draws_are_the_allocating_draws(d, m, radius, side, key, n):
+    # one workspace for the ball and then the box, as a thread reuses it:
+    # every draw must overwrite what the last one left
+    def rng():
+        return np.random.Generator(np.random.Philox(key=[np.uint64(key), np.uint64(3)]))
+
+    ws = _Workspace(n, d, m)
+    oracle, fresh = rng(), rng()
+    for _ in range(2):
+        want = [np.zeros((d, m))] + [_allocating_ball(oracle, m, d, radius) for _ in range(n - 1)]
+        for i in range(1, n):
+            _stratified_ball(fresh, ws, i, radius)
+        assert ws.points.tobytes() == np.stack(want).tobytes()
+    want = _allocating_box(oracle, n, d, side, m)
+    _box_points(fresh, ws, side)
+    assert ws.points.tobytes() == np.stack(want).tobytes()
+    # both streams stand at the same place
+    assert oracle.random(4).tobytes() == fresh.random(4).tobytes()
 
 
 @st.composite

@@ -247,11 +247,12 @@ def test_p_exact_symmetric():
 
 def _p_naive(N, s):
     # no symmetry shortcuts: every ordered subset tuple enumerated outright
-    from clusterkit.graphs import LabeledGraph, enum_trees, penrose_trees
+    from clusterkit.graphs import LabeledGraph, RootedTree, penrose_trees, prufer_tree_masks
 
     n = len(s)
     pairs = vertex_pairs(n)
-    trees = list(enum_trees(n))
+    trees = ([RootedTree(1, {}, root=1)] if n == 1 else
+             [RootedTree.from_mask(n, int(mask)) for mask in prufer_tree_masks(n)])
     choices = [
         [frozenset(c) for c in itertools.combinations(range(1, N + 1), sz)]
         for sz in s
