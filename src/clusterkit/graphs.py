@@ -12,9 +12,10 @@ The module provides:
     (n, root, mask)), whose parent and generation (depth) maps are derived
     on first use by one breadth-first sweep over the mask,
   * the Ursell value (alternating connected-subgraph sum) of a batch of
-    graphs, ``ursell_values``, by the subset recursion of the Mayer sums,
-    ``connected_weight_sum``; ``ursell_table`` holds it for every mask on
-    up to 6 vertices,
+    graphs, ``ursell_values``, the one Ursell evaluator: the subset
+    recursion of the Mayer sums, ``connected_weight_sum``, on int16 or
+    int32 bond values, a block of masks at a time; ``ursell_table`` keeps
+    its values for every mask on up to 6 vertices,
   * the deterministic rooted-tree image of a connected spanning subgraph
     (generations from the root, parent = smallest-index neighbor one
     generation up) and the trees whose preimage under that map is a
@@ -31,8 +32,7 @@ The module provides:
     breadth-first sweep, which also derives and checks tree maps),
   * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
     every edge mask on up to 6 vertices, kept per (n, root);
-    ``connected_mask_flags`` reads its flags and ``ursell_table`` is built
-    on them,
+    ``connected_mask_flags`` reads its flags,
   * ``submask_tree_classes``, the one brute-force engine over the submasks
     of a host graph, behind ``penrose_trees`` and the random identity
     check.  Up to 6 vertices it looks the submasks up in
@@ -306,12 +306,6 @@ class RootedTree:
     def to_graph(self) -> LabeledGraph:
         return LabeledGraph(self.n, self.edges)
 
-    def degree(self, v: int) -> int:
-        d = sum(1 for p in self.parent.values() if p == v)
-        if v != self.root:
-            d += 1
-        return d
-
     def __eq__(self, other):
         return (isinstance(other, RootedTree) and self.mask == other.mask
                 and self.root == other.root and self.n == other.n)
@@ -427,8 +421,12 @@ def ursell_values(n: int, masks) -> np.ndarray:
     (1 + f) over the pairs inside a vertex subset S is 1 when S is
     independent in G and 0 otherwise; its connected part over [n] is that
     sum (Penrose 1967; Scott & Sokal, J. Stat. Phys. 118, 1151 (2005)).
-    Exact on int64, O(3^n) per mask.  A mask outside [0, 2^(n(n-1)/2))
-    raises ValueError.
+    O(3^n) per mask, MASK_BLOCK masks at a time, and returned as int64.
+    The recursion runs on int16 up to 8 vertices and int32 above, exactly:
+    with |conn[T]| <= (|T|-1)!, every partial sum at a subset S is at most
+    1 + sum_{j<m} C(m, j) j! < e m!, m = |S| - 1 <= n - 1, which is about
+    13,700 at n = 8 and 9.9M at n = 11.  A mask outside
+    [0, 2^(n(n-1)/2)) raises ValueError.
     """
     if n > 11:
         raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
@@ -437,29 +435,30 @@ def ursell_values(n: int, masks) -> np.ndarray:
     masks = np.asarray(masks, dtype=np.int64)
     if masks.size:
         _check_mask_range(n, int(masks.min()), int(masks.max()))
-    return connected_weight_sum(-((masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1), n)
+    # pair-major, so that the column of a pair is contiguous in fvals.T
+    fvals = np.empty((n * (n - 1) // 2, min(masks.size, MASK_BLOCK)),
+                     dtype=np.int16 if n <= 8 else np.int32)
+    values = np.empty(masks.shape, dtype=np.int64)
+    for start in range(0, masks.shape[0], MASK_BLOCK):
+        block = masks[start:start + MASK_BLOCK]
+        rows = fvals[:, :block.size]
+        for k, row in enumerate(rows):
+            np.negative((block >> k) & 1, out=row, casting="unsafe")
+        values[start:start + block.size] = connected_weight_sum(rows.T, n)
+    return values
 
 
 @lru_cache(maxsize=None)
 def ursell_table(n: int) -> np.ndarray:
-    """The Ursell value of every graph on [n] (n <= 6), indexed by edge mask.
+    """``ursell_values`` of every graph on [n] (n <= 6), indexed by edge mask.
 
-    Built with one subset-sum (zeta) transform over the signed indicator of
-    connected spanning masks, so tab[mask] = sum over connected spanning
-    submasks g of mask of (-1)^|g|: the numbers of ``ursell_values`` at a
-    fraction of its cost over all 2^15 masks on 6 vertices.
+    Built once per n and kept, read-only.
     """
     if n > 6:
         raise CapacityError("ursell tables are kept only up to n=6")
-    npairs = n * (n - 1) // 2
-    flags = connected_mask_flags(n)
-    idx = np.arange(1 << npairs, dtype=np.int64)
-    tab = np.where(flags, 1 - 2 * bit_parity(idx), 0).astype(np.int64)
-    for k in range(npairs):
-        bit = 1 << k
-        has = (idx & bit) != 0
-        tab[has] += tab[idx[has] ^ bit]
-    return tab
+    table = ursell_values(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64))
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +491,6 @@ MAX_HOST_EDGES = 22
 #: index of the lowest vertex in each vertex bitset on up to 11 vertices, -1
 #: for the empty set
 _LOWEST_VERTEX = np.frexp(np.arange(1 << 11) & -np.arange(1 << 11))[1] - 1
-
-
-def bit_parity(x: np.ndarray) -> np.ndarray:
-    """Parity (0 or 1) of the number of set bits of each nonnegative int64."""
-    x = np.array(x, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return x & 1
 
 
 def _bitset_dtype(n: int):
@@ -711,7 +702,16 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
 
 
 def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> int:
-    """Edge mask of ``penrose_slack_edges`` for a tree given by its maps."""
+    """Edge mask of the non-tree edges whose addition leaves the tree image unchanged.
+
+    The tree is given by its parent and generation maps.  Its slack edges
+    are the edges {i, j} between vertices whose generations differ by at
+    most one, subject to not undercutting the smallest-index parent rule: a
+    cross-generation edge to a vertex one generation up is allowed only to
+    an index larger than the current parent.  A tree is a singleton
+    preimage inside a host graph exactly when the host contains none of
+    these edges.
+    """
     mask = 0
     for k, (i, j) in enumerate(vertex_pairs(n)):
         dg = gen[i] - gen[j]
@@ -721,23 +721,11 @@ def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> in
     return mask
 
 
-def penrose_slack_edges(tree: RootedTree) -> FrozenSet[Edge]:
-    """Non-tree edges whose addition leaves the tree image unchanged.
-
-    These are the edges {i, j} between vertices whose generations differ by
-    at most one, subject to not undercutting the smallest-index parent rule:
-    a cross-generation edge to a vertex one generation up is allowed only to
-    an index larger than the current parent.  A tree is a singleton preimage
-    inside a host graph exactly when the host contains none of these edges.
-    """
-    return frozenset(mask_edges(tree.n, _slack_mask(tree.n, tree.parent, tree.gen)))
-
-
 def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     """Same set as penrose_trees, grown one generation at a time by the slack rule.
 
-    A spanning tree T of ``g`` has no slack edge (``penrose_slack_edges``)
-    in ``g`` exactly when each generation of T is an independent set of
+    A spanning tree T of ``g`` has no slack edge (``_slack_mask``) in
+    ``g`` exactly when each generation of T is an independent set of
     ``g`` and each vertex's parent is its largest-index neighbor in ``g``
     one generation up: a same-generation edge is slack, and so is an edge
     to an upper neighbor of larger index than the parent.  So the trees are

@@ -254,8 +254,8 @@ def test_mc_pinned_bits(request, fn, pot, args, kwargs, want, workers):
 
 # a weight that overflows the float range: the parent kernels returned NaN or
 # inf for these (overflow within a sample's graph sum or product, or in the
-# spread of the chunk means)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# spread of the chunk means); they run silently, and any RuntimeWarning is an
+# error
 @pytest.mark.parametrize("fn, beta, args, n", [
     (mayer_bn, 300.0, (4,), 4),
     (mayer_bn, 100.0, (4,), 4),
