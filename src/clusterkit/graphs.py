@@ -33,18 +33,14 @@ The module provides:
   * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
     every edge mask on up to 6 vertices, kept per (n, root);
     ``connected_mask_flags`` reads its flags,
-  * ``submask_tree_classes``, the one brute-force engine over the submasks
-    of a host graph, behind ``penrose_trees`` and the random identity
-    check.  Up to 6 vertices it looks the submasks up in
-    ``mask_tree_table``; above, it deposits the rows of the submasks of the
-    first 12 host edges once per host (``_deposit_rows`` again) and runs
-    the kernel on them a block at a time, each block ORing in the rows of
-    its remaining edges as one constant per vertex.  Hosts of more than
-    MAX_HOST_EDGES edges are refused.  Its Penrose trees come out as masks
-    and stay masks.  Its independent oracles are ``ursell_values``, whose
-    size is the Penrose-tree count, and ``penrose_trees_fast``, which grows
-    the trees with no slack edge in the host one generation at a time and
-    never looks at a non-tree subgraph.
+  * ``submask_tree_classes``, the brute force over the submasks of a host
+    graph on up to TABLE_MAX_N vertices, behind ``penrose_trees``: it
+    looks the submasks up in ``mask_tree_table``, and its Penrose trees
+    come out as masks and stay masks.  Larger hosts are refused,
+  * ``_slack_free_tree_masks``, the trees with no slack edge in the host,
+    grown one generation at a time without looking at a non-tree subgraph.
+    ``penrose_trees_fast`` wraps its masks as ``RootedTree``s, and the
+    random identity check counts them against ``ursell_values``.
 """
 
 from __future__ import annotations
@@ -482,11 +478,6 @@ _BLOCK_BITS = MASK_BLOCK.bit_length() - 1
 #: vertex counts up to which the tree image of every edge mask is kept, in
 #: one table per root
 TABLE_MAX_N = 6
-#: host edges up to which ``submask_tree_classes`` walks the 2^edges
-#: submasks.  On a shared 2-core x86 machine the complete graph on 7
-#: vertices (21 edges) takes about 0.24 s and 22 edges on 8 vertices about
-#: 0.55 s; each edge more about doubles it.
-MAX_HOST_EDGES = 22
 
 #: index of the lowest vertex in each vertex bitset on up to 11 vertices, -1
 #: for the empty set
@@ -620,57 +611,22 @@ def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[np.ndarray,
     """Brute force over every submask of the host graph ``gmask`` on [n].
 
     Returns the distinct rooted tree-image masks of the connected spanning
-    submasks and the preimage count of each image.  Up to n = TABLE_MAX_N
-    the submasks are picked out of all masks on [n] and their flags and
-    images are read from ``mask_tree_table``; larger n takes the blocked
-    path.  A disconnected host has no connected spanning submask.  Hosts of
-    more than MAX_HOST_EDGES edges are refused, and so are a root outside
-    [1..n] and a host mask outside [0, 2^(n(n-1)/2)).
+    submasks and the preimage count of each image.  The submasks are picked
+    out of all masks on [n] and their flags and images are read from
+    ``mask_tree_table``, so n is capped at TABLE_MAX_N; ``penrose_trees_fast``
+    grows the Penrose trees of larger hosts.  A disconnected host has no
+    connected spanning submask.  A root outside [1..n] and a host mask
+    outside [0, 2^(n(n-1)/2)) are refused.
     """
     _check_root(n, root)
     _check_mask_range(n, gmask, gmask)
-    edges = bin(gmask).count("1")
-    if edges > MAX_HOST_EDGES:
-        raise CapacityError(f"the submask brute force is capped at {MAX_HOST_EDGES} host "
-                            f"edges (2^edges submasks); the host has {edges}")
     if n > TABLE_MAX_N:
-        return _blocked_submask_classes(n, gmask, root)
+        raise CapacityError(f"the submask brute force is capped at n={TABLE_MAX_N}, got {n}; "
+                            "penrose_trees_fast grows the Penrose trees of larger hosts")
     connected, images = mask_tree_table(n, root)
     subs = np.flatnonzero((np.arange(connected.size) & ~gmask) == 0)
     trees, preimages = np.unique(images[subs[connected[subs]]], return_counts=True)
     return trees.astype(np.int64), preimages
-
-
-def _blocked_submask_classes(n: int, gmask: int, root: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
-
-    The neighbor rows of the submasks of the first 12 host edges are
-    deposited once per host by ``_deposit_rows``; a block ORs in the
-    neighbor rows of its number's remaining edges, one constant per vertex.
-    A host of one block returns that block's classes; otherwise the blocks'
-    preimage counts are merged once they reach as many entries as the merged
-    classes (at least 2^16), so memory stays within about twice the class
-    count as hosts grow.
-    """
-    bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
-    inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
-    rows = _deposit_rows(n, inner)
-    parent_edge = _parent_edges(n)
-    trees, counts, pending = [], [], 0
-    last = (1 << len(outer)) - 1
-    for high in range(last + 1):
-        extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
-        extra = np.array(extra[1:], rows.dtype)[:, None]
-        conn, image = _tree_images(rows | extra, root, parent_edge)
-        block_trees, block_counts = np.unique(image[conn], return_counts=True)
-        trees.append(block_trees)
-        counts.append(block_counts)
-        pending += block_trees.size
-        if high and (pending >= max(trees[0].size, 1 << 16) or high == last):
-            merged, cls = np.unique(np.concatenate(trees), return_inverse=True)
-            counts = [np.bincount(cls, np.concatenate(counts), merged.size)]
-            trees, pending = [merged], 0
-    return trees[0], counts[0].astype(np.int64)
 
 
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
@@ -692,7 +648,8 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     Defined by brute force: ``submask_tree_classes`` maps every connected
     spanning subgraph of ``g``, and a tree qualifies exactly when it is its
     own sole preimage.  The count of these trees equals the size of the
-    Ursell value of ``g`` (``ursell_values``).
+    Ursell value of ``g`` (``ursell_values``).  Up to TABLE_MAX_N vertices,
+    as the brute force; ``penrose_trees_fast`` takes larger graphs.
     """
     if not g.is_connected():
         raise DomainError("Penrose trees are defined for connected graphs only")
@@ -721,51 +678,68 @@ def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> in
     return mask
 
 
-def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
-    """Same set as penrose_trees, grown one generation at a time by the slack rule.
+def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
+    """Edge masks of the spanning trees of host ``gmask`` on [n] with no slack edge in it.
 
-    A spanning tree T of ``g`` has no slack edge (``_slack_mask``) in
-    ``g`` exactly when each generation of T is an independent set of
-    ``g`` and each vertex's parent is its largest-index neighbor in ``g``
-    one generation up: a same-generation edge is slack, and so is an edge
-    to an upper neighbor of larger index than the parent.  So the trees are
-    grown from the root: the next generation is any nonempty independent
-    subset of the unused neighbors of the current one, each member takes
-    its forced parent, and a tree is complete when every vertex is used.
-    Only those trees and their prefixes are visited.  Must agree with the
-    brute force; the equivalence is property-tested exhaustively for small n.
+    A spanning tree T has no slack edge (``_slack_mask``) in the host
+    exactly when each generation of T is an independent set of the host and
+    each vertex's parent is its largest-index host neighbor one generation
+    up: a same-generation edge is slack, and so is an edge to an upper
+    neighbor of larger index than the parent.  So the trees are grown from
+    the root: the next generation is any nonempty independent subset of the
+    unused neighbors of the current one, each member takes its forced
+    parent, and a tree is complete when every vertex is used.  Only those
+    trees and their prefixes are visited.  A disconnected host has none.
     """
-    n = g.n
-    if not g.is_connected():
-        raise DomainError("Penrose trees are defined for connected graphs only")
     _check_root(n, root)
-    adj = _mask_adjacency(n, g.mask)
-    idx = _pair_index(n)
+    _check_mask_range(n, gmask, gmask)
+    adj = _mask_adjacency(n, gmask)
+    # edge[v][p]: the edge bit of {v, p}
+    edge = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(vertex_pairs(n)):
+        edge[i][j] = edge[j][i] = 1 << k
     full = (1 << n) - 1
     out = []
 
     def grow(layer: int, used: int, tree: int, free: int, new: int) -> None:
-        # each independent subset of ``free`` joins the generation ``new``
-        # under ``layer``; then the generation after it is grown
-        if free:
-            low = free & -free
+        # ``new``, an independent set of the generation under ``layer``,
+        # grows by each member of ``free`` in turn (members only increase,
+        # so each set is built once); then it closes, and the generation
+        # after it is grown
+        f = free
+        while f:
+            low = f & -f
+            f ^= low
             v = low.bit_length()
-            p = (adj[v] & layer).bit_length()
-            grow(layer, used, tree | 1 << idx[(p, v) if p < v else (v, p)],
-                 free & ~low & ~adj[v], new | low)
-            grow(layer, used, tree, free ^ low, new)
+            grow(layer, used, tree | edge[v][(adj[v] & layer).bit_length()],
+                 f & ~adj[v], new | low)
+        if not new:
             return
         used |= new
         if used == full:
-            out.append(RootedTree.from_mask(n, tree, root))
-        elif new:
-            reach = 0
-            f = new
-            while f:
-                low = f & -f
-                reach |= adj[low.bit_length()]
-                f ^= low
-            grow(new, used, tree, reach & ~used, 0)
+            out.append(tree)
+            return
+        reach = 0
+        f = new
+        while f:
+            low = f & -f
+            reach |= adj[low.bit_length()]
+            f ^= low
+        grow(new, used, tree, reach & ~used, 0)
 
     grow(0, 0, 0, 0, 1 << (root - 1))
-    return frozenset(out)
+    return out
+
+
+def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
+    """Same set as penrose_trees, grown one generation at a time by the slack rule.
+
+    The trees of ``_slack_free_tree_masks``, as ``RootedTree``s.  Must agree
+    with the brute force; the equivalence is property-tested exhaustively
+    for small n.
+    """
+    if not g.is_connected():
+        raise DomainError("Penrose trees are defined for connected graphs only")
+    n = g.n
+    return frozenset(RootedTree.from_mask(n, t, root)
+                     for t in _slack_free_tree_masks(n, g.mask, root))

@@ -6,11 +6,12 @@ the level table of a piecewise constant bond.
 
 A potential carries a declared stability constant B (the constant in the
 lower bound U >= -B*N on configuration energies).  B is a *declared* field:
-purely repulsive potentials get B = 0 automatically, while a square well
-needs an explicit value because the optimal constant depends on packing
-geometry (a safe d-dimensional choice is half the well depth times the
-number of well-range neighbors a close packing allows, e.g. B = epsilon in
-d = 1 where at most two rods sit inside each other's well).
+purely repulsive potentials get B = 0 automatically, while a square well,
+and a tabulated potential that goes negative, need an explicit value
+because the optimal constant depends on packing geometry (a safe
+d-dimensional choice is half the well depth times the number of
+well-range neighbors a close packing allows, e.g. B = epsilon in d = 1
+where at most two rods sit inside each other's well).
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ class PairPotential:
                 raise ConfigError("table radii must be strictly increasing")
             if self.cutoff is None:
                 raise ConfigError("custom_tabulated needs an explicit finite cutoff radius")
+            if self.B is None and not self.is_nonnegative:
+                raise ConfigError(
+                    "custom_tabulated table goes negative, so it needs an explicit "
+                    "stability constant B"
+                )
         if self.B is None:
             object.__setattr__(self, "B", 0.0)
         if not self.B >= 0:

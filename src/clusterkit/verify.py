@@ -30,6 +30,7 @@ from .graphs import (
     RootedTree,
     _decode_tree_sequence,
     _mask_connected,
+    _slack_free_tree_masks,
     connected_mask_flags,
     edge_mask,
     enum_graphs,
@@ -39,7 +40,6 @@ from .graphs import (
     penrose_trees,
     penrose_trees_fast,
     prufer_tree_masks,
-    submask_tree_classes,
     ursell_table,
     ursell_values,
 )
@@ -104,10 +104,12 @@ def penrose_identity_random(
     """Spot-check the identity on random connected graphs (default n = 7).
 
     Each host is the first connected graph among G(n, 1/2) draws.  The
-    Ursell values come from one ``ursell_values`` call, and independently
-    the Penrose trees from the brute force over every submask of each host
-    graph by ``submask_tree_classes``.  ConfigError for a count below 1,
-    which would check nothing.
+    Ursell values come from one ``ursell_values`` call, by the vertex-subset
+    log, and independently the Penrose trees of each host from the
+    slack-rule growth ``_slack_free_tree_masks``, which looks at no
+    non-tree subgraph.  The exhaustive scan checks the slack rule's premise
+    up to n = 6.  ConfigError for a count below 1, which would check
+    nothing.
     """
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count!r}")
@@ -126,9 +128,7 @@ def penrose_identity_random(
         hosts.append(mask)
     mism = 0
     for mask, value in zip(hosts, ursell_values(n, hosts).tolist()):
-        _, preimages = submask_tree_classes(n, mask, root)
-        singles = int(np.count_nonzero(preimages == 1))
-        if value != sign * singles or sign * value <= 0:
+        if value != sign * len(_slack_free_tree_masks(n, mask, root)) or sign * value <= 0:
             mism += 1
     return count, mism
 
@@ -169,10 +169,11 @@ def _check_penrose_identity(ctx: VerifyContext) -> Tuple[bool, str]:
         ok &= mism == 0
         parts.append(f"n={n}: {total} graphs, {mism} mismatches")
     if ctx.nmax >= 6:
-        # the invariant pairs the exhaustive scan with a random 7-vertex sample
-        total, mism = penrose_identity_random(7, 100, ctx.seed)
-        ok &= mism == 0
-        parts.append(f"n=7 random: {total} graphs, {mism} mismatches")
+        # the invariant pairs the exhaustive scan with random 7- and 8-vertex samples
+        for n in (7, 8):
+            total, mism = penrose_identity_random(n, 100, ctx.seed)
+            ok &= mism == 0
+            parts.append(f"n={n} random: {total} graphs, {mism} mismatches")
     return ok, "; ".join(parts)
 
 
@@ -273,7 +274,7 @@ def _check_refinement(ctx: VerifyContext) -> Tuple[bool, str]:
     # the mesh-doubling error estimate is nonzero and must halve (or better)
     tab = PairPotential(
         "custom_tabulated", 0.5, 1,
-        table=((0.0, 2.0), (0.5, 1.0), (1.0, -0.5), (2.0, 0.0)), cutoff=2.0,
+        table=((0.0, 2.0), (0.5, 1.0), (1.0, -0.5), (2.0, 0.0)), cutoff=2.0, B=1.0,
     )
 
     def integrand(r):

@@ -354,9 +354,18 @@ def test_tabulated_overflow_exits_2_naming_minus_beta_v(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": {
         "kind": "custom_tabulated", "sigma": 1, "table": [[0, 5], [1, -800], [1.5, 0]],
-        "cutoff": 1.5}}))
+        "cutoff": 1.5, "B": 800}}))
     assert main(["--config", str(cfg), "mayer", "--n", "2"]) == 2
     assert "overflows e^(-beta V)" in capsys.readouterr().err
+
+
+def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": {
+        "kind": "custom_tabulated", "sigma": 1, "table": [[0, -1], [1, -1], [1.5, 0]],
+        "cutoff": 1.5}}))
+    assert main(["--config", str(cfg), "mayer", "--beta", "2", "--n", "3"]) == 2
+    assert "stability constant B" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -9,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 from clusterkit import graphs, polymer, verify
 from clusterkit.errors import CapacityError, ClusterKitError, ConfigError, DomainError
 from clusterkit.graphs import (
+    _BLOCK_BITS,
     MASK_BLOCK,
-    MAX_HOST_EDGES,
+    TABLE_MAX_N,
     LabeledGraph,
     RootedTree,
-    _blocked_submask_classes,
     _decode_tree_sequence,
+    _deposit_rows,
+    _mask_adjacency,
     _mask_connected,
     _mask_tree_image,
+    _parent_edges,
+    _slack_free_tree_masks,
+    _tree_images,
     connected_mask_flags,
     edge_mask,
     enum_graphs,
@@ -374,8 +379,49 @@ def test_connected_mask_flags_match_scalar(n):
 # the submask engine against its oracles
 # ---------------------------------------------------------------------------
 
+#: host edges up to which the tests' blocked brute force walks the 2^edges
+#: submasks.  On a shared 2-core x86 machine the complete graph on 7
+#: vertices (21 edges) takes about 0.24 s and 22 edges on 8 vertices about
+#: 0.55 s; each edge more about doubles it.
+MAX_HOST_EDGES = 22
+
+
+def _blocked_submask_classes(n, gmask, root):
+    """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
+
+    The oracle of the slack-rule growth past the mask tables (n >= 7).  The
+    neighbor rows of the submasks of the first 12 host edges are deposited
+    once per host by ``_deposit_rows``; a block ORs in the neighbor rows of
+    its number's remaining edges, one constant per vertex.  A host of one
+    block returns that block's classes; otherwise the blocks' preimage
+    counts are merged once they reach as many entries as the merged classes
+    (at least 2^16), so memory stays within about twice the class count as
+    hosts grow.
+    """
+    bits = [k for k in range(n * (n - 1) // 2) if gmask >> k & 1]
+    assert len(bits) <= MAX_HOST_EDGES
+    inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
+    rows = _deposit_rows(n, inner)
+    parent_edge = _parent_edges(n)
+    trees, counts, pending = [], [], 0
+    last = (1 << len(outer)) - 1
+    for high in range(last + 1):
+        extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
+        extra = np.array(extra[1:], rows.dtype)[:, None]
+        conn, image = _tree_images(rows | extra, root, parent_edge)
+        block_trees, block_counts = np.unique(image[conn], return_counts=True)
+        trees.append(block_trees)
+        counts.append(block_counts)
+        pending += block_trees.size
+        if high and (pending >= max(trees[0].size, 1 << 16) or high == last):
+            merged, cls = np.unique(np.concatenate(trees), return_inverse=True)
+            counts = [np.bincount(cls, np.concatenate(counts), merged.size)]
+            trees, pending = [merged], 0
+    return trees[0], counts[0].astype(np.int64)
+
+
 def _check_engine(n, host, root):
-    # the table path against the blocked kernel path, which n >= 7 takes
+    # the table path against the blocked kernel path, the oracle past the tables
     trees, preimages = submask_tree_classes(n, host, root)
     blocked = _blocked_submask_classes(n, host, root)
     assert (trees.tolist(), preimages.tolist()) == (blocked[0].tolist(), blocked[1].tolist())
@@ -438,7 +484,7 @@ def test_blocked_path_on_seven_vertices(edges, root):
     # n = 7 has no table: the blocked path and the subset log against the
     # scalar oracles
     host = sum(1 << k for k in edges)
-    trees, preimages = submask_tree_classes(7, host, root)
+    trees, preimages = _blocked_submask_classes(7, host, root)
     g = LabeledGraph.from_mask(7, host)
     want = ursell_value(g)
     value = ursell_values(7, [host])
@@ -471,6 +517,7 @@ def test_blocked_path_against_the_mask_kernel(n, edges, root):
     got = _blocked_submask_classes(n, host, root)
     for a, b in zip(got, (trees, preimages.astype(np.int64))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert sorted(_slack_free_tree_masks(n, host, root)) == trees[preimages == 1].tolist()
     # the mask kernel against the scalar oracles on a sample of the submasks
     sample = rng.sample(range(subs.size), 30)
     assert connected[sample].tolist() == [_mask_connected(n, int(subs[i])) for i in sample]
@@ -480,12 +527,14 @@ def test_blocked_path_against_the_mask_kernel(n, edges, root):
 
 def test_engine_refuses_a_root_outside_the_vertices():
     path = edge_mask(7, [(v, v + 1) for v in range(1, 7)])
-    assert [a.tolist() for a in submask_tree_classes(7, path, 7)] == [[path], [1]]
-    # the table path (n <= 6) and the blocked path (n = 7)
+    assert _slack_free_tree_masks(7, path, 7) == [path]
+    # the brute force (n <= 6), the brute force past its cap (n = 7, where
+    # the root is checked first) and the growth
     for n, host in ((5, edge_mask(5, [(v, v + 1) for v in range(1, 5)])), (7, path)):
         for root in (0, n + 1):
-            with pytest.raises(ValueError, match=rf"root {root} outside \[1\.\.{n}\]"):
-                submask_tree_classes(n, host, root)
+            for engine in (submask_tree_classes, _slack_free_tree_masks):
+                with pytest.raises(ValueError, match=rf"root {root} outside \[1\.\.{n}\]"):
+                    engine(n, host, root)
     with pytest.raises(ValueError, match="root 8 outside"):
         penrose_trees(LabeledGraph.from_mask(7, path), 8)
     with pytest.raises(ValueError, match="root 8 outside"):
@@ -495,19 +544,40 @@ def test_engine_refuses_a_root_outside_the_vertices():
 
 
 def test_engine_refuses_a_mask_outside_the_edges():
-    # the table path (n <= 6) and the blocked path (n = 7), past the top
-    # edge or negative
+    # the brute force (n <= 6), the brute force past its cap (n = 7, where
+    # the mask is checked first) and the growth, past the top edge or
+    # negative
     for n, mask in ((3, 8), (3, -1), (7, 1 << 21), (7, -1)):
-        with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
-            submask_tree_classes(n, mask)
+        for engine in (submask_tree_classes, _slack_free_tree_masks):
+            with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
+                engine(n, mask)
 
 
 def test_submask_engine_host_edge_cap():
-    assert MAX_HOST_EDGES >= 21  # every host on 7 vertices stays under it
-    with pytest.raises(CapacityError, match="has 36"):
+    # the brute force reads the full mask tables, so it stops at their cap
+    # and names the growth; the tests' blocked path takes every host on 7
+    # vertices
+    assert MAX_HOST_EDGES >= 21
+    with pytest.raises(CapacityError, match=f"capped at n={TABLE_MAX_N}, got 9; penrose_trees_fast"):
         penrose_trees(complete_graph(9))
-    with pytest.raises(CapacityError, match=f"has {MAX_HOST_EDGES + 1}"):
-        submask_tree_classes(8, (1 << (MAX_HOST_EDGES + 1)) - 1)
+    with pytest.raises(CapacityError, match="got 7; penrose_trees_fast"):
+        submask_tree_classes(7, edge_mask(7, [(v, v + 1) for v in range(1, 7)]))
+
+
+@pytest.mark.parametrize("edges", (12, 18))
+def test_growth_equals_the_blocked_brute_force_at_every_root(edges):
+    # n = 7, past the mask tables and the exhaustive scan: a spanning path
+    # plus random edges
+    rng = random.Random(edges)
+    path = edge_mask(7, [(v, v + 1) for v in range(1, 7)])
+    rest = [k for k in range(21) if not path >> k & 1]
+    host = path | sum(1 << k for k in rng.sample(rest, edges - 6))
+    value = ursell_values(7, [host])[0]
+    for root in range(1, 8):
+        trees, preimages = _blocked_submask_classes(7, host, root)
+        grown = sorted(_slack_free_tree_masks(7, host, root))
+        assert grown == trees[preimages == 1].tolist()
+        assert len(grown) == value  # (-1)^6 = 1
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +660,11 @@ def test_penrose_trees_fast_equals_engine(case):
     g, root = case
     n = g.n
     fast = penrose_trees_fast(g, root)
-    assert fast == penrose_trees(g, root)
+    brute = submask_tree_classes if n <= TABLE_MAX_N else _blocked_submask_classes
+    trees, preimages = brute(n, g.mask, root)
+    assert {t.mask for t in fast} == set(trees[preimages == 1].tolist())
+    if n <= TABLE_MAX_N:
+        assert fast == penrose_trees(g, root)
     for t in fast:
         assert t.root == root and len(t.gen) == n and bin(t.mask).count("1") == n - 1
         assert t.mask & ~g.mask == 0
@@ -622,6 +696,7 @@ def test_penrose_engine_grows_no_cache_once_filled():
         polymer.p_exact(10, s)
     verify.penrose_identity_scan(6)
     verify.penrose_identity_random(7, 3)
+    verify.penrose_identity_random(8, 3)
     assert _cache_sizes() == before
 
 
@@ -721,11 +796,52 @@ def test_identity_random_draws_the_same_hosts(monkeypatch):
         if _mask_connected(7, mask):
             want.append(mask)
     seen = []
-    engine = verify.submask_tree_classes
-    monkeypatch.setattr(verify, "submask_tree_classes",
-                        lambda n, mask, root: seen.append(mask) or engine(n, mask, root))
+    growth = verify._slack_free_tree_masks
+    monkeypatch.setattr(verify, "_slack_free_tree_masks",
+                        lambda n, mask, root: seen.append(mask) or growth(n, mask, root))
     assert verify.penrose_identity_random(7, 100) == (100, 0)
     assert seen == want
+
+
+def _growth_with_dependent_generations(n, gmask, root):
+    """The slack-rule growth with its independence step dropped.
+
+    A generation may then hold a host edge, which is slack, so the trees
+    counted are more than the Penrose trees wherever a host has an edge
+    between two vertices at the same distance from the root.
+    """
+    adj = _mask_adjacency(n, gmask)
+    full = (1 << n) - 1
+    out = []
+
+    def grow(layer, used, tree, free, new):
+        if free:
+            low = free & -free
+            v = low.bit_length()
+            p = (adj[v] & layer).bit_length()
+            grow(layer, used, tree | edge_mask(n, [(p, v)]), free ^ low, new | low)
+            grow(layer, used, tree, free ^ low, new)
+            return
+        used |= new
+        if used == full:
+            out.append(tree)
+        elif new:
+            reach = 0
+            for v in range(1, n + 1):
+                if new >> (v - 1) & 1:
+                    reach |= adj[v]
+            grow(new, used, tree, reach & ~used, 0)
+
+    grow(0, 0, 0, 0, 1 << (root - 1))
+    return out
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_identity_random_refuses_a_growth_that_breaks_the_slack_rule(monkeypatch, n):
+    # the first 20 of the check's hosts
+    monkeypatch.setattr(verify, "_slack_free_tree_masks", _growth_with_dependent_generations)
+    total, mism = verify.penrose_identity_random(n, 20)
+    assert total == 20 and mism > 0
 
 
 @pytest.mark.parametrize("count", [0, -3])

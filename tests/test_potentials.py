@@ -65,7 +65,7 @@ def test_f_bond_array_is_bitwise_f_bond(case):
 
 def test_tabulated_overflow_names_minus_beta_v():
     pot = PairPotential("custom_tabulated", 1.0, 1,
-                        table=((0.0, 5.0), (1.0, -800.0), (1.5, 0.0)), cutoff=1.5)
+                        table=((0.0, 5.0), (1.0, -800.0), (1.5, 0.0)), cutoff=1.5, B=800.0)
     with pytest.raises(DomainError, match=r"-beta\*V = 800 at r = 1 "):
         f_bond_array(pot, 1.0, np.array([0.5, 1.0, 1.2]))
     with pytest.raises(DomainError, match=r"-beta\*V = 800 at r = 1 "):
@@ -119,6 +119,9 @@ def test_stability_constant_rules():
     assert PairPotential("hard_rod", 1.0, 1).B == 0.0
     with pytest.raises(ConfigError):
         PairPotential("square_well", 1.0, 1, epsilon=1.0, lambda_w=1.5)  # no B
+    with pytest.raises(ConfigError, match="stability constant B"):
+        PairPotential("custom_tabulated", 1.0, 1,
+                      table=((0.0, 2.0), (1.0, -0.5), (2.0, 0.0)), cutoff=2.0)  # no B
     with pytest.raises(ConfigError):
         PairPotential("square_well", 1.0, 1, epsilon=1.0, lambda_w=0.9, B=1.0)
     with pytest.raises(ConfigError):
