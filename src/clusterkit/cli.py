@@ -23,7 +23,6 @@ name.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -42,7 +41,7 @@ from .potentials import CONFIG_KEYS, PairPotential, c_beta, potential_from_confi
 from .radii import radius_report
 from .reporting import dump_csv, dump_json, json_payload, output_dir, render_table
 from .series import invert_mayer_oracle, virial_from_mayer
-from .verify import SUITES, VerifyContext, run_checks
+from .verify import SUITES, run_checks
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +165,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run invariant suites")
     sp.set_defaults(run=_cmd_verify)
     sp.add_argument("--suite", choices=SUITES, default="all")
-    # unset inputs keep the VerifyContext defaults
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="also write results as JSON")
 
     config = config or {}
@@ -510,9 +506,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ctx = VerifyContext(**{f.name: value for f in dataclasses.fields(VerifyContext)
-                           if (value := getattr(args, f.name)) is not None})
-    results = run_checks(args.suite, ctx)
+    results = run_checks(args.suite)
     ok = all(r.passed for r in results)
     out = _out_path(args)
     if out:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterkit import tonks
 from clusterkit.canonical import (
+    ZTILDE_QUADRATURE_MAX_N,
     CanonicalResult,
     compare_series_direct,
     q_lambda,
@@ -138,6 +139,14 @@ def test_boltzmann_factors_are_bitwise_pair_product(p, beta):
     assert np.isnan(want).any() == (beta == 100.0)
 
 
+def test_ztilde_auto_samples_past_the_quadrature_cap(well):
+    N = 5
+    assert N > ZTILDE_QUADRATURE_MAX_N
+    auto = ztilde_direct(well, 1.0, 20.0, N, seed=5, samples=40_000)
+    assert auto.method == "monte_carlo"
+    assert auto == ztilde_direct(well, 1.0, 20.0, N, "monte_carlo", seed=5, samples=40_000)
+
+
 def test_ztilde_method_caps(rod, sphere):
     with pytest.raises(CapacityError):
         ztilde_direct(rod, 1.0, 30.0, 5, "quadrature")
@@ -202,6 +211,15 @@ def test_compare_square_well(well):
     rep = compare_series_direct(well, 1.0, 400.0, 4, 4)
     assert rep.certified
     assert rep.passed
+
+
+def test_compare_hard_spheres_by_monte_carlo(sphere):
+    # the series side has no quadrature in three dimensions: its b_2 and b_3
+    # are seeded Monte Carlo too
+    rep = compare_series_direct(sphere, 1.0, 4.0, 8, 2, direct_method="monte_carlo",
+                                seed=2, samples=40_000)
+    assert rep.q_direct == -0.0224294469579791
+    assert rep.coefficients == {1: -4.18879020478639, 2: -4.2040128257795635}
 
 
 def test_repulsive_ztilde_invariant(rod):

@@ -1,10 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from clusterkit import verify
 from clusterkit.cli import main, run_for_test
+from clusterkit.polymer import ActivityProfile, log_xi_ursell
 
 
 def run_json(argv):
@@ -85,6 +87,20 @@ def test_polymer_rejects_an_empty_ground_set(capsys, action, extra):
     assert "--n-ground must be >= 1" in capsys.readouterr().err
 
 
+def test_polymer_ursell_orders_and_partial_sums():
+    zeta = {2: Fraction(1, 3), 3: Fraction(-1, 4), 4: Fraction(2, 7)}
+    out = run_json(["polymer", "ursell", "--n-ground", "4", "--zeta", "2=1/3,3=-1/4,4=2/7",
+                    "--orders", "3"])
+    terms = log_xi_ursell(4, ActivityProfile(4, zeta), 3)
+    assert out["orders"] == {str(n): {"rational": f"{t.numerator}/{t.denominator}",
+                                      "value": float(t)} for n, t in terms.items()}
+    acc, partial = 0.0, {}
+    for n in sorted(terms):
+        acc += float(terms[n])
+        partial[str(n)] = acc
+    assert out["partial_sums"] == partial
+
+
 @pytest.mark.parametrize("orders", ["0", "-2"])
 def test_polymer_ursell_refuses_orders_below_one(capsys, orders):
     assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1/3",
@@ -133,16 +149,16 @@ def test_canonical_report():
 
 
 def test_verify_subcommand_exit_codes(capsys):
-    assert main(["verify", "--suite", "graphs", "--nmax", "4"]) == 0
+    assert main(["verify", "--suite", "graphs"]) == 0
     text = capsys.readouterr().out
-    assert "PASS graphs.cayley_counts" in text
-
-
-def test_cayley_check_follows_nmax():
-    ok, detail = verify._check_cayley(verify.VerifyContext(nmax=2))
-    assert ok and detail.endswith("n = 2..4")
-    ok, detail = verify._check_cayley(verify.VerifyContext(nmax=4))
-    assert ok and detail.endswith("n = 2..6")
+    assert "PASS graphs.cayley_counts - tree counts match n^(n-2) for n = 2..8" in text
+    assert text.endswith("PASS: 2/2 checks\n")
+    # the suite has no settings: a size or seed is an unknown argument
+    for argv in (["--nmax", "6"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_determinism_modulo_timestamp():

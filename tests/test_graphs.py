@@ -803,43 +803,72 @@ def test_identity_random_draws_the_same_hosts(monkeypatch):
     assert seen == want
 
 
-def _growth_with_dependent_generations(n, gmask, root):
-    """The slack-rule growth with its independence step dropped.
+def _broken_growth(independent=True, smallest_parent=False):
+    """The slack-rule growth of ``_slack_free_tree_masks`` with one rule broken.
 
-    A generation may then hold a host edge, which is slack, so the trees
-    counted are more than the Penrose trees wherever a host has an edge
-    between two vertices at the same distance from the root.
+    Without the independence step a generation may hold a host edge, which
+    is slack, so the trees counted are more than the Penrose trees wherever
+    a host has an edge between two vertices at the same distance from the
+    root.  Taking the smallest instead of the largest upper host neighbour
+    as parent keeps the count, but then the tree misses the edge to the
+    largest one, which is slack.
     """
-    adj = _mask_adjacency(n, gmask)
-    full = (1 << n) - 1
-    out = []
 
-    def grow(layer, used, tree, free, new):
-        if free:
-            low = free & -free
-            v = low.bit_length()
-            p = (adj[v] & layer).bit_length()
-            grow(layer, used, tree | edge_mask(n, [(p, v)]), free ^ low, new | low)
-            grow(layer, used, tree, free ^ low, new)
-            return
-        used |= new
-        if used == full:
-            out.append(tree)
-        elif new:
-            reach = 0
-            for v in range(1, n + 1):
-                if new >> (v - 1) & 1:
-                    reach |= adj[v]
-            grow(new, used, tree, reach & ~used, 0)
+    def growth(n, gmask, root):
+        adj = _mask_adjacency(n, gmask)
+        full = (1 << n) - 1
+        out = []
 
-    grow(0, 0, 0, 0, 1 << (root - 1))
-    return out
+        def grow(layer, used, tree, free, new):
+            if free:
+                low = free & -free
+                v = low.bit_length()
+                up = adj[v] & layer
+                p = (up & -up if smallest_parent else up).bit_length()
+                rest = free ^ low
+                grow(layer, used, tree | edge_mask(n, [(p, v)]),
+                     rest & ~adj[v] if independent else rest, new | low)
+                grow(layer, used, tree, rest, new)
+                return
+            used |= new
+            if used == full:
+                out.append(tree)
+            elif new:
+                reach = 0
+                for v in range(1, n + 1):
+                    if new >> (v - 1) & 1:
+                        reach |= adj[v]
+                grow(new, used, tree, reach & ~used, 0)
+
+        grow(0, 0, 0, 0, 1 << (root - 1))
+        return out
+
+    return growth
+
+
+def test_broken_growth_with_no_rule_broken_is_the_growth():
+    # the fault tests below break one rule of a faithful copy, tree order included
+    rng = random.Random(8)
+    for n in (6, 7, 8):
+        for _ in range(10):
+            mask = rng.getrandbits(n * (n - 1) // 2)
+            if _mask_connected(n, mask):
+                root = rng.randint(1, n)
+                assert _broken_growth()(n, mask, root) == _slack_free_tree_masks(n, mask, root)
 
 
 @pytest.mark.parametrize("n", (7, 8))
 def test_identity_random_refuses_a_growth_that_breaks_the_slack_rule(monkeypatch, n):
     # the first 20 of the check's hosts
-    monkeypatch.setattr(verify, "_slack_free_tree_masks", _growth_with_dependent_generations)
+    monkeypatch.setattr(verify, "_slack_free_tree_masks", _broken_growth(independent=False))
+    total, mism = verify.penrose_identity_random(n, 20)
+    assert total == 20 and mism > 0
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_identity_random_refuses_a_growth_with_the_wrong_parent(monkeypatch, n):
+    # the tree count stays |Ursell|; the first tree's slack edges give it away
+    monkeypatch.setattr(verify, "_slack_free_tree_masks", _broken_growth(smallest_parent=True))
     total, mism = verify.penrose_identity_random(n, 20)
     assert total == 20 and mism > 0
 
