@@ -181,13 +181,15 @@ class ComparisonReport:
 
 
 def _mayer_table_for_series(p: PairPotential, beta: float, n_max: int,
-                            seed: Optional[int],
+                            seed: Optional[int], samples: int, chunk: int,
                             workers: Optional[int] = None) -> Dict[int, float]:
     """Infinite-volume fugacity coefficients b_1..b_n_max for the series side.
 
     Quadrature within its cap; hard rods use the closed coefficients beyond
     (they are the same numbers the quadrature reproduces to ~1e-12), since
     the direct side of the comparison should not be starved of orders.
+    Other coefficients are sampled by Monte Carlo with the comparison's
+    seed, samples and chunk.
     """
     out = {1: 1.0}
     for n in range(2, n_max + 1):
@@ -197,7 +199,7 @@ def _mayer_table_for_series(p: PairPotential, beta: float, n_max: int,
             out[n] = tonks.bn_value(n, p.sigma)
         elif n <= MONTE_CARLO_MAX_N:
             out[n], _ = mayer_bn(p, beta, n, method="monte_carlo", seed=seed,
-                                 workers=workers)
+                                 samples=samples, chunk=chunk, workers=workers)
         else:
             raise CapacityError(
                 f"no route to order-{n} fugacity coefficients for {p.kind}"
@@ -234,7 +236,7 @@ def compare_series_direct(
     q_err = direct.error / max(direct.ztilde, 1e-300) / direct.volume
 
     rho = N / L ** p.dimension
-    bmap = _mayer_table_for_series(p, beta, k_max + 1, seed, workers)
+    bmap = _mayer_table_for_series(p, beta, k_max + 1, seed, samples, chunk, workers)
     coeffs = {k: float(virial_from_mayer(bmap, k)) for k in range(1, k_max + 1)}
     cb, _ = c_beta(p, beta)
     estimate = free_energy_series(rho, coeffs, k_max, beta, p.B, cb)

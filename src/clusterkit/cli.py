@@ -341,6 +341,8 @@ def _parse_volume(raw: Optional[str]) -> Optional[float]:
 
 
 def _cmd_mayer(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     pot = _require_potential(args)
     sampling = _sampling(args)
     volume = _parse_volume(args.volume)
@@ -499,6 +501,8 @@ def _cmd_canonical(args) -> int:
     pot = _require_potential(args)
     if args.L is None or args.N is None:
         raise ConfigError("canonical needs --L and --N")
+    if args.k_max < 1:
+        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
     rep = compare_series_direct(pot, args.beta, args.L, args.N, args.k_max,
                                 direct_method=args.method, **_sampling(args))
     _emit(args, json_payload("canonical_comparison", rep.to_dict()))

@@ -33,14 +33,11 @@ The module provides:
   * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
     every edge mask on up to 6 vertices, kept per (n, root);
     ``connected_mask_flags`` reads its flags,
-  * ``submask_tree_classes``, the brute force over the submasks of a host
-    graph on up to TABLE_MAX_N vertices, behind ``penrose_trees``: it
-    looks the submasks up in ``mask_tree_table``, and its Penrose trees
-    come out as masks and stay masks.  Larger hosts are refused,
-  * ``_slack_free_tree_masks``, the trees with no slack edge in the host,
-    grown one generation at a time without looking at a non-tree subgraph.
-    ``penrose_trees_fast`` wraps its masks as ``RootedTree``s, and the
-    random identity check counts them against ``ursell_values``.
+  * ``_slack_free_tree_masks``, the one Penrose-tree enumerator: the trees
+    with no slack edge in the host, grown one generation at a time without
+    looking at a non-tree subgraph, on any number of vertices.
+    ``penrose_trees`` wraps its masks as ``RootedTree``s, and the verify
+    checks count them against ``ursell_values``.
 """
 
 from __future__ import annotations
@@ -607,28 +604,6 @@ def connected_mask_flags(n: int) -> np.ndarray:
     return mask_tree_table(n)[0]
 
 
-def submask_tree_classes(n: int, gmask: int, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
-    """Brute force over every submask of the host graph ``gmask`` on [n].
-
-    Returns the distinct rooted tree-image masks of the connected spanning
-    submasks and the preimage count of each image.  The submasks are picked
-    out of all masks on [n] and their flags and images are read from
-    ``mask_tree_table``, so n is capped at TABLE_MAX_N; ``penrose_trees_fast``
-    grows the Penrose trees of larger hosts.  A disconnected host has no
-    connected spanning submask.  A root outside [1..n] and a host mask
-    outside [0, 2^(n(n-1)/2)) are refused.
-    """
-    _check_root(n, root)
-    _check_mask_range(n, gmask, gmask)
-    if n > TABLE_MAX_N:
-        raise CapacityError(f"the submask brute force is capped at n={TABLE_MAX_N}, got {n}; "
-                            "penrose_trees_fast grows the Penrose trees of larger hosts")
-    connected, images = mask_tree_table(n, root)
-    subs = np.flatnonzero((np.arange(connected.size) & ~gmask) == 0)
-    trees, preimages = np.unique(images[subs[connected[subs]]], return_counts=True)
-    return trees.astype(np.int64), preimages
-
-
 def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
     """Deterministic rooted spanning tree of a connected graph.
 
@@ -640,22 +615,6 @@ def penrose_map(g: LabeledGraph, root: int = 1) -> RootedTree:
     if not g.is_connected():
         raise DomainError("tree image is defined for connected graphs only")
     return RootedTree.from_mask(g.n, _mask_tree_image(g.n, g.mask, root), root)
-
-
-def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
-    """Spanning trees of ``g`` whose preimage under penrose_map is a singleton.
-
-    Defined by brute force: ``submask_tree_classes`` maps every connected
-    spanning subgraph of ``g``, and a tree qualifies exactly when it is its
-    own sole preimage.  The count of these trees equals the size of the
-    Ursell value of ``g`` (``ursell_values``).  Up to TABLE_MAX_N vertices,
-    as the brute force; ``penrose_trees_fast`` takes larger graphs.
-    """
-    if not g.is_connected():
-        raise DomainError("Penrose trees are defined for connected graphs only")
-    n = g.n
-    trees, preimages = submask_tree_classes(n, g.mask, root)
-    return frozenset(RootedTree.from_mask(n, t, root) for t in trees[preimages == 1].tolist())
 
 
 def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> int:
@@ -731,15 +690,21 @@ def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
     return out
 
 
-def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
-    """Same set as penrose_trees, grown one generation at a time by the slack rule.
+def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
+    """Spanning trees of ``g`` whose preimage under penrose_map is a singleton.
 
-    The trees of ``_slack_free_tree_masks``, as ``RootedTree``s.  Must agree
-    with the brute force; the equivalence is property-tested exhaustively
-    for small n.
+    The trees of ``_slack_free_tree_masks``, as ``RootedTree``s: a tree is
+    its own sole preimage inside ``g`` exactly when ``g`` holds none of its
+    slack edges.  Their count equals the size of the Ursell value of ``g``
+    (``ursell_values``).
     """
     if not g.is_connected():
         raise DomainError("Penrose trees are defined for connected graphs only")
     n = g.n
     return frozenset(RootedTree.from_mask(n, t, root)
                      for t in _slack_free_tree_masks(n, g.mask, root))
+
+
+def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
+    """``penrose_trees``, kept under the name the bench harness times."""
+    return penrose_trees(g, root)

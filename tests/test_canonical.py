@@ -17,11 +17,13 @@ from clusterkit.cluster import (
     _level_count_factors,
     _pair_distances,
     _well_powers,
+    mayer_bn,
 )
 from clusterkit.errors import CapacityError, ConfigError, DomainError, JammedError
 from clusterkit.graphs import vertex_pairs
 from clusterkit.potentials import PairPotential, bond_level_values
 from clusterkit.quadrature import bond_levels
+from clusterkit.series import virial_from_mayer
 
 
 def test_ztilde_single_particle(rod):
@@ -215,11 +217,15 @@ def test_compare_square_well(well):
 
 def test_compare_hard_spheres_by_monte_carlo(sphere):
     # the series side has no quadrature in three dimensions: its b_2 and b_3
-    # are seeded Monte Carlo too
+    # are seeded Monte Carlo too, at the comparison's sample count
     rep = compare_series_direct(sphere, 1.0, 4.0, 8, 2, direct_method="monte_carlo",
                                 seed=2, samples=40_000)
     assert rep.q_direct == -0.0224294469579791
-    assert rep.coefficients == {1: -4.18879020478639, 2: -4.2040128257795635}
+    assert rep.coefficients == {1: -4.1887902047863905, 2: -3.467082363831569}
+    b = {1: 1.0}
+    for n in (2, 3):
+        b[n], _ = mayer_bn(sphere, 1.0, n, method="monte_carlo", seed=2, samples=40_000)
+    assert rep.coefficients == {k: float(virial_from_mayer(b, k)) for k in (1, 2)}
 
 
 def test_repulsive_ztilde_invariant(rod):

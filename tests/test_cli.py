@@ -108,6 +108,19 @@ def test_polymer_ursell_refuses_orders_below_one(capsys, orders):
     assert "--orders must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_mayer_refuses_orders_below_one(capsys, n):
+    assert main(["mayer", "--potential", "hard_rod", "--n", n]) == 2
+    assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_canonical_refuses_k_max_below_one(capsys, k_max):
+    assert main(["canonical", "--potential", "hard_rod", "--L", "50", "--N", "5",
+                 "--k-max", k_max]) == 2
+    assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
+
+
 def test_polymer_ursell_float_overflow_exits_2(capsys):
     assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1e200",
                  "--orders", "2"]) == 2

@@ -11,7 +11,6 @@ from clusterkit.errors import CapacityError, ClusterKitError, ConfigError, Domai
 from clusterkit.graphs import (
     _BLOCK_BITS,
     MASK_BLOCK,
-    TABLE_MAX_N,
     LabeledGraph,
     RootedTree,
     _decode_tree_sequence,
@@ -32,7 +31,6 @@ from clusterkit.graphs import (
     penrose_trees,
     penrose_trees_fast,
     prufer_tree_masks,
-    submask_tree_classes,
     ursell_table,
     ursell_values,
     vertex_pairs,
@@ -387,9 +385,12 @@ MAX_HOST_EDGES = 22
 
 
 def _blocked_submask_classes(n, gmask, root):
-    """``submask_tree_classes`` by the array kernel, MASK_BLOCK submasks at a time.
+    """Brute force over every submask of the host graph ``gmask`` on [n].
 
-    The oracle of the slack-rule growth past the mask tables (n >= 7).  The
+    Returns the distinct rooted tree-image masks of the connected spanning
+    submasks and the preimage count of each image, by the array kernel,
+    MASK_BLOCK submasks at a time: the images with one preimage are the
+    Penrose trees, so this is the oracle of the slack-rule growth.  The
     neighbor rows of the submasks of the first 12 host edges are deposited
     once per host by ``_deposit_rows``; a block ORs in the neighbor rows of
     its number's remaining edges, one constant per vertex.  A host of one
@@ -421,16 +422,14 @@ def _blocked_submask_classes(n, gmask, root):
 
 
 def _check_engine(n, host, root):
-    # the table path against the blocked kernel path, the oracle past the tables
-    trees, preimages = submask_tree_classes(n, host, root)
-    blocked = _blocked_submask_classes(n, host, root)
-    assert (trees.tolist(), preimages.tolist()) == (blocked[0].tolist(), blocked[1].tolist())
+    # the grown trees against the brute force's singleton classes
+    trees, preimages = _blocked_submask_classes(n, host, root)
     value = ursell_values(n, [host])[0]
     assert value == ursell_table(n)[host]
     g = LabeledGraph.from_mask(n, host)
     if g.is_connected():
         found = penrose_trees(g, root)
-        assert found == penrose_trees_fast(g, root)
+        assert {t.mask for t in found} == set(trees[preimages == 1].tolist())
         assert len(found) == abs(value) == np.count_nonzero(preimages == 1)
     return value
 
@@ -448,17 +447,6 @@ def hosts_on(draw):
 def test_submask_engine_matches_oracles(case):
     n, host, root = case
     assert _check_engine(n, host, root) == ursell_value(LabeledGraph.from_mask(n, host))
-
-
-@settings(max_examples=40, deadline=None)
-@given(hosts_on())
-def test_blocked_path_equals_table_path_at_every_root(case):
-    n, host, _ = case
-    for root in range(1, n + 1):
-        table = submask_tree_classes(n, host, root)
-        blocked = _blocked_submask_classes(n, host, root)
-        for a, b in zip(table, blocked):
-            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 @settings(max_examples=5, deadline=None)
@@ -482,7 +470,8 @@ def test_mask_tree_table_is_read_only_and_capped():
 @given(st.sets(st.integers(0, 20), max_size=12), st.integers(1, 7))
 def test_blocked_path_on_seven_vertices(edges, root):
     # n = 7 has no table: the blocked path and the subset log against the
-    # scalar oracles
+    # scalar oracles; the blocked path takes every host on 7 vertices
+    assert MAX_HOST_EDGES >= 21
     host = sum(1 << k for k in edges)
     trees, preimages = _blocked_submask_classes(7, host, root)
     g = LabeledGraph.from_mask(7, host)
@@ -491,7 +480,7 @@ def test_blocked_path_on_seven_vertices(edges, root):
     assert value.dtype == np.int64 and value.tolist() == [want]
     if g.is_connected():
         singles = {t for t, c in zip(trees.tolist(), preimages.tolist()) if c == 1}
-        assert singles == {t.mask for t in penrose_trees_fast(g, root)}
+        assert singles == {t.mask for t in penrose_trees(g, root)}
         assert len(singles) == abs(want)
 
 
@@ -528,13 +517,10 @@ def test_blocked_path_against_the_mask_kernel(n, edges, root):
 def test_engine_refuses_a_root_outside_the_vertices():
     path = edge_mask(7, [(v, v + 1) for v in range(1, 7)])
     assert _slack_free_tree_masks(7, path, 7) == [path]
-    # the brute force (n <= 6), the brute force past its cap (n = 7, where
-    # the root is checked first) and the growth
     for n, host in ((5, edge_mask(5, [(v, v + 1) for v in range(1, 5)])), (7, path)):
         for root in (0, n + 1):
-            for engine in (submask_tree_classes, _slack_free_tree_masks):
-                with pytest.raises(ValueError, match=rf"root {root} outside \[1\.\.{n}\]"):
-                    engine(n, host, root)
+            with pytest.raises(ValueError, match=rf"root {root} outside \[1\.\.{n}\]"):
+                _slack_free_tree_masks(n, host, root)
     with pytest.raises(ValueError, match="root 8 outside"):
         penrose_trees(LabeledGraph.from_mask(7, path), 8)
     with pytest.raises(ValueError, match="root 8 outside"):
@@ -544,24 +530,16 @@ def test_engine_refuses_a_root_outside_the_vertices():
 
 
 def test_engine_refuses_a_mask_outside_the_edges():
-    # the brute force (n <= 6), the brute force past its cap (n = 7, where
-    # the mask is checked first) and the growth, past the top edge or
-    # negative
+    # past the top edge or negative
     for n, mask in ((3, 8), (3, -1), (7, 1 << 21), (7, -1)):
-        for engine in (submask_tree_classes, _slack_free_tree_masks):
-            with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
-                engine(n, mask)
+        with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
+            _slack_free_tree_masks(n, mask)
 
 
-def test_submask_engine_host_edge_cap():
-    # the brute force reads the full mask tables, so it stops at their cap
-    # and names the growth; the tests' blocked path takes every host on 7
-    # vertices
-    assert MAX_HOST_EDGES >= 21
-    with pytest.raises(CapacityError, match=f"capped at n={TABLE_MAX_N}, got 9; penrose_trees_fast"):
-        penrose_trees(complete_graph(9))
-    with pytest.raises(CapacityError, match="got 7; penrose_trees_fast"):
-        submask_tree_classes(7, edge_mask(7, [(v, v + 1) for v in range(1, 7)]))
+def test_penrose_trees_has_no_vertex_cap():
+    # past the mask tables' 6 vertices: (n - 1)! trees on the complete graph
+    for n in (7, 8):
+        assert len(penrose_trees(complete_graph(n))) == math.factorial(n - 1)
 
 
 @pytest.mark.parametrize("edges", (12, 18))
@@ -660,11 +638,8 @@ def test_penrose_trees_fast_equals_engine(case):
     g, root = case
     n = g.n
     fast = penrose_trees_fast(g, root)
-    brute = submask_tree_classes if n <= TABLE_MAX_N else _blocked_submask_classes
-    trees, preimages = brute(n, g.mask, root)
+    trees, preimages = _blocked_submask_classes(n, g.mask, root)
     assert {t.mask for t in fast} == set(trees[preimages == 1].tolist())
-    if n <= TABLE_MAX_N:
-        assert fast == penrose_trees(g, root)
     for t in fast:
         assert t.root == root and len(t.gen) == n and bin(t.mask).count("1") == n - 1
         assert t.mask & ~g.mask == 0
@@ -871,6 +846,17 @@ def test_identity_random_refuses_a_growth_with_the_wrong_parent(monkeypatch, n):
     monkeypatch.setattr(verify, "_slack_free_tree_masks", _broken_growth(smallest_parent=True))
     total, mism = verify.penrose_identity_random(n, 20)
     assert total == 20 and mism > 0
+
+
+@pytest.mark.parametrize("rule, detail", [
+    ({"independent": False},
+     "tree count != |ursell_values| or a tree grown twice at n=3 mask 7"),
+    # the tree count stays |Ursell|; the 4-cycle's trees give it away
+    ({"smallest_parent": True}, "tree mask 14 is not a Penrose tree of n=4 mask 30"),
+], ids=["not_independent", "smallest_parent"])
+def test_fast_equivalence_refuses_a_broken_growth(monkeypatch, rule, detail):
+    monkeypatch.setattr(verify, "_slack_free_tree_masks", _broken_growth(**rule))
+    assert verify._check_fast_equivalence() == (False, detail)
 
 
 @pytest.mark.parametrize("count", [0, -3])
