@@ -279,6 +279,8 @@ def _out_path(args) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_radii(args) -> int:
+    if args.k_max < 1:
+        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
     pot = _potential_from_args(args)
     beta = 1.0 if args.beta is None else args.beta
     if args.u is not None:
@@ -369,6 +371,8 @@ def _cmd_mayer(args) -> int:
 
 
 def _cmd_virial(args) -> int:
+    if args.k_max < 1:
+        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
     pot = _require_potential(args)
     sampling = _sampling(args)
     k_max = args.k_max

@@ -25,6 +25,11 @@ Two engines live here:
   breakpoint candidates form one contiguous row per candidate, and
   ``distinct_ids`` ranks the level rows of a block of the last level, or
   of a Monte Carlo chunk, in a table over their ids or by one sort.
+  The last level runs PREFIX_BLOCK prefix rows a block, each reduced to one
+  partial sum by one dot product; these partial sums fix the bits.  Its
+  scratch memory is bounded by the block: a block's arrays are freed before
+  the next block's are made, and its level work runs WEIGHT_BLOCK panels a
+  step, so only the ids and positions of the evaluated nodes span a block.
 """
 
 from __future__ import annotations
@@ -381,13 +386,14 @@ def _panel_block(ts, radii, box_cuts, support, box_length):
         np.copyto(v, last, where=v - last <= _MERGE_TOL)
         last = v
     # the kept panels in row then panel order: flat positions in the
-    # row-major (P, width) mask, read back from the column-major widths
+    # row-major (P, width) mask, read back from the column-major widths; the
+    # index arithmetic runs in place and each gather replaces its source
     h = edges[1:] - edges[:-1]
-    flat = np.flatnonzero((h > _MERGE_TOL).T)
-    row = flat // width
-    at = (flat - row * width) * P + row
-    a = edges.ravel()[at]
+    row, at = np.divmod(np.flatnonzero((h > _MERGE_TOL).T), width)
+    at *= P
+    at += row
     h = h.ravel()[at]
+    a = edges.ravel()[at]
     if rows is not None:
         row = rows[row]
     return row, a, h
@@ -431,16 +437,49 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
     """weight_fn at the Gauss nodes of the panels (row, a, h), in panel then
     node order, called once per distinct row of bond levels.
 
+    A window grows with the last gap, so a panel whose first and last node
+    share their levels has them at every node and is evaluated at its first
+    node.  A panel with a level crossing inside it, closer to an edge than
+    the merge tolerance, is evaluated node by node.  These evaluated nodes
+    are the units, whose level ids ``_unit_ids`` gives; ``distinct_ids``
+    ranks them, weight_fn sees one unit per id, in increasing id order, and
+    each value is repeated onto the nodes its units stand for.  Each array
+    is dropped once used, so the block's peak holds the unit arrays and the
+    values, not the level work.
+    """
+    k = ts.shape[1]
+    q = xq.shape[0]
+    ids, units, count = _unit_ids(ts, row, a, h, xq, level_cuts)
+    distinct, inverse = distinct_ids(ids, count)
+    rep = np.empty(distinct.shape[0], dtype=np.intp)
+    rep[inverse] = np.arange(ids.shape[0])
+    del ids, distinct
+    node = units[rep]
+    panel = node // q
+    points = np.empty((rep.shape[0], k + 1))
+    points[:, :k] = ts[row[panel]]
+    points[:, k] = a[panel] + h[panel] * xq[node - panel * q]
+    vals = _evaluate(weight_fn, points)[inverse]
+    del inverse
+    repeats = np.diff(np.append(units, row.shape[0] * q))
+    del units
+    return np.repeat(vals, repeats)
+
+
+def _unit_ids(ts, row, a, h, xq, level_cuts):
+    """The level ids of the units of the panels (row, a, h) and the units'
+    flat node positions, in panel then node order, with the bound on the ids.
+
     The levels of the prefix pairs are taken once per prefix row and their
-    ids renumbered densely; each node adds the windows that end at its last
+    ids renumbered densely; each unit adds the windows that end at its last
     vertex.  All are differences of the running sums ``pair_window_matrix``
-    takes, so a node's levels are the ones weight_fn sees for it.  A window
-    grows with the last gap, so a panel whose first and last node share
-    their levels has them at every node and is evaluated at its first node.
-    A panel with a level crossing inside it, closer to an edge than the
-    merge tolerance, is evaluated node by node.  The ids, below distinct
-    prefixes times base^(k+1), are ranked by ``distinct_ids``; weight_fn
-    sees the rows in increasing id order, any row standing for its id.
+    takes, so a unit's levels are the ones weight_fn sees for it.  The
+    level work runs WEIGHT_BLOCK panels a step (``_level_step``), so its
+    gathers and masks never span the block.  The ids of all steps are
+    ranked together, so every step must number them the same way: prefix
+    id times base^(k+1) plus one level digit per window.
+    ``_append_levels`` would renumber one step's ids on their own once that
+    bound passed an int64, so a block that could reach it takes one step.
     """
     k = ts.shape[1]
     q = xq.shape[0]
@@ -450,35 +489,50 @@ def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
              for i in range(k + 1) for j in range(i + 1, k + 1))
     pre_ids, _ = _append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base)
     prefixes, pre_ids = np.unique(pre_ids, return_inverse=True)
+    step = WEIGHT_BLOCK
+    if prefixes.shape[0] * base ** (k + 1) > _ID_LIMIT:
+        step = row.shape[0]
+    ids, units = [], []
+    for i in range(0, row.shape[0], step):
+        count, step_ids, unit = _level_step(cs, pre_ids, prefixes.shape[0], row[i:i + step],
+                                            a[i:i + step], h[i:i + step], xq, level_cuts)
+        unit += i * q
+        ids.append(step_ids)
+        units.append(unit)
+    return np.concatenate(ids), np.concatenate(units), count
+
+
+def _level_step(cs, pre_ids, count, row, a, h, xq, level_cuts):
+    """One step of ``_unit_ids`` over the panels (row, a, h): the ids of
+    its units, each panel's first node or, for a split panel, every node.
+
+    ``cs`` are the running sums of the prefix rows and ``pre_ids`` their
+    ids, below ``count``.  Returns the new bound on the ids, the ids and the
+    units' flat positions among the step's nodes, in panel then node order.
+    """
+    k = cs.shape[0] - 1
+    q = xq.shape[0]
 
     def last_levels(c, x):
         end = c[k] + x
         return [bond_levels(end - c[i], level_cuts) for i in range(k + 1)]
 
     c = np.take(cs, row, axis=1)
-    x = a + h * xq[0]
-    levels = last_levels(c, x)
+    levels = last_levels(c, a + h * xq[0])
     split = np.zeros(row.shape[0], dtype=bool)
     for lo, hi in zip(levels, last_levels(c, a + h * xq[-1])):
         split |= lo != hi
-    repeats = q
+    unit = np.arange(0, row.shape[0] * q, q)
     if split.any():
         start = np.zeros((row.shape[0], q), dtype=bool)
         start[:, 0] = True
         start[split] = True
         unit = np.flatnonzero(start)
-        repeats = np.diff(np.append(unit, start.size))
         x = (a[:, None] + h[:, None] * xq).ravel()[unit]
         row = row[unit // q]
         levels = last_levels(np.take(cs, row, axis=1), x)
-    ids, count = _append_levels(pre_ids[row], prefixes.shape[0], levels, base)
-    distinct, inverse = distinct_ids(ids, count)
-    rep = np.empty(distinct.shape[0], dtype=np.intp)
-    rep[inverse] = np.arange(ids.shape[0])
-    points = np.empty((rep.shape[0], k + 1))
-    points[:, :k] = ts[row[rep]]
-    points[:, k] = x[rep]
-    return np.repeat(_evaluate(weight_fn, points)[inverse], repeats)
+    ids, count = _append_levels(pre_ids[row], count, levels, len(level_cuts) + 1)
+    return count, ids, unit
 
 
 def _box_cuts(radii, n_gaps, box_length):
@@ -526,8 +580,11 @@ def gap_quadrature(
     Returns the sums under the refined and the base node schedule, in that
     order; their difference is the callers' error estimate.  Each schedule
     expands the prefix rows one level at a time as arrays.  The final level
-    is taken PREFIX_BLOCK prefix rows at a time, each block reduced to one
-    partial sum, and weight_fn sees at most WEIGHT_BLOCK rows a call.
+    is taken PREFIX_BLOCK prefix rows at a time (``_block_sum``), each block
+    reduced to one partial sum by one dot product: PREFIX_BLOCK fixes the
+    partial sums, and so the bits.  The level work of a block runs
+    WEIGHT_BLOCK panels a step, which bounds its scratch memory and leaves
+    the bits alone, and weight_fn sees at most WEIGHT_BLOCK rows a call.
     """
     if support is None and box_length is None:
         raise ValueError("need a support radius or a box length")
@@ -542,7 +599,7 @@ def gap_quadrature(
 
 def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
     """The nested sum of ``gap_quadrature`` under one node schedule ``qs``."""
-    radii, box_cuts, _, box_length = rule
+    radii, box_cuts = rule[:2]
     est = math.prod((len(radii) * m + len(box_cuts) + 1) * q for m, q in enumerate(qs, start=1))
     if est > _MAX_NODES:
         raise CapacityError(
@@ -555,21 +612,30 @@ def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
         ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
 
     xq, wq = gauss_nodes(qs[-1])
-    partials = []
-    for start in range(0, ts.shape[0], PREFIX_BLOCK):
-        prefix = ts[start:start + PREFIX_BLOCK]
-        row, a, h = _panels(prefix, *rule)
-        if not row.shape[0]:
-            continue
-        pts = None
-        if level_cuts is None or box_length is not None:
-            pts = _nodes(prefix, row, a, h, xq)
-        if level_cuts is None:
-            vals = _evaluate(weight_fn, pts)
-        else:
-            vals = _panel_values(weight_fn, prefix, row, a, h, xq, level_cuts)
-        if box_length is not None:
-            vals = vals * (box_length - pts.sum(axis=1))
-        warr = _node_weights(wts[start:start + PREFIX_BLOCK], row, h, wq)
-        partials.append(float(np.dot(vals, warr)))
-    return math.fsum(partials)
+    partials = (_block_sum(weight_fn, ts[i:i + PREFIX_BLOCK], wts[i:i + PREFIX_BLOCK],
+                           xq, wq, rule, level_cuts)
+                for i in range(0, ts.shape[0], PREFIX_BLOCK))
+    return math.fsum(p for p in partials if p is not None)
+
+
+def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[float]:
+    """The last level's partial sum over one block of prefix rows, or None
+    for a block without panels.
+
+    A function of its own, so that none of the block's arrays outlives it
+    while the next block's panels and values are made.
+    """
+    box_length = rule[3]
+    row, a, h = _panels(prefix, *rule)
+    if not row.shape[0]:
+        return None
+    pts = None
+    if level_cuts is None or box_length is not None:
+        pts = _nodes(prefix, row, a, h, xq)
+    if level_cuts is None:
+        vals = _evaluate(weight_fn, pts)
+    else:
+        vals = _panel_values(weight_fn, prefix, row, a, h, xq, level_cuts)
+    if box_length is not None:
+        vals = vals * (box_length - pts.sum(axis=1))
+    return float(np.dot(vals, _node_weights(wts, row, h, wq)))

@@ -121,6 +121,18 @@ def test_canonical_refuses_k_max_below_one(capsys, k_max):
     assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_radii_refuses_k_max_below_one(capsys, k_max):
+    assert main(["radii", "--u", "2", "--k-max", k_max]) == 2
+    assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_virial_refuses_k_max_below_one(capsys, k_max):
+    assert main(["virial", "--potential", "hard_rod", "--k-max", k_max]) == 2
+    assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
+
+
 def test_polymer_ursell_float_overflow_exits_2(capsys):
     assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1e200",
                  "--orders", "2"]) == 2

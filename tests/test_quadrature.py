@@ -2,6 +2,7 @@
 square well against the exact nearest-neighbour gas."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from clusterkit import quadrature
 from clusterkit.canonical import ztilde_direct
-from clusterkit.cluster import _gap_weight_fn, mayer_bn, virial_bk_direct
+from clusterkit.cluster import _gap_integral, _gap_weight_fn, mayer_bn, virial_bk_direct
 from clusterkit.errors import CapacityError
 from clusterkit.potentials import PairPotential
 from clusterkit.quadrature import (
@@ -133,8 +134,17 @@ def test_square_well_b5_bits(well):
 
 
 def test_square_well_b6_bits(well):
-    # the pair the per-node last level gave
-    assert mayer_bn(well, 1.0, 6) == (-1.5580422838771786, 1.7763568394002505e-15)
+    # the pair the per-node last level gave; with the last level's scratch
+    # bounded per block the call traces about 11.4 MB, and 24.3 MB when a
+    # block's arrays outlive it
+    tracemalloc.start()
+    try:
+        got = mayer_bn(well, 1.0, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (-1.5580422838771786, 1.7763568394002505e-15)
+    assert peak < 16e6
 
 
 def test_square_well_box_ztilde_bits(well):
@@ -246,8 +256,33 @@ def test_panel_values_bitwise_from_any_prefix(setup, data):
     k = ts.shape[1]
     coef = np.arange(1.0, (k + 1) * (k + 2) // 2 + 1)
     weight = lambda points: np.cos(bond_levels(pair_window_matrix(points), cuts) @ coef)
-    got = _panel_values(weight, ts, row, a, h, xq, cuts)
+    # a drawn step of the level work, so split panels straddle step edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "WEIGHT_BLOCK", data.draw(st.integers(1, row.shape[0])))
+        got = _panel_values(weight, ts, row, a, h, xq, cuts)
     assert got.tobytes() == _evaluate(weight, _nodes(ts, row, a, h, xq)).tobytes()
+
+
+#: square-well b_4, beta_3 and box ztilde at N = 4: (n, graph class, box)
+_STEP_CASES = [(4, "connected", None), (4, "two_connected", None), (4, "all", 3.5)]
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_last_level_steps_give_the_same_bits(monkeypatch, well, step):
+    want = [np.array(_gap_integral(well, 1.0, *case)).tobytes() for case in _STEP_CASES]
+    monkeypatch.setattr(quadrature, "WEIGHT_BLOCK", step)
+    got = [np.array(_gap_integral(well, 1.0, *case)).tobytes() for case in _STEP_CASES]
+    assert got == want
+
+
+def test_last_level_takes_one_step_past_the_id_bound(monkeypatch, well):
+    # b_4's units have 3^3 level rows per prefix, so with two prefixes the
+    # ids pass this bound and _append_levels renumbers each step on its own,
+    # which would merge unrelated rows across steps
+    want = np.array(_gap_integral(well, 1.0, 4, "connected", None)).tobytes()
+    monkeypatch.setattr(quadrature, "WEIGHT_BLOCK", 7)
+    monkeypatch.setattr(quadrature, "_ID_LIMIT", 3 ** 3)
+    assert np.array(_gap_integral(well, 1.0, 4, "connected", None)).tobytes() == want
 
 
 @pytest.mark.parametrize("rows", [None, 50])
