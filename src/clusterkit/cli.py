@@ -36,7 +36,8 @@ from . import __version__, tonks
 from .canonical import compare_series_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import CapacityError, ClusterKitError, ConfigError
-from .polymer import ActivityProfile, ck_finite_N, fp_check, log_xi_ursell, p_exact, p_limit, xi_exact
+from .polymer import (XI_BRUTEFORCE_MAX_N, ActivityProfile, ck_finite_N, fp_check, log_xi_ursell,
+                      p_exact, p_limit, xi_exact)
 from .potentials import CONFIG_KEYS, PairPotential, c_beta, potential_from_config
 from .radii import radius_report
 from .reporting import dump_csv, dump_json, json_payload, output_dir, render_table
@@ -446,7 +447,7 @@ def _cmd_polymer(args) -> int:
         data = {"N": N,
                 "zeta": dict(sorted(prof.zeta.items())),
                 "xi": xi_exact(N, prof, "recursion")}
-        if N <= 8:
+        if N <= XI_BRUTEFORCE_MAX_N:
             data["xi_bruteforce"] = xi_exact(N, prof, "bruteforce")
         _emit(args, json_payload("polymer_xi", data))
         return 0

@@ -33,11 +33,17 @@ The module provides:
   * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
     every edge mask on up to 6 vertices, kept per (n, root);
     ``connected_mask_flags`` reads its flags,
+  * ``slack_masks``, the array form of the slack rule over int64 tree
+    masks at a root: one breadth-first sweep over the whole block gives
+    every vertex's parent and generation, then the rule is applied to all
+    pairs as array ops.  Its scalar oracle is ``_slack_mask`` on the maps
+    of ``_mask_tree_maps``; the verify checks of the slack rule read it,
   * ``_slack_free_tree_masks``, the one Penrose-tree enumerator: the trees
     with no slack edge in the host, grown one generation at a time without
     looking at a non-tree subgraph, on any number of vertices.
-    ``penrose_trees`` wraps its masks as ``RootedTree``s, and the verify
-    checks count them against ``ursell_values``.
+    ``penrose_trees`` wraps its masks as ``RootedTree``s with no separate
+    connectivity pass (the growth yields a tree exactly when the host is
+    connected), and the verify checks count them against ``ursell_values``.
 """
 
 from __future__ import annotations
@@ -66,18 +72,22 @@ def vertex_pairs(n: int) -> Tuple[Edge, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair_index(n: int) -> Dict[Edge, int]:
-    return {e: k for k, e in enumerate(vertex_pairs(n))}
+def _pair_index(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """``_pair_index(n)[i][j]``: the position of {i, j} in vertex_pairs(n), -1 for no pair."""
+    index = [[-1] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(vertex_pairs(n)):
+        index[i][j] = index[j][i] = k
+    return tuple(map(tuple, index))
 
 
 def edge_mask(n: int, edges) -> int:
     idx = _pair_index(n)
     mask = 0
-    for e in edges:
-        i, j = e
-        if i > j:
-            i, j = j, i
-        mask |= 1 << idx[(i, j)]
+    for i, j in edges:
+        k = idx[i][j] if 0 < i <= n and 0 < j <= n else -1
+        if k < 0:
+            raise ValueError(f"({i}, {j}) is not an edge on [1..{n}]")
+        mask |= 1 << k
     return mask
 
 
@@ -388,7 +398,7 @@ def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
         while r:
             low = r & -r
             r ^= low
-            acc = acc * (1 + fvals[:, col[(low.bit_length(), top)]])
+            acc = acc * (1 + fvals[:, col[low.bit_length()][top]])
         boltz[s] = total = acc
         low = s & -s
         u = rest = s ^ low
@@ -637,6 +647,64 @@ def _slack_mask(n: int, parent: Mapping[int, int], gen: Mapping[int, int]) -> in
     return mask
 
 
+def slack_masks(n: int, trees, root: int = 1) -> np.ndarray:
+    """Slack mask (``_slack_mask``) of each spanning-tree mask in ``trees`` at ``root``.
+
+    The array form of ``_slack_mask(n, *_mask_tree_maps(n, t, root))``, on
+    any edge mask t that reaches every vertex from the root.  Each block of
+    MASK_BLOCK masks gets per-vertex neighbor bitsets, then one
+    breadth-first sweep reaches one generation at a time, and every vertex
+    keeps its neighbors in the layer it was reached from: its parent is the
+    lowest of them, and the sweep's step its generation.  The slack rule is
+    then applied to all pairs at once.  A mask outside [0, 2^(n(n-1)/2)) or
+    one that does not reach every vertex from the root raises ValueError.
+    """
+    if n > 11:
+        raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
+    _check_root(n, root)
+    trees = np.asarray(trees, dtype=np.int64)
+    if trees.size:
+        _check_mask_range(n, int(trees.min()), int(trees.max()))
+    npairs = n * (n - 1) // 2
+    i, j = (np.array(vertex_pairs(n), dtype=np.int64).reshape(npairs, 2) - 1).T
+    k = np.arange(npairs, dtype=np.int64)[:, None]
+    # the neighbor bitset of vertex v is the sum, over the edges at v, of
+    # the other end's bit: one product with the edge indicator rows
+    ends = np.zeros((n, npairs), dtype=np.int64)
+    ends[i, k[:, 0]] = 1 << j
+    ends[j, k[:, 0]] = 1 << i
+    bit = (1 << np.arange(n, dtype=np.int64))[:, None]
+    out = np.empty(trees.shape, dtype=np.int64)
+    for start in range(0, trees.shape[0], MASK_BLOCK):
+        block = trees[start:start + MASK_BLOCK]
+        adj = ends @ ((block >> k) & 1)
+        gen = np.zeros(adj.shape, dtype=np.int8)
+        up = np.zeros_like(adj)
+        unseen = np.ones(adj.shape, dtype=bool)
+        unseen[root - 1] = False
+        layer = bit[root - 1]
+        for depth in range(1, n):
+            reached = adj & layer
+            reached *= unseen
+            new = reached != 0
+            if not new.any():
+                break
+            up |= reached
+            gen[new] = depth
+            unseen ^= new
+            layer = np.bitwise_or.reduce(bit * new, axis=0)
+        if unseen.any():
+            bad = int(block[unseen.any(axis=0).argmax()])
+            raise ValueError(f"edge mask {bad} does not reach every vertex of [{n}] from {root}")
+        parent = _LOWEST_VERTEX[up]
+        dg = gen[i] - gen[j]
+        # a tree edge joins a child to its parent, so the strict tests drop it
+        slack = ((dg == 0) | ((dg == 1) & (j[:, None] > parent[i]))
+                 | ((dg == -1) & (i[:, None] > parent[j])))
+        out[start:start + block.size] = np.bitwise_or.reduce(slack << k, axis=0)
+    return out
+
+
 def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
     """Edge masks of the spanning trees of host ``gmask`` on [n] with no slack edge in it.
 
@@ -653,40 +721,32 @@ def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
     _check_root(n, root)
     _check_mask_range(n, gmask, gmask)
     adj = _mask_adjacency(n, gmask)
-    # edge[v][p]: the edge bit of {v, p}
-    edge = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, (i, j) in enumerate(vertex_pairs(n)):
-        edge[i][j] = edge[j][i] = 1 << k
+    idx = _pair_index(n)
     full = (1 << n) - 1
     out = []
 
-    def grow(layer: int, used: int, tree: int, free: int, new: int) -> None:
+    def grow(layer: int, used: int, tree: int, free: int, new: int, reach: int) -> None:
         # ``new``, an independent set of the generation under ``layer``,
         # grows by each member of ``free`` in turn (members only increase,
-        # so each set is built once); then it closes, and the generation
-        # after it is grown
+        # so each set is built once), and ``reach`` by its neighbors; then
+        # it closes, and the generation after it is grown
         f = free
         while f:
             low = f & -f
             f ^= low
             v = low.bit_length()
-            grow(layer, used, tree | edge[v][(adj[v] & layer).bit_length()],
-                 f & ~adj[v], new | low)
+            a = adj[v]
+            grow(layer, used, tree | 1 << idx[v][(a & layer).bit_length()],
+                 f & ~a, new | low, reach | a)
         if not new:
             return
         used |= new
         if used == full:
             out.append(tree)
             return
-        reach = 0
-        f = new
-        while f:
-            low = f & -f
-            reach |= adj[low.bit_length()]
-            f ^= low
-        grow(new, used, tree, reach & ~used, 0)
+        grow(new, used, tree, reach & ~used, 0, 0)
 
-    grow(0, 0, 0, 0, 1 << (root - 1))
+    grow(0, 0, 0, 0, 1 << (root - 1), adj[root])
     return out
 
 
@@ -696,13 +756,14 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     The trees of ``_slack_free_tree_masks``, as ``RootedTree``s: a tree is
     its own sole preimage inside ``g`` exactly when ``g`` holds none of its
     slack edges.  Their count equals the size of the Ursell value of ``g``
-    (``ursell_values``).
+    (``ursell_values``).  The growth reaches every vertex exactly when ``g``
+    is connected, so no tree means a disconnected graph (DomainError).
     """
-    if not g.is_connected():
-        raise DomainError("Penrose trees are defined for connected graphs only")
     n = g.n
-    return frozenset(RootedTree.from_mask(n, t, root)
-                     for t in _slack_free_tree_masks(n, g.mask, root))
+    trees = _slack_free_tree_masks(n, g.mask, root)
+    if not trees:
+        raise DomainError("Penrose trees are defined for connected graphs only")
+    return frozenset(RootedTree.from_mask(n, t, root) for t in trees)
 
 
 def penrose_trees_fast(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:

@@ -90,8 +90,14 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
 
     ``recursion`` conditions on the polymer containing the largest element:
     Xi_j = Xi_{j-1} + sum_m C(j-1, m-1) zeta_m Xi_{j-m}, Xi_0 = Xi_1 = 1.
-    ``bruteforce`` enumerates every family explicitly (N <= 8); both agree
-    exactly for exact activities.
+    ``bruteforce`` (N <= XI_BRUTEFORCE_MAX_N) works on the subsets of [N]:
+    Xi of a subset sums, over the polymers holding its lowest element (or
+    none), their activity times Xi of the rest, each subset solved once per
+    call and kept in a memo local to it.  The subsets reached are [N] and
+    those of {2..N}, so the cost is about 3^(N-1)/2 terms; each subset's terms
+    are summed in one fixed order, so float activities give the same bits
+    as the unmemoized recursion.  Both methods agree exactly for exact
+    activities.
     """
     if N < 0:
         raise InputError("N must be nonnegative")
@@ -108,22 +114,22 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
         if N > XI_BRUTEFORCE_MAX_N:
             raise CapacityError(f"brute force capped at N={XI_BRUTEFORCE_MAX_N}")
         zeta = profile.zeta
+        memo: Dict[int, Number] = {0: 1}
 
         def rec(mask: int) -> Number:
-            if mask == 0:
-                return 1
+            if mask in memo:
+                return memo[mask]
             low = mask & -mask
-            total = rec(mask ^ low)  # lowest element stays unpolymerized
             rest = mask ^ low
+            total = rec(rest)  # lowest element stays unpolymerized
             # any subset of the remaining elements joins the lowest element
             sub = rest
-            while True:
-                size = bin(sub).count("1") + 1
-                if size >= 2 and size in zeta:
-                    total = total + zeta[size] * rec(rest ^ sub)
-                if sub == 0:
-                    break
+            while sub:
+                z = zeta.get(bin(sub).count("1") + 1)
+                if z is not None:
+                    total = total + z * rec(rest ^ sub)
                 sub = (sub - 1) & rest
+            memo[mask] = total
             return total
 
         return rec((1 << N) - 1)

@@ -72,17 +72,17 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     """Check the premise of Penrose's proof on every connected graph on [n].
 
     The connected masks with tree image t must be the interval [t, t | slack]
-    for the slack rule ``graphs._slack_mask``, or ClusterKitError names t.
-    Inside a host G such a class sums (-1)^|A| to (-1)^(n-1) if G holds t and
-    misses slack, else to 0; so the identity holds on every host, and a
-    mismatch is a connected graph whose ursell value has the wrong sign.
-    Returns (graphs checked, mismatches).  Exhaustive up to n = 6.
+    for the slack rule (``graphs.slack_masks``, the array form of
+    ``graphs._slack_mask``), or ClusterKitError names t.  Inside a host G
+    such a class sums (-1)^|A| to (-1)^(n-1) if G holds t and misses slack,
+    else to 0; so the identity holds on every host, and a mismatch is a
+    connected graph whose ursell value has the wrong sign.  Returns
+    (graphs checked, mismatches).  Exhaustive up to n = 6.
     """
     flags, images = mask_tree_table(n, root)
     conn = np.flatnonzero(flags)
     trees, cls, sizes = np.unique(images[conn], return_inverse=True, return_counts=True)
-    slack = np.array([graphs._slack_mask(n, *graphs._mask_tree_maps(n, t, root))
-                      for t in trees.tolist()], dtype=np.int64)
+    slack = graphs.slack_masks(n, trees, root)
     # a class is as large as its interval, and each member holds its tree
     # and no edge outside tree | slack
     bad = sizes != [1 << bin(s).count("1") for s in slack.tolist()]
@@ -106,10 +106,11 @@ def penrose_identity_random(
     log, and independently the Penrose trees of each host from the
     slack-rule growth ``_slack_free_tree_masks``, which looks at no
     non-tree subgraph.  A host mismatches if the tree count is not |Ursell|,
-    or if the first tree grown has a slack edge (``_slack_mask``) in the
-    host, which a growth that gives a vertex the wrong parent does.  The
-    exhaustive scan checks the slack rule's premise up to n = 6.
-    ConfigError for a count below 1, which would check nothing.
+    or if the first tree grown has a slack edge (``graphs.slack_masks``,
+    one call for all the hosts) in the host, which a growth that gives a
+    vertex the wrong parent does.  The exhaustive scan checks the slack
+    rule's premise up to n = 6.  ConfigError for a count below 1, which
+    would check nothing.
     """
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count!r}")
@@ -126,14 +127,15 @@ def penrose_identity_random(
             if _mask_connected(n, mask):
                 break
         hosts.append(mask)
-    mism = 0
+    # the count, then that the first tree grown has no slack edge in the host
+    counted, firsts = [], []
     for mask, value in zip(hosts, ursell_values(n, hosts).tolist()):
         trees = _slack_free_tree_masks(n, mask, root)
-        # the count, then that the first tree grown has no slack edge in the host
-        if (value != sign * len(trees) or sign * value <= 0
-                or graphs._slack_mask(n, *graphs._mask_tree_maps(n, trees[0], root)) & mask):
-            mism += 1
-    return count, mism
+        if value == sign * len(trees) and sign * value > 0:
+            counted.append(mask)
+            firsts.append(trees[0])
+    slack = graphs.slack_masks(n, firsts, root) & np.array(counted, dtype=np.int64)
+    return count, count - len(counted) + int(np.count_nonzero(slack))
 
 
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -210,8 +212,12 @@ def _check_fast_equivalence() -> Tuple[bool, str]:
     for n, host_masks in hosts.items():
         sign = 1 if (n - 1) % 2 == 0 else -1
         flags, images = mask_tree_table(n)
-        for mask, value in zip(host_masks, ursell_values(n, host_masks).tolist()):
-            trees = _slack_free_tree_masks(n, mask, 1)
+        grown = [_slack_free_tree_masks(n, mask, 1) for mask in host_masks]
+        # one kernel call for the slack masks of all the connected trees grown
+        flat = np.array([t for trees in grown for t in trees], dtype=np.int64)
+        flat = flat[flags[flat]]
+        slack = dict(zip(flat.tolist(), graphs.slack_masks(n, flat).tolist()))
+        for mask, value, trees in zip(host_masks, ursell_values(n, host_masks).tolist(), grown):
             # as many distinct trees as |Ursell|, each a spanning tree inside
             # the host (fixed by the tree map) with no slack edge in it: by
             # the scan's intervals, exactly the Penrose trees
@@ -219,8 +225,7 @@ def _check_fast_equivalence() -> Tuple[bool, str]:
                 return False, (f"tree count != |ursell_values| or a tree grown twice "
                                f"at n={n} mask {mask}")
             for t in trees:
-                if (t & ~mask or not flags[t] or images[t] != t
-                        or graphs._slack_mask(n, *graphs._mask_tree_maps(n, t, 1)) & mask):
+                if t & ~mask or not flags[t] or images[t] != t or slack[t] & mask:
                     return False, f"tree mask {t} is not a Penrose tree of n={n} mask {mask}"
             checked += 1
     return True, f"{checked} graphs agree"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clusterkit import verify
+from clusterkit import cli, polymer, verify
 from clusterkit.cli import main, run_for_test
 from clusterkit.polymer import ActivityProfile, log_xi_ursell
 
@@ -66,6 +66,16 @@ def test_virial_routes_agree():
 def test_polymer_xi():
     out = run_json(["polymer", "xi", "--n-ground", "4", "--zeta", "2=1/3,3=-1/4,4=2/7"])
     assert out["xi"]["rational"] == out["xi_bruteforce"]["rational"]
+
+
+def test_polymer_xi_bruteforce_up_to_its_cap(monkeypatch):
+    # the cap is polymer.XI_BRUTEFORCE_MAX_N, read by the CLI
+    for N in (polymer.XI_BRUTEFORCE_MAX_N, polymer.XI_BRUTEFORCE_MAX_N + 1):
+        out = run_json(["polymer", "xi", "--n-ground", str(N), "--zeta", "2=1/3,3=-1/4"])
+        assert ("xi_bruteforce" in out) == (N <= polymer.XI_BRUTEFORCE_MAX_N)
+    monkeypatch.setattr(cli, "XI_BRUTEFORCE_MAX_N", 3)
+    out = run_json(["polymer", "xi", "--n-ground", "4", "--zeta", "2=1/3,3=-1/4"])
+    assert "xi_bruteforce" not in out
 
 
 def test_polymer_pexact():

@@ -646,6 +646,88 @@ def test_penrose_trees_fast_equals_engine(case):
         assert graphs._slack_mask(n, t.parent, t.gen) & g.mask == 0
 
 
+@st.composite
+def any_hosts(draw):
+    # a random edge set on [n], n <= 8, from empty to complete, and a root
+    n = draw(st.integers(1, 8))
+    npairs = n * (n - 1) // 2
+    edges = draw(st.lists(st.integers(0, npairs - 1), max_size=npairs)) if npairs else []
+    return n, sum(1 << k for k in set(edges)), draw(st.integers(1, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_hosts())
+def test_growth_is_empty_exactly_on_a_disconnected_host(case):
+    # penrose_trees runs no connectivity pass of its own: no tree grown,
+    # at any root, means a disconnected host
+    n, mask, root = case
+    connected = _mask_connected(n, mask)
+    for r in range(1, n + 1):
+        assert (not _slack_free_tree_masks(n, mask, r)) == (not connected)
+    trees = _slack_free_tree_masks(n, mask, root)
+    g = LabeledGraph.from_mask(n, mask)
+    for fn in (penrose_trees, penrose_trees_fast):
+        if trees:
+            assert {t.mask for t in fn(g, root)} == set(trees)
+        else:
+            with pytest.raises(DomainError) as err:
+                fn(g, root)
+            assert str(err.value) == "Penrose trees are defined for connected graphs only"
+
+
+# ---------------------------------------------------------------------------
+# the batch slack kernel against the scalar slack rule
+# ---------------------------------------------------------------------------
+
+def _scalar_slack(n, masks, root):
+    return [graphs._slack_mask(n, *graphs._mask_tree_maps(n, t, root)) for t in masks]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_slack_masks_match_scalar_on_every_tree(n):
+    masks = prufer_tree_masks(n)
+    for root in range(1, n + 1):
+        assert graphs.slack_masks(n, masks, root).tolist() == _scalar_slack(n, masks.tolist(), root)
+
+
+@pytest.mark.parametrize("n, roots", [(7, (1, 4, 7)), (8, (1, 8))])
+def test_slack_masks_match_scalar_on_spread_trees(n, roots):
+    # every 3rd tree at n = 7, over two blocks, and 2,000 random trees at n = 8
+    if n == 7:
+        masks = prufer_tree_masks(n)[::3]
+        assert masks.size > MASK_BLOCK
+    else:
+        rng = random.Random(n)
+        seqs = [[rng.randint(1, n) for _ in range(n - 2)] for _ in range(2000)]
+        masks = np.array([edge_mask(n, _decode_tree_sequence(n, q)) for q in seqs], dtype=np.int64)
+    for root in roots:
+        assert graphs.slack_masks(n, masks, root).tolist() == _scalar_slack(n, masks.tolist(), root)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_hosts())
+def test_slack_masks_match_scalar_on_connected_masks(case):
+    # not only trees: the slack rule of the swept tree maps of the host and
+    # of each connected host less one edge
+    g, root = case
+    edges = [1 << k for k in range(g.n * (g.n - 1) // 2) if g.mask >> k & 1]
+    masks = [m for m in [g.mask] + [g.mask ^ e for e in edges] if _mask_connected(g.n, m)]
+    assert graphs.slack_masks(g.n, masks, root).tolist() == _scalar_slack(g.n, masks, root)
+
+
+def test_slack_masks_refuse_what_is_not_a_spanning_mask():
+    path = edge_mask(4, [(1, 2), (2, 3), (3, 4)])
+    cut = edge_mask(4, [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=rf"edge mask {cut} does not reach every vertex of \[4\]"):
+        graphs.slack_masks(4, [path, cut])
+    with pytest.raises(ValueError, match=r"edge mask 64 outside \[0, 2\^6\)"):
+        graphs.slack_masks(4, [path, 64])
+    with pytest.raises(ValueError, match="root 5 outside"):
+        graphs.slack_masks(4, [path], 5)
+    assert graphs.slack_masks(1, [0]).tolist() == [0]
+    assert graphs.slack_masks(4, []).tolist() == []
+
+
 def _cache_sizes():
     return {(mod.__name__, name): fn.cache_info().currsize
             for mod in (graphs, polymer) for name, fn in vars(mod).items()
@@ -672,6 +754,7 @@ def test_penrose_engine_grows_no_cache_once_filled():
     verify.penrose_identity_scan(6)
     verify.penrose_identity_random(7, 3)
     verify.penrose_identity_random(8, 3)
+    polymer.xi_exact(8, polymer.ActivityProfile(8, {2: 0.5, 5: -0.25}), "bruteforce")
     assert _cache_sizes() == before
 
 
@@ -737,7 +820,9 @@ def test_identity_scan_refuses_a_wrong_slack_rule(monkeypatch, rule):
         # interval, which is now twice the class
         return right(n, parent, gen) | edge_mask(n, [(2, parent[2])])
 
-    monkeypatch.setattr(graphs, "_slack_mask", wrong)
+    # the scan reads the batch kernel; each tree takes the wrong rule instead
+    monkeypatch.setattr(graphs, "slack_masks", lambda n, trees, root: np.array(
+        [wrong(n, *graphs._mask_tree_maps(n, t, root)) for t in trees.tolist()], dtype=np.int64))
     for n in (3, 6):
         with pytest.raises(ClusterKitError, match="tree mask"):
             verify.penrose_identity_scan(n)
@@ -875,3 +960,7 @@ def test_edge_mask_roundtrip():
     g = LabeledGraph.from_edges(5, [pairs[0], pairs[3], pairs[9]])
     assert LabeledGraph.from_mask(5, g.mask) == g
     assert edge_mask(5, g.edges) == g.mask
+    assert edge_mask(5, [(2, 1), (5, 4)]) == edge_mask(5, [(1, 2), (4, 5)])
+    for bad in ((3, 3), (0, 2), (2, 6), (-1, 2)):
+        with pytest.raises(ValueError, match="is not an edge on"):
+            edge_mask(5, [bad])

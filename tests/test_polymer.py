@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clusterkit import tonks
+from clusterkit import graphs, polymer, tonks
 from clusterkit.errors import CapacityError, DomainError, InputError
 from clusterkit.graphs import ursell_table, vertex_pairs
 from clusterkit.polymer import (
@@ -64,6 +64,63 @@ def test_xi_small_closed_forms():
 def test_xi_bruteforce_capacity():
     with pytest.raises(CapacityError):
         xi_exact(9, ActivityProfile(9, {2: 0.1}), "bruteforce")
+
+
+def _xi_families(mask, zeta):
+    """Xi over the subsets of ``mask``, unmemoized: the lowest element alone, or in a polymer."""
+    if mask == 0:
+        return 1
+    low = mask & -mask
+    rest = mask ^ low
+    total = _xi_families(rest, zeta)
+    sub = rest
+    while sub:
+        size = bin(sub).count("1") + 1
+        if size in zeta:
+            total = total + zeta[size] * _xi_families(rest ^ sub, zeta)
+        sub = (sub - 1) & rest
+    return total
+
+
+@st.composite
+def xi_profiles(draw):
+    # N <= 8 (the brute-force cap), sizes left out at random, any sign
+    N = draw(st.integers(0, 8))
+    sizes = draw(st.lists(st.integers(2, max(N, 2)), unique=True)) if N >= 2 else []
+    zeta = {m: Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 40))) for m in sizes}
+    return N, ActivityProfile(max(N, 1), zeta)
+
+
+def _cache_sizes():
+    return {(mod.__name__, name): fn.cache_info().currsize
+            for mod in (graphs, polymer) for name, fn in vars(mod).items()
+            if hasattr(fn, "cache_info")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(xi_profiles())
+def test_xi_bruteforce_equals_recursion_exactly(case):
+    N, prof = case
+    before = _cache_sizes()
+    assert xi_exact(N, prof, "bruteforce") == xi_exact(N, prof, "recursion")
+    # the memo lives and dies with the call
+    assert _cache_sizes() == before
+
+
+def test_xi_bruteforce_memo_is_per_call():
+    # the same subsets under new activities: a memo kept across calls
+    # would return the first profile's values
+    for zeta in ({2: Fraction(1, 3), 3: Fraction(-1, 4)}, {2: Fraction(-2, 5), 4: Fraction(3, 7)}):
+        prof = ActivityProfile(6, zeta)
+        assert xi_exact(6, prof, "bruteforce") == xi_exact(6, prof, "recursion")
+
+
+def test_xi_bruteforce_float_bits_are_the_unmemoized_recursion():
+    rng = random.Random(35)
+    for N in range(2, 9):
+        zeta = {m: rng.uniform(-1.0, 1.0) for m in range(2, N + 1) if rng.random() < 0.8}
+        got = xi_exact(N, ActivityProfile(N, zeta), "bruteforce")
+        assert repr(got) == repr(_xi_families((1 << N) - 1, zeta))
 
 
 # ---------------------------------------------------------------------------
