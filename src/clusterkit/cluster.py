@@ -82,7 +82,7 @@ VIRIAL_MC_MAX_K = 2
 def _two_connected_columns_cached(n: int):
     """Edge columns of each two-connected graph on [n] (the single edge at n = 2),
     in increasing order: the set bits of its edge mask."""
-    masks = [1] if n == 2 else [g.mask for g in enum_graphs(n, "two_connected")]
+    masks = [1] if n == 2 else list(enum_graphs(n, "two_connected"))
     return [[k for k in range(n * (n - 1) // 2) if mask >> k & 1] for mask in masks]
 
 

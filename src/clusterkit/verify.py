@@ -4,13 +4,16 @@ Every module invariant has one named check in ``CHECKS``, a function of no
 arguments: the suite has no settings, and every sampled check draws from
 ``SEED``.  ``run_checks`` executes a suite and prints one PASS/FAIL line per
 check, and ``tests/test_verify.py`` runs every entry under pytest.  The
-exhaustive tree-identity scan checks the premise of Penrose's proof: grouped
-by tree image, the connected spanning masks of the complete graph form the
-boolean intervals [tree, tree | slack(tree)] of the slack rule that
-``penrose_trees`` grows by.  The identity on every host follows by summing
-over the intervals, so per host only the sign is checked.  Given the
-intervals, the grown trees of a host are its Penrose trees when they are
-distinct slack-free spanning trees inside it, as many as |Ursell|; the
+graph checks work on integer edge masks only: their hosts are the masks of
+``graphs.connected_mask_flags``, and their trees the masks of the slack-rule
+growth ``graphs._slack_free_tree_masks`` and of ``graphs.prufer_tree_masks``.
+The exhaustive tree-identity scan checks the premise of Penrose's proof:
+grouped by tree image, the connected spanning masks of the complete graph
+form the boolean intervals [tree, tree | slack(tree)] of the slack rule that
+the growth follows.  The identity on every host follows by summing over the
+intervals, so per host only the sign is checked.  Given the intervals, the
+grown trees of a host are its Penrose trees when they are distinct
+slack-free spanning trees inside it, as many as |Ursell|; the
 fast-equivalence check tests that on 811 hosts of up to 6 vertices.
 """
 
@@ -29,18 +32,14 @@ from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError, ConfigError, DomainError
 from .graphs import (
-    LabeledGraph,
-    RootedTree,
     _decode_tree_sequence,
     _mask_connected,
+    _mask_tree_image,
     _slack_free_tree_masks,
     connected_mask_flags,
     edge_mask,
-    enum_graphs,
     mask_tree_images,
     mask_tree_table,
-    penrose_map,
-    penrose_trees,
     prufer_tree_masks,
     ursell_table,
     ursell_values,
@@ -81,11 +80,19 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     """
     flags, images = mask_tree_table(n, root)
     conn = np.flatnonzero(flags)
-    trees, cls, sizes = np.unique(images[conn], return_inverse=True, return_counts=True)
+    # the classes by image: the distinct images in increasing order, and
+    # each member's position among them, read from a position table
+    member = images[conn]
+    sizes = np.bincount(member)
+    trees = np.flatnonzero(sizes)
+    position = np.zeros(sizes.size, dtype=np.intp)
+    position[trees] = np.arange(trees.size)
+    cls, sizes = position[member], sizes[trees]
     slack = graphs.slack_masks(n, trees, root)
-    # a class is as large as its interval, and each member holds its tree
-    # and no edge outside tree | slack
-    bad = sizes != [1 << bin(s).count("1") for s in slack.tolist()]
+    # a class is as large as its interval, 2^|slack|, and each member holds
+    # its tree and no edge outside tree | slack
+    width = ((slack[:, None] >> np.arange(n * (n - 1) // 2)) & 1).sum(axis=1)
+    bad = sizes != 1 << width
     t, top = trees[cls], (trees | slack)[cls]
     bad[cls[((conn & t) != t) | ((conn & ~top) != 0)]] = True
     if bad.any():
@@ -183,29 +190,23 @@ def _check_penrose_identity() -> Tuple[bool, str]:
 
 def _check_root_independence() -> Tuple[bool, str]:
     rng = random.Random(SEED)
-    checked = 0
-    for n in range(2, 5):
-        for g in enum_graphs(n, "connected"):
-            sizes = {len(penrose_trees(g, root=r)) for r in range(1, n + 1)}
-            if len(sizes) != 1:
-                return False, f"root-dependent count on n={n} mask {g.mask}"
-            checked += 1
-    for n in (5, 6):
-        flags = connected_mask_flags(n)
-        masks = np.flatnonzero(flags)
-        for _ in range(15):
-            g = LabeledGraph.from_mask(n, int(masks[rng.randrange(len(masks))]))
-            sizes = {len(penrose_trees(g, root=r)) for r in range(1, n + 1)}
-            if len(sizes) != 1:
-                return False, f"root-dependent count on n={n} mask {g.mask}"
-            checked += 1
-    return True, f"{checked} graphs, all roots agree"
+    hosts = []
+    for n in range(2, 7):
+        masks = np.flatnonzero(connected_mask_flags(n)).tolist()
+        if n >= 5:
+            masks = [masks[rng.randrange(len(masks))] for _ in range(15)]
+        hosts += [(n, mask) for mask in masks]
+    for n, mask in hosts:
+        sizes = {len(_slack_free_tree_masks(n, mask, r)) for r in range(1, n + 1)}
+        if len(sizes) != 1:
+            return False, f"root-dependent count on n={n} mask {mask}"
+    return True, f"{len(hosts)} graphs, all roots agree"
 
 
 def _check_fast_equivalence() -> Tuple[bool, str]:
     # every connected host on 2..5 vertices and 40 random ones on 6
     rng = random.Random(SEED + 1)
-    hosts = {n: [g.mask for g in enum_graphs(n, "connected")] for n in range(2, 6)}
+    hosts = {n: np.flatnonzero(connected_mask_flags(n)).tolist() for n in range(2, 6)}
     masks = np.flatnonzero(connected_mask_flags(6))
     hosts[6] = [int(masks[rng.randrange(len(masks))]) for _ in range(40)]
     checked = 0
@@ -249,8 +250,8 @@ def _check_map_idempotent() -> Tuple[bool, str]:
     for n in range(2, 9):
         for _ in range(30):
             seq = tuple(rng.randrange(1, n + 1) for _ in range(max(0, n - 2)))
-            tree = RootedTree.from_mask(n, edge_mask(n, _decode_tree_sequence(n, seq)))
-            if penrose_map(tree.to_graph()) != tree:
+            tree = edge_mask(n, _decode_tree_sequence(n, seq))
+            if _mask_tree_image(n, tree, 1) != tree:
                 return False, f"map not identity on a tree with n={n}"
             checked += 1
     return True, f"{checked} random trees fixed by the map"

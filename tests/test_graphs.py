@@ -18,16 +18,17 @@ from clusterkit.graphs import (
     _mask_adjacency,
     _mask_connected,
     _mask_tree_image,
+    _mask_tree_maps,
     _parent_edges,
     _slack_free_tree_masks,
-    _tree_images,
+    _slack_mask,
+    _sweep,
     connected_mask_flags,
     edge_mask,
     enum_graphs,
     mask_edges,
     mask_tree_images,
     mask_tree_table,
-    penrose_map,
     penrose_trees,
     penrose_trees_fast,
     prufer_tree_masks,
@@ -37,20 +38,24 @@ from clusterkit.graphs import (
 )
 
 
-def complete_graph(n):
-    return LabeledGraph.from_mask(n, (1 << (n * (n - 1) // 2)) - 1)
+def complete(n):
+    """Edge mask of the complete graph on [n]."""
+    return (1 << (n * (n - 1) // 2)) - 1
 
 
-def ursell_value(g: LabeledGraph) -> int:
-    """Sum of (-1)^|edges| over connected spanning subgraphs of ``g``.
+def as_graph(n, mask):
+    """The graph of edge mask ``mask`` on [n], as the hosts of ``penrose_trees`` are given."""
+    return LabeledGraph.from_edges(n, mask_edges(n, mask))
 
-    Returns 1 for the single-vertex graph and 0 when ``g`` is disconnected.
+
+def ursell_value(n, mask) -> int:
+    """Sum of (-1)^|edges| over connected spanning subgraphs of graph ``mask`` on [n].
+
+    Returns 1 for the single-vertex graph and 0 when the graph is disconnected.
     The result is an exact integer of sign (-1)^(n-1) for connected input.
     """
-    n = g.n
     if n == 1:
         return 1
-    mask = g.mask
     if not _mask_connected(n, mask):
         return 0
     total = 0
@@ -85,7 +90,7 @@ def test_graph_counts(n, klass, count):
 
 
 def test_enum_graphs_unique_and_ordered():
-    masks = [g.mask for g in enum_graphs(4, "connected")]
+    masks = list(enum_graphs(4, "connected"))
     assert len(set(masks)) == len(masks)
     assert masks == sorted(masks)
 
@@ -98,11 +103,9 @@ def test_enum_graphs_capacity():
 
 
 def enum_trees(n):
-    """All n^(n-2) labeled trees on [n], rooted at vertex 1, in Pruefer
-    sequence order: the trees of ``prufer_tree_masks``."""
-    if n == 1:
-        return [RootedTree(1, {}, root=1)]
-    return [RootedTree.from_mask(n, int(mask)) for mask in prufer_tree_masks(n)]
+    """Edge masks of all n^(n-2) labeled trees on [n], in Pruefer sequence
+    order: the masks of ``prufer_tree_masks``, and the empty tree on [1]."""
+    return [0] if n == 1 else prufer_tree_masks(n).tolist()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -125,54 +128,40 @@ def test_prufer_tree_masks_caps():
 
 
 def test_enum_trees_small():
-    (t,) = list(enum_trees(1))
-    assert t.n == 1 and t.gen == {1: 0}
-    trees2 = list(enum_trees(2))
-    assert len(trees2) == 1 and trees2[0].parent == {2: 1}
-    trees3 = list(enum_trees(3))
+    (t,) = enum_trees(1)
+    assert _mask_tree_maps(1, t, 1) == ({}, {1: 0})
+    trees2 = enum_trees(2)
+    assert len(trees2) == 1 and _mask_tree_maps(2, trees2[0], 1)[0] == {2: 1}
+    trees3 = enum_trees(3)
     assert len(trees3) == 3
     for t in trees3:
-        assert t.gen[1] == 0
-        assert all(t.gen[v] == t.gen[t.parent[v]] + 1 for v in (2, 3))
-
-
-def test_rooted_tree_validation():
-    with pytest.raises(ValueError, match="cycle"):
-        RootedTree(3, {2: 3, 3: 2})  # cycle, misses the root
-    with pytest.raises(ValueError, match="cycle"):
-        RootedTree(4, {2: 1, 3: 4, 4: 3})  # a cycle beside the root's branch
-    with pytest.raises(ValueError, match="cycle"):
-        RootedTree(3, {2: 2, 3: 1})  # its own parent
-    with pytest.raises(ValueError):
-        RootedTree(3, {2: 1})  # vertex 3 missing
-    with pytest.raises(ValueError, match="parent 7 "):
-        RootedTree(3, {2: 7, 3: 1})
-    with pytest.raises(ValueError, match="root 0 "):
-        RootedTree(3, {2: 1, 3: 1}, root=0)
-    t = RootedTree(4, {2: 1, 3: 2, 4: 2})
-    assert t.gen == {1: 0, 2: 1, 3: 2, 4: 2}
+        parent, gen = _mask_tree_maps(3, t, 1)
+        assert gen[1] == 0
+        assert all(gen[v] == gen[parent[v]] + 1 for v in (2, 3))
+    fork = edge_mask(4, [(1, 2), (2, 3), (2, 4)])
+    assert _mask_tree_maps(4, fork, 1)[1] == {1: 0, 2: 1, 3: 2, 4: 2}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rooted_tree_from_maps_equals_from_mask(n):
     for t in enum_trees(n):
         for root in range(1, n + 1):
-            lazy = RootedTree.from_mask(n, t.mask, root)
-            built = RootedTree(n, lazy.parent, root)
-            assert built == lazy and hash(built) == hash(lazy) and built.mask == t.mask
+            # the swept parent map is the tree: its edges rebuild the mask
+            parent, gen = _mask_tree_maps(n, t, root)
+            assert edge_mask(n, parent.items()) == t
             # the swept generations against a walk up the parent chain
             def depth(v):
-                return 0 if v == root else 1 + depth(lazy.parent[v])
-            assert lazy.gen == built.gen == {v: depth(v) for v in range(1, n + 1)}
+                return 0 if v == root else 1 + depth(parent[v])
+            assert gen == {v: depth(v) for v in range(1, n + 1)}
 
 
 def test_rooted_tree_key_is_root_and_mask():
     path = edge_mask(3, [(1, 2), (2, 3)])
     assert RootedTree.from_mask(3, path, 1) != RootedTree.from_mask(3, path, 3)
     assert RootedTree.from_mask(3, path, 2) != RootedTree.from_mask(3, edge_mask(3, [(1, 2), (1, 3)]), 2)
-    assert RootedTree.from_edges(3, [(3, 2), (2, 1)], root=2) == RootedTree(3, {1: 2, 3: 2}, root=2)
-    with pytest.raises(ValueError, match="root 4 "):
-        RootedTree.from_edges(3, [(1, 2), (2, 3)], root=4)
+    lazy, built = RootedTree.from_mask(3, path, 2), RootedTree(3, 2, path)
+    assert lazy == built and hash(lazy) == hash(built) and len({lazy, built}) == 1
+    assert built.edges == frozenset({(1, 2), (2, 3)})
 
 
 def test_graph_validation():
@@ -189,12 +178,12 @@ def test_graph_validation():
 # ---------------------------------------------------------------------------
 
 def test_ursell_examples():
-    assert ursell_value(LabeledGraph.from_edges(2, [(1, 2)])) == -1
-    assert ursell_value(LabeledGraph.from_edges(3, [(1, 2), (2, 3)])) == 1
-    assert ursell_value(complete_graph(3)) == 2
-    assert ursell_value(complete_graph(4)) == -6
-    assert ursell_value(LabeledGraph.from_edges(3, [(1, 2)])) == 0  # disconnected
-    assert ursell_value(LabeledGraph(1, frozenset())) == 1
+    assert ursell_value(2, edge_mask(2, [(1, 2)])) == -1
+    assert ursell_value(3, edge_mask(3, [(1, 2), (2, 3)])) == 1
+    assert ursell_value(3, complete(3)) == 2
+    assert ursell_value(4, complete(4)) == -6
+    assert ursell_value(3, edge_mask(3, [(1, 2)])) == 0  # disconnected
+    assert ursell_value(1, 0) == 1
 
 
 def test_ursell_table_matches_direct():
@@ -202,7 +191,7 @@ def test_ursell_table_matches_direct():
     # on every mask, disconnected ones included: a flipped sign or a dropped
     # subset in the subset recursion moves some value
     for n in range(1, 6):
-        want = [ursell_value(g) for g in enum_graphs(n, "all")]
+        want = [ursell_value(n, mask) for mask in enum_graphs(n, "all")]
         assert ursell_table(n).tolist() == want
         values = ursell_values(n, np.arange(len(want)))
         assert values.dtype == np.int64 and values.tolist() == want
@@ -239,16 +228,22 @@ def test_ursell_values_refuse_bad_input():
 # tree images
 # ---------------------------------------------------------------------------
 
+def _tree_image(n, gmask, root):
+    """The scalar tree image of ``gmask``, checked against the array kernel's."""
+    image = _mask_tree_image(n, gmask, root)
+    assert mask_tree_images(n, [gmask], root)[1].tolist() == [image]
+    return image
+
+
 def test_penrose_map_on_triangle():
-    t = penrose_map(complete_graph(3), root=1)
-    assert t.edges == frozenset({(1, 2), (1, 3)})
+    assert mask_edges(3, _tree_image(3, complete(3), 1)) == ((1, 2), (1, 3))
 
 
 def test_penrose_map_on_four_cycle():
-    g = LabeledGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    t = penrose_map(g, root=1)
-    assert t.edges == frozenset({(1, 2), (1, 4), (2, 3)})
-    assert t.gen == {1: 0, 2: 1, 4: 1, 3: 2}
+    g = edge_mask(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    t = _tree_image(4, g, 1)
+    assert mask_edges(4, t) == ((1, 2), (1, 4), (2, 3))
+    assert _mask_tree_maps(4, t, 1)[1] == {1: 0, 2: 1, 4: 1, 3: 2}
 
 
 def test_penrose_map_fixes_trees():
@@ -256,48 +251,41 @@ def test_penrose_map_fixes_trees():
     for n in range(2, 8):
         for _ in range(20):
             tree = random_tree(rng, n)
-            assert penrose_map(tree.to_graph(), root=1) == tree
+            assert _tree_image(n, tree, 1) == tree
 
 
 def random_tree(rng, n):
-    parent = {}
-    for v in range(2, n + 1):
-        parent[v] = rng.randrange(1, v)
-    return RootedTree(n, parent)
+    """Edge mask of a random recursive tree on [n]: vertex v joins one of 1..v-1."""
+    return edge_mask(n, [(rng.randrange(1, v), v) for v in range(2, n + 1)])
 
 
 @pytest.mark.parametrize("root", (0, 5))
 def test_penrose_map_names_a_bad_root(root):
     with pytest.raises(ValueError, match=f"root {root} outside"):
-        penrose_map(complete_graph(4), root=root)
+        mask_tree_images(4, [complete(4)], root=root)
 
 
-def test_penrose_map_disconnected():
-    with pytest.raises(DomainError):
-        penrose_map(LabeledGraph.from_edges(3, [(1, 2)]))
+def test_penrose_trees_examples():
+    path = edge_mask(4, [(1, 2), (2, 3), (3, 4)])
+    assert penrose_trees(as_graph(4, path)) == frozenset({RootedTree.from_mask(4, path)})
+    assert len(penrose_trees(as_graph(3, complete(3)))) == 2
+    assert len(penrose_trees(as_graph(4, complete(4)))) == 6
     with pytest.raises(DomainError):
         penrose_trees(LabeledGraph.from_edges(3, [(1, 2)]))
 
 
-def test_penrose_trees_examples():
-    tree = LabeledGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-    assert penrose_trees(tree) == frozenset({penrose_map(tree)})
-    assert len(penrose_trees(complete_graph(3))) == 2
-    assert len(penrose_trees(complete_graph(4))) == 6
-
-
 def test_slack_edges_structure():
-    def slack_edges(t):
-        return mask_edges(t.n, graphs._slack_mask(t.n, t.parent, t.gen))
+    def slack_edges(n, t):
+        return mask_edges(n, _slack_mask(n, *_mask_tree_maps(n, t, 1)))
 
     # star rooted at 1: any edge between the leaves is addable without
     # changing the image, so the slack set is exactly the leaf pairs
-    star = RootedTree(4, {2: 1, 3: 1, 4: 1})
-    assert slack_edges(star) == ((2, 3), (2, 4), (3, 4))
+    star = edge_mask(4, [(1, 2), (1, 3), (1, 4)])
+    assert slack_edges(4, star) == ((2, 3), (2, 4), (3, 4))
     # path 1-2-3: vertex 3 could only reattach to a smaller-index parent;
     # the edge (1,3) jumps a generation, so nothing is addable
-    path = RootedTree(3, {2: 1, 3: 2})
-    assert slack_edges(path) == ()
+    path = edge_mask(3, [(1, 2), (2, 3)])
+    assert slack_edges(3, path) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +353,17 @@ def test_mask_tree_images_validation():
         mask_tree_images(12, [0])
 
 
+def test_mask_tree_images_refuse_a_mask_outside_the_edges():
+    # past the top edge or negative, as ursell_values and slack_masks refuse
+    # them: a negative mask would otherwise read as the complete graph
+    for n, mask in ((4, 64), (4, -1), (3, 8), (7, 1 << 21)):
+        with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
+            mask_tree_images(n, [0, mask])
+        with pytest.raises(ValueError, match=rf"edge mask {mask} outside \[0, 2\^"):
+            graphs.slack_masks(n, [mask])
+    assert mask_tree_images(4, [])[0].shape == (0,)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_connected_mask_flags_match_scalar(n):
     flags = connected_mask_flags(n)
@@ -409,7 +408,9 @@ def _blocked_submask_classes(n, gmask, root):
     for high in range(last + 1):
         extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
         extra = np.array(extra[1:], rows.dtype)[:, None]
-        conn, image = _tree_images(rows | extra, root, parent_edge)
+        unseen, up, _ = _sweep(rows | extra, root)
+        conn = ~unseen.any(axis=0)
+        image = np.bitwise_or.reduce([np.take(parent_edge[w], row) for w, row in enumerate(up)])
         block_trees, block_counts = np.unique(image[conn], return_counts=True)
         trees.append(block_trees)
         counts.append(block_counts)
@@ -426,10 +427,9 @@ def _check_engine(n, host, root):
     trees, preimages = _blocked_submask_classes(n, host, root)
     value = ursell_values(n, [host])[0]
     assert value == ursell_table(n)[host]
-    g = LabeledGraph.from_mask(n, host)
-    if g.is_connected():
-        found = penrose_trees(g, root)
-        assert {t.mask for t in found} == set(trees[preimages == 1].tolist())
+    if _mask_connected(n, host):
+        found = _slack_free_tree_masks(n, host, root)
+        assert sorted(found) == trees[preimages == 1].tolist()
         assert len(found) == abs(value) == np.count_nonzero(preimages == 1)
     return value
 
@@ -446,7 +446,7 @@ def hosts_on(draw):
 @given(hosts_on())
 def test_submask_engine_matches_oracles(case):
     n, host, root = case
-    assert _check_engine(n, host, root) == ursell_value(LabeledGraph.from_mask(n, host))
+    assert _check_engine(n, host, root) == ursell_value(n, host)
 
 
 @settings(max_examples=5, deadline=None)
@@ -474,13 +474,12 @@ def test_blocked_path_on_seven_vertices(edges, root):
     assert MAX_HOST_EDGES >= 21
     host = sum(1 << k for k in edges)
     trees, preimages = _blocked_submask_classes(7, host, root)
-    g = LabeledGraph.from_mask(7, host)
-    want = ursell_value(g)
+    want = ursell_value(7, host)
     value = ursell_values(7, [host])
     assert value.dtype == np.int64 and value.tolist() == [want]
-    if g.is_connected():
+    if _mask_connected(7, host):
         singles = {t for t, c in zip(trees.tolist(), preimages.tolist()) if c == 1}
-        assert singles == {t.mask for t in penrose_trees(g, root)}
+        assert singles == set(_slack_free_tree_masks(7, host, root))
         assert len(singles) == abs(want)
 
 
@@ -522,9 +521,9 @@ def test_engine_refuses_a_root_outside_the_vertices():
             with pytest.raises(ValueError, match=rf"root {root} outside \[1\.\.{n}\]"):
                 _slack_free_tree_masks(n, host, root)
     with pytest.raises(ValueError, match="root 8 outside"):
-        penrose_trees(LabeledGraph.from_mask(7, path), 8)
+        penrose_trees(as_graph(7, path), 8)
     with pytest.raises(ValueError, match="root 8 outside"):
-        penrose_trees_fast(LabeledGraph.from_mask(7, path), 8)
+        penrose_trees_fast(as_graph(7, path), 8)
     with pytest.raises(ValueError, match="root 8 outside"):
         verify.penrose_identity_random(7, 5, root=8)
 
@@ -539,7 +538,7 @@ def test_engine_refuses_a_mask_outside_the_edges():
 def test_penrose_trees_has_no_vertex_cap():
     # past the mask tables' 6 vertices: (n - 1)! trees on the complete graph
     for n in (7, 8):
-        assert len(penrose_trees(complete_graph(n))) == math.factorial(n - 1)
+        assert len(penrose_trees(as_graph(n, complete(n)))) == math.factorial(n - 1)
 
 
 @pytest.mark.parametrize("edges", (12, 18))
@@ -581,21 +580,20 @@ def _search_tree(n, edges, root):
     return parent, gen
 
 
-def _slack_rule_tree_masks(g, root):
-    """Masks of the (n - 1)-edge subsets of g that span [n] and have no slack edge in g."""
-    n = g.n
+def _slack_rule_tree_masks(n, gmask, root):
+    """Masks of the (n - 1)-edge subsets of host ``gmask`` that span [n] and have no slack edge in it."""
     out = set()
-    for combo in itertools.combinations(sorted(g.edges), n - 1):
+    for combo in itertools.combinations(mask_edges(n, gmask), n - 1):
         parent, gen = _search_tree(n, combo, root)
         # n - 1 edges that reach every vertex form a spanning tree
-        if len(gen) == n and graphs._slack_mask(n, parent, gen) & g.mask == 0:
+        if len(gen) == n and _slack_mask(n, parent, gen) & gmask == 0:
             out.add(edge_mask(n, combo))
     return out
 
 
-def _fast_tree_masks(g, root):
-    trees = penrose_trees_fast(g, root)
-    assert all(t.root == root for t in trees)
+def _fast_tree_masks(n, gmask, root):
+    trees = penrose_trees_fast(as_graph(n, gmask), root)
+    assert all(t.root == root and t.n == n for t in trees)
     return {t.mask for t in trees}
 
 
@@ -603,47 +601,46 @@ def _fast_tree_masks(g, root):
 def test_penrose_trees_fast_matches_slack_rule(n):
     for g in enum_graphs(n, "connected"):
         for root in range(1, n + 1):
-            assert _fast_tree_masks(g, root) == _slack_rule_tree_masks(g, root)
+            assert _fast_tree_masks(n, g, root) == _slack_rule_tree_masks(n, g, root)
 
 
 def test_penrose_trees_fast_matches_slack_rule_on_six_vertices():
-    K6 = complete_graph(6)
     for root in range(1, 7):
-        assert _fast_tree_masks(K6, root) == _slack_rule_tree_masks(K6, root)
+        assert _fast_tree_masks(6, complete(6), root) == _slack_rule_tree_masks(6, complete(6), root)
     rng = random.Random(6)
     masks = np.flatnonzero(connected_mask_flags(6))
     for _ in range(40):
-        g = LabeledGraph.from_mask(6, int(masks[rng.randrange(masks.size)]))
+        g = int(masks[rng.randrange(masks.size)])
         root = rng.randint(1, 6)
-        assert _fast_tree_masks(g, root) == _slack_rule_tree_masks(g, root)
+        assert _fast_tree_masks(6, g, root) == _slack_rule_tree_masks(6, g, root)
 
 
 def test_penrose_trees_fast_complete_graph_on_seven_vertices():
-    assert len(penrose_trees_fast(complete_graph(7))) == 720  # = 6!
+    assert len(penrose_trees_fast(as_graph(7, complete(7)))) == 720  # = 6!
 
 
 @st.composite
 def connected_hosts(draw):
-    # a random recursive tree on [n] plus up to 10 more edges
+    # a random recursive tree on [n] plus up to 10 more edges, and a root
     n = draw(st.integers(1, 7))
     edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     if n > 1:
         edges += draw(st.lists(st.sampled_from(vertex_pairs(n)), max_size=10))
-    return LabeledGraph.from_edges(n, edges), draw(st.integers(1, n))
+    return n, edge_mask(n, edges), draw(st.integers(1, n))
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_hosts())
 def test_penrose_trees_fast_equals_engine(case):
-    g, root = case
-    n = g.n
-    fast = penrose_trees_fast(g, root)
-    trees, preimages = _blocked_submask_classes(n, g.mask, root)
-    assert {t.mask for t in fast} == set(trees[preimages == 1].tolist())
+    n, g, root = case
+    fast = _fast_tree_masks(n, g, root)
+    trees, preimages = _blocked_submask_classes(n, g, root)
+    assert fast == set(trees[preimages == 1].tolist())
     for t in fast:
-        assert t.root == root and len(t.gen) == n and bin(t.mask).count("1") == n - 1
-        assert t.mask & ~g.mask == 0
-        assert graphs._slack_mask(n, t.parent, t.gen) & g.mask == 0
+        parent, gen = _mask_tree_maps(n, t, root)
+        assert len(gen) == n and bin(t).count("1") == n - 1
+        assert t & ~g == 0
+        assert _slack_mask(n, parent, gen) & g == 0
 
 
 @st.composite
@@ -665,13 +662,12 @@ def test_growth_is_empty_exactly_on_a_disconnected_host(case):
     for r in range(1, n + 1):
         assert (not _slack_free_tree_masks(n, mask, r)) == (not connected)
     trees = _slack_free_tree_masks(n, mask, root)
-    g = LabeledGraph.from_mask(n, mask)
     for fn in (penrose_trees, penrose_trees_fast):
         if trees:
-            assert {t.mask for t in fn(g, root)} == set(trees)
+            assert {t.mask for t in fn(as_graph(n, mask), root)} == set(trees)
         else:
             with pytest.raises(DomainError) as err:
-                fn(g, root)
+                fn(as_graph(n, mask), root)
             assert str(err.value) == "Penrose trees are defined for connected graphs only"
 
 
@@ -680,7 +676,7 @@ def test_growth_is_empty_exactly_on_a_disconnected_host(case):
 # ---------------------------------------------------------------------------
 
 def _scalar_slack(n, masks, root):
-    return [graphs._slack_mask(n, *graphs._mask_tree_maps(n, t, root)) for t in masks]
+    return [_slack_mask(n, *_mask_tree_maps(n, t, root)) for t in masks]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -709,10 +705,10 @@ def test_slack_masks_match_scalar_on_spread_trees(n, roots):
 def test_slack_masks_match_scalar_on_connected_masks(case):
     # not only trees: the slack rule of the swept tree maps of the host and
     # of each connected host less one edge
-    g, root = case
-    edges = [1 << k for k in range(g.n * (g.n - 1) // 2) if g.mask >> k & 1]
-    masks = [m for m in [g.mask] + [g.mask ^ e for e in edges] if _mask_connected(g.n, m)]
-    assert graphs.slack_masks(g.n, masks, root).tolist() == _scalar_slack(g.n, masks, root)
+    n, g, root = case
+    edges = [1 << k for k in range(n * (n - 1) // 2) if g >> k & 1]
+    masks = [m for m in [g] + [g ^ e for e in edges] if _mask_connected(n, m)]
+    assert graphs.slack_masks(n, masks, root).tolist() == _scalar_slack(n, masks, root)
 
 
 def test_slack_masks_refuse_what_is_not_a_spanning_mask():
@@ -747,8 +743,8 @@ def test_penrose_engine_grows_no_cache_once_filled():
         polymer.p_exact(6, s)
     before = _cache_sizes()
     for g in list(enum_graphs(5, "connected"))[::20]:
-        penrose_trees(g)
-        penrose_trees_fast(g)
+        penrose_trees(as_graph(5, g))
+        penrose_trees_fast(as_graph(5, g))
     for s in ((2, 3), (4, 4), (3, 3, 2)):
         polymer.p_exact(10, s)
     verify.penrose_identity_scan(6)
@@ -951,14 +947,15 @@ def test_identity_random_refuses_a_count_below_one(count):
 
 
 def test_penrose_trees_complete_graph_every_root():
-    K6 = complete_graph(6)
+    K6 = as_graph(6, complete(6))
     assert [len(penrose_trees(K6, root=r)) for r in range(1, 7)] == [120] * 6
 
 
 def test_edge_mask_roundtrip():
     pairs = vertex_pairs(5)
     g = LabeledGraph.from_edges(5, [pairs[0], pairs[3], pairs[9]])
-    assert LabeledGraph.from_mask(5, g.mask) == g
+    assert g.mask == 0b1000001001
+    assert as_graph(5, g.mask) == g and mask_edges(5, g.mask) == tuple(sorted(g.edges))
     assert edge_mask(5, g.edges) == g.mask
     assert edge_mask(5, [(2, 1), (5, 4)]) == edge_mask(5, [(1, 2), (4, 5)])
     for bad in ((3, 3), (0, 2), (2, 6), (-1, 2)):

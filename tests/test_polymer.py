@@ -304,12 +304,11 @@ def test_p_exact_symmetric():
 
 def _p_naive(N, s):
     # no symmetry shortcuts: every ordered subset tuple enumerated outright
-    from clusterkit.graphs import LabeledGraph, RootedTree, penrose_trees, prufer_tree_masks
+    from clusterkit.graphs import _mask_connected, _slack_free_tree_masks, edge_mask, prufer_tree_masks
 
     n = len(s)
     pairs = vertex_pairs(n)
-    trees = ([RootedTree(1, {}, root=1)] if n == 1 else
-             [RootedTree.from_mask(n, int(mask)) for mask in prufer_tree_masks(n)])
+    trees = [0] if n == 1 else prufer_tree_masks(n).tolist()
     choices = [
         [frozenset(c) for c in itertools.combinations(range(1, N + 1), sz)]
         for sz in s
@@ -320,10 +319,10 @@ def _p_naive(N, s):
         for idx, (a, b) in enumerate(pairs):
             if subs[a - 1] & subs[b - 1]:
                 edges.add((a, b))
-        g = LabeledGraph(n, frozenset(edges))
-        if not g.is_connected():
+        g = edge_mask(n, edges)
+        if not _mask_connected(n, g):
             continue
-        members = penrose_trees(g, root=1)
+        members = set(_slack_free_tree_masks(n, g, 1))
         count += sum(1 for t in trees if t in members)
     return Fraction(count, N ** (sum(s) - n + 1))
 

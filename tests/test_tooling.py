@@ -7,7 +7,8 @@ from pathlib import Path
 
 from clusterkit import cluster, polymer, potentials, quadrature
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 def _params(fn):
@@ -24,6 +25,18 @@ def test_perfbench_traced_functions_resolve():
     missing = [f"{mod}.{fn}" for mod, fn in wanted
                if not callable(getattr(importlib.import_module("clusterkit." + mod), fn, None))]
     assert missing == []
+
+
+def test_perfbench_combinatorics_ops_pass_their_checks(monkeypatch):
+    # every op of the workload that runs the graph layer, once, against its
+    # own oracle: a dropped or changed name or return value of anything the
+    # benchmark calls fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.combinatorics(0)
+    workloads.fill_combinatorics()
+    problems = {op.name: op.check(op.call()) for op in ops}
+    assert {name: p for name, p in problems.items() if p is not None} == {}
 
 
 def test_perfbench_bound_parameter_names():
