@@ -11,13 +11,16 @@ Subcommands:
 Exit status: 0 success, 1 verification failure, 2 invalid input.
 
 ``build_parser`` declares each flag once, with its type, choices and
-default.  A JSON config file can predefine flags per subcommand: a
-section's keys are the dests of its subcommand's flags, and each value is
-parsed by that flag's type and choices, as if it were given on the command
-line.  A shared "potential" section takes the keys of
+default.  The type is the one check of a flag's value: counts are integers
+>= 1, floats are finite, and --volume, --zeta and --s are parsed whole, so
+a bad value exits 2 naming the flag before any subcommand runs.  A JSON
+config file can predefine flags per subcommand: a section's keys are the
+dests of its subcommand's flags, and each value is parsed by that flag's
+type and choices, as if it were given on the command line, so a bad one
+exits 2 naming the key.  A shared "potential" section takes the keys of
 ``potentials.potential_from_config``.  The command line beats the config,
-which beats the flag's default; unknown sections and keys are rejected by
-name.
+key by key, which beats the flag's default; unknown sections and keys are
+rejected by name.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import os
 import sys
 from contextlib import redirect_stdout, suppress
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__, tonks
 from .canonical import compare_series_direct
@@ -62,8 +65,8 @@ def _real(text: str) -> float:
     return value
 
 
-def _workers(text: str) -> int:
-    """The type of --workers: an integer >= 1, refused here under its flag's name."""
+def _count(text: str) -> int:
+    """The type of every count flag: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -73,12 +76,41 @@ def _workers(text: str) -> int:
     return value
 
 
+def _volume(text: str) -> Optional[float]:
+    """The type of --volume: None (infinite) for 'inf', 'infinite' or '', else a finite
+    positive box side."""
+    if text in ("inf", "infinite", ""):
+        return None
+    with suppress(ValueError):
+        if 0 < float(text) < math.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be 'inf' or a finite positive box side, got {text!r}")
+
+
+def _zeta(text: str) -> Dict[int, object]:
+    """The type of --zeta: activities like '2=0.5,3=-1/3', a Fraction where there is a '/'."""
+    try:
+        return {int(key): Fraction(val) if "/" in val else float(val)
+                for key, _, val in (item.partition("=") for item in text.split(","))}
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"want activities like '2=0.5,3=-1/3', got {text!r}") from None
+
+
+def _sizes(text: str) -> Tuple[int, ...]:
+    """The type of --s: part sizes like '2,3'."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want part sizes like '2,3', got {text!r}") from None
+
+
 def _add_potential_args(sp: argparse.ArgumentParser, beta: bool = True):
     # the dests of the potential flags are potential config keys; --beta is
     # offered only where the report depends on it
     sp.add_argument("--potential", dest="kind",
                     choices=("hard_rod", "hard_sphere", "square_well"), help="potential kind")
-    sp.add_argument("--sigma", type=_real, default=1.0, help="core diameter")
+    sp.add_argument("--sigma", type=_real, help="core diameter (default 1)")
     sp.add_argument("--epsilon", type=_real, help="well depth (square_well)")
     sp.add_argument("--lambda-w", dest="lambda_w", type=_real,
                     help="well width ratio (square_well)")
@@ -91,10 +123,10 @@ def _add_potential_args(sp: argparse.ArgumentParser, beta: bool = True):
 def _add_sampling_args(sp: argparse.ArgumentParser, methods):
     """The route flags of mayer, virial and canonical; the first method is the default."""
     sp.add_argument("--method", choices=methods, default=methods[0])
-    sp.add_argument("--samples", type=int, help="Monte Carlo samples (default: the library's)")
-    sp.add_argument("--chunk", type=int, help="Monte Carlo samples per chunk")
+    sp.add_argument("--samples", type=_count, help="Monte Carlo samples (default: the library's)")
+    sp.add_argument("--chunk", type=_count, help="Monte Carlo samples per chunk")
     sp.add_argument("--seed", type=int, help="Monte Carlo seed, mandatory for monte_carlo")
-    sp.add_argument("--workers", type=_workers, default=os.cpu_count() or 1,
+    sp.add_argument("--workers", type=_count, default=os.cpu_count() or 1,
                     help="worker hint; results are worker-count independent")
 
 
@@ -119,7 +151,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--u", type=_real,
                     help="combined variable e^(2 beta B); sets beta = 1 and B = ln(u)/2")
     sp.add_argument("--cbeta", type=_real, help="interaction volume C(beta)")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=8)
+    sp.add_argument("--k-max", dest="k_max", type=_count, default=8)
     _add_potential_args(sp)
     # unset unless given, so that --u can refuse a --beta it would override
     sp.set_defaults(beta=None)
@@ -128,29 +160,29 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("mayer", help="fugacity-series coefficient table")
     sp.set_defaults(run=_cmd_mayer)
     _add_potential_args(sp)
-    sp.add_argument("--n", type=int, default=4, help="highest order")
-    sp.add_argument("--volume", help="'inf' (default) or a box side")
+    sp.add_argument("--n", type=_count, default=4, help="highest order")
+    sp.add_argument("--volume", type=_volume, help="'inf' (default) or a box side")
     _add_sampling_args(sp, ("quadrature", "monte_carlo"))
     _add_output_args(sp, ("csv", "table"))
 
     sp = sub.add_parser("virial", help="density-series coefficients, all routes")
     sp.set_defaults(run=_cmd_virial)
     _add_potential_args(sp)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=3)
+    sp.add_argument("--k-max", dest="k_max", type=_count, default=3)
     _add_sampling_args(sp, ("quadrature", "monte_carlo"))
     _add_output_args(sp, ("csv", "table"))
 
     sp = sub.add_parser("polymer", help="subset-polymer operations")
     sp.set_defaults(run=_cmd_polymer)
     sp.add_argument("action", choices=("xi", "ursell", "fpcheck", "pexact", "ckn"))
-    sp.add_argument("--n-ground", dest="n_ground", type=int,
+    sp.add_argument("--n-ground", dest="n_ground", type=_count,
                     help="ground-set size N")
-    sp.add_argument("--zeta", help="activities like '2=0.5,3=-1/3'")
-    sp.add_argument("--orders", type=int, default=3, help="expansion order (ursell)")
+    sp.add_argument("--zeta", type=_zeta, help="activities like '2=0.5,3=-1/3'")
+    sp.add_argument("--orders", type=_count, default=3, help="expansion order (ursell)")
     sp.add_argument("--a", type=_real, help="weight parameter (fpcheck)")
     sp.add_argument("--rho", type=_real, help="density for derived activities")
-    sp.add_argument("--s", help="part sizes like '2,3' (pexact)")
-    sp.add_argument("--k", type=int, default=1, help="coefficient order (ckn)")
+    sp.add_argument("--s", type=_sizes, help="part sizes like '2,3' (pexact)")
+    sp.add_argument("--k", type=_count, default=1, help="coefficient order (ckn)")
     _add_potential_args(sp, beta=False)
     _add_output_args(sp)
 
@@ -158,8 +190,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_canonical)
     _add_potential_args(sp)
     sp.add_argument("--L", type=_real)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=6)
+    sp.add_argument("--N", type=_count)
+    sp.add_argument("--k-max", dest="k_max", type=_count, default=6)
     _add_sampling_args(sp, ("auto", "tonks_closed", "quadrature", "monte_carlo"))
     _add_output_args(sp)
 
@@ -231,14 +263,17 @@ def _load_config(path: str) -> dict:
 
 
 def _potential_from_args(args) -> Optional[PairPotential]:
-    """The --potential flags if given, else the config's "potential" section."""
-    if args.kind is None:
-        return potential_from_config(args.potential_config) if args.potential_config else None
-    cfg = {key: getattr(args, key) for key in CONFIG_KEYS
-           if getattr(args, key, None) is not None}
-    if args.kind == "hard_sphere":
-        cfg.setdefault("dimension", 3)
-    return potential_from_config(cfg)
+    """The potential flags given on the command line over the config's
+    "potential" section, key by key; --potential starts a new potential, of
+    sigma 1 and, for hard_sphere, dimension 3 unless its flags say otherwise."""
+    given = {key: getattr(args, key) for key in CONFIG_KEYS
+             if getattr(args, key, None) is not None}
+    if args.kind is not None:
+        return potential_from_config(
+            {"sigma": 1.0, "dimension": 3 if args.kind == "hard_sphere" else 1, **given})
+    if args.potential_config:
+        return potential_from_config({**args.potential_config, **given})
+    return None
 
 
 def _sampling(args) -> dict:
@@ -280,8 +315,6 @@ def _out_path(args) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_radii(args) -> int:
-    if args.k_max < 1:
-        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
     pot = _potential_from_args(args)
     beta = 1.0 if args.beta is None else args.beta
     if args.u is not None:
@@ -334,21 +367,9 @@ def _require_potential(args) -> PairPotential:
     return pot
 
 
-def _parse_volume(raw: Optional[str]) -> Optional[float]:
-    if raw in (None, "inf", "infinite", ""):
-        return None
-    v = float(raw)
-    if not 0 < v < math.inf:
-        raise ConfigError(f"--volume must be 'inf' or a finite positive box side, got {raw!r}")
-    return v
-
-
 def _cmd_mayer(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
     pot = _require_potential(args)
     sampling = _sampling(args)
-    volume = _parse_volume(args.volume)
     cb, _ = c_beta(pot, args.beta)
     # every bound before the first integral, so an overflowing one fails fast
     bounds = [penrose_bn_bound(n, args.beta, pot.B, cb) if n >= 2 else 1.0
@@ -356,12 +377,12 @@ def _cmd_mayer(args) -> int:
     rows = []
     records = []
     for n, bound in enumerate(bounds, start=1):
-        val, err = mayer_bn(pot, args.beta, n, volume, args.method, **sampling)
+        val, err = mayer_bn(pot, args.beta, n, args.volume, args.method, **sampling)
         rows.append([f"b_{n}", n, args.beta, val, err, bound])
         records.append({
             "quantity": "b_n", "n": n, "beta": args.beta,
             "potential": _describe_potential(pot),
-            "volume": volume, "value": val, "error": err,
+            "volume": args.volume, "value": val, "error": err,
             "penrose_bound": bound,
             "method": args.method, "seed": args.seed,
         })
@@ -372,8 +393,6 @@ def _cmd_mayer(args) -> int:
 
 
 def _cmd_virial(args) -> int:
-    if args.k_max < 1:
-        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
     pot = _require_potential(args)
     sampling = _sampling(args)
     k_max = args.k_max
@@ -411,22 +430,10 @@ def _cmd_virial(args) -> int:
     return 0
 
 
-def _parse_zeta(raw: Optional[str]) -> Dict[int, object]:
-    if not raw:
-        raise ConfigError("this action needs --zeta (like '2=0.5,3=-1/3')")
-    out: Dict[int, object] = {}
-    for item in raw.split(","):
-        if "=" not in item:
-            raise ConfigError(f"bad --zeta entry {item!r}")
-        key, val = item.split("=", 1)
-        out[int(key)] = Fraction(val) if "/" in val else float(val)
-    return out
-
-
 def _polymer_profile(args) -> ActivityProfile:
     N = args.n_ground
     if args.zeta:
-        return ActivityProfile(N, _parse_zeta(args.zeta))
+        return ActivityProfile(N, args.zeta)
     pot = _potential_from_args(args)
     if pot is not None and args.rho is not None:
         if pot.kind != "hard_rod":
@@ -439,8 +446,6 @@ def _polymer_profile(args) -> ActivityProfile:
 def _cmd_polymer(args) -> int:
     if args.n_ground is None:
         raise ConfigError("polymer needs --n-ground")
-    if args.n_ground < 1:
-        raise ConfigError(f"--n-ground must be >= 1, got {args.n_ground}")
     N = args.n_ground
     if args.action == "xi":
         prof = _polymer_profile(args)
@@ -452,8 +457,6 @@ def _cmd_polymer(args) -> int:
         _emit(args, json_payload("polymer_xi", data))
         return 0
     if args.action == "ursell":
-        if args.orders < 1:
-            raise ConfigError(f"--orders must be >= 1, got {args.orders}")
         prof = _polymer_profile(args)
         terms = log_xi_ursell(N, prof, args.orders)
         partial = {}
@@ -477,37 +480,31 @@ def _cmd_polymer(args) -> int:
         }))
         return 0
     if args.action == "pexact":
-        if not args.s:
+        if args.s is None:
             raise ConfigError("pexact needs --s like '2,3'")
-        s = tuple(int(x) for x in args.s.split(","))
         _emit(args, json_payload("polymer_pexact", {
-            "N": N, "s": list(s),
-            "value": p_exact(N, s),
-            "limit": p_limit(s),
+            "N": N, "s": list(args.s),
+            "value": p_exact(N, args.s),
+            "limit": p_limit(args.s),
         }))
         return 0
-    if args.action == "ckn":
-        pot = _potential_from_args(args)
-        if pot is None or pot.kind != "hard_rod":
-            raise ConfigError(
-                "ckn is wired to the hard-rod coefficients; pass --potential hard_rod"
-            )
-        b = {n: tonks.bn_exact(n) for n in range(2, args.k + 2)}
-        _emit(args, json_payload("polymer_ckn", {
-            "N": N, "k": args.k,
-            "value": ck_finite_N(N, b, args.k),
-            "limit": float(virial_from_mayer(b, args.k)),
-        }))
-        return 0
-    raise ConfigError(f"unknown polymer action {args.action!r}")
+    # ckn, the last of the action's choices
+    pot = _potential_from_args(args)
+    if pot is None or pot.kind != "hard_rod":
+        raise ConfigError("ckn is wired to the hard-rod coefficients; pass --potential hard_rod")
+    b = {n: tonks.bn_exact(n) for n in range(2, args.k + 2)}
+    _emit(args, json_payload("polymer_ckn", {
+        "N": N, "k": args.k,
+        "value": ck_finite_N(N, b, args.k),
+        "limit": float(virial_from_mayer(b, args.k)),
+    }))
+    return 0
 
 
 def _cmd_canonical(args) -> int:
     pot = _require_potential(args)
     if args.L is None or args.N is None:
         raise ConfigError("canonical needs --L and --N")
-    if args.k_max < 1:
-        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
     rep = compare_series_direct(pot, args.beta, args.L, args.N, args.k_max,
                                 direct_method=args.method, **_sampling(args))
     _emit(args, json_payload("canonical_comparison", rep.to_dict()))

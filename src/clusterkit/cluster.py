@@ -251,10 +251,12 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int,
                        workers: Optional[int]) -> None:
-    """Reject a missing seed, and sample sizes or a worker count below one,
-    before any set-up."""
+    """Reject a missing seed or one outside the Philox key word [0, 2^64),
+    and sample sizes or a worker count below one, before any set-up."""
     if seed is None:
         raise ConfigError("Monte Carlo needs an explicit seed")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ConfigError(f"Monte Carlo seed must be an integer in [0, 2^64), got {seed!r}")
     counts = [("samples", samples), ("chunk", chunk)]
     if workers is not None:
         counts.append(("workers", workers))
@@ -317,9 +319,8 @@ def _mc_weights(p: PairPotential, beta: float, n: int, graph_class: str):
     ``all`` is ``_boltzmann_factors``.  The connected and two-connected sums
     are exactly 0 where the bond graph (pairs with f != 0) is disconnected;
     a piecewise constant bond packs each sample's bond levels into a row id
-    and sums each distinct row of the chunk once (row ids are never
-    renumbered up to MONTE_CARLO_MAX_N, so they decode to levels), any other
-    bond sums sample by sample.
+    and sums each distinct row of the chunk once, any other bond sums sample
+    by sample.
     """
     if graph_class == "all":
         return _boltzmann_factors(p, beta, n * (n - 1) // 2)

@@ -191,8 +191,8 @@ def f_bond_array(p: PairPotential, beta: float, r: np.ndarray) -> np.ndarray:
     if p.piecewise_constant_bond:
         return bond_level_values(p, beta)[bond_levels(r, p.breakpoints())]
     rs, vs = np.array(p.table).T
-    v = np.interp(r, rs, vs, left=vs[0], right=0.0)
-    v = np.where(r >= p.cutoff, 0.0, v)
+    # as in PairPotential.value: the end samples held out to the cutoff, 0 beyond
+    v = np.where(r >= p.cutoff, 0.0, np.interp(r, rs, vs))
     with np.errstate(over="ignore"):
         f = np.expm1(-beta * v)
     i = np.argmax(f == math.inf)  # the first overflow, if any
@@ -232,8 +232,22 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
 CONFIG_KEYS = {"kind", "sigma", "epsilon", "lambda_w", "B", "dimension", "table", "cutoff"}
 
 
+def _config_value(cfg: Mapping, key: str, convert=float, default=None):
+    """``convert(cfg[key])``, or ``default`` when the key is absent or null;
+    a value that does not convert raises ConfigError naming the key."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid potential config value {key!r}: {value!r}") from None
+
+
 def potential_from_config(cfg: Mapping) -> PairPotential:
-    """Build a potential from a flat config mapping, rejecting unknown keys."""
+    """Build a potential from a flat config mapping, rejecting unknown keys
+    and naming the key of a value that is not a number (or, for 'table', a
+    list of (r, V) pairs)."""
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown potential config key(s): {', '.join(unknown)}")
@@ -242,19 +256,20 @@ def potential_from_config(cfg: Mapping) -> PairPotential:
     kind = cfg["kind"]
     if kind not in KINDS:
         raise ConfigError(f"unknown potential kind {kind!r}; want one of {KINDS}")
-    if "sigma" not in cfg:
+    if cfg.get("sigma") is None:
         raise ConfigError("potential config needs 'sigma'")
     if kind != "custom_tabulated" and ("table" in cfg or "cutoff" in cfg):
         raise ConfigError("'table'/'cutoff' are only valid for custom_tabulated")
     kwargs = dict(
         kind=kind,
-        sigma=float(cfg["sigma"]),
-        dimension=int(cfg.get("dimension", 1)),
-        epsilon=float(cfg.get("epsilon", 0.0)),
-        lambda_w=float(cfg.get("lambda_w", 0.0)),
-        B=float(cfg["B"]) if "B" in cfg and cfg["B"] is not None else None,
+        sigma=_config_value(cfg, "sigma"),
+        dimension=_config_value(cfg, "dimension", int, 1),
+        epsilon=_config_value(cfg, "epsilon", default=0.0),
+        lambda_w=_config_value(cfg, "lambda_w", default=0.0),
+        B=_config_value(cfg, "B"),
     )
     if kind == "custom_tabulated":
-        kwargs["table"] = tuple((float(r), float(v)) for r, v in cfg["table"])
-        kwargs["cutoff"] = float(cfg["cutoff"])
+        kwargs["table"] = _config_value(
+            cfg, "table", lambda t: tuple((float(r), float(v)) for r, v in t), ())
+        kwargs["cutoff"] = _config_value(cfg, "cutoff")
     return PairPotential(**kwargs)

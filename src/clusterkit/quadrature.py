@@ -218,23 +218,18 @@ def bond_levels(r: np.ndarray, cuts) -> np.ndarray:
     return levels
 
 
-_ID_LIMIT = np.iinfo(np.int64).max
-
-
 def _append_levels(ids: np.ndarray, count: int, levels, base: int):
     """Extend row ids in place by one digit per array of bond levels below
     ``base``, each array read once, as it comes.
 
     ``ids`` (int64) lie in [0, count) and are overwritten.  Two rows end
     with equal ids exactly when they started with equal ids and have equal
-    levels in every array.  The ids are renumbered densely, into a new
-    array, before a digit could overflow an int64.  Returns the ids and the
-    new bound on them.
+    levels in every array.  Returns the ids and the new bound on them;
+    raises CapacityError before a digit would overflow an int64.
     """
     for lv in levels:
-        if count > _ID_LIMIT // base:
-            _, ids = np.unique(ids, return_inverse=True)
-            count = int(ids.max()) + 1
+        if count > np.iinfo(np.int64).max // base:
+            raise CapacityError(f"level-row ids of base {base} overflow an int64")
         ids *= base
         ids += lv
         count *= base
@@ -471,15 +466,13 @@ def _unit_ids(ts, row, a, h, xq, level_cuts):
     flat node positions, in panel then node order, with the bound on the ids.
 
     The levels of the prefix pairs are taken once per prefix row and their
-    ids renumbered densely; each unit adds the windows that end at its last
-    vertex.  All are differences of the running sums ``pair_window_matrix``
-    takes, so a unit's levels are the ones weight_fn sees for it.  The
-    level work runs WEIGHT_BLOCK panels a step (``_level_step``), so its
-    gathers and masks never span the block.  The ids of all steps are
-    ranked together, so every step must number them the same way: prefix
-    id times base^(k+1) plus one level digit per window.
-    ``_append_levels`` would renumber one step's ids on their own once that
-    bound passed an int64, so a block that could reach it takes one step.
+    ids ranked by ``distinct_ids``; each unit adds the windows that end at
+    its last vertex.  All are differences of the running sums
+    ``pair_window_matrix`` takes, so a unit's levels are the ones weight_fn
+    sees for it.  The level work runs WEIGHT_BLOCK panels a step
+    (``_level_step``), so its gathers and masks never span the block.  The
+    ids of all steps are ranked together, so every step numbers them the
+    same way: prefix rank times base^(k+1) plus one level digit per window.
     """
     k = ts.shape[1]
     q = xq.shape[0]
@@ -487,15 +480,13 @@ def _unit_ids(ts, row, a, h, xq, level_cuts):
     cs = _running_sums(ts)
     pairs = (bond_levels(cs[j] - cs[i], level_cuts)
              for i in range(k + 1) for j in range(i + 1, k + 1))
-    pre_ids, _ = _append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base)
-    prefixes, pre_ids = np.unique(pre_ids, return_inverse=True)
-    step = WEIGHT_BLOCK
-    if prefixes.shape[0] * base ** (k + 1) > _ID_LIMIT:
-        step = row.shape[0]
+    prefixes, pre_ids = distinct_ids(
+        *_append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base))
     ids, units = [], []
-    for i in range(0, row.shape[0], step):
-        count, step_ids, unit = _level_step(cs, pre_ids, prefixes.shape[0], row[i:i + step],
-                                            a[i:i + step], h[i:i + step], xq, level_cuts)
+    for i in range(0, row.shape[0], WEIGHT_BLOCK):
+        step = slice(i, i + WEIGHT_BLOCK)
+        count, step_ids, unit = _level_step(cs, pre_ids, prefixes.shape[0], row[step],
+                                            a[step], h[step], xq, level_cuts)
         unit += i * q
         ids.append(step_ids)
         units.append(unit)

@@ -93,8 +93,8 @@ def test_polymer_pexact():
     ("ckn", ["--potential", "hard_rod", "--k", "1"]),
 ])
 def test_polymer_rejects_an_empty_ground_set(capsys, action, extra):
-    assert main(["polymer", action, "--n-ground", "0", *extra]) == 2
-    assert "--n-ground must be >= 1" in capsys.readouterr().err
+    assert _exit_code(["polymer", action, "--n-ground", "0", *extra]) == 2
+    assert "argument --n-ground: must be an integer >= 1, got '0'" in capsys.readouterr().err
 
 
 def test_polymer_ursell_orders_and_partial_sums():
@@ -113,34 +113,38 @@ def test_polymer_ursell_orders_and_partial_sums():
 
 @pytest.mark.parametrize("orders", ["0", "-2"])
 def test_polymer_ursell_refuses_orders_below_one(capsys, orders):
-    assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1/3",
-                 "--orders", orders]) == 2
-    assert "--orders must be >= 1" in capsys.readouterr().err
+    assert _exit_code(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1/3",
+                       "--orders", orders]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --orders: must be an integer >= 1, got '{orders}'" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_mayer_refuses_orders_below_one(capsys, n):
-    assert main(["mayer", "--potential", "hard_rod", "--n", n]) == 2
-    assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+    assert _exit_code(["mayer", "--potential", "hard_rod", "--n", n]) == 2
+    assert f"argument --n: must be an integer >= 1, got '{n}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k_max", ["0", "-1"])
 def test_canonical_refuses_k_max_below_one(capsys, k_max):
-    assert main(["canonical", "--potential", "hard_rod", "--L", "50", "--N", "5",
-                 "--k-max", k_max]) == 2
-    assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
+    assert _exit_code(["canonical", "--potential", "hard_rod", "--L", "50", "--N", "5",
+                       "--k-max", k_max]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --k-max: must be an integer >= 1, got '{k_max}'" in err
 
 
 @pytest.mark.parametrize("k_max", ["0", "-3"])
 def test_radii_refuses_k_max_below_one(capsys, k_max):
-    assert main(["radii", "--u", "2", "--k-max", k_max]) == 2
-    assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
+    assert _exit_code(["radii", "--u", "2", "--k-max", k_max]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --k-max: must be an integer >= 1, got '{k_max}'" in err
 
 
 @pytest.mark.parametrize("k_max", ["0", "-3"])
 def test_virial_refuses_k_max_below_one(capsys, k_max):
-    assert main(["virial", "--potential", "hard_rod", "--k-max", k_max]) == 2
-    assert f"--k-max must be >= 1, got {k_max}" in capsys.readouterr().err
+    assert _exit_code(["virial", "--potential", "hard_rod", "--k-max", k_max]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --k-max: must be an integer >= 1, got '{k_max}'" in err
 
 
 def test_polymer_ursell_float_overflow_exits_2(capsys):
@@ -239,6 +243,11 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     assert main(["--config", str(cfg), "mayer", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["records"]) == 2
+    # a potential flag beats its key of the "potential" section, which it once left at 1
+    assert main(["--config", str(cfg), "mayer", "--n", "2", "--sigma", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["potential"]["sigma"] for r in out["records"]] == [2.0, 2.0]
+    assert out["records"][1]["value"] == pytest.approx(-2.0)  # b_2 = -sigma
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
@@ -290,6 +299,47 @@ def test_virial_csv_long_format():
 
 
 ROD = ["--potential", "hard_rod", "--sigma", "1"]
+MC = ["mayer", "--potential", "hard_sphere", "--n", "3", "--method", "monte_carlo", "--seed", "1"]
+
+#: (config section, dest, a command line the count flag completes) for every count flag
+COUNT_FLAGS = [
+    ("mayer", "n", ["mayer", *ROD]),
+    ("radii", "k_max", ["radii", "--u", "2"]),
+    ("virial", "k_max", ["virial", *ROD]),
+    ("canonical", "k_max", ["canonical", *ROD, "--L", "50", "--N", "5"]),
+    ("canonical", "N", ["canonical", *ROD, "--L", "50"]),
+    ("polymer", "orders", ["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1/3"]),
+    ("polymer", "n_ground", ["polymer", "xi", "--zeta", "2=1/3"]),
+    ("polymer", "k", ["polymer", "ckn", "--n-ground", "5", *ROD]),
+    ("mayer", "samples", MC),
+    ("mayer", "chunk", MC),
+    ("mayer", "workers", MC),
+]
+
+#: (config section, dest, value, a command line the flag completes) for the parsed flags
+PARSED_FLAGS = [
+    ("mayer", "volume", "abc", ["mayer", *ROD]),
+    ("polymer", "zeta", "2=abc", ["polymer", "xi", "--n-ground", "3"]),
+    ("polymer", "zeta", "x=1", ["polymer", "xi", "--n-ground", "3"]),
+    ("polymer", "zeta", "2=1/0", ["polymer", "xi", "--n-ground", "3"]),
+    ("polymer", "s", "2,,3", ["polymer", "pexact", "--n-ground", "3"]),
+]
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+#: every count flag at 0 and x, and each parsed flag at a value it cannot parse
+BAD_FLAG_VALUES = [
+    *(pytest.param([*argv, _flag(dest), value], f"argument {_flag(dest)}: must be an integer >= 1",
+                   id=f"{section}_{dest}_{value}")
+      for section, dest, argv in COUNT_FLAGS for value in ("0", "x")),
+    *(pytest.param([*argv, _flag(dest), value], f"argument {_flag(dest)}: ",
+                   id=f"{dest}_{value}")
+      for section, dest, value, argv in PARSED_FLAGS),
+]
+
 
 # (command and its positionals, section, the same values as flags)
 SECTION_AS_FLAGS = {
@@ -323,14 +373,19 @@ def test_config_section_equals_flags(tmp_path, case):
 
 
 @pytest.mark.parametrize("section", [
-    {"mayer": {"n": 3.5}},
-    {"mayer": {"format": "xml"}},
-    {"mayer": {"method": "montecarlo"}},
-    {"mayer": {"seed": [1, 2]}},
-    {"verify": {"suite": "everything"}},
-    {"mayer": {"beta": math.inf}},
-    {"mayer": {"workers": 0}},
-], ids=["n", "format", "method", "seed", "suite", "beta_inf", "workers"])
+    pytest.param({"mayer": {"n": 3.5}}, id="n"),
+    pytest.param({"mayer": {"format": "xml"}}, id="format"),
+    pytest.param({"mayer": {"method": "montecarlo"}}, id="method"),
+    pytest.param({"mayer": {"seed": [1, 2]}}, id="seed"),
+    pytest.param({"verify": {"suite": "everything"}}, id="suite"),
+    pytest.param({"mayer": {"beta": math.inf}}, id="beta_inf"),
+    pytest.param({"mayer": {"workers": 0}}, id="workers"),
+    # the values of BAD_FLAG_VALUES
+    *(pytest.param({section: {dest: value}}, id=f"{section}_{dest}_{value}")
+      for section, dest, argv in COUNT_FLAGS for value in (0, "x")),
+    *(pytest.param({section: {dest: value}}, id=f"{dest}_{value}")
+      for section, dest, value, argv in PARSED_FLAGS),
+])
 def test_config_value_parsed_like_its_flag(tmp_path, capsys, section):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(section))
@@ -355,8 +410,8 @@ def test_config_rejects_keys_of_other_sections(tmp_path, capsys, section, key):
     ["canonical", "--potential", "hard_sphere", "--L", "6", "--N", "4", "--k-max", "3"],
 ])
 def test_mc_chunk_zero_exits_2(capsys, argv):
-    assert main([*argv, "--method", "monte_carlo", "--seed", "1", "--chunk", "0"]) == 2
-    assert "chunk" in capsys.readouterr().err
+    assert _exit_code([*argv, "--method", "monte_carlo", "--seed", "1", "--chunk", "0"]) == 2
+    assert "argument --chunk: must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-1", "2.5"])
@@ -421,7 +476,7 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["mayer", *ROD, "--n", "3", "--beta", "nan"], "beta must be positive"),
-    (["mayer", *ROD, "--n", "3", "--volume", "nan"], "--volume"),
+    (["mayer", *ROD, "--n", "3", "--volume", "nan"], "argument --volume: must be"),
     (["canonical", *ROD, "--L", "nan", "--N", "4", "--k-max", "2"], "L > 0"),
     (["radii", "--cbeta", "nan"], "C(beta) must be positive"),
     (["mayer", *WELL, "--epsilon", "nan", "--B", "1", "--n", "3"], "epsilon"),
@@ -429,7 +484,7 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
     (["radii", "--u", "nan"], "--u must be >= 1"),
 ], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u"])
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
-    assert main(argv) == 2
+    assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err
 
 
@@ -442,16 +497,20 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["radii", "--u", "inf"], "argument --u: must be finite"),
-    (["radii", "--cbeta", "inf"], "argument --cbeta: must be finite"),
-    (["mayer", *ROD, "--n", "3", "--beta", "1e400"], "argument --beta: must be finite"),
-    (["mayer", *WELL, "--epsilon=-inf", "--B", "1", "--n", "3"],
-     "argument --epsilon: must be finite"),
-    (["mayer", *ROD, "--n", "3", "--volume", "1e400"], "--volume must be"),
-    (["canonical", *ROD, "--L", "inf", "--N", "4", "--k-max", "2"],
-     "argument --L: must be finite"),
-], ids=["u", "cbeta", "beta", "epsilon", "volume", "L"])
+    pytest.param(["radii", "--u", "inf"], "argument --u: must be finite", id="u"),
+    pytest.param(["radii", "--cbeta", "inf"], "argument --cbeta: must be finite", id="cbeta"),
+    pytest.param(["mayer", *ROD, "--n", "3", "--beta", "1e400"],
+                 "argument --beta: must be finite", id="beta"),
+    pytest.param(["mayer", *WELL, "--epsilon=-inf", "--B", "1", "--n", "3"],
+                 "argument --epsilon: must be finite", id="epsilon"),
+    pytest.param(["mayer", *ROD, "--n", "3", "--volume", "1e400"],
+                 "argument --volume: must be", id="volume"),
+    pytest.param(["canonical", *ROD, "--L", "inf", "--N", "4", "--k-max", "2"],
+                 "argument --L: must be finite", id="L"),
+    *BAD_FLAG_VALUES,
+])
 def test_infinite_input_exits_2_naming_the_flag(capsys, argv, named):
+    # and, from BAD_FLAG_VALUES, every other value a flag's type refuses
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err
 

@@ -136,10 +136,13 @@ MC_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
-@pytest.mark.parametrize("key, value", [("chunk", 0), ("chunk", -3), ("samples", 0)])
+@pytest.mark.parametrize("key, value", [("chunk", 0), ("chunk", -3), ("samples", 0),
+                                        ("seed", -1), ("seed", 2**64)])
 def test_mc_sizes_below_one_rejected(sphere, entry, key, value):
-    with pytest.raises(ConfigError, match=rf"Monte Carlo {key} must be an integer >= 1"):
-        MC_ENTRY_POINTS[entry](sphere, seed=1, **{key: value})
+    # a seed outside the Philox key word [0, 2^64) once raised OverflowError
+    bound = r"in \[0, 2\^64\)" if key == "seed" else ">= 1"
+    with pytest.raises(ConfigError, match=rf"Monte Carlo {key} must be an integer {bound}"):
+        MC_ENTRY_POINTS[entry](sphere, **{"seed": 1, key: value})
 
 
 @pytest.mark.parametrize("entry", MC_ENTRY_POINTS)

@@ -36,6 +36,14 @@ def test_f_bond_array_matches_scalar(well):
     arr = f_bond_array(well, 1.3, rs)
     for r, v in zip(rs, arr):
         assert v == pytest.approx(f_bond(well, 1.3, float(r)), abs=1e-15)
+    # a table whose last sample falls short of its cutoff holds that V out to
+    # the cutoff in both; math.expm1 and np.expm1 differ by an ulp at V = -1
+    table = PairPotential("custom_tabulated", 1.0, 1,
+                          table=((0.0, 2.0), (1.0, -1.0), (1.5, -1.0)), cutoff=3.0, B=1.0)
+    rs = np.linspace(0.0, 4.0, 81)
+    for r, v in zip(rs, f_bond_array(table, 1.0, rs)):
+        want = f_bond(table, 1.0, float(r))
+        assert abs(v - want) <= math.ulp(want), (r, v, want)
 
 
 @st.composite
@@ -158,6 +166,12 @@ def test_config_loader():
         potential_from_config({"sigma": 1.0})
     with pytest.raises(ConfigError):
         potential_from_config({"kind": "hard_rod", "sigma": 1.0, "cutoff": 3.0})
+    # a value that does not convert is refused under its key
+    table = {"kind": "custom_tabulated", "sigma": 1.0, "table": [[0, 1], [1, 0]], "cutoff": 1.0}
+    for key, value in (("sigma", "abc"), ("dimension", "x"), ("epsilon", [1]), ("B", "b"),
+                       ("table", 5), ("table", [[0, 1, 2]]), ("cutoff", "far")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            potential_from_config({**table, key: value})
 
 
 def test_breakpoints(well, rod):

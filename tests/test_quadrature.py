@@ -275,14 +275,13 @@ def test_last_level_steps_give_the_same_bits(monkeypatch, well, step):
     assert got == want
 
 
-def test_last_level_takes_one_step_past_the_id_bound(monkeypatch, well):
-    # b_4's units have 3^3 level rows per prefix, so with two prefixes the
-    # ids pass this bound and _append_levels renumbers each step on its own,
-    # which would merge unrelated rows across steps
-    want = np.array(_gap_integral(well, 1.0, 4, "connected", None)).tobytes()
-    monkeypatch.setattr(quadrature, "WEIGHT_BLOCK", 7)
-    monkeypatch.setattr(quadrature, "_ID_LIMIT", 3 ** 3)
-    assert np.array(_gap_integral(well, 1.0, 4, "connected", None)).tobytes() == want
+def test_level_ids_refuse_an_int64_overflow():
+    # 3^39 < 2^63 - 1 < 3^40: thirty-nine base-3 digits fit, the fortieth is refused
+    digits = [np.array([2, 1])] * 40
+    ids, count = _append_levels(np.zeros(2, dtype=np.int64), 1, digits[:39], 3)
+    assert count == 3 ** 39 and ids.tolist() == [3 ** 39 - 1, (3 ** 39 - 1) // 2]
+    with pytest.raises(CapacityError, match="level-row ids of base 3 overflow an int64"):
+        _append_levels(np.zeros(2, dtype=np.int64), 1, digits, 3)
 
 
 @pytest.mark.parametrize("rows", [None, 50])
@@ -343,15 +342,18 @@ def test_panel_sum_is_bitwise_node_sum(case):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 300), st.integers(1, 12), st.integers(1, 60), st.randoms())
-def test_level_ids_renumber_before_overflow(base, ncols, rows, rnd):
-    # up to 300^12 digit rows: no int64 holds them, so the ids get renumbered
-    levels = np.array([[rnd.randrange(min(base, 3)) if rnd.random() < 0.7 else rnd.randrange(base)
-                        for _ in range(ncols)] for _ in range(rows)])
-    ids, count = _append_levels(np.zeros(rows, dtype=np.int64), 1, levels.T, base)
-    assert 0 <= ids.min() and ids.max() < count
-    _, want = np.unique(levels, axis=0, return_inverse=True)
-    _, got = np.unique(ids, return_inverse=True)
-    assert got.ravel().tolist() == want.ravel().tolist()
+def test_level_ids_pack_one_digit_per_level(base, ncols, rows, rnd):
+    # up to 300^12 digit rows: ids that would pass an int64 are refused, not renumbered
+    levels = [[rnd.randrange(base) for _ in range(ncols)] for _ in range(rows)]
+    columns = np.array(levels, dtype=np.int64).T
+    if base ** ncols > np.iinfo(np.int64).max:
+        with pytest.raises(CapacityError, match=f"base {base} overflow"):
+            _append_levels(np.zeros(rows, dtype=np.int64), 1, columns, base)
+        return
+    ids, count = _append_levels(np.zeros(rows, dtype=np.int64), 1, columns, base)
+    assert count == base ** ncols
+    assert ids.tolist() == [sum(d * base ** (ncols - 1 - j) for j, d in enumerate(row))
+                            for row in levels]
 
 
 def test_pair_window_matrix_columns():
