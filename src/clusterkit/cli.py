@@ -88,13 +88,19 @@ def _volume(text: str) -> Optional[float]:
 
 
 def _zeta(text: str) -> Dict[int, object]:
-    """The type of --zeta: activities like '2=0.5,3=-1/3', a Fraction where there is a '/'."""
+    """The type of --zeta: activities like '2=0.5,3=-1/3', a Fraction where there is a '/'.
+
+    A NaN or infinite float, typed or overflowing like 1e400, is refused.
+    """
     try:
-        return {int(key): Fraction(val) if "/" in val else float(val)
+        zeta = {int(key): Fraction(val) if "/" in val else float(val)
                 for key, _, val in (item.partition("=") for item in text.split(","))}
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"want activities like '2=0.5,3=-1/3', got {text!r}") from None
+    if not all(math.isfinite(z) for z in zeta.values() if isinstance(z, float)):
+        raise argparse.ArgumentTypeError(f"activities must be finite, got {text!r}")
+    return zeta
 
 
 def _sizes(text: str) -> Tuple[int, ...]:

@@ -36,12 +36,17 @@ The module provides:
     every edge mask on up to 6 vertices, kept per (n, root);
     ``connected_mask_flags`` reads its flags,
   * ``_slack_free_tree_masks``, the one Penrose-tree enumerator: the trees
-    with no slack edge in the host, grown one generation at a time without
-    looking at a non-tree subgraph, on any number of vertices.  The verify
-    checks count them against ``ursell_values``.  ``penrose_trees`` and
+    with no slack edge in the host, on any number of vertices, by one of
+    two paths chosen by n.  Up to TABLE_MAX_N vertices it filters a table
+    of every labeled tree and its slack mask, kept per (n, root), with a
+    few array operations per host; past it, and at n = 1, it grows the
+    trees one generation at a time without looking at a non-tree subgraph
+    (``_grown_tree_masks``), as n^(n-2) outgrows the tree count of most
+    hosts.  Both give the same tree set.  The verify checks count them
+    against ``ursell_values``.  ``penrose_trees`` and
     ``penrose_trees_fast`` wrap them as ``RootedTree``s of a
     ``LabeledGraph`` host for the bench harness, with no separate
-    connectivity pass (the growth yields a tree exactly when the host is
+    connectivity pass (either path yields a tree exactly when the host is
     connected).
 """
 
@@ -423,8 +428,8 @@ def _mask_tree_image(n: int, gmask: int, root: int) -> int:
 #: masks per step of the array kernel; bounds its scratch memory
 MASK_BLOCK = 4096
 _BLOCK_BITS = MASK_BLOCK.bit_length() - 1
-#: vertex counts up to which the tree image of every edge mask is kept, in
-#: one table per root
+#: vertex counts up to which the tree image of every edge mask, and every
+#: labeled tree with its slack mask, are kept, in one table per root
 TABLE_MAX_N = 6
 
 #: index of the lowest vertex in each vertex bitset on up to 11 vertices, -1
@@ -623,8 +628,43 @@ def slack_masks(n: int, trees, root: int = 1) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _tree_slack_table(n: int, root: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every labeled tree on [n] (``prufer_tree_masks``) and the tree plus
+    its slack edges at ``root`` (``slack_masks``), kept per (n, root), read-only.
+    """
+    trees = prufer_tree_masks(n)
+    span = trees | slack_masks(n, trees, root)
+    trees.flags.writeable = span.flags.writeable = False
+    return trees, span
+
+
 def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
     """Edge masks of the spanning trees of host ``gmask`` on [n] with no slack edge in it.
+
+    These are the Penrose trees: a tree is its own sole preimage inside the
+    host under ``_mask_tree_image`` exactly when the host holds none of its
+    slack edges (``_slack_mask``).  Two paths give the same set, chosen by
+    n.  For 2 <= n <= TABLE_MAX_N the n^(n-2) labeled trees and their slack
+    masks at ``root`` are built once (``_tree_slack_table``; at most 1,296
+    rows), and the host's trees are one array test over them: a tree lies
+    inside the host and none of its slack edges does, that is, host & (tree
+    | slack) == tree, as a tree has no edge in its slack mask.  This costs a
+    few array operations per host where the growth pays per tree, and the
+    trees come in sequence order.  For n = 1 and n > TABLE_MAX_N, where
+    n^(n-2) outgrows the tree count of most hosts, the trees are grown
+    (``_grown_tree_masks``).  A disconnected host has none.
+    """
+    if not 2 <= n <= TABLE_MAX_N:
+        return _grown_tree_masks(n, gmask, root)
+    _check_root(n, root)
+    _check_mask_range(n, gmask, gmask)
+    trees, span = _tree_slack_table(n, root)  # positional: one cache entry per (n, root)
+    return trees[(span & gmask) == trees].tolist()
+
+
+def _grown_tree_masks(n: int, gmask: int, root: int = 1) -> list:
+    """``_slack_free_tree_masks`` by growth from the root, on any number of vertices.
 
     A spanning tree T has no slack edge (``_slack_mask``) in the host
     exactly when each generation of T is an independent set of the host and
@@ -681,9 +721,9 @@ def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:
     The trees of ``_slack_free_tree_masks``, as ``RootedTree``s: a tree is
     its own sole preimage inside ``g`` under ``_mask_tree_image`` exactly
     when ``g`` holds none of its slack edges.  Their count equals the size
-    of the Ursell value of ``g`` (``ursell_values``).  The growth reaches
-    every vertex exactly when ``g`` is connected, so no tree means a
-    disconnected graph (DomainError).
+    of the Ursell value of ``g`` (``ursell_values``), which is nonzero
+    exactly when ``g`` is connected, so no tree means a disconnected graph
+    (DomainError).
     """
     return _penrose_trees(g, root)
 

@@ -244,6 +244,14 @@ def _config_value(cfg: Mapping, key: str, convert=float, default=None):
         raise ConfigError(f"invalid potential config value {key!r}: {value!r}") from None
 
 
+def _integral(value) -> int:
+    """``int(value)``, refusing a float with a fractional part (or NaN, or an
+    infinity) rather than truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def potential_from_config(cfg: Mapping) -> PairPotential:
     """Build a potential from a flat config mapping, rejecting unknown keys
     and naming the key of a value that is not a number (or, for 'table', a
@@ -263,7 +271,7 @@ def potential_from_config(cfg: Mapping) -> PairPotential:
     kwargs = dict(
         kind=kind,
         sigma=_config_value(cfg, "sigma"),
-        dimension=_config_value(cfg, "dimension", int, 1),
+        dimension=_config_value(cfg, "dimension", _integral, 1),
         epsilon=_config_value(cfg, "epsilon", default=0.0),
         lambda_w=_config_value(cfg, "lambda_w", default=0.0),
         B=_config_value(cfg, "B"),

@@ -26,7 +26,8 @@ Two engines live here:
   ``distinct_ids`` ranks the level rows of a block of the last level, or
   of a Monte Carlo chunk, in a table over their ids or by one sort.
   The last level runs PREFIX_BLOCK prefix rows a block, each reduced to one
-  partial sum by one dot product; these partial sums fix the bits.  Its
+  partial sum by numpy's pairwise sum, not a BLAS dot (``_block_sum``);
+  these partial sums fix the bits, whatever the BLAS thread count.  Its
   scratch memory is bounded by the block: a block's arrays are freed before
   the next block's are made, and its level work runs WEIGHT_BLOCK panels a
   step, so only the ids and positions of the evaluated nodes span a block.
@@ -572,10 +573,11 @@ def gap_quadrature(
     order; their difference is the callers' error estimate.  Each schedule
     expands the prefix rows one level at a time as arrays.  The final level
     is taken PREFIX_BLOCK prefix rows at a time (``_block_sum``), each block
-    reduced to one partial sum by one dot product: PREFIX_BLOCK fixes the
-    partial sums, and so the bits.  The level work of a block runs
-    WEIGHT_BLOCK panels a step, which bounds its scratch memory and leaves
-    the bits alone, and weight_fn sees at most WEIGHT_BLOCK rows a call.
+    reduced to one partial sum by numpy's pairwise sum: PREFIX_BLOCK fixes
+    the partial sums, and so the bits, whatever the BLAS thread count.  The
+    level work of a block runs WEIGHT_BLOCK panels a step, which bounds its
+    scratch memory and leaves the bits alone, and weight_fn sees at most
+    WEIGHT_BLOCK rows a call.
     """
     if support is None and box_length is None:
         raise ValueError("need a support radius or a box length")
@@ -614,7 +616,10 @@ def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[flo
     for a block without panels.
 
     A function of its own, so that none of the block's arrays outlives it
-    while the next block's panels and values are made.
+    while the next block's panels and values are made.  The weighted values
+    are summed by numpy's pairwise ``add.reduce``, not ``np.dot``: OpenBLAS
+    splits a dot of more than 10,000 terms across its threads, so the bits
+    of a dot follow the BLAS thread count, and those of this sum do not.
     """
     box_length = rule[3]
     row, a, h = _panels(prefix, *rule)
@@ -629,4 +634,5 @@ def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[flo
         vals = _panel_values(weight_fn, prefix, row, a, h, xq, level_cuts)
     if box_length is not None:
         vals = vals * (box_length - pts.sum(axis=1))
-    return float(np.dot(vals, _node_weights(wts, row, h, wq)))
+    w = _node_weights(wts, row, h, wq)
+    return float(np.add.reduce(np.multiply(vals, w, out=w)))

@@ -5,14 +5,15 @@ arguments: the suite has no settings, and every sampled check draws from
 ``SEED``.  ``run_checks`` executes a suite and prints one PASS/FAIL line per
 check, and ``tests/test_verify.py`` runs every entry under pytest.  The
 graph checks work on integer edge masks only: their hosts are the masks of
-``graphs.connected_mask_flags``, and their trees the masks of the slack-rule
-growth ``graphs._slack_free_tree_masks`` and of ``graphs.prufer_tree_masks``.
+``graphs.connected_mask_flags``, and their trees the masks of
+``graphs._slack_free_tree_masks`` (a filter of every labeled tree up to 6
+vertices, the slack-rule growth past that) and of ``graphs.prufer_tree_masks``.
 The exhaustive tree-identity scan checks the premise of Penrose's proof:
 grouped by tree image, the connected spanning masks of the complete graph
 form the boolean intervals [tree, tree | slack(tree)] of the slack rule that
 the growth follows.  The identity on every host follows by summing over the
 intervals, so per host only the sign is checked.  Given the intervals, the
-grown trees of a host are its Penrose trees when they are distinct
+enumerated trees of a host are its Penrose trees when they are distinct
 slack-free spanning trees inside it, as many as |Ursell|; the
 fast-equivalence check tests that on 811 hosts of up to 6 vertices.
 """
@@ -110,9 +111,9 @@ def penrose_identity_random(
 
     Each host is the first connected graph among G(n, 1/2) draws.  The
     Ursell values come from one ``ursell_values`` call, by the vertex-subset
-    log, and independently the Penrose trees of each host from the
-    slack-rule growth ``_slack_free_tree_masks``, which looks at no
-    non-tree subgraph.  A host mismatches if the tree count is not |Ursell|,
+    log, and independently the Penrose trees of each host from
+    ``_slack_free_tree_masks``, past 6 vertices the slack-rule growth,
+    which looks at no non-tree subgraph.  A host mismatches if the tree count is not |Ursell|,
     or if the first tree grown has a slack edge (``graphs.slack_masks``,
     one call for all the hosts) in the host, which a growth that gives a
     vertex the wrong parent does.  The exhaustive scan checks the slack

@@ -322,6 +322,8 @@ PARSED_FLAGS = [
     ("polymer", "zeta", "2=abc", ["polymer", "xi", "--n-ground", "3"]),
     ("polymer", "zeta", "x=1", ["polymer", "xi", "--n-ground", "3"]),
     ("polymer", "zeta", "2=1/0", ["polymer", "xi", "--n-ground", "3"]),
+    ("polymer", "zeta", "2=nan", ["polymer", "xi", "--n-ground", "3"]),
+    ("polymer", "zeta", "2=inf", ["polymer", "xi", "--n-ground", "3"]),
     ("polymer", "s", "2,,3", ["polymer", "pexact", "--n-ground", "3"]),
 ]
 

@@ -15,6 +15,7 @@ from clusterkit.graphs import (
     RootedTree,
     _decode_tree_sequence,
     _deposit_rows,
+    _grown_tree_masks,
     _mask_adjacency,
     _mask_connected,
     _mask_tree_image,
@@ -23,6 +24,7 @@ from clusterkit.graphs import (
     _slack_free_tree_masks,
     _slack_mask,
     _sweep,
+    _tree_slack_table,
     connected_mask_flags,
     edge_mask,
     enum_graphs,
@@ -423,14 +425,16 @@ def _blocked_submask_classes(n, gmask, root):
 
 
 def _check_engine(n, host, root):
-    # the grown trees against the brute force's singleton classes
+    # the Penrose trees, from the table (2 <= n <= 6) and by the growth,
+    # against the brute force's singleton classes
     trees, preimages = _blocked_submask_classes(n, host, root)
     value = ursell_values(n, [host])[0]
     assert value == ursell_table(n)[host]
     if _mask_connected(n, host):
-        found = _slack_free_tree_masks(n, host, root)
-        assert sorted(found) == trees[preimages == 1].tolist()
-        assert len(found) == abs(value) == np.count_nonzero(preimages == 1)
+        for enumerate_trees in (_slack_free_tree_masks, _grown_tree_masks):
+            found = enumerate_trees(n, host, root)
+            assert sorted(found) == trees[preimages == 1].tolist()
+            assert len(found) == abs(value) == np.count_nonzero(preimages == 1)
     return value
 
 
@@ -539,6 +543,32 @@ def test_penrose_trees_has_no_vertex_cap():
     # past the mask tables' 6 vertices: (n - 1)! trees on the complete graph
     for n in (7, 8):
         assert len(penrose_trees(as_graph(n, complete(n)))) == math.factorial(n - 1)
+
+
+def _same_trees_and_errors(n, mask, root):
+    try:
+        want = sorted(_grown_tree_masks(n, mask, root))
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            _slack_free_tree_masks(n, mask, root)
+        assert str(got.value) == str(err)
+    else:
+        assert sorted(_slack_free_tree_masks(n, mask, root)) == want
+
+
+def test_table_path_equals_the_growth():
+    # every mask on up to 5 vertices at every root, 200 random masks on 6,
+    # and a root or a mask out of range, which both refuse alike
+    rng = random.Random(39)
+    for n in range(1, 7):
+        npairs = n * (n - 1) // 2
+        masks = range(1 << npairs) if n <= 5 else [rng.getrandbits(npairs) for _ in range(200)]
+        for mask in [*masks, -1, 1 << npairs]:
+            for root in range(0, n + 2):
+                _same_trees_and_errors(n, mask, root)
+    trees, span = _tree_slack_table(6, 3)
+    assert trees.size == 6 ** 4 and not trees.flags.writeable and not span.flags.writeable
+    assert _tree_slack_table(6, 3)[1] is span
 
 
 @pytest.mark.parametrize("edges", (12, 18))
@@ -732,13 +762,15 @@ def _cache_sizes():
 
 def test_penrose_engine_grows_no_cache_once_filled():
     # the tables to fill before timing: ursell tables, the root-1 mask tree
-    # tables (which ursell tables no longer build) and the vertex pairs of
-    # each n; p_exact keeps no cache
+    # tables (which ursell tables no longer build), the root-1 tree and
+    # slack tables of the Penrose trees and the vertex pairs of each n;
+    # p_exact keeps no cache
     for n in range(1, 13):
         edge_mask(n, ())
     for n in range(1, 7):
         ursell_table(n)
         connected_mask_flags(n)
+        _slack_free_tree_masks(n, 0)
     for s in ((2, 2), (2, 2, 2)):
         polymer.p_exact(6, s)
     before = _cache_sizes()
@@ -860,7 +892,7 @@ def test_identity_random_draws_the_same_hosts(monkeypatch):
 
 
 def _broken_growth(independent=True, smallest_parent=False):
-    """The slack-rule growth of ``_slack_free_tree_masks`` with one rule broken.
+    """The slack-rule growth of ``_grown_tree_masks`` with one rule broken.
 
     Without the independence step a generation may hold a host edge, which
     is slack, so the trees counted are more than the Penrose trees wherever
@@ -910,7 +942,7 @@ def test_broken_growth_with_no_rule_broken_is_the_growth():
             mask = rng.getrandbits(n * (n - 1) // 2)
             if _mask_connected(n, mask):
                 root = rng.randint(1, n)
-                assert _broken_growth()(n, mask, root) == _slack_free_tree_masks(n, mask, root)
+                assert _broken_growth()(n, mask, root) == _grown_tree_masks(n, mask, root)
 
 
 @pytest.mark.parametrize("n", (7, 8))

@@ -168,10 +168,13 @@ def test_config_loader():
         potential_from_config({"kind": "hard_rod", "sigma": 1.0, "cutoff": 3.0})
     # a value that does not convert is refused under its key
     table = {"kind": "custom_tabulated", "sigma": 1.0, "table": [[0, 1], [1, 0]], "cutoff": 1.0}
-    for key, value in (("sigma", "abc"), ("dimension", "x"), ("epsilon", [1]), ("B", "b"),
+    for key, value in (("sigma", "abc"), ("dimension", "x"), ("dimension", 2.5),
+                       ("dimension", float("inf")), ("epsilon", [1]), ("B", "b"),
                        ("table", 5), ("table", [[0, 1, 2]]), ("cutoff", "far")):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             potential_from_config({**table, key: value})
+    # an integral float is the integer, not truncated
+    assert potential_from_config({"kind": "hard_sphere", "sigma": 1, "dimension": 3.0}).dimension == 3
 
 
 def test_breakpoints(well, rod):
