@@ -13,7 +13,6 @@ from .errors import (
     CapacityError,
     ClusterKitError,
     ConfigError,
-    DivergenceError,
     DomainError,
     InputError,
     JammedError,
@@ -23,7 +22,6 @@ __all__ = [
     "CapacityError",
     "ClusterKitError",
     "ConfigError",
-    "DivergenceError",
     "DomainError",
     "InputError",
     "JammedError",

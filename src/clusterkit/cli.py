@@ -358,14 +358,6 @@ def _cmd_radii(args) -> int:
     return 0
 
 
-def _describe_potential(pot: PairPotential) -> dict:
-    d = {"kind": pot.kind, "sigma": pot.sigma, "dimension": pot.dimension, "B": pot.B}
-    if pot.kind == "square_well":
-        d["epsilon"] = pot.epsilon
-        d["lambda_w"] = pot.lambda_w
-    return d
-
-
 def _require_potential(args) -> PairPotential:
     pot = _potential_from_args(args)
     if pot is None:
@@ -387,7 +379,7 @@ def _cmd_mayer(args) -> int:
         rows.append([f"b_{n}", n, args.beta, val, err, bound])
         records.append({
             "quantity": "b_n", "n": n, "beta": args.beta,
-            "potential": _describe_potential(pot),
+            "potential": pot.to_config(),
             "volume": args.volume, "value": val, "error": err,
             "penrose_bound": bound,
             "method": args.method, "seed": args.seed,
@@ -425,7 +417,7 @@ def _cmd_virial(args) -> int:
             rows.append([k, closed, "closed_form", 0.0])
         records.append({
             "quantity": "beta_k", "k": k, "beta": args.beta,
-            "potential": _describe_potential(pot),
+            "potential": pot.to_config(),
             "transform": transform, "inversion": inversion,
             "direct": direct, "direct_error": derr,
             "closed_form": closed,

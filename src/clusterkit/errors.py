@@ -17,10 +17,6 @@ class InputError(ClusterKitError):
     """Malformed or incomplete input data (missing coefficients, bad tuples)."""
 
 
-class DivergenceError(ClusterKitError):
-    """Integrand is not integrable over the requested domain."""
-
-
 class JammedError(ClusterKitError):
     """Hard-core configuration space is empty (box too small for the cores)."""
 

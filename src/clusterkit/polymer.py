@@ -43,21 +43,32 @@ P_EXACT_MAX_TOTAL = 8
 CK_FINITE_MAX_K = 3
 
 
+def _integral(x) -> bool:
+    """True for an int or an integral float, not for a bool."""
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ActivityProfile:
-    """Cardinality-dependent activities zeta_m, m = 2..N (sparse, may be negative)."""
+    """Cardinality-dependent activities zeta_m, m = 2..N (sparse, may be negative;
+    a zero is dropped wherever it sits)."""
 
     N: int
     zeta: Mapping[int, Number]
 
     def __post_init__(self):
-        if self.N < 1:
-            raise InputError("ground-set size must be >= 1")
-        z = {int(m): v for m, v in dict(self.zeta).items() if v != 0}
-        bad = [m for m in z if m < 2 or m > self.N]
+        N, zeta = self.N, dict(self.zeta)
+        if not (_integral(N) and N >= 1):
+            raise InputError(f"ground-set size N must be an integer >= 1, got {N!r}")
+        bad = {m: v for m, v in zeta.items()
+               if isinstance(v, bool) or not isinstance(v, numbers.Number)
+               or v != 0 and not (_integral(m) and 2 <= m <= N)}
         if bad:
-            raise InputError(f"activity indices {bad} outside 2..{self.N}")
-        object.__setattr__(self, "zeta", z)
+            raise InputError(f"activities {bad} need integer indices in 2..{N} and numbers")
+        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "zeta", {int(m): v for m, v in zeta.items() if v != 0})
 
     @classmethod
     def from_mayer(cls, b, N: int, rho: float) -> "ActivityProfile":
@@ -202,8 +213,8 @@ class FPCheckResult:
 
 def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
     """Evaluate sum_m e^(a m) |zeta_m| C(N-1, m-1) against e^a - 1."""
-    if a <= 0:
-        raise InputError("the weight parameter a must be positive")
+    if not 0 < a < math.inf:
+        raise InputError(f"the weight parameter a must be positive and finite, got {a!r}")
     lhs = math.fsum(
         math.exp(a * m) * profile.c_rho(m) for m in profile.zeta
     )

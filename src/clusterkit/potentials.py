@@ -17,15 +17,29 @@ where at most two rods sit inside each other's well).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from contextlib import suppress
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DomainError
 from .quadrature import bond_levels, integrate_1d, sphere_surface
 
 KINDS = ("hard_rod", "hard_sphere", "square_well", "custom_tabulated")
+
+
+def _real(name: str, value, rule: str = "finite", ok=lambda x: True) -> float:
+    """``value`` as a finite float that ``ok`` accepts; a bool, a non-number or
+    any other value raises ConfigError naming ``name`` and ``rule``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            x = float(value)
+            if math.isfinite(x) and ok(x):
+                return x
+    raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,16 @@ class PairPotential:
       square_well       infinite core, depth -epsilon on (sigma, lambda_w*sigma)
       custom_tabulated  linear interpolation of (r, V) samples inside a finite
                         cutoff radius, zero beyond
+
+    Construction is the one check of a potential; each refusal is a
+    ConfigError naming the field.  ``sigma``, ``epsilon``, ``lambda_w``,
+    ``B`` and ``cutoff`` become floats, ``dimension`` an int (3.0 is 3) and
+    ``table`` a tuple of float pairs, each number finite and no bool.
+    sigma > 0; dimension is a whole number >= 1, and 1 for hard_rod; B >= 0.
+    A square well has lambda_w > 1, a finite range lambda_w*sigma and
+    epsilon >= 0.  A table of (r, V) pairs with strictly increasing r, and
+    a cutoff > 0, belong to custom_tabulated alone.  A square well, and a
+    table that goes negative, need an explicit B; otherwise B is 0.
     """
 
     kind: str
@@ -52,58 +76,64 @@ class PairPotential:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown potential kind {self.kind!r}; want one of {KINDS}")
-        if not self.sigma > 0:
-            raise ConfigError("sigma must be positive")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be a positive integer")
+        fix = partial(object.__setattr__, self)
+        fix("sigma", _real("sigma", self.sigma, "positive and finite", lambda x: x > 0))
+        fix("dimension", int(_real("dimension", self.dimension, "a positive integer",
+                                   lambda x: x >= 1 and x.is_integer())))
+        fix("epsilon", _real("epsilon", self.epsilon))
+        fix("lambda_w", _real("lambda_w", self.lambda_w))
         if self.kind == "hard_rod" and self.dimension != 1:
-            raise ConfigError("hard_rod is one-dimensional; use hard_sphere for d > 1")
+            raise ConfigError("hard_rod needs dimension 1; use hard_sphere for d > 1")
         if self.kind == "square_well":
             if not self.lambda_w > 1.0:
                 raise ConfigError("square_well needs well width ratio lambda_w > 1")
+            if math.isinf(self.lambda_w * self.sigma):
+                raise ConfigError("square_well range lambda_w*sigma overflows a float")
             if not self.epsilon >= 0:
                 raise ConfigError("square_well well depth epsilon must be >= 0")
-            if self.B is None:
-                raise ConfigError(
-                    "square_well needs an explicit stability constant B "
-                    "(e.g. half the maximal well-neighbor count times epsilon)"
-                )
-        if self.kind == "custom_tabulated":
-            if not self.table:
-                raise ConfigError("custom_tabulated needs (r, V) samples")
+        if self.kind != "custom_tabulated":
+            if self.table or self.cutoff is not None:
+                key = "table" if self.table else "cutoff"
+                raise ConfigError(f"{key} is only valid for custom_tabulated, not {self.kind}")
+        else:
+            rule = "(r, V) pairs of finite numbers"
+            try:
+                fix("table", tuple((_real("table", r, rule), _real("table", v, rule))
+                                   for r, v in self.table))
+            except (TypeError, ValueError):
+                raise ConfigError(f"table must be {rule}, got {self.table!r}") from None
             rs = [r for r, _ in self.table]
-            if not all(b > a for a, b in zip(rs, rs[1:])):
-                raise ConfigError("table radii must be strictly increasing")
-            if self.cutoff is None:
-                raise ConfigError("custom_tabulated needs an explicit finite cutoff radius")
-            if self.B is None and not self.is_nonnegative:
-                raise ConfigError(
-                    "custom_tabulated table goes negative, so it needs an explicit "
-                    "stability constant B"
-                )
-        if self.B is None:
-            object.__setattr__(self, "B", 0.0)
-        if not self.B >= 0:
-            raise ConfigError("stability constant B must be >= 0")
+            if not rs or not all(b > a for a, b in zip(rs, rs[1:])):
+                raise ConfigError("custom_tabulated needs a table with strictly increasing radii")
+            fix("cutoff", _real("cutoff", self.cutoff, "positive and finite", lambda x: x > 0))
+        if self.B is not None:
+            fix("B", _real("stability constant B", self.B, ">= 0 and finite", lambda x: x >= 0))
+        elif self.kind == "square_well" or not self.is_nonnegative:
+            raise ConfigError(
+                "a square well, and a table that goes negative, need an explicit stability "
+                "constant B (e.g. half the maximal well-neighbor count times the well depth)")
+        else:
+            fix("B", 0.0)
+
+    def to_config(self) -> dict:
+        """The fields its kind uses, as the config ``potential_from_config`` reads back."""
+        used = {"square_well": ("epsilon", "lambda_w"), "custom_tabulated": ("table", "cutoff")}
+        return {key: getattr(self, key)
+                for key in ("kind", "sigma", "dimension", "B", *used.get(self.kind, ()))}
 
     # -- shape queries ------------------------------------------------------
 
     @property
     def range_radius(self) -> float:
         """Radius beyond which the potential (and the bond function) vanishes."""
-        if self.kind == "square_well":
-            return self.lambda_w * self.sigma
-        if self.kind == "custom_tabulated":
-            return float(self.cutoff)
-        return self.sigma
+        return self.breakpoints()[-1]
 
     def breakpoints(self) -> Tuple[float, ...]:
-        """Radii where the bond function jumps or kinks."""
+        """Radii where the bond function jumps or kinks, ending at the range."""
         if self.kind == "square_well":
             return (self.sigma, self.lambda_w * self.sigma)
         if self.kind == "custom_tabulated":
-            knots = [r for r, _ in self.table if 0 < r < self.cutoff]
-            return tuple(sorted(set(knots) | {self.cutoff}))
+            return (*(r for r, _ in self.table if 0 < r < self.cutoff), self.cutoff)
         return (self.sigma,)
 
     @property
@@ -211,15 +241,12 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
-    top = p.range_radius
-    if not math.isfinite(top):
-        raise DivergenceError("potential support is not finite; C(beta) undefined here")
     d = p.dimension
 
     def integrand(r):
         return np.abs(f_bond_array(p, beta, r)) * r ** (d - 1)
 
-    val, err = integrate_1d(integrand, 0.0, top, breakpoints=p.breakpoints(), tol=1e-12)
+    val, err = integrate_1d(integrand, 0.0, p.range_radius, breakpoints=p.breakpoints(), tol=1e-12)
     s = sphere_surface(d)
     return s * val, s * err
 
@@ -229,55 +256,29 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 # also the keys of the CLI's "potential" config section and the dests of its potential flags
-CONFIG_KEYS = {"kind", "sigma", "epsilon", "lambda_w", "B", "dimension", "table", "cutoff"}
+CONFIG_KEYS = frozenset(f.name for f in fields(PairPotential))
 
 
-def _config_value(cfg: Mapping, key: str, convert=float, default=None):
-    """``convert(cfg[key])``, or ``default`` when the key is absent or null;
-    a value that does not convert raises ConfigError naming the key."""
-    value = cfg.get(key)
-    if value is None:
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"invalid potential config value {key!r}: {value!r}") from None
-
-
-def _integral(value) -> int:
-    """``int(value)``, refusing a float with a fractional part (or NaN, or an
-    infinity) rather than truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+def _parsed(key: str, value):
+    """``value`` with each string in it read as a float, or ConfigError naming ``key``."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            raise ConfigError(f"invalid potential config value {key!r}: {value!r}") from None
+    if isinstance(value, (list, tuple)):
+        return [_parsed(key, item) for item in value]
+    return value
 
 
 def potential_from_config(cfg: Mapping) -> PairPotential:
-    """Build a potential from a flat config mapping, rejecting unknown keys
-    and naming the key of a value that is not a number (or, for 'table', a
-    list of (r, V) pairs)."""
+    """The potential of a flat config mapping, the inverse of ``to_config``:
+    unknown keys are refused, a null is an absent key, each string but the
+    kind is read as a number, and ``PairPotential`` checks the rest."""
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown potential config key(s): {', '.join(unknown)}")
-    if "kind" not in cfg:
-        raise ConfigError("potential config needs a 'kind'")
-    kind = cfg["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"unknown potential kind {kind!r}; want one of {KINDS}")
-    if cfg.get("sigma") is None:
-        raise ConfigError("potential config needs 'sigma'")
-    if kind != "custom_tabulated" and ("table" in cfg or "cutoff" in cfg):
-        raise ConfigError("'table'/'cutoff' are only valid for custom_tabulated")
-    kwargs = dict(
-        kind=kind,
-        sigma=_config_value(cfg, "sigma"),
-        dimension=_config_value(cfg, "dimension", _integral, 1),
-        epsilon=_config_value(cfg, "epsilon", default=0.0),
-        lambda_w=_config_value(cfg, "lambda_w", default=0.0),
-        B=_config_value(cfg, "B"),
-    )
-    if kind == "custom_tabulated":
-        kwargs["table"] = _config_value(
-            cfg, "table", lambda t: tuple((float(r), float(v)) for r, v in t), ())
-        kwargs["cutoff"] = _config_value(cfg, "cutoff")
-    return PairPotential(**kwargs)
+    given = {key: value if key == "kind" else _parsed(key, value)
+             for key, value in cfg.items() if value is not None}
+    # an absent kind or sigma reaches the class as None, which it refuses by name
+    return PairPotential(**{"kind": None, "sigma": None, "dimension": 1, **given})

@@ -58,8 +58,6 @@ def gauss_nodes(q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def sphere_surface(d: int) -> float:
     """Surface measure of the unit sphere in R^d (2 for d=1, 4*pi for d=3)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 

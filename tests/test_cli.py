@@ -1,10 +1,11 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from clusterkit import cli, polymer, verify
+from clusterkit import cli, polymer, potentials, verify
 from clusterkit.cli import main, run_for_test
 from clusterkit.polymer import ActivityProfile, log_xi_ursell
 
@@ -250,6 +251,45 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     assert out["records"][1]["value"] == pytest.approx(-2.0)  # b_2 = -sigma
 
 
+TABULATED = {"kind": "custom_tabulated", "sigma": 1, "table": [[0, 1], [1, 0]], "cutoff": 1}
+
+
+@pytest.mark.parametrize("section, argv, key", [
+    ('{"kind": "hard_sphere", "sigma": true}', ["mayer", "--n", "2"], "sigma"),
+    ('{"kind": "hard_sphere", "sigma": 1, "dimension": true}', ["mayer", "--n", "2"],
+     "dimension"),
+    ('{"kind": "hard_rod", "sigma": 1e400}', ["mayer", "--n", "2"], "sigma"),
+    ('{"kind": "hard_rod", "sigma": 1e400}', ["polymer", "xi", "--n-ground", "4", "--rho", "0.1"],
+     "sigma"),
+    ('{"kind": "custom_tabulated", "sigma": 1, "table": [[0, 1], [1, 0]], "cutoff": -1}',
+     ["mayer", "--n", "2"], "cutoff"),
+    ('{"kind": "hard_rod", "sigma": 1, "table": [[0, 1], [1, 0]]}', ["mayer", "--n", "2"],
+     "table"),
+    ('{"kind": "hard_rod", "sigma": 1, "epsilon": NaN}', ["mayer", "--n", "2"], "epsilon"),
+], ids=["sigma_true", "dimension_true", "sigma_1e400", "sigma_1e400_polymer",
+        "cutoff_negative", "table_on_hard_rod", "epsilon_nan"])
+def test_bad_potential_section_exits_2_naming_the_key(tmp_path, capsys, section, argv, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"potential": %s}' % section)
+    assert main(["--config", str(cfg), *argv]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("section", [
+    pytest.param({"kind": "hard_rod", "sigma": 1}, id="integer_sigma"),
+    pytest.param({"kind": "hard_sphere", "sigma": 1.0, "dimension": 3.0}, id="float_dimension"),
+    pytest.param({"kind": "hard_rod", "sigma": "1.5"}, id="string_sigma"),
+    pytest.param(TABULATED, id="tabulated"),
+])
+def test_report_record_loads_back_as_the_potential(tmp_path, section):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"potential": section}))
+    record = run_json(["--config", str(cfg), "mayer", "--n", "2"])["records"][1]["potential"]
+    assert potentials.potential_from_config(record) == potentials.potential_from_config(section)
+    if section is TABULATED:
+        assert (record["table"], record["cutoff"]) == ([[0.0, 1.0], [1.0, 0.0]], 1.0)
+
+
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"mayer": {"banana": 1}}))
@@ -484,7 +524,10 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
     (["mayer", *WELL, "--epsilon", "nan", "--B", "1", "--n", "3"], "epsilon"),
     (["mayer", *ROD, "--sigma", "nan", "--n", "3"], "sigma must be positive"),
     (["radii", "--u", "nan"], "--u must be >= 1"),
-], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u"])
+    (["mayer", *ROD, "--epsilon", "nan", "--n", "3"], "epsilon must be finite"),
+    (["polymer", "fpcheck", "--n-ground", "6", "--zeta", "2=0.5", "--a", "nan"],
+     "weight parameter a"),
+], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u", "epsilon_unused", "a"])
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err

@@ -31,6 +31,18 @@ def test_profile_validation():
         ActivityProfile(3, {1: 1.0})
     prof = ActivityProfile(4, {2: 0.5, 3: 0.0})
     assert prof.zeta == {2: 0.5}  # zero activities dropped
+    assert ActivityProfile(3, {5: 0}).zeta == {}  # wherever they sit
+    # integral floats are the integers; anything else is refused, not truncated
+    prof = ActivityProfile(4.0, {2.0: 1.0, 3: Fraction(1, 2)})
+    assert (prof.N, prof.zeta) == (4, {2: 1.0, 3: Fraction(1, 2)})
+    assert type(prof.N) is int and all(type(m) is int for m in prof.zeta)
+    for N, zeta, named in ((4, {2.5: 1.0, 3: True}, "2.5"), (4, {2: 1.0, 3: True}, "True"),
+                           (4, {2: False}, "False"), (4, {2: "0.5"}, "'0.5'"),
+                           (4, {"2": 0.5}, "'2'"), (4.5, {2: 1.0}, "4.5"),
+                           (True, {}, "True"), (math.inf, {}, "inf")):
+        with pytest.raises(InputError) as exc:
+            ActivityProfile(N, zeta)
+        assert named in str(exc.value)
 
 
 def test_profile_from_mayer_consistency():
@@ -274,8 +286,10 @@ def test_fp_check_zero_profile():
 
 
 def test_fp_check_needs_positive_weight():
-    with pytest.raises(InputError):
-        fp_check(ActivityProfile(5, {2: 0.1}), 0.0)
+    # at a = inf both sides were inf and the check "held" for any profile
+    for a in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="weight parameter a"):
+            fp_check(ActivityProfile(6, {2: 0.5, 3: -0.2}), a)
 
 
 # ---------------------------------------------------------------------------

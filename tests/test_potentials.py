@@ -1,10 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterkit.errors import ConfigError, DivergenceError, DomainError
+from clusterkit.errors import ConfigError, DomainError
 from clusterkit.potentials import (
     PairPotential,
     c_beta,
@@ -149,10 +151,67 @@ def test_tabulated_validation():
 
 
 def test_c_beta_divergence_guard():
-    pot = PairPotential("custom_tabulated", 1.0, 1,
-                        table=((0.0, 1.0), (1.0, 0.5)), cutoff=math.inf)
-    with pytest.raises(DivergenceError):
-        c_beta(pot, 1.0)
+    # an infinite support is refused where the potential is made, so c_beta
+    # never integrates out to infinity
+    with pytest.raises(ConfigError, match="cutoff must be positive and finite, got inf"):
+        PairPotential("custom_tabulated", 1.0, 1, table=((0.0, 1.0), (1.0, 0.5)), cutoff=math.inf)
+    with pytest.raises(ConfigError, match=r"range lambda_w\*sigma overflows"):
+        PairPotential("square_well", 1e200, 1, epsilon=1.0, lambda_w=1e200, B=1.0)
+
+
+def _names(message, key):
+    return re.search(rf"\b{key}\b", message)
+
+
+TABLE = ((0.0, 1.0), (1.0, 0.5))
+
+
+REFUSED_FIELDS = [
+    (("hard_sphere", 1.0, 2.5), {}, "dimension"),
+    (("hard_sphere", 1.0, True), {}, "dimension"),
+    (("hard_sphere", 1.0, math.nan), {}, "dimension"),
+    (("hard_sphere", 1.0, "3"), {}, "dimension"),
+    (("hard_rod", True, 1), {}, "sigma"),
+    (("hard_rod", math.inf, 1), {}, "sigma"),
+    (("hard_rod", 10 ** 400, 1), {}, "sigma"),
+    (("hard_rod", "1.5", 1), {}, "sigma"),
+    (("hard_rod", 1.0, 1), {"epsilon": math.nan}, "epsilon"),
+    (("hard_rod", 1.0, 1), {"lambda_w": math.inf}, "lambda_w"),
+    (("hard_rod", 1.0, 1), {"B": math.inf}, "B"),
+    (("hard_rod", 1.0, 1), {"B": False}, "B"),
+    (("hard_rod", 1.0, 1), {"table": TABLE, "cutoff": 2.0}, "table"),
+    (("hard_sphere", 1.0, 3), {"cutoff": 2.0}, "cutoff"),
+    (("square_well", 1.0, 1), {"epsilon": math.inf, "lambda_w": 1.5, "B": 1.0}, "epsilon"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": -1.0}, "cutoff"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": True}, "cutoff"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE}, "cutoff"),
+    (("custom_tabulated", 1.0, 1), {"table": ((0.0, math.nan),), "cutoff": 1.0}, "table"),
+    (("custom_tabulated", 1.0, 1), {"table": ((0.0, 1.0), (math.inf, 0.0)), "cutoff": 1.0},
+     "table"),
+    (("custom_tabulated", 1.0, 1), {"table": ((0.0, True),), "cutoff": 1.0}, "table"),
+    (("custom_tabulated", 1.0, 1), {"table": ((0.0, 1.0, 2.0),), "cutoff": 1.0}, "table"),
+    (("custom_tabulated", 1.0, 1), {"table": 5, "cutoff": 1.0}, "table"),
+    (("custom_tabulated", 1.0, 1), {"table": (), "cutoff": 1.0}, "table"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, key", REFUSED_FIELDS,
+                         ids=[f"{key}_{i}" for i, (_, _, key) in enumerate(REFUSED_FIELDS)])
+def test_construction_refuses_naming_the_field(args, kwargs, key):
+    with pytest.raises(ConfigError) as exc:
+        PairPotential(*args, **kwargs)
+    assert _names(str(exc.value), key), exc.value
+
+
+def test_construction_normalizes_the_fields():
+    pot = PairPotential("custom_tabulated", 1, 2.0, B=np.float64(1),
+                        table=[[0, 2], [1, -1], [np.int64(3), 0]], cutoff=3)
+    assert pot == PairPotential("custom_tabulated", 1.0, 2, B=1.0,
+                                table=((0.0, 2.0), (1.0, -1.0), (3.0, 0.0)), cutoff=3.0)
+    assert [type(getattr(pot, key)) for key in ("sigma", "dimension", "epsilon", "lambda_w",
+                                                "B", "cutoff")] == [float, int] + [float] * 4
+    assert {type(x) for pair in pot.table for x in pair} == {float}
+    assert type(pot.table) is tuple and all(type(pair) is tuple for pair in pot.table)
 
 
 def test_config_loader():
@@ -170,11 +229,90 @@ def test_config_loader():
     table = {"kind": "custom_tabulated", "sigma": 1.0, "table": [[0, 1], [1, 0]], "cutoff": 1.0}
     for key, value in (("sigma", "abc"), ("dimension", "x"), ("dimension", 2.5),
                        ("dimension", float("inf")), ("epsilon", [1]), ("B", "b"),
-                       ("table", 5), ("table", [[0, 1, 2]]), ("cutoff", "far")):
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+                       ("table", 5), ("table", [[0, 1, 2]]), ("cutoff", "far"),
+                       ("sigma", True), ("dimension", True), ("sigma", 1e400),
+                       ("cutoff", -1), ("table", [[0, "x"]])):
+        with pytest.raises(ConfigError) as exc:
             potential_from_config({**table, key: value})
+        assert _names(str(exc.value), key), exc.value
     # an integral float is the integer, not truncated
     assert potential_from_config({"kind": "hard_sphere", "sigma": 1, "dimension": 3.0}).dimension == 3
+    # strings are read as numbers, a table's too
+    assert potential_from_config({**table, "sigma": "1.5", "table": [["0", 1], [1, "0"]],
+                                  "dimension": "1"}) == PairPotential(
+        "custom_tabulated", 1.5, 1, table=((0.0, 1.0), (1.0, 0.0)), cutoff=1.0)
+
+
+#: one valid config of each kind
+CONFIGS = [
+    {"kind": "hard_rod", "sigma": 1.0},
+    {"kind": "hard_sphere", "sigma": 0.5, "dimension": 3},
+    {"kind": "square_well", "sigma": 1.0, "epsilon": 1.0, "lambda_w": 1.5, "B": 1.0},
+    {"kind": "custom_tabulated", "sigma": 1.0, "table": [[0, 2], [1, -1], [1.5, 0]],
+     "cutoff": 1.5, "B": 1.0},
+]
+
+_finite = st.floats(-3.0, 3.0) | st.integers(-3, 3)
+#: values no field takes, with True for "must be refused"
+_refused = st.sampled_from([math.inf, -math.inf, math.nan, True, False, 1e400, 10 ** 400,
+                            "inf", "nan", "-1e400", [1.0], {"r": 1.0}]).map(lambda v: (v, True))
+
+
+@st.composite
+def redrawn_configs(draw):
+    """A valid config with one field redrawn: (config, key, whether it must be refused)."""
+    cfg = dict(draw(st.sampled_from(CONFIGS)))
+    key = draw(st.sampled_from(["sigma", "dimension", "epsilon", "lambda_w", "B",
+                                "table", "cutoff"]))
+    tabulated = cfg["kind"] == "custom_tabulated"
+    if key == "table":
+        entry = _finite | st.sampled_from([math.nan, math.inf])
+        value, refused = draw(st.lists(st.tuples(entry, _finite), max_size=4)
+                              .map(lambda t: (t, bool(t) and not tabulated)))
+    elif key == "dimension":
+        value, refused = draw(st.integers(-1, 4).map(lambda v: (v, False))
+                              | st.floats(0.5, 4.0).map(lambda v: (v, not v.is_integer()))
+                              | _refused)
+    else:
+        value, refused = draw((_finite | _finite.map(str)).map(lambda v: (v, False)) | _refused)
+        refused = refused or key == "cutoff" and not tabulated
+    cfg[key] = value
+    return cfg, key, refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(redrawn_configs())
+def test_loader_and_class_agree(case):
+    cfg, key, refused = case
+    # the class takes each string as the number it reads as
+    kwargs = {"dimension": 1, **{k: float(v) if isinstance(v, str) and k != "kind" else v
+                                 for k, v in cfg.items()}}
+    try:
+        want = PairPotential(**kwargs)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            potential_from_config(cfg)
+        assert str(got.value) == str(exc)
+        assert _names(str(exc), key), (key, exc)
+        return
+    assert not refused
+    assert potential_from_config(cfg) == want
+    # a report record of the potential loads back as the same potential
+    record = json.loads(json.dumps(want.to_config()))
+    back = potential_from_config(record)
+    assert back.to_config() == want.to_config()
+    if key in record:
+        assert back == want
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=[cfg["kind"] for cfg in CONFIGS])
+def test_report_record_loads_back(cfg):
+    pot = potential_from_config(cfg)
+    record = json.loads(json.dumps(pot.to_config()))
+    assert potential_from_config(record) == pot
+    assert set(record) == {"kind", "sigma", "dimension", "B"} | {
+        "square_well": {"epsilon", "lambda_w"}, "custom_tabulated": {"table", "cutoff"}
+    }.get(pot.kind, set())
 
 
 def test_breakpoints(well, rod):
