@@ -59,6 +59,7 @@ from .graphs import connected_mask_flags, connected_weight_sum, enum_graphs, ver
 from .potentials import PairPotential, bond_level_values, f_bond_array
 from .quadrature import (
     _append_levels,
+    ball_volume,
     bond_levels,
     difference_closure,
     distinct_ids,
@@ -424,7 +425,7 @@ def _mc_graph_sum(
     pairs = vertex_pairs(n)
     weights = _mc_weights(p, beta, n, graph_class)
     radius = (n - 1) * p.range_radius
-    ball_vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
+    ball_vol = ball_volume(d) * radius ** d
     local = threading.local()
 
     def chunk_mean(rng: np.random.Generator) -> float:

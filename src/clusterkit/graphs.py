@@ -19,19 +19,18 @@ The module provides:
     (generations from the root, parent = smallest-index neighbor one
     generation up) and the trees whose preimage under that map is a
     singleton ("Penrose trees"),
-  * one array breadth-first sweep, ``_sweep``, over int64 edge masks in
-    fixed-size blocks: one lookup per 12 edges of the masks gives each
-    vertex's neighbor bitset ("row"; uint8 up to 8 vertices, uint16 up to
-    11), in 4,096-column tables that ``_deposit_rows`` builds per call, and
-    the sweep gives every vertex's reached flag, its neighbors one
-    generation up and its generation.  Two kernels read it:
-    ``mask_tree_images``, the connectivity test and the tree image (each
-    vertex's parent edge read from one table per vertex), and
-    ``slack_masks``, the slack rule over tree masks, applied to all pairs
-    as array ops.  Their scalar oracles are ``_mask_connected`` (on the
-    closure ``_reach``, shared with the two-connected test),
-    ``_mask_tree_image`` and ``_slack_mask``, all on the maps of
-    ``_mask_tree_maps``, the one scalar breadth-first sweep,
+  * the rooted tree of each int64 edge mask on up to 11 vertices, from one
+    array breadth-first sweep, ``_sweep``, in fixed-size blocks: one lookup
+    per 12 edges gives each vertex's neighbor bitset, in 4,096-column
+    tables that ``_deposit_rows`` builds per call, and the sweep gives every
+    vertex's reached flag, parent and generation.  ``mask_tree_images`` (the
+    connectivity test and the tree image) and ``slack_masks`` (the slack
+    rule over tree masks, as array ops) read it, and the parent edges come
+    from one table of pair bits, ``_pair_bits``, which ``_prufer_masks``
+    also uses to decode any array of tree sequences.  The scalar oracles are
+    ``_mask_connected`` (on the closure ``_reach``, shared with the
+    two-connected test), ``_mask_tree_image``, ``_slack_mask`` (on the maps
+    of ``_mask_tree_maps``, the one scalar sweep) and ``_decode_tree_sequence``,
   * ``mask_tree_table``, the flags and images of ``mask_tree_images`` for
     every edge mask on up to 6 vertices, kept per (n, root);
     ``connected_mask_flags`` reads its flags,
@@ -82,6 +81,16 @@ def _pair_index(n: int) -> Tuple[Tuple[int, ...], ...]:
     for k, (i, j) in enumerate(vertex_pairs(n)):
         index[i][j] = index[j][i] = k
     return tuple(map(tuple, index))
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> np.ndarray:
+    """Read-only int64 edge bits on [n] <= 11: [i, j] is that of {i, j}, else 0."""
+    bits = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for k, (i, j) in enumerate(vertex_pairs(n)):
+        bits[i, j] = bits[j, i] = 1 << k
+    bits.flags.writeable = False
+    return bits
 
 
 def edge_mask(n: int, edges) -> int:
@@ -246,11 +255,6 @@ class RootedTree:
     def __init__(self, n: int, root: int, mask: int):
         self.n, self.root, self.mask = n, root, mask
 
-    @classmethod
-    def from_mask(cls, n: int, mask: int, root: int = 1) -> "RootedTree":
-        """The tree with edge mask ``mask``, taken as a spanning tree of [n] unchecked."""
-        return cls(n, root, mask)
-
     @property
     def edges(self) -> FrozenSet[Edge]:
         return frozenset(mask_edges(self.n, self.mask))
@@ -286,22 +290,28 @@ def _decode_tree_sequence(n: int, seq: Sequence[int]) -> list:
 
 
 def prufer_tree_masks(n: int) -> np.ndarray:
-    """Edge masks of all n^(n-2) labeled trees on [n], in sequence order.
-
-    The array form of ``_decode_tree_sequence``, run on every sequence of
-    [n]^(n-2) at once in lexicographic order: each step joins the smallest
-    vertex of degree one to the next entry, and the last edge joins the two
-    vertices left with degree one.
-    """
+    """Edge masks of all labeled trees on [n]: ``_prufer_masks`` of [n]^(n-2) in order."""
     if n < 2:
         raise ValueError("tree masks need at least two vertices")
     if n > MAX_TREE_N:
         raise CapacityError(f"tree enumeration capped at n={MAX_TREE_N}, got {n}")
-    bit = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for k, (i, j) in enumerate(vertex_pairs(n)):
-        bit[i, j] = bit[j, i] = 1 << k
     # row r is one plus the base-n digits of r, most significant first
     seq = np.arange(n ** (n - 2))[:, None] // n ** np.arange(n - 3, -1, -1) % n + 1
+    return _prufer_masks(n, seq)
+
+
+def _prufer_masks(n: int, seq) -> np.ndarray:
+    """Edge masks of the trees on [n] (2 <= n <= 11) coded by the rows of the
+    (m, n-2) integer array ``seq`` over [1..n]: ``_decode_tree_sequence`` on
+    all rows at once.  Each step joins the smallest vertex of degree one to
+    the next entry; the last edge joins the two vertices left of degree one.
+    """
+    _check_int64_masks(n)
+    seq = np.asarray(seq)
+    if not (seq.ndim == 2 and seq.shape[1] == n - 2
+            and np.issubdtype(seq.dtype, np.integer) and np.all((seq >= 1) & (seq <= n))):
+        raise ValueError(f"tree sequences on [{n}] are an (m, {n - 2}) integer array over [1..{n}]")
+    bit = _pair_bits(n)
     rows = np.arange(seq.shape[0])
     degree = np.ones((seq.shape[0], n + 1), dtype=np.int8)
     degree[:, 0] = 0
@@ -362,6 +372,16 @@ def _check_mask_range(n: int, lo: int, hi: int) -> None:
         raise ValueError(f"edge mask {lo if lo < 0 else hi} outside [0, 2^{npairs}) on [{n}]")
 
 
+def _check_int64_masks(n: int, masks=()) -> np.ndarray:
+    """``masks`` as checked int64 edge masks on [n]; CapacityError past 11 vertices."""
+    if n > 11:
+        raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.size:
+        _check_mask_range(n, int(masks.min()), int(masks.max()))
+    return masks
+
+
 def ursell_values(n: int, masks) -> np.ndarray:
     """Ursell value of each graph on [n] in the 1-D array of edge masks ``masks``.
 
@@ -377,13 +397,9 @@ def ursell_values(n: int, masks) -> np.ndarray:
     13,700 at n = 8 and 9.9M at n = 11.  A mask outside
     [0, 2^(n(n-1)/2)) raises ValueError.
     """
-    if n > 11:
-        raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
     if n < 1:
         raise ValueError("vertex count must be positive")
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.size:
-        _check_mask_range(n, int(masks.min()), int(masks.max()))
+    masks = _check_int64_masks(n, masks)
     # pair-major, so that the column of a pair is contiguous in fvals.T
     fvals = np.empty((n * (n - 1) // 2, min(masks.size, MASK_BLOCK)),
                      dtype=np.int16 if n <= 8 else np.int32)
@@ -432,8 +448,7 @@ _BLOCK_BITS = MASK_BLOCK.bit_length() - 1
 #: labeled tree with its slack mask, are kept, in one table per root
 TABLE_MAX_N = 6
 
-#: index of the lowest vertex in each vertex bitset on up to 11 vertices, -1
-#: for the empty set
+#: the 0-based lowest vertex of each vertex bitset on up to 11 vertices, -1 for none
 _LOWEST_VERTEX = np.frexp(np.arange(1 << 11) & -np.arange(1 << 11))[1] - 1
 
 
@@ -459,26 +474,14 @@ def _deposit_rows(n: int, bits: Sequence[int]) -> np.ndarray:
     return rows
 
 
-def _parent_edges(n: int) -> np.ndarray:
-    """Parent-edge table of the array kernel on [n].
-
-    ``parent_edge[w, s]`` is the edge bit of {p, w + 1}, p the lowest vertex
-    of the bitset s, and 0 for the empty set.
-    """
-    edge = np.zeros((n, n + 1), dtype=np.int64)  # the last column: no parent
-    for k, (i, j) in enumerate(vertex_pairs(n)):
-        edge[i - 1, j - 1] = edge[j - 1, i - 1] = 1 << k
-    return edge[:, _LOWEST_VERTEX[:1 << n]]
-
-
 def _sweep(adj: np.ndarray, root: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breadth-first sweep from ``root`` over the graphs with neighbor rows ``adj``.
 
     ``adj[v]`` holds the neighbor bitset of vertex v + 1 in each graph on
     [n], n = len(adj), in ``_bitset_dtype(n)``.  Returns, per vertex and
-    graph: whether the vertex is unreached; its neighbors in the layer it
-    was reached from (its "up-neighbors", the lowest of which is its
-    parent); and its generation, as int8.  As the adjacency is symmetric,
+    graph: whether it is unreached; its parent, the 0-based lowest of its
+    neighbors in the layer it was reached from (-1 for the root and the
+    unreached); and its generation, as int8.  As the adjacency is symmetric,
     ``adj & layer`` is nonzero in the rows of the vertices next to the layer
     and holds their neighbors in it.
     """
@@ -500,25 +503,21 @@ def _sweep(adj: np.ndarray, root: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
         gen += unseen
         unseen ^= new
         layer = np.bitwise_or.reduce(bit * new, axis=0)
-    return unseen, up, gen
+    return unseen, _LOWEST_VERTEX[up], gen
 
 
 def _swept_blocks(n: int, masks, root: int) -> Tuple[np.ndarray, Iterator[tuple]]:
     """The edge masks ``masks`` on [n] as a checked int64 array, and the sweep of each block.
 
-    The iterator yields (start, unseen, up, gen), the ``_sweep`` from
+    The iterator yields (start, unseen, parent, gen), the ``_sweep`` from
     ``root`` of the masks from ``start`` on, MASK_BLOCK at a time, so
     scratch memory does not grow with the number of masks.  A block's
     neighbor rows take one lookup per 12 edges of the masks, in tables of
     ``_deposit_rows`` built once per call.  CapacityError past 11 vertices;
     ValueError for a root outside [n] or a mask outside [0, 2^(n(n-1)/2)).
     """
-    if n > 11:
-        raise CapacityError(f"int64 edge masks hold at most 11 vertices, got {n}")
+    masks = _check_int64_masks(n, masks)
     _check_root(n, root)
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.size:
-        _check_mask_range(n, int(masks.min()), int(masks.max()))
     npairs = n * (n - 1) // 2
     tables = [_deposit_rows(n, range(lo, min(lo + _BLOCK_BITS, npairs)))
               for lo in range(0, npairs, _BLOCK_BITS)]
@@ -539,20 +538,20 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
 
     The array form of ``_mask_connected`` and ``_mask_tree_image``, on the
     sweep of ``_swept_blocks``: a mask is connected when the sweep reaches
-    every vertex, and each vertex's parent is the lowest of its
-    up-neighbors, its parent edge read from a table.  For a disconnected
-    mask the tree spans only the root's component.  ``masks`` is a 1-D
-    array; a mask outside [0, 2^(n(n-1)/2)) raises ValueError.
+    every vertex, and each vertex's parent edge is read from ``_pair_bits``
+    (no parent reads 0).  For a disconnected mask the tree spans only the
+    root's component.  ``masks`` is a 1-D array; a mask outside
+    [0, 2^(n(n-1)/2)) raises ValueError.
     """
     masks, blocks = _swept_blocks(n, masks, root)
-    parent_edge = _parent_edges(n)
+    bits = _pair_bits(n)
     connected = np.empty(masks.shape, dtype=bool)
     trees = np.zeros(masks.shape, dtype=np.int64)
-    for start, unseen, up, _ in blocks:
-        stop = start + up.shape[1]
+    for start, unseen, parent, _ in blocks:
+        stop = start + parent.shape[1]
         connected[start:stop] = ~unseen.any(axis=0)
-        for w, row in enumerate(up):
-            trees[start:stop] |= np.take(parent_edge[w], row)
+        for w, p in enumerate(parent, 1):
+            trees[start:stop] |= np.take(bits[w], p + 1)
     return connected, trees
 
 
@@ -605,26 +604,25 @@ def slack_masks(n: int, trees, root: int = 1) -> np.ndarray:
 
     The array form of ``_slack_mask(n, *_mask_tree_maps(n, t, root))``, on
     any edge mask t that reaches every vertex from the root.  The sweep of
-    ``_swept_blocks`` gives each vertex's generation and up-neighbors, the
-    lowest of which is its parent; the slack rule is then applied to all
-    pairs at once.  A mask outside [0, 2^(n(n-1)/2)) or one that does not
-    reach every vertex from the root raises ValueError.
+    ``_swept_blocks`` gives each vertex's parent and generation; the slack
+    rule is then applied to all pairs at once.  A mask outside
+    [0, 2^(n(n-1)/2)) or one that does not reach every vertex from the root
+    raises ValueError.
     """
     trees, blocks = _swept_blocks(n, trees, root)
     npairs = n * (n - 1) // 2
     i, j = (np.array(vertex_pairs(n), dtype=np.int64).reshape(npairs, 2) - 1).T
     k = np.arange(npairs, dtype=np.int64)[:, None]
     out = np.empty(trees.shape, dtype=np.int64)
-    for start, unseen, up, gen in blocks:
+    for start, unseen, parent, gen in blocks:
         if unseen.any():
             bad = int(trees[start + unseen.any(axis=0).argmax()])
             raise ValueError(f"edge mask {bad} does not reach every vertex of [{n}] from {root}")
-        parent = _LOWEST_VERTEX[up]
         dg = gen[i] - gen[j]
         # a tree edge joins a child to its parent, so the strict tests drop it
         slack = ((dg == 0) | ((dg == 1) & (j[:, None] > parent[i]))
                  | ((dg == -1) & (i[:, None] > parent[j])))
-        out[start:start + up.shape[1]] = np.bitwise_or.reduce(slack << k, axis=0)
+        out[start:start + parent.shape[1]] = np.bitwise_or.reduce(slack << k, axis=0)
     return out
 
 
@@ -712,7 +710,7 @@ def _penrose_trees(g: LabeledGraph, root: int) -> FrozenSet[RootedTree]:
     trees = _slack_free_tree_masks(g.n, g.mask, root)
     if not trees:
         raise DomainError("Penrose trees are defined for connected graphs only")
-    return frozenset(RootedTree.from_mask(g.n, t, root) for t in trees)
+    return frozenset(RootedTree(g.n, root, t) for t in trees)
 
 
 def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .quadrature import bond_levels, integrate_1d, sphere_surface
+from .quadrature import ball_volume, bond_levels, integrate_1d, sphere_surface
 
 KINDS = ("hard_rod", "hard_sphere", "square_well", "custom_tabulated")
 
@@ -57,9 +57,11 @@ class PairPotential:
     ConfigError naming the field.  ``sigma``, ``epsilon``, ``lambda_w``,
     ``B`` and ``cutoff`` become floats, ``dimension`` an int (3.0 is 3) and
     ``table`` a tuple of float pairs, each number finite and no bool.
-    sigma > 0; dimension is a whole number >= 1, and 1 for hard_rod; B >= 0.
-    A square well has lambda_w > 1, a finite range lambda_w*sigma and
-    epsilon >= 0.  A table of (r, V) pairs with strictly increasing r, and
+    sigma > 0; dimension is a whole number >= 1 whose unit sphere and ball
+    have finite positive float measures (d <= 341), and 1 for hard_rod;
+    B >= 0.  ``epsilon`` and ``lambda_w`` belong to square_well alone: it
+    has lambda_w > 1, a finite range lambda_w*sigma and epsilon >= 0 (0
+    when absent).  A table of (r, V) pairs with strictly increasing r, and
     a cutoff > 0, belong to custom_tabulated alone.  A square well, and a
     table that goes negative, need an explicit B; otherwise B is 0.
     """
@@ -67,8 +69,8 @@ class PairPotential:
     kind: str
     sigma: float
     dimension: int
-    epsilon: float = 0.0
-    lambda_w: float = 0.0
+    epsilon: Optional[float] = None
+    lambda_w: Optional[float] = None
     B: Optional[float] = None
     table: Tuple[Tuple[float, float], ...] = ()
     cutoff: Optional[float] = None
@@ -78,12 +80,21 @@ class PairPotential:
             raise ConfigError(f"unknown potential kind {self.kind!r}; want one of {KINDS}")
         fix = partial(object.__setattr__, self)
         fix("sigma", _real("sigma", self.sigma, "positive and finite", lambda x: x > 0))
-        fix("dimension", int(_real("dimension", self.dimension, "a positive integer",
-                                   lambda x: x >= 1 and x.is_integer())))
-        fix("epsilon", _real("epsilon", self.epsilon))
-        fix("lambda_w", _real("lambda_w", self.lambda_w))
+        # c_beta and the Monte Carlo ball need the measures of the unit sphere and ball
+        fix("dimension", int(_real(
+            "dimension", self.dimension,
+            "a positive integer whose unit sphere and ball have finite positive float measures",
+            lambda x: x >= 1 and x.is_integer() and all(
+                0.0 < m < math.inf for m in (sphere_surface(x), ball_volume(x))))))
         if self.kind == "hard_rod" and self.dimension != 1:
             raise ConfigError("hard_rod needs dimension 1; use hard_sphere for d > 1")
+        for key in ("epsilon", "lambda_w"):
+            value = getattr(self, key)
+            if value is not None or self.kind == "square_well":
+                # an absent well field reads 0: no depth, and too narrow a well
+                fix(key, _real(key, 0.0 if value is None else value))
+                if self.kind != "square_well":
+                    raise ConfigError(f"{key} is only valid for square_well, not {self.kind}")
         if self.kind == "square_well":
             if not self.lambda_w > 1.0:
                 raise ConfigError("square_well needs well width ratio lambda_w > 1")

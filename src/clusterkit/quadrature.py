@@ -61,6 +61,11 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def ball_volume(d: int) -> float:
+    """Volume of the unit ball in R^d (2 for d=1, 4*pi/3 for d=3)."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # 1-D composite quadrature with breakpoints
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from clusterkit.graphs import (
     _mask_connected,
     _mask_tree_image,
     _mask_tree_maps,
-    _parent_edges,
+    _pair_bits,
+    _prufer_masks,
     _slack_free_tree_masks,
     _slack_mask,
     _sweep,
@@ -129,6 +130,24 @@ def test_prufer_tree_masks_caps():
         prufer_tree_masks(10)
 
 
+@pytest.mark.parametrize("n", range(2, 12))
+def test_prufer_masks_match_scalar_decode_on_random_sequences(n):
+    seqs = np.random.default_rng(n).integers(1, n + 1, size=(10_000, n - 2))
+    want = [edge_mask(n, _decode_tree_sequence(n, q)) for q in seqs.tolist()]
+    assert _prufer_masks(n, seqs).tolist() == want
+
+
+def test_prufer_masks_refuse_what_is_not_a_sequence_array():
+    with pytest.raises(CapacityError, match="at most 11 vertices, got 12"):
+        _prufer_masks(12, np.ones((1, 10), dtype=np.int64))
+    for n, seqs in ((4, [[1, 5]]), (4, [[0, 2]]), (4, [[1, 2, 3]]), (4, [1, 2]),
+                    (4, [[1.0, 2.0]]), (1, np.ones((1, 0), dtype=np.int64))):
+        with pytest.raises(ValueError, match="integer array over"):
+            _prufer_masks(n, seqs)
+    assert _prufer_masks(2, np.ones((3, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+    assert _prufer_masks(5, np.ones((0, 3), dtype=np.int64)).tolist() == []
+
+
 def test_enum_trees_small():
     (t,) = enum_trees(1)
     assert _mask_tree_maps(1, t, 1) == ({}, {1: 0})
@@ -159,11 +178,11 @@ def test_rooted_tree_from_maps_equals_from_mask(n):
 
 def test_rooted_tree_key_is_root_and_mask():
     path = edge_mask(3, [(1, 2), (2, 3)])
-    assert RootedTree.from_mask(3, path, 1) != RootedTree.from_mask(3, path, 3)
-    assert RootedTree.from_mask(3, path, 2) != RootedTree.from_mask(3, edge_mask(3, [(1, 2), (1, 3)]), 2)
-    lazy, built = RootedTree.from_mask(3, path, 2), RootedTree(3, 2, path)
-    assert lazy == built and hash(lazy) == hash(built) and len({lazy, built}) == 1
-    assert built.edges == frozenset({(1, 2), (2, 3)})
+    assert RootedTree(3, 1, path) != RootedTree(3, 3, path)
+    assert RootedTree(3, 2, path) != RootedTree(3, 2, edge_mask(3, [(1, 2), (1, 3)]))
+    first, second = RootedTree(3, 2, path), RootedTree(3, 2, path)
+    assert first == second and hash(first) == hash(second) and len({first, second}) == 1
+    assert first.edges == frozenset({(1, 2), (2, 3)})
 
 
 def test_graph_validation():
@@ -269,7 +288,7 @@ def test_penrose_map_names_a_bad_root(root):
 
 def test_penrose_trees_examples():
     path = edge_mask(4, [(1, 2), (2, 3), (3, 4)])
-    assert penrose_trees(as_graph(4, path)) == frozenset({RootedTree.from_mask(4, path)})
+    assert penrose_trees(as_graph(4, path)) == frozenset({RootedTree(4, 1, path)})
     assert len(penrose_trees(as_graph(3, complete(3)))) == 2
     assert len(penrose_trees(as_graph(4, complete(4)))) == 6
     with pytest.raises(DomainError):
@@ -327,6 +346,22 @@ def test_byte_table_kernel_matches_scalar(n):
             assert flag == _mask_connected(n, mask)
             if flag:
                 assert tree == _mask_tree_image(n, mask, root)
+
+
+@pytest.mark.parametrize("n", (1, 4, 7, 11))
+def test_swept_parents_and_generations_match_scalar_maps(n):
+    # the parent (0-based, -1 for the root and the unreached) and generation
+    # of each reached vertex, on random masks, disconnected ones included
+    rng = random.Random(n)
+    masks = [rng.getrandbits(n * (n - 1) // 2) for _ in range(200)]
+    for root in sorted({1, n}):
+        _, blocks = graphs._swept_blocks(n, masks, root)
+        ((_, unseen, parent, gen),) = blocks
+        for c, mask in enumerate(masks):
+            up, depth = _mask_tree_maps(n, mask, root)
+            assert {v + 1 for v in range(n) if not unseen[v, c]} == set(depth)
+            assert parent[:, c].tolist() == [up.get(v, 0) - 1 for v in range(1, n + 1)]
+            assert {v: gen[v - 1, c] for v in depth} == depth
 
 
 def test_mask_tree_images_across_blocks():
@@ -404,15 +439,16 @@ def _blocked_submask_classes(n, gmask, root):
     assert len(bits) <= MAX_HOST_EDGES
     inner, outer = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
     rows = _deposit_rows(n, inner)
-    parent_edge = _parent_edges(n)
+    pair_bits = _pair_bits(n)
     trees, counts, pending = [], [], 0
     last = (1 << len(outer)) - 1
     for high in range(last + 1):
         extra = _mask_adjacency(n, sum(1 << k for j, k in enumerate(outer) if high >> j & 1))
         extra = np.array(extra[1:], rows.dtype)[:, None]
-        unseen, up, _ = _sweep(rows | extra, root)
+        unseen, parent, _ = _sweep(rows | extra, root)
         conn = ~unseen.any(axis=0)
-        image = np.bitwise_or.reduce([np.take(parent_edge[w], row) for w, row in enumerate(up)])
+        image = np.bitwise_or.reduce([np.take(pair_bits[w], p + 1)
+                                        for w, p in enumerate(parent, 1)])
         block_trees, block_counts = np.unique(image[conn], return_counts=True)
         trees.append(block_trees)
         counts.append(block_counts)

@@ -192,6 +192,15 @@ REFUSED_FIELDS = [
     (("custom_tabulated", 1.0, 1), {"table": ((0.0, 1.0, 2.0),), "cutoff": 1.0}, "table"),
     (("custom_tabulated", 1.0, 1), {"table": 5, "cutoff": 1.0}, "table"),
     (("custom_tabulated", 1.0, 1), {"table": (), "cutoff": 1.0}, "table"),
+    # the unit ball's volume overflows from d = 342, its Gamma(d/2 + 1) first
+    (("hard_sphere", 1.0, 342), {}, "dimension"),
+    (("hard_sphere", 1.0, 400), {}, "dimension"),
+    (("hard_sphere", 1.0, 10 ** 300), {}, "dimension"),
+    # the well fields belong to square_well alone
+    (("hard_rod", 1.0, 1), {"epsilon": 5.0}, "epsilon"),
+    (("hard_sphere", 1.0, 3), {"epsilon": 0.0}, "epsilon"),
+    (("hard_sphere", 1.0, 3), {"lambda_w": 1.5}, "lambda_w"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": 1.0, "epsilon": 1.0}, "epsilon"),
 ]
 
 
@@ -203,15 +212,28 @@ def test_construction_refuses_naming_the_field(args, kwargs, key):
     assert _names(str(exc.value), key), exc.value
 
 
+def test_largest_dimension_has_finite_positive_measures():
+    # d = 341 is the last dimension whose unit sphere and ball both have
+    # finite positive float measures; d = 342 is refused above
+    assert PairPotential("hard_sphere", 1.0, 341).dimension == 341
+    assert 0.0 < c_beta(PairPotential("hard_sphere", 1.0, 341), 1.0)[0] < math.inf
+
+
 def test_construction_normalizes_the_fields():
     pot = PairPotential("custom_tabulated", 1, 2.0, B=np.float64(1),
                         table=[[0, 2], [1, -1], [np.int64(3), 0]], cutoff=3)
     assert pot == PairPotential("custom_tabulated", 1.0, 2, B=1.0,
                                 table=((0.0, 2.0), (1.0, -1.0), (3.0, 0.0)), cutoff=3.0)
-    assert [type(getattr(pot, key)) for key in ("sigma", "dimension", "epsilon", "lambda_w",
-                                                "B", "cutoff")] == [float, int] + [float] * 4
+    assert [type(getattr(pot, key)) for key in ("sigma", "dimension", "B", "cutoff")] == [
+        float, int, float, float]
+    # the well fields belong to square_well alone, and stay absent elsewhere
+    assert pot.epsilon is None and pot.lambda_w is None
     assert {type(x) for pair in pot.table for x in pair} == {float}
     assert type(pot.table) is tuple and all(type(pair) is tuple for pair in pot.table)
+    well = PairPotential("square_well", 1, 1, lambda_w=np.int64(2), B=1)
+    assert (type(well.epsilon), type(well.lambda_w)) == (float, float)
+    # an absent well depth is 0.0, as it reads in every report record
+    assert well.epsilon == 0.0 and well == PairPotential("square_well", 1.0, 1, 0.0, 2.0, 1.0)
 
 
 def test_config_loader():
@@ -275,7 +297,8 @@ def redrawn_configs(draw):
                               | _refused)
     else:
         value, refused = draw((_finite | _finite.map(str)).map(lambda v: (v, False)) | _refused)
-        refused = refused or key == "cutoff" and not tabulated
+        refused = (refused or key == "cutoff" and not tabulated
+                   or key in ("epsilon", "lambda_w") and cfg["kind"] != "square_well")
     cfg[key] = value
     return cfg, key, refused
 

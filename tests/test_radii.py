@@ -228,18 +228,6 @@ X_MAX = 1.0 / math.e
 xs = st.floats(min_value=sys.float_info.min, max_value=X_MAX)
 
 
-def _exact_partial_sum(x: float, terms: int, power: int = 0) -> Fraction:
-    """sum_{n <= terms} n^(n-1+power)/n! x^(n-1) in exact rationals.
-
-    power = 0 sums S, power = 1 sums T' = (x S)'.
-    """
-    m, d = x.as_integer_ratio()
-    f = math.factorial(terms)
-    num = sum(n ** (n - 1 + power) * (f // math.factorial(n)) * m ** (n - 1)
-              * d ** (terms - n) for n in range(1, terms + 1))
-    return Fraction(num, f * d ** (terms - 1))
-
-
 @settings(deadline=None)
 @given(xs, xs)
 def test_tree_series_enclosure_ordered_and_increasing(x1, x2):
@@ -305,12 +293,18 @@ def test_one_over_e_split():
 
 
 def _assert_contains_exact_sum(x: float, power: int):
-    terms = 200
-    head = _exact_partial_sum(x, terms, power) - 1
-    # term ratios x (1 + 1/n)^(n-1+power) stay below e x < 2.72 x
-    t_next = (Fraction((terms + 1) ** (terms + power), math.factorial(terms + 1))
-              * Fraction(x) ** terms)
-    rest = t_next / (1 - Fraction(272, 100) * Fraction(x))
+    # the exact head S - 1 (or T' - 1) up to the first term whose remainder
+    # bound falls below 2^-80 of the head: far inside the 1e-11 relative
+    # widening of the enclosure, so the two assertions lose no power
+    head, term, n = Fraction(0), Fraction(1), 1
+    while True:
+        n += 1
+        term = term * Fraction(x) * Fraction(n ** (n - 1 + power), n * (n - 1) ** (n - 2 + power))
+        # term ratios x (1 + 1/n)^(n-1+power) stay below e x < 2.72 x
+        rest = term / (1 - Fraction(272, 100) * Fraction(x))
+        if head and rest < head / 2 ** 80:
+            break
+        head += term
     lo, hi = tree_series_excess(x)[2 * power:2 * power + 2]
     assert Fraction(lo) <= head + rest
     assert head <= Fraction(hi)
