@@ -5,12 +5,14 @@ The normalized configurational integral
     ztilde = integral over the box of prod dx_i/V * e^(-beta sum V(x_i-x_j))
 
 is computed three ways: the hard-rod closed form (1 - (N-1) sigma/L)^N,
-one-dimensional nested quadrature over ordered gaps (N <= 4), and plain
-hit-or-miss Monte Carlo on the Boltzmann factor (N <= 12, adequate exactly
-in the low-density regime the series certifies).  The Boltzmann factor is
-prod (1 + f), the sum over all graphs, so both numerical routes are the
-drivers of ``cluster`` for graph class "all": the gap quadrature, and the
-Monte Carlo chunk loop of b_n and beta_k, whose box mean is ztilde itself.
+one-dimensional nested quadrature over ordered gaps, and plain hit-or-miss
+Monte Carlo on the Boltzmann factor (adequate exactly in the low-density
+regime the series certifies).  The Boltzmann factor is prod (1 + f), the
+sum over all graphs, so both numerical routes go through the route check
+of b_n and beta_k, ``cluster._direct_integral``, for graph class "all":
+the gap quadrature, and the Monte Carlo chunk loop whose box mean is
+ztilde itself.  Their caps in N are the "all" entries of
+``cluster.ROUTE_CAPS``, which ``auto`` and the series side's b_n read too.
 Free boundary conditions throughout: no periodic images.
 
 ``compare_series_direct`` is the end-to-end harness: it evaluates the
@@ -29,12 +31,9 @@ from typing import Dict, Optional
 
 from .errors import CapacityError, ConfigError, DomainError, JammedError
 from . import tonks
-from .cluster import MONTE_CARLO_MAX_N, QUADRATURE_MAX_N, _gap_integral, _mc_graph_sum, mayer_bn
+from .cluster import MC_CHUNK, MC_SAMPLES, ROUTE_CAPS, _direct_integral, mayer_bn
 from .potentials import PairPotential, c_beta
 from .series import free_energy_series, virial_from_mayer
-
-ZTILDE_QUADRATURE_MAX_N = 4
-ZTILDE_MC_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -73,17 +72,17 @@ def ztilde_direct(
     method: str = "auto",
     *,
     seed: Optional[int] = None,
-    samples: int = 400_000,
-    chunk: int = 20_000,
+    samples: int = MC_SAMPLES,
+    chunk: int = MC_CHUNK,
     workers: Optional[int] = None,
 ) -> CanonicalResult:
     """Normalized configurational integral in a box of side L.
 
-    method: ``tonks_closed`` (hard rods only), ``quadrature`` (d = 1,
-    N <= 4), ``monte_carlo`` (N <= 12), or ``auto`` (closed form when exact,
-    else quadrature when feasible, else Monte Carlo).  Monte Carlo raises
-    DomainError when fewer than two of its chunk means are nonzero, or when
-    its estimate is not finite.
+    method: ``tonks_closed`` (hard rods only), a route of
+    ``cluster.ROUTE_CAPS`` (``quadrature`` in d = 1, ``monte_carlo``), or
+    ``auto`` (closed form when exact, else quadrature within its cap, else
+    Monte Carlo).  Monte Carlo raises DomainError when fewer than two of its
+    chunk means are nonzero, or when its estimate is not finite.
     """
     if not (beta > 0 and 0 < L < math.inf):
         raise DomainError("need beta > 0 and finite L > 0")
@@ -96,7 +95,7 @@ def ztilde_direct(
     if method == "auto":
         if p.kind == "hard_rod":
             method = "tonks_closed"
-        elif p.dimension == 1 and N <= ZTILDE_QUADRATURE_MAX_N:
+        elif p.dimension == 1 and N <= ROUTE_CAPS["quadrature"]["all"]:
             method = "quadrature"
         else:
             method = "monte_carlo"
@@ -106,24 +105,12 @@ def ztilde_direct(
         return CanonicalResult(
             N, L, beta, tonks.ztilde_closed(N, L, p.sigma), 0.0, "tonks_closed", 1
         )
+    val, err = _direct_integral(p, beta, "all", N, method, L, seed, samples, chunk, workers)
     if method == "quadrature":
-        if p.dimension != 1:
-            raise CapacityError("direct quadrature is one-dimensional only")
-        if N > ZTILDE_QUADRATURE_MAX_N:
-            raise CapacityError(f"direct quadrature capped at N={ZTILDE_QUADRATURE_MAX_N}")
         scale = math.factorial(N) / L ** N
-        fine, coarse = _gap_integral(p, beta, N, "all", L)
-        fine, coarse = scale * fine, scale * coarse
-        return _checked_result(p, CanonicalResult(N, L, beta, fine, abs(fine - coarse),
-                                                  "quadrature", 1))
-    if method == "monte_carlo":
-        if N > ZTILDE_MC_MAX_N:
-            raise CapacityError(f"Monte Carlo capped at N={ZTILDE_MC_MAX_N}")
-        val, err = _mc_graph_sum(p, beta, N, "all", seed, samples, chunk, box=L,
-                                 workers=workers)
-        return _checked_result(p, CanonicalResult(N, L, beta, val, err,
-                                                  "monte_carlo", p.dimension))
-    raise ConfigError(f"unknown method {method!r}")
+        val, coarse = scale * val, scale * err
+        err = abs(val - coarse)
+    return _checked_result(p, CanonicalResult(N, L, beta, val, err, method, p.dimension))
 
 
 def _checked_result(p: PairPotential, res: CanonicalResult) -> CanonicalResult:
@@ -193,11 +180,11 @@ def _mayer_table_for_series(p: PairPotential, beta: float, n_max: int,
     """
     out = {1: 1.0}
     for n in range(2, n_max + 1):
-        if p.dimension == 1 and n <= QUADRATURE_MAX_N:
+        if p.dimension == 1 and n <= ROUTE_CAPS["quadrature"]["connected"]:
             out[n], _ = mayer_bn(p, beta, n, method="quadrature")
         elif p.kind == "hard_rod":
             out[n] = tonks.bn_value(n, p.sigma)
-        elif n <= MONTE_CARLO_MAX_N:
+        elif n <= ROUTE_CAPS["monte_carlo"]["connected"]:
             out[n], _ = mayer_bn(p, beta, n, method="monte_carlo", seed=seed,
                                  samples=samples, chunk=chunk, workers=workers)
         else:
@@ -216,8 +203,8 @@ def compare_series_direct(
     *,
     direct_method: str = "auto",
     seed: Optional[int] = None,
-    samples: int = 400_000,
-    chunk: int = 20_000,
+    samples: int = MC_SAMPLES,
+    chunk: int = MC_CHUNK,
     workers: Optional[int] = None,
 ) -> ComparisonReport:
     """Compare (1/V) ln ztilde against the truncated density series.

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__, tonks
 from .canonical import compare_series_direct
-from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
+from .cluster import ROUTE_CAPS, mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import CapacityError, ClusterKitError, ConfigError
 from .polymer import (XI_BRUTEFORCE_MAX_N, ActivityProfile, ck_finite_N, fp_check, log_xi_ursell,
                       p_exact, p_limit, xi_exact)
@@ -127,7 +127,8 @@ def _add_potential_args(sp: argparse.ArgumentParser, beta: bool = True):
 
 
 def _add_sampling_args(sp: argparse.ArgumentParser, methods):
-    """The route flags of mayer, virial and canonical; the first method is the default."""
+    """The route flags of mayer, virial and canonical; the first method is the
+    default.  The direct routes are the keys of ``cluster.ROUTE_CAPS``."""
     sp.add_argument("--method", choices=methods, default=methods[0])
     sp.add_argument("--samples", type=_count, help="Monte Carlo samples (default: the library's)")
     sp.add_argument("--chunk", type=_count, help="Monte Carlo samples per chunk")
@@ -168,14 +169,14 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     _add_potential_args(sp)
     sp.add_argument("--n", type=_count, default=4, help="highest order")
     sp.add_argument("--volume", type=_volume, help="'inf' (default) or a box side")
-    _add_sampling_args(sp, ("quadrature", "monte_carlo"))
+    _add_sampling_args(sp, tuple(ROUTE_CAPS))
     _add_output_args(sp, ("csv", "table"))
 
     sp = sub.add_parser("virial", help="density-series coefficients, all routes")
     sp.set_defaults(run=_cmd_virial)
     _add_potential_args(sp)
     sp.add_argument("--k-max", dest="k_max", type=_count, default=3)
-    _add_sampling_args(sp, ("quadrature", "monte_carlo"))
+    _add_sampling_args(sp, tuple(ROUTE_CAPS))
     _add_output_args(sp, ("csv", "table"))
 
     sp = sub.add_parser("polymer", help="subset-polymer operations")
@@ -198,7 +199,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--L", type=_real)
     sp.add_argument("--N", type=_count)
     sp.add_argument("--k-max", dest="k_max", type=_count, default=6)
-    _add_sampling_args(sp, ("auto", "tonks_closed", "quadrature", "monte_carlo"))
+    _add_sampling_args(sp, ("auto", "tonks_closed", *ROUTE_CAPS))
     _add_output_args(sp)
 
     sp = sub.add_parser("verify", help="run invariant suites")
@@ -292,28 +293,24 @@ def _sampling(args) -> dict:
 
 def _emit(args, payload: dict, rows=None, header=None, preamble: str = ""):
     """Write the JSON payload, or the rows as csv or a table, to --out or stdout."""
-    out = _out_path(args)
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = dump_json(payload, path=out)
+        text = dump_json(payload)
     elif fmt == "csv":
-        text = dump_csv(header, rows, path=out)
+        text = dump_csv(header, rows)
     else:
         text = preamble + render_table(header, rows) + "\n"
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    if not out:
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """The one output writer: ``text`` as is to the --out file (a relative
+    path is under ``reporting.output_dir()``), or to stdout without one."""
+    if not getattr(args, "out", None):
         sys.stdout.write(text)
-
-
-def _out_path(args) -> Optional[str]:
-    out = getattr(args, "out", None)
-    if not out:
-        return None
-    if os.path.isabs(out):
-        return out
-    return os.path.join(output_dir(), out)
+        return
+    with open(os.path.join(output_dir(), args.out), "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +509,7 @@ def _cmd_canonical(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_checks(args.suite)
     ok = all(r.passed for r in results)
-    out = _out_path(args)
-    if out:
+    if args.out:
         payload = json_payload("verify_report", {
             "suite": args.suite,
             "checks": [
@@ -522,7 +518,7 @@ def _cmd_verify(args) -> int:
             ],
             "passed": ok,
         })
-        dump_json(payload, path=out)
+        _write(args, dump_json(payload))
     print(f"{'PASS' if ok else 'FAIL'}: {sum(r.passed for r in results)}/{len(results)} checks")
     return 0 if ok else 1
 

@@ -12,6 +12,13 @@ the volume.  ``virial_bk_direct`` does the same over two-connected graphs on
 canonical ztilde is the same integral over all graphs, whose sum is the
 product of (1 + f) over the pairs.
 
+The three integrals share one route check, ``_direct_integral``.  The route
+table ``ROUTE_CAPS`` maps each method and graph class to the largest order
+it takes; the check refuses an unknown method, quadrature in d > 1 and an
+order past its cap, then runs the method's driver and returns its unscaled
+pair.  Each front end keeps its input checks, its trivial orders and its
+scaling.  ``MC_SAMPLES`` and ``MC_CHUNK`` are the Monte Carlo defaults.
+
 The three graph classes of graphs.GRAPH_CLASSES share one selector,
 ``_graph_class_sum``, and two drivers.  Quadrature (d = 1),
 ``_gap_integral``, reduces the integral to the n-1 ordered gaps: the graph
@@ -69,10 +76,19 @@ from .quadrature import (
     sphere_surface,
 )
 
-QUADRATURE_MAX_N = 6
-MONTE_CARLO_MAX_N = 5
-VIRIAL_QUADRATURE_MAX_K = 3
-VIRIAL_MC_MAX_K = 2
+#: The route table of the direct integrals: the largest order each method
+#: takes, by graph class, in the order's own symbol (``_ORDER_SYMBOLS``): n
+#: of b_n, k of beta_k (on k + 1 points) and N of ztilde.  Its keys are the
+#: methods, in the order the CLI offers them.
+ROUTE_CAPS = {
+    "quadrature": {"connected": 6, "two_connected": 3, "all": 4},
+    "monte_carlo": {"connected": 5, "two_connected": 2, "all": 12},
+}
+_ORDER_SYMBOLS = {"connected": "n", "two_connected": "k", "all": "N"}
+
+#: The Monte Carlo defaults of every direct route: samples, and samples per chunk
+MC_SAMPLES = 400_000
+MC_CHUNK = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +269,17 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int,
                        workers: Optional[int]) -> None:
     """Reject a missing seed or one outside the Philox key word [0, 2^64),
-    and sample sizes or a worker count below one, before any set-up."""
+    and sample sizes or a worker count below one, before any set-up.  A
+    bool is not an integer here."""
     if seed is None:
         raise ConfigError("Monte Carlo needs an explicit seed")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ConfigError(f"Monte Carlo seed must be an integer in [0, 2^64), got {seed!r}")
     counts = [("samples", samples), ("chunk", chunk)]
     if workers is not None:
         counts.append(("workers", workers))
     for key, value in counts:
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ConfigError(f"Monte Carlo {key} must be an integer >= 1, got {value!r}")
 
 
@@ -449,8 +466,34 @@ def _mc_graph_sum(
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# the route check and the public operations
 # ---------------------------------------------------------------------------
+
+def _direct_integral(p: PairPotential, beta: float, graph_class: str, order: int, method: str,
+                     box: Optional[float], seed: Optional[int], samples: int, chunk: int,
+                     workers: Optional[int]) -> Tuple[float, float]:
+    """The one route check of b_n, beta_k and ztilde, then their integral.
+
+    An unknown method raises ConfigError; quadrature in d > 1, and an order
+    past its ``ROUTE_CAPS`` entry, raise CapacityError naming the order by
+    its symbol.  Then the graph-class sum on ``order`` points (order + 1
+    for beta_k) runs: quadrature returns gap_quadrature's refined and base
+    sums, Monte Carlo its mean and standard error, both unscaled.
+    """
+    if method not in ROUTE_CAPS:
+        raise ConfigError(f"unknown method {method!r}")
+    symbol = _ORDER_SYMBOLS[graph_class]
+    if method == "quadrature" and p.dimension != 1:
+        raise CapacityError(f"quadrature is one-dimensional, got d={p.dimension} at "
+                            f"{symbol}={order}; use monte_carlo")
+    cap = ROUTE_CAPS[method][graph_class]
+    if order > cap:
+        raise CapacityError(f"{method} capped at {symbol}={cap}, got {symbol}={order}")
+    n = order + 1 if graph_class == "two_connected" else order
+    if method == "quadrature":
+        return _gap_integral(p, beta, n, graph_class, box)
+    return _mc_graph_sum(p, beta, n, graph_class, seed, samples, chunk, box, workers)
+
 
 def mayer_bn(
     p: PairPotential,
@@ -460,8 +503,8 @@ def mayer_bn(
     method: str = "quadrature",
     *,
     seed: Optional[int] = None,
-    samples: int = 400_000,
-    chunk: int = 20_000,
+    samples: int = MC_SAMPLES,
+    chunk: int = MC_CHUNK,
     workers: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Order-n fugacity-series coefficient with an error estimate.
@@ -480,35 +523,20 @@ def mayer_bn(
         return 1.0, 0.0
     if n < 1:
         raise DomainError("order must be >= 1")
+    if n == 2 and volume is None and method == "quadrature":
+        val, err = _radial_pair_integral(p, beta)
+        return 0.5 * val, 0.5 * err
+    val, err = _direct_integral(p, beta, "connected", n, method, volume,
+                                seed, samples, chunk, workers)
     if method == "quadrature":
-        if n == 2 and (volume is None or p.dimension > 1):
-            if volume is not None:
-                raise CapacityError("finite-volume quadrature is one-dimensional only")
-            val, err = _radial_pair_integral(p, beta)
-            return 0.5 * val, 0.5 * err
-        if p.dimension != 1:
-            raise CapacityError("n >= 3 quadrature is one-dimensional; use monte_carlo")
-        if n > QUADRATURE_MAX_N:
-            raise CapacityError(f"quadrature capped at n={QUADRATURE_MAX_N}, got {n}")
-        fine, coarse = _gap_integral(p, beta, n, "connected", volume)
-        if volume is not None:
-            fine /= volume
-            coarse /= volume
+        fine, coarse = (val, err) if volume is None else (val / volume, err / volume)
         return fine, abs(fine - coarse)
-    if method == "monte_carlo":
-        if n > MONTE_CARLO_MAX_N:
-            raise CapacityError(f"Monte Carlo capped at n={MONTE_CARLO_MAX_N}, got {n}")
-        val, err = _mc_graph_sum(
-            p, beta, n, "connected", seed, samples, chunk, box=volume,
-            workers=workers,
-        )
-        scale = 1.0 / math.factorial(n)
-        if volume is not None:
-            # a box estimate averages over the box points: times V^n it is
-            # the integral, which b_n divides by V and n!
-            scale *= float(volume) ** (p.dimension * (n - 1))
-        return val * scale, err * scale
-    raise ConfigError(f"unknown method {method!r}")
+    scale = 1.0 / math.factorial(n)
+    if volume is not None:
+        # a box estimate averages over the box points: times V^n it is
+        # the integral, which b_n divides by V and n!
+        scale *= float(volume) ** (p.dimension * (n - 1))
+    return val * scale, err * scale
 
 
 def virial_bk_direct(
@@ -518,8 +546,8 @@ def virial_bk_direct(
     method: str = "quadrature",
     *,
     seed: Optional[int] = None,
-    samples: int = 400_000,
-    chunk: int = 20_000,
+    samples: int = MC_SAMPLES,
+    chunk: int = MC_CHUNK,
     workers: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Order-k density-series coefficient from the two-connected graph sum.
@@ -532,22 +560,13 @@ def virial_bk_direct(
         raise DomainError("order must be >= 1")
     if k == 1:
         return _radial_pair_integral(p, beta)
+    val, err = _direct_integral(p, beta, "two_connected", k, method, None,
+                                seed, samples, chunk, workers)
     if method == "quadrature":
-        if p.dimension != 1:
-            raise CapacityError("k >= 2 quadrature is one-dimensional; use monte_carlo")
-        if k > VIRIAL_QUADRATURE_MAX_K:
-            raise CapacityError(f"quadrature capped at k={VIRIAL_QUADRATURE_MAX_K}")
-        fine, coarse = _gap_integral(p, beta, k + 1, "two_connected", None)
-        fine, coarse = (k + 1) * fine, (k + 1) * coarse
+        fine, coarse = (k + 1) * val, (k + 1) * err
         return fine, abs(fine - coarse)
-    if method == "monte_carlo":
-        if k > VIRIAL_MC_MAX_K:
-            raise CapacityError(f"Monte Carlo capped at k={VIRIAL_MC_MAX_K}")
-        val, err = _mc_graph_sum(p, beta, k + 1, "two_connected", seed, samples,
-                                 chunk, workers=workers)
-        scale = 1.0 / math.factorial(k)
-        return val * scale, err * scale
-    raise ConfigError(f"unknown method {method!r}")
+    scale = 1.0 / math.factorial(k)
+    return val * scale, err * scale
 
 
 def penrose_bn_bound(n: int, beta: float, B: float, cbeta: float) -> float:

@@ -15,7 +15,7 @@ import io
 import json
 import os
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
 
@@ -50,25 +50,17 @@ def json_payload(kind: str, data: Mapping) -> dict:
     return payload
 
 
-def dump_json(payload: Mapping, path: Optional[str] = None) -> str:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def dump_json(payload: Mapping) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def dump_csv(header: Sequence[str], rows: Iterable[Sequence], path: Optional[str] = None) -> str:
+def dump_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    text = buf.getvalue()
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def render_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:

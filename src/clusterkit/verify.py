@@ -630,8 +630,6 @@ def _check_p_symmetry() -> Tuple[bool, str]:
     checked = 0
     for N in (6, 8):
         for s in ((2, 3), (2, 2, 3), (2, 2, 4), (2, 3, 3)):
-            if sum(s) > 8:
-                continue
             vals = {p_exact(N, perm) for perm in set(it.permutations(s))}
             if len(vals) != 1:
                 return False, f"P not symmetric for s={s}, N={N}"

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from clusterkit import tonks
 from clusterkit.canonical import (
-    ZTILDE_QUADRATURE_MAX_N,
     CanonicalResult,
     compare_series_direct,
     q_lambda,
     ztilde_direct,
 )
 from clusterkit.cluster import (
+    ROUTE_CAPS,
     _boltzmann_factors,
     _level_count_factors,
     _pair_distances,
@@ -142,18 +142,21 @@ def test_boltzmann_factors_are_bitwise_pair_product(p, beta):
 
 
 def test_ztilde_auto_samples_past_the_quadrature_cap(well):
-    N = 5
-    assert N > ZTILDE_QUADRATURE_MAX_N
+    N = ROUTE_CAPS["quadrature"]["all"] + 1
     auto = ztilde_direct(well, 1.0, 20.0, N, seed=5, samples=40_000)
     assert auto.method == "monte_carlo"
     assert auto == ztilde_direct(well, 1.0, 20.0, N, "monte_carlo", seed=5, samples=40_000)
 
 
 def test_ztilde_method_caps(rod, sphere):
-    with pytest.raises(CapacityError):
-        ztilde_direct(rod, 1.0, 30.0, 5, "quadrature")
-    with pytest.raises(CapacityError):
-        ztilde_direct(rod, 1.0, 50.0, 13, "monte_carlo", seed=1)
+    for method, caps in ROUTE_CAPS.items():
+        N = caps["all"] + 1
+        with pytest.raises(CapacityError, match=rf"^{method} capped at N={N - 1}, got N={N}$"):
+            ztilde_direct(rod, 1.0, 50.0, N, method, seed=1)
+    with pytest.raises(CapacityError, match="one-dimensional, got d=3 at N=2;"):
+        ztilde_direct(sphere, 1.0, 5.0, 2, "quadrature")
+    with pytest.raises(ConfigError, match="unknown method 'simpson'"):
+        ztilde_direct(rod, 1.0, 30.0, 2, "simpson")
     with pytest.raises(ConfigError):
         ztilde_direct(sphere, 1.0, 5.0, 3, "tonks_closed")
     with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ import pytest
 
 from clusterkit import cli, polymer, potentials, verify
 from clusterkit.cli import main, run_for_test
+from clusterkit.cluster import ROUTE_CAPS
 from clusterkit.polymer import ActivityProfile, log_xi_ursell
 
 
@@ -571,3 +572,48 @@ def test_radii_u_refuses_what_it_overrides(capsys, flag, value):
 def test_radii_u_takes_cbeta():
     out = run_json(["radii", "--u", "2", "--cbeta", "3"])
     assert (out["beta"], out["B"], out["cbeta"]) == (1.0, math.log(2.0) / 2.0, 3.0)
+
+
+# the route refusals the CLI reaches, read from the route table: b_n by
+# mayer and ztilde by canonical, one past each cap; quadrature in d = 3 at
+# the lowest order it integrates by gaps; a method outside the table.
+# (virial's direct row is quadrature within its caps and skipped past them.)
+ROUTE_REFUSALS = [
+    *(pytest.param(["mayer", *ROD, "--n", str(caps["connected"] + 1), "--method", method,
+                    "--seed", "1", "--samples", "40000"],
+                   f"{method} capped at n={caps['connected']}, got n={caps['connected'] + 1}",
+                   id=f"mayer_{method}") for method, caps in ROUTE_CAPS.items()),
+    *(pytest.param(["canonical", *ROD, "--L", "50", "--N", str(caps["all"] + 1), "--k-max", "2",
+                    "--method", method, "--seed", "1"],
+                   f"{method} capped at N={caps['all']}, got N={caps['all'] + 1}",
+                   id=f"canonical_{method}") for method, caps in ROUTE_CAPS.items()),
+    pytest.param(["mayer", "--potential", "hard_sphere", "--n", "3"],
+                 "quadrature is one-dimensional, got d=3 at n=3", id="mayer_d3"),
+    pytest.param(["canonical", "--potential", "hard_sphere", "--L", "6", "--N", "2",
+                  "--k-max", "2", "--method", "quadrature"],
+                 "quadrature is one-dimensional, got d=3 at N=2", id="canonical_d3"),
+    *(pytest.param([command, *ROD, "--method", "simpson"], "invalid choice: 'simpson'",
+                   id=f"{command}_unknown") for command in ("mayer", "virial", "canonical")),
+]
+
+
+@pytest.mark.parametrize("argv, named", ROUTE_REFUSALS)
+def test_route_refusals_exit_2(capsys, argv, named):
+    assert _exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("volume", ["inf", "infinite"])
+def test_volume_inf_is_the_default(volume):
+    argv = ["mayer", *ROD, "--n", "3"]
+    assert (verify._strip_timestamp(run_for_test([*argv, "--volume", volume]))
+            == verify._strip_timestamp(run_for_test(argv)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_out_writes_the_bytes_of_stdout(tmp_path, fmt):
+    argv = ["mayer", *ROD, "--n", "3", "--format", fmt]
+    target = tmp_path / f"b.{fmt}"
+    assert run_for_test([*argv, "--out", str(target)]) == ""
+    stamp = re.compile(rb'"generated_at": "[^"]*"')
+    assert stamp.sub(b"", target.read_bytes()) == stamp.sub(b"", run_for_test(argv).encode())

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from clusterkit import tonks
 from clusterkit.canonical import compare_series_direct, ztilde_direct
 from clusterkit.cluster import (
+    ROUTE_CAPS,
     _Workspace,
     _box_points,
     _graph_class_sum,
@@ -137,16 +138,18 @@ MC_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
 @pytest.mark.parametrize("key, value", [("chunk", 0), ("chunk", -3), ("samples", 0),
-                                        ("seed", -1), ("seed", 2**64)])
+                                        ("seed", -1), ("seed", 2**64), ("seed", True),
+                                        ("seed", False), ("samples", True), ("chunk", True)])
 def test_mc_sizes_below_one_rejected(sphere, entry, key, value):
-    # a seed outside the Philox key word [0, 2^64) once raised OverflowError
+    # a seed outside the Philox key word [0, 2^64) once raised OverflowError;
+    # a bool once ran as the integer it equals
     bound = r"in \[0, 2\^64\)" if key == "seed" else ">= 1"
     with pytest.raises(ConfigError, match=rf"Monte Carlo {key} must be an integer {bound}"):
         MC_ENTRY_POINTS[entry](sphere, **{"seed": 1, key: value})
 
 
 @pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
-@pytest.mark.parametrize("workers", [0, -1, 2.5])
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True])
 def test_mc_bad_workers_rejected(sphere, entry, workers):
     # each of these once ran silently on one thread
     with pytest.raises(ConfigError, match=r"Monte Carlo workers must be an integer >= 1"):
@@ -432,17 +435,31 @@ def test_virial_k1_radial(sphere):
 # capacity and validation
 # ---------------------------------------------------------------------------
 
+# the front ends of the route table's b_n and beta_k, at an order in their
+# own symbol, with the lowest order each integrates by gap quadrature (the
+# orders below it are the radial pair integral and b_1)
+ROUTE_FRONT_ENDS = {
+    "connected": (lambda p, n, method, **kw: mayer_bn(p, 1.0, n, method=method, **kw),
+                  "n", 3),
+    "two_connected": (lambda p, k, method, **kw: virial_bk_direct(p, 1.0, k, method, **kw),
+                      "k", 2),
+}
+
+
 def test_capacity_errors(rod, sphere):
-    with pytest.raises(CapacityError):
-        mayer_bn(rod, 1.0, 7)
-    with pytest.raises(CapacityError):
-        mayer_bn(sphere, 1.0, 3)  # d=3 quadrature beyond the pair integral
-    with pytest.raises(CapacityError):
-        mayer_bn(rod, 1.0, 6, method="monte_carlo", seed=1)
-    with pytest.raises(CapacityError):
-        virial_bk_direct(rod, 1.0, 4)
-    with pytest.raises(CapacityError):
-        virial_bk_direct(sphere, 1.0, 3, method="monte_carlo", seed=1)
+    for graph_class, (front_end, symbol, lowest) in ROUTE_FRONT_ENDS.items():
+        for method, caps in ROUTE_CAPS.items():
+            cap = caps[graph_class]
+            message = rf"^{method} capped at {symbol}={cap}, got {symbol}={cap + 1}$"
+            with pytest.raises(CapacityError, match=message):
+                front_end(rod, cap + 1, method, seed=1)
+        with pytest.raises(CapacityError, match=rf"one-dimensional, got d=3 at {symbol}={lowest};"):
+            front_end(sphere, lowest, "quadrature")
+        with pytest.raises(ConfigError, match="unknown method 'simpson'"):
+            front_end(rod, lowest, "simpson")
+    # the box b_2 is a gap integral too
+    with pytest.raises(CapacityError, match="one-dimensional, got d=3 at n=2;"):
+        mayer_bn(sphere, 1.0, 2, 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_enum_trees_small():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_rooted_tree_from_maps_equals_from_mask(n):
+def test_scalar_tree_maps_rebuild_every_tree(n):
     for t in enum_trees(n):
         for root in range(1, n + 1):
             # the swept parent map is the tree: its edges rebuild the mask
