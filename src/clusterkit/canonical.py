@@ -9,10 +9,10 @@ one-dimensional nested quadrature over ordered gaps, and plain hit-or-miss
 Monte Carlo on the Boltzmann factor (adequate exactly in the low-density
 regime the series certifies).  The Boltzmann factor is prod (1 + f), the
 sum over all graphs, so both numerical routes go through the route check
-of b_n and beta_k, ``cluster._direct_integral``, for graph class "all":
-the gap quadrature, and the Monte Carlo chunk loop whose box mean is
-ztilde itself.  Their caps in N are the "all" entries of
-``cluster.ROUTE_CAPS``, which ``auto`` and the series side's b_n read too.
+of b_n and beta_k, ``cluster.check_route``, for graph class "all": the gap
+quadrature, and the Monte Carlo chunk loop whose box mean is ztilde
+itself.  Their caps in N are the "all" entries of ``cluster.ROUTE_CAPS``,
+which ``auto`` and the series side's b_n (``_series_route``) read too.
 Free boundary conditions throughout: no periodic images.
 
 ``compare_series_direct`` is the end-to-end harness: it evaluates the
@@ -167,30 +167,45 @@ class ComparisonReport:
         }
 
 
+def _series_route(p: PairPotential, n: int) -> str:
+    """The route of the series side's b_n.
+
+    Quadrature within its cap (d = 1); hard rods use the closed coefficients
+    beyond (they are the same numbers the quadrature reproduces to ~1e-12),
+    since the direct side of the comparison should not be starved of
+    orders; other coefficients are sampled by Monte Carlo within its cap.
+    Past every cap it raises CapacityError naming k_max = n - 1, the order
+    whose coefficient needs b_n, and the largest k_max that runs.
+    """
+    quadrature = ROUTE_CAPS["quadrature"]["connected"] if p.dimension == 1 else 0
+    monte_carlo = ROUTE_CAPS["monte_carlo"]["connected"]
+    if n <= quadrature:
+        return "quadrature"
+    if p.kind == "hard_rod":
+        return "tonks_closed"
+    if n <= monte_carlo:
+        return "monte_carlo"
+    raise CapacityError(
+        f"k_max={n - 1} needs b_{n}, which has no route for {p.kind} in d={p.dimension}; "
+        f"the largest k_max that runs is {max(quadrature, monte_carlo) - 1}")
+
+
 def _mayer_table_for_series(p: PairPotential, beta: float, n_max: int,
                             seed: Optional[int], samples: int, chunk: int,
                             workers: Optional[int] = None) -> Dict[int, float]:
-    """Infinite-volume fugacity coefficients b_1..b_n_max for the series side.
-
-    Quadrature within its cap; hard rods use the closed coefficients beyond
-    (they are the same numbers the quadrature reproduces to ~1e-12), since
-    the direct side of the comparison should not be starved of orders.
-    Other coefficients are sampled by Monte Carlo with the comparison's
-    seed, samples and chunk.
-    """
+    """Infinite-volume fugacity coefficients b_1..b_n_max for the series
+    side, each by its ``_series_route``; Monte Carlo takes the comparison's
+    seed, samples and chunk."""
     out = {1: 1.0}
     for n in range(2, n_max + 1):
-        if p.dimension == 1 and n <= ROUTE_CAPS["quadrature"]["connected"]:
-            out[n], _ = mayer_bn(p, beta, n, method="quadrature")
-        elif p.kind == "hard_rod":
+        route = _series_route(p, n)
+        if route == "tonks_closed":
             out[n] = tonks.bn_value(n, p.sigma)
-        elif n <= ROUTE_CAPS["monte_carlo"]["connected"]:
+        elif route == "quadrature":
+            out[n], _ = mayer_bn(p, beta, n, method="quadrature")
+        else:
             out[n], _ = mayer_bn(p, beta, n, method="monte_carlo", seed=seed,
                                  samples=samples, chunk=chunk, workers=workers)
-        else:
-            raise CapacityError(
-                f"no route to order-{n} fugacity coefficients for {p.kind}"
-            )
     return out
 
 
@@ -212,8 +227,10 @@ def compare_series_direct(
     The density convention is rho = N/V on the series side; the finite-N
     mismatch against the direct side is part of the comparison budget
     (2 |Q| / N), together with the certified series tail and three standard
-    errors of the direct estimate.
+    errors of the direct estimate.  The series side's highest order,
+    b_(k_max+1), is checked for a route before anything is computed.
     """
+    _series_route(p, k_max + 1)
     direct = ztilde_direct(
         p, beta, L, N, direct_method, seed=seed, samples=samples, chunk=chunk,
         workers=workers,

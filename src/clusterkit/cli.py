@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__, tonks
 from .canonical import compare_series_direct
-from .cluster import ROUTE_CAPS, mayer_bn, penrose_bn_bound, virial_bk_direct
+from .cluster import ROUTE_CAPS, check_route, mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import CapacityError, ClusterKitError, ConfigError
 from .polymer import (XI_BRUTEFORCE_MAX_N, ActivityProfile, ck_finite_N, fp_check, log_xi_ursell,
                       p_exact, p_limit, xi_exact)
@@ -362,9 +362,19 @@ def _require_potential(args) -> PairPotential:
     return pot
 
 
+def _check_highest_order(pot: PairPotential, n: int, method: str) -> None:
+    """The route check of b_n, the highest order of a table, before any
+    integral: a refused order fails fast, not after every lower one.  Up to
+    n = 2 it is left to mayer_bn: b_1 and the infinite-volume b_2 have
+    routes of their own, and no integral comes before b_2."""
+    if n > 2:
+        check_route(pot, "connected", n, method)
+
+
 def _cmd_mayer(args) -> int:
     pot = _require_potential(args)
     sampling = _sampling(args)
+    _check_highest_order(pot, args.n, args.method)
     cb, _ = c_beta(pot, args.beta)
     # every bound before the first integral, so an overflowing one fails fast
     bounds = [penrose_bn_bound(n, args.beta, pot.B, cb) if n >= 2 else 1.0
@@ -391,6 +401,7 @@ def _cmd_virial(args) -> int:
     pot = _require_potential(args)
     sampling = _sampling(args)
     k_max = args.k_max
+    _check_highest_order(pot, k_max + 1, args.method)
     b = {1: 1.0}
     for n in range(2, k_max + 2):
         b[n], _ = mayer_bn(pot, args.beta, n, method=args.method, **sampling)

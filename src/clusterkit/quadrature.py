@@ -25,12 +25,18 @@ Two engines live here:
   breakpoint candidates form one contiguous row per candidate, and
   ``distinct_ids`` ranks the level rows of a block of the last level, or
   of a Monte Carlo chunk, in a table over their ids or by one sort.
-  The last level runs PREFIX_BLOCK prefix rows a block, each reduced to one
-  partial sum by numpy's pairwise sum, not a BLAS dot (``_block_sum``);
-  these partial sums fix the bits, whatever the BLAS thread count.  Its
-  scratch memory is bounded by the block: a block's arrays are freed before
-  the next block's are made, and its level work runs WEIGHT_BLOCK panels a
-  step, so only the ids and positions of the evaluated nodes span a block.
+  The levels up to the one before last are expanded whole; the level
+  before last is expanded a chunk of rows at a time (``_prefix_blocks``)
+  and cut into the PREFIX_BLOCK-row blocks that slicing the whole level
+  would give, so it never exists whole.  The last level runs one such
+  block at a time, each reduced to one partial sum by numpy's pairwise
+  sum, not a BLAS dot (``_block_sum``); these partial sums fix the bits,
+  whatever the BLAS thread count.  Only the earlier levels exist whole,
+  each some ten times smaller than the next; the rest of the scratch
+  memory is bounded by about one block at any order: a block's arrays are
+  freed before the next block's are made, its level work runs WEIGHT_BLOCK
+  panels a step, only panel-length arrays span a block, and a panel's
+  value is multiplied onto its nodes' weights in place.
 """
 
 from __future__ import annotations
@@ -341,9 +347,10 @@ def _panel_block(ts, radii, box_cuts, support, box_length):
 
     The edge array is (ncand + 2, P), one contiguous row per candidate, so
     the candidates are written, filtered, sorted along axis 0 and merged by
-    whole rows.  The kept panels are the flat positions of the row-major
-    (P, ncand + 1) width mask, and their edges and widths are gathered from
-    the flat arrays by index.
+    whole rows.  After the merge a (ncand + 1, P) mask marks the kept
+    panels; their flat positions in its row-major transpose give each kept
+    panel's two edges, gathered from the flat edge array, and its width is
+    their difference.  No array of all the widths is made.
     """
     P, k = ts.shape
     upper = np.full(P, support if support is not None else box_length, dtype=float)
@@ -375,6 +382,7 @@ def _panel_block(ts, radii, box_cuts, support, box_length):
     for c in box_cuts:
         np.subtract(c, suffix[-1], out=cand[col])
         col += 1
+    del suffix
     # invalid candidates become 0, which sorts them first and merges them away
     cand[(cand <= _MERGE_TOL) | (cand >= upper - _MERGE_TOL)] = 0.0
     cand.sort(axis=0)
@@ -384,15 +392,29 @@ def _panel_block(ts, radii, box_cuts, support, box_length):
     for v in cand:
         np.copyto(v, last, where=v - last <= _MERGE_TOL)
         last = v
+    # a panel is kept when its width exceeds tol.  The merge left each
+    # candidate either more than tol above the edge before it or equal to
+    # it, so there a panel is kept when its edges differ; the last panel,
+    # up to upper, is checked by its width
+    kept = edges[1:] != edges[:-1]
+    np.greater(edges[-1] - edges[-2], _MERGE_TOL, out=kept[-1])
     # the kept panels in row then panel order: flat positions in the
-    # row-major (P, width) mask, read back from the column-major widths; the
-    # index arithmetic runs in place and each gather replaces its source
-    h = edges[1:] - edges[:-1]
-    row, at = np.divmod(np.flatnonzero((h > _MERGE_TOL).T), width)
+    # row-major (P, width) mask, turned into positions in the flat edges.
+    # Each panel's width is its right edge, one edge row further on, minus
+    # its left edge, and that position modulo P is its row.  The index
+    # arithmetic runs in place, so the gathers hold three panel-length arrays.
+    at = np.flatnonzero(kept.T)
+    del kept
+    row, at = np.divmod(at, width, out=(np.empty_like(at), at))
     at *= P
     at += row
-    h = h.ravel()[at]
-    a = edges.ravel()[at]
+    del row
+    flat = edges.ravel()
+    a = flat[at]
+    at += P
+    h = flat[at]
+    h -= a
+    row = np.remainder(at, P, out=at)
     if rows is not None:
         row = rows[row]
     return row, a, h
@@ -400,28 +422,28 @@ def _panel_block(ts, radii, box_cuts, support, box_length):
 
 def _nodes(ts, row, a, h, xq):
     """Gap rows of the Gauss nodes a + h*x of the panels: the prefix row
-    ts[row], then the node; in panel then node order."""
+    ts[row], then the node; in panel then node order.  Each prefix gap is
+    written onto its panel's q rows from one panel-length gather."""
     q = xq.shape[0]
     k = ts.shape[1]
-    out = np.empty((row.shape[0] * q, k + 1))
-    out[:, :k] = np.repeat(ts[row], q, axis=0)
-    out[:, k] = (a[:, None] + h[:, None] * xq).ravel()
-    return out
-
-
-def _node_weights(wts, row, h, wq):
-    """Weights (w * h) * wq of the panels' Gauss nodes, in panel then node order."""
-    return ((wts[row] * h)[:, None] * wq).ravel()
+    out = np.empty((row.shape[0], q, k + 1))
+    for j in range(k):
+        out[:, :, j] = ts[row, j][:, None]
+    np.multiply(h[:, None], xq, out=out[:, :, k])
+    out[:, :, k] += a[:, None]
+    return out.reshape(-1, k + 1)
 
 
 def _expand_level(ts, wts, xq, wq, radii, box_cuts, support, box_length):
     """Expand every row of gaps ``ts`` (P, k) with weights ``wts`` (P,) by one gap.
 
     The array form of ``_expand_row``, node for node and weight for weight.
-    Output rows come in row, panel, node order.
+    Output rows come in row, panel, node order; a node's weight is
+    (w * h) * wq, its row's weight times its panel's width times its Gauss
+    weight.
     """
     row, a, h = _panels(ts, radii, box_cuts, support, box_length)
-    return _nodes(ts, row, a, h, xq), _node_weights(wts, row, h, wq)
+    return _nodes(ts, row, a, h, xq), ((wts[row] * h)[:, None] * wq).ravel()
 
 
 def _evaluate(weight_fn, points):
@@ -433,47 +455,58 @@ def _evaluate(weight_fn, points):
 
 
 def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
-    """weight_fn at the Gauss nodes of the panels (row, a, h), in panel then
-    node order, called once per distinct row of bond levels.
+    """weight_fn at the Gauss nodes of the panels (row, a, h), called once
+    per distinct row of bond levels: (panels, 1) values, one per panel, when
+    no panel is split, else (panels, q) values, one per node.
 
     A window grows with the last gap, so a panel whose first and last node
     share their levels has them at every node and is evaluated at its first
     node.  A panel with a level crossing inside it, closer to an edge than
-    the merge tolerance, is evaluated node by node.  These evaluated nodes
-    are the units, whose level ids ``_unit_ids`` gives; ``distinct_ids``
-    ranks them, weight_fn sees one unit per id, in increasing id order, and
-    each value is repeated onto the nodes its units stand for.  Each array
-    is dropped once used, so the block's peak holds the unit arrays and the
-    values, not the level work.
+    the merge tolerance, is split: it is evaluated node by node.  These
+    evaluated nodes are the units, whose level ids ``_unit_ids`` gives;
+    ``distinct_ids`` ranks them, weight_fn sees one unit per id, in
+    increasing id order, and each value goes back to the units of its id;
+    with a split panel, each unit's value is repeated onto the nodes it
+    stands for.  Each array is dropped once used, so the block's peak holds
+    the unit ids and the values, not the level work.
     """
     k = ts.shape[1]
     q = xq.shape[0]
     ids, units, count = _unit_ids(ts, row, a, h, xq, level_cuts)
     distinct, inverse = distinct_ids(ids, count)
+    del ids
     rep = np.empty(distinct.shape[0], dtype=np.intp)
-    rep[inverse] = np.arange(ids.shape[0])
-    del ids, distinct
-    node = units[rep]
-    panel = node // q
+    rep[inverse] = np.arange(inverse.shape[0])
+    del distinct
+    if units is None:
+        panel, x = rep, xq[0]
+    else:
+        node = units[rep]
+        panel = node // q
+        x = xq[node - panel * q]
     points = np.empty((rep.shape[0], k + 1))
     points[:, :k] = ts[row[panel]]
-    points[:, k] = a[panel] + h[panel] * xq[node - panel * q]
+    points[:, k] = a[panel] + h[panel] * x
     vals = _evaluate(weight_fn, points)[inverse]
     del inverse
+    if units is None:
+        return vals[:, None]
     repeats = np.diff(np.append(units, row.shape[0] * q))
     del units
-    return np.repeat(vals, repeats)
+    return np.repeat(vals, repeats).reshape(-1, q)
 
 
 def _unit_ids(ts, row, a, h, xq, level_cuts):
-    """The level ids of the units of the panels (row, a, h) and the units'
-    flat node positions, in panel then node order, with the bound on the ids.
+    """The level ids of the units of the panels (row, a, h), the units'
+    flat node positions, in panel then node order, and the bound on the ids.
 
-    The levels of the prefix pairs are taken once per prefix row and their
-    ids ranked by ``distinct_ids``; each unit adds the windows that end at
-    its last vertex.  All are differences of the running sums
-    ``pair_window_matrix`` takes, so a unit's levels are the ones weight_fn
-    sees for it.  The level work runs WEIGHT_BLOCK panels a step
+    When no panel is split the units are the panels' first nodes: the ids
+    are one panel-length array, written step by step, and the positions
+    are None.  The levels of the prefix pairs are taken once per
+    prefix row and their ids ranked by ``distinct_ids``; each unit adds the
+    windows that end at its last vertex.  All are differences of the running
+    sums ``pair_window_matrix`` takes, so a unit's levels are the ones
+    weight_fn sees for it.  The level work runs WEIGHT_BLOCK panels a step
     (``_level_step``), so its gathers and masks never span the block.  The
     ids of all steps are ranked together, so every step numbers them the
     same way: prefix rank times base^(k+1) plus one level digit per window.
@@ -486,15 +519,23 @@ def _unit_ids(ts, row, a, h, xq, level_cuts):
              for i in range(k + 1) for j in range(i + 1, k + 1))
     prefixes, pre_ids = distinct_ids(
         *_append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base))
-    ids, units = [], []
-    for i in range(0, row.shape[0], WEIGHT_BLOCK):
+    panels = row.shape[0]
+    ids = np.empty(panels, dtype=np.int64)
+    split = {}  # step start -> the ids and node positions of a step with a split panel
+    for i in range(0, panels, WEIGHT_BLOCK):
         step = slice(i, i + WEIGHT_BLOCK)
         count, step_ids, unit = _level_step(cs, pre_ids, prefixes.shape[0], row[step],
                                             a[step], h[step], xq, level_cuts)
-        unit += i * q
-        ids.append(step_ids)
-        units.append(unit)
-    return np.concatenate(ids), np.concatenate(units), count
+        if unit is None:
+            ids[step] = step_ids
+        else:
+            split[i] = step_ids, unit + i * q
+    if not split:
+        return ids, None, count
+    parts = [split.get(i) or (ids[i:i + WEIGHT_BLOCK],
+                              np.arange(i * q, min(i + WEIGHT_BLOCK, panels) * q, q))
+             for i in range(0, panels, WEIGHT_BLOCK)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), count
 
 
 def _level_step(cs, pre_ids, count, row, a, h, xq, level_cuts):
@@ -502,22 +543,32 @@ def _level_step(cs, pre_ids, count, row, a, h, xq, level_cuts):
     its units, each panel's first node or, for a split panel, every node.
 
     ``cs`` are the running sums of the prefix rows and ``pre_ids`` their
-    ids, below ``count``.  Returns the new bound on the ids, the ids and the
-    units' flat positions among the step's nodes, in panel then node order.
+    ids, below ``count``.  Returns the new bound on the ids, the ids, and
+    None when no panel is split (one id per panel), else the units' flat
+    positions among the step's nodes, in panel then node order.
     """
     k = cs.shape[0] - 1
     q = xq.shape[0]
+    base = len(level_cuts) + 1
 
-    def last_levels(c, x):
-        end = c[k] + x
-        return [bond_levels(end - c[i], level_cuts) for i in range(k + 1)]
+    def last_levels(row, *xs):
+        # the levels of the windows that end at the last vertex, for each
+        # array of last gaps in xs (overwritten), one prefix column at a time
+        end = cs[k][row]
+        ends = [np.add(x, end, out=x) for x in xs]
+        out = [[] for _ in xs]
+        for i in range(k + 1):
+            c = end if i == k else cs[i][row]
+            for e, lv in zip(ends, out):
+                lv.append(bond_levels(e - c, level_cuts))
+        return out
 
-    c = np.take(cs, row, axis=1)
-    levels = last_levels(c, a + h * xq[0])
+    levels, at_last = last_levels(row, a + h * xq[0], a + h * xq[-1])
     split = np.zeros(row.shape[0], dtype=bool)
-    for lo, hi in zip(levels, last_levels(c, a + h * xq[-1])):
+    for lo, hi in zip(levels, at_last):
         split |= lo != hi
-    unit = np.arange(0, row.shape[0] * q, q)
+    del at_last
+    unit = None
     if split.any():
         start = np.zeros((row.shape[0], q), dtype=bool)
         start[:, 0] = True
@@ -525,8 +576,8 @@ def _level_step(cs, pre_ids, count, row, a, h, xq, level_cuts):
         unit = np.flatnonzero(start)
         x = (a[:, None] + h[:, None] * xq).ravel()[unit]
         row = row[unit // q]
-        levels = last_levels(np.take(cs, row, axis=1), x)
-    ids, count = _append_levels(pre_ids[row], count, levels, len(level_cuts) + 1)
+        levels, = last_levels(row, x)
+    ids, count = _append_levels(pre_ids[row], count, levels, base)
     return count, ids, unit
 
 
@@ -574,12 +625,16 @@ def gap_quadrature(
 
     Returns the sums under the refined and the base node schedule, in that
     order; their difference is the callers' error estimate.  Each schedule
-    expands the prefix rows one level at a time as arrays.  The final level
-    is taken PREFIX_BLOCK prefix rows at a time (``_block_sum``), each block
-    reduced to one partial sum by numpy's pairwise sum: PREFIX_BLOCK fixes
-    the partial sums, and so the bits, whatever the BLAS thread count.  The
-    level work of a block runs WEIGHT_BLOCK panels a step, which bounds its
-    scratch memory and leaves the bits alone, and weight_fn sees at most
+    expands the prefix rows one level at a time as arrays, up to the level
+    before last, which is streamed: expanded a chunk of rows at a time and
+    cut into the PREFIX_BLOCK-row blocks that slicing it whole would give
+    (``_prefix_blocks``).  The final level is taken one such block at a
+    time (``_block_sum``), each block reduced to one partial sum by numpy's
+    pairwise sum: PREFIX_BLOCK fixes the partial sums, and so the bits,
+    whatever the BLAS thread count.  So beyond the earlier levels, which
+    exist whole, scratch memory is bounded by about one block at any order.
+    The level work of a block runs WEIGHT_BLOCK panels a step, which bounds
+    its scratch memory and leaves the bits alone, and weight_fn sees at most
     WEIGHT_BLOCK rows a call.
     """
     if support is None and box_length is None:
@@ -593,10 +648,15 @@ def gap_quadrature(
                  for q_offset in (1, 0))
 
 
+def _max_row_nodes(radii, box_cuts, gaps, q):
+    """The most nodes a row gets at the level of its ``gaps``-th gap: q a
+    panel, and at most one panel more than its breakpoint candidates."""
+    return (len(radii) * gaps + len(box_cuts) + 1) * q
+
+
 def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
     """The nested sum of ``gap_quadrature`` under one node schedule ``qs``."""
-    radii, box_cuts = rule[:2]
-    est = math.prod((len(radii) * m + len(box_cuts) + 1) * q for m, q in enumerate(qs, start=1))
+    est = math.prod(_max_row_nodes(*rule[:2], m, q) for m, q in enumerate(qs, start=1))
     if est > _MAX_NODES:
         raise CapacityError(
             f"nested quadrature would need ~{est:.2e} nodes; "
@@ -604,14 +664,37 @@ def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
         )
 
     ts, wts = np.zeros((1, 0)), np.ones(1)
-    for q in qs[:-1]:
+    for q in qs[:-2]:
         ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
+    blocks = _prefix_blocks(ts, wts, qs[-2], rule) if len(qs) > 1 else [(ts, wts)]
 
     xq, wq = gauss_nodes(qs[-1])
-    partials = (_block_sum(weight_fn, ts[i:i + PREFIX_BLOCK], wts[i:i + PREFIX_BLOCK],
-                           xq, wq, rule, level_cuts)
-                for i in range(0, ts.shape[0], PREFIX_BLOCK))
+    partials = (_block_sum(weight_fn, prefix, w, xq, wq, rule, level_cuts)
+                for prefix, w in blocks)
     return math.fsum(p for p in partials if p is not None)
+
+
+def _prefix_blocks(ts, wts, q, rule):
+    """The level after the rows ``ts`` with weights ``wts``, by q nodes a
+    panel, as the PREFIX_BLOCK-row blocks that slicing the whole level gives.
+
+    The rows are expanded a chunk at a time, and a row's expansion does not
+    depend on the other rows, so each block holds the rows of that slice,
+    bit for bit.  A chunk has as many rows as keep its nodes, by the bound
+    on a row's nodes, within one block, so no more than two blocks of the
+    level exist at once.
+    """
+    xq, wq = gauss_nodes(q)
+    step = max(1, PREFIX_BLOCK // _max_row_nodes(*rule[:2], ts.shape[1] + 1, q))
+    held, held_w = np.empty((0, ts.shape[1] + 1)), np.empty(0)
+    for i in range(0, ts.shape[0], step):
+        new, new_w = _expand_level(ts[i:i + step], wts[i:i + step], xq, wq, *rule)
+        held, held_w = np.concatenate([held, new]), np.concatenate([held_w, new_w])
+        del new, new_w
+        last = i + step >= ts.shape[0]
+        while held.shape[0] >= PREFIX_BLOCK or (last and held.shape[0]):
+            yield held[:PREFIX_BLOCK], held_w[:PREFIX_BLOCK]
+            held, held_w = held[PREFIX_BLOCK:], held_w[PREFIX_BLOCK:]
 
 
 def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[float]:
@@ -619,23 +702,32 @@ def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[flo
     for a block without panels.
 
     A function of its own, so that none of the block's arrays outlives it
-    while the next block's panels and values are made.  The weighted values
-    are summed by numpy's pairwise ``add.reduce``, not ``np.dot``: OpenBLAS
-    splits a dot of more than 10,000 terms across its threads, so the bits
-    of a dot follow the BLAS thread count, and those of this sum do not.
+    while the next block's panels and values are made.  The values, one per
+    panel when no panel is split, are multiplied into the (panels, q) node
+    weights in place.  The weighted values are summed by numpy's pairwise
+    ``add.reduce``, not ``np.dot``: OpenBLAS splits a dot of more than
+    10,000 terms across its threads, so the bits of a dot follow the BLAS
+    thread count, and those of this sum do not.
     """
     box_length = rule[3]
     row, a, h = _panels(prefix, *rule)
     if not row.shape[0]:
         return None
+    q = xq.shape[0]
     pts = None
     if level_cuts is None or box_length is not None:
         pts = _nodes(prefix, row, a, h, xq)
     if level_cuts is None:
-        vals = _evaluate(weight_fn, pts)
+        vals = _evaluate(weight_fn, pts).reshape(-1, q)
     else:
         vals = _panel_values(weight_fn, prefix, row, a, h, xq, level_cuts)
     if box_length is not None:
-        vals = vals * (box_length - pts.sum(axis=1))
-    w = _node_weights(wts, row, h, wq)
-    return float(np.add.reduce(np.multiply(vals, w, out=w)))
+        vals = vals * (box_length - pts.sum(axis=1)).reshape(-1, q)
+    # the node weights (w * h) * wq, as in ``_expand_level``, made once the
+    # panels are dropped
+    w = wts[row]
+    w *= h
+    del row, a, h, pts
+    w = w[:, None] * wq
+    np.multiply(w, vals, out=w)
+    return float(np.add.reduce(w.ravel()))

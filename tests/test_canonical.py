@@ -163,6 +163,21 @@ def test_ztilde_method_caps(rod, sphere):
         ztilde_direct(rod, 1.0, 30.0, 6, "monte_carlo")  # no seed
 
 
+@pytest.mark.parametrize("dimension, runs", [(1, 5), (3, 4)])
+def test_compare_refuses_a_series_order_without_a_route_first(monkeypatch, dimension, runs):
+    # b_(k_max+1) has no route: refused before the direct side runs
+    def never(*args, **kwargs):
+        raise AssertionError("the direct side ran before the series orders were checked")
+
+    monkeypatch.setattr("clusterkit.canonical.ztilde_direct", never)
+    kind = "square_well" if dimension == 1 else "hard_sphere"
+    extra = dict(epsilon=1.0, lambda_w=1.5, B=1.0) if dimension == 1 else {}
+    p = PairPotential(kind, 1.0, dimension, **extra)
+    with pytest.raises(CapacityError, match=rf"^k_max={runs + 1} needs b_{runs + 2}, .*"
+                                            rf"the largest k_max that runs is {runs}$"):
+        compare_series_direct(p, 1.0, 40.0, 8, runs + 1, seed=1)
+
+
 def test_q_lambda_values(rod):
     res = ztilde_direct(rod, 1.0, 10.0, 2, "tonks_closed")
     assert q_lambda(res) == pytest.approx(math.log(0.81) / 10.0, rel=1e-12)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clusterkit import cli, polymer, potentials, verify
+from clusterkit import cli, cluster, polymer, potentials, verify
 from clusterkit.cli import main, run_for_test
 from clusterkit.cluster import ROUTE_CAPS
 from clusterkit.polymer import ActivityProfile, log_xi_ursell
@@ -497,6 +497,30 @@ def test_overflow_exits_2_naming_the_input(monkeypatch, capsys, argv, named):
     monkeypatch.setattr("clusterkit.cli.mayer_bn", never)
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+DEEP_WELL = [*WELL, "--epsilon", "1", "--B", "1"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["mayer", *DEEP_WELL, "--n", "6", "--method", "monte_carlo", "--seed", "1"],
+     "monte_carlo capped at n=5, got n=6"),
+    (["virial", *DEEP_WELL, "--k-max", "6", "--method", "monte_carlo", "--seed", "1"],
+     "monte_carlo capped at n=5, got n=7"),
+    (["virial", *DEEP_WELL, "--k-max", "6"], "quadrature capped at n=6, got n=7"),
+    (["canonical", *DEEP_WELL, "--L", "48", "--N", "12"],
+     "k_max=6 needs b_7, which has no route for square_well in d=1; "
+     "the largest k_max that runs is 5"),
+], ids=["mayer", "virial", "virial_quadrature", "canonical"])
+def test_refused_highest_order_runs_no_integral(monkeypatch, capsys, argv, named):
+    # the highest order's route is checked before any lower order is computed
+    calls = []
+    for name in ("_gap_integral", "_mc_graph_sum", "_radial_pair_integral"):
+        monkeypatch.setattr(cluster, name,
+                            lambda *a, name=name, **k: calls.append(name) or (1.0, 0.0))
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert calls == []
 
 
 def test_tabulated_overflow_exits_2_naming_minus_beta_v(tmp_path, capsys):
