@@ -371,6 +371,20 @@ def _check_highest_order(pot: PairPotential, n: int, method: str) -> None:
         check_route(pot, "connected", n, method)
 
 
+def _check_virial_order(pot: PairPotential, k_max: int, method: str) -> None:
+    """``_check_highest_order`` for b_(k_max+1), the highest b_n a virial
+    table reads.  An order past the method's cap is refused as canonical
+    refuses one: naming k_max and the largest k_max that runs."""
+    try:
+        _check_highest_order(pot, k_max + 1, method)
+    except CapacityError as exc:
+        if method == "quadrature" and pot.dimension != 1:
+            raise  # no order runs
+        cap = ROUTE_CAPS[method]["connected"]
+        raise CapacityError(f"k_max={k_max} needs b_{k_max + 1}, but {exc}; "
+                            f"the largest k_max that runs is {cap - 1}") from None
+
+
 def _cmd_mayer(args) -> int:
     pot = _require_potential(args)
     sampling = _sampling(args)
@@ -401,7 +415,7 @@ def _cmd_virial(args) -> int:
     pot = _require_potential(args)
     sampling = _sampling(args)
     k_max = args.k_max
-    _check_highest_order(pot, k_max + 1, args.method)
+    _check_virial_order(pot, k_max, args.method)
     b = {1: 1.0}
     for n in range(2, k_max + 2):
         b[n], _ = mayer_bn(pot, args.beta, n, method=args.method, **sampling)

@@ -338,14 +338,15 @@ def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
     the result keeps its dtype.  Uses the subset identity: the full product
     over pairs inside S equals the sum over partitions of S of connected
     parts, so the connected part is extracted by peeling the component of
-    the smallest element.
+    vertex 1.
     """
     col = _pair_index(n)
     full = (1 << n) - 1
     # in increasing order of S: boltz[S], the product of (1 + f_ij) over the
-    # pairs inside S, then its connected part conn[S], less the splits in
-    # which U | low, U a proper subset of the rest of S in decreasing order,
-    # is the component of the lowest vertex
+    # pairs inside S, then, when S holds vertex 1 (the only sets whose
+    # connected part is read), its connected part conn[S], less the splits
+    # in which U | 1, U a proper subset of the rest of S in decreasing
+    # order, is the component of vertex 1
     boltz, conn = {0: np.ones(fvals.shape[0], fvals.dtype)}, {}
     for s in range(1, full + 1):
         top = s.bit_length()  # highest vertex in S (1-based)
@@ -356,12 +357,12 @@ def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
             r ^= low
             acc = acc * (1 + fvals[:, col[low.bit_length()][top]])
         boltz[s] = total = acc
-        low = s & -s
-        u = rest = s ^ low
-        while u:
-            u = (u - 1) & rest
-            total = total - conn[u | low] * boltz[rest ^ u]
-        conn[s] = total
+        if s & 1:
+            u = rest = s ^ 1
+            while u:
+                u = (u - 1) & rest
+                total = total - conn[u | 1] * boltz[rest ^ u]
+            conn[s] = total
     return conn[full]
 
 

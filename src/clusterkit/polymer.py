@@ -99,52 +99,73 @@ class ActivityProfile:
 def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Number:
     """Partition function over disjoint subset families (sizes >= 2).
 
+    Both methods run on R_S = Xi_S D^|S| with scaled activities
+    c_m = zeta_m D^m, where D is the common denominator of the activities
+    that fit in [N] when all of them are ints or Fractions: then every R is
+    a Python int, no sum is normalized on the way, and Xi_N = R_N / D^N is
+    one division at the end (a Fraction if some activity is one, an int if
+    all are).  Any other profile (a float anywhere, or another number type)
+    runs the same loops with D = 1, c_m = zeta_m and no D factor, so its
+    operations and their order, and with them the float bits, are those of
+    the unscaled recursions.
+
     ``recursion`` conditions on the polymer containing the largest element:
-    Xi_j = Xi_{j-1} + sum_m C(j-1, m-1) zeta_m Xi_{j-m}, Xi_0 = Xi_1 = 1.
+    R_j = D R_{j-1} + sum_m C(j-1, m-1) c_m R_{j-m}, R_0 = 1, R_1 = D.
     ``bruteforce`` (N <= XI_BRUTEFORCE_MAX_N) works on the subsets of [N]:
-    Xi of a subset sums, over the polymers holding its lowest element (or
-    none), their activity times Xi of the rest, each subset solved once per
-    call and kept in a memo local to it.  The subsets reached are [N] and
-    those of {2..N}, so the cost is about 3^(N-1)/2 terms; each subset's terms
-    are summed in one fixed order, so float activities give the same bits
-    as the unmemoized recursion.  Both methods agree exactly for exact
+    R of a subset S is D R(S - low) plus, over the nonempty U in S - low,
+    c_(|U|+1) R(S - low - U): the lowest element alone or in a polymer with
+    U.  Each subset is solved once per call and kept in a memo local to it.
+    The subsets reached are [N] and those of {2..N}, so the cost is about
+    3^(N-1)/2 terms; each subset's terms are summed in one fixed order, so
+    float activities give the same bits as the unmemoized walk.  The brute
+    force is the recursion's oracle: the two agree exactly for exact
     activities.
     """
     if N < 0:
         raise InputError("N must be nonnegative")
+    if method not in ("recursion", "bruteforce"):
+        raise InputError(f"unknown method {method!r}")
+    if method == "bruteforce" and N > XI_BRUTEFORCE_MAX_N:
+        raise CapacityError(f"brute force capped at N={XI_BRUTEFORCE_MAX_N}")
+    zeta = {m: z for m, z in profile.zeta.items() if m <= N}  # larger sizes have no subsets
+    exact = all(isinstance(z, (int, Fraction)) for z in zeta.values())
+    D = math.lcm(*(z.denominator for z in zeta.values())) if exact else 1
+    c = {m: z.numerator * (D // z.denominator) * D ** (m - 1)
+         for m, z in zeta.items()} if exact else zeta
     if method == "recursion":
-        xi = [1, 1] + [0] * max(0, N - 1)
+        R = [1, D] + [0] * max(0, N - 1)
         for j in range(2, N + 1):
-            acc = xi[j - 1]
-            for m, z in profile.zeta.items():
+            acc = D * R[j - 1] if D > 1 else R[j - 1]
+            for m, cm in c.items():
                 if m <= j:
-                    acc = acc + math.comb(j - 1, m - 1) * z * xi[j - m]
-            xi[j] = acc
-        return xi[N] if N >= 1 else 1
-    if method == "bruteforce":
-        if N > XI_BRUTEFORCE_MAX_N:
-            raise CapacityError(f"brute force capped at N={XI_BRUTEFORCE_MAX_N}")
-        zeta = profile.zeta
+                    acc = acc + math.comb(j - 1, m - 1) * cm * R[j - m]
+            R[j] = acc
+        x = R[N]
+    else:
+        by_size = [c.get(size) for size in range(N + 1)]
         memo: Dict[int, Number] = {0: 1}
 
         def rec(mask: int) -> Number:
             if mask in memo:
                 return memo[mask]
-            low = mask & -mask
-            rest = mask ^ low
+            rest = mask & (mask - 1)  # the lowest element left out
             total = rec(rest)  # lowest element stays unpolymerized
+            if D > 1:
+                total = D * total
             # any subset of the remaining elements joins the lowest element
             sub = rest
             while sub:
-                z = zeta.get(bin(sub).count("1") + 1)
-                if z is not None:
-                    total = total + z * rec(rest ^ sub)
+                cm = by_size[sub.bit_count() + 1]
+                if cm is not None:
+                    total = total + cm * rec(rest ^ sub)
                 sub = (sub - 1) & rest
             memo[mask] = total
             return total
 
-        return rec((1 << N) - 1)
-    raise InputError(f"unknown method {method!r}")
+        x = rec((1 << N) - 1)
+    if exact and any(isinstance(z, Fraction) for z in zeta.values()):
+        return Fraction(x, D ** N)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,29 @@ def test_refused_highest_order_runs_no_integral(monkeypatch, capsys, argv, named
     assert calls == []
 
 
+@pytest.mark.parametrize("method, largest", [("quadrature", 5), ("monte_carlo", 4)])
+def test_virial_refusal_names_k_max_and_the_largest_that_runs(monkeypatch, capsys,
+                                                              method, largest):
+    # refused as canonical refuses: by the flag the user gave, not by the b_n it needs
+    monkeypatch.setattr("clusterkit.cli.mayer_bn", lambda *a, **k: (1.0, 0.0))
+    argv = ["virial", *DEEP_WELL, "--method", method, "--seed", "1"]
+    assert main([*argv, "--k-max", str(largest + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"k_max={largest + 1} needs b_{largest + 2}" in err
+    assert f"the largest k_max that runs is {largest}" in err
+    # ... and that one passes the route check
+    monkeypatch.setattr("clusterkit.cli.virial_bk_direct", lambda *a, **k: (1.0, 0.0))
+    assert main([*argv, "--k-max", str(largest)]) == 0
+
+
+def test_virial_by_quadrature_in_d3_names_no_largest_k_max(capsys):
+    # no order runs, so the dimension refusal stands as it is
+    assert main(["virial", "--potential", "hard_sphere", "--dimension", "3", "--k-max", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "quadrature is one-dimensional, got d=3 at n=7" in err
+    assert "largest k_max" not in err
+
+
 def test_tabulated_overflow_exits_2_naming_minus_beta_v(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": {

@@ -514,3 +514,37 @@ def test_connected_weight_sum_matches_graph_expansion():
                 prod *= fv[:, col[e]]
             want += prod
         assert np.allclose(got, want, atol=1e-12)
+
+
+def _full_peeling_weight_sum(fvals, n):
+    """The connected part of every subset, each peeled by its own lowest vertex."""
+    boltz, conn = {0: np.ones(fvals.shape[0], fvals.dtype)}, {}
+    col = {e: i for i, e in enumerate(vertex_pairs(n))}
+    for s in range(1, 1 << n):
+        top = s.bit_length()
+        r = s ^ (1 << (top - 1))
+        acc = boltz[r]
+        while r:
+            low = r & -r
+            r ^= low
+            acc = acc * (1 + fvals[:, col[(low.bit_length(), top)]])
+        boltz[s] = total = acc
+        low = s & -s
+        u = rest = s ^ low
+        while u:
+            u = (u - 1) & rest
+            total = total - conn[u | low] * boltz[rest ^ u]
+        conn[s] = total
+    return conn[(1 << n) - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_connected_weight_sum_bits_are_the_full_peeling(n):
+    # only the sets holding vertex 1 are peeled, with the same operations in the same order
+    rng = np.random.default_rng(n)
+    npairs = n * (n - 1) // 2
+    for fv in (rng.uniform(-1.0, 0.5, size=(7, npairs)),
+               -rng.integers(0, 2, size=(7, npairs), dtype=np.int64)):
+        got, want = connected_weight_sum(fv, n), _full_peeling_weight_sum(fv, n)
+        assert got.dtype == want.dtype == fv.dtype
+        assert got.tobytes() == want.tobytes()

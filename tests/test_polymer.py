@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -133,6 +134,60 @@ def test_xi_bruteforce_float_bits_are_the_unmemoized_recursion():
         zeta = {m: rng.uniform(-1.0, 1.0) for m in range(2, N + 1) if rng.random() < 0.8}
         got = xi_exact(N, ActivityProfile(N, zeta), "bruteforce")
         assert repr(got) == repr(_xi_families((1 << N) - 1, zeta))
+
+
+def _xi_unscaled_recursion(N, zeta):
+    """The Xi recursion with every activity entering as it is, in this order."""
+    xi = [1, 1] + [0] * max(0, N - 1)
+    for j in range(2, N + 1):
+        acc = xi[j - 1]
+        for m, z in zeta.items():
+            if m <= j:
+                acc = acc + math.comb(j - 1, m - 1) * z * xi[j - m]
+        xi[j] = acc
+    return xi[N] if N >= 1 else 1
+
+
+ACTIVITIES = {
+    "int": st.integers(-60, 60),
+    "fraction": st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40)),
+    "float": st.floats(-4.0, 4.0),
+}
+
+
+@st.composite
+def typed_profiles(draw, max_n):
+    # one activity type or a mix; the profile may hold sizes past N
+    N = draw(st.integers(0, max_n))
+    kinds = draw(st.lists(st.sampled_from(sorted(ACTIVITIES)), min_size=1, unique=True))
+    value = st.one_of(*(ACTIVITIES[k] for k in kinds))
+    ground = max(N, 1) + draw(st.integers(0, 2))
+    sizes = draw(st.lists(st.integers(2, ground), unique=True)) if ground >= 2 else []
+    return N, ActivityProfile(ground, {m: draw(value) for m in sizes})
+
+
+def _assert_same_number(got, want):
+    assert type(got) is type(want)
+    assert got == want and repr(got) == repr(want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(typed_profiles(8), st.sampled_from(["recursion", "bruteforce"]))
+def test_xi_scaled_loops_match_the_unscaled_ones(case, method):
+    # same type, value, repr and float bits as the loops on the activities as they are
+    N, prof = case
+    want = (_xi_unscaled_recursion(N, prof.zeta) if method == "recursion"
+            else _xi_families((1 << N) - 1, prof.zeta))
+    _assert_same_number(xi_exact(N, prof, method), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(typed_profiles(24))
+def test_xi_scaled_recursion_matches_the_unscaled_one_up_to_24(case):
+    N, prof = case
+    _assert_same_number(xi_exact(N, prof), _xi_unscaled_recursion(N, prof.zeta))
 
 
 # ---------------------------------------------------------------------------
