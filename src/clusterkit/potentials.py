@@ -247,8 +247,9 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
     """Interaction volume: integral of |e^(-beta V(x)) - 1| over R^d.
 
     Computed radially as surface(d) * integral of r^(d-1) |f(r)| dr with the
-    potential's discontinuity radii as quadrature breakpoints.  Returns the
-    value and a mesh-doubling error estimate.
+    potential's discontinuity radii as quadrature breakpoints, and the radii
+    where a table crosses zero between two samples, where |f| kinks.
+    Returns the value and a mesh-doubling error estimate.
     """
     if not beta > 0:
         raise DomainError("beta must be positive")
@@ -257,7 +258,11 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
     def integrand(r):
         return np.abs(f_bond_array(p, beta, r)) * r ** (d - 1)
 
-    val, err = integrate_1d(integrand, 0.0, p.range_radius, breakpoints=p.breakpoints(), tol=1e-12)
+    crossings = [r0 + (r1 - r0) * v0 / (v0 - v1)
+                 for (r0, v0), (r1, v1) in zip(p.table, p.table[1:])
+                 if min(v0, v1) < 0 < max(v0, v1)]
+    val, err = integrate_1d(integrand, 0.0, p.range_radius,
+                            breakpoints=(*p.breakpoints(), *crossings), tol=1e-12)
     s = sphere_surface(d)
     return s * val, s * err
 

@@ -25,18 +25,16 @@ Two engines live here:
   breakpoint candidates form one contiguous row per candidate, and
   ``distinct_ids`` ranks the level rows of a block of the last level, or
   of a Monte Carlo chunk, in a table over their ids or by one sort.
-  The levels up to the one before last are expanded whole; the level
-  before last is expanded a chunk of rows at a time (``_prefix_blocks``)
-  and cut into the PREFIX_BLOCK-row blocks that slicing the whole level
-  would give, so it never exists whole.  The last level runs one such
-  block at a time, each reduced to one partial sum by numpy's pairwise
-  sum, not a BLAS dot (``_block_sum``); these partial sums fix the bits,
-  whatever the BLAS thread count.  Only the earlier levels exist whole,
-  each some ten times smaller than the next; the rest of the scratch
-  memory is bounded by about one block at any order: a block's arrays are
-  freed before the next block's are made, its level work runs WEIGHT_BLOCK
-  panels a step, only panel-length arrays span a block, and a panel's
-  value is multiplied onto its nodes' weights in place.
+  Every level but the last is streamed (``_prefix_blocks``): expanded a
+  chunk of rows at a time from the blocks of the level before it and cut
+  into the PREFIX_BLOCK-row blocks that slicing it whole would give.  The
+  last level runs one block at a time, each reduced to one partial sum by
+  numpy's pairwise sum, not a BLAS dot (``_block_sum``); these partial
+  sums fix the bits, whatever the BLAS thread count.  No level exists
+  whole, so scratch memory is bounded by a few blocks a level at any
+  order: its level work runs WEIGHT_BLOCK panels a step, only
+  panel-length arrays span a block, and a panel's value is multiplied
+  onto its nodes' weights in place.
 """
 
 from __future__ import annotations
@@ -625,14 +623,11 @@ def gap_quadrature(
 
     Returns the sums under the refined and the base node schedule, in that
     order; their difference is the callers' error estimate.  Each schedule
-    expands the prefix rows one level at a time as arrays, up to the level
-    before last, which is streamed: expanded a chunk of rows at a time and
-    cut into the PREFIX_BLOCK-row blocks that slicing it whole would give
-    (``_prefix_blocks``).  The final level is taken one such block at a
-    time (``_block_sum``), each block reduced to one partial sum by numpy's
-    pairwise sum: PREFIX_BLOCK fixes the partial sums, and so the bits,
-    whatever the BLAS thread count.  So beyond the earlier levels, which
-    exist whole, scratch memory is bounded by about one block at any order.
+    streams every level but the last as the PREFIX_BLOCK-row blocks that
+    slicing it whole would give (``_prefix_blocks``), and sums the last
+    level one block at a time (``_block_sum``) by numpy's pairwise sum:
+    PREFIX_BLOCK fixes the partial sums, and so the bits, whatever the BLAS
+    thread count, and scratch memory is a few blocks a level at any order.
     The level work of a block runs WEIGHT_BLOCK panels a step, which bounds
     its scratch memory and leaves the bits alone, and weight_fn sees at most
     WEIGHT_BLOCK rows a call.
@@ -663,10 +658,9 @@ def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
             "reduce the order or use Monte Carlo"
         )
 
-    ts, wts = np.zeros((1, 0)), np.ones(1)
-    for q in qs[:-2]:
-        ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
-    blocks = _prefix_blocks(ts, wts, qs[-2], rule) if len(qs) > 1 else [(ts, wts)]
+    blocks = [(np.zeros((1, 0)), np.ones(1))]
+    for q in qs[:-1]:
+        blocks = _prefix_blocks(blocks, q, rule)
 
     xq, wq = gauss_nodes(qs[-1])
     partials = (_block_sum(weight_fn, prefix, w, xq, wq, rule, level_cuts)
@@ -674,9 +668,10 @@ def _schedule_sum(weight_fn, qs, rule, level_cuts) -> float:
     return math.fsum(p for p in partials if p is not None)
 
 
-def _prefix_blocks(ts, wts, q, rule):
-    """The level after the rows ``ts`` with weights ``wts``, by q nodes a
-    panel, as the PREFIX_BLOCK-row blocks that slicing the whole level gives.
+def _prefix_blocks(blocks, q, rule):
+    """The next level, by q nodes a panel, of a level given as (gaps,
+    weights) blocks in row order: the PREFIX_BLOCK-row blocks that slicing
+    the whole next level gives.
 
     The rows are expanded a chunk at a time, and a row's expansion does not
     depend on the other rows, so each block holds the rows of that slice,
@@ -685,16 +680,20 @@ def _prefix_blocks(ts, wts, q, rule):
     level exist at once.
     """
     xq, wq = gauss_nodes(q)
-    step = max(1, PREFIX_BLOCK // _max_row_nodes(*rule[:2], ts.shape[1] + 1, q))
-    held, held_w = np.empty((0, ts.shape[1] + 1)), np.empty(0)
-    for i in range(0, ts.shape[0], step):
-        new, new_w = _expand_level(ts[i:i + step], wts[i:i + step], xq, wq, *rule)
-        held, held_w = np.concatenate([held, new]), np.concatenate([held_w, new_w])
-        del new, new_w
-        last = i + step >= ts.shape[0]
-        while held.shape[0] >= PREFIX_BLOCK or (last and held.shape[0]):
-            yield held[:PREFIX_BLOCK], held_w[:PREFIX_BLOCK]
-            held, held_w = held[PREFIX_BLOCK:], held_w[PREFIX_BLOCK:]
+    held = held_w = None
+    for ts, wts in blocks:
+        if held is None:
+            held, held_w = np.empty((0, ts.shape[1] + 1)), np.empty(0)
+        step = max(1, PREFIX_BLOCK // _max_row_nodes(*rule[:2], ts.shape[1] + 1, q))
+        for i in range(0, ts.shape[0], step):
+            new, new_w = _expand_level(ts[i:i + step], wts[i:i + step], xq, wq, *rule)
+            held, held_w = np.concatenate([held, new]), np.concatenate([held_w, new_w])
+            del new, new_w
+            while held.shape[0] >= PREFIX_BLOCK:
+                yield held[:PREFIX_BLOCK], held_w[:PREFIX_BLOCK]
+                held, held_w = held[PREFIX_BLOCK:], held_w[PREFIX_BLOCK:]
+    if held is not None and held.shape[0]:
+        yield held, held_w
 
 
 def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[float]:

@@ -277,7 +277,15 @@ def K_star(u: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _exp_beta_B(x: float, beta: float, B: float) -> float:
-    """e^x for an exponent x built from beta*B; a result that is not finite names beta*B."""
+    """e^x for an exponent x built from beta*B.
+
+    A beta that is not positive names beta, a B that is not >= 0 (NaN too)
+    names B, and a result that is not finite names beta*B.
+    """
+    if not beta > 0:
+        raise DomainError("beta must be positive")
+    if not B >= 0:
+        raise DomainError(f"stability constant B must be >= 0 and finite, got {B!r}")
     try:
         value = math.exp(x)
     except OverflowError:

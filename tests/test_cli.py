@@ -575,7 +575,12 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
     (["mayer", *ROD, "--epsilon", "nan", "--n", "3"], "epsilon must be finite"),
     (["polymer", "fpcheck", "--n-ground", "6", "--zeta", "2=0.5", "--a", "nan"],
      "weight parameter a"),
-], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u", "epsilon_unused", "a"])
+    (["radii", "--cbeta", "2", "--beta", "-1"], "beta must be positive"),
+    (["radii", "--cbeta", "2", "--beta", "0", "--B", "1"], "beta must be positive"),
+    (["radii", "--cbeta", "2", "--B", "-1"], "stability constant B must be >= 0"),
+    (["radii", "--cbeta", "2", "--B", "nan"], "stability constant B must be >= 0"),
+], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u", "epsilon_unused", "a",
+        "radii_beta_negative", "radii_beta_zero", "radii_B_negative", "radii_B_nan"])
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err

@@ -125,6 +125,38 @@ def test_c_beta_tabulated_matches_analytic():
     assert err <= 1e-8
 
 
+def _tabulated_c_beta(table, beta):
+    """C(beta) in d = 1 of a table that ends at its cutoff, in closed form:
+    on a linear piece from v0 to v1 the integral of e^(-beta V) is
+    (e^(-beta v0) - e^(-beta v1)) (r1 - r0) / (beta (v1 - v0)), and |f| has
+    one sign on each side of a zero crossing."""
+    total = 0.0
+    for (r0, v0), (r1, v1) in zip(table, table[1:]):
+        pieces = [(r0, v0, r1, v1)]
+        if v0 * v1 < 0:
+            rc = r0 + (r1 - r0) * v0 / (v0 - v1)
+            pieces = [(r0, v0, rc, 0.0), (rc, 0.0, r1, v1)]
+        for a, va, b, vb in pieces:
+            total += abs((math.exp(-beta * va) - math.exp(-beta * vb)) * (b - a)
+                         / (beta * (vb - va)) - (b - a))
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("table", [
+    ((0.0, 2.0), (1.0, -1.0), (1.5, 0.0)),
+    ((0.0, 3.0), (0.5, 1.0), (1.0, -0.3), (1.4, 0.0)),
+    ((0.0, 5.0), (1.0, -0.8), (1.5, 0.0)),
+])
+@pytest.mark.parametrize("beta", [1.0, 0.4])
+def test_c_beta_of_a_table_crossing_zero_matches_closed_form(table, beta):
+    # |f| kinks where V crosses zero between two samples; with that radius
+    # among the breakpoints the first mesh is exact to rounding
+    pot = PairPotential("custom_tabulated", 1.0, 1, table=table, cutoff=table[-1][0], B=1.0)
+    val, err = c_beta(pot, beta)
+    assert val == pytest.approx(_tabulated_c_beta(table, beta), rel=1e-13)
+    assert err < 1e-13
+
+
 def test_stability_constant_rules():
     assert PairPotential("hard_rod", 1.0, 1).B == 0.0
     with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ from clusterkit.quadrature import (
     _evaluate,
     _expand_level,
     _expand_row,
+    _max_row_nodes,
     _nodes,
     _panel_values,
     _panels,
@@ -136,8 +137,8 @@ def test_square_well_b5_bits(well):
 
 
 def test_square_well_b6_bits(well):
-    # bits that hold for any BLAS thread count.  With the level before last
-    # streamed and the last level's block slimmed, the call traces about
+    # bits that hold for any BLAS thread count.  With every level but the
+    # last streamed and the last level's block slimmed, the call traces about
     # 8.5 MB after the other tests, 9.2 MB run alone with the order-6 tables
     # still to build; the bound is the larger plus 10%.  The whole level
     # before last and node-length values traced 11.4 MB
@@ -242,20 +243,66 @@ def test_panels_in_blocks_match_one_block(monkeypatch, box_length):
     assert [x.tolist() for x in blocks] == [x.tolist() for x in whole]
 
 
+def _slices(ts, wts, block):
+    """The block-row slices of a whole level."""
+    return [(ts[i:i + block], wts[i:i + block]) for i in range(0, ts.shape[0], block)]
+
+
+def _block_bytes(blocks):
+    return [(t.shape, t.tobytes(), w.tobytes()) for t, w in blocks]
+
+
 @settings(max_examples=40, deadline=None)
 @given(gap_setups(), st.integers(1, 40))
 def test_streamed_blocks_are_slices_of_the_whole_level(setup, block):
-    # the level before last, expanded a chunk at a time, cut into the blocks
-    # that slicing the fully expanded level gives, byte for byte
+    # a level, expanded a chunk at a time, cut into the blocks that slicing
+    # the fully expanded level gives, byte for byte
     rule, qs, ts, wts = setup
     whole_ts, whole_w = _expand_level(ts, wts, *gauss_nodes(qs[0]), *rule)
-    want = [(whole_ts[i:i + block], whole_w[i:i + block])
-            for i in range(0, whole_ts.shape[0], block)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "PREFIX_BLOCK", block)
-        got = list(_prefix_blocks(ts, wts, qs[0], rule))
-    assert [(t.shape, t.tobytes(), w.tobytes()) for t, w in got] == \
-        [(t.shape, t.tobytes(), w.tobytes()) for t, w in want]
+        got = list(_prefix_blocks([(ts, wts)], qs[0], rule))
+    assert _block_bytes(got) == _block_bytes(_slices(whole_ts, whole_w, block))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_setups(), st.integers(1, 40), st.data())
+def test_chained_streams_are_slices_of_whole_levels(setup, block, data):
+    # every level but the last streamed from the blocks of the one before,
+    # the start level cut at drawn rows: at each level the blocks are the
+    # slices of the whole level built by repeated expansion, byte for byte
+    rule, qs, ts, wts = setup
+    cuts = data.draw(st.sets(st.integers(0, ts.shape[0]), max_size=3))
+    edges = [0, *sorted(cuts), ts.shape[0]]
+    blocks = [(ts[i:j], wts[i:j]) for i, j in zip(edges[:-1], edges[1:])]
+    levels = []
+    for q in qs[:-1]:
+        ts, wts = _expand_level(ts, wts, *gauss_nodes(q), *rule)
+        levels.append((q, ts, wts))
+    # at most a few thousand blocks a level keep the streams cheap
+    assume(all(ts.shape[0] <= 2000 * block for _, ts, _ in levels))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "PREFIX_BLOCK", block)
+        for q, ts, wts in levels:
+            blocks = list(_prefix_blocks(blocks, q, rule))
+            assert _block_bytes(blocks) == _block_bytes(_slices(ts, wts, block))
+
+
+def test_no_level_is_expanded_whole(monkeypatch, well):
+    # square-well b_6 with small blocks: every call expands at most the
+    # chunk of rows that _prefix_blocks takes at its level
+    monkeypatch.setattr(quadrature, "PREFIX_BLOCK", 256)
+    excess = []
+
+    def spy(ts, wts, xq, wq, radii, box_cuts, support, box_length):
+        row_nodes = _max_row_nodes(radii, box_cuts, ts.shape[1] + 1, xq.shape[0])
+        excess.append(ts.shape[0] - max(1, 256 // row_nodes))
+        return _expand_level(ts, wts, xq, wq, radii, box_cuts, support, box_length)
+
+    monkeypatch.setattr(quadrature, "_expand_level", spy)
+    got, _ = mayer_bn(well, 1.0, 6)
+    assert got == pytest.approx(-1.5580422838771788, rel=1e-13)
+    assert len(excess) > 100 and max(excess) <= 0
 
 
 # ---------------------------------------------------------------------------
