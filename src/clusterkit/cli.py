@@ -512,7 +512,7 @@ def _cmd_polymer(args) -> int:
     pot = _potential_from_args(args)
     if pot is None or pot.kind != "hard_rod":
         raise ConfigError("ckn is wired to the hard-rod coefficients; pass --potential hard_rod")
-    b = {n: tonks.bn_exact(n) for n in range(2, args.k + 2)}
+    b = {n: tonks.bn_exact(n) * Fraction(pot.sigma) ** (n - 1) for n in range(2, args.k + 2)}
     _emit(args, json_payload("polymer_ckn", {
         "N": N, "k": args.k,
         "value": ck_finite_N(N, b, args.k),

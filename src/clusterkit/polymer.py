@@ -50,6 +50,13 @@ def _integral(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _finite_real(x) -> bool:
+    """True for an int, a Fraction or a finite float, not for a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return isinstance(x, numbers.Rational) or math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ActivityProfile:
     """Cardinality-dependent activities zeta_m, m = 2..N (sparse, may be negative;
@@ -63,10 +70,10 @@ class ActivityProfile:
         if not (_integral(N) and N >= 1):
             raise InputError(f"ground-set size N must be an integer >= 1, got {N!r}")
         bad = {m: v for m, v in zeta.items()
-               if isinstance(v, bool) or not isinstance(v, numbers.Number)
-               or v != 0 and not (_integral(m) and 2 <= m <= N)}
+               if not _finite_real(v) or v != 0 and not (_integral(m) and 2 <= m <= N)}
         if bad:
-            raise InputError(f"activities {bad} need integer indices in 2..{N} and numbers")
+            raise InputError(f"activities {bad} need integer indices in 2..{N} "
+                             "and finite real values")
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "zeta", {int(m): v for m, v in zeta.items() if v != 0})
 
@@ -77,6 +84,8 @@ class ActivityProfile:
         zeta_s = rho^(s-1) * mu_s with mu_s = b_s s!/N^(s-1); equivalently
         zeta_s = b_s s!/V^(s-1) with V = N/rho.
         """
+        if not _finite_real(rho):
+            raise InputError(f"density rho must be a finite real, got {rho!r}")
         zeta = {}
         for s, val in dict(b).items():
             if s < 2 or s > N:

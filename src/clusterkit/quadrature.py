@@ -19,10 +19,13 @@ Two engines live here:
   An integrand that depends only on the bond level of each window (the
   graph sums of a piecewise constant bond) is constant on each panel of the
   last gap, so it runs once per distinct row of levels among those panels
-  and gives the bits of the node-by-node sum.  (A panel with a level
-  crossing inside it, closer to an edge than the merge tolerance, is taken
-  node by node.)  The level steps run on flat arrays: each step's
-  breakpoint candidates form one contiguous row per candidate, and
+  and gives the bits of the node-by-node sum.  A block of the last level
+  with a split panel, one with a level crossing inside it closer to an
+  edge than the merge tolerance, is taken node by node; none of the 578
+  level steps of b_2..b_6, beta_1..beta_3, box b_n and ztilde for two
+  rods and four square wells has one.  The level steps run on flat
+  arrays: each step's breakpoint candidates form one contiguous row per
+  candidate, and
   ``distinct_ids`` ranks the level rows of a block of the last level, or
   of a Monte Carlo chunk, in a table over their ids or by one sort.
   Every level but the last is streamed (``_prefix_blocks``): expanded a
@@ -454,129 +457,60 @@ def _evaluate(weight_fn, points):
 
 def _panel_values(weight_fn, ts, row, a, h, xq, level_cuts):
     """weight_fn at the Gauss nodes of the panels (row, a, h), called once
-    per distinct row of bond levels: (panels, 1) values, one per panel, when
-    no panel is split, else (panels, q) values, one per node.
+    per distinct row of bond levels: (panels, 1) values, one per panel, or
+    None when a panel is split.
 
     A window grows with the last gap, so a panel whose first and last node
     share their levels has them at every node and is evaluated at its first
     node.  A panel with a level crossing inside it, closer to an edge than
-    the merge tolerance, is split: it is evaluated node by node.  These
-    evaluated nodes are the units, whose level ids ``_unit_ids`` gives;
-    ``distinct_ids`` ranks them, weight_fn sees one unit per id, in
-    increasing id order, and each value goes back to the units of its id;
-    with a split panel, each unit's value is repeated onto the nodes it
-    stands for.  Each array is dropped once used, so the block's peak holds
-    the unit ids and the values, not the level work.
+    the merge tolerance, is split, and then its block goes node by node.
+    A panel's levels are those of its prefix pairs, taken once per prefix
+    row and ranked by ``distinct_ids``, and of the windows that end at its
+    last vertex; all are differences of the running sums
+    ``pair_window_matrix`` takes, so they are the levels weight_fn sees.
+    The level work runs WEIGHT_BLOCK panels a step, so its gathers never
+    span the block, and every step numbers the ids alike: prefix rank times
+    base^(k+1) plus one level digit per window.  weight_fn sees one panel
+    per distinct id, in increasing id order, and each value goes back to
+    the panels of its id.
     """
     k = ts.shape[1]
-    q = xq.shape[0]
-    ids, units, count = _unit_ids(ts, row, a, h, xq, level_cuts)
-    distinct, inverse = distinct_ids(ids, count)
-    del ids
-    rep = np.empty(distinct.shape[0], dtype=np.intp)
-    rep[inverse] = np.arange(inverse.shape[0])
-    del distinct
-    if units is None:
-        panel, x = rep, xq[0]
-    else:
-        node = units[rep]
-        panel = node // q
-        x = xq[node - panel * q]
-    points = np.empty((rep.shape[0], k + 1))
-    points[:, :k] = ts[row[panel]]
-    points[:, k] = a[panel] + h[panel] * x
-    vals = _evaluate(weight_fn, points)[inverse]
-    del inverse
-    if units is None:
-        return vals[:, None]
-    repeats = np.diff(np.append(units, row.shape[0] * q))
-    del units
-    return np.repeat(vals, repeats).reshape(-1, q)
-
-
-def _unit_ids(ts, row, a, h, xq, level_cuts):
-    """The level ids of the units of the panels (row, a, h), the units'
-    flat node positions, in panel then node order, and the bound on the ids.
-
-    When no panel is split the units are the panels' first nodes: the ids
-    are one panel-length array, written step by step, and the positions
-    are None.  The levels of the prefix pairs are taken once per
-    prefix row and their ids ranked by ``distinct_ids``; each unit adds the
-    windows that end at its last vertex.  All are differences of the running
-    sums ``pair_window_matrix`` takes, so a unit's levels are the ones
-    weight_fn sees for it.  The level work runs WEIGHT_BLOCK panels a step
-    (``_level_step``), so its gathers and masks never span the block.  The
-    ids of all steps are ranked together, so every step numbers them the
-    same way: prefix rank times base^(k+1) plus one level digit per window.
-    """
-    k = ts.shape[1]
-    q = xq.shape[0]
     base = len(level_cuts) + 1
     cs = _running_sums(ts)
     pairs = (bond_levels(cs[j] - cs[i], level_cuts)
              for i in range(k + 1) for j in range(i + 1, k + 1))
     prefixes, pre_ids = distinct_ids(
         *_append_levels(np.zeros(ts.shape[0], dtype=np.int64), 1, pairs, base))
-    panels = row.shape[0]
-    ids = np.empty(panels, dtype=np.int64)
-    split = {}  # step start -> the ids and node positions of a step with a split panel
-    for i in range(0, panels, WEIGHT_BLOCK):
+    ids = np.empty(row.shape[0], dtype=np.int64)
+    for i in range(0, row.shape[0], WEIGHT_BLOCK):
         step = slice(i, i + WEIGHT_BLOCK)
-        count, step_ids, unit = _level_step(cs, pre_ids, prefixes.shape[0], row[step],
-                                            a[step], h[step], xq, level_cuts)
-        if unit is None:
-            ids[step] = step_ids
-        else:
-            split[i] = step_ids, unit + i * q
-    if not split:
-        return ids, None, count
-    parts = [split.get(i) or (ids[i:i + WEIGHT_BLOCK],
-                              np.arange(i * q, min(i + WEIGHT_BLOCK, panels) * q, q))
-             for i in range(0, panels, WEIGHT_BLOCK)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), count
-
-
-def _level_step(cs, pre_ids, count, row, a, h, xq, level_cuts):
-    """One step of ``_unit_ids`` over the panels (row, a, h): the ids of
-    its units, each panel's first node or, for a split panel, every node.
-
-    ``cs`` are the running sums of the prefix rows and ``pre_ids`` their
-    ids, below ``count``.  Returns the new bound on the ids, the ids, and
-    None when no panel is split (one id per panel), else the units' flat
-    positions among the step's nodes, in panel then node order.
-    """
-    k = cs.shape[0] - 1
-    q = xq.shape[0]
-    base = len(level_cuts) + 1
-
-    def last_levels(row, *xs):
-        # the levels of the windows that end at the last vertex, for each
-        # array of last gaps in xs (overwritten), one prefix column at a time
-        end = cs[k][row]
-        ends = [np.add(x, end, out=x) for x in xs]
-        out = [[] for _ in xs]
-        for i in range(k + 1):
-            c = end if i == k else cs[i][row]
-            for e, lv in zip(ends, out):
-                lv.append(bond_levels(e - c, level_cuts))
-        return out
-
-    levels, at_last = last_levels(row, a + h * xq[0], a + h * xq[-1])
-    split = np.zeros(row.shape[0], dtype=bool)
-    for lo, hi in zip(levels, at_last):
-        split |= lo != hi
-    del at_last
-    unit = None
-    if split.any():
-        start = np.zeros((row.shape[0], q), dtype=bool)
-        start[:, 0] = True
-        start[split] = True
-        unit = np.flatnonzero(start)
-        x = (a[:, None] + h[:, None] * xq).ravel()[unit]
-        row = row[unit // q]
-        levels, = last_levels(row, x)
-    ids, count = _append_levels(pre_ids[row], count, levels, base)
-    return count, ids, unit
+        r = row[step]
+        # the windows that end at the last vertex, at the first and last
+        # node, one gathered prefix column at a time
+        end = cs[k][r]
+        first = np.add(a[step] + h[step] * xq[0], end)
+        last = np.add(a[step] + h[step] * xq[-1], end)
+        levels = []
+        split = False
+        for j in range(k + 1):
+            c = end if j == k else cs[j][r]
+            lv = bond_levels(first - c, level_cuts)
+            split = split or bool((lv != bond_levels(last - c, level_cuts)).any())
+            levels.append(lv)
+        # ids before the split check: ids past an int64 are refused either way
+        ids[step], count = _append_levels(pre_ids[r], prefixes.shape[0], levels, base)
+        if split:
+            return None
+    del cs, pre_ids, prefixes
+    distinct, inverse = distinct_ids(ids, count)
+    del ids
+    rep = np.empty(distinct.shape[0], dtype=np.intp)
+    rep[inverse] = np.arange(inverse.shape[0])
+    del distinct
+    points = np.empty((rep.shape[0], k + 1))
+    points[:, :k] = ts[row[rep]]
+    points[:, k] = a[rep] + h[rep] * xq[0]
+    return _evaluate(weight_fn, points)[inverse][:, None]
 
 
 def _box_cuts(radii, n_gaps, box_length):
@@ -619,7 +553,9 @@ def gap_quadrature(
     last vertex crosses a cut, so the levels are constant on a panel:
     weight_fn then runs once per distinct row of levels among the panels
     (``_panel_values``) and each value is repeated onto its panel's nodes.
-    Without ``level_cuts`` it runs at every node.  Both give the same bits.
+    A block with a split panel, where a level crossing lies within the merge
+    tolerance of an edge, runs at every node, as every block does without
+    ``level_cuts``.  Both give the same bits.
 
     Returns the sums under the refined and the base node schedule, in that
     order; their difference is the callers' error estimate.  Each schedule
@@ -702,24 +638,25 @@ def _block_sum(weight_fn, prefix, wts, xq, wq, rule, level_cuts) -> Optional[flo
 
     A function of its own, so that none of the block's arrays outlives it
     while the next block's panels and values are made.  The values, one per
-    panel when no panel is split, are multiplied into the (panels, q) node
-    weights in place.  The weighted values are summed by numpy's pairwise
-    ``add.reduce``, not ``np.dot``: OpenBLAS splits a dot of more than
-    10,000 terms across its threads, so the bits of a dot follow the BLAS
-    thread count, and those of this sum do not.
+    panel unless a panel is split and the block goes node by node, are
+    multiplied into the (panels, q) node weights in place.  The weighted
+    values are summed by numpy's pairwise ``add.reduce``, not ``np.dot``:
+    OpenBLAS splits a dot of more than 10,000 terms across its threads, so
+    the bits of a dot follow the BLAS thread count, and those of this sum
+    do not.
     """
     box_length = rule[3]
     row, a, h = _panels(prefix, *rule)
     if not row.shape[0]:
         return None
     q = xq.shape[0]
-    pts = None
-    if level_cuts is None or box_length is not None:
-        pts = _nodes(prefix, row, a, h, xq)
-    if level_cuts is None:
-        vals = _evaluate(weight_fn, pts).reshape(-1, q)
-    else:
+    vals = pts = None
+    if level_cuts is not None:
         vals = _panel_values(weight_fn, prefix, row, a, h, xq, level_cuts)
+    if vals is None or box_length is not None:
+        pts = _nodes(prefix, row, a, h, xq)
+    if vals is None:
+        vals = _evaluate(weight_fn, pts).reshape(-1, q)
     if box_length is not None:
         vals = vals * (box_length - pts.sum(axis=1)).reshape(-1, q)
     # the node weights (w * h) * wq, as in ``_expand_level``, made once the

@@ -173,6 +173,18 @@ def test_polymer_ckn():
     assert abs(out["limit"] + 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polymer_ckn_scales_with_sigma(k):
+    # b_n scales as sigma^(n-1), so C_k(N) and beta_k scale as sigma^k
+    def ckn(sigma):
+        return run_json(["polymer", "ckn", "--n-ground", "10", "--potential", "hard_rod",
+                         "--sigma", sigma, "--k", str(k)])
+
+    one, two = ckn("1"), ckn("2")
+    assert Fraction(two["value"]["rational"]) == 2 ** k * Fraction(one["value"]["rational"])
+    assert two["limit"] == 2 ** k * one["limit"]
+
+
 def test_polymer_has_no_beta_flag(capsys):
     # the polymer reports come from hard-rod closed forms that do not depend on beta
     with pytest.raises(SystemExit) as exc:
@@ -579,8 +591,13 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
     (["radii", "--cbeta", "2", "--beta", "0", "--B", "1"], "beta must be positive"),
     (["radii", "--cbeta", "2", "--B", "-1"], "stability constant B must be >= 0"),
     (["radii", "--cbeta", "2", "--B", "nan"], "stability constant B must be >= 0"),
+    (["polymer", "xi", "--n-ground", "4", *ROD, "--rho", "nan"], "density rho"),
+    (["polymer", "fpcheck", "--n-ground", "4", *ROD, "--rho", "nan", "--a", "0.3"],
+     "density rho"),
+    (["polymer", "ursell", "--n-ground", "4", *ROD, "--rho", "nan"], "density rho"),
 ], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u", "epsilon_unused", "a",
-        "radii_beta_negative", "radii_beta_zero", "radii_B_negative", "radii_B_nan"])
+        "radii_beta_negative", "radii_beta_zero", "radii_B_negative", "radii_B_nan",
+        "rho_xi", "rho_fpcheck", "rho_ursell"])
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err

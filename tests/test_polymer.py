@@ -40,10 +40,16 @@ def test_profile_validation():
     for N, zeta, named in ((4, {2.5: 1.0, 3: True}, "2.5"), (4, {2: 1.0, 3: True}, "True"),
                            (4, {2: False}, "False"), (4, {2: "0.5"}, "'0.5'"),
                            (4, {"2": 0.5}, "'2'"), (4.5, {2: 1.0}, "4.5"),
-                           (True, {}, "True"), (math.inf, {}, "inf")):
+                           (True, {}, "True"), (math.inf, {}, "inf"),
+                           (4, {2: math.nan}, "nan"), (4, {3: math.inf}, "inf"),
+                           (4, {2: 0.5, 4: -math.inf}, "-inf"), (4, {2: 1j}, "1j")):
         with pytest.raises(InputError) as exc:
             ActivityProfile(N, zeta)
         assert named in str(exc.value)
+    # a density that is not a finite real is refused by name, before any activity
+    for rho in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="density rho"):
+            ActivityProfile.from_mayer({2: -1.0, 3: 1.5}, 4, rho)
 
 
 def test_profile_from_mayer_consistency():
