@@ -8,10 +8,10 @@ is computed three ways: the hard-rod closed form (1 - (N-1) sigma/L)^N,
 one-dimensional nested quadrature over ordered gaps, and plain hit-or-miss
 Monte Carlo on the Boltzmann factor (adequate exactly in the low-density
 regime the series certifies).  The Boltzmann factor is prod (1 + f), the
-sum over all graphs, so both numerical routes go through the route check
-of b_n and beta_k, ``cluster.check_route``, for graph class "all": the gap
-quadrature, and the Monte Carlo chunk loop whose box mean is ztilde
-itself.  Their caps in N are the "all" entries of ``cluster.ROUTE_CAPS``,
+sum over all graphs, so both numerical routes go through the one route
+check of b_n and beta_k, in ``cluster._direct_integral``, for graph class
+"all": the gap quadrature, and the Monte Carlo chunk loop whose box mean
+is ztilde itself.  Their caps in N are the "all" entries of ``cluster.ROUTE_CAPS``,
 which ``auto`` and the series side's b_n (``_series_route``) read too.
 Free boundary conditions throughout: no periodic images.
 

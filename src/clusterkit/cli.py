@@ -37,13 +37,14 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__, tonks
 from .canonical import compare_series_direct
-from .cluster import ROUTE_CAPS, check_route, mayer_bn, penrose_bn_bound, virial_bk_direct
+from .cluster import ROUTE_CAPS, mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import CapacityError, ClusterKitError, ConfigError
 from .polymer import (XI_BRUTEFORCE_MAX_N, ActivityProfile, ck_finite_N, fp_check, log_xi_ursell,
                       p_exact, p_limit, xi_exact)
 from .potentials import CONFIG_KEYS, PairPotential, c_beta, potential_from_config
 from .radii import radius_report
-from .reporting import dump_csv, dump_json, json_payload, output_dir, render_table
+from .reporting import (dump_csv, dump_json, float_or_none, json_payload, output_dir,
+                        render_table)
 from .series import invert_mayer_oracle, virial_from_mayer
 from .verify import SUITES, run_checks
 
@@ -362,41 +363,20 @@ def _require_potential(args) -> PairPotential:
     return pot
 
 
-def _check_highest_order(pot: PairPotential, n: int, method: str) -> None:
-    """The route check of b_n, the highest order of a table, before any
-    integral: a refused order fails fast, not after every lower one.  Up to
-    n = 2 it is left to mayer_bn: b_1 and the infinite-volume b_2 have
-    routes of their own, and no integral comes before b_2."""
-    if n > 2:
-        check_route(pot, "connected", n, method)
-
-
-def _check_virial_order(pot: PairPotential, k_max: int, method: str) -> None:
-    """``_check_highest_order`` for b_(k_max+1), the highest b_n a virial
-    table reads.  An order past the method's cap is refused as canonical
-    refuses one: naming k_max and the largest k_max that runs."""
-    try:
-        _check_highest_order(pot, k_max + 1, method)
-    except CapacityError as exc:
-        if method == "quadrature" and pot.dimension != 1:
-            raise  # no order runs
-        cap = ROUTE_CAPS[method]["connected"]
-        raise CapacityError(f"k_max={k_max} needs b_{k_max + 1}, but {exc}; "
-                            f"the largest k_max that runs is {cap - 1}") from None
-
-
 def _cmd_mayer(args) -> int:
     pot = _require_potential(args)
     sampling = _sampling(args)
-    _check_highest_order(pot, args.n, args.method)
     cb, _ = c_beta(pot, args.beta)
     # every bound before the first integral, so an overflowing one fails fast
     bounds = [penrose_bn_bound(n, args.beta, pot.B, cb) if n >= 2 else 1.0
               for n in range(1, args.n + 1)]
+    # the highest order first, so a route that refuses it runs no other integral
+    b = {n: mayer_bn(pot, args.beta, n, args.volume, args.method, **sampling)
+         for n in range(args.n, 0, -1)}
     rows = []
     records = []
     for n, bound in enumerate(bounds, start=1):
-        val, err = mayer_bn(pot, args.beta, n, args.volume, args.method, **sampling)
+        val, err = b[n]
         rows.append([f"b_{n}", n, args.beta, val, err, bound])
         records.append({
             "quantity": "b_n", "n": n, "beta": args.beta,
@@ -415,10 +395,18 @@ def _cmd_virial(args) -> int:
     pot = _require_potential(args)
     sampling = _sampling(args)
     k_max = args.k_max
-    _check_virial_order(pot, k_max, args.method)
-    b = {1: 1.0}
-    for n in range(2, k_max + 2):
-        b[n], _ = mayer_bn(pot, args.beta, n, method=args.method, **sampling)
+    # b_(k_max+1) first, so a route that refuses it runs no other integral;
+    # one past the route's cap is refused as canonical refuses it, by k_max
+    try:
+        b = {n: mayer_bn(pot, args.beta, n, method=args.method, **sampling)[0]
+             for n in range(k_max + 1, 1, -1)}
+    except CapacityError as exc:
+        cap = ROUTE_CAPS[args.method]["connected"]
+        if k_max + 1 <= cap or args.method == "quadrature" and pot.dimension != 1:
+            raise  # the node guard's own refusal, or no order runs
+        raise CapacityError(f"k_max={k_max} needs b_{k_max + 1}, but {exc}; "
+                            f"the largest k_max that runs is {cap - 1}") from None
+    b[1] = 1.0
     inv = invert_mayer_oracle(b, k_max)
     rows = []
     records = []
@@ -482,8 +470,9 @@ def _cmd_polymer(args) -> int:
         partial = {}
         acc = 0.0
         for n in sorted(terms):
-            acc += float(terms[n])
-            partial[str(n)] = acc
+            term = float_or_none(terms[n])
+            acc = math.nan if term is None else acc + term
+            partial[str(n)] = acc if math.isfinite(acc) else None
         _emit(args, json_payload("polymer_ursell", {
             "N": N,
             "orders": terms,
@@ -516,7 +505,7 @@ def _cmd_polymer(args) -> int:
     _emit(args, json_payload("polymer_ckn", {
         "N": N, "k": args.k,
         "value": ck_finite_N(N, b, args.k),
-        "limit": float(virial_from_mayer(b, args.k)),
+        "limit": float_or_none(virial_from_mayer(b, args.k)),
     }))
     return 0
 

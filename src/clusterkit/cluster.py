@@ -12,12 +12,13 @@ the volume.  ``virial_bk_direct`` does the same over two-connected graphs on
 canonical ztilde is the same integral over all graphs, whose sum is the
 product of (1 + f) over the pairs.
 
-The three integrals share one route check, ``check_route``, which
-``_direct_integral`` runs before the method's driver, returning its
+The three integrals share one route check, in ``_direct_integral``,
+which runs it before the method's driver and returns the driver's
 unscaled pair.  The route table ``ROUTE_CAPS`` maps each method and graph
 class to the largest order it takes; the check refuses an unknown method,
-quadrature in d > 1 and an order past its cap.  Each front end keeps its
-input checks, its trivial orders and its scaling.  ``MC_SAMPLES`` and
+quadrature in d > 1 and an order past its cap.  The CLI's tables ask for
+their highest order first, so a refused one runs no other integral.  Each
+front end keeps its input checks, its trivial orders and its scaling.  ``MC_SAMPLES`` and
 ``MC_CHUNK`` are the Monte Carlo defaults.
 
 The three graph classes of graphs.GRAPH_CLASSES share one selector,
@@ -470,13 +471,16 @@ def _mc_graph_sum(
 # the route check and the public operations
 # ---------------------------------------------------------------------------
 
-def check_route(p: PairPotential, graph_class: str, order: int, method: str) -> None:
-    """The one route check of b_n, beta_k and ztilde.
+def _direct_integral(p: PairPotential, beta: float, graph_class: str, order: int, method: str,
+                     box: Optional[float], seed: Optional[int], samples: int, chunk: int,
+                     workers: Optional[int]) -> Tuple[float, float]:
+    """The graph-class sum on ``order`` points (order + 1 for beta_k):
+    quadrature returns gap_quadrature's refined and base sums, Monte Carlo
+    its mean and standard error, both unscaled.
 
-    An unknown method raises ConfigError; quadrature in d > 1, and an order
-    past its ``ROUTE_CAPS`` entry, raise CapacityError naming the order by
-    its symbol.  The CLI runs it for the highest order of a table before
-    any integral.
+    The one route check of b_n, beta_k and ztilde: an unknown method raises
+    ConfigError; quadrature in d > 1, and an order past its ``ROUTE_CAPS``
+    entry, raise CapacityError naming the order by its symbol.
     """
     if method not in ROUTE_CAPS:
         raise ConfigError(f"unknown method {method!r}")
@@ -487,16 +491,6 @@ def check_route(p: PairPotential, graph_class: str, order: int, method: str) -> 
     cap = ROUTE_CAPS[method][graph_class]
     if order > cap:
         raise CapacityError(f"{method} capped at {symbol}={cap}, got {symbol}={order}")
-
-
-def _direct_integral(p: PairPotential, beta: float, graph_class: str, order: int, method: str,
-                     box: Optional[float], seed: Optional[int], samples: int, chunk: int,
-                     workers: Optional[int]) -> Tuple[float, float]:
-    """``check_route``, then the graph-class sum on ``order`` points
-    (order + 1 for beta_k): quadrature returns gap_quadrature's refined and
-    base sums, Monte Carlo its mean and standard error, both unscaled.
-    """
-    check_route(p, graph_class, order, method)
     n = order + 1 if graph_class == "two_connected" else order
     if method == "quadrature":
         return _gap_integral(p, beta, n, graph_class, box)

@@ -46,14 +46,14 @@ The module provides:
     ``penrose_trees_fast`` wrap them as ``RootedTree``s of a
     ``LabeledGraph`` host for the bench harness, with no separate
     connectivity pass (either path yields a tree exactly when the host is
-    connected).
+    connected).  Both are NamedTuples, (n, mask) and (n, root, mask), with
+    one shared ``edges``; ``LabeledGraph.from_edges`` checks edges by ``edge_mask``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -157,31 +157,25 @@ def _mask_two_connected(n: int, mask: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A labeled graph on vertex set [n] with edge set of pairs (i, j), i < j."""
+@property
+def _edges(self) -> FrozenSet[Edge]:
+    """The edges (i, j), i < j, of ``self.mask`` on [self.n]."""
+    return frozenset(mask_edges(self.n, self.mask))
+
+
+class LabeledGraph(NamedTuple):
+    """A labeled graph on vertex set [n], held as its edge mask."""
 
     n: int
-    edges: FrozenSet[Edge]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vertex count must be positive")
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self loop at vertex {i}")
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i},{j}) outside [1..{self.n}] or unordered")
+    mask: int
+    edges = _edges
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "LabeledGraph":
-        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        return cls(n, norm)
-
-    @property
-    def mask(self) -> int:
-        return edge_mask(self.n, self.edges)
+        """The graph of ``edges`` on [n]: ValueError for n < 1 or a non-edge (``edge_mask``)."""
+        if n < 1:
+            raise ValueError("vertex count must be positive")
+        return cls(n, edge_mask(n, edges))
 
 
 def enum_graphs(n: int, klass: str = "connected") -> Iterator[int]:
@@ -244,30 +238,13 @@ def _mask_tree_maps(n: int, mask: int, root: int) -> Tuple[Dict[int, int], Dict[
     return parent, gen
 
 
-class RootedTree:
-    """A labeled spanning tree on [n], held as its edge mask, rooted at ``root``.
+class RootedTree(NamedTuple):
+    """A labeled spanning tree on [n], held as its edge mask, rooted at ``root``."""
 
-    Equality and hashing use (n, root, mask), so trees behave as set elements.
-    """
-
-    __slots__ = ("n", "root", "mask")
-
-    def __init__(self, n: int, root: int, mask: int):
-        self.n, self.root, self.mask = n, root, mask
-
-    @property
-    def edges(self) -> FrozenSet[Edge]:
-        return frozenset(mask_edges(self.n, self.mask))
-
-    def __eq__(self, other):
-        return (isinstance(other, RootedTree) and self.mask == other.mask
-                and self.root == other.root and self.n == other.n)
-
-    def __hash__(self):
-        return hash((self.n, self.root, self.mask))
-
-    def __repr__(self):
-        return f"RootedTree(n={self.n}, root={self.root}, mask={self.mask})"
+    n: int
+    root: int
+    mask: int
+    edges = _edges
 
 
 def _decode_tree_sequence(n: int, seq: Sequence[int]) -> list:
@@ -708,10 +685,11 @@ def _grown_tree_masks(n: int, gmask: int, root: int = 1) -> list:
 
 
 def _penrose_trees(g: LabeledGraph, root: int) -> FrozenSet[RootedTree]:
-    trees = _slack_free_tree_masks(g.n, g.mask, root)
+    n, mask = g
+    trees = _slack_free_tree_masks(n, mask, root)
     if not trees:
         raise DomainError("Penrose trees are defined for connected graphs only")
-    return frozenset(RootedTree(g.n, root, t) for t in trees)
+    return frozenset(RootedTree(n, root, t) for t in trees)
 
 
 def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:

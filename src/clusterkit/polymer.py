@@ -82,7 +82,8 @@ class ActivityProfile:
         """Activities induced by fugacity-series coefficients at density rho.
 
         zeta_s = rho^(s-1) * mu_s with mu_s = b_s s!/N^(s-1); equivalently
-        zeta_s = b_s s!/V^(s-1) with V = N/rho.
+        zeta_s = b_s s!/V^(s-1) with V = N/rho.  A float activity that
+        overflows on the way or comes out infinite is refused by rho.
         """
         if not _finite_real(rho):
             raise InputError(f"density rho must be a finite real, got {rho!r}")
@@ -90,7 +91,14 @@ class ActivityProfile:
         for s, val in dict(b).items():
             if s < 2 or s > N:
                 continue
-            zeta[s] = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
+            try:
+                z = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
+            except OverflowError:
+                z = math.inf
+            if isinstance(z, float) and math.isinf(z):
+                raise InputError(f"density rho={rho!r} overflows the float activity "
+                                 f"zeta_{s} at N={N}")
+            zeta[s] = z
         return cls(N, zeta)
 
     def activity(self, m: int) -> Number:
@@ -128,7 +136,8 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
     3^(N-1)/2 terms; each subset's terms are summed in one fixed order, so
     float activities give the same bits as the unmemoized walk.  The brute
     force is the recursion's oracle: the two agree exactly for exact
-    activities.
+    activities.  An inexact Xi that is not finite (its float steps
+    overflowed) raises DomainError; exact activities give its value.
     """
     if N < 0:
         raise InputError("N must be nonnegative")
@@ -174,6 +183,9 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
         x = rec((1 << N) - 1)
     if exact and any(isinstance(z, Fraction) for z in zeta.values()):
         return Fraction(x, D ** N)
+    if not exact and not math.isfinite(x):
+        raise DomainError(f"Xi_{N} is {x!r} in floating point; exact (int or Fraction) "
+                          "activities give its value")
     return x
 
 
@@ -245,9 +257,12 @@ def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
     """Evaluate sum_m e^(a m) |zeta_m| C(N-1, m-1) against e^a - 1."""
     if not 0 < a < math.inf:
         raise InputError(f"the weight parameter a must be positive and finite, got {a!r}")
-    lhs = math.fsum(
-        math.exp(a * m) * profile.c_rho(m) for m in profile.zeta
-    )
+    try:
+        weights = [math.exp(a * m) for m in profile.zeta]
+    except OverflowError:
+        raise InputError(f"the weight parameter a={a!r} overflows e^(a m) at "
+                         f"m={max(profile.zeta)}") from None
+    lhs = math.fsum(w * profile.c_rho(m) for w, m in zip(weights, profile.zeta))
     rhs = math.expm1(a)
     return FPCheckResult(lhs, rhs, lhs <= rhs)
 

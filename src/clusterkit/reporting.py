@@ -4,7 +4,8 @@ JSON payloads carry ``schema: 1`` and a ``generated_at`` timestamp; the
 timestamp is the one field excluded from the byte-determinism contract
 (identical config and seed must otherwise produce identical output).
 Floats are serialized at full round-trip precision (up to 17 significant
-digits); exact rationals appear as "p/q" strings next to a float rendering.
+digits); exact rationals appear as "p/q" strings next to a float rendering,
+which is null for a value past the float range (``float_or_none``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import json
 import os
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 SCHEMA_VERSION = 1
 
@@ -26,9 +27,18 @@ def output_dir() -> str:
     return os.environ.get(OUTPUT_DIR_ENV, ".")
 
 
+def float_or_none(value) -> Optional[float]:
+    """The float rendering of an exact value, None past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def rational_fields(value: Fraction) -> dict:
     """Render an exact rational as numerator/denominator string plus float."""
-    return {"rational": f"{value.numerator}/{value.denominator}", "value": float(value)}
+    return {"rational": f"{value.numerator}/{value.denominator}",
+            "value": float_or_none(value)}
 
 
 def _jsonable(obj):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clusterkit import cli, cluster, polymer, potentials, verify
+from clusterkit import cli, cluster, polymer, potentials, tonks, verify
 from clusterkit.cli import main, run_for_test
 from clusterkit.cluster import ROUTE_CAPS
 from clusterkit.polymer import ActivityProfile, log_xi_ursell
@@ -153,6 +153,36 @@ def test_polymer_ursell_float_overflow_exits_2(capsys):
     assert main(["polymer", "ursell", "--n-ground", "3", "--zeta", "2=1e200",
                  "--orders", "2"]) == 2
     assert "order 2 overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, path, exact", [
+    (["xi", "--n-ground", "400", "--zeta", "2=-7/10"], ["xi"],
+     lambda: polymer.xi_exact(400, ActivityProfile(400, {2: Fraction(-7, 10)}))),
+    (["ursell", "--n-ground", "64", "--zeta", f"2={10 ** 200}/1", "--orders", "2"],
+     ["orders", "2"],
+     lambda: log_xi_ursell(64, ActivityProfile(64, {2: Fraction(10 ** 200)}), 2)[2]),
+    (["ckn", "--n-ground", "5", "--potential", "hard_rod", "--k", "3", "--sigma", "1e300"],
+     ["value"], lambda: polymer.ck_finite_N(
+         5, {n: tonks.bn_exact(n) * Fraction(1e300) ** (n - 1) for n in (2, 3, 4)}, 3)),
+], ids=["xi", "ursell", "ckn"])
+def test_exact_value_past_the_float_range_renders_null(argv, path, exact):
+    # the exact rational is printed; its float rendering overflows, so it is null
+    out = run_json(["polymer", *argv])
+    field = out
+    for key in path:
+        field = field[key]
+    want = exact()
+    assert field == {"rational": f"{want.numerator}/{want.denominator}", "value": None}
+    if argv[0] == "ursell":
+        assert out["partial_sums"]["1"] == out["orders"]["1"]["value"]
+        assert out["partial_sums"]["2"] is None
+    if argv[0] == "ckn":
+        assert out["limit"] is None
+
+
+def test_polymer_xi_float_overflow_exits_2(capsys):
+    assert main(["polymer", "xi", "--n-ground", "400", "--zeta", "2=-0.7"]) == 2
+    assert "Xi_400 is nan in floating point; exact" in capsys.readouterr().err
 
 
 def test_polymer_fpcheck():
@@ -539,15 +569,25 @@ def test_refused_highest_order_runs_no_integral(monkeypatch, capsys, argv, named
 def test_virial_refusal_names_k_max_and_the_largest_that_runs(monkeypatch, capsys,
                                                               method, largest):
     # refused as canonical refuses: by the flag the user gave, not by the b_n it needs
-    monkeypatch.setattr("clusterkit.cli.mayer_bn", lambda *a, **k: (1.0, 0.0))
+    for name in ("_gap_integral", "_mc_graph_sum"):
+        monkeypatch.setattr(cluster, name, lambda *a, **k: (1.0, 0.0))
     argv = ["virial", *DEEP_WELL, "--method", method, "--seed", "1"]
     assert main([*argv, "--k-max", str(largest + 1)]) == 2
     err = capsys.readouterr().err
     assert f"k_max={largest + 1} needs b_{largest + 2}" in err
     assert f"the largest k_max that runs is {largest}" in err
     # ... and that one passes the route check
-    monkeypatch.setattr("clusterkit.cli.virial_bk_direct", lambda *a, **k: (1.0, 0.0))
     assert main([*argv, "--k-max", str(largest)]) == 0
+
+
+def test_virial_node_guard_refusal_keeps_its_text(capsys):
+    # b_6 is within the quadrature cap, so the node guard's refusal is not reworded
+    argv = ["virial", "--potential", "square_well", "--epsilon", "1", "--lambda-w", "2.5",
+            "--B", "2", "--k-max", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "nested quadrature would need" in err
+    assert "largest k_max" not in err
 
 
 def test_virial_by_quadrature_in_d3_names_no_largest_k_max(capsys):
@@ -595,9 +635,12 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
     (["polymer", "fpcheck", "--n-ground", "4", *ROD, "--rho", "nan", "--a", "0.3"],
      "density rho"),
     (["polymer", "ursell", "--n-ground", "4", *ROD, "--rho", "nan"], "density rho"),
+    (["polymer", "xi", "--n-ground", "4", *ROD, "--rho", "1e200"], "density rho=1e+200"),
+    (["polymer", "fpcheck", "--n-ground", "4", "--zeta", "2=0.1", "--a", "800"],
+     "weight parameter a=800.0"),
 ], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u", "epsilon_unused", "a",
         "radii_beta_negative", "radii_beta_zero", "radii_B_negative", "radii_B_nan",
-        "rho_xi", "rho_fpcheck", "rho_ursell"])
+        "rho_xi", "rho_fpcheck", "rho_ursell", "rho_overflow", "a_overflow"])
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err

@@ -183,13 +183,16 @@ def test_rooted_tree_key_is_root_and_mask():
     first, second = RootedTree(3, 2, path), RootedTree(3, 2, path)
     assert first == second and hash(first) == hash(second) and len({first, second}) == 1
     assert first.edges == frozenset({(1, 2), (2, 3)})
+    assert repr(RootedTree(3, 2, path)) == "RootedTree(n=3, root=2, mask=5)"
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        LabeledGraph(3, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        LabeledGraph(3, frozenset({(2, 4)}))
+    with pytest.raises(ValueError, match="is not an edge on"):
+        LabeledGraph.from_edges(3, [(1, 1)])
+    with pytest.raises(ValueError, match="is not an edge on"):
+        LabeledGraph.from_edges(3, [(2, 4)])
+    with pytest.raises(ValueError, match="vertex count must be positive"):
+        LabeledGraph.from_edges(0, [])
     g = LabeledGraph.from_edges(3, [(2, 1), (3, 2)])
     assert g.edges == frozenset({(1, 2), (2, 3)})
 

@@ -50,6 +50,9 @@ def test_profile_validation():
     for rho in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError, match="density rho"):
             ActivityProfile.from_mayer({2: -1.0, 3: 1.5}, 4, rho)
+    # ... and so is a finite one whose float activity overflows
+    with pytest.raises(InputError, match=r"density rho=1e\+200 overflows .* zeta_3"):
+        ActivityProfile.from_mayer({2: -1.0, 3: 1.5}, 4, 1e200)
 
 
 def test_profile_from_mayer_consistency():
@@ -321,6 +324,23 @@ def test_log_xi_refuses_order_below_one(order):
         log_xi_ursell(3, ActivityProfile(3, {2: Fraction(1, 3)}), order)
 
 
+@pytest.mark.parametrize("method", ["recursion", "bruteforce"])
+@pytest.mark.parametrize("a", [10 ** 200, -10 ** 200])
+def test_xi_float_overflow_is_a_domain_error(method, a):
+    # Xi_4 = 1 + 6a + 3a^2 is past the float range: the exact activity gives it
+    with pytest.raises(DomainError, match="Xi_4 is inf in floating point; exact"):
+        xi_exact(4, ActivityProfile(4, {2: float(a)}), method)
+    assert xi_exact(4, ActivityProfile(4, {2: a}), method) == 1 + 6 * a + 3 * a ** 2
+
+
+def test_xi_float_cancellation_is_a_domain_error():
+    # --n-ground 400 --zeta 2=-0.7 reaches inf - inf; 3000 --zeta 2=5.0 reaches inf
+    with pytest.raises(DomainError, match="Xi_400 is nan"):
+        xi_exact(400, ActivityProfile(400, {2: -0.7}))
+    with pytest.raises(DomainError, match="Xi_3000 is inf"):
+        xi_exact(3000, ActivityProfile(3000, {2: 5.0}))
+
+
 def test_log_xi_float_overflow_names_the_order():
     # term 1 is 3e200; term 2 is -4.5e400, beyond any float
     with pytest.raises(DomainError, match="order 2"):
@@ -351,6 +371,14 @@ def test_fp_check_needs_positive_weight():
     for a in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InputError, match="weight parameter a"):
             fp_check(ActivityProfile(6, {2: 0.5, 3: -0.2}), a)
+
+
+def test_fp_check_refuses_a_weight_that_overflows():
+    # e^(2a) overflows a float from about a = 355 on
+    prof = ActivityProfile(4, {2: 0.1})
+    assert fp_check(prof, 354.0).lhs < math.inf
+    with pytest.raises(InputError, match=r"weight parameter a=800.0 overflows e\^\(a m\) at m=2"):
+        fp_check(prof, 800.0)
 
 
 # ---------------------------------------------------------------------------
