@@ -412,7 +412,7 @@ def _cmd_virial(args) -> int:
     records = []
     for k in range(1, k_max + 1):
         transform = float(virial_from_mayer(b, k))
-        inversion = float(inv.coeff(k))
+        inversion = float(inv.values[k])
         # the direct row: the pair integral at k = 1, quadrature within its caps beyond
         direct, derr = None, None
         if k == 1 or args.method == "quadrature":

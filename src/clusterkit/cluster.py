@@ -572,9 +572,14 @@ def virial_bk_direct(
 
 
 def penrose_bn_bound(n: int, beta: float, B: float, cbeta: float) -> float:
-    """Upper bound e^(2 beta B (n-2)) n^(n-2) C^( n-1) / n! on |b_n|."""
+    """Upper bound e^(2 beta B (n-2)) n^(n-2) C^( n-1) / n! on |b_n|.
+
+    Refuses a beta that is not > 0 (NaN too), as the radii do.
+    """
     if n < 2:
         raise DomainError("bound defined for n >= 2")
+    if not beta > 0:
+        raise DomainError("beta must be positive")
     if not (B >= 0 and cbeta > 0):
         raise DomainError("need B >= 0 and C(beta) > 0")
     comb = Fraction(n ** (n - 2), math.factorial(n))

@@ -82,8 +82,11 @@ class ActivityProfile:
         """Activities induced by fugacity-series coefficients at density rho.
 
         zeta_s = rho^(s-1) * mu_s with mu_s = b_s s!/N^(s-1); equivalently
-        zeta_s = b_s s!/V^(s-1) with V = N/rho.  A float activity that
-        overflows on the way or comes out infinite is refused by rho.
+        zeta_s = b_s s!/V^(s-1) with V = N/rho.  Where those float steps
+        overflow (N^(s-1) passes the float range for every N >= 144), the
+        activity is the exact product of rho, b_s, s! and N^-(s-1), rounded
+        once; an activity that is itself past the float range is refused
+        by rho.
         """
         if not _finite_real(rho):
             raise InputError(f"density rho must be a finite real, got {rho!r}")
@@ -96,17 +99,18 @@ class ActivityProfile:
             except OverflowError:
                 z = math.inf
             if isinstance(z, float) and math.isinf(z):
-                raise InputError(f"density rho={rho!r} overflows the float activity "
-                                 f"zeta_{s} at N={N}")
+                try:
+                    z = float(Fraction(rho) ** (s - 1) * Fraction(val) * math.factorial(s)
+                              / N ** (s - 1))
+                except (OverflowError, ValueError):  # ValueError: a NaN b_s
+                    raise InputError(f"density rho={rho!r} overflows the float activity "
+                                     f"zeta_{s} at N={N}") from None
             zeta[s] = z
         return cls(N, zeta)
 
-    def activity(self, m: int) -> Number:
-        return self.zeta.get(m, 0)
-
     def c_rho(self, m: int) -> float:
         """Summability weight |zeta_m| C(N-1, m-1)."""
-        return abs(float(self.activity(m))) * math.comb(self.N - 1, m - 1)
+        return abs(float(self.zeta.get(m, 0))) * math.comb(self.N - 1, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +126,9 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
     a Python int, no sum is normalized on the way, and Xi_N = R_N / D^N is
     one division at the end (a Fraction if some activity is one, an int if
     all are).  Any other profile (a float anywhere, or another number type)
-    runs the same loops with D = 1, c_m = zeta_m and no D factor, so its
-    operations and their order, and with them the float bits, are those of
-    the unscaled recursions.
+    runs the same loops with D = 1 and c_m = zeta_m; a factor D = 1 leaves
+    every value as it is, so the float bits are those of the unscaled
+    recursions.
 
     ``recursion`` conditions on the polymer containing the largest element:
     R_j = D R_{j-1} + sum_m C(j-1, m-1) c_m R_{j-m}, R_0 = 1, R_1 = D.
@@ -153,7 +157,7 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
     if method == "recursion":
         R = [1, D] + [0] * max(0, N - 1)
         for j in range(2, N + 1):
-            acc = D * R[j - 1] if D > 1 else R[j - 1]
+            acc = D * R[j - 1]
             for m, cm in c.items():
                 if m <= j:
                     acc = acc + math.comb(j - 1, m - 1) * cm * R[j - m]
@@ -167,9 +171,7 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
             if mask in memo:
                 return memo[mask]
             rest = mask & (mask - 1)  # the lowest element left out
-            total = rec(rest)  # lowest element stays unpolymerized
-            if D > 1:
-                total = D * total
+            total = D * rec(rest)  # lowest element stays unpolymerized
             # any subset of the remaining elements joins the lowest element
             sub = rest
             while sub:
@@ -254,7 +256,11 @@ class FPCheckResult:
 
 
 def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
-    """Evaluate sum_m e^(a m) |zeta_m| C(N-1, m-1) against e^a - 1."""
+    """Evaluate sum_m e^(a m) |zeta_m| C(N-1, m-1) against e^a - 1.
+
+    An a whose e^(a m) overflows is refused by a; a term, or their sum,
+    that passes the float range is refused by its activity zeta_m and N.
+    """
     if not 0 < a < math.inf:
         raise InputError(f"the weight parameter a must be positive and finite, got {a!r}")
     try:
@@ -262,7 +268,21 @@ def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
     except OverflowError:
         raise InputError(f"the weight parameter a={a!r} overflows e^(a m) at "
                          f"m={max(profile.zeta)}") from None
-    lhs = math.fsum(w * profile.c_rho(m) for w, m in zip(weights, profile.zeta))
+    terms = []
+    for w, m in zip(weights, profile.zeta):
+        try:
+            term = w * profile.c_rho(m)
+        except OverflowError:
+            term = math.inf
+        if math.isinf(term):
+            raise InputError(f"the summability term of zeta_{m} passes the float range "
+                             f"at N={profile.N}")
+        terms.append(term)
+    try:
+        lhs = math.fsum(terms)
+    except OverflowError:
+        raise InputError(f"the summability sum over zeta_m passes the float range "
+                         f"at N={profile.N}") from None
     rhs = math.expm1(a)
     return FPCheckResult(lhs, rhs, lhs <= rhs)
 

@@ -104,14 +104,13 @@ def integrate_1d(
     breakpoints: Sequence[float] = (),
     q: int = 12,
     tol: float = 1e-13,
-    depth: int = 0,
     max_depth: int = 14,
 ) -> Tuple[float, float]:
     """Integrate ``f`` (vectorized) over [a, b] with panel edges at breakpoints.
 
-    Starts from panels split at the breakpoints, halves every panel ``depth``
-    times, then keeps halving globally until the mesh-doubling difference
-    drops below ``tol`` relative to the running value.  Returns the finer
+    Starts from panels split at the breakpoints and keeps halving every panel
+    until the mesh-doubling difference drops below ``tol`` relative to the
+    running value, or after ``max_depth + 1`` halvings.  Returns the finer
     value and the last doubling difference as the error estimate.
     """
     if b <= a:
@@ -119,10 +118,8 @@ def integrate_1d(
     cuts = sorted({float(c) for c in breakpoints if a < c < b})
     edges = [a] + cuts + [b]
     panels = list(zip(edges[:-1], edges[1:]))
-    for _ in range(depth):
-        panels = _split_panels(panels)
     coarse = _composite(f, panels, q)
-    level = depth
+    level = 0
     while True:
         panels = _split_panels(panels)
         fine = _composite(f, panels, q)
@@ -137,10 +134,10 @@ def integrate_1d(
 # radius-set closures
 # ---------------------------------------------------------------------------
 
-def _merge(values, tol=_MERGE_TOL):
+def _merge(values):
     out = []
     for v in sorted(values):
-        if not out or v - out[-1] > tol:
+        if not out or v - out[-1] > _MERGE_TOL:
             out.append(v)
     return out
 

@@ -332,10 +332,13 @@ def ck_bound(k: int, beta: float, B: float, cbeta: float, a_star: float) -> Coef
     ours: [1/(k+1) + (e^a* - 1) e^(a* k)] e^(2 beta B (k-1)) (k+1)^k / k! C^k
     lp:   [(e^(2 beta B) + 1) C / 0.28952]^k / k
 
-    base_* are the asymptotic geometric bases (k-th root limits).
+    base_* are the asymptotic geometric bases (k-th root limits).  A C(beta)
+    that is not > 0 (NaN too) is refused, as the radii refuse it.
     """
     if k < 1:
         raise DomainError("order must be >= 1")
+    if not cbeta > 0:
+        raise DomainError("C(beta) must be positive")
     u = _exp_beta_B(2.0 * beta * B, beta, B)
     comb = Fraction((k + 1) ** k, math.factorial(k))
     try:

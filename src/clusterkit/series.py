@@ -18,7 +18,8 @@ One production route and one independent oracle give the same coefficients:
 * ``invert_mayer_oracle`` eliminates the fugacity between the pressure
   series sum b_n z^n and the density series sum n b_n z^n by formal power
   series reversion, then reads the density-series coefficients off the
-  pressure-vs-density expansion.
+  pressure-vs-density expansion.  It returns them as ``.values``, a dict
+  from order k to beta_k, of a ``VirialCoefficients`` named tuple.
 
 Both routes are exact on rational input, so the identity between them is
 asserted with ``==``.  The transform converts float input to its exact
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
 from . import radii as radii_mod
@@ -38,19 +39,10 @@ from . import radii as radii_mod
 Number = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class VirialCoefficients:
+class VirialCoefficients(NamedTuple):
     """Density-series coefficients keyed by order."""
 
-    values: Mapping[int, Number]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-
-    def coeff(self, k: int) -> Number:
-        if k not in self.values:
-            raise InputError(f"order-{k} coefficient not present")
-        return self.values[k]
+    values: Dict[int, Number]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +105,7 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
     if bm[1] != 1:
         raise InputError("the order-1 fugacity coefficient must equal 1")
     exact = all(isinstance(bm[i], (int, Fraction)) for i in range(1, order + 1))
-    conv = (lambda x: Fraction(x)) if exact else float
+    conv = Fraction if exact else float
 
     c = [0] + [conv(n * bm[n]) for n in range(1, order + 1)]  # rho(z) coefficients
     # reversion: z(rho) = sum a_j rho^j with a_1 = 1/c_1 = 1
@@ -121,11 +113,10 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
     a[1] = conv(1)
     for j in range(2, order + 1):
         zpow = [0, *a[1:j]] + [0] * (order - j + 1)  # z(rho) truncated below j
-        zpow = zpow[: order + 1]
         acc = [0] * (order + 1)
-        power = zpow[:]
+        power = zpow
         for i in range(2, j + 1):
-            power = _poly_mul(power, zpow, order) if i > 2 else _poly_mul(zpow, zpow, order)
+            power = _poly_mul(power, zpow, order)
             if c[i] != 0:
                 for t in range(order + 1):
                     acc[t] += c[i] * power[t]
@@ -134,24 +125,12 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
     p = [0] * (order + 1)
     power = [0] * (order + 1)
     power[0] = conv(1)
-    zser = a[:]
     for n in range(1, order + 1):
-        power = _poly_mul(power, zser, order)
+        power = _poly_mul(power, a, order)
         if bm[n] != 0:
             for t in range(order + 1):
                 p[t] += conv(bm[n]) * power[t]
-    if p[1] != (1 if exact else 1.0):
-        resid = p[1] - 1
-        if abs(float(resid)) > 1e-12:
-            raise InputError("internal inversion check failed: pressure not ~ rho")
-    values: Dict[int, Number] = {}
-    for k in range(1, k_max + 1):
-        coeff = p[k + 1]
-        if exact:
-            values[k] = -Fraction(k + 1, k) * coeff
-        else:
-            values[k] = -float(k + 1) / k * coeff
-    return VirialCoefficients(values)
+    return VirialCoefficients({k: -(conv(k + 1) / k) * p[k + 1] for k in range(1, k_max + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +189,6 @@ class FreeEnergyEstimate:
     certified: bool
 
 
-def _teo2_term(k: int, rho: float, beta: float, B: float, cbeta: float,
-               a_star: float) -> float:
-    bound = radii_mod.ck_bound(k, beta, B, cbeta, a_star).ours
-    return bound / (k + 1) * abs(rho) ** (k + 1)
-
-
 def free_energy_series(
     rho: float,
     coeffs,
@@ -245,7 +218,8 @@ def free_energy_series(
         tail = 0.0
         certified = True
     elif certified:
-        head = _teo2_term(k_max + 1, rho, beta, B, cbeta, a_star)
+        k = k_max + 1
+        head = radii_mod.ck_bound(k, beta, B, cbeta, a_star).ours / (k + 1) * abs(rho) ** (k + 1)
         tail = head / (1.0 - ratio)
     else:
         tail = math.nan

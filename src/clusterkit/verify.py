@@ -104,14 +104,12 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     return len(conn), mism
 
 
-def penrose_identity_random(
-    n: int = 7, count: int = 100, seed: int = SEED, root: int = 1,
-) -> Tuple[int, int]:
+def penrose_identity_random(n: int = 7, count: int = 100, root: int = 1) -> Tuple[int, int]:
     """Spot-check the identity on random connected graphs (default n = 7).
 
-    Each host is the first connected graph among G(n, 1/2) draws.  The
-    Ursell values come from one ``ursell_values`` call, by the vertex-subset
-    log, and independently the Penrose trees of each host from
+    Each host is the first connected graph among G(n, 1/2) draws from
+    ``SEED``.  The Ursell values come from one ``ursell_values`` call, by
+    the vertex-subset log, and independently the Penrose trees of each host from
     ``_slack_free_tree_masks``, past 6 vertices the slack-rule growth,
     which looks at no non-tree subgraph.  A host mismatches if the tree count is not |Ursell|,
     or if the first tree grown has a slack edge (``graphs.slack_masks``,
@@ -122,7 +120,7 @@ def penrose_identity_random(
     """
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count!r}")
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     npairs = n * (n - 1) // 2
     sign = 1 if (n - 1) % 2 == 0 else -1
     hosts = []
@@ -294,7 +292,7 @@ def _check_refinement() -> Tuple[bool, str]:
     errs = []
     for depth in (0, 1, 2):
         _, err = integrate_1d(integrand, 0.0, 2.0, breakpoints=tab.breakpoints(),
-                              q=4, tol=0.0, depth=depth, max_depth=depth)
+                              q=4, tol=0.0, max_depth=depth)
         errs.append(err)
     ok = all(e2 <= 0.5 * e1 for e1, e2 in zip(errs, errs[1:]))
     return ok, f"doubling errors {errs[0]:.2e} -> {errs[1]:.2e} -> {errs[2]:.2e}"
@@ -389,7 +387,7 @@ def _check_transform_vs_inversion() -> Tuple[bool, str]:
         inv = invert_mayer_oracle(b, 6)
         for k in range(1, 7):
             a = virial_from_mayer(b, k)
-            rel = abs(a - inv.coeff(k)) / max(abs(a), 1e-30)
+            rel = abs(a - inv.values[k]) / max(abs(a), 1e-30)
             worst = max(worst, rel)
     return worst < 1e-10, f"worst relative gap {worst:.2e} over random inputs"
 
@@ -422,7 +420,7 @@ def _check_three_way() -> Tuple[bool, str]:
     worst = worst_abs = 0.0
     for k in range(1, 4):
         direct, _ = virial_bk_direct(_ROD, 1.0, k)
-        routes = [virial_from_mayer(b, k), inv.coeff(k), direct, tonks.beta_k_value(k)]
+        routes = [virial_from_mayer(b, k), inv.values[k], direct, tonks.beta_k_value(k)]
         spread = max(routes) - min(routes)
         worst = max(worst, spread / abs(tonks.beta_k_value(k)))
         worst_abs = max(worst_abs, spread)

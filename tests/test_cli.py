@@ -638,9 +638,16 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
     (["polymer", "xi", "--n-ground", "4", *ROD, "--rho", "1e200"], "density rho=1e+200"),
     (["polymer", "fpcheck", "--n-ground", "4", "--zeta", "2=0.1", "--a", "800"],
      "weight parameter a=800.0"),
+    (["polymer", "fpcheck", "--n-ground", "2000", "--zeta", "1000=0.5", "--a", "0.1"],
+     "term of zeta_1000 passes the float range at N=2000"),
+    (["polymer", "fpcheck", "--n-ground", "4", "--zeta", f"2={10 ** 400}/1", "--a", "1"],
+     "term of zeta_2 passes the float range at N=4"),
+    (["polymer", "fpcheck", "--n-ground", "4", "--zeta", "2=1e300", "--a", "300"],
+     "term of zeta_2 passes the float range at N=4"),
 ], ids=["beta", "volume", "L", "cbeta", "epsilon", "sigma", "u", "epsilon_unused", "a",
         "radii_beta_negative", "radii_beta_zero", "radii_B_negative", "radii_B_nan",
-        "rho_xi", "rho_fpcheck", "rho_ursell", "rho_overflow", "a_overflow"])
+        "rho_xi", "rho_fpcheck", "rho_ursell", "rho_overflow", "a_overflow",
+        "zeta_binomial_overflow", "zeta_exact_overflow", "zeta_term_overflow"])
 def test_nan_input_exits_2_naming_the_key(capsys, argv, named):
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err
@@ -729,3 +736,60 @@ def test_out_writes_the_bytes_of_stdout(tmp_path, fmt):
     assert run_for_test([*argv, "--out", str(target)]) == ""
     stamp = re.compile(rb'"generated_at": "[^"]*"')
     assert stamp.sub(b"", target.read_bytes()) == stamp.sub(b"", run_for_test(argv).encode())
+
+
+#: a --config path that names no file
+NO_FILE = "no such file"
+
+#: (the config file's text, NO_FILE, or None for no --config; argv; what the refusal names)
+MISSING_INPUT_REFUSALS = [
+    pytest.param(None, ["radii"], "--u", id="radii_no_input"),
+    pytest.param(None, ["mayer"], "--potential", id="mayer_no_potential"),
+    pytest.param(None, ["virial"], "--potential", id="virial_no_potential"),
+    pytest.param(None, ["canonical", *ROD, "--N", "4"], "--L", id="canonical_no_L"),
+    pytest.param(None, ["canonical", *ROD, "--L", "20"], "--N", id="canonical_no_N"),
+    pytest.param(None, ["polymer", "xi", "--zeta", "2=0.5"], "--n-ground",
+                 id="polymer_no_n_ground"),
+    pytest.param(None, ["polymer", "xi", "--n-ground", "4"], "--rho", id="xi_no_activities"),
+    pytest.param(None, ["polymer", "xi", "--n-ground", "4", *WELL, "--epsilon", "1",
+                        "--B", "1", "--rho", "0.1"], "hard rods", id="xi_square_well"),
+    pytest.param(None, ["polymer", "fpcheck", "--n-ground", "4", "--zeta", "2=0.5"], "--a",
+                 id="fpcheck_no_a"),
+    pytest.param(None, ["polymer", "pexact", "--n-ground", "4"], "--s", id="pexact_no_s"),
+    pytest.param(None, ["polymer", "ckn", "--n-ground", "4"], "--potential",
+                 id="ckn_no_potential"),
+    pytest.param(None, ["polymer", "ckn", "--n-ground", "4", "--potential", "hard_sphere"],
+                 "--potential", id="ckn_hard_sphere"),
+    pytest.param("[1, 2]", ["mayer", *ROD], "config file must hold a JSON object",
+                 id="config_not_an_object"),
+    pytest.param("{", ["mayer", *ROD], "config file is not valid JSON", id="config_not_json"),
+    pytest.param(NO_FILE, ["mayer", *ROD], "cannot read config file", id="config_unreadable"),
+    pytest.param('{"mayer": [3]}', ["mayer", *ROD], "'mayer'", id="config_section_not_an_object"),
+]
+
+
+@pytest.mark.parametrize("config, argv, named", MISSING_INPUT_REFUSALS)
+def test_missing_or_malformed_input_exits_2_naming_it(tmp_path, capsys, config, argv, named):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        if config != NO_FILE:
+            cfg.write_text(config)
+        argv = ["--config", str(cfg), *argv]
+    assert _exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_null_keeps_the_flag_default(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"mayer": {"n": null, "beta": null}}')
+    out = run_json(["--config", str(cfg), "mayer", *ROD])
+    assert [r["n"] for r in out["records"]] == [1, 2, 3, 4]
+    assert {r["beta"] for r in out["records"]} == {1.0}
+
+
+def test_polymer_xi_past_n_143_runs():
+    # N^(s-1) passes the float range at N >= 144; the activities are rounded
+    # from their exact values, and Xi is the hard-rod closed form (1 - rho)^(N-1)
+    out = run_json(["polymer", "xi", "--n-ground", "145", *ROD, "--rho", "0.1"])
+    assert out["xi"] == pytest.approx(0.9 ** 144, rel=1e-13)
+

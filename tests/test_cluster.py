@@ -496,6 +496,12 @@ def test_penrose_bound_overflowing_beta_B():
         penrose_bn_bound(3, 10.0, 1e308, 3.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, -1.0, 0.0])
+def test_penrose_bound_refuses_a_beta_that_is_not_positive(beta):
+    with pytest.raises(DomainError, match="beta must be positive"):
+        penrose_bn_bound(3, beta, 1.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # the connected-sum evaluator
 # ---------------------------------------------------------------------------

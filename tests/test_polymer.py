@@ -61,8 +61,35 @@ def test_profile_from_mayer_consistency():
     b = {s: tonks.bn_value(s) for s in range(2, 6)}
     prof = ActivityProfile.from_mayer(b, N, rho)
     for s in range(2, 6):
-        assert prof.activity(s) == pytest.approx(
+        assert prof.zeta[s] == pytest.approx(
             b[s] * math.factorial(s) / V ** (s - 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [144, 145, 200])
+def test_from_mayer_rounds_the_exact_activity_where_the_float_steps_overflow(N):
+    # N^(s-1) passes the float range at s = N for every N >= 144; those
+    # activities are the exact product rounded once, the rest keep their bits
+    rho = 0.1
+    b = {s: tonks.bn_value(s) for s in range(2, N + 1)}
+    prof = ActivityProfile.from_mayer(b, N, rho)
+    rounded = 0
+    for s, val in b.items():
+        try:
+            want = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
+        except OverflowError:
+            want = float(Fraction(rho) ** (s - 1) * Fraction(val) * math.factorial(s)
+                         / N ** (s - 1))
+            rounded += 1
+        assert prof.zeta[s] == want
+    assert rounded >= 1
+    # the hard-rod activities of [N] give Xi = (1 - rho)^(N-1)
+    assert xi_exact(N, prof) == pytest.approx((1 - rho) ** (N - 1), rel=1e-13)
+
+
+def test_from_mayer_keeps_an_activity_whose_rho_power_overflows():
+    # rho^2 overflows on the way, but the activity 1e320 * 1e-20 * 6/16 fits
+    prof = ActivityProfile.from_mayer({2: -1.0, 3: 1e-20}, 4, 1e160)
+    assert prof.zeta[3] == float(Fraction(1e160) ** 2 * Fraction(1e-20) * 6 / 16)
 
 
 def test_c_rho_weights():
@@ -379,6 +406,17 @@ def test_fp_check_refuses_a_weight_that_overflows():
     assert fp_check(prof, 354.0).lhs < math.inf
     with pytest.raises(InputError, match=r"weight parameter a=800.0 overflows e\^\(a m\) at m=2"):
         fp_check(prof, 800.0)
+
+
+@pytest.mark.parametrize("N, zeta, a, named", [
+    pytest.param(2000, {1000: 0.5}, 0.1, "zeta_1000", id="binomial"),
+    pytest.param(4, {2: Fraction(10 ** 400)}, 0.1, "zeta_2", id="exact_activity"),
+    pytest.param(4, {2: 1e300}, 300.0, "zeta_2", id="product"),
+    pytest.param(4, {2: 5e307, 3: 5e307}, 0.01, "zeta_m", id="sum"),
+])
+def test_fp_check_refuses_a_term_past_the_float_range(N, zeta, a, named):
+    with pytest.raises(InputError, match=rf"\b{named}\b passes the float range at N={N}"):
+        fp_check(ActivityProfile(N, zeta), a)
 
 
 # ---------------------------------------------------------------------------

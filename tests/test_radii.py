@@ -186,6 +186,12 @@ def test_ck_bound_k1():
     assert b.base_ours == pytest.approx(math.exp(1.0 + a_star) * 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("cbeta", [-1.0, 0.0, math.nan])
+def test_ck_bound_refuses_a_c_beta_that_is_not_positive(cbeta):
+    with pytest.raises(DomainError, match=r"C\(beta\) must be positive"):
+        ck_bound(2, 1.0, 0.0, cbeta, A_STAR_EXACT)
+
+
 def test_reference_arithmetic():
     assert 1.0 / math.exp(1.0 + REFERENCE_A_ZERO_COUPLING) == pytest.approx(
         0.24026, abs=1e-5)
