@@ -446,9 +446,20 @@ def _polymer_profile(args) -> ActivityProfile:
     if pot is not None and args.rho is not None:
         if pot.kind != "hard_rod":
             raise ConfigError("derived activities are implemented for hard rods")
-        b = {s: tonks.bn_value(s, pot.sigma) for s in range(2, N + 1)}
+        b = {s: _rod_bn(s, pot.sigma) for s in range(2, N + 1)}
         return ActivityProfile.from_mayer(b, N, args.rho)
     raise ConfigError("polymer needs --zeta or a potential with --rho")
+
+
+def _rod_bn(s: int, sigma: float):
+    """The hard-rod b_s as a float, or exact where the float passes the float
+    range (n^(n-1)/n! does from n = 721 on); ``from_mayer`` rounds the
+    activity of an exact b_s once."""
+    with suppress(OverflowError):
+        b = tonks.bn_value(s, sigma)
+        if math.isfinite(b):
+            return b
+    return tonks.bn_exact(s) * Fraction(sigma) ** (s - 1)
 
 
 def _cmd_polymer(args) -> int:

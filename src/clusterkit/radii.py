@@ -29,7 +29,10 @@ tree function T = x S, and there K* = u / (x (1 + u - S(x))).
 ``tree_series_excess`` encloses S(x) - 1 and T'(x) - 1: a 2047-term head
 summed from a log-coefficient table, plus tails bounded above and below in
 closed form from Robbins' Stirling bounds and the integral test (about
-1e-9 wide for S at x = 1/e, where T' diverges).  The root of the upper
+1e-9 wide for S at x = 1/e, where T' diverges).  The head exponentiates
+only its terms in the normal float range, the rest being 0, which gives
+the bits of the full head for x above e^-400 (~1.9e-174); below that it
+exponentiates all of them.  The root of the upper
 bound on T' - 1 is bracketed by regula falsi in s = sqrt(1 - e x), in a
 handful of steps, and the recomputed K* matches the closed form to about
 6e-12 relative for u from 1 to 1e300.
@@ -40,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -105,6 +107,12 @@ _LOG_S = np.array([(n - 1) * (math.log(n) - 1.0) - math.lgamma(n + 1)
                    for n in range(2, _HEAD_TERMS + 1)])
 _N_MINUS_1 = np.arange(1, _HEAD_TERMS, dtype=float)
 _N = _N_MINUS_1 + 1.0
+#: ln of the smallest normal float: the head evaluates only the terms whose
+#: exponents reach it, and sets the rest to 0
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+#: the first exponent of the head is ln x; below this one (x < ~1.9e-174) the
+#: head evaluates all of its terms
+_FULL_HEAD_BELOW = -400.0
 #: the head is widened by this share of itself on both sides: a majorant for
 #: the rounding of _LOG_S (at most 3.4e-12 against 40-digit arithmetic), of
 #: the exponentials and of the sum
@@ -144,7 +152,10 @@ def tree_series_excess(x: float) -> Tuple[float, float, float, float]:
     keeps full relative precision as x -> 0.
 
     With z = e x = e^-lam, term n of S is s_n z^(n-1) and that of T' is
-    n s_n z^(n-1).  Terms 2 .. 2048 are summed from a log-coefficient table.
+    n s_n z^(n-1).  Terms 2 .. 2048 are summed from a log-coefficient table;
+    for x > e^-400 only those at or above the smallest normal float are
+    exponentiated, and the rest, too small to reach the bits of the sums,
+    are 0.
     Robbins' bounds on Stirling's remainder give
     1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which reduce the
     tails to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p, with
@@ -162,7 +173,21 @@ def tree_series_excess(x: float) -> Tuple[float, float, float, float]:
         raise DomainError(f"the tree series is enclosed for x from the smallest normal "
                           f"float to 1/e, not at x = {x!r}")
     lam = _lam(x)
-    terms = np.exp(_LOG_S - _N_MINUS_1 * lam)
+    terms = _N_MINUS_1 * -lam
+    terms += _LOG_S
+    if _FULL_HEAD_BELOW < terms[0] and terms[-1] < _LOG_NORMAL_MIN:
+        # Only the leading exponents >= ln(2^-1022), those of the normal-range
+        # terms, are exponentiated (the exponents fall with n); numpy's exp
+        # is far slower on underflowing ones.  The rest stay 0: each term is
+        # below 2^-1022 and n times it below 2^-1011, so together they are
+        # under 2^-1000, while the first term, x > e^-400 ~ 2^-577, puts half
+        # an ulp of the sum and of the dot above 2^-630; they are absorbed
+        # before they reach the bits.
+        k = int(np.count_nonzero(terms >= _LOG_NORMAL_MIN))
+        np.exp(terms[:k], out=terms[:k])
+        terms[k:] = 0.0
+    else:
+        np.exp(terms, out=terms)
     head = float(terms.sum())
     head_t = float(terms @ _N)
     lo = head * (1.0 - _HEAD_ROUNDING)
@@ -340,10 +365,12 @@ def ck_bound(k: int, beta: float, B: float, cbeta: float, a_star: float) -> Coef
     if not cbeta > 0:
         raise DomainError("C(beta) must be positive")
     u = _exp_beta_B(2.0 * beta * B, beta, B)
-    comb = Fraction((k + 1) ** k, math.factorial(k))
     try:
+        # int true division: (k+1)^k / k! correctly rounded, an OverflowError
+        # from k = 713 on
+        comb = (k + 1) ** k / math.factorial(k)
         bracket = 1.0 / (k + 1) + math.expm1(a_star) * math.exp(a_star * k)
-        ours = bracket * math.exp(2.0 * beta * B * (k - 1)) * float(comb) * cbeta ** k
+        ours = bracket * math.exp(2.0 * beta * B * (k - 1)) * comb * cbeta ** k
         lp = ((u + 1.0) * cbeta / LP_BOUND_DENOMINATOR) ** k / k
     except OverflowError:
         ours = lp = math.inf

@@ -530,7 +530,10 @@ WELL = ["--potential", "square_well", "--lambda-w", "1.5"]
     (["mayer", *WELL, "--epsilon", "1", "--B", "300", "--n", "4"], "beta*B = 300"),
     (["radii", "--cbeta", "1", "--B", "400"], "beta*B = 400"),
     (["radii", "--u", "1e100"], "order-4 coefficient bounds overflow at u = 1e+100"),
-], ids=["well_bond", "penrose_bound", "u", "ck_bound"])
+    # (k+1)^k / k! itself passes the float range at k = 713
+    (["radii", "--u", "1", "--cbeta", "1e-300", "--k-max", "800"],
+     "order-713 coefficient bounds overflow"),
+], ids=["well_bond", "penrose_bound", "u", "ck_bound", "ck_bound_quotient"])
 def test_overflow_exits_2_naming_the_input(monkeypatch, capsys, argv, named):
     # each input fails before any integral: mayer checks every b_n bound first
     def never(*args, **kwargs):
@@ -792,4 +795,15 @@ def test_polymer_xi_past_n_143_runs():
     # from their exact values, and Xi is the hard-rod closed form (1 - rho)^(N-1)
     out = run_json(["polymer", "xi", "--n-ground", "145", *ROD, "--rho", "0.1"])
     assert out["xi"] == pytest.approx(0.9 ** 144, rel=1e-13)
+
+
+@pytest.mark.parametrize("N, sigma", [(721, 1.0), (1000, 1.0), (450, 2.0)])
+def test_polymer_xi_past_the_float_range_of_b_n(N, sigma):
+    # n^(n-1)/n! passes the float range at n = 721, and the float product
+    # b_n sigma^(n-1) is inf from n ~ 420 on for sigma = 2: those b_n go
+    # exact into the activities
+    rho = 0.1
+    out = run_json(["polymer", "xi", "--n-ground", str(N), "--potential", "hard_rod",
+                    "--sigma", str(sigma), "--rho", str(rho)])
+    assert out["xi"] == pytest.approx((1.0 - rho * sigma) ** (N - 1), rel=1e-12)
 

@@ -3,6 +3,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -186,6 +187,21 @@ def test_ck_bound_k1():
     assert b.base_ours == pytest.approx(math.exp(1.0 + a_star) * 2.0, rel=1e-12)
 
 
+def test_ck_bound_quotient_is_the_rounded_rational():
+    # (k+1)^k / k! by int true division is float(Fraction(...)) up to k = 712,
+    # and so are the bits of ours; k = 713 overflows and is refused
+    # a small a* keeps bracket * comb finite to k = 712
+    beta, B, cbeta, a_star = 1.0, 0.0, 0.3, 1e-3
+    for k in range(1, 713):
+        comb = float(Fraction((k + 1) ** k, math.factorial(k)))
+        assert (k + 1) ** k / math.factorial(k) == comb
+        bracket = 1.0 / (k + 1) + math.expm1(a_star) * math.exp(a_star * k)
+        ours = bracket * math.exp(2.0 * beta * B * (k - 1)) * comb * cbeta ** k
+        assert repr(ck_bound(k, beta, B, cbeta, a_star).ours) == repr(ours)
+    with pytest.raises(DomainError, match="order-713 coefficient bounds overflow"):
+        ck_bound(713, beta, B, 1e-300, a_star)
+
+
 @pytest.mark.parametrize("cbeta", [-1.0, 0.0, math.nan])
 def test_ck_bound_refuses_a_c_beta_that_is_not_positive(cbeta):
     with pytest.raises(DomainError, match=r"C\(beta\) must be positive"):
@@ -332,3 +348,41 @@ def test_tree_derivative_contains_exact_sum(x):
 def test_tree_series_domain(x):
     with pytest.raises(DomainError):
         tree_series_excess(x)
+
+
+def _full_head_excess(x: float):
+    """``tree_series_excess`` with every head term taken by np.exp, subnormal
+    and underflowing ones too."""
+    lam = radii._lam(x)
+    terms = np.exp(radii._LOG_S - radii._N_MINUS_1 * lam)
+    head = float(terms.sum())
+    head_t = float(terms @ radii._N)
+    widen = radii._HEAD_ROUNDING
+    tail = radii._tail_bounds(lam)
+    return (head * (1.0 - widen) + tail[0], head * (1.0 + widen) + tail[1],
+            head_t * (1.0 - widen) + tail[2], head_t * (1.0 + widen) + tail[3])
+
+
+def _first_and_count(x: float):
+    """The head's first exponent and its count of normal-range exponents."""
+    args = radii._LOG_S - radii._N_MINUS_1 * radii._lam(x)
+    return args[0], int(np.count_nonzero(args >= radii._LOG_NORMAL_MIN))
+
+
+def test_normal_range_head_keeps_the_bits_of_the_full_head():
+    rng = np.random.default_rng(20240)
+    xs = np.exp(rng.uniform(math.log(sys.float_info.min), -1.0, 2000)).tolist()
+    xs += (X_MAX * -np.expm1(rng.uniform(-40.0, 0.0, 1000))).tolist()
+    # either side of the guard, where the head's first exponent is -400
+    guard = [math.exp(-400.0) * (1.0 + k * 2e-14) for k in range(-8, 9)]
+    firsts = [_first_and_count(x)[0] for x in guard]
+    assert min(firsts) <= radii._FULL_HEAD_BELOW < max(firsts)
+    # either side of the x where the last exponent crosses ln(2^-1022)
+    lam = (radii._LOG_S[-1] - radii._LOG_NORMAL_MIN) / (radii._HEAD_TERMS - 1)
+    crossing = [math.exp(-1.0 - lam) * (1.0 + k * 1e-13) for k in range(-20, 21)]
+    counts = {_first_and_count(x)[1] for x in crossing}
+    assert {radii._HEAD_TERMS - 2, radii._HEAD_TERMS - 1} <= counts
+    xs += guard + crossing
+    xs += [sys.float_info.min, 1e-170, 1e-171, 1e-172, 1e-173, 1e-174, 1e-175, X_MAX]
+    for x in xs:
+        assert repr(tree_series_excess(x)) == repr(_full_head_excess(x)), x
