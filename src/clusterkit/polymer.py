@@ -100,11 +100,8 @@ class ActivityProfile:
                 z = math.inf
             if isinstance(z, float) and math.isinf(z):
                 try:
-                    # one int true division rounds the rational once, without
-                    # the gcds of Fraction products
-                    r, v = Fraction(rho), Fraction(val)
-                    z = ((r.numerator ** (s - 1) * v.numerator * math.factorial(s))
-                         / (r.denominator ** (s - 1) * v.denominator * N ** (s - 1)))
+                    z = float(Fraction(rho) ** (s - 1) * Fraction(val) * math.factorial(s)
+                              / N ** (s - 1))
                 except (OverflowError, ValueError):  # ValueError: a NaN b_s
                     raise InputError(f"density rho={rho!r} overflows the float activity "
                                      f"zeta_{s} at N={N}") from None

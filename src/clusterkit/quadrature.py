@@ -78,17 +78,13 @@ def ball_volume(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _composite(f, panels: Sequence[Tuple[float, float]], q: int) -> float:
-    """Sum over the panels of width h > 0 of h * (f at the panel's nodes) . w.
-
-    The elementwise ``f`` runs once on all the panels' nodes; the panel sums
-    are added in panel order, so the bits are those of one call per panel.
-    """
     x, w = gauss_nodes(q)
-    kept = [(a, b - a) for a, b in panels if b - a > 0.0]
-    vals = f(np.concatenate([a + h * x for a, h in kept]))
     total = 0.0
-    for i, (_, h) in enumerate(kept):
-        total += h * float(np.dot(vals[i * q:(i + 1) * q], w))
+    for a, b in panels:
+        h = b - a
+        if h <= 0.0:
+            continue
+        total += h * float(np.dot(f(a + h * x), w))
     return total
 
 
@@ -110,7 +106,7 @@ def integrate_1d(
     tol: float = 1e-13,
     max_depth: int = 14,
 ) -> Tuple[float, float]:
-    """Integrate the elementwise ``f`` over [a, b] with panel edges at breakpoints.
+    """Integrate ``f`` (vectorized) over [a, b] with panel edges at breakpoints.
 
     Starts from panels split at the breakpoints and keeps halving every panel
     until the mesh-doubling difference drops below ``tol`` relative to the

@@ -30,11 +30,10 @@ tree function T = x S, and there K* = u / (x (1 + u - S(x))).
 summed from a log-coefficient table, plus tails bounded above and below in
 closed form from Robbins' Stirling bounds and the integral test (about
 1e-9 wide for S at x = 1/e, where T' diverges).  The head exponentiates
-only its terms in the normal float range, the rest being 0, which gives
-the bits of the full head for x above e^-400 (~1.9e-174); below that it
-exponentiates all of them.  The root of the upper
-bound on T' - 1 is bracketed by regula falsi in s = sqrt(1 - e x), in a
-handful of steps, and the recomputed K* matches the closed form to about
+only its terms in the normal float range, the rest being 0, with the bits
+of the head that exponentiates them all.  The root of the upper bound on
+T' - 1 is bracketed by regula falsi in s = sqrt(1 - e x), in a handful of
+steps, and the recomputed K* matches the closed form to about
 6e-12 relative for u from 1 to 1e300.
 """
 
@@ -110,9 +109,6 @@ _N = _N_MINUS_1 + 1.0
 #: ln of the smallest normal float: the head evaluates only the terms whose
 #: exponents reach it, and sets the rest to 0
 _LOG_NORMAL_MIN = math.log(sys.float_info.min)
-#: the first exponent of the head is ln x; below this one (x < ~1.9e-174) the
-#: head evaluates all of its terms
-_FULL_HEAD_BELOW = -400.0
 #: the head is widened by this share of itself on both sides: a majorant for
 #: the rounding of _LOG_S (at most 3.4e-12 against 40-digit arithmetic), of
 #: the exponentials and of the sum
@@ -153,9 +149,8 @@ def tree_series_excess(x: float) -> Tuple[float, float, float, float]:
 
     With z = e x = e^-lam, term n of S is s_n z^(n-1) and that of T' is
     n s_n z^(n-1).  Terms 2 .. 2048 are summed from a log-coefficient table;
-    for x > e^-400 only those at or above the smallest normal float are
-    exponentiated, and the rest, too small to reach the bits of the sums,
-    are 0.
+    only those at or above the smallest normal float are exponentiated, and
+    the rest, too small to reach the bits of the sums, are 0.
     Robbins' bounds on Stirling's remainder give
     1 - 1/(12n) <= e^(-r_n) <= 1 - 1/(12n) + 1/(96 n^2), which reduce the
     tails to sums of the convex, decreasing phi_p(t) = z^(t-1) t^-p, with
@@ -175,19 +170,18 @@ def tree_series_excess(x: float) -> Tuple[float, float, float, float]:
     lam = _lam(x)
     terms = _N_MINUS_1 * -lam
     terms += _LOG_S
-    if _FULL_HEAD_BELOW < terms[0] and terms[-1] < _LOG_NORMAL_MIN:
-        # Only the leading exponents >= ln(2^-1022), those of the normal-range
-        # terms, are exponentiated (the exponents fall with n); numpy's exp
-        # is far slower on underflowing ones.  The rest stay 0: each term is
-        # below 2^-1022 and n times it below 2^-1011, so together they are
-        # under 2^-1000, while the first term, x > e^-400 ~ 2^-577, puts half
-        # an ulp of the sum and of the dot above 2^-630; they are absorbed
-        # before they reach the bits.
-        k = int(np.count_nonzero(terms >= _LOG_NORMAL_MIN))
-        np.exp(terms[:k], out=terms[:k])
-        terms[k:] = 0.0
-    else:
-        np.exp(terms, out=terms)
+    # Only the leading exponents >= ln(2^-1022), those of the normal-range
+    # terms, are exponentiated (the exponents fall with n); numpy's exp is
+    # far slower on underflowing ones.  The rest stay 0 with the bits of the
+    # full head: for x > e^-400 ~ 2^-577 each is below 2^-1022 and n times
+    # it below 2^-1011, so together they are under 2^-1000, while the first
+    # term puts half an ulp of the sum and of the dot above 2^-630; for
+    # smaller x every exponent past the first is below -800, and its term 0
+    # in the full head too.  The first term is always kept, however its
+    # exponent rounds at the smallest normal x.
+    k = max(1, int(np.count_nonzero(terms >= _LOG_NORMAL_MIN)))
+    np.exp(terms[:k], out=terms[:k])
+    terms[k:] = 0.0
     head = float(terms.sum())
     head_t = float(terms @ _N)
     lo = head * (1.0 - _HEAD_ROUNDING)

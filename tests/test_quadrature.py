@@ -13,7 +13,7 @@ from clusterkit import quadrature
 from clusterkit.canonical import ztilde_direct
 from clusterkit.cluster import _gap_integral, _gap_weight_fn, mayer_bn, virial_bk_direct
 from clusterkit.errors import CapacityError
-from clusterkit.potentials import PairPotential, c_beta, f_bond_array
+from clusterkit.potentials import PairPotential
 from clusterkit.quadrature import (
     _append_levels,
     _block_sum,
@@ -471,49 +471,3 @@ def test_pair_window_matrix_columns():
     # pairs (1,2) (1,3) (1,4) (2,3) (2,4) (3,4)
     want = [[0.5, 1.5, 3.5, 1.0, 3.0, 2.0], [1.0, 1.25, 1.375, 0.25, 0.375, 0.125]]
     assert pair_window_matrix(points).tolist() == want
-
-
-# ---------------------------------------------------------------------------
-# integrate_1d: one integrand call per mesh, the bits of one call per panel
-# ---------------------------------------------------------------------------
-
-def _composite_per_panel(f, panels, q):
-    """The composite rule with one integrand call per panel."""
-    x, w = gauss_nodes(q)
-    total = 0.0
-    for a, b in panels:
-        h = b - a
-        if h <= 0.0:
-            continue
-        total += h * float(np.dot(f(a + h * x), w))
-    return total
-
-
-INTEGRAND_POTENTIALS = [
-    PairPotential("hard_rod", 1.0, 1),
-    PairPotential("hard_sphere", 1.0, 3),
-    PairPotential("hard_sphere", 0.7, 2),
-    PairPotential("square_well", 1.0, 1, epsilon=1.0, lambda_w=1.5, B=1.0),
-    PairPotential("square_well", 1.0, 3, epsilon=0.5, lambda_w=2.0, B=1.0),
-    PairPotential("custom_tabulated", 0.5, 1, table=((0.0, 2.0), (0.5, 1.0), (1.0, -0.5),
-                                                     (2.0, 0.0)), cutoff=2.0, B=1.0),
-    PairPotential("custom_tabulated", 1.0, 3, table=((0.0, 5.0), (1.0, 0.3), (1.5, -0.2),
-                                                     (2.5, 0.0)), cutoff=2.5, B=1.0),
-]
-
-
-@pytest.mark.parametrize("pot", INTEGRAND_POTENTIALS, ids=lambda p: f"{p.kind}_d{p.dimension}")
-def test_integrate_1d_matches_one_call_per_panel(monkeypatch, pot):
-    def runs():
-        out = []
-        for beta in (0.5, 1.0, 2.0):
-            out += [c_beta(pot, beta), mayer_bn(pot, beta, 2), virial_bk_direct(pot, beta, 1)]
-        # a non-polynomial integrand that runs the mesh doubling to max_depth
-        out.append(quadrature.integrate_1d(
-            lambda r: np.sqrt(r) * f_bond_array(pot, 1.0, r), 0.0, pot.range_radius,
-            breakpoints=pot.breakpoints(), q=4, tol=0.0, max_depth=6))
-        return repr(out)
-
-    batched = runs()
-    monkeypatch.setattr(quadrature, "_composite", _composite_per_panel)
-    assert batched == runs()

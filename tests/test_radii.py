@@ -363,24 +363,22 @@ def _full_head_excess(x: float):
             head_t * (1.0 - widen) + tail[2], head_t * (1.0 + widen) + tail[3])
 
 
-def _first_and_count(x: float):
-    """The head's first exponent and its count of normal-range exponents."""
+def _normal_count(x: float) -> int:
+    """The head's count of normal-range exponents."""
     args = radii._LOG_S - radii._N_MINUS_1 * radii._lam(x)
-    return args[0], int(np.count_nonzero(args >= radii._LOG_NORMAL_MIN))
+    return int(np.count_nonzero(args >= radii._LOG_NORMAL_MIN))
 
 
 def test_normal_range_head_keeps_the_bits_of_the_full_head():
     rng = np.random.default_rng(20240)
     xs = np.exp(rng.uniform(math.log(sys.float_info.min), -1.0, 2000)).tolist()
     xs += (X_MAX * -np.expm1(rng.uniform(-40.0, 0.0, 1000))).tolist()
-    # either side of the guard, where the head's first exponent is -400
+    # either side of x = e^-400, below which only the first term is nonzero
     guard = [math.exp(-400.0) * (1.0 + k * 2e-14) for k in range(-8, 9)]
-    firsts = [_first_and_count(x)[0] for x in guard]
-    assert min(firsts) <= radii._FULL_HEAD_BELOW < max(firsts)
     # either side of the x where the last exponent crosses ln(2^-1022)
     lam = (radii._LOG_S[-1] - radii._LOG_NORMAL_MIN) / (radii._HEAD_TERMS - 1)
     crossing = [math.exp(-1.0 - lam) * (1.0 + k * 1e-13) for k in range(-20, 21)]
-    counts = {_first_and_count(x)[1] for x in crossing}
+    counts = {_normal_count(x) for x in crossing}
     assert {radii._HEAD_TERMS - 2, radii._HEAD_TERMS - 1} <= counts
     xs += guard + crossing
     xs += [sys.float_info.min, 1e-170, 1e-171, 1e-172, 1e-173, 1e-174, 1e-175, X_MAX]
