@@ -85,11 +85,13 @@ class ActivityProfile:
         zeta_s = b_s s!/V^(s-1) with V = N/rho.  Where those float steps
         overflow (N^(s-1) passes the float range for every N >= 144), the
         activity is the exact product of rho, b_s, s! and N^-(s-1), rounded
-        once; an activity that is itself past the float range is refused
-        by rho.
+        once by one int true division of the numerators' product by the
+        denominators'; an activity that is itself past the float range is
+        refused by rho.
         """
         if not _finite_real(rho):
             raise InputError(f"density rho must be a finite real, got {rho!r}")
+        p, q = Fraction(rho).as_integer_ratio()
         zeta = {}
         for s, val in dict(b).items():
             if s < 2 or s > N:
@@ -100,8 +102,8 @@ class ActivityProfile:
                 z = math.inf
             if isinstance(z, float) and math.isinf(z):
                 try:
-                    z = float(Fraction(rho) ** (s - 1) * Fraction(val) * math.factorial(s)
-                              / N ** (s - 1))
+                    a, d = Fraction(val).as_integer_ratio()
+                    z = p ** (s - 1) * a * math.factorial(s) / (q ** (s - 1) * d * N ** (s - 1))
                 except (OverflowError, ValueError):  # ValueError: a NaN b_s
                     raise InputError(f"density rho={rho!r} overflows the float activity "
                                      f"zeta_{s} at N={N}") from None
@@ -131,7 +133,8 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
     recursions.
 
     ``recursion`` conditions on the polymer containing the largest element:
-    R_j = D R_{j-1} + sum_m C(j-1, m-1) c_m R_{j-m}, R_0 = 1, R_1 = D.
+    R_j = D R_{j-1} + sum_m C(j-1, m-1) c_m R_{j-m}, R_0 = 1, R_1 = D, with
+    the binomials of each j one Pascal row, cut at the largest m.
     ``bruteforce`` (N <= XI_BRUTEFORCE_MAX_N) works on the subsets of [N]:
     R of a subset S is D R(S - low) plus, over the nonempty U in S - low,
     c_(|U|+1) R(S - low - U): the lowest element alone or in a polymer with
@@ -156,11 +159,14 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
          for m, z in zeta.items()} if exact else zeta
     if method == "recursion":
         R = [1, D] + [0] * max(0, N - 1)
+        top = max(c, default=1) - 1  # the largest binomial index read
+        row = [1]  # C(j-1, k) for k = 0..min(j-1, top)
         for j in range(2, N + 1):
+            row = [1] + [x + y for x, y in zip(row, row[1:])] + ([1] if len(row) <= top else [])
             acc = D * R[j - 1]
             for m, cm in c.items():
                 if m <= j:
-                    acc = acc + math.comb(j - 1, m - 1) * cm * R[j - m]
+                    acc = acc + row[m - 1] * cm * R[j - m]
             R[j] = acc
         x = R[N]
     else:

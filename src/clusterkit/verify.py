@@ -6,7 +6,7 @@ arguments: the suite has no settings, and every sampled check draws from
 check, and ``tests/test_verify.py`` runs every entry under pytest.  The
 graph checks work on integer edge masks only: their hosts are the masks of
 ``graphs.connected_mask_flags``, and their trees the masks of
-``graphs._slack_free_tree_masks`` (a filter of every labeled tree up to 6
+``graphs._slack_free_tree_masks`` (a filter of every labeled tree up to 7
 vertices, the slack-rule growth past that) and of ``graphs.prufer_tree_masks``.
 The exhaustive tree-identity scan checks the premise of Penrose's proof:
 grouped by tree image, the connected spanning masks of the complete graph
@@ -110,9 +110,10 @@ def penrose_identity_random(n: int = 7, count: int = 100, root: int = 1) -> Tupl
     Each host is the first connected graph among G(n, 1/2) draws from
     ``SEED``.  The Ursell values come from one ``ursell_values`` call, by
     the vertex-subset log, and independently the Penrose trees of each host from
-    ``_slack_free_tree_masks``, past 6 vertices the slack-rule growth,
-    which looks at no non-tree subgraph.  A host mismatches if the tree count is not |Ursell|,
-    or if the first tree grown has a slack edge (``graphs.slack_masks``,
+    ``_slack_free_tree_masks``: on 7 vertices a filter of the table of
+    every labeled tree, from 8 on the slack-rule growth; neither looks at
+    a non-tree subgraph.  A host mismatches if the tree count is not |Ursell|,
+    or if the first tree found has a slack edge (``graphs.slack_masks``,
     one call for all the hosts) in the host, which a growth that gives a
     vertex the wrong parent does.  The exhaustive scan checks the slack
     rule's premise up to n = 6.  ConfigError for a count below 1, which
@@ -133,7 +134,7 @@ def penrose_identity_random(n: int = 7, count: int = 100, root: int = 1) -> Tupl
             if _mask_connected(n, mask):
                 break
         hosts.append(mask)
-    # the count, then that the first tree grown has no slack edge in the host
+    # the count, then that the first tree found has no slack edge in the host
     counted, firsts = [], []
     for mask, value in zip(hosts, ursell_values(n, hosts).tolist()):
         trees = _slack_free_tree_masks(n, mask, root)
@@ -179,7 +180,8 @@ def _check_penrose_identity() -> Tuple[bool, str]:
         total, mism = penrose_identity_scan(n)
         ok &= mism == 0
         parts.append(f"n={n}: {total} graphs, {mism} mismatches")
-    # the invariant pairs the exhaustive scan with random 7- and 8-vertex samples
+    # the invariant pairs the exhaustive scan with random 7- and 8-vertex
+    # samples, whose trees come from the tree table and the growth
     for n in (7, 8):
         total, mism = penrose_identity_random(n, 100)
         ok &= mism == 0

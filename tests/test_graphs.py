@@ -596,18 +596,20 @@ def _same_trees_and_errors(n, mask, root):
 
 
 def test_table_path_equals_the_growth():
-    # every mask on up to 5 vertices at every root, 200 random masks on 6,
-    # and a root or a mask out of range, which both refuse alike
+    # every mask on up to 5 vertices at every root, 200 random masks on 6
+    # and 100 on 7, and a root or a mask out of range, which both refuse alike
     rng = random.Random(39)
-    for n in range(1, 7):
+    for n in range(1, 8):
         npairs = n * (n - 1) // 2
-        masks = range(1 << npairs) if n <= 5 else [rng.getrandbits(npairs) for _ in range(200)]
+        masks = (range(1 << npairs) if n <= 5
+                 else [rng.getrandbits(npairs) for _ in range(200 if n == 6 else 100)])
         for mask in [*masks, -1, 1 << npairs]:
             for root in range(0, n + 2):
                 _same_trees_and_errors(n, mask, root)
-    trees, span = _tree_slack_table(6, 3)
-    assert trees.size == 6 ** 4 and not trees.flags.writeable and not span.flags.writeable
-    assert _tree_slack_table(6, 3)[1] is span
+    for n, root in ((6, 3), (7, 5)):
+        trees, span = _tree_slack_table(n, root)
+        assert trees.size == n ** (n - 2) and not trees.flags.writeable and not span.flags.writeable
+        assert _tree_slack_table(n, root)[1] is span
 
 
 @pytest.mark.parametrize("edges", (12, 18))
@@ -621,9 +623,11 @@ def test_growth_equals_the_blocked_brute_force_at_every_root(edges):
     value = ursell_values(7, [host])[0]
     for root in range(1, 8):
         trees, preimages = _blocked_submask_classes(7, host, root)
-        grown = sorted(_slack_free_tree_masks(7, host, root))
-        assert grown == trees[preimages == 1].tolist()
-        assert len(grown) == value  # (-1)^6 = 1
+        singles = trees[preimages == 1].tolist()
+        # the table path and the growth, which n = 7 no longer takes
+        for enumerate_trees in (_slack_free_tree_masks, _grown_tree_masks):
+            assert sorted(enumerate_trees(7, host, root)) == singles
+        assert len(singles) == value  # (-1)^6 = 1
 
 
 # ---------------------------------------------------------------------------
@@ -802,14 +806,15 @@ def _cache_sizes():
 def test_penrose_engine_grows_no_cache_once_filled():
     # the tables to fill before timing: ursell tables, the root-1 mask tree
     # tables (which ursell tables no longer build), the root-1 tree and
-    # slack tables of the Penrose trees and the vertex pairs of each n;
-    # p_exact keeps no cache
+    # slack tables of the Penrose trees (up to 7 vertices) and the vertex
+    # pairs of each n; p_exact keeps no cache
     for n in range(1, 13):
         edge_mask(n, ())
+    for n in range(1, 8):
+        _slack_free_tree_masks(n, 0)
     for n in range(1, 7):
         ursell_table(n)
         connected_mask_flags(n)
-        _slack_free_tree_masks(n, 0)
     for s in ((2, 2), (2, 2, 2)):
         polymer.p_exact(6, s)
     before = _cache_sizes()

@@ -53,6 +53,10 @@ def test_profile_validation():
     # ... and so is a finite one whose float activity overflows
     with pytest.raises(InputError, match=r"density rho=1e\+200 overflows .* zeta_3"):
         ActivityProfile.from_mayer({2: -1.0, 3: 1.5}, 4, 1e200)
+    # ... and so is a b_s with no exact value where the float steps overflow (200! does)
+    for val in (math.nan, math.inf):
+        with pytest.raises(InputError, match=r"density rho=0\.1 overflows .* zeta_200 at N=200"):
+            ActivityProfile.from_mayer({2: -1.0, 200: val}, 200, 0.1)
 
 
 def test_profile_from_mayer_consistency():
