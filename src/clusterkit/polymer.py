@@ -15,8 +15,8 @@ and computes the finite-N tree-counting factors
                   with |R_i| = s_i of [tree is a singleton-preimage tree of
                   the intersection graph],  k = sum s_i - n,
 
-together with the finite-N density-series coefficients built from them.
-P is counted by Venn-region occupancy, exactly at any N >= 1.  All
+counted by Venn-region occupancy, exactly at any N >= 1, and the finite-N
+density-series coefficients C_k(N) from one closed form in N.  All
 combinatorial values are exact rationals; activities may be Fractions
 (exact results) or floats.
 """
@@ -28,7 +28,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 from .errors import CapacityError, DomainError, InputError
 from .graphs import ursell_values, vertex_pairs
@@ -40,7 +40,7 @@ URSELL_MAX_N = 64
 URSELL_MAX_ORDER = 12
 P_EXACT_MAX_PARTS = 3
 P_EXACT_MAX_TOTAL = 8
-CK_FINITE_MAX_K = 3
+CK_FINITE_MAX_K = 40
 
 
 def _integral(x) -> bool:
@@ -87,7 +87,7 @@ class ActivityProfile:
         activity is the exact product of rho, b_s, s! and N^-(s-1), rounded
         once by one int true division of the numerators' product by the
         denominators'; an activity that is itself past the float range is
-        refused by rho.
+        refused by rho.  A b_s that is not a finite real is refused by name.
         """
         if not _finite_real(rho):
             raise InputError(f"density rho must be a finite real, got {rho!r}")
@@ -96,6 +96,8 @@ class ActivityProfile:
         for s, val in dict(b).items():
             if s < 2 or s > N:
                 continue
+            if not _finite_real(val):
+                raise InputError(f"fugacity coefficient b_{s} must be a finite real, got {val!r}")
             try:
                 z = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
             except OverflowError:
@@ -104,7 +106,7 @@ class ActivityProfile:
                 try:
                     a, d = Fraction(val).as_integer_ratio()
                     z = p ** (s - 1) * a * math.factorial(s) / (q ** (s - 1) * d * N ** (s - 1))
-                except (OverflowError, ValueError):  # ValueError: a NaN b_s
+                except OverflowError:
                     raise InputError(f"density rho={rho!r} overflows the float activity "
                                      f"zeta_{s} at N={N}") from None
             zeta[s] = z
@@ -237,17 +239,23 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
                 for k, c in enumerate(xi[j - m][:n_max], 1):  # one factor t per activity
                     row[k] += w * c
         xi.append(row)
-    x = xi[N]
-    log = [Fraction(0)] * (n_max + 1)
+    log = _log_egf([math.factorial(k) * c for k, c in enumerate(xi[N])])
     terms: Dict[int, Number] = {}
     for k in range(1, n_max + 1):
-        log[k] = x[k] - sum((j * log[j] * x[k - j] for j in range(1, k)), Fraction(0)) / k
-        term = log[k] / D ** k
+        term = Fraction(log[k], math.factorial(k) * D ** k)
         try:
             terms[k] = float(term) if inexact else term
         except OverflowError:
             raise DomainError(f"log-expansion term of order {k} overflows a float") from None
     return terms
+
+
+def _log_egf(y: Sequence[int]) -> List[int]:
+    """l with sum l_n u^n/n! = log sum y_n u^n/n! (y_0 = 1), in integers: F' = F (log F)'."""
+    log = [0] * len(y)
+    for n in range(1, len(y)):
+        log[n] = y[n] - sum(math.comb(n - 1, j - 1) * log[j] * y[n - j] for j in range(1, n))
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +384,14 @@ def p_limit(s: Sequence[int]) -> Fraction:
 
 
 def ck_finite_N(N: int, b, k: int) -> Number:
-    """Finite-N density-series coefficient from exact tree-counting factors.
+    """Finite-N density-series coefficient C_k(N) = (k+1)/N [rho^k] log Xi_N(rho).
 
-    C_k(N) = sum_{n=1..k} (-1)^(n-1) (k+1)/n! *
-             sum over ordered (s_1..s_n), s_i >= 2, sum s = k+n of
-             prod b_{s_i} s_i!  *  P(s_1..s_n).
-
-    Converges to the multiset-transform coefficient as N grows, with O(1/N)
-    residual.  Exact when the b input is rational.
+    At the activities of ``from_mayer`` and t = rho/N, Xi_N = N! [x^N]
+    exp(x + x B(t x)) with B(u) = sum_{i>=1} b_(i+1) u^i, so Xi_N = sum_d t^d
+    sum_{m<=d} perm(N, d+m) [u^d] B(u)^m/m!.  N enters only through perm(N, j),
+    j <= 2k: the cost does not grow with N, and C_k(N) is a polynomial of
+    degree <= k in 1/N whose value at 1/N = 0 is beta_k.  Rational b give an
+    exact Fraction; float b are taken exactly and rounded once at the end.
     """
     if k < 1:
         raise InputError("order must be >= 1")
@@ -393,26 +401,23 @@ def ck_finite_N(N: int, b, k: int) -> Number:
     missing = [i for i in range(2, k + 2) if i not in bm]
     if missing:
         raise InputError(f"missing fugacity coefficients: {missing}")
-    total: Number = 0
-    for n in range(1, k + 1):
-        coeff = Fraction(k + 1, math.factorial(n))
-        inner: Number = 0
-        for s in _compositions(k + n, n):
-            prod: Number = 1
-            for si in s:
-                prod = prod * bm[si] * math.factorial(si)
-            inner = inner + prod * p_exact(N, s)
-        term = coeff * inner if isinstance(inner, Fraction) else float(coeff) * inner
-        total = total + (term if n % 2 == 1 else -term)
-    return total
-
-
-def _compositions(total: int, parts: int):
-    """Ordered tuples of ``parts`` integers >= 2 summing to ``total``."""
-    if parts == 1:
-        if total >= 2:
-            yield (total,)
-        return
-    for first in range(2, total - 2 * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for s in range(2, k + 2):
+        if not _finite_real(bm[s]):
+            raise InputError(f"fugacity coefficient b_{s} must be a finite real, got {bm[s]!r}")
+    if N < 1:
+        raise InputError("ground-set size must be >= 1")
+    exact = [Fraction(bm[s]) for s in range(2, k + 2)]
+    D = math.lcm(*(q.denominator for q in exact))
+    # A(u) = B(D u) and y_d = d! D^d [t^d] Xi_N, both in integers (m <= d)
+    A = [0] + [q.numerator * (D // q.denominator) * D ** i for i, q in enumerate(exact)]
+    Am, y = [1] + [0] * k, [1] + [0] * k
+    for m in range(1, k + 1):
+        Am = [sum(Am[j] * A[d - j] for j in range(m - 1, d)) for d in range(k + 1)]  # A^m
+        for d in range(m, k + 1):
+            y[d] += math.perm(N, d + m) * math.perm(d, d - m) * Am[d]
+    value = Fraction((k + 1) * _log_egf(y)[k], math.factorial(k) * D ** k * N ** (k + 1))
+    rational = all(isinstance(bm[s], numbers.Rational) for s in range(2, k + 2))
+    try:
+        return value if rational else float(value)
+    except OverflowError:
+        raise DomainError(f"C_{k}({N}) overflows a float") from None

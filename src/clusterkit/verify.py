@@ -28,7 +28,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from . import graphs, polymer, tonks
+from . import graphs, tonks
 from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
 from .errors import ClusterKitError, ConfigError, DomainError
@@ -402,12 +402,23 @@ def _check_tonks_exact_transform() -> Tuple[bool, str]:
     return True, "hard-rod beta_k = -(k+1)/k exactly for k <= 40"
 
 
+def _compositions(total: int, parts: int):
+    """Ordered tuples of ``parts`` integers >= 2 summing to ``total``."""
+    if parts == 1:
+        if total >= 2:
+            yield (total,)
+        return
+    for first in range(2, total - 2 * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def _check_combi() -> Tuple[bool, str]:
     checked = 0
     for n in range(2, 11):
         for k in range(1, 13 - n):
             # first entry >= 1, the rest >= 2, summing to n + k - 1
-            for t in ((t[0] - 1,) + t[1:] for t in polymer._compositions(n + k, n)):
+            for t in ((t[0] - 1,) + t[1:] for t in _compositions(n + k, n)):
                 lhs, rhs = combi_identity_check(t, n, k)
                 if lhs != rhs:
                     return False, f"mismatch at n={n} k={k} t={t}"
@@ -666,6 +677,20 @@ def _check_ck_finite() -> Tuple[bool, str]:
     return abs(slope - 1.0) < 0.15, f"k<=3 exact; k=2 residual slope in 1/N: {slope:.3f}"
 
 
+def _check_ck_finite_limit() -> Tuple[bool, str]:
+    # C_k(N) is a polynomial of degree <= k in 1/N: its values at N = 1..k+1
+    # fix it, and Lagrange's weights at 1/N = 0 are prod_(M != N) N/(N - M)
+    rng = random.Random(SEED + 6)
+    for k in range(1, 9):
+        b = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for n in range(2, k + 2)}
+        Ns = range(1, k + 2)
+        limit = sum(ck_finite_N(N, b, k) * math.prod(Fraction(N, N - M) for M in Ns if M != N)
+                    for N in Ns)
+        if limit != virial_from_mayer(b, k):
+            return False, f"k={k}: C_k(N) at N = 1..{k + 1} extrapolates to {limit}, not beta_k"
+    return True, "C_k(N) at N = 1..k+1 extrapolates to beta_k at 1/N = 0 exactly (k <= 8)"
+
+
 def _check_ztilde_closed_vs_quadrature() -> Tuple[bool, str]:
     worst = 0.0
     for N, L in ((2, 10.0), (3, 10.0), (4, 8.0)):
@@ -757,6 +782,7 @@ CHECKS: Tuple[Tuple[str, str, Callable[[], Tuple[bool, str]]], ...] = (
     ("polymer.p_symmetry", "polymer", _check_p_symmetry),
     ("polymer.p_limit_convergence", "polymer", _check_p_limit),
     ("polymer.ck_finite_convergence", "polymer", _check_ck_finite),
+    ("polymer.ck_finite_limit", "polymer", _check_ck_finite_limit),
     ("canonical.closed_vs_quadrature", "canonical", _check_ztilde_closed_vs_quadrature),
     ("canonical.mc_within_3se", "canonical", _check_ztilde_mc),
     ("canonical.q_convergence", "canonical", _check_q_convergence),

@@ -22,7 +22,7 @@ from clusterkit.polymer import (
 )
 from clusterkit.radii import F_of_u
 from clusterkit.series import virial_from_mayer
-from clusterkit.verify import _fit_slope
+from clusterkit.verify import _compositions, _fit_slope
 
 
 def test_profile_validation():
@@ -53,10 +53,12 @@ def test_profile_validation():
     # ... and so is a finite one whose float activity overflows
     with pytest.raises(InputError, match=r"density rho=1e\+200 overflows .* zeta_3"):
         ActivityProfile.from_mayer({2: -1.0, 3: 1.5}, 4, 1e200)
-    # ... and so is a b_s with no exact value where the float steps overflow (200! does)
+    # a b_s that is not a finite real is refused by its own name, not by the valid rho
     for val in (math.nan, math.inf):
-        with pytest.raises(InputError, match=r"density rho=0\.1 overflows .* zeta_200 at N=200"):
+        with pytest.raises(InputError, match=r"\bb_200 must be a finite real"):
             ActivityProfile.from_mayer({2: -1.0, 200: val}, 200, 0.1)
+    with pytest.raises(InputError, match=r"\bb_3 must be a finite real, got nan"):
+        ActivityProfile.from_mayer({2: -1.0, 3: math.nan}, 4, 0.1)
 
 
 def test_profile_from_mayer_consistency():
@@ -517,10 +519,42 @@ def test_p_exact_capacity():
 
 def test_ck_finite_k1_closed_form():
     # for rods C_k(N) = beta_k (1 - 1/N) exactly, N <= k included
-    b = {n: tonks.bn_exact(n) for n in range(2, 5)}
-    for k in (1, 2, 3):
+    b = {n: tonks.bn_exact(n) for n in range(2, 14)}
+    for k in range(1, 13):
         for N in (*range(1, 13), 10**9):
             assert ck_finite_N(N, b, k) == tonks.beta_k_exact(k) * (1 - Fraction(1, N))
+
+
+def _ck_composition_sum(N, b, k):
+    # the tree-counting route: sum_n (-1)^(n-1) (k+1)/n! times the sum over ordered
+    # (s_1..s_n), s_i >= 2, sum s = k+n, of prod b_(s_i) s_i! P(s_1..s_n)
+    total = Fraction(0)
+    for n in range(1, k + 1):
+        inner = sum(math.prod(b[si] * math.factorial(si) for si in s) * p_exact(N, s)
+                    for s in _compositions(k + n, n))
+        total += (-1) ** (n - 1) * Fraction(k + 1, math.factorial(n)) * inner
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.lists(st.fractions(-3, 3, max_denominator=9), min_size=4, max_size=4),
+       N=st.integers(1, 12), k=st.integers(1, 4))
+def test_ck_finite_equals_the_composition_sum(b, N, k):
+    b = dict(zip(range(2, 6), b))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polymer, "P_EXACT_MAX_PARTS", 4)  # k = 4 reaches s = (2, 2, 2, 2)
+        assert ck_finite_N(N, b, k) == _ck_composition_sum(N, b, k)
+
+
+def test_ck_finite_float_b_is_the_exact_value_rounded_once():
+    b = {2: -1.0, 3: 0.1, 4: 1 / 3, 5: -2.5e-3}
+    for k in range(1, 5):
+        for N in (1, 3, 10, 10**9):
+            value = ck_finite_N(N, b, k)
+            assert type(value) is float
+            assert value == float(ck_finite_N(N, {s: Fraction(v) for s, v in b.items()}, k))
+    with pytest.raises(DomainError, match=r"C_1\(10\) overflows a float"):
+        ck_finite_N(10, {2: 1e308}, 1)  # 2 b_2 (1 - 1/N) = 1.8e308
 
 
 def test_ck_finite_k2_converges():
@@ -539,6 +573,15 @@ def test_ck_finite_limit_equals_transform():
 
 def test_ck_finite_validation():
     with pytest.raises(CapacityError):
-        ck_finite_N(8, {n: 1.0 for n in range(2, 7)}, 4)
+        ck_finite_N(8, {n: 1.0 for n in range(2, 43)}, 41)
     with pytest.raises(InputError):
         ck_finite_N(8, {2: 1.0}, 2)
+    with pytest.raises(InputError, match="order"):
+        ck_finite_N(8, {2: 1.0}, 0)
+    with pytest.raises(InputError, match="ground-set size"):
+        ck_finite_N(0, {2: 1.0}, 1)
+    # a non-finite b_s is refused by its name, not returned as nan
+    for b, named in (({2: math.nan, 3: 1.0, 4: 1.0}, "b_2"), ({2: 1.0, 3: -math.inf}, "b_3"),
+                     ({2: 1.0, 3: "0.5"}, "b_3")):
+        with pytest.raises(InputError, match=rf"\b{named} must be a finite real"):
+            ck_finite_N(5, b, len(b))
