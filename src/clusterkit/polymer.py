@@ -4,19 +4,20 @@ The partition function sums, over collections of pairwise disjoint subsets
 of [N] of size >= 2, the product of their activities.  Its logarithm expands
 over ordered subset tuples weighted by the alternating connected-subgraph
 sum of their intersection graph.  This module evaluates the partition
-function exactly by an O(N^2) recursion, takes the log-expansion term by
-term as a formal log of that recursion, checks the summability criterion
+function exactly by an O(N^2) recursion and checks the summability criterion
 
-    sum_{m=2..N} e^(a m) |zeta_m| C(N-1, m-1) <= e^a - 1,
+    sum_{m=2..N} e^(a m) |zeta_m| C(N-1, m-1) <= e^a - 1.
 
-and computes the finite-N tree-counting factors
+One exact kernel, ``_xi_log``, takes log Xi_N graded by polymer count, part
+size or density; its coefficients are the log-expansion terms, the finite-N
+tree-counting factors
 
     P(s_1..s_n) = N^-(k+1) * sum over rooted trees on [n] and subset tuples
                   with |R_i| = s_i of [tree is a singleton-preimage tree of
                   the intersection graph],  k = sum s_i - n,
 
-counted by Venn-region occupancy, exactly at any N >= 1, and the finite-N
-density-series coefficients C_k(N) from one closed form in N.  All
+which the Penrose identity makes signed Ursell values, and the finite-N
+density-series coefficients C_k(N), these two exact at any N >= 1.  All
 combinatorial values are exact rationals; activities may be Fractions
 (exact results) or floats.
 """
@@ -25,13 +26,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .errors import CapacityError, DomainError, InputError
-from .graphs import ursell_values, vertex_pairs
 
 Number = Union[int, float, Fraction]
 
@@ -55,6 +55,13 @@ def _finite_real(x) -> bool:
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     return isinstance(x, numbers.Rational) or math.isfinite(x)
+
+
+def _whole(name: str, x, low: int) -> int:
+    """x as an int, refused by name unless it is an integer (``_integral``) >= low."""
+    if not (_integral(x) and x >= low):
+        raise InputError(f"{name} must be >= {low} (an integer), got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,50 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
 
 
 # ---------------------------------------------------------------------------
-# log-expansion by polymer count
+# log Xi_N, graded: the log-expansion terms, P(s) and C_k(N) are its coefficients
 # ---------------------------------------------------------------------------
+
+def _xi_log(N: int, act: Mapping[int, Tuple[int, int, int]], cap: Sequence[int]) -> List[int]:
+    """|e|! [x^e] log Xi_N for every grade vector e <= cap, in integers.
+
+    A polymer of size m weighs a_m x_i^g, (a_m, i, g) = act[m] with a_m an
+    int and g >= 1.  f_e[j] sums the families that cover exactly [j] with
+    grade vector e; by the polymer holding j, f_e[j] = sum_m C(j-1, m-1) a_m
+    f_(e - g u_i)[j-m], and [x^e] Xi_N = sum_j C(N, j) f_e[j], so N enters
+    only through C(N, j), j up to the most elements grades <= cap cover.
+    With y_e = |e|! [x^e] Xi_N the log is F' = F (log F)' in |e|:
+    l_e = y_e - sum_(0 < e' < e) C(|e|-1, |e'|-1) l_e' y_(e-e').  l_e sits
+    at index sum_i e_i prod_(i' < i) (cap_i' + 1): e = cap is the last
+    entry, and one variable's l_n is entry n.
+    """
+    strides = [math.prod(c + 1 for c in cap[:i]) for i in range(len(cap))]
+    size = math.prod(c + 1 for c in cap)
+    digits = [[e // st % (c + 1) for st, c in zip(strides, cap)] for e in range(size)]
+    moves = {m: (a, [(e, e - g * strides[i]) for e in range(size) if digits[e][i] >= g])
+             for m, (a, i, g) in act.items()}
+    top = min(N, sum(max([c * m // g for m, (_, v, g) in act.items() if v == i], default=0)
+                     for i, c in enumerate(cap)))
+    f = [[1] + [0] * (size - 1)]
+    xi = list(f[0])
+    for j in range(1, top + 1):
+        row = [0] * size
+        for m, (a, pairs) in moves.items():
+            if m <= j:
+                w, src = math.comb(j - 1, m - 1) * a, f[j - m]
+                for e, e0 in pairs:
+                    row[e] += w * src[e0]
+        f.append(row)
+        cj = math.comb(N, j)
+        xi = [x + cj * r for x, r in zip(xi, row)]
+    degree = [sum(d) for d in digits]
+    y = [math.factorial(n) * x for n, x in zip(degree, xi)]
+    log = [0] * size
+    for e in range(1, size):
+        log[e] = y[e] - sum(math.comb(degree[e] - 1, degree[p] - 1) * log[p] * y[e - p]
+                            for p in range(1, e)
+                            if all(a <= b for a, b in zip(digits[p], digits[e])))
+    return log
+
 
 def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Number]:
     """Order-by-order terms of log Xi, n = 1..n_max.
@@ -209,15 +258,14 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
     Term n is (1/n!) times the sum over ordered n-tuples of subsets (sizes
     >= 2) of the alternating connected-subgraph sum of their intersection
     graph times the activity product.  It is homogeneous of degree n in the
-    activities, so it is [t^n] log Xi(t) with zeta -> t zeta: the ``xi_exact``
-    recursion runs on coefficient lists in t cut at degree n_max, and a
-    formal log of Xi_N gives the terms.  Scaling the activities by the
-    common denominator D keeps the recursion in integers; term n is divided
-    by D^n.  Float activities are taken as their exact Fractions, and each
-    term is rounded to float once.
+    activities, so it is [t^n] log Xi(t) with zeta -> t zeta: ``_xi_log``
+    with one variable t, grade 1 per polymer.  Scaling the activities by
+    their common denominator D keeps the kernel in integers; term n is
+    divided by n! D^n.  Float activities are taken as their exact
+    Fractions, and each term is rounded to float once.
     """
-    if n_max < 1:
-        raise InputError("expansion order must be >= 1")
+    n_max = _whole("expansion order", n_max, 1)
+    N = _whole("ground-set size N", N, 0)
     if N > URSELL_MAX_N:
         raise CapacityError(f"log-expansion capped at N={URSELL_MAX_N}")
     if n_max > URSELL_MAX_ORDER:
@@ -229,17 +277,8 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
     exact = {m: Fraction(z) if isinstance(z, numbers.Rational) else Fraction(float(z))
              for m, z in zeta.items()}
     D = math.lcm(*(z.denominator for z in exact.values()))
-    scaled = {m: z.numerator * (D // z.denominator) for m, z in exact.items()}
-    xi = [[1] + [0] * n_max] * 2  # Xi_0 = Xi_1 = 1; rows are never mutated
-    for j in range(2, N + 1):
-        row = list(xi[j - 1])
-        for m, a in scaled.items():
-            if m <= j:
-                w = math.comb(j - 1, m - 1) * a
-                for k, c in enumerate(xi[j - m][:n_max], 1):  # one factor t per activity
-                    row[k] += w * c
-        xi.append(row)
-    log = _log_egf([math.factorial(k) * c for k, c in enumerate(xi[N])])
+    log = _xi_log(N, {m: (z.numerator * (D // z.denominator), 0, 1) for m, z in exact.items()},
+                  (n_max,))
     terms: Dict[int, Number] = {}
     for k in range(1, n_max + 1):
         term = Fraction(log[k], math.factorial(k) * D ** k)
@@ -248,14 +287,6 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
         except OverflowError:
             raise DomainError(f"log-expansion term of order {k} overflows a float") from None
     return terms
-
-
-def _log_egf(y: Sequence[int]) -> List[int]:
-    """l with sum l_n u^n/n! = log sum y_n u^n/n! (y_0 = 1), in integers: F' = F (log F)'."""
-    log = [0] * len(y)
-    for n in range(1, len(y)):
-        log[n] = y[n] - sum(math.comb(n - 1, j - 1) * log[j] * y[n - j] for j in range(1, n))
-    return log
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +333,8 @@ def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
 
 
 # ---------------------------------------------------------------------------
-# finite-N tree-counting factors
+# finite-N tree-counting factors and density-series coefficients
 # ---------------------------------------------------------------------------
-
-def _occupancies(rem: Sequence[int], regions: Sequence[int]):
-    """Ways to spread rem[i] elements of each part i over the Venn regions.
-
-    Yields (counts, rest): counts[j] elements lie in exactly the parts of
-    regions[j], a bitmask over the parts, and rest[i] in part i alone.
-    """
-    if not regions:
-        yield (), tuple(rem)
-        return
-    R = regions[0]
-    for c in range(min(r for i, r in enumerate(rem) if R >> i & 1) + 1):
-        left = [r - c if R >> i & 1 else r for i, r in enumerate(rem)]
-        for counts, rest in _occupancies(left, regions[1:]):
-            yield (c,) + counts, rest
-
 
 def p_exact(N: int, s: Sequence[int]) -> Fraction:
     """Exact tree-counting factor P(s_1..s_n) at ground-set size N.
@@ -329,38 +344,26 @@ def p_exact(N: int, s: Sequence[int]) -> Fraction:
     singleton-preimage tree of the intersection graph; normalized by
     N^(k+1) with k = sum(s) - n.  Exact rational.
 
-    The intersection graph depends only on which Venn regions of the tuple
-    hold elements, and c_R elements in exactly the subsets of each region R
-    arise from perm(N, sum c) / prod c_R! tuples.  So the tuples are counted
-    by occupancy, at a cost that does not grow with N; a part above N gives 0.
-    The counts are summed per intersection graph, whose singleton trees
-    number the size of its Ursell value (the Penrose identity), taken for
-    all the graphs by one ``ursell_values`` call.
+    By the Penrose identity a connected intersection graph has |its Ursell
+    value| singleton trees, and that value has the sign (-1)^(n-1); a
+    disconnected one has neither.  Summed over the tuples, the values are a
+    coefficient of log Xi_N with one activity zeta_m per distinct part size
+    m, held c_m times, read off ``_xi_log`` at unit weights:
+
+        P(s) = (-1)^(n-1) prod_m c_m! N^-(k+1) [prod_m zeta_m^(c_m)] log Xi_N.
+
+    The cost does not grow with N, and a part above N gives 0.
     """
-    s = tuple(int(x) for x in s)
-    n = len(s)
-    if N < 1:
-        raise InputError("ground-set size must be >= 1")
-    if n < 1:
-        raise InputError("need at least one part")
-    if any(x < 2 for x in s):
-        raise InputError("every part must be >= 2")
+    N = _whole("ground-set size", N, 1)
+    s = tuple(_whole("every part", x, 2) for x in s)
+    n = _whole("the number of parts", len(s), 1)
     if n > P_EXACT_MAX_PARTS or sum(s) > P_EXACT_MAX_TOTAL:
-        raise CapacityError(
-            f"exact enumeration capped at n<={P_EXACT_MAX_PARTS}, sum(s)<={P_EXACT_MAX_TOTAL}"
-        )
-    pairs = vertex_pairs(n)
-    shared = [R for R in range(1, 1 << n) if R & (R - 1)]  # regions of >= 2 parts
-    edges = [sum(1 << idx for idx, (a, b) in enumerate(pairs)
-                 if R >> (a - 1) & 1 and R >> (b - 1) & 1) for R in shared]
-    tuples: Dict[int, int] = {}
-    for counts, rest in _occupancies(s, shared):
-        emask = reduce(int.__or__, (e for c, e in zip(counts, edges) if c), 0)
-        tuples[emask] = tuples.get(emask, 0) + (
-            math.perm(N, sum(counts + rest)) // math.prod(map(math.factorial, counts + rest)))
-    values = ursell_values(n, list(tuples)).tolist()
-    total = sum(t * abs(v) for t, v in zip(tuples.values(), values))
-    return Fraction(total, N ** (sum(s) - n + 1))
+        raise CapacityError(f"exact enumeration capped at n<={P_EXACT_MAX_PARTS}, "
+                            f"sum(s)<={P_EXACT_MAX_TOTAL}")
+    c = Counter(s)
+    log = _xi_log(N, {m: (1, i, 1) for i, m in enumerate(c)}, tuple(c.values()))
+    sign = (-1) ** (n - 1) * math.prod(map(math.factorial, c.values()))
+    return Fraction(sign * log[-1], math.factorial(n) * N ** (sum(s) - n + 1))
 
 
 def p_limit(s: Sequence[int]) -> Fraction:
@@ -369,32 +372,29 @@ def p_limit(s: Sequence[int]) -> Fraction:
     (n-2)! C(k-1+n, n-2) / prod (s_i - 1)! for n >= 2 (k = sum s - n); the
     single-part case is 1/s!.
     """
-    s = tuple(int(x) for x in s)
-    n = len(s)
-    if n < 1 or any(x < 2 for x in s):
-        raise InputError("parts must all be >= 2")
+    s = tuple(_whole("every part", x, 2) for x in s)
+    n = _whole("the number of parts", len(s), 1)
     if n == 1:
         return Fraction(1, math.factorial(s[0]))
     k = sum(s) - n
     num = math.factorial(n - 2) * math.comb(k - 1 + n, n - 2)
-    den = 1
-    for x in s:
-        den *= math.factorial(x - 1)
-    return Fraction(num, den)
+    return Fraction(num, math.prod(math.factorial(x - 1) for x in s))
 
 
 def ck_finite_N(N: int, b, k: int) -> Number:
     """Finite-N density-series coefficient C_k(N) = (k+1)/N [rho^k] log Xi_N(rho).
 
-    At the activities of ``from_mayer`` and t = rho/N, Xi_N = N! [x^N]
-    exp(x + x B(t x)) with B(u) = sum_{i>=1} b_(i+1) u^i, so Xi_N = sum_d t^d
-    sum_{m<=d} perm(N, d+m) [u^d] B(u)^m/m!.  N enters only through perm(N, j),
-    j <= 2k: the cost does not grow with N, and C_k(N) is a polynomial of
-    degree <= k in 1/N whose value at 1/N = 0 is beta_k.  Rational b give an
-    exact Fraction; float b are taken exactly and rounded once at the end.
+    At the activities of ``from_mayer``, zeta_s = t^(s-1) s! b_s with t =
+    rho/N, so C_k(N) is (k+1) N^-(k+1) [t^k] log Xi_N: ``_xi_log`` with one
+    variable t and, per polymer of size s, grade s-1 and weight s! b_s (b
+    scaled by their common denominator D, t -> D t, to run in integers).
+    Degree <= k covers at most 2k elements, so N enters only through
+    C(N, j), j <= 2k: the cost does not grow with N, and C_k(N) is a
+    polynomial of degree <= k in 1/N whose value at 1/N = 0 is beta_k.
+    Rational b give an exact Fraction; float b are taken exactly and
+    rounded once at the end.
     """
-    if k < 1:
-        raise InputError("order must be >= 1")
+    k = _whole("order", k, 1)
     if k > CK_FINITE_MAX_K:
         raise CapacityError(f"finite-N coefficients capped at k={CK_FINITE_MAX_K}")
     bm = dict(b)
@@ -404,18 +404,13 @@ def ck_finite_N(N: int, b, k: int) -> Number:
     for s in range(2, k + 2):
         if not _finite_real(bm[s]):
             raise InputError(f"fugacity coefficient b_{s} must be a finite real, got {bm[s]!r}")
-    if N < 1:
-        raise InputError("ground-set size must be >= 1")
-    exact = [Fraction(bm[s]) for s in range(2, k + 2)]
-    D = math.lcm(*(q.denominator for q in exact))
-    # A(u) = B(D u) and y_d = d! D^d [t^d] Xi_N, both in integers (m <= d)
-    A = [0] + [q.numerator * (D // q.denominator) * D ** i for i, q in enumerate(exact)]
-    Am, y = [1] + [0] * k, [1] + [0] * k
-    for m in range(1, k + 1):
-        Am = [sum(Am[j] * A[d - j] for j in range(m - 1, d)) for d in range(k + 1)]  # A^m
-        for d in range(m, k + 1):
-            y[d] += math.perm(N, d + m) * math.perm(d, d - m) * Am[d]
-    value = Fraction((k + 1) * _log_egf(y)[k], math.factorial(k) * D ** k * N ** (k + 1))
+    N = _whole("ground-set size", N, 1)
+    exact = {s: Fraction(bm[s]) for s in range(2, k + 2)}
+    D = math.lcm(*(q.denominator for q in exact.values()))
+    act = {s: (math.factorial(s) * q.numerator * (D // q.denominator) * D ** (s - 2), 0, s - 1)
+           for s, q in exact.items() if q}
+    value = Fraction((k + 1) * _xi_log(N, act, (k,))[k],
+                     math.factorial(k) * D ** k * N ** (k + 1))
     rational = all(isinstance(bm[s], numbers.Rational) for s in range(2, k + 2))
     try:
         return value if rational else float(value)

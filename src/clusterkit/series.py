@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
+from .polymer import _finite_real
 from . import radii as radii_mod
 
 Number = Union[int, float, Fraction]
@@ -43,6 +44,18 @@ class VirialCoefficients(NamedTuple):
     """Density-series coefficients keyed by order."""
 
     values: Dict[int, Number]
+
+
+def _coefficients(b, first: int, last: int) -> Dict[int, Number]:
+    """b as a dict: a missing b_n is an InputError, one not a finite real a DomainError."""
+    bm = dict(b)
+    missing = [n for n in range(first, last + 1) if n not in bm]
+    if missing:
+        raise InputError(f"missing fugacity coefficients: {missing}")
+    for n in range(first, last + 1):
+        if not _finite_real(bm[n]):
+            raise DomainError(f"fugacity coefficient b_{n} must be a finite real, got {bm[n]!r}")
+    return bm
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +70,7 @@ def virial_from_mayer(b, k: int) -> Number:
     """
     if k < 1:
         raise DomainError("order must be >= 1")
-    bm = dict(b)
-    missing = [i for i in range(2, k + 2) if i not in bm]
-    if missing:
-        raise InputError(f"missing fugacity coefficients: {missing}")
-    if any(isinstance(bm[i], float) and not math.isfinite(bm[i]) for i in range(2, k + 2)):
-        raise DomainError("fugacity coefficients must be finite")
+    bm = _coefficients(b, 2, k + 1)
     exact = all(isinstance(bm[i], (int, Fraction)) for i in range(2, k + 2))
     g = [Fraction(1)] + [n * Fraction(bm[n]) for n in range(2, k + 2)]  # g_j = (j+1) b_(j+1)
     p = [Fraction(1)]  # coefficients of g^(-k)
@@ -97,11 +105,8 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
     """
     if k_max < 1:
         raise DomainError("order must be >= 1")
-    bm = dict(b)
     order = k_max + 1
-    missing = [i for i in range(1, order + 1) if i not in bm]
-    if missing:
-        raise InputError(f"missing fugacity coefficients: {missing}")
+    bm = _coefficients(b, 1, order)
     if bm[1] != 1:
         raise InputError("the order-1 fugacity coefficient must equal 1")
     exact = all(isinstance(bm[i], (int, Fraction)) for i in range(1, order + 1))

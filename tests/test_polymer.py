@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -489,6 +490,59 @@ def test_p_exact_equals_naive_enumerator_at_any_size(N, s):
     assert p_exact(N, s) == _p_naive(N, s)
 
 
+def _occupancies(rem, regions):
+    """Ways to spread rem[i] elements of each part i over the Venn regions.
+
+    Yields (counts, rest): counts[j] elements lie in exactly the parts of
+    regions[j], a bitmask over the parts, and rest[i] in part i alone.
+    """
+    if not regions:
+        yield (), tuple(rem)
+        return
+    R = regions[0]
+    for c in range(min(r for i, r in enumerate(rem) if R >> i & 1) + 1):
+        left = [r - c if R >> i & 1 else r for i, r in enumerate(rem)]
+        for counts, rest in _occupancies(left, regions[1:]):
+            yield (c,) + counts, rest
+
+
+def _p_venn(N, s):
+    """P(s) by Venn-region occupancy, at any N and with no cap on the parts.
+
+    The intersection graph depends only on which Venn regions of the tuple
+    hold elements, and c_R elements in exactly the subsets of each region R
+    arise from perm(N, sum c) / prod c_R! tuples.  The counts are summed per
+    intersection graph, whose singleton trees number |its Ursell value|.
+    """
+    n = len(s)
+    pairs = vertex_pairs(n)
+    shared = [R for R in range(1, 1 << n) if R & (R - 1)]  # regions of >= 2 parts
+    edges = [sum(1 << idx for idx, (a, b) in enumerate(pairs)
+                 if R >> (a - 1) & 1 and R >> (b - 1) & 1) for R in shared]
+    tuples = Counter()
+    for counts, rest in _occupancies(s, shared):
+        emask = functools.reduce(int.__or__, (e for c, e in zip(counts, edges) if c), 0)
+        tuples[emask] += math.perm(N, sum(counts + rest)) // math.prod(
+            map(math.factorial, counts + rest))
+    values = graphs.ursell_values(n, list(tuples)).tolist()
+    total = sum(t * abs(v) for t, v in zip(tuples.values(), values))
+    return Fraction(total, N ** (sum(s) - n + 1))
+
+
+# every ordered s within P_EXACT_MAX_PARTS and P_EXACT_MAX_TOTAL
+P_EXACT_PARTS = [s for n in range(1, polymer.P_EXACT_MAX_PARTS + 1)
+                 for s in itertools.product(range(2, polymer.P_EXACT_MAX_TOTAL + 1), repeat=n)
+                 if sum(s) <= polymer.P_EXACT_MAX_TOTAL]
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.one_of(st.integers(1, 17), st.integers(1, 10 ** 9)))
+@example(N=10 ** 9)
+def test_p_exact_equals_the_venn_count_within_the_caps(N):
+    for s in P_EXACT_PARTS:
+        assert p_exact(N, s) == _p_venn(N, s), s
+
+
 def test_p_limit_values():
     assert p_limit((2, 2)) == 1
     assert p_limit((2, 3)) == Fraction(math.comb(4, 0), 2)  # (0)! C(4,0) / (1! 2!)
@@ -513,6 +567,32 @@ def test_p_exact_capacity():
         p_exact(0, (2, 2))
 
 
+def test_front_ends_refuse_what_they_would_truncate():
+    # an integral float is its integer; a fractional float or a bool is refused
+    # by name, not truncated, and none reaches a bare TypeError
+    b = {2: Fraction(-1), 3: Fraction(3, 2), 4: Fraction(-8, 3)}
+    prof = ActivityProfile(4, {2: Fraction(1, 3), 3: Fraction(-1, 4)})
+    assert p_exact(10.0, (2.0, 3)) == p_exact(10, (2, 3))
+    assert p_limit((2.0, 3)) == p_limit((2, 3))
+    assert ck_finite_N(10.0, b, 2.0) == ck_finite_N(10, b, 2)
+    assert log_xi_ursell(4.0, prof, 3.0) == log_xi_ursell(4, prof, 3)
+    for call, named in ((lambda: p_exact(10, (2.5, 3)), "every part .* got 2.5"),
+                        (lambda: p_exact(10, (2, True)), "every part .* got True"),
+                        (lambda: p_exact(10.5, (2, 3)), "ground-set size .* got 10.5"),
+                        (lambda: p_exact(True, (2, 3)), "ground-set size .* got True"),
+                        (lambda: p_limit((2.9, 3)), "every part .* got 2.9"),
+                        (lambda: p_limit(()), "number of parts .* got 0"),
+                        (lambda: ck_finite_N(True, b, 1), "ground-set size .* got True"),
+                        (lambda: ck_finite_N(10.5, b, 1), "ground-set size .* got 10.5"),
+                        (lambda: ck_finite_N(10, b, 2.5), "order .* got 2.5"),
+                        (lambda: ck_finite_N(10, b, True), "order .* got True"),
+                        (lambda: log_xi_ursell(4, prof, 2.5), "expansion order .* got 2.5"),
+                        (lambda: log_xi_ursell(3.5, prof, 2), "ground-set size N .* got 3.5"),
+                        (lambda: log_xi_ursell(-1, prof, 2), "ground-set size N .* got -1")):
+        with pytest.raises(InputError, match=named):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # finite-N coefficients
 # ---------------------------------------------------------------------------
@@ -527,10 +607,11 @@ def test_ck_finite_k1_closed_form():
 
 def _ck_composition_sum(N, b, k):
     # the tree-counting route: sum_n (-1)^(n-1) (k+1)/n! times the sum over ordered
-    # (s_1..s_n), s_i >= 2, sum s = k+n, of prod b_(s_i) s_i! P(s_1..s_n)
+    # (s_1..s_n), s_i >= 2, sum s = k+n, of prod b_(s_i) s_i! P(s_1..s_n), with P
+    # from the Venn count, not from the log Xi kernel it checks
     total = Fraction(0)
     for n in range(1, k + 1):
-        inner = sum(math.prod(b[si] * math.factorial(si) for si in s) * p_exact(N, s)
+        inner = sum(math.prod(b[si] * math.factorial(si) for si in s) * _p_venn(N, s)
                     for s in _compositions(k + n, n))
         total += (-1) ** (n - 1) * Fraction(k + 1, math.factorial(n)) * inner
     return total
@@ -541,9 +622,7 @@ def _ck_composition_sum(N, b, k):
        N=st.integers(1, 12), k=st.integers(1, 4))
 def test_ck_finite_equals_the_composition_sum(b, N, k):
     b = dict(zip(range(2, 6), b))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polymer, "P_EXACT_MAX_PARTS", 4)  # k = 4 reaches s = (2, 2, 2, 2)
-        assert ck_finite_N(N, b, k) == _ck_composition_sum(N, b, k)
+    assert ck_finite_N(N, b, k) == _ck_composition_sum(N, b, k)
 
 
 def test_ck_finite_float_b_is_the_exact_value_rounded_once():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,18 @@ def test_float_input_rounds_the_exact_result_once():
 def test_transform_rejects_non_finite_input():
     with pytest.raises(DomainError):
         virial_from_mayer({2: -1.0, 3: math.nan}, 2)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, 1j, math.nan, math.inf, -math.inf],
+                         ids=["string", "bool", "complex", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("route", [
+    lambda b: virial_from_mayer(b, 2),
+    lambda b: invert_mayer_oracle({1: 1, **b}, 2).values[2],
+], ids=["transform", "inversion"])
+def test_both_routes_refuse_a_b_that_is_not_a_finite_real_by_name(route, bad):
+    # refused by name, not parsed (a string), taken as 1 (a bool) or carried through (NaN)
+    with pytest.raises(DomainError, match=rf"\bb_3 must be a finite real, got {re.escape(repr(bad))}"):
+        route({2: -1.0, 3: bad})
 
 
 # ---------------------------------------------------------------------------
