@@ -31,8 +31,8 @@ from typing import Dict, Optional
 
 from .errors import CapacityError, ConfigError, DomainError, JammedError
 from . import tonks
-from .cluster import MC_CHUNK, MC_SAMPLES, ROUTE_CAPS, _direct_integral, mayer_bn
-from .potentials import PairPotential, c_beta
+from .cluster import MC_CHUNK, MC_SAMPLES, ROUTE_CAPS, _direct_integral, _order, mayer_bn
+from .potentials import PairPotential, _check_beta, c_beta
 from .series import free_energy_series, virial_from_mayer
 
 
@@ -82,12 +82,14 @@ def ztilde_direct(
     ``cluster.ROUTE_CAPS`` (``quadrature`` in d = 1, ``monte_carlo``), or
     ``auto`` (closed form when exact, else quadrature within its cap, else
     Monte Carlo).  Monte Carlo raises DomainError when fewer than two of its
-    chunk means are nonzero, or when its estimate is not finite.
+    chunk means are nonzero, or when its estimate is not finite.  A beta
+    that is not finite and positive, an L that is not, and an N that is not
+    an integer >= 1 (a bool or a fraction) raise DomainError.
     """
-    if not (beta > 0 and 0 < L < math.inf):
-        raise DomainError("need beta > 0 and finite L > 0")
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    _check_beta(beta)
+    if not 0 < L < math.inf:
+        raise DomainError(f"need finite L > 0, got {L!r}")
+    N = _order("particle count N", N)
     if p.kind == "hard_rod" and L <= (N - 1) * p.sigma:
         raise JammedError(f"{N} rods of size {p.sigma} cannot fit in a box of side {L}")
     if N == 1:

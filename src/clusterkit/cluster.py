@@ -63,9 +63,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError
+from .errors import CapacityError, ConfigError, DomainError, _integral
 from .graphs import connected_mask_flags, connected_weight_sum, enum_graphs, vertex_pairs
-from .potentials import PairPotential, bond_level_values, f_bond_array
+from .potentials import PairPotential, _check_beta, bond_level_values, f_bond_array
 from .quadrature import (
     _append_levels,
     ball_volume,
@@ -497,6 +497,13 @@ def _direct_integral(p: PairPotential, beta: float, graph_class: str, order: int
     return _mc_graph_sum(p, beta, n, graph_class, seed, samples, chunk, box, workers)
 
 
+def _order(name: str, n) -> int:
+    """``n`` as an int; DomainError naming it unless it is an integer (``_integral``) >= 1."""
+    if not (_integral(n) and n >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def mayer_bn(
     p: PairPotential,
     beta: float,
@@ -515,16 +522,16 @@ def mayer_bn(
     origin); a float is the side of a finite box, integrated verbatim and
     divided by the volume, and a side that is not finite and positive raises
     DomainError.  Monte Carlo raises DomainError when fewer than two of its
-    chunk means are nonzero, or when its estimate is not finite.
+    chunk means are nonzero, or when its estimate is not finite.  A beta
+    that is not finite and positive, and an order n that is not an integer
+    >= 1 (a bool or a fraction), raise DomainError.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _check_beta(beta)
     if volume is not None and not 0 < volume < math.inf:
         raise DomainError(f"box side must be positive and finite, got {volume!r}")
+    n = _order("order n", n)
     if n == 1:
         return 1.0, 0.0
-    if n < 1:
-        raise DomainError("order must be >= 1")
     if n == 2 and volume is None and method == "quadrature":
         val, err = _radial_pair_integral(p, beta)
         return 0.5 * val, 0.5 * err
@@ -555,11 +562,10 @@ def virial_bk_direct(
     """Order-k density-series coefficient from the two-connected graph sum.
 
     k = 1 is the plain pair integral (the single edge on two vertices).
+    DomainError as in ``mayer_bn`` for beta and the order k.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if k < 1:
-        raise DomainError("order must be >= 1")
+    _check_beta(beta)
+    k = _order("order k", k)
     if k == 1:
         return _radial_pair_integral(p, beta)
     val, err = _direct_integral(p, beta, "two_connected", k, method, None,

@@ -1,4 +1,14 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer test of the
+orders and sizes they refuse."""
+
+import numbers
+
+
+def _integral(x) -> bool:
+    """True for an int (numpy's too) or an integral float, not for a bool."""
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class ClusterKitError(Exception):

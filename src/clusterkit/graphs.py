@@ -36,17 +36,20 @@ The module provides:
     ``connected_mask_flags`` reads its flags,
   * ``_slack_free_tree_masks``, the one Penrose-tree enumerator: the trees
     with no slack edge in the host, on any number of vertices, by one of
-    two paths chosen by n.  On 2 to 7 vertices, while the n^(n-2) labeled
+    three paths chosen by n.  On 2 to 7 vertices, while the n^(n-2) labeled
     trees are no more than the rows of the largest mask table, it filters
     a table of every labeled tree and its slack mask, kept per (n, root),
-    with a few array operations per host; from 8 vertices on, and at
-    n = 1, it grows the trees one generation at a time without looking at
-    a non-tree subgraph (``_grown_tree_masks``), as n^(n-2) outgrows the
-    tree count of most hosts.  Both give the same tree set.  The verify
-    checks count them against ``ursell_values``.  ``penrose_trees`` and
+    with a few array operations per host; up to 5 vertices, where the
+    host-tree pairs are no more either, that filter is run once for every
+    host, and a host's trees are one slice of the index it leaves
+    (``_host_tree_index``).  From 8 vertices on, and at n = 1, it grows the
+    trees one generation at a time without looking at a non-tree subgraph
+    (``_grown_tree_masks``), as n^(n-2) outgrows the tree count of most
+    hosts.  All give the same tree set.  The verify checks count them
+    against ``ursell_values``.  ``penrose_trees`` and
     ``penrose_trees_fast`` wrap them as ``RootedTree``s of a
     ``LabeledGraph`` host for the bench harness, with no separate
-    connectivity pass (either path yields a tree exactly when the host is
+    connectivity pass (every path yields a tree exactly when the host is
     connected).  Both are NamedTuples, (n, mask) and (n, root, mask), with
     one shared ``edges``; ``LabeledGraph.from_edges`` checks edges by ``edge_mask``.
 """
@@ -54,7 +57,7 @@ The module provides:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -611,12 +614,35 @@ def slack_masks(n: int, trees, root: int = 1) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tree_slack_table(n: int, root: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every labeled tree on [n] (``prufer_tree_masks``) and the tree plus
-    its slack edges at ``root`` (``slack_masks``), kept per (n, root), read-only.
+    its slack edges at ``root`` (``slack_masks``), kept per (n, root),
+    read-only, as int32: the table stops at 7 vertices, 21 edges.
     """
     trees = prufer_tree_masks(n)
-    span = trees | slack_masks(n, trees, root)
+    span = (trees | slack_masks(n, trees, root)).astype(np.int32)
+    trees = trees.astype(np.int32)
     trees.flags.writeable = span.flags.writeable = False
     return trees, span
+
+
+@lru_cache(maxsize=None)
+def _host_tree_index(n: int, root: int) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The filter of ``_slack_free_tree_masks`` run once for every host on [n].
+
+    Host g's trees, in table order, are ``trees[offsets[g]:offsets[g + 1]]``
+    of the returned (trees, offsets).  A tree lies in the 2^f hosts that
+    hold it and none of its slack edges, f the edges outside its span mask,
+    so the host-tree pairs are counted from the table first, and the index
+    is built while they are no more than ``_TABLE_ROWS``: 3,377 at n = 5,
+    362,431 at n = 6, so n <= 5.  Else None.  Kept per (n, root).
+    """
+    trees, span = _tree_slack_table(n, root)
+    npairs = n * (n - 1) // 2
+    if sum(1 << npairs - s.bit_count() for s in span.tolist()) > _TABLE_ROWS:
+        return None
+    hosts = np.arange(1 << npairs, dtype=span.dtype)[:, None]
+    host, col = np.nonzero((span & hosts) == trees)  # host-major, table order within
+    offsets = np.searchsorted(host, np.arange((1 << npairs) + 1))
+    return tuple(trees[col].tolist()), tuple(offsets.tolist())
 
 
 def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
@@ -624,25 +650,35 @@ def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
 
     These are the Penrose trees: a tree is its own sole preimage inside the
     host under ``_mask_tree_image`` exactly when the host holds none of its
-    slack edges (``_slack_mask``).  Two paths give the same set, chosen by
-    n.  For 2 <= n <= 7, while n^(n-2) is at most the 2^15 rows of the
+    slack edges (``_slack_mask``).  Three paths give the same set, chosen
+    by n.  For 2 <= n <= 7, while n^(n-2) is at most the 2^15 rows of the
     largest mask table (``_TABLE_ROWS``), the labeled trees and their slack
     masks at ``root`` are built once (``_tree_slack_table``; 16,807 rows at
     n = 7), and the host's trees are one array test over them: a tree lies
     inside the host and none of its slack edges does, that is, host & (tree
     | slack) == tree, as a tree has no edge in its slack mask.  This costs a
     few array operations per host where the growth pays per tree, and the
-    trees come in sequence order.  For n = 1 and n >= 8 the trees are grown
-    (``_grown_tree_masks``): at n = 8 the 262,144-row table would filter
-    100 random connected G(8, 1/2) hosts in about 39 ms against the
-    growth's 36 ms, after a build of 4.2 MB and about 0.2 s; at n = 7 the
-    table takes 1.5 ms against 8 ms.  A disconnected host has none.
+    trees come in sequence order.  For n <= 5 that test has been run once
+    for every host (``_host_tree_index``, 3,377 host-tree pairs at n = 5),
+    and the host's trees are one slice of it, in the same order; n = 6,
+    with 362,431 pairs, and n = 7 filter per host.  For n = 1 and n >= 8
+    the trees are grown (``_grown_tree_masks``): at n = 8 the 262,144-row
+    table would filter 100 random connected G(8, 1/2) hosts in about 39 ms
+    against the growth's 36 ms, after a build of 4.2 MB and about 0.2 s;
+    at n = 7 the table takes 1.5 ms against 8 ms.  A disconnected host has
+    none.  A root outside [n] or a mask outside [0, 2^(n(n-1)/2)) raises
+    ValueError on every path.
     """
     if n < 2 or n ** (n - 2) > _TABLE_ROWS:
         return _grown_tree_masks(n, gmask, root)
     _check_root(n, root)
     _check_mask_range(n, gmask, gmask)
-    trees, span = _tree_slack_table(n, root)  # positional: one cache entry per (n, root)
+    # positional: one cache entry per (n, root)
+    index = _host_tree_index(n, root)
+    if index is not None:
+        trees, offsets = index
+        return list(trees[offsets[gmask]:offsets[gmask + 1]])
+    trees, span = _tree_slack_table(n, root)
     return trees[(span & gmask) == trees].tolist()
 
 
@@ -696,7 +732,9 @@ def _penrose_trees(g: LabeledGraph, root: int) -> FrozenSet[RootedTree]:
     trees = _slack_free_tree_masks(n, mask, root)
     if not trees:
         raise DomainError("Penrose trees are defined for connected graphs only")
-    return frozenset(RootedTree(n, root, t) for t in trees)
+    # the tuple that RootedTree(n, root, t) builds, without its Python-level __new__
+    new = tuple.__new__
+    return frozenset(new(RootedTree, (n, root, t)) for t in trees)
 
 
 def penrose_trees(g: LabeledGraph, root: int = 1) -> FrozenSet[RootedTree]:

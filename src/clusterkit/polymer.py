@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .errors import CapacityError, DomainError, InputError
+from .errors import CapacityError, DomainError, InputError, _integral
 
 Number = Union[int, float, Fraction]
 
@@ -41,13 +41,6 @@ URSELL_MAX_ORDER = 12
 P_EXACT_MAX_PARTS = 3
 P_EXACT_MAX_TOTAL = 8
 CK_FINITE_MAX_K = 40
-
-
-def _integral(x) -> bool:
-    """True for an int or an integral float, not for a bool."""
-    if isinstance(x, float):
-        return x.is_integer()
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _finite_real(x) -> bool:

@@ -206,6 +206,13 @@ def f_bond(p: PairPotential, beta: float, x) -> float:
         raise DomainError(f"-beta*V = {-beta * v:g} at r = {r:g} overflows e^(-beta V)") from None
 
 
+def _check_beta(beta: float) -> None:
+    """DomainError unless 0 < beta < inf: e^(beta epsilon) - 1 is inf at beta = inf
+    without an overflow, and the sums over it NaN."""
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta!r}")
+
+
 def bond_level_values(p: PairPotential, beta: float) -> np.ndarray:
     """The bond value on each level of a piecewise constant bond.
 
@@ -249,10 +256,10 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
     Computed radially as surface(d) * integral of r^(d-1) |f(r)| dr with the
     potential's discontinuity radii as quadrature breakpoints, and the radii
     where a table crosses zero between two samples, where |f| kinks.
-    Returns the value and a mesh-doubling error estimate.
+    Returns the value and a mesh-doubling error estimate; a beta that is
+    not finite and positive raises DomainError.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _check_beta(beta)
     d = p.dimension
 
     def integrand(r):

@@ -47,14 +47,14 @@ class VirialCoefficients(NamedTuple):
 
 
 def _coefficients(b, first: int, last: int) -> Dict[int, Number]:
-    """b as a dict: a missing b_n is an InputError, one not a finite real a DomainError."""
+    """b as a dict: a missing b_n, or one not a finite real, is an InputError."""
     bm = dict(b)
     missing = [n for n in range(first, last + 1) if n not in bm]
     if missing:
         raise InputError(f"missing fugacity coefficients: {missing}")
     for n in range(first, last + 1):
         if not _finite_real(bm[n]):
-            raise DomainError(f"fugacity coefficient b_{n} must be a finite real, got {bm[n]!r}")
+            raise InputError(f"fugacity coefficient b_{n} must be a finite real, got {bm[n]!r}")
     return bm
 
 

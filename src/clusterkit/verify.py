@@ -6,8 +6,9 @@ arguments: the suite has no settings, and every sampled check draws from
 check, and ``tests/test_verify.py`` runs every entry under pytest.  The
 graph checks work on integer edge masks only: their hosts are the masks of
 ``graphs.connected_mask_flags``, and their trees the masks of
-``graphs._slack_free_tree_masks`` (a filter of every labeled tree up to 7
-vertices, the slack-rule growth past that) and of ``graphs.prufer_tree_masks``.
+``graphs._slack_free_tree_masks`` (up to 5 vertices a lookup in that filter
+run once for every host, on 6 and 7 a filter of every labeled tree per
+host, the slack-rule growth past that) and of ``graphs.prufer_tree_masks``.
 The exhaustive tree-identity scan checks the premise of Penrose's proof:
 grouped by tree image, the connected spanning masks of the complete graph
 form the boolean intervals [tree, tree | slack(tree)] of the slack rule that

@@ -192,6 +192,45 @@ def test_box_side_must_be_finite_and_positive(request, fn, pot, args, method, ma
         fn(request.getfixturevalue(pot), 1.0, *args, method=method, seed=1, samples=40_000)
 
 
+BETA_ENTRY_POINTS = {
+    "b_3": lambda p, beta: mayer_bn(p, beta, 3),
+    "beta_1": lambda p, beta: virial_bk_direct(p, beta, 1),
+    "ztilde": lambda p, beta: ztilde_direct(p, beta, 8.0, 3, "quadrature"),
+    "c_beta": c_beta,
+}
+
+
+@pytest.mark.parametrize("entry", BETA_ENTRY_POINTS)
+@pytest.mark.parametrize("pot", ["well", "rod"])
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+def test_beta_must_be_finite_and_positive(request, entry, pot, beta):
+    # e^(beta epsilon) - 1 is inf at beta = inf with no overflow raised: a
+    # well's b_3 was NaN, its ztilde NaN and C(beta) inf
+    with pytest.raises(DomainError, match=rf"beta must be positive and finite, got {beta!r}"):
+        BETA_ENTRY_POINTS[entry](request.getfixturevalue(pot), beta)
+
+
+ORDER_ENTRY_POINTS = {
+    "b_n": (lambda p, n: mayer_bn(p, 1.0, n), "order n"),
+    "beta_k": (lambda p, k: virial_bk_direct(p, 1.0, k), "order k"),
+    "ztilde": (lambda p, N: ztilde_direct(p, 1.0, 8.0, N, "quadrature"), "particle count N"),
+}
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
+@pytest.mark.parametrize("pot", ["well", "rod"])
+def test_order_must_be_an_integer(request, entry, pot):
+    # True once read as order 1, and 2.5 raised a bare TypeError
+    fn, name = ORDER_ENTRY_POINTS[entry]
+    p = request.getfixturevalue(pot)
+    for bad in (True, False, 2.5, 0, -1.0):
+        with pytest.raises(DomainError, match=rf"{name} must be an integer >= 1, got {bad!r}"):
+            fn(p, bad)
+    # an integral float or a numpy int is the int
+    for n in (1, 2, 3):
+        assert fn(p, float(n)) == fn(p, np.int64(n)) == fn(p, n)
+
+
 def test_mc_virial_hard_sphere(sphere):
     val, err = virial_bk_direct(sphere, 1.0, 2, method="monte_carlo", seed=17,
                                 samples=600_000)

@@ -16,6 +16,7 @@ from clusterkit.graphs import (
     _decode_tree_sequence,
     _deposit_rows,
     _grown_tree_masks,
+    _host_tree_index,
     _mask_adjacency,
     _mask_connected,
     _mask_tree_image,
@@ -184,6 +185,12 @@ def test_rooted_tree_key_is_root_and_mask():
     assert first == second and hash(first) == hash(second) and len({first, second}) == 1
     assert first.edges == frozenset({(1, 2), (2, 3)})
     assert repr(RootedTree(3, 2, path)) == "RootedTree(n=3, root=2, mask=5)"
+    # penrose_trees builds its trees without RootedTree's __new__: the same objects
+    for n, host, root in ((3, path, 2), (5, complete(5), 4), (7, complete(7), 3)):
+        for t in penrose_trees(as_graph(n, host), root):
+            built = RootedTree(n, root, t.mask)
+            assert type(t) is RootedTree and t == built and hash(t) == hash(built)
+            assert repr(t) == repr(built) and t.edges == built.edges
 
 
 def test_graph_validation():
@@ -606,10 +613,19 @@ def test_table_path_equals_the_growth():
         for mask in [*masks, -1, 1 << npairs]:
             for root in range(0, n + 2):
                 _same_trees_and_errors(n, mask, root)
-    for n, root in ((6, 3), (7, 5)):
-        trees, span = _tree_slack_table(n, root)
-        assert trees.size == n ** (n - 2) and not trees.flags.writeable and not span.flags.writeable
-        assert _tree_slack_table(n, root)[1] is span
+    # up to 5 vertices the host index's lookup is the per-host filter's
+    # list, in table order; from 6 on no index is built
+    for n in range(2, 8):
+        for root in range(1, n + 1):
+            trees, span = _tree_slack_table(n, root)
+            assert trees.dtype == span.dtype == np.int32
+            assert not trees.flags.writeable and not span.flags.writeable
+            assert _tree_slack_table(n, root)[1] is span
+            assert (_host_tree_index(n, root) is None) == (n >= 6)
+            if n <= 5:
+                for mask in range(1 << n * (n - 1) // 2):
+                    assert _slack_free_tree_masks(n, mask, root) == trees[(span & mask) == trees].tolist()
+    assert _tree_slack_table(7, 5)[0].size == 7 ** 5
 
 
 @pytest.mark.parametrize("edges", (12, 18))
@@ -806,8 +822,9 @@ def _cache_sizes():
 def test_penrose_engine_grows_no_cache_once_filled():
     # the tables to fill before timing: ursell tables, the root-1 mask tree
     # tables (which ursell tables no longer build), the root-1 tree and
-    # slack tables of the Penrose trees (up to 7 vertices) and the vertex
-    # pairs of each n; p_exact keeps no cache
+    # slack tables of the Penrose trees (up to 7 vertices) with their host
+    # indices (up to 5) and the vertex pairs of each n; p_exact keeps no
+    # cache, so it needs no warm-up
     for n in range(1, 13):
         edge_mask(n, ())
     for n in range(1, 8):
@@ -815,8 +832,6 @@ def test_penrose_engine_grows_no_cache_once_filled():
     for n in range(1, 7):
         ursell_table(n)
         connected_mask_flags(n)
-    for s in ((2, 2), (2, 2, 2)):
-        polymer.p_exact(6, s)
     before = _cache_sizes()
     for g in list(enum_graphs(5, "connected"))[::20]:
         penrose_trees(as_graph(5, g))

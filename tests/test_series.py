@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clusterkit import tonks
-from clusterkit.errors import DomainError, InputError
+from clusterkit.errors import InputError
 from clusterkit.series import (
     combi_identity_check,
     free_energy_series,
@@ -98,7 +98,7 @@ def test_float_input_rounds_the_exact_result_once():
 
 
 def test_transform_rejects_non_finite_input():
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         virial_from_mayer({2: -1.0, 3: math.nan}, 2)
 
 
@@ -110,7 +110,7 @@ def test_transform_rejects_non_finite_input():
 ], ids=["transform", "inversion"])
 def test_both_routes_refuse_a_b_that_is_not_a_finite_real_by_name(route, bad):
     # refused by name, not parsed (a string), taken as 1 (a bool) or carried through (NaN)
-    with pytest.raises(DomainError, match=rf"\bb_3 must be a finite real, got {re.escape(repr(bad))}"):
+    with pytest.raises(InputError, match=rf"\bb_3 must be a finite real, got {re.escape(repr(bad))}"):
         route({2: -1.0, 3: bad})
 
 
