@@ -13,7 +13,8 @@ check of b_n and beta_k, in ``cluster._direct_integral``, for graph class
 "all": the gap quadrature, and the Monte Carlo chunk loop whose box mean
 is ztilde itself.  Their caps in N are the "all" entries of ``cluster.ROUTE_CAPS``,
 which ``auto`` and the series side's b_n (``_series_route``) read too.
-Free boundary conditions throughout: no periodic images.
+Free boundary conditions throughout: no periodic images.  Each entry point
+checks beta, L, N and k_max by the rules of ``errors`` before it computes.
 
 ``compare_series_direct`` is the end-to-end harness: it evaluates the
 interaction free-energy term Q = (1/V) ln ztilde directly and from the
@@ -29,10 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .errors import CapacityError, ConfigError, DomainError, JammedError
+from .errors import CapacityError, ConfigError, DomainError, JammedError, _integer, _positive
 from . import tonks
-from .cluster import MC_CHUNK, MC_SAMPLES, ROUTE_CAPS, _direct_integral, _order, mayer_bn
-from .potentials import PairPotential, _check_beta, c_beta
+from .cluster import MC_CHUNK, MC_SAMPLES, ROUTE_CAPS, _direct_integral, mayer_bn
+from .potentials import PairPotential, c_beta
 from .series import free_energy_series, virial_from_mayer
 
 
@@ -82,14 +83,11 @@ def ztilde_direct(
     ``cluster.ROUTE_CAPS`` (``quadrature`` in d = 1, ``monte_carlo``), or
     ``auto`` (closed form when exact, else quadrature within its cap, else
     Monte Carlo).  Monte Carlo raises DomainError when fewer than two of its
-    chunk means are nonzero, or when its estimate is not finite.  A beta
-    that is not finite and positive, an L that is not, and an N that is not
-    an integer >= 1 (a bool or a fraction) raise DomainError.
+    chunk means are nonzero, or when its estimate is not finite.
     """
-    _check_beta(beta)
-    if not 0 < L < math.inf:
-        raise DomainError(f"need finite L > 0, got {L!r}")
-    N = _order("particle count N", N)
+    _positive("beta", beta, DomainError)
+    _positive("L", L, DomainError)
+    N = _integer("particle count N", N, 1, DomainError)
     if p.kind == "hard_rod" and L <= (N - 1) * p.sigma:
         raise JammedError(f"{N} rods of size {p.sigma} cannot fit in a box of side {L}")
     if N == 1:
@@ -226,6 +224,7 @@ def compare_series_direct(
     errors of the direct estimate.  The series side's highest order,
     b_(k_max+1), is checked for a route before anything is computed.
     """
+    k_max = _integer("series order k_max", k_max, 1, DomainError)
     _series_route(p, k_max + 1)
     direct = ztilde_direct(
         p, beta, L, N, direct_method, seed=seed, samples=samples, chunk=chunk,

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import redirect_stdout, suppress
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -91,17 +92,21 @@ def _volume(text: str) -> Optional[float]:
 def _zeta(text: str) -> Dict[int, object]:
     """The type of --zeta: activities like '2=0.5,3=-1/3', a Fraction where there is a '/'.
 
-    A NaN or infinite float, typed or overflowing like 1e400, is refused.
+    A size given twice (as 2 and 02 too) is refused by name, and so is a NaN
+    or infinite float, typed or overflowing like 1e400.
     """
     try:
-        zeta = {int(key): Fraction(val) if "/" in val else float(val)
-                for key, _, val in (item.partition("=") for item in text.split(","))}
+        pairs = [(int(key), Fraction(val) if "/" in val else float(val))
+                 for key, _, val in (item.partition("=") for item in text.split(","))]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"want activities like '2=0.5,3=-1/3', got {text!r}") from None
-    if not all(math.isfinite(z) for z in zeta.values() if isinstance(z, float)):
+    repeated = [m for m, count in Counter(m for m, _ in pairs).items() if count > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"zeta_{repeated[0]} is given more than once in {text!r}")
+    if not all(math.isfinite(z) for _, z in pairs if isinstance(z, float)):
         raise argparse.ArgumentTypeError(f"activities must be finite, got {text!r}")
-    return zeta
+    return dict(pairs)
 
 
 def _sizes(text: str) -> Tuple[int, ...]:

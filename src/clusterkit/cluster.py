@@ -18,8 +18,8 @@ unscaled pair.  The route table ``ROUTE_CAPS`` maps each method and graph
 class to the largest order it takes; the check refuses an unknown method,
 quadrature in d > 1 and an order past its cap.  The CLI's tables ask for
 their highest order first, so a refused one runs no other integral.  Each
-front end keeps its input checks, its trivial orders and its scaling.  ``MC_SAMPLES`` and
-``MC_CHUNK`` are the Monte Carlo defaults.
+front end checks its arguments by the rules of ``errors``; ``MC_SAMPLES``
+and ``MC_CHUNK`` are the Monte Carlo defaults.
 
 The three graph classes of graphs.GRAPH_CLASSES share one selector,
 ``_graph_class_sum``, and two drivers.  Quadrature (d = 1),
@@ -63,9 +63,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError, _integral
+from .errors import CapacityError, ConfigError, DomainError, _integer, _positive, _stability
 from .graphs import connected_mask_flags, connected_weight_sum, enum_graphs, vertex_pairs
-from .potentials import PairPotential, _check_beta, bond_level_values, f_bond_array
+from .potentials import PairPotential, bond_level_values, f_bond_array
 from .quadrature import (
     _append_levels,
     ball_volume,
@@ -497,13 +497,6 @@ def _direct_integral(p: PairPotential, beta: float, graph_class: str, order: int
     return _mc_graph_sum(p, beta, n, graph_class, seed, samples, chunk, box, workers)
 
 
-def _order(name: str, n) -> int:
-    """``n`` as an int; DomainError naming it unless it is an integer (``_integral``) >= 1."""
-    if not (_integral(n) and n >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def mayer_bn(
     p: PairPotential,
     beta: float,
@@ -520,16 +513,13 @@ def mayer_bn(
 
     ``volume=None`` is the infinite-volume coefficient (x_1 pinned at the
     origin); a float is the side of a finite box, integrated verbatim and
-    divided by the volume, and a side that is not finite and positive raises
-    DomainError.  Monte Carlo raises DomainError when fewer than two of its
-    chunk means are nonzero, or when its estimate is not finite.  A beta
-    that is not finite and positive, and an order n that is not an integer
-    >= 1 (a bool or a fraction), raise DomainError.
+    divided by the volume.  Monte Carlo raises DomainError when fewer than
+    two of its chunk means are nonzero, or when its estimate is not finite.
     """
-    _check_beta(beta)
-    if volume is not None and not 0 < volume < math.inf:
-        raise DomainError(f"box side must be positive and finite, got {volume!r}")
-    n = _order("order n", n)
+    _positive("beta", beta, DomainError)
+    if volume is not None:
+        _positive("box side", volume, DomainError)
+    n = _integer("order n", n, 1, DomainError)
     if n == 1:
         return 1.0, 0.0
     if n == 2 and volume is None and method == "quadrature":
@@ -562,10 +552,9 @@ def virial_bk_direct(
     """Order-k density-series coefficient from the two-connected graph sum.
 
     k = 1 is the plain pair integral (the single edge on two vertices).
-    DomainError as in ``mayer_bn`` for beta and the order k.
     """
-    _check_beta(beta)
-    k = _order("order k", k)
+    _positive("beta", beta, DomainError)
+    k = _integer("order k", k, 1, DomainError)
     if k == 1:
         return _radial_pair_integral(p, beta)
     val, err = _direct_integral(p, beta, "two_connected", k, method, None,
@@ -578,16 +567,11 @@ def virial_bk_direct(
 
 
 def penrose_bn_bound(n: int, beta: float, B: float, cbeta: float) -> float:
-    """Upper bound e^(2 beta B (n-2)) n^(n-2) C^( n-1) / n! on |b_n|.
-
-    Refuses a beta that is not > 0 (NaN too), as the radii do.
-    """
-    if n < 2:
-        raise DomainError("bound defined for n >= 2")
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if not (B >= 0 and cbeta > 0):
-        raise DomainError("need B >= 0 and C(beta) > 0")
+    """Upper bound e^(2 beta B (n-2)) n^(n-2) C^(n-1) / n! on |b_n|, for n >= 2."""
+    n = _integer("order n", n, 2, DomainError)
+    _positive("beta", beta, DomainError)
+    _stability(B, DomainError)
+    _positive("C(beta)", cbeta, DomainError)
     comb = Fraction(n ** (n - 2), math.factorial(n))
     try:
         # at n = 2 the exponent is 0 even where 2 beta B overflows

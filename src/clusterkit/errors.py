@@ -1,14 +1,78 @@
-"""Exception types shared across the toolkit, and the integer test of the
-orders and sizes they refuse."""
+"""Exception types shared across the toolkit, and the one home of the rules
+its entry points check arguments by: the paper's hypotheses beta > 0,
+B >= 0, a finite C(beta) > 0 and integer orders k >= 1, finite coefficients
+and exact inputs.  Each rule raises the class its caller passes (InputError
+in ``polymer``, ConfigError in ``verify``, DomainError elsewhere) with one
+text, and takes no bool for a number.
+"""
 
+import math
 import numbers
+from fractions import Fraction
+
+
+def _number(x) -> bool:
+    """True for a real number that is not a bool (a float or an int skips the ABC test)."""
+    return type(x) in (float, int) or not isinstance(x, bool) and isinstance(x, numbers.Real)
 
 
 def _integral(x) -> bool:
     """True for an int (numpy's too) or an integral float, not for a bool."""
     if isinstance(x, float):
         return x.is_integer()
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or _number(x) and isinstance(x, numbers.Integral)
+
+
+def _integer(name: str, x, low: int, error) -> int:
+    """Rule 1, for orders, sizes and counts: ``x`` as an int, or ``error``
+    naming it; an integral float or a numpy int is the int."""
+    if not (_integral(x) and x >= low):
+        raise error(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
+def _positive(name: str, x, error) -> None:
+    """Rule 2, for beta, C(beta), a, a*, L and the box side: ``error`` naming
+    ``x`` unless 0 < x < inf (NaN too; at beta = inf a well's bond is inf)."""
+    if not (_number(x) and 0 < x < math.inf):
+        raise error(f"{name} must be positive and finite, got {x!r}")
+
+
+def _stability(B, error) -> None:
+    """Rule 3: ``error`` unless 0 <= B < inf (NaN too)."""
+    if not (_number(B) and 0 <= B < math.inf):
+        raise error(f"stability constant B must be >= 0 and finite, got {B!r}")
+
+
+def _real(name: str, x, error) -> None:
+    """Rule 4: ``error`` naming ``x`` unless it is an int, a Fraction or a
+    finite float."""
+    if not (_number(x) and (isinstance(x, numbers.Rational) or math.isfinite(x))):
+        raise error(f"{name} must be a finite real, got {x!r}")
+
+
+def _coefficients(table, first: int, last: int, what: str = "fugacity coefficient",
+                  symbol: str = "b") -> dict:
+    """Rule 4 for entries first..last of a table of b_n or C_k: a dict, each
+    exact entry as ``_exact`` gives it, or InputError naming a missing or bad one."""
+    out = dict(table)
+    missing = [n for n in range(first, last + 1) if n not in out]
+    if missing:
+        raise InputError(f"missing {what}s: {missing}")
+    for n in range(first, last + 1):
+        _real(f"{what} {symbol}_{n}", out[n], InputError)
+        out[n] = out[n] if (q := _exact(out[n])) is None else q
+    return out
+
+
+def _exact(x):
+    """Rule 5: an exact ``x`` (``numbers.Rational``) as a Python int or
+    Fraction, so that no numpy int runs; None for any other."""
+    if not (_number(x) and isinstance(x, numbers.Rational)):
+        return None
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 class ClusterKitError(Exception):

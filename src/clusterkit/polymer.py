@@ -25,13 +25,13 @@ combinatorial values are exact rationals; activities may be Fractions
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .errors import CapacityError, DomainError, InputError, _integral
+from .errors import (CapacityError, DomainError, InputError, _coefficients, _exact, _integer,
+                     _integral, _positive, _real)
 
 Number = Union[int, float, Fraction]
 
@@ -43,20 +43,6 @@ P_EXACT_MAX_TOTAL = 8
 CK_FINITE_MAX_K = 40
 
 
-def _finite_real(x) -> bool:
-    """True for an int, a Fraction or a finite float, not for a bool."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    return isinstance(x, numbers.Rational) or math.isfinite(x)
-
-
-def _whole(name: str, x, low: int) -> int:
-    """x as an int, refused by name unless it is an integer (``_integral``) >= low."""
-    if not (_integral(x) and x >= low):
-        raise InputError(f"{name} must be >= {low} (an integer), got {x!r}")
-    return int(x)
-
-
 @dataclass(frozen=True)
 class ActivityProfile:
     """Cardinality-dependent activities zeta_m, m = 2..N (sparse, may be negative;
@@ -66,16 +52,15 @@ class ActivityProfile:
     zeta: Mapping[int, Number]
 
     def __post_init__(self):
-        N, zeta = self.N, dict(self.zeta)
-        if not (_integral(N) and N >= 1):
-            raise InputError(f"ground-set size N must be an integer >= 1, got {N!r}")
-        bad = {m: v for m, v in zeta.items()
-               if not _finite_real(v) or v != 0 and not (_integral(m) and 2 <= m <= N)}
+        N, zeta = _integer("ground-set size N", self.N, 1, InputError), dict(self.zeta)
+        bad = [m for m, v in zeta.items() if v != 0 and not (_integral(m) and 2 <= m <= N)]
         if bad:
-            raise InputError(f"activities {bad} need integer indices in 2..{N} "
-                             "and finite real values")
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "zeta", {int(m): v for m, v in zeta.items() if v != 0})
+            raise InputError(f"activities {bad} need integer indices in 2..{N}")
+        for m, v in zeta.items():
+            _real(f"activity zeta_{m}", v, InputError)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "zeta", {int(m): v if (q := _exact(v)) is None else q
+                                          for m, v in zeta.items() if v != 0})
 
     @classmethod
     def from_mayer(cls, b, N: int, rho: float) -> "ActivityProfile":
@@ -89,15 +74,13 @@ class ActivityProfile:
         denominators'; an activity that is itself past the float range is
         refused by rho.  A b_s that is not a finite real is refused by name.
         """
-        if not _finite_real(rho):
-            raise InputError(f"density rho must be a finite real, got {rho!r}")
+        _real("density rho", rho, InputError)
         p, q = Fraction(rho).as_integer_ratio()
         zeta = {}
         for s, val in dict(b).items():
             if s < 2 or s > N:
                 continue
-            if not _finite_real(val):
-                raise InputError(f"fugacity coefficient b_{s} must be a finite real, got {val!r}")
+            _real(f"fugacity coefficient b_{s}", val, InputError)
             try:
                 z = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
             except OverflowError:
@@ -126,7 +109,7 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
 
     Both methods run on R_S = Xi_S D^|S| with scaled activities
     c_m = zeta_m D^m, where D is the common denominator of the activities
-    that fit in [N] when all of them are ints or Fractions: then every R is
+    that fit in [N] when all of them are exact (``errors._exact``): then every R is
     a Python int, no sum is normalized on the way, and Xi_N = R_N / D^N is
     one division at the end (a Fraction if some activity is one, an int if
     all are).  Any other profile (a float anywhere, or another number type)
@@ -148,14 +131,13 @@ def xi_exact(N: int, profile: ActivityProfile, method: str = "recursion") -> Num
     activities.  An inexact Xi that is not finite (its float steps
     overflowed) raises DomainError; exact activities give its value.
     """
-    if N < 0:
-        raise InputError("N must be nonnegative")
+    N = _integer("ground-set size N", N, 0, InputError)
     if method not in ("recursion", "bruteforce"):
         raise InputError(f"unknown method {method!r}")
     if method == "bruteforce" and N > XI_BRUTEFORCE_MAX_N:
         raise CapacityError(f"brute force capped at N={XI_BRUTEFORCE_MAX_N}")
     zeta = {m: z for m, z in profile.zeta.items() if m <= N}  # larger sizes have no subsets
-    exact = all(isinstance(z, (int, Fraction)) for z in zeta.values())
+    exact = all(_exact(z) is not None for z in zeta.values())
     D = math.lcm(*(z.denominator for z in zeta.values())) if exact else 1
     c = {m: z.numerator * (D // z.denominator) * D ** (m - 1)
          for m, z in zeta.items()} if exact else zeta
@@ -257,8 +239,8 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
     divided by n! D^n.  Float activities are taken as their exact
     Fractions, and each term is rounded to float once.
     """
-    n_max = _whole("expansion order", n_max, 1)
-    N = _whole("ground-set size N", N, 0)
+    n_max = _integer("expansion order", n_max, 1, InputError)
+    N = _integer("ground-set size N", N, 0, InputError)
     if N > URSELL_MAX_N:
         raise CapacityError(f"log-expansion capped at N={URSELL_MAX_N}")
     if n_max > URSELL_MAX_ORDER:
@@ -266,9 +248,8 @@ def log_xi_ursell(N: int, profile: ActivityProfile, n_max: int) -> Dict[int, Num
     zeta = {m: z for m, z in profile.zeta.items() if m <= N}  # larger sizes have no subsets
     if not zeta:
         return {n: 0 for n in range(1, n_max + 1)}
-    inexact = any(not isinstance(z, numbers.Rational) for z in zeta.values())
-    exact = {m: Fraction(z) if isinstance(z, numbers.Rational) else Fraction(float(z))
-             for m, z in zeta.items()}
+    inexact = any(_exact(z) is None for z in zeta.values())
+    exact = {m: Fraction(float(z) if _exact(z) is None else z) for m, z in zeta.items()}
     D = math.lcm(*(z.denominator for z in exact.values()))
     log = _xi_log(N, {m: (z.numerator * (D // z.denominator), 0, 1) for m, z in exact.items()},
                   (n_max,))
@@ -299,8 +280,7 @@ def fp_check(profile: ActivityProfile, a: float) -> FPCheckResult:
     An a whose e^(a m) overflows is refused by a; a term, or their sum,
     that passes the float range is refused by its activity zeta_m and N.
     """
-    if not 0 < a < math.inf:
-        raise InputError(f"the weight parameter a must be positive and finite, got {a!r}")
+    _positive("the weight parameter a", a, InputError)
     try:
         weights = [math.exp(a * m) for m in profile.zeta]
     except OverflowError:
@@ -347,9 +327,9 @@ def p_exact(N: int, s: Sequence[int]) -> Fraction:
 
     The cost does not grow with N, and a part above N gives 0.
     """
-    N = _whole("ground-set size", N, 1)
-    s = tuple(_whole("every part", x, 2) for x in s)
-    n = _whole("the number of parts", len(s), 1)
+    N = _integer("ground-set size N", N, 1, InputError)
+    s = tuple(_integer("every part", x, 2, InputError) for x in s)
+    n = _integer("the number of parts", len(s), 1, InputError)
     if n > P_EXACT_MAX_PARTS or sum(s) > P_EXACT_MAX_TOTAL:
         raise CapacityError(f"exact enumeration capped at n<={P_EXACT_MAX_PARTS}, "
                             f"sum(s)<={P_EXACT_MAX_TOTAL}")
@@ -365,8 +345,8 @@ def p_limit(s: Sequence[int]) -> Fraction:
     (n-2)! C(k-1+n, n-2) / prod (s_i - 1)! for n >= 2 (k = sum s - n); the
     single-part case is 1/s!.
     """
-    s = tuple(_whole("every part", x, 2) for x in s)
-    n = _whole("the number of parts", len(s), 1)
+    s = tuple(_integer("every part", x, 2, InputError) for x in s)
+    n = _integer("the number of parts", len(s), 1, InputError)
     if n == 1:
         return Fraction(1, math.factorial(s[0]))
     k = sum(s) - n
@@ -384,27 +364,21 @@ def ck_finite_N(N: int, b, k: int) -> Number:
     Degree <= k covers at most 2k elements, so N enters only through
     C(N, j), j <= 2k: the cost does not grow with N, and C_k(N) is a
     polynomial of degree <= k in 1/N whose value at 1/N = 0 is beta_k.
-    Rational b give an exact Fraction; float b are taken exactly and
+    Exact b (``errors._exact``) give a Fraction; float b are taken exactly and
     rounded once at the end.
     """
-    k = _whole("order", k, 1)
+    k = _integer("order k", k, 1, InputError)
     if k > CK_FINITE_MAX_K:
         raise CapacityError(f"finite-N coefficients capped at k={CK_FINITE_MAX_K}")
-    bm = dict(b)
-    missing = [i for i in range(2, k + 2) if i not in bm]
-    if missing:
-        raise InputError(f"missing fugacity coefficients: {missing}")
-    for s in range(2, k + 2):
-        if not _finite_real(bm[s]):
-            raise InputError(f"fugacity coefficient b_{s} must be a finite real, got {bm[s]!r}")
-    N = _whole("ground-set size", N, 1)
+    bm = _coefficients(b, 2, k + 1)
+    N = _integer("ground-set size N", N, 1, InputError)
     exact = {s: Fraction(bm[s]) for s in range(2, k + 2)}
     D = math.lcm(*(q.denominator for q in exact.values()))
     act = {s: (math.factorial(s) * q.numerator * (D // q.denominator) * D ** (s - 2), 0, s - 1)
            for s, q in exact.items() if q}
     value = Fraction((k + 1) * _xi_log(N, act, (k,))[k],
                      math.factorial(k) * D ** k * N ** (k + 1))
-    rational = all(isinstance(bm[s], numbers.Rational) for s in range(2, k + 2))
+    rational = all(_exact(bm[s]) is not None for s in range(2, k + 2))
     try:
         return value if rational else float(value)
     except OverflowError:

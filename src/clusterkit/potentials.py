@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _positive
 from .quadrature import ball_volume, bond_levels, integrate_1d, sphere_surface
 
 KINDS = ("hard_rod", "hard_sphere", "square_well", "custom_tabulated")
@@ -189,8 +189,7 @@ def f_bond(p: PairPotential, beta: float, x) -> float:
     reference that ``f_bond_array`` (the evaluator the integrals run) is
     tested against.
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _positive("beta", beta, DomainError)
     if isinstance(x, (list, tuple, np.ndarray)):
         r = float(np.linalg.norm(np.asarray(x, dtype=float)))
     else:
@@ -204,13 +203,6 @@ def f_bond(p: PairPotential, beta: float, x) -> float:
         return math.expm1(-beta * v)
     except OverflowError:
         raise DomainError(f"-beta*V = {-beta * v:g} at r = {r:g} overflows e^(-beta V)") from None
-
-
-def _check_beta(beta: float) -> None:
-    """DomainError unless 0 < beta < inf: e^(beta epsilon) - 1 is inf at beta = inf
-    without an overflow, and the sums over it NaN."""
-    if not 0 < beta < math.inf:
-        raise DomainError(f"beta must be positive and finite, got {beta!r}")
 
 
 def bond_level_values(p: PairPotential, beta: float) -> np.ndarray:
@@ -256,10 +248,9 @@ def c_beta(p: PairPotential, beta: float) -> Tuple[float, float]:
     Computed radially as surface(d) * integral of r^(d-1) |f(r)| dr with the
     potential's discontinuity radii as quadrature breakpoints, and the radii
     where a table crosses zero between two samples, where |f| kinks.
-    Returns the value and a mesh-doubling error estimate; a beta that is
-    not finite and positive raises DomainError.
+    Returns the value and a mesh-doubling error estimate.
     """
-    _check_beta(beta)
+    _positive("beta", beta, DomainError)
     d = p.dimension
 
     def integrand(r):

@@ -46,7 +46,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _positive, _stability
 
 #: externally quoted zero-coupling maximizer, kept for comparison output; it
 #: disagrees with the computed optimum (~0.4623) and is flagged, not adopted.
@@ -296,15 +296,9 @@ def K_star(u: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _exp_beta_B(x: float, beta: float, B: float) -> float:
-    """e^x for an exponent x built from beta*B.
-
-    A beta that is not positive names beta, a B that is not >= 0 (NaN too)
-    names B, and a result that is not finite names beta*B.
-    """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    if not B >= 0:
-        raise DomainError(f"stability constant B must be >= 0 and finite, got {B!r}")
+    """e^x for an exponent x built from beta*B; a result that is not finite names beta*B."""
+    _positive("beta", beta, DomainError)
+    _stability(B, DomainError)
     try:
         value = math.exp(x)
     except OverflowError:
@@ -314,20 +308,25 @@ def _exp_beta_B(x: float, beta: float, B: float) -> float:
     return value
 
 
+def _radius(name: str, value: float, cbeta: float) -> float:
+    """``value``, or DomainError naming C(beta) where a radius overflows."""
+    if not math.isfinite(value):
+        raise DomainError(f"the {name} radius overflows at C(beta) = {cbeta!r}")
+    return value
+
+
 def rho_star(beta: float, B: float, cbeta: float) -> float:
     """Certified density radius F(e^(2 beta B)) / (e^(2 beta B) C(beta))."""
-    if not cbeta > 0:
-        raise DomainError("C(beta) must be positive")
+    _positive("C(beta)", cbeta, DomainError)
     u = _exp_beta_B(2.0 * beta * B, beta, B)
     val, _ = F_of_u(u)
-    return val / (u * cbeta)
+    return _radius("density", val / (u * cbeta), cbeta)
 
 
 def mayer_radius(beta: float, B: float, cbeta: float) -> float:
     """Fugacity-series radius 1 / (e^(2 beta B + 1) C(beta))."""
-    if not cbeta > 0:
-        raise DomainError("C(beta) must be positive")
-    return 1.0 / (_exp_beta_B(2.0 * beta * B + 1.0, beta, B) * cbeta)
+    _positive("C(beta)", cbeta, DomainError)
+    return _radius("fugacity", 1.0 / (_exp_beta_B(2.0 * beta * B + 1.0, beta, B) * cbeta), cbeta)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +350,11 @@ def ck_bound(k: int, beta: float, B: float, cbeta: float, a_star: float) -> Coef
     ours: [1/(k+1) + (e^a* - 1) e^(a* k)] e^(2 beta B (k-1)) (k+1)^k / k! C^k
     lp:   [(e^(2 beta B) + 1) C / 0.28952]^k / k
 
-    base_* are the asymptotic geometric bases (k-th root limits).  A C(beta)
-    that is not > 0 (NaN too) is refused, as the radii refuse it.
+    base_* are the asymptotic geometric bases (k-th root limits).
     """
-    if k < 1:
-        raise DomainError("order must be >= 1")
-    if not cbeta > 0:
-        raise DomainError("C(beta) must be positive")
+    k = _integer("order k", k, 1, DomainError)
+    _positive("C(beta)", cbeta, DomainError)
+    _positive("a*", a_star, DomainError)
     u = _exp_beta_B(2.0 * beta * B, beta, B)
     try:
         # int true division: (k+1)^k / k! correctly rounded, an OverflowError
@@ -418,7 +415,7 @@ def radius_report(beta: float, B: float, cbeta: float,
     mradius = mayer_radius(beta, B, cbeta)
     F, a_star, w_star = _optimum(u)
     closed, series = K_star(u)
-    rstar = F / (u * cbeta)
+    rstar = F / (u * cbeta)  # below mradius, since F < 1/e
     bounds = tuple(ck_bound(k, beta, B, cbeta, a_star) for k in k_orders)
     return RadiusReport(
         beta=beta,

@@ -21,9 +21,9 @@ One production route and one independent oracle give the same coefficients:
   pressure-vs-density expansion.  It returns them as ``.values``, a dict
   from order k to beta_k, of a ``VirialCoefficients`` named tuple.
 
-Both routes are exact on rational input, so the identity between them is
-asserted with ``==``.  The transform converts float input to its exact
-rationals and rounds its result once.
+Both routes are exact on exact input (``errors._exact``), so the identity
+between them is asserted with ``==``.  The transform converts float input
+to its exact rationals and rounds its result once.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from .errors import DomainError, InputError
-from .polymer import _finite_real
+from .errors import DomainError, InputError, _coefficients, _exact, _integer, _real
 from . import radii as radii_mod
 
 Number = Union[int, float, Fraction]
@@ -46,18 +45,6 @@ class VirialCoefficients(NamedTuple):
     values: Dict[int, Number]
 
 
-def _coefficients(b, first: int, last: int) -> Dict[int, Number]:
-    """b as a dict: a missing b_n, or one not a finite real, is an InputError."""
-    bm = dict(b)
-    missing = [n for n in range(first, last + 1) if n not in bm]
-    if missing:
-        raise InputError(f"missing fugacity coefficients: {missing}")
-    for n in range(first, last + 1):
-        if not _finite_real(bm[n]):
-            raise InputError(f"fugacity coefficient b_{n} must be a finite real, got {bm[n]!r}")
-    return bm
-
-
 # ---------------------------------------------------------------------------
 # the transform
 # ---------------------------------------------------------------------------
@@ -66,12 +53,12 @@ def virial_from_mayer(b, k: int) -> Number:
     """Order-k density-series coefficient beta_k from b_2..b_(k+1).
 
     Exact arithmetic throughout: a Fraction when every input coefficient is
-    rational, else the float nearest the exact value for the given floats.
+    exact (``errors._exact``: numpy ints too), else the float nearest the
+    exact value for the given floats.
     """
-    if k < 1:
-        raise DomainError("order must be >= 1")
+    k = _integer("order k", k, 1, DomainError)
     bm = _coefficients(b, 2, k + 1)
-    exact = all(isinstance(bm[i], (int, Fraction)) for i in range(2, k + 2))
+    exact = all(_exact(bm[i]) is not None for i in range(2, k + 2))
     g = [Fraction(1)] + [n * Fraction(bm[n]) for n in range(2, k + 2)]  # g_j = (j+1) b_(j+1)
     p = [Fraction(1)]  # coefficients of g^(-k)
     for m in range(1, k + 1):
@@ -101,15 +88,14 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
 
     Reverts rho(z) = sum n b_n z^n to z(rho), composes the pressure series
     sum b_n z^n with it, and reads beta_k = -(k+1)/k times the rho^(k+1)
-    pressure coefficient.  Exact in rational arithmetic for rational input.
+    pressure coefficient.  Exact in rational arithmetic for exact input.
     """
-    if k_max < 1:
-        raise DomainError("order must be >= 1")
+    k_max = _integer("order k_max", k_max, 1, DomainError)
     order = k_max + 1
     bm = _coefficients(b, 1, order)
     if bm[1] != 1:
         raise InputError("the order-1 fugacity coefficient must equal 1")
-    exact = all(isinstance(bm[i], (int, Fraction)) for i in range(1, order + 1))
+    exact = all(_exact(bm[i]) is not None for i in range(1, order + 1))
     conv = Fraction if exact else float
 
     c = [0] + [conv(n * bm[n]) for n in range(1, order + 1)]  # rho(z) coefficients
@@ -149,9 +135,9 @@ def combi_identity_check(t: Sequence[int], n: int, k: int) -> Tuple[int, int]:
     prod C(t_i, l_i);  rhs: C(k-1+n, n-2).  Valid input: t_1 >= 1,
     t_i >= 2 for i >= 2, and sum t_i = n+k-1.
     """
-    t = tuple(int(x) for x in t)
-    if n < 2 or k < 1:
-        raise InputError("need n >= 2 and k >= 1")
+    t = tuple(_integer("every t_i", x, 1, InputError) for x in t)
+    n = _integer("n", n, 2, InputError)
+    k = _integer("k", k, 1, InputError)
     if len(t) != n:
         raise InputError(f"tuple length {len(t)} != n = {n}")
     if t[0] < 1 or any(ti < 2 for ti in t[1:]):
@@ -209,10 +195,9 @@ def free_energy_series(
     ratio |rho| * e^(1+a*) * e^(2 beta B) * C(beta), which is below one for
     |rho| inside the certified radius.
     """
-    cm = dict(coeffs)
-    missing = [k for k in range(1, k_max + 1) if k not in cm]
-    if missing:
-        raise InputError(f"missing density-series coefficients: {missing}")
+    k_max = _integer("order k_max", k_max, 1, DomainError)
+    cm = _coefficients(coeffs, 1, k_max, "density-series coefficient", "C")
+    _real("density rho", rho, DomainError)
     value = math.fsum(float(cm[k]) / (k + 1) * rho ** (k + 1) for k in range(1, k_max + 1))
     rstar = radii_mod.rho_star(beta, B, cbeta)
     u = math.exp(2.0 * beta * B)

@@ -32,7 +32,7 @@ import numpy as np
 from . import graphs, tonks
 from .canonical import compare_series_direct, q_lambda, ztilde_direct
 from .cluster import mayer_bn, penrose_bn_bound, virial_bk_direct
-from .errors import ClusterKitError, ConfigError, DomainError
+from .errors import ClusterKitError, ConfigError, DomainError, _integer
 from .graphs import (
     _decode_tree_sequence,
     _mask_connected,
@@ -117,11 +117,9 @@ def penrose_identity_random(n: int = 7, count: int = 100, root: int = 1) -> Tupl
     or if the first tree found has a slack edge (``graphs.slack_masks``,
     one call for all the hosts) in the host, which a growth that gives a
     vertex the wrong parent does.  The exhaustive scan checks the slack
-    rule's premise up to n = 6.  ConfigError for a count below 1, which
-    would check nothing.
+    rule's premise up to n = 6.  A count below 1 would check nothing.
     """
-    if count < 1:
-        raise ConfigError(f"count must be at least 1, got {count!r}")
+    count = _integer("count", count, 1, ConfigError)
     rng = random.Random(SEED)
     npairs = n * (n - 1) // 2
     sign = 1 if (n - 1) % 2 == 0 else -1

@@ -407,6 +407,7 @@ PARSED_FLAGS = [
     ("polymer", "zeta", "2=1/0", ["polymer", "xi", "--n-ground", "3"]),
     ("polymer", "zeta", "2=nan", ["polymer", "xi", "--n-ground", "3"]),
     ("polymer", "zeta", "2=inf", ["polymer", "xi", "--n-ground", "3"]),
+    ("polymer", "zeta", "2=0.5,2=0.7", ["polymer", "xi", "--n-ground", "3"]),
     ("polymer", "s", "2,,3", ["polymer", "pexact", "--n-ground", "3"]),
 ]
 
@@ -533,7 +534,15 @@ WELL = ["--potential", "square_well", "--lambda-w", "1.5"]
     # (k+1)^k / k! itself passes the float range at k = 713
     (["radii", "--u", "1", "--cbeta", "1e-300", "--k-max", "800"],
      "order-713 coefficient bounds overflow"),
-], ids=["well_bond", "penrose_bound", "u", "ck_bound", "ck_bound_quotient"])
+    # 1 / C(beta) passes the float range: the radii were inf, which JSON refused
+    # without a name and a table printed
+    (["radii", "--cbeta", "1e-320"], "fugacity radius overflows at C(beta) = 1e-320"),
+    (["radii", "--cbeta", "1e-320", "--format", "table"],
+     "fugacity radius overflows at C(beta) = 1e-320"),
+    (["radii", "--potential", "hard_rod", "--sigma", "1e-320"],
+     "fugacity radius overflows at C(beta) = 2e-320"),
+], ids=["well_bond", "penrose_bound", "u", "ck_bound", "ck_bound_quotient", "radius_json",
+        "radius_table", "radius_sigma"])
 def test_overflow_exits_2_naming_the_input(monkeypatch, capsys, argv, named):
     # each input fails before any integral: mayer checks every b_n bound first
     def never(*args, **kwargs):
@@ -622,7 +631,7 @@ def test_negative_table_without_B_exits_2_naming_B(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["mayer", *ROD, "--n", "3", "--beta", "nan"], "beta must be positive"),
     (["mayer", *ROD, "--n", "3", "--volume", "nan"], "argument --volume: must be"),
-    (["canonical", *ROD, "--L", "nan", "--N", "4", "--k-max", "2"], "L > 0"),
+    (["canonical", *ROD, "--L", "nan", "--N", "4", "--k-max", "2"], "L must be positive"),
     (["radii", "--cbeta", "nan"], "C(beta) must be positive"),
     (["mayer", *WELL, "--epsilon", "nan", "--B", "1", "--n", "3"], "epsilon"),
     (["mayer", *ROD, "--sigma", "nan", "--n", "3"], "sigma must be positive"),
@@ -675,6 +684,10 @@ def _exit_code(argv):
                  "argument --volume: must be", id="volume"),
     pytest.param(["canonical", *ROD, "--L", "inf", "--N", "4", "--k-max", "2"],
                  "argument --L: must be finite", id="L"),
+    # a repeated size once kept its last activity
+    *(pytest.param(["polymer", "xi", "--n-ground", "4", "--zeta", zeta],
+                   "argument --zeta: zeta_2 is given more than once", id=f"zeta_{zeta}")
+      for zeta in ("2=0.5,2=0.7", "2=0.5,02=0.7")),
     *BAD_FLAG_VALUES,
 ])
 def test_infinite_input_exits_2_naming_the_flag(capsys, argv, named):

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +22,26 @@ from clusterkit.cluster import (
     penrose_bn_bound,
     virial_bk_direct,
 )
-from clusterkit.errors import CapacityError, ConfigError, DomainError
+from clusterkit.errors import CapacityError, ConfigError, DomainError, InputError
 from clusterkit.graphs import _mask_connected, edge_mask, enum_graphs, mask_edges, vertex_pairs
-from clusterkit.potentials import PairPotential, c_beta, f_bond_array
+from clusterkit.polymer import (
+    ActivityProfile,
+    ck_finite_N,
+    fp_check,
+    log_xi_ursell,
+    p_exact,
+    xi_exact,
+)
+from clusterkit.potentials import PairPotential, c_beta, f_bond, f_bond_array
 from clusterkit.quadrature import distinct_ids
+from clusterkit.radii import ck_bound, mayer_radius, radius_report, rho_star
+from clusterkit.series import (
+    combi_identity_check,
+    free_energy_series,
+    invert_mayer_oracle,
+    virial_from_mayer,
+)
+from clusterkit.verify import penrose_identity_random
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -181,7 +199,7 @@ def test_mc_box_matches_quadrature(rod, L):
     *(pytest.param(mayer_bn, "rod", (3, side), method, "box side must be positive",
                    id=f"b_3 {method} side={side}")
       for side in (-5.0, 0.0, math.nan, math.inf) for method in ("quadrature", "monte_carlo")),
-    *(pytest.param(ztilde_direct, "well", (math.inf, 4), method, "L > 0",
+    *(pytest.param(ztilde_direct, "well", (math.inf, 4), method, "L must be positive",
                    id=f"ztilde {method} L=inf")
       for method in ("quadrature", "monte_carlo", "auto")),
 ])
@@ -192,43 +210,128 @@ def test_box_side_must_be_finite_and_positive(request, fn, pot, args, method, ma
         fn(request.getfixturevalue(pot), 1.0, *args, method=method, seed=1, samples=40_000)
 
 
+#: every entry point that takes beta, as a function of (potential, beta)
 BETA_ENTRY_POINTS = {
     "b_3": lambda p, beta: mayer_bn(p, beta, 3),
     "beta_1": lambda p, beta: virial_bk_direct(p, beta, 1),
     "ztilde": lambda p, beta: ztilde_direct(p, beta, 8.0, 3, "quadrature"),
     "c_beta": c_beta,
+    "f_bond": lambda p, beta: f_bond(p, beta, 1.2),
+    "penrose_bound": lambda p, beta: penrose_bn_bound(3, beta, 0.0, 2.0),
+    "rho_star": lambda p, beta: rho_star(beta, 0.0, 2.0),
+    "mayer_radius": lambda p, beta: mayer_radius(beta, 0.0, 2.0),
+    "ck_bound": lambda p, beta: ck_bound(2, beta, 0.0, 2.0, 0.46),
+    "radius_report": lambda p, beta: radius_report(beta, 0.0, 2.0),
+    "free_energy": lambda p, beta: free_energy_series(0.01, {1: -2.0}, 1, beta, 0.0, 2.0),
 }
 
 
 @pytest.mark.parametrize("entry", BETA_ENTRY_POINTS)
 @pytest.mark.parametrize("pot", ["well", "rod"])
-@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0, True])
 def test_beta_must_be_finite_and_positive(request, entry, pot, beta):
     # e^(beta epsilon) - 1 is inf at beta = inf with no overflow raised: a
-    # well's b_3 was NaN, its ztilde NaN and C(beta) inf
+    # well's b_3 was NaN, its ztilde NaN and C(beta) inf; a bool ran as 1
     with pytest.raises(DomainError, match=rf"beta must be positive and finite, got {beta!r}"):
         BETA_ENTRY_POINTS[entry](request.getfixturevalue(pot), beta)
 
 
+#: every entry point that takes an order, size or count: (function of the
+#: potential and the value, its name, the least value, the class it raises)
 ORDER_ENTRY_POINTS = {
-    "b_n": (lambda p, n: mayer_bn(p, 1.0, n), "order n"),
-    "beta_k": (lambda p, k: virial_bk_direct(p, 1.0, k), "order k"),
-    "ztilde": (lambda p, N: ztilde_direct(p, 1.0, 8.0, N, "quadrature"), "particle count N"),
+    "b_n": (lambda p, n: mayer_bn(p, 1.0, n), "order n", 1, DomainError),
+    "beta_k": (lambda p, k: virial_bk_direct(p, 1.0, k), "order k", 1, DomainError),
+    "ztilde": (lambda p, N: ztilde_direct(p, 1.0, 8.0, N, "quadrature"), "particle count N", 1,
+               DomainError),
+    "compare": (lambda p, k: compare_series_direct(p, 1.0, 8.0, 3, k), "series order k_max", 1,
+                DomainError),
+    "penrose_bound": (lambda p, n: penrose_bn_bound(n, 1.0, 0.0, 2.0), "order n", 2, DomainError),
+    "ck_bound": (lambda p, k: ck_bound(k, 1.0, 0.0, 2.0, 0.46), "order k", 1, DomainError),
+    "transform": (lambda p, k: virial_from_mayer(B_ROD, k), "order k", 1, DomainError),
+    "inversion": (lambda p, k: invert_mayer_oracle(B_ROD, k), "order k_max", 1, DomainError),
+    "free_energy": (lambda p, k: free_energy_series(0.01, C_ROD, k, 1.0, 0.0, 2.0),
+                    "order k_max", 1, DomainError),
+    "combi": (lambda p, n: combi_identity_check((1,) + (2,) * (int(n) - 1), n, n), "n", 2,
+              InputError),
+    "xi": (lambda p, N: xi_exact(N, PROFILE), "ground-set size N", 0, InputError),
+    "log_xi_N": (lambda p, N: log_xi_ursell(N, PROFILE, 2), "ground-set size N", 0, InputError),
+    "log_xi_order": (lambda p, n: log_xi_ursell(4, PROFILE, n), "expansion order", 1,
+                     InputError),
+    "p_exact": (lambda p, N: p_exact(N, (2, 2)), "ground-set size N", 1, InputError),
+    "p_exact_part": (lambda p, m: p_exact(6, (m,)), "every part", 2, InputError),
+    "ckn_N": (lambda p, N: ck_finite_N(N, B_ROD, 2), "ground-set size N", 1, InputError),
+    "ckn_k": (lambda p, k: ck_finite_N(6, B_ROD, k), "order k", 1, InputError),
+    "identity_random": (lambda p, count: penrose_identity_random(5, count), "count", 1,
+                        ConfigError),
 }
+#: hard-rod b_1..b_5 and beta_1..beta_4, exact; a profile on [4]
+B_ROD = {n: tonks.bn_exact(n) for n in range(1, 6)}
+C_ROD = {k: tonks.beta_k_exact(k) for k in range(1, 5)}
+PROFILE = ActivityProfile(4, {2: Fraction(1, 3), 3: Fraction(-1, 4)})
 
 
 @pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
 @pytest.mark.parametrize("pot", ["well", "rod"])
 def test_order_must_be_an_integer(request, entry, pot):
     # True once read as order 1, and 2.5 raised a bare TypeError
-    fn, name = ORDER_ENTRY_POINTS[entry]
+    fn, name, low, error = ORDER_ENTRY_POINTS[entry]
     p = request.getfixturevalue(pot)
-    for bad in (True, False, 2.5, 0, -1.0):
-        with pytest.raises(DomainError, match=rf"{name} must be an integer >= 1, got {bad!r}"):
+    for bad in (True, False, 2.5, low - 1, -1.0):
+        with pytest.raises(error, match=rf"^{name} must be an integer >= {low}, got {bad!r}$"):
             fn(p, bad)
     # an integral float or a numpy int is the int
-    for n in (1, 2, 3):
-        assert fn(p, float(n)) == fn(p, np.int64(n)) == fn(p, n)
+    for n in (low, low + 1, low + 2):
+        assert repr(fn(p, float(n))) == repr(fn(p, np.int64(n))) == repr(fn(p, n))
+
+
+ROD = PairPotential("hard_rod", 1.0, 1)
+POSITIVE = (math.inf, math.nan, 0.0, -1.0, True)
+
+#: every other positive parameter and B, by entry point: (function of the
+#: value, the refusal's text before ", got", the class, the values refused)
+PARAMETER_ENTRY_POINTS = {
+    **{f"C(beta) {key}": (fn, "C(beta) must be positive and finite", DomainError, POSITIVE)
+       for key, fn in [
+           ("rho_star", lambda x: rho_star(1.0, 0.0, x)),
+           ("mayer_radius", lambda x: mayer_radius(1.0, 0.0, x)),
+           ("ck_bound", lambda x: ck_bound(2, 1.0, 0.0, x, 0.46)),
+           ("radius_report", lambda x: radius_report(1.0, 0.0, x)),
+           ("penrose_bound", lambda x: penrose_bn_bound(3, 1.0, 0.0, x)),
+           ("free_energy", lambda x: free_energy_series(0.01, {1: -2.0}, 1, 1.0, 0.0, x)),
+       ]},
+    **{f"B {key}": (fn, "stability constant B must be >= 0 and finite", DomainError, bad)
+       for key, fn, bad in [
+           ("rho_star", lambda x: rho_star(1.0, x, 2.0), (math.inf, True)),
+           ("mayer_radius", lambda x: mayer_radius(1.0, x, 2.0), (math.inf, True)),
+           ("ck_bound", lambda x: ck_bound(2, 1.0, x, 2.0, 0.46), (math.inf, True)),
+           ("radius_report", lambda x: radius_report(1.0, x, 2.0), (math.inf, True)),
+           ("penrose_bound", lambda x: penrose_bn_bound(3, 1.0, x, 2.0),
+            (math.inf, math.nan, -1.0, True)),
+           ("free_energy", lambda x: free_energy_series(0.01, {1: -2.0}, 1, 1.0, x, 2.0),
+            (math.inf, True)),
+       ]},
+    "a* ck_bound": (lambda x: ck_bound(2, 1.0, 0.0, 2.0, x), "a* must be positive and finite",
+                    DomainError, POSITIVE),
+    "a fp_check": (lambda x: fp_check(PROFILE, x),
+                   "the weight parameter a must be positive and finite", InputError, (True,)),
+    "L ztilde": (lambda x: ztilde_direct(ROD, 1.0, x, 3), "L must be positive and finite",
+                 DomainError, POSITIVE),
+    "box side b_3": (lambda x: mayer_bn(ROD, 1.0, 3, x), "box side must be positive and finite",
+                     DomainError, (True,)),
+    "rho free_energy": (lambda x: free_energy_series(x, {1: -2.0}, 1, 1.0, 0.0, 2.0),
+                        "density rho must be a finite real", DomainError,
+                        (math.nan, math.inf, True, "0.01")),
+}
+
+
+@pytest.mark.parametrize("entry", PARAMETER_ENTRY_POINTS)
+def test_parameters_are_refused_by_name(entry):
+    # C(beta) = inf gave radii of 0.0, a* = NaN a bound of NaN and a* <= 0 a
+    # bound; B = inf was refused as an overflow of beta*B; a bool ran as 1
+    fn, text, error, bad_values = PARAMETER_ENTRY_POINTS[entry]
+    for bad in bad_values:
+        with pytest.raises(error, match=rf"^{re.escape(text)}, got {re.escape(repr(bad))}$"):
+            fn(bad)
 
 
 def test_mc_virial_hard_sphere(sphere):

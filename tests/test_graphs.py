@@ -1033,7 +1033,7 @@ def test_fast_equivalence_refuses_a_broken_growth(monkeypatch, rule, detail):
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_identity_random_refuses_a_count_below_one(count):
-    with pytest.raises(ConfigError, match=f"count must be at least 1, got {count}"):
+    with pytest.raises(ConfigError, match=f"count must be an integer >= 1, got {count}"):
         verify.penrose_identity_random(7, count)
 
 

@@ -6,6 +6,7 @@ import struct
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,7 +23,7 @@ from clusterkit.polymer import (
     xi_exact,
 )
 from clusterkit.radii import F_of_u
-from clusterkit.series import virial_from_mayer
+from clusterkit.series import invert_mayer_oracle, virial_from_mayer
 from clusterkit.verify import _compositions, _fit_slope
 
 
@@ -352,9 +353,33 @@ def test_log_xi_capacity():
         log_xi_ursell(4, ActivityProfile(4, {2: 0.1}), 13)
 
 
+def _numbers(value):
+    """The numbers of a result: itself, or a dict's values."""
+    return list(value.values()) if isinstance(value, dict) else [value]
+
+
+@pytest.mark.parametrize("route", [
+    lambda b: xi_exact(40, ActivityProfile(40, {2: b[2], 3: b[3]})),
+    lambda b: log_xi_ursell(40, ActivityProfile(40, {2: b[2], 3: b[3]}), 3),
+    lambda b: ck_finite_N(40, b, 3),
+    lambda b: virial_from_mayer(b, 3),
+    lambda b: invert_mayer_oracle(b, 3).values,
+], ids=["xi", "log_xi", "ckn", "transform", "inversion"])
+def test_numpy_ints_give_the_exact_value_of_python_ints(route):
+    # a numpy int ran as inexact: Xi_40 wrapped around in int64, and the
+    # transform and its inversion returned floats
+    b = {1: 1, 2: -1, 3: 2, 4: 3}
+    want = _numbers(route(b))
+    got = _numbers(route({n: np.int64(v) for n, v in b.items()}))
+    assert got == want
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and type(w) in (int, Fraction)
+        assert type(getattr(g, "numerator", g)) is int
+
+
 @pytest.mark.parametrize("order", [0, -2])
 def test_log_xi_refuses_order_below_one(order):
-    with pytest.raises(InputError, match="expansion order must be >= 1"):
+    with pytest.raises(InputError, match="expansion order must be an integer >= 1"):
         log_xi_ursell(3, ActivityProfile(3, {2: Fraction(1, 3)}), order)
 
 

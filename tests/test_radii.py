@@ -177,6 +177,16 @@ def test_overflowing_beta_B_raises(fn):
         fn(1.0, 1e308, 1.0)
 
 
+@pytest.mark.parametrize("fn, name", [(rho_star, "density"), (mayer_radius, "fugacity"),
+                                      (radius_report, "fugacity")])
+@pytest.mark.parametrize("cbeta", [1e-320, 5e-324])
+def test_a_radius_past_the_float_range_names_c_beta(fn, name, cbeta):
+    # the radii were inf, which the CLI's JSON refused without a name
+    with pytest.raises(DomainError,
+                       match=rf"the {name} radius overflows at C\(beta\) = {cbeta!r}$"):
+        fn(1.0, 0.0, cbeta)
+
+
 def test_ck_bound_k1():
     _, a_star = F_of_u(1.0)
     b = ck_bound(1, 1.0, 0.0, 2.0, a_star)

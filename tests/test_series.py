@@ -114,6 +114,15 @@ def test_both_routes_refuse_a_b_that_is_not_a_finite_real_by_name(route, bad):
         route({2: -1.0, 3: bad})
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, 1j, math.nan, math.inf, -math.inf],
+                         ids=["string", "bool", "complex", "nan", "inf", "-inf"])
+def test_free_energy_refuses_a_c_k_that_is_not_a_finite_real_by_name(bad):
+    # NaN and inf once gave a certified value of NaN or inf, and '1' was read as 1.0
+    with pytest.raises(InputError, match=rf"^density-series coefficient C_2 must be a finite "
+                                         rf"real, got {re.escape(repr(bad))}$"):
+        free_energy_series(0.01, {1: -2.0, 2: bad}, 2, 1.0, 0.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # the exact binomial identity
 # ---------------------------------------------------------------------------
@@ -131,6 +140,10 @@ def test_combi_validation():
         combi_identity_check((1, 1), 2, 1)  # t_2 < 2
     with pytest.raises(InputError):
         combi_identity_check((3,), 1, 3)  # n < 2
+    # a fraction was truncated: (1.5, 2.5) ran as (1, 2)
+    for t, bad in (((1.5, 2.5), "1.5"), ((1, True), "True")):
+        with pytest.raises(InputError, match=rf"^every t_i must be an integer >= 1, got {bad}$"):
+            combi_identity_check(t, 2, 2)
 
 
 # ---------------------------------------------------------------------------
