@@ -19,7 +19,8 @@ class to the largest order it takes; the check refuses an unknown method,
 quadrature in d > 1 and an order past its cap.  The CLI's tables ask for
 their highest order first, so a refused one runs no other integral.  Each
 front end checks its arguments by the rules of ``errors``; ``MC_SAMPLES``
-and ``MC_CHUNK`` are the Monte Carlo defaults.
+and ``MC_CHUNK`` are the Monte Carlo defaults; ``_check_monte_carlo`` reads
+its seed and counts by the same rules, so an integral float is the int.
 
 The three graph classes of graphs.GRAPH_CLASSES share one selector,
 ``_graph_class_sum``, and two drivers.  Quadrature (d = 1),
@@ -63,7 +64,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError, _integer, _positive, _stability
+from .errors import (CapacityError, ConfigError, DomainError, _integer, _integral, _positive,
+                     _stability)
 from .graphs import connected_mask_flags, connected_weight_sum, enum_graphs, vertex_pairs
 from .potentials import PairPotential, bond_level_values, f_bond_array
 from .quadrature import (
@@ -269,20 +271,19 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def _check_monte_carlo(seed: Optional[int], samples: int, chunk: int,
-                       workers: Optional[int]) -> None:
-    """Reject a missing seed or one outside the Philox key word [0, 2^64),
-    and sample sizes or a worker count below one, before any set-up.  A
-    bool is not an integer here."""
+                       workers: Optional[int]) -> Tuple[int, int, int, Optional[int]]:
+    """The seed, samples, chunk and workers as ints by rule 1 of ``errors``,
+    before any set-up: ConfigError for a missing seed or one outside the
+    Philox key word [0, 2^64), and for sample sizes or a worker count below one."""
     if seed is None:
         raise ConfigError("Monte Carlo needs an explicit seed")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    if not (_integral(seed) and 0 <= seed < 2**64):
         raise ConfigError(f"Monte Carlo seed must be an integer in [0, 2^64), got {seed!r}")
-    counts = [("samples", samples), ("chunk", chunk)]
+    samples = _integer("Monte Carlo samples", samples, 1, ConfigError)
+    chunk = _integer("Monte Carlo chunk", chunk, 1, ConfigError)
     if workers is not None:
-        counts.append(("workers", workers))
-    for key, value in counts:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ConfigError(f"Monte Carlo {key} must be an integer >= 1, got {value!r}")
+        workers = _integer("Monte Carlo workers", workers, 1, ConfigError)
+    return int(seed), samples, chunk, workers
 
 
 def _monte_carlo(chunk_mean, n: int, seed: int, samples: int, chunk: int,
@@ -439,7 +440,7 @@ def _mc_graph_sum(
     chunk and kept in a ``threading.local`` of this call, so it goes when
     the call returns.  Every chunk writes all it reads of it.
     """
-    _check_monte_carlo(seed, samples, chunk, workers)
+    seed, samples, chunk, workers = _check_monte_carlo(seed, samples, chunk, workers)
     d = p.dimension
     pairs = vertex_pairs(n)
     weights = _mc_weights(p, beta, n, graph_class)

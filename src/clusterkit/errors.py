@@ -1,9 +1,12 @@
 """Exception types shared across the toolkit, and the one home of the rules
-its entry points check arguments by: the paper's hypotheses beta > 0,
-B >= 0, a finite C(beta) > 0 and integer orders k >= 1, finite coefficients
-and exact inputs.  Each rule raises the class its caller passes (InputError
-in ``polymer``, ConfigError in ``verify``, DomainError elsewhere) with one
-text, and takes no bool for a number.
+its entry points check numeric arguments by: the paper's hypotheses
+beta > 0, B >= 0, a finite C(beta) > 0 and integer orders k >= 1, finite
+coefficients and exact inputs.  Each rule raises the class its caller
+passes (InputError in ``polymer``, ConfigError in ``verify``, the Monte
+Carlo counts and ``PairPotential``, ValueError in ``graphs``, DomainError
+elsewhere) with one text, and takes no bool for a number.  The float rules
+(2, 3 and ``_finite``) return the float, and refuse an int past the float
+range as they refuse inf; rule 4 passes exact ints and Fractions of any size.
 """
 
 import math
@@ -31,22 +34,44 @@ def _integer(name: str, x, low: int, error) -> int:
     return int(x)
 
 
-def _positive(name: str, x, error) -> None:
-    """Rule 2, for beta, C(beta), a, a*, L and the box side: ``error`` naming
-    ``x`` unless 0 < x < inf (NaN too; at beta = inf a well's bond is inf)."""
-    if not (_number(x) and 0 < x < math.inf):
+def _float(x) -> float:
+    """``x`` as a float, or NaN, which every float rule refuses, for a bool,
+    a non-number or a number past the float range."""
+    if type(x) is float:
+        return x
+    try:
+        return float(x) if _number(x) else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _positive(name: str, x, error) -> float:
+    """Rule 2, for beta, C(beta), a, a*, L, the box side and a potential's
+    lengths: ``x`` as a float, or ``error`` naming it unless 0 < x < inf (at
+    beta = inf a well's bond is inf)."""
+    if not 0 < (f := _float(x)) < math.inf:
         raise error(f"{name} must be positive and finite, got {x!r}")
+    return f
 
 
-def _stability(B, error) -> None:
-    """Rule 3: ``error`` unless 0 <= B < inf (NaN too)."""
-    if not (_number(B) and 0 <= B < math.inf):
+def _stability(B, error) -> float:
+    """Rule 3: ``B`` as a float, or ``error`` unless 0 <= B < inf."""
+    if not 0 <= (f := _float(B)) < math.inf:
         raise error(f"stability constant B must be >= 0 and finite, got {B!r}")
+    return f
+
+
+def _finite(name: str, x, error) -> float:
+    """The rule of any other input that runs in floats: ``x`` as a float, or
+    ``error`` naming it unless it is finite."""
+    if not -math.inf < (f := _float(x)) < math.inf:
+        raise error(f"{name} must be finite, got {x!r}")
+    return f
 
 
 def _real(name: str, x, error) -> None:
-    """Rule 4: ``error`` naming ``x`` unless it is an int, a Fraction or a
-    finite float."""
+    """Rule 4, for coefficient tables and activities: ``error`` naming ``x``
+    unless it is an int, a Fraction (of any size) or a finite float."""
     if not (_number(x) and (isinstance(x, numbers.Rational) or math.isfinite(x))):
         raise error(f"{name} must be a finite real, got {x!r}")
 

@@ -61,7 +61,7 @@ from typing import Dict, FrozenSet, Iterator, Mapping, NamedTuple, Optional, Seq
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _integer
 
 Edge = Tuple[int, int]
 
@@ -177,8 +177,7 @@ class LabeledGraph(NamedTuple):
     @classmethod
     def from_edges(cls, n: int, edges) -> "LabeledGraph":
         """The graph of ``edges`` on [n]: ValueError for n < 1 or a non-edge (``edge_mask``)."""
-        if n < 1:
-            raise ValueError("vertex count must be positive")
+        n = _integer("vertex count n", n, 1, ValueError)
         return cls(n, edge_mask(n, edges))
 
 
@@ -191,8 +190,7 @@ def enum_graphs(n: int, klass: str = "connected") -> Iterator[int]:
     """
     if klass not in GRAPH_CLASSES:
         raise ValueError(f"unknown graph class {klass!r}; want one of {GRAPH_CLASSES}")
-    if n < 1:
-        raise ValueError("vertex count must be positive")
+    n = _integer("vertex count n", n, 1, ValueError)
     if n > MAX_GRAPH_N:
         raise CapacityError(f"graph enumeration capped at n={MAX_GRAPH_N}, got {n}")
     npairs = n * (n - 1) // 2
@@ -272,8 +270,7 @@ def _decode_tree_sequence(n: int, seq: Sequence[int]) -> list:
 
 def prufer_tree_masks(n: int) -> np.ndarray:
     """Edge masks of all labeled trees on [n]: ``_prufer_masks`` of [n]^(n-2) in order."""
-    if n < 2:
-        raise ValueError("tree masks need at least two vertices")
+    n = _integer("vertex count n", n, 2, ValueError)
     if n > MAX_TREE_N:
         raise CapacityError(f"tree enumeration capped at n={MAX_TREE_N}, got {n}")
     # row r is one plus the base-n digits of r, most significant first
@@ -321,6 +318,7 @@ def connected_weight_sum(fvals: np.ndarray, n: int) -> np.ndarray:
     parts, so the connected part is extracted by peeling the component of
     vertex 1.
     """
+    n = _integer("vertex count n", n, 1, ValueError)
     col = _pair_index(n)
     full = (1 << n) - 1
     # in increasing order of S: boltz[S], the product of (1 + f_ij) over the
@@ -379,8 +377,7 @@ def ursell_values(n: int, masks) -> np.ndarray:
     13,700 at n = 8 and 9.9M at n = 11.  A mask outside
     [0, 2^(n(n-1)/2)) raises ValueError.
     """
-    if n < 1:
-        raise ValueError("vertex count must be positive")
+    n = _integer("vertex count n", n, 1, ValueError)
     masks = _check_int64_masks(n, masks)
     # pair-major, so that the column of a pair is contiguous in fvals.T
     fvals = np.empty((n * (n - 1) // 2, min(masks.size, MASK_BLOCK)),
@@ -395,14 +392,19 @@ def ursell_values(n: int, masks) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=None)
 def ursell_table(n: int) -> np.ndarray:
     """``ursell_values`` of every graph on [n] (n <= 6), indexed by edge mask.
 
     Built once per n and kept, read-only.
     """
+    n = _integer("vertex count n", n, 1, ValueError)
     if n > 6:
         raise CapacityError("ursell tables are kept only up to n=6")
+    return _ursell_table(n)
+
+
+@lru_cache(maxsize=None)
+def _ursell_table(n: int) -> np.ndarray:
     table = ursell_values(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64))
     table.flags.writeable = False
     return table
@@ -528,6 +530,7 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     root's component.  ``masks`` is a 1-D array; a mask outside
     [0, 2^(n(n-1)/2)) raises ValueError.
     """
+    n = _integer("vertex count n", n, 1, ValueError)
     masks, blocks = _swept_blocks(n, masks, root)
     bits = _pair_bits(n)
     connected = np.empty(masks.shape, dtype=bool)
@@ -554,6 +557,7 @@ def mask_tree_table(n: int, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     Built once per (n, root) and kept, read-only.  The tree masks of at most
     15 edges are held as uint16, a quarter of the int64 memory.
     """
+    n = _integer("vertex count n", n, 1, ValueError)
     if n > TABLE_MAX_N:
         raise CapacityError(f"full mask tables are kept only up to n={TABLE_MAX_N}, got {n}")
     return _mask_tree_table(n, root)  # positional: one cache entry per (n, root)
@@ -594,6 +598,7 @@ def slack_masks(n: int, trees, root: int = 1) -> np.ndarray:
     [0, 2^(n(n-1)/2)) or one that does not reach every vertex from the root
     raises ValueError.
     """
+    n = _integer("vertex count n", n, 1, ValueError)
     trees, blocks = _swept_blocks(n, trees, root)
     npairs = n * (n - 1) // 2
     i, j = (np.array(vertex_pairs(n), dtype=np.int64).reshape(npairs, 2) - 1).T

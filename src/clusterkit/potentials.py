@@ -12,34 +12,29 @@ because the optimal constant depends on packing geometry (a safe
 d-dimensional choice is half the well depth times the number of
 well-range neighbors a close packing allows, e.g. B = epsilon in d = 1
 where at most two rods sit inside each other's well).
+
+``PairPotential`` checks its numeric fields by the rules of ``errors``,
+as every entry point does, and raises each refusal as a ConfigError.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _positive
-from .quadrature import ball_volume, bond_levels, integrate_1d, sphere_surface
+from .errors import ConfigError, DomainError, _finite, _integer, _positive, _stability
+from .quadrature import bond_levels, integrate_1d, sphere_surface
 
 KINDS = ("hard_rod", "hard_sphere", "square_well", "custom_tabulated")
 
-
-def _real(name: str, value, rule: str = "finite", ok=lambda x: True) -> float:
-    """``value`` as a finite float that ``ok`` accepts; a bool, a non-number or
-    any other value raises ConfigError naming ``name`` and ``rule``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with suppress(OverflowError):  # an int beyond the float range
-            x = float(value)
-            if math.isfinite(x) and ok(x):
-                return x
-    raise ConfigError(f"{name} must be {rule}, got {value!r}")
+#: the largest dimension whose unit sphere and ball have finite positive
+#: float measures, which c_beta and the Monte Carlo ball need: the ball's
+#: Gamma(d/2 + 1) overflows from d = 342
+MAX_DIMENSION = 341
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,9 @@ class PairPotential:
     Construction is the one check of a potential; each refusal is a
     ConfigError naming the field.  ``sigma``, ``epsilon``, ``lambda_w``,
     ``B`` and ``cutoff`` become floats, ``dimension`` an int (3.0 is 3) and
-    ``table`` a tuple of float pairs, each number finite and no bool.
-    sigma > 0; dimension is a whole number >= 1 whose unit sphere and ball
-    have finite positive float measures (d <= 341), and 1 for hard_rod;
+    ``table`` a tuple of float pairs, each number finite as a float (an int
+    past the float range is refused) and no bool.
+    sigma > 0; dimension is a whole number from 1 to MAX_DIMENSION, and 1 for hard_rod;
     B >= 0.  ``epsilon`` and ``lambda_w`` belong to square_well alone: it
     has lambda_w > 1, a finite range lambda_w*sigma and epsilon >= 0 (0
     when absent).  A table of (r, V) pairs with strictly increasing r, and
@@ -79,20 +74,18 @@ class PairPotential:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown potential kind {self.kind!r}; want one of {KINDS}")
         fix = partial(object.__setattr__, self)
-        fix("sigma", _real("sigma", self.sigma, "positive and finite", lambda x: x > 0))
-        # c_beta and the Monte Carlo ball need the measures of the unit sphere and ball
-        fix("dimension", int(_real(
-            "dimension", self.dimension,
-            "a positive integer whose unit sphere and ball have finite positive float measures",
-            lambda x: x >= 1 and x.is_integer() and all(
-                0.0 < m < math.inf for m in (sphere_surface(x), ball_volume(x))))))
+        fix("sigma", _positive("sigma", self.sigma, ConfigError))
+        fix("dimension", _integer("dimension", self.dimension, 1, ConfigError))
+        if self.dimension > MAX_DIMENSION:
+            raise ConfigError(f"dimension must be at most {MAX_DIMENSION}, the last whose unit "
+                              f"sphere and ball have finite float measures, got {self.dimension}")
         if self.kind == "hard_rod" and self.dimension != 1:
             raise ConfigError("hard_rod needs dimension 1; use hard_sphere for d > 1")
         for key in ("epsilon", "lambda_w"):
             value = getattr(self, key)
             if value is not None or self.kind == "square_well":
                 # an absent well field reads 0: no depth, and too narrow a well
-                fix(key, _real(key, 0.0 if value is None else value))
+                fix(key, _finite(key, 0.0 if value is None else value, ConfigError))
                 if self.kind != "square_well":
                     raise ConfigError(f"{key} is only valid for square_well, not {self.kind}")
         if self.kind == "square_well":
@@ -109,16 +102,17 @@ class PairPotential:
         else:
             rule = "(r, V) pairs of finite numbers"
             try:
-                fix("table", tuple((_real("table", r, rule), _real("table", v, rule))
+                fix("table", tuple((_finite("table radius", r, ConfigError),
+                                    _finite("table value", v, ConfigError))
                                    for r, v in self.table))
             except (TypeError, ValueError):
                 raise ConfigError(f"table must be {rule}, got {self.table!r}") from None
             rs = [r for r, _ in self.table]
             if not rs or not all(b > a for a, b in zip(rs, rs[1:])):
                 raise ConfigError("custom_tabulated needs a table with strictly increasing radii")
-            fix("cutoff", _real("cutoff", self.cutoff, "positive and finite", lambda x: x > 0))
+            fix("cutoff", _positive("cutoff", self.cutoff, ConfigError))
         if self.B is not None:
-            fix("B", _real("stability constant B", self.B, ">= 0 and finite", lambda x: x >= 0))
+            fix("B", _stability(self.B, ConfigError))
         elif self.kind == "square_well" or not self.is_nonnegative:
             raise ConfigError(
                 "a square well, and a table that goes negative, need an explicit stability "

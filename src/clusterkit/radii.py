@@ -287,18 +287,29 @@ def K_star(u: float) -> Tuple[float, float]:
     1e300 (mostly the rounding allowance).  The two values must agree to 1e-8.
     """
     val, _ = F_of_u(u)
+    return 1.0 / val, _k_star_series(u)
+
+
+def _k_star_series(u: float) -> float:
+    """K* recomputed through the tree series (``K_star``'s second value)."""
     x, s1 = _largest_x(u)
-    return 1.0 / val, u / (x * (u - s1))
+    return u / (x * (u - s1))
 
 
 # ---------------------------------------------------------------------------
 # radii
 # ---------------------------------------------------------------------------
 
-def _exp_beta_B(x: float, beta: float, B: float) -> float:
-    """e^x for an exponent x built from beta*B; a result that is not finite names beta*B."""
+def _checked_u(beta: float, B: float, cbeta: float) -> float:
+    """u = e^(2 beta B) once C(beta), beta and B pass their rules."""
+    _positive("C(beta)", cbeta, DomainError)
     _positive("beta", beta, DomainError)
     _stability(B, DomainError)
+    return _exp_beta_B(2.0 * beta * B, beta, B)
+
+
+def _exp_beta_B(x: float, beta: float, B: float) -> float:
+    """e^x for an exponent x built from beta*B; a result that is not finite names beta*B."""
     try:
         value = math.exp(x)
     except OverflowError:
@@ -317,15 +328,19 @@ def _radius(name: str, value: float, cbeta: float) -> float:
 
 def rho_star(beta: float, B: float, cbeta: float) -> float:
     """Certified density radius F(e^(2 beta B)) / (e^(2 beta B) C(beta))."""
-    _positive("C(beta)", cbeta, DomainError)
-    u = _exp_beta_B(2.0 * beta * B, beta, B)
+    u = _checked_u(beta, B, cbeta)
     val, _ = F_of_u(u)
     return _radius("density", val / (u * cbeta), cbeta)
 
 
 def mayer_radius(beta: float, B: float, cbeta: float) -> float:
     """Fugacity-series radius 1 / (e^(2 beta B + 1) C(beta))."""
-    _positive("C(beta)", cbeta, DomainError)
+    _checked_u(beta, B, cbeta)
+    return _fugacity_radius(beta, B, cbeta)
+
+
+def _fugacity_radius(beta: float, B: float, cbeta: float) -> float:
+    """``mayer_radius`` on checked arguments."""
     return _radius("fugacity", 1.0 / (_exp_beta_B(2.0 * beta * B + 1.0, beta, B) * cbeta), cbeta)
 
 
@@ -353,9 +368,13 @@ def ck_bound(k: int, beta: float, B: float, cbeta: float, a_star: float) -> Coef
     base_* are the asymptotic geometric bases (k-th root limits).
     """
     k = _integer("order k", k, 1, DomainError)
-    _positive("C(beta)", cbeta, DomainError)
     _positive("a*", a_star, DomainError)
-    u = _exp_beta_B(2.0 * beta * B, beta, B)
+    return _bound(k, beta, B, cbeta, a_star, _checked_u(beta, B, cbeta))
+
+
+def _bound(k: int, beta: float, B: float, cbeta: float, a_star: float,
+           u: float) -> CoefficientBound:
+    """``ck_bound`` on checked arguments, with u = e^(2 beta B)."""
     try:
         # int true division: (k+1)^k / k! correctly rounded, an OverflowError
         # from k = 713 on
@@ -411,12 +430,13 @@ def radius_report(beta: float, B: float, cbeta: float,
     value 0.426 with its arithmetic 1/e^(1+0.426) = 0.24026...; when the two
     disagree beyond 1e-3 the discrepancy flag is set (it is, at u = 1).
     """
-    u = _exp_beta_B(2.0 * beta * B, beta, B)
-    mradius = mayer_radius(beta, B, cbeta)
+    u = _checked_u(beta, B, cbeta)
+    mradius = _fugacity_radius(beta, B, cbeta)
     F, a_star, w_star = _optimum(u)
-    closed, series = K_star(u)
+    closed, series = 1.0 / F, _k_star_series(u)
     rstar = F / (u * cbeta)  # below mradius, since F < 1/e
-    bounds = tuple(ck_bound(k, beta, B, cbeta, a_star) for k in k_orders)
+    bounds = tuple(_bound(_integer("order k", k, 1, DomainError), beta, B, cbeta, a_star, u)
+                   for k in k_orders)
     return RadiusReport(
         beta=beta,
         B=B,

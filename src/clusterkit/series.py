@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from .errors import DomainError, InputError, _coefficients, _exact, _integer, _real
+from .errors import DomainError, InputError, _coefficients, _exact, _finite, _integer
 from . import radii as radii_mod
 
 Number = Union[int, float, Fraction]
@@ -54,7 +54,7 @@ def virial_from_mayer(b, k: int) -> Number:
 
     Exact arithmetic throughout: a Fraction when every input coefficient is
     exact (``errors._exact``: numpy ints too), else the float nearest the
-    exact value for the given floats.
+    exact value for the given floats; DomainError where that overflows.
     """
     k = _integer("order k", k, 1, DomainError)
     bm = _coefficients(b, 2, k + 1)
@@ -64,7 +64,10 @@ def virial_from_mayer(b, k: int) -> Number:
     for m in range(1, k + 1):
         p.append(sum(((1 - k) * j - m) * g[j] * p[m - j] for j in range(1, m + 1)) / m)
     value = -p[k] / k
-    return value if exact else float(value)
+    try:
+        return value if exact else float(value)
+    except OverflowError:
+        raise DomainError(f"beta_{k} overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +91,8 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
 
     Reverts rho(z) = sum n b_n z^n to z(rho), composes the pressure series
     sum b_n z^n with it, and reads beta_k = -(k+1)/k times the rho^(k+1)
-    pressure coefficient.  Exact in rational arithmetic for exact input.
+    pressure coefficient.  Exact in rational arithmetic for exact input; a
+    float result that is not finite raises DomainError naming its order.
     """
     k_max = _integer("order k_max", k_max, 1, DomainError)
     order = k_max + 1
@@ -121,7 +125,11 @@ def invert_mayer_oracle(b, k_max: int) -> VirialCoefficients:
         if bm[n] != 0:
             for t in range(order + 1):
                 p[t] += conv(bm[n]) * power[t]
-    return VirialCoefficients({k: -(conv(k + 1) / k) * p[k + 1] for k in range(1, k_max + 1)})
+    values = {k: -(conv(k + 1) / k) * p[k + 1] for k in range(1, k_max + 1)}
+    for k, v in values.items():
+        if not (exact or math.isfinite(v)):
+            raise DomainError(f"beta_{k} is {v!r} in floating point: the float reversion overflows")
+    return VirialCoefficients(values)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +205,11 @@ def free_energy_series(
     """
     k_max = _integer("order k_max", k_max, 1, DomainError)
     cm = _coefficients(coeffs, 1, k_max, "density-series coefficient", "C")
-    _real("density rho", rho, DomainError)
+    _finite("density rho", rho, DomainError)
     value = math.fsum(float(cm[k]) / (k + 1) * rho ** (k + 1) for k in range(1, k_max + 1))
-    rstar = radii_mod.rho_star(beta, B, cbeta)
-    u = math.exp(2.0 * beta * B)
-    _, a_star = radii_mod.F_of_u(u)
+    u = radii_mod._checked_u(beta, B, cbeta)
+    F, a_star = radii_mod.F_of_u(u)
+    rstar = radii_mod._radius("density", F / (u * cbeta), cbeta)
     ratio = abs(rho) * math.exp(1.0 + a_star) * u * cbeta
     certified = abs(rho) <= rstar and ratio < 1.0
     if rho == 0.0:
@@ -209,7 +217,7 @@ def free_energy_series(
         certified = True
     elif certified:
         k = k_max + 1
-        head = radii_mod.ck_bound(k, beta, B, cbeta, a_star).ours / (k + 1) * abs(rho) ** (k + 1)
+        head = radii_mod._bound(k, beta, B, cbeta, a_star, u).ours / (k + 1) * abs(rho) ** (k + 1)
         tail = head / (1.0 - ratio)
     else:
         tail = math.nan

@@ -80,6 +80,7 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     connected graph whose ursell value has the wrong sign.  Returns
     (graphs checked, mismatches).  Exhaustive up to n = 6.
     """
+    n = _integer("vertex count n", n, 1, ConfigError)
     flags, images = mask_tree_table(n, root)
     conn = np.flatnonzero(flags)
     # the classes by image: the distinct images in increasing order, and
@@ -119,6 +120,7 @@ def penrose_identity_random(n: int = 7, count: int = 100, root: int = 1) -> Tupl
     vertex the wrong parent does.  The exhaustive scan checks the slack
     rule's premise up to n = 6.  A count below 1 would check nothing.
     """
+    n = _integer("vertex count n", n, 1, ConfigError)
     count = _integer("count", count, 1, ConfigError)
     rng = random.Random(SEED)
     npairs = n * (n - 1) // 2

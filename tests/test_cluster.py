@@ -23,7 +23,20 @@ from clusterkit.cluster import (
     virial_bk_direct,
 )
 from clusterkit.errors import CapacityError, ConfigError, DomainError, InputError
-from clusterkit.graphs import _mask_connected, edge_mask, enum_graphs, mask_edges, vertex_pairs
+from clusterkit.graphs import (
+    LabeledGraph,
+    _mask_connected,
+    edge_mask,
+    enum_graphs,
+    mask_edges,
+    mask_tree_images,
+    mask_tree_table,
+    prufer_tree_masks,
+    slack_masks,
+    ursell_table,
+    ursell_values,
+    vertex_pairs,
+)
 from clusterkit.polymer import (
     ActivityProfile,
     ck_finite_N,
@@ -41,7 +54,7 @@ from clusterkit.series import (
     invert_mayer_oracle,
     virial_from_mayer,
 )
-from clusterkit.verify import penrose_identity_random
+from clusterkit.verify import penrose_identity_random, penrose_identity_scan
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -157,7 +170,9 @@ MC_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
 @pytest.mark.parametrize("key, value", [("chunk", 0), ("chunk", -3), ("samples", 0),
                                         ("seed", -1), ("seed", 2**64), ("seed", True),
-                                        ("seed", False), ("samples", True), ("chunk", True)])
+                                        ("seed", False), ("samples", True), ("chunk", True),
+                                        ("samples", 2.5), ("chunk", 2.5), ("seed", 2.5),
+                                        ("seed", 2.0**64), ("seed", math.nan)])
 def test_mc_sizes_below_one_rejected(sphere, entry, key, value):
     # a seed outside the Philox key word [0, 2^64) once raised OverflowError;
     # a bool once ran as the integer it equals
@@ -172,6 +187,17 @@ def test_mc_bad_workers_rejected(sphere, entry, workers):
     # each of these once ran silently on one thread
     with pytest.raises(ConfigError, match=r"Monte Carlo workers must be an integer >= 1"):
         MC_ENTRY_POINTS[entry](sphere, seed=1, samples=40_000, workers=workers)
+
+
+@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_mc_integral_float_counts_are_the_ints(sphere, entry, workers):
+    # the counts and the seed follow rule 1 of errors, as the orders do: an
+    # integral float once raised ConfigError
+    floats = MC_ENTRY_POINTS[entry](sphere, seed=1.0, samples=40_000.0, chunk=20_000.0,
+                                    workers=float(workers))
+    ints = MC_ENTRY_POINTS[entry](sphere, seed=1, samples=40_000, chunk=20_000, workers=workers)
+    assert repr(floats) == repr(ints)
 
 
 def test_mc_hard_sphere_b3(sphere):
@@ -228,10 +254,11 @@ BETA_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", BETA_ENTRY_POINTS)
 @pytest.mark.parametrize("pot", ["well", "rod"])
-@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0, True])
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0, True, 10**400])
 def test_beta_must_be_finite_and_positive(request, entry, pot, beta):
     # e^(beta epsilon) - 1 is inf at beta = inf with no overflow raised: a
-    # well's b_3 was NaN, its ztilde NaN and C(beta) inf; a bool ran as 1
+    # well's b_3 was NaN, its ztilde NaN and C(beta) inf; a bool ran as 1;
+    # an int past the float range raised a bare OverflowError, or ran
     with pytest.raises(DomainError, match=rf"beta must be positive and finite, got {beta!r}"):
         BETA_ENTRY_POINTS[entry](request.getfixturevalue(pot), beta)
 
@@ -263,6 +290,25 @@ ORDER_ENTRY_POINTS = {
     "ckn_k": (lambda p, k: ck_finite_N(6, B_ROD, k), "order k", 1, InputError),
     "identity_random": (lambda p, count: penrose_identity_random(5, count), "count", 1,
                         ConfigError),
+    "identity_random_n": (lambda p, n: penrose_identity_random(n, 3), "vertex count n", 1,
+                          ConfigError),
+    "identity_scan": (lambda p, n: penrose_identity_scan(n), "vertex count n", 1, ConfigError),
+    "tonks_bn": (lambda p, n: tonks.bn_exact(n), "order n", 1, DomainError),
+    "tonks_bn_value": (lambda p, n: tonks.bn_value(n, 0.5), "order n", 1, DomainError),
+    "tonks_beta_k": (lambda p, k: tonks.beta_k_exact(k), "order k", 1, DomainError),
+    "tonks_beta_k_value": (lambda p, k: tonks.beta_k_value(k, 0.5), "order k", 1, DomainError),
+    "tonks_ztilde": (lambda p, N: tonks.ztilde_closed(N, 10.0), "particle count N", 1,
+                     DomainError),
+    "graph": (lambda p, n: LabeledGraph.from_edges(n, []), "vertex count n", 1, ValueError),
+    "enum_graphs": (lambda p, n: list(enum_graphs(n, "all")), "vertex count n", 1, ValueError),
+    "prufer": (lambda p, n: prufer_tree_masks(n), "vertex count n", 2, ValueError),
+    "ursell_values": (lambda p, n: ursell_values(n, [0]), "vertex count n", 1, ValueError),
+    "ursell_table": (lambda p, n: ursell_table(n), "vertex count n", 1, ValueError),
+    "tree_images": (lambda p, n: mask_tree_images(n, [0]), "vertex count n", 1, ValueError),
+    "tree_table": (lambda p, n: mask_tree_table(n), "vertex count n", 1, ValueError),
+    "slack_masks": (lambda p, n: slack_masks(n, []), "vertex count n", 1, ValueError),
+    "weight_sum": (lambda p, n: connected_weight_sum(np.zeros((2, 6)), n), "vertex count n", 1,
+                   ValueError),
 }
 #: hard-rod b_1..b_5 and beta_1..beta_4, exact; a profile on [4]
 B_ROD = {n: tonks.bn_exact(n) for n in range(1, 6)}
@@ -285,7 +331,7 @@ def test_order_must_be_an_integer(request, entry, pot):
 
 
 ROD = PairPotential("hard_rod", 1.0, 1)
-POSITIVE = (math.inf, math.nan, 0.0, -1.0, True)
+POSITIVE = (math.inf, math.nan, 0.0, -1.0, True, 10**400)
 
 #: every other positive parameter and B, by entry point: (function of the
 #: value, the refusal's text before ", got", the class, the values refused)
@@ -301,33 +347,49 @@ PARAMETER_ENTRY_POINTS = {
        ]},
     **{f"B {key}": (fn, "stability constant B must be >= 0 and finite", DomainError, bad)
        for key, fn, bad in [
-           ("rho_star", lambda x: rho_star(1.0, x, 2.0), (math.inf, True)),
-           ("mayer_radius", lambda x: mayer_radius(1.0, x, 2.0), (math.inf, True)),
-           ("ck_bound", lambda x: ck_bound(2, 1.0, x, 2.0, 0.46), (math.inf, True)),
-           ("radius_report", lambda x: radius_report(1.0, x, 2.0), (math.inf, True)),
+           ("rho_star", lambda x: rho_star(1.0, x, 2.0), (math.inf, True, 10**400)),
+           ("mayer_radius", lambda x: mayer_radius(1.0, x, 2.0), (math.inf, True, 10**400)),
+           ("ck_bound", lambda x: ck_bound(2, 1.0, x, 2.0, 0.46), (math.inf, True, 10**400)),
+           ("radius_report", lambda x: radius_report(1.0, x, 2.0), (math.inf, True, 10**400)),
            ("penrose_bound", lambda x: penrose_bn_bound(3, 1.0, x, 2.0),
-            (math.inf, math.nan, -1.0, True)),
+            (math.inf, math.nan, -1.0, True, 10**400)),
            ("free_energy", lambda x: free_energy_series(0.01, {1: -2.0}, 1, 1.0, x, 2.0),
-            (math.inf, True)),
+            (math.inf, True, 10**400)),
        ]},
     "a* ck_bound": (lambda x: ck_bound(2, 1.0, 0.0, 2.0, x), "a* must be positive and finite",
                     DomainError, POSITIVE),
     "a fp_check": (lambda x: fp_check(PROFILE, x),
-                   "the weight parameter a must be positive and finite", InputError, (True,)),
+                   "the weight parameter a must be positive and finite", InputError,
+                   (True, 10**400)),
     "L ztilde": (lambda x: ztilde_direct(ROD, 1.0, x, 3), "L must be positive and finite",
                  DomainError, POSITIVE),
     "box side b_3": (lambda x: mayer_bn(ROD, 1.0, 3, x), "box side must be positive and finite",
-                     DomainError, (True,)),
+                     DomainError, (True, 10**400)),
     "rho free_energy": (lambda x: free_energy_series(x, {1: -2.0}, 1, 1.0, 0.0, 2.0),
-                        "density rho must be a finite real", DomainError,
-                        (math.nan, math.inf, True, "0.01")),
+                        "density rho must be finite", DomainError,
+                        (math.nan, math.inf, True, "0.01", 10**400, Fraction(10**400))),
+    **{f"L tonks {key}": (fn, "L must be positive and finite", DomainError, POSITIVE)
+       for key, fn in [("ztilde_closed", lambda x: tonks.ztilde_closed(3, x))]},
+    **{f"sigma tonks {key}": (fn, "sigma must be positive and finite", DomainError, POSITIVE)
+       for key, fn in [
+           ("bn_value", lambda x: tonks.bn_value(3, x)),
+           ("beta_k_value", lambda x: tonks.beta_k_value(2, x)),
+           ("ztilde_closed", lambda x: tonks.ztilde_closed(3, 10.0, x)),
+           ("pressure", lambda x: tonks.pressure(0.1, x)),
+           ("q_infinite_volume", lambda x: tonks.q_infinite_volume(0.1, x)),
+       ]},
+    **{f"rho tonks {key}": (fn, "density rho must be finite", DomainError,
+                            (math.nan, -math.inf, True, -10**400))
+       for key, fn in [("pressure", tonks.pressure),
+                       ("q_infinite_volume", tonks.q_infinite_volume)]},
 }
 
 
 @pytest.mark.parametrize("entry", PARAMETER_ENTRY_POINTS)
 def test_parameters_are_refused_by_name(entry):
     # C(beta) = inf gave radii of 0.0, a* = NaN a bound of NaN and a* <= 0 a
-    # bound; B = inf was refused as an overflow of beta*B; a bool ran as 1
+    # bound; B = inf was refused as an overflow of beta*B; a bool ran as 1;
+    # an int past the float range raised a bare OverflowError
     fn, text, error, bad_values = PARAMETER_ENTRY_POINTS[entry]
     for bad in bad_values:
         with pytest.raises(error, match=rf"^{re.escape(text)}, got {re.escape(repr(bad))}$"):

@@ -198,7 +198,7 @@ def test_graph_validation():
         LabeledGraph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError, match="is not an edge on"):
         LabeledGraph.from_edges(3, [(2, 4)])
-    with pytest.raises(ValueError, match="vertex count must be positive"):
+    with pytest.raises(ValueError, match=r"^vertex count n must be an integer >= 1, got 0$"):
         LabeledGraph.from_edges(0, [])
     g = LabeledGraph.from_edges(3, [(2, 1), (3, 2)])
     assert g.edges == frozenset({(1, 2), (2, 3)})

@@ -233,6 +233,22 @@ REFUSED_FIELDS = [
     (("hard_sphere", 1.0, 3), {"epsilon": 0.0}, "epsilon"),
     (("hard_sphere", 1.0, 3), {"lambda_w": 1.5}, "lambda_w"),
     (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": 1.0, "epsilon": 1.0}, "epsilon"),
+    # the rules of clusterkit.errors, by their texts: an int past the float
+    # range is refused as inf is
+    (("hard_sphere", 1.0, 2.5), {}, "dimension must be an integer >= 1, got 2.5"),
+    (("hard_sphere", 1.0, 342), {}, "dimension must be at most 341"),
+    (("hard_sphere", 1.0, 10 ** 400), {}, "dimension must be at most 341"),
+    (("custom_tabulated", 1.0, 1), {"table": ((0.0, 10 ** 400),), "cutoff": 1.0},
+     "table value must be finite"),
+    (("custom_tabulated", 1.0, 1), {"table": ((math.nan, 1.0),), "cutoff": 1.0},
+     "table radius must be finite"),
+    (("hard_rod", 1.0, 1), {"B": 10 ** 400}, "stability constant B must be >= 0 and finite"),
+    (("square_well", 1.0, 1), {"epsilon": 10 ** 400, "lambda_w": 1.5, "B": 1.0},
+     "epsilon must be finite"),
+    (("square_well", 1.0, 1), {"epsilon": 1.0, "lambda_w": -10 ** 400, "B": 1.0},
+     "lambda_w must be finite"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": 10 ** 400},
+     "cutoff must be positive and finite"),
 ]
 
 

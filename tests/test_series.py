@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clusterkit import tonks
-from clusterkit.errors import InputError
+from clusterkit.errors import DomainError, InputError
 from clusterkit.series import (
     combi_identity_check,
     free_energy_series,
@@ -100,6 +100,12 @@ def test_float_input_rounds_the_exact_result_once():
 def test_transform_rejects_non_finite_input():
     with pytest.raises(InputError):
         virial_from_mayer({2: -1.0, 3: math.nan}, 2)
+    # finite b_n whose beta_2 passes the float range: the transform raised a
+    # bare OverflowError, and the inversion returned NaN
+    with pytest.raises(DomainError, match=r"^beta_2 overflows a float$"):
+        virial_from_mayer({2: 1e300, 3: 1e300}, 2)
+    with pytest.raises(DomainError, match=r"^beta_2 is nan in floating point"):
+        invert_mayer_oracle({1: 1, 2: 1e300, 3: 1e300}, 2)
 
 
 @pytest.mark.parametrize("bad", ["0.5", True, 1j, math.nan, math.inf, -math.inf],

@@ -1,5 +1,6 @@
 """Guards for the tooling that reaches into clusterkit by name."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -8,6 +9,7 @@ from pathlib import Path
 from clusterkit import cluster, polymer, potentials, quadrature
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "clusterkit"
 LAYERS = PERFBENCH / "layers.py"
 
 
@@ -47,3 +49,24 @@ def test_perfbench_bound_parameter_names():
     assert _params(quadrature.gap_quadrature)[0] == "weight_fn"
     assert {"N", "profile", "n_max"} <= set(_params(polymer.log_xi_ursell))
     assert _params(potentials.f_bond_array)[2] == "r"
+
+
+def test_only_errors_decides_what_a_number_is():
+    # clusterkit.errors holds the one rule set for numeric arguments; a
+    # module that tests for a bool or a numbers ABC grows a second one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                hit = any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[-1]))
+            elif isinstance(node, ast.Attribute):
+                hit = getattr(node.value, "id", None) == "numbers"
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name == "numbers" for alias in node.names)
+            else:
+                hit = isinstance(node, ast.ImportFrom) and node.module == "numbers"
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
