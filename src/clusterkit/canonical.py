@@ -230,7 +230,7 @@ def compare_series_direct(
         p, beta, L, N, direct_method, seed=seed, samples=samples, chunk=chunk,
         workers=workers,
     )
-    q_direct = q_lambda(direct)
+    q_direct, N = q_lambda(direct), direct.N  # N as the int ztilde_direct made it
     # propagate the ztilde error into Q: d(ln z)/z over the volume
     q_err = direct.error / max(direct.ztilde, 1e-300) / direct.volume
 

@@ -4,9 +4,12 @@ beta > 0, B >= 0, a finite C(beta) > 0 and integer orders k >= 1, finite
 coefficients and exact inputs.  Each rule raises the class its caller
 passes (InputError in ``polymer``, ConfigError in ``verify``, the Monte
 Carlo counts and ``PairPotential``, ValueError in ``graphs``, DomainError
-elsewhere) with one text, and takes no bool for a number.  The float rules
-(2, 3 and ``_finite``) return the float, and refuse an int past the float
-range as they refuse inf; rule 4 passes exact ints and Fractions of any size.
+elsewhere) with one text, and takes no bool for a number.  Rule 1 also
+checks the root of a graph on [n] (``graphs._check_root``), which refuses an
+int outside [1..n] by its range.  The float rules (2, 3 and ``_finite``)
+return the float, and refuse an int past the float range as they refuse inf;
+rule 4 passes exact ints and Fractions of any size.  ``tests/test_arguments.py``
+declares each public parameter's rule and tests every one of them.
 """
 
 import math
@@ -35,8 +38,9 @@ def _integer(name: str, x, low: int, error) -> int:
 
 
 def _float(x) -> float:
-    """``x`` as a float, or NaN, which every float rule refuses, for a bool,
-    a non-number or a number past the float range."""
+    """``x`` as a float, or NaN, which every float rule (and each range that
+    ``radii`` checks itself) refuses, for a bool, a non-number or a number
+    past the float range."""
     if type(x) is float:
         return x
     try:

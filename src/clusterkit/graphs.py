@@ -202,9 +202,14 @@ def enum_graphs(n: int, klass: str = "connected") -> Iterator[int]:
         yield mask
 
 
-def _check_root(n: int, root: int) -> None:
-    if not (1 <= root <= n):
-        raise ValueError(f"root {root} outside [1..{n}]")
+def _check_root(n: int, root: int, error=ValueError) -> int:
+    """``root`` as an int in [1..n]: rule 1 of ``errors`` for any other type
+    than int, then the range, each refused by ``error`` naming the root."""
+    if type(root) is not int:
+        root = _integer("root", root, 1, error)
+    if not 1 <= root <= n:
+        raise error(f"root {root} outside [1..{n}]")
+    return root
 
 
 def _mask_tree_maps(n: int, mask: int, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -501,10 +506,10 @@ def _swept_blocks(n: int, masks, root: int) -> Tuple[np.ndarray, Iterator[tuple]
     scratch memory does not grow with the number of masks.  A block's
     neighbor rows take one lookup per 12 edges of the masks, in tables of
     ``_deposit_rows`` built once per call.  CapacityError past 11 vertices;
-    ValueError for a root outside [n] or a mask outside [0, 2^(n(n-1)/2)).
+    ValueError for a mask outside [0, 2^(n(n-1)/2)).  ``root`` is checked
+    by the callers (``_check_root``).
     """
     masks = _check_int64_masks(n, masks)
-    _check_root(n, root)
     npairs = n * (n - 1) // 2
     tables = [_deposit_rows(n, range(lo, min(lo + _BLOCK_BITS, npairs)))
               for lo in range(0, npairs, _BLOCK_BITS)]
@@ -531,7 +536,7 @@ def mask_tree_images(n: int, masks, root: int = 1) -> Tuple[np.ndarray, np.ndarr
     [0, 2^(n(n-1)/2)) raises ValueError.
     """
     n = _integer("vertex count n", n, 1, ValueError)
-    masks, blocks = _swept_blocks(n, masks, root)
+    masks, blocks = _swept_blocks(n, masks, _check_root(n, root))
     bits = _pair_bits(n)
     connected = np.empty(masks.shape, dtype=bool)
     trees = np.zeros(masks.shape, dtype=np.int64)
@@ -560,7 +565,8 @@ def mask_tree_table(n: int, root: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     n = _integer("vertex count n", n, 1, ValueError)
     if n > TABLE_MAX_N:
         raise CapacityError(f"full mask tables are kept only up to n={TABLE_MAX_N}, got {n}")
-    return _mask_tree_table(n, root)  # positional: one cache entry per (n, root)
+    # positional, and an int root: one cache entry per (n, root)
+    return _mask_tree_table(n, _check_root(n, root))
 
 
 def connected_mask_flags(n: int) -> np.ndarray:
@@ -599,6 +605,7 @@ def slack_masks(n: int, trees, root: int = 1) -> np.ndarray:
     raises ValueError.
     """
     n = _integer("vertex count n", n, 1, ValueError)
+    root = _check_root(n, root)
     trees, blocks = _swept_blocks(n, trees, root)
     npairs = n * (n - 1) // 2
     i, j = (np.array(vertex_pairs(n), dtype=np.int64).reshape(npairs, 2) - 1).T
@@ -671,12 +678,12 @@ def _slack_free_tree_masks(n: int, gmask: int, root: int = 1) -> list:
     table would filter 100 random connected G(8, 1/2) hosts in about 39 ms
     against the growth's 36 ms, after a build of 4.2 MB and about 0.2 s;
     at n = 7 the table takes 1.5 ms against 8 ms.  A disconnected host has
-    none.  A root outside [n] or a mask outside [0, 2^(n(n-1)/2)) raises
-    ValueError on every path.
+    none.  A root that is not an integer in [n] (``_check_root``) or a mask
+    outside [0, 2^(n(n-1)/2)) raises ValueError on every path.
     """
     if n < 2 or n ** (n - 2) > _TABLE_ROWS:
         return _grown_tree_masks(n, gmask, root)
-    _check_root(n, root)
+    root = _check_root(n, root)
     _check_mask_range(n, gmask, gmask)
     # positional: one cache entry per (n, root)
     index = _host_tree_index(n, root)
@@ -700,7 +707,7 @@ def _grown_tree_masks(n: int, gmask: int, root: int = 1) -> list:
     parent, and a tree is complete when every vertex is used.  Only those
     trees and their prefixes are visited.  A disconnected host has none.
     """
-    _check_root(n, root)
+    root = _check_root(n, root)
     _check_mask_range(n, gmask, gmask)
     adj = _mask_adjacency(n, gmask)
     idx = _pair_index(n)
@@ -734,6 +741,8 @@ def _grown_tree_masks(n: int, gmask: int, root: int = 1) -> list:
 
 def _penrose_trees(g: LabeledGraph, root: int) -> FrozenSet[RootedTree]:
     n, mask = g
+    if type(root) is not int:  # the trees hold an int root
+        root = _check_root(n, root)
     trees = _slack_free_tree_masks(n, mask, root)
     if not trees:
         raise DomainError("Penrose trees are defined for connected graphs only")

@@ -41,6 +41,16 @@ URSELL_MAX_ORDER = 12
 P_EXACT_MAX_PARTS = 3
 P_EXACT_MAX_TOTAL = 8
 CK_FINITE_MAX_K = 40
+#: log 2^-1075 - 1: a product whose log magnitude lies below this rounds to
+#: 0.0 (2^-1075 itself rounds to even, 0.0), with a margin of 1 for the
+#: rounding of the logs
+_LOG_ZERO = -1075 * math.log(2) - 1
+
+
+def _log_ratio(a: int, d: int) -> float:
+    """log|a/d| of ints of any size, -inf at a = 0 (``math.log`` reads a
+    large int by its bit length)."""
+    return math.log(abs(a)) - math.log(d) if a else -math.inf
 
 
 @dataclass(frozen=True)
@@ -72,22 +82,38 @@ class ActivityProfile:
         activity is the exact product of rho, b_s, s! and N^-(s-1), rounded
         once by one int true division of the numerators' product by the
         denominators'; an activity that is itself past the float range is
-        refused by rho.  A b_s that is not a finite real is refused by name.
+        refused by rho.  That product is skipped where the activity rounds
+        to 0.0, which the profile drops anyway: where log|zeta_s| =
+        (s-1)(log|rho| - log N) + log|b_s| + lgamma(s+1), from the exact
+        numerators and denominators, lies below ``_LOG_ZERO``.  So the
+        profile keeps every key and bit; for hard rods at N = 3000 and
+        rho = 0.1, where 138 of the 2,999 activities are nonzero, the call
+        takes 0.014 s instead of 8 s (a shared 2-core x86 machine).  A b_s
+        that is not a finite real is refused by name, and so is an N that
+        is not an integer >= 1.
         """
+        N = _integer("ground-set size N", N, 1, InputError)
         _real("density rho", rho, InputError)
         p, q = Fraction(rho).as_integer_ratio()
+        log_rho_n = _log_ratio(p, q) - math.log(N)
         zeta = {}
         for s, val in dict(b).items():
             if s < 2 or s > N:
                 continue
             _real(f"fugacity coefficient b_{s}", val, InputError)
             try:
-                z = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
+                z = rho ** (s - 1) * val
+                # 170! is the last factorial in the float range: a float
+                # times s! overflows past it, to the exact product
+                z = math.inf if isinstance(z, float) and s > 170 else (
+                    z * math.factorial(s) / N ** (s - 1))
             except OverflowError:
                 z = math.inf
             if isinstance(z, float) and math.isinf(z):
+                a, d = Fraction(val).as_integer_ratio()
+                if (s - 1) * log_rho_n + _log_ratio(a, d) + math.lgamma(s + 1) < _LOG_ZERO:
+                    continue
                 try:
-                    a, d = Fraction(val).as_integer_ratio()
                     z = p ** (s - 1) * a * math.factorial(s) / (q ** (s - 1) * d * N ** (s - 1))
                 except OverflowError:
                     raise InputError(f"density rho={rho!r} overflows the float activity "

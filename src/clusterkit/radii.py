@@ -46,7 +46,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, _integer, _positive, _stability
+from .errors import DomainError, _float, _integer, _positive, _stability
 
 #: externally quoted zero-coupling maximizer, kept for comparison output; it
 #: disagrees with the computed optimum (~0.4623) and is flagged, not adopted.
@@ -66,7 +66,7 @@ _HALLEY_STEPS = 4
 
 def _optimum(u: float) -> Tuple[float, float, float]:
     """(F, a*, w*) at u >= 1 from W = W0(e/(1+u)); g = F and g's maximizer is w*."""
-    if not 1.0 <= u < math.inf:
+    if not 1.0 <= _float(u) < math.inf:
         raise DomainError(f"u = e^(2 beta B) must be finite and >= 1, not {u!r}")
     x = math.e / (1.0 + u)
     W = math.log1p(x)
@@ -164,7 +164,7 @@ def tree_series_excess(x: float) -> Tuple[float, float, float, float]:
     Returns (lo, hi, lo', hi') with lo <= S(x) - 1 <= hi and
     lo' <= T'(x) - 1 <= hi'.
     """
-    if not sys.float_info.min <= x <= _X_MAX:
+    if not sys.float_info.min <= _float(x) <= _X_MAX:
         raise DomainError(f"the tree series is enclosed for x from the smallest normal "
                           f"float to 1/e, not at x = {x!r}")
     lam = _lam(x)

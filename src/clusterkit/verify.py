@@ -78,9 +78,12 @@ def penrose_identity_scan(n: int, root: int = 1) -> Tuple[int, int]:
     such a class sums (-1)^|A| to (-1)^(n-1) if G holds t and misses slack,
     else to 0; so the identity holds on every host, and a mismatch is a
     connected graph whose ursell value has the wrong sign.  Returns
-    (graphs checked, mismatches).  Exhaustive up to n = 6.
+    (graphs checked, mismatches).  Exhaustive up to n = 6.  ConfigError
+    names an n or a root (``graphs._check_root``) that is not an integer
+    in range.
     """
     n = _integer("vertex count n", n, 1, ConfigError)
+    root = graphs._check_root(n, root, ConfigError)
     flags, images = mask_tree_table(n, root)
     conn = np.flatnonzero(flags)
     # the classes by image: the distinct images in increasing order, and
@@ -118,10 +121,13 @@ def penrose_identity_random(n: int = 7, count: int = 100, root: int = 1) -> Tupl
     or if the first tree found has a slack edge (``graphs.slack_masks``,
     one call for all the hosts) in the host, which a growth that gives a
     vertex the wrong parent does.  The exhaustive scan checks the slack
-    rule's premise up to n = 6.  A count below 1 would check nothing.
+    rule's premise up to n = 6.  A count below 1 would check nothing, and
+    ConfigError names it, as it does an n or a root that is not an integer
+    in range.
     """
     n = _integer("vertex count n", n, 1, ConfigError)
     count = _integer("count", count, 1, ConfigError)
+    root = graphs._check_root(n, root, ConfigError)
     rng = random.Random(SEED)
     npairs = n * (n - 1) // 2
     sign = 1 if (n - 1) % 2 == 0 else -1

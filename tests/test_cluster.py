@@ -1,14 +1,12 @@
 import math
-import re
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clusterkit import tonks
-from clusterkit.canonical import compare_series_direct, ztilde_direct
+from clusterkit.canonical import ztilde_direct
 from clusterkit.cluster import (
     ROUTE_CAPS,
     _Workspace,
@@ -22,39 +20,11 @@ from clusterkit.cluster import (
     penrose_bn_bound,
     virial_bk_direct,
 )
-from clusterkit.errors import CapacityError, ConfigError, DomainError, InputError
-from clusterkit.graphs import (
-    LabeledGraph,
-    _mask_connected,
-    edge_mask,
-    enum_graphs,
-    mask_edges,
-    mask_tree_images,
-    mask_tree_table,
-    prufer_tree_masks,
-    slack_masks,
-    ursell_table,
-    ursell_values,
-    vertex_pairs,
-)
-from clusterkit.polymer import (
-    ActivityProfile,
-    ck_finite_N,
-    fp_check,
-    log_xi_ursell,
-    p_exact,
-    xi_exact,
-)
-from clusterkit.potentials import PairPotential, c_beta, f_bond, f_bond_array
+from clusterkit.errors import CapacityError, ConfigError, DomainError
+from clusterkit.graphs import _mask_connected, edge_mask, enum_graphs, mask_edges, vertex_pairs
+from clusterkit.potentials import PairPotential, c_beta, f_bond_array
 from clusterkit.quadrature import distinct_ids
-from clusterkit.radii import ck_bound, mayer_radius, radius_report, rho_star
-from clusterkit.series import (
-    combi_identity_check,
-    free_energy_series,
-    invert_mayer_oracle,
-    virial_from_mayer,
-)
-from clusterkit.verify import penrose_identity_random, penrose_identity_scan
+from test_arguments import ARGUMENT_SURFACE, assert_refused, call, check_rule, former
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -158,46 +128,38 @@ def test_mc_seed_mandatory(sphere):
         mayer_bn(sphere, 1.0, 3, method="monte_carlo")
 
 
-MC_ENTRY_POINTS = {
-    "mayer_bn": lambda p, **kw: mayer_bn(p, 1.0, 3, method="monte_carlo", **kw),
-    "virial_bk_direct": lambda p, **kw: virial_bk_direct(p, 1.0, 2, "monte_carlo", **kw),
-    "ztilde_direct": lambda p, **kw: ztilde_direct(p, 1.0, 6.0, 4, "monte_carlo", **kw),
-    "compare_series_direct": lambda p, **kw: compare_series_direct(
-        p, 1.0, 6.0, 4, 3, direct_method="monte_carlo", **kw),
-}
+#: the Monte Carlo rows of the argument surface, by the names their cases run under
+MC_ROWS = {label.split(".")[1]: label for label, row in ARGUMENT_SURFACE.items()
+           if "seed" in row.rules}
 
 
-@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", MC_ROWS)
 @pytest.mark.parametrize("key, value", [("chunk", 0), ("chunk", -3), ("samples", 0),
                                         ("seed", -1), ("seed", 2**64), ("seed", True),
                                         ("seed", False), ("samples", True), ("chunk", True),
                                         ("samples", 2.5), ("chunk", 2.5), ("seed", 2.5),
                                         ("seed", 2.0**64), ("seed", math.nan)])
-def test_mc_sizes_below_one_rejected(sphere, entry, key, value):
+def test_mc_sizes_below_one_rejected(entry, key, value):
     # a seed outside the Philox key word [0, 2^64) once raised OverflowError;
     # a bool once ran as the integer it equals
-    bound = r"in \[0, 2\^64\)" if key == "seed" else ">= 1"
-    with pytest.raises(ConfigError, match=rf"Monte Carlo {key} must be an integer {bound}"):
-        MC_ENTRY_POINTS[entry](sphere, **{"seed": 1, key: value})
+    assert_refused(MC_ROWS[entry], key, value)
 
 
-@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", MC_ROWS)
 @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
-def test_mc_bad_workers_rejected(sphere, entry, workers):
+def test_mc_bad_workers_rejected(entry, workers):
     # each of these once ran silently on one thread
-    with pytest.raises(ConfigError, match=r"Monte Carlo workers must be an integer >= 1"):
-        MC_ENTRY_POINTS[entry](sphere, seed=1, samples=40_000, workers=workers)
+    assert_refused(MC_ROWS[entry], "workers", workers)
 
 
-@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", MC_ROWS)
 @pytest.mark.parametrize("workers", [1, 3])
 def test_mc_integral_float_counts_are_the_ints(sphere, entry, workers):
     # the counts and the seed follow rule 1 of errors, as the orders do: an
     # integral float once raised ConfigError
-    floats = MC_ENTRY_POINTS[entry](sphere, seed=1.0, samples=40_000.0, chunk=20_000.0,
-                                    workers=float(workers))
-    ints = MC_ENTRY_POINTS[entry](sphere, seed=1, samples=40_000, chunk=20_000, workers=workers)
-    assert repr(floats) == repr(ints)
+    floats = call(MC_ROWS[entry], p=sphere, seed=1.0, samples=2_000.0, chunk=1_000.0,
+                  workers=float(workers))
+    assert repr(floats) == repr(call(MC_ROWS[entry], p=sphere, workers=workers))
 
 
 def test_mc_hard_sphere_b3(sphere):
@@ -236,164 +198,42 @@ def test_box_side_must_be_finite_and_positive(request, fn, pot, args, method, ma
         fn(request.getfixturevalue(pot), 1.0, *args, method=method, seed=1, samples=40_000)
 
 
-#: every entry point that takes beta, as a function of (potential, beta)
-BETA_ENTRY_POINTS = {
-    "b_3": lambda p, beta: mayer_bn(p, beta, 3),
-    "beta_1": lambda p, beta: virial_bk_direct(p, beta, 1),
-    "ztilde": lambda p, beta: ztilde_direct(p, beta, 8.0, 3, "quadrature"),
-    "c_beta": c_beta,
-    "f_bond": lambda p, beta: f_bond(p, beta, 1.2),
-    "penrose_bound": lambda p, beta: penrose_bn_bound(3, beta, 0.0, 2.0),
-    "rho_star": lambda p, beta: rho_star(beta, 0.0, 2.0),
-    "mayer_radius": lambda p, beta: mayer_radius(beta, 0.0, 2.0),
-    "ck_bound": lambda p, beta: ck_bound(2, beta, 0.0, 2.0, 0.46),
-    "radius_report": lambda p, beta: radius_report(beta, 0.0, 2.0),
-    "free_energy": lambda p, beta: free_energy_series(0.01, {1: -2.0}, 1, beta, 0.0, 2.0),
-}
+#: the argument surface's cases under the ids of the tables it replaced
+BETA_CASES = former(lambda key, rule: key == "beta")
+ORDER_CASES = former(lambda key, rule: rule.integer)
+PARAMETER_CASES = former(lambda key, rule: key != "beta" and not rule.integer)
 
 
-@pytest.mark.parametrize("entry", BETA_ENTRY_POINTS)
+def _potential(request, label, pot):
+    """The fixture ``pot`` as the potential of ``label``'s call, if it takes one."""
+    return {"p": request.getfixturevalue(pot)} if "p" in ARGUMENT_SURFACE[label].valid else {}
+
+
+@pytest.mark.parametrize("entry", BETA_CASES)
 @pytest.mark.parametrize("pot", ["well", "rod"])
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0, True, 10**400])
 def test_beta_must_be_finite_and_positive(request, entry, pot, beta):
     # e^(beta epsilon) - 1 is inf at beta = inf with no overflow raised: a
     # well's b_3 was NaN, its ztilde NaN and C(beta) inf; a bool ran as 1;
     # an int past the float range raised a bare OverflowError, or ran
-    with pytest.raises(DomainError, match=rf"beta must be positive and finite, got {beta!r}"):
-        BETA_ENTRY_POINTS[entry](request.getfixturevalue(pot), beta)
+    label, key = BETA_CASES[entry]
+    assert_refused(label, key, beta, **_potential(request, label, pot))
 
 
-#: every entry point that takes an order, size or count: (function of the
-#: potential and the value, its name, the least value, the class it raises)
-ORDER_ENTRY_POINTS = {
-    "b_n": (lambda p, n: mayer_bn(p, 1.0, n), "order n", 1, DomainError),
-    "beta_k": (lambda p, k: virial_bk_direct(p, 1.0, k), "order k", 1, DomainError),
-    "ztilde": (lambda p, N: ztilde_direct(p, 1.0, 8.0, N, "quadrature"), "particle count N", 1,
-               DomainError),
-    "compare": (lambda p, k: compare_series_direct(p, 1.0, 8.0, 3, k), "series order k_max", 1,
-                DomainError),
-    "penrose_bound": (lambda p, n: penrose_bn_bound(n, 1.0, 0.0, 2.0), "order n", 2, DomainError),
-    "ck_bound": (lambda p, k: ck_bound(k, 1.0, 0.0, 2.0, 0.46), "order k", 1, DomainError),
-    "transform": (lambda p, k: virial_from_mayer(B_ROD, k), "order k", 1, DomainError),
-    "inversion": (lambda p, k: invert_mayer_oracle(B_ROD, k), "order k_max", 1, DomainError),
-    "free_energy": (lambda p, k: free_energy_series(0.01, C_ROD, k, 1.0, 0.0, 2.0),
-                    "order k_max", 1, DomainError),
-    "combi": (lambda p, n: combi_identity_check((1,) + (2,) * (int(n) - 1), n, n), "n", 2,
-              InputError),
-    "xi": (lambda p, N: xi_exact(N, PROFILE), "ground-set size N", 0, InputError),
-    "log_xi_N": (lambda p, N: log_xi_ursell(N, PROFILE, 2), "ground-set size N", 0, InputError),
-    "log_xi_order": (lambda p, n: log_xi_ursell(4, PROFILE, n), "expansion order", 1,
-                     InputError),
-    "p_exact": (lambda p, N: p_exact(N, (2, 2)), "ground-set size N", 1, InputError),
-    "p_exact_part": (lambda p, m: p_exact(6, (m,)), "every part", 2, InputError),
-    "ckn_N": (lambda p, N: ck_finite_N(N, B_ROD, 2), "ground-set size N", 1, InputError),
-    "ckn_k": (lambda p, k: ck_finite_N(6, B_ROD, k), "order k", 1, InputError),
-    "identity_random": (lambda p, count: penrose_identity_random(5, count), "count", 1,
-                        ConfigError),
-    "identity_random_n": (lambda p, n: penrose_identity_random(n, 3), "vertex count n", 1,
-                          ConfigError),
-    "identity_scan": (lambda p, n: penrose_identity_scan(n), "vertex count n", 1, ConfigError),
-    "tonks_bn": (lambda p, n: tonks.bn_exact(n), "order n", 1, DomainError),
-    "tonks_bn_value": (lambda p, n: tonks.bn_value(n, 0.5), "order n", 1, DomainError),
-    "tonks_beta_k": (lambda p, k: tonks.beta_k_exact(k), "order k", 1, DomainError),
-    "tonks_beta_k_value": (lambda p, k: tonks.beta_k_value(k, 0.5), "order k", 1, DomainError),
-    "tonks_ztilde": (lambda p, N: tonks.ztilde_closed(N, 10.0), "particle count N", 1,
-                     DomainError),
-    "graph": (lambda p, n: LabeledGraph.from_edges(n, []), "vertex count n", 1, ValueError),
-    "enum_graphs": (lambda p, n: list(enum_graphs(n, "all")), "vertex count n", 1, ValueError),
-    "prufer": (lambda p, n: prufer_tree_masks(n), "vertex count n", 2, ValueError),
-    "ursell_values": (lambda p, n: ursell_values(n, [0]), "vertex count n", 1, ValueError),
-    "ursell_table": (lambda p, n: ursell_table(n), "vertex count n", 1, ValueError),
-    "tree_images": (lambda p, n: mask_tree_images(n, [0]), "vertex count n", 1, ValueError),
-    "tree_table": (lambda p, n: mask_tree_table(n), "vertex count n", 1, ValueError),
-    "slack_masks": (lambda p, n: slack_masks(n, []), "vertex count n", 1, ValueError),
-    "weight_sum": (lambda p, n: connected_weight_sum(np.zeros((2, 6)), n), "vertex count n", 1,
-                   ValueError),
-}
-#: hard-rod b_1..b_5 and beta_1..beta_4, exact; a profile on [4]
-B_ROD = {n: tonks.bn_exact(n) for n in range(1, 6)}
-C_ROD = {k: tonks.beta_k_exact(k) for k in range(1, 5)}
-PROFILE = ActivityProfile(4, {2: Fraction(1, 3), 3: Fraction(-1, 4)})
-
-
-@pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", ORDER_CASES)
 @pytest.mark.parametrize("pot", ["well", "rod"])
 def test_order_must_be_an_integer(request, entry, pot):
     # True once read as order 1, and 2.5 raised a bare TypeError
-    fn, name, low, error = ORDER_ENTRY_POINTS[entry]
-    p = request.getfixturevalue(pot)
-    for bad in (True, False, 2.5, low - 1, -1.0):
-        with pytest.raises(error, match=rf"^{name} must be an integer >= {low}, got {bad!r}$"):
-            fn(p, bad)
-    # an integral float or a numpy int is the int
-    for n in (low, low + 1, low + 2):
-        assert repr(fn(p, float(n))) == repr(fn(p, np.int64(n))) == repr(fn(p, n))
+    label, key = ORDER_CASES[entry]
+    check_rule(label, key, **_potential(request, label, pot))
 
 
-ROD = PairPotential("hard_rod", 1.0, 1)
-POSITIVE = (math.inf, math.nan, 0.0, -1.0, True, 10**400)
-
-#: every other positive parameter and B, by entry point: (function of the
-#: value, the refusal's text before ", got", the class, the values refused)
-PARAMETER_ENTRY_POINTS = {
-    **{f"C(beta) {key}": (fn, "C(beta) must be positive and finite", DomainError, POSITIVE)
-       for key, fn in [
-           ("rho_star", lambda x: rho_star(1.0, 0.0, x)),
-           ("mayer_radius", lambda x: mayer_radius(1.0, 0.0, x)),
-           ("ck_bound", lambda x: ck_bound(2, 1.0, 0.0, x, 0.46)),
-           ("radius_report", lambda x: radius_report(1.0, 0.0, x)),
-           ("penrose_bound", lambda x: penrose_bn_bound(3, 1.0, 0.0, x)),
-           ("free_energy", lambda x: free_energy_series(0.01, {1: -2.0}, 1, 1.0, 0.0, x)),
-       ]},
-    **{f"B {key}": (fn, "stability constant B must be >= 0 and finite", DomainError, bad)
-       for key, fn, bad in [
-           ("rho_star", lambda x: rho_star(1.0, x, 2.0), (math.inf, True, 10**400)),
-           ("mayer_radius", lambda x: mayer_radius(1.0, x, 2.0), (math.inf, True, 10**400)),
-           ("ck_bound", lambda x: ck_bound(2, 1.0, x, 2.0, 0.46), (math.inf, True, 10**400)),
-           ("radius_report", lambda x: radius_report(1.0, x, 2.0), (math.inf, True, 10**400)),
-           ("penrose_bound", lambda x: penrose_bn_bound(3, 1.0, x, 2.0),
-            (math.inf, math.nan, -1.0, True, 10**400)),
-           ("free_energy", lambda x: free_energy_series(0.01, {1: -2.0}, 1, 1.0, x, 2.0),
-            (math.inf, True, 10**400)),
-       ]},
-    "a* ck_bound": (lambda x: ck_bound(2, 1.0, 0.0, 2.0, x), "a* must be positive and finite",
-                    DomainError, POSITIVE),
-    "a fp_check": (lambda x: fp_check(PROFILE, x),
-                   "the weight parameter a must be positive and finite", InputError,
-                   (True, 10**400)),
-    "L ztilde": (lambda x: ztilde_direct(ROD, 1.0, x, 3), "L must be positive and finite",
-                 DomainError, POSITIVE),
-    "box side b_3": (lambda x: mayer_bn(ROD, 1.0, 3, x), "box side must be positive and finite",
-                     DomainError, (True, 10**400)),
-    "rho free_energy": (lambda x: free_energy_series(x, {1: -2.0}, 1, 1.0, 0.0, 2.0),
-                        "density rho must be finite", DomainError,
-                        (math.nan, math.inf, True, "0.01", 10**400, Fraction(10**400))),
-    **{f"L tonks {key}": (fn, "L must be positive and finite", DomainError, POSITIVE)
-       for key, fn in [("ztilde_closed", lambda x: tonks.ztilde_closed(3, x))]},
-    **{f"sigma tonks {key}": (fn, "sigma must be positive and finite", DomainError, POSITIVE)
-       for key, fn in [
-           ("bn_value", lambda x: tonks.bn_value(3, x)),
-           ("beta_k_value", lambda x: tonks.beta_k_value(2, x)),
-           ("ztilde_closed", lambda x: tonks.ztilde_closed(3, 10.0, x)),
-           ("pressure", lambda x: tonks.pressure(0.1, x)),
-           ("q_infinite_volume", lambda x: tonks.q_infinite_volume(0.1, x)),
-       ]},
-    **{f"rho tonks {key}": (fn, "density rho must be finite", DomainError,
-                            (math.nan, -math.inf, True, -10**400))
-       for key, fn in [("pressure", tonks.pressure),
-                       ("q_infinite_volume", tonks.q_infinite_volume)]},
-}
-
-
-@pytest.mark.parametrize("entry", PARAMETER_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", PARAMETER_CASES)
 def test_parameters_are_refused_by_name(entry):
     # C(beta) = inf gave radii of 0.0, a* = NaN a bound of NaN and a* <= 0 a
     # bound; B = inf was refused as an overflow of beta*B; a bool ran as 1;
     # an int past the float range raised a bare OverflowError
-    fn, text, error, bad_values = PARAMETER_ENTRY_POINTS[entry]
-    for bad in bad_values:
-        with pytest.raises(error, match=rf"^{re.escape(text)}, got {re.escape(repr(bad))}$"):
-            fn(bad)
+    check_rule(*PARAMETER_CASES[entry])
 
 
 def test_mc_virial_hard_sphere(sphere):

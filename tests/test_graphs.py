@@ -296,6 +296,24 @@ def test_penrose_map_names_a_bad_root(root):
         mask_tree_images(4, [complete(4)], root=root)
 
 
+def test_an_integral_root_is_the_int():
+    # a bool root once ran as root 1, into trees that held root=True, and
+    # 2.5 raised a bare IndexError; the surface refuses both by name
+    g = LabeledGraph(4, complete(4))
+    trees = penrose_trees(g, 2)
+    for root in (2.0, np.int64(2)):
+        assert penrose_trees(g, root) == trees
+        assert {type(t.root) for t in penrose_trees(g, root)} == {int}
+        masks = [t.mask for t in trees]
+        assert (graphs.slack_masks(4, masks, root).tolist()
+                == graphs.slack_masks(4, masks, 2).tolist())
+    # one kept table per (n, int root): every spelling of root 3 reads it
+    before = graphs._mask_tree_table.cache_info().currsize
+    tables = [mask_tree_table(4, root) for root in (3, 3.0, np.int64(3))]
+    assert all(t is tables[0] for t in tables)
+    assert graphs._mask_tree_table.cache_info().currsize - before <= 1
+
+
 def test_penrose_trees_examples():
     path = edge_mask(4, [(1, 2), (2, 3), (3, 4)])
     assert penrose_trees(as_graph(4, path)) == frozenset({RootedTree(4, 1, path)})
@@ -574,7 +592,7 @@ def test_engine_refuses_a_root_outside_the_vertices():
         penrose_trees(as_graph(7, path), 8)
     with pytest.raises(ValueError, match="root 8 outside"):
         penrose_trees_fast(as_graph(7, path), 8)
-    with pytest.raises(ValueError, match="root 8 outside"):
+    with pytest.raises(ConfigError, match="root 8 outside"):
         verify.penrose_identity_random(7, 5, root=8)
 
 
@@ -891,7 +909,8 @@ def test_identity_scan_at_every_root(n):
 
 @pytest.mark.parametrize("n", (1, 6))
 def test_identity_scan_names_a_bad_root(n):
-    with pytest.raises(ValueError, match=f"root {n + 1} outside"):
+    # in the class of verify's other refusals
+    with pytest.raises(ConfigError, match=f"root {n + 1} outside"):
         verify.penrose_identity_scan(n, n + 1)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clusterkit import graphs, polymer, tonks
-from clusterkit.errors import CapacityError, DomainError, InputError
+from clusterkit.errors import CapacityError, DomainError, InputError, _real
 from clusterkit.graphs import ursell_table, vertex_pairs
 from clusterkit.polymer import (
     ActivityProfile,
@@ -98,6 +98,66 @@ def test_from_mayer_keeps_an_activity_whose_rho_power_overflows():
     # rho^2 overflows on the way, but the activity 1e320 * 1e-20 * 6/16 fits
     prof = ActivityProfile.from_mayer({2: -1.0, 3: 1e-20}, 4, 1e160)
     assert prof.zeta[3] == float(Fraction(1e160) ** 2 * Fraction(1e-20) * 6 / 16)
+
+
+def _from_mayer_forming_every_product(b, N, rho):
+    """``ActivityProfile.from_mayer``'s loop as it was before it skipped the
+    exact products of activities that round to 0.0."""
+    _real("density rho", rho, InputError)
+    p, q = Fraction(rho).as_integer_ratio()
+    zeta = {}
+    for s, val in dict(b).items():
+        if s < 2 or s > N:
+            continue
+        _real(f"fugacity coefficient b_{s}", val, InputError)
+        try:
+            z = rho ** (s - 1) * val * math.factorial(s) / N ** (s - 1)
+        except OverflowError:
+            z = math.inf
+        if isinstance(z, float) and math.isinf(z):
+            try:
+                a, d = Fraction(val).as_integer_ratio()
+                z = p ** (s - 1) * a * math.factorial(s) / (q ** (s - 1) * d * N ** (s - 1))
+            except OverflowError:
+                raise InputError(f"density rho={rho!r} overflows the float activity "
+                                 f"zeta_{s} at N={N}") from None
+        zeta[s] = z
+    return ActivityProfile(N, zeta)
+
+
+def _profile_or_refusal(build, b, N, rho):
+    try:
+        return repr(build(b, N, rho).zeta)
+    except InputError as exc:
+        return repr(exc)
+
+
+_B_VALUES = st.one_of(
+    st.floats(), st.integers(-10 ** 400, 10 ** 400),
+    st.builds(Fraction, st.integers(-10 ** 500, 10 ** 500), st.integers(1, 10 ** 400)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(2, 400), rho=st.floats(-1, 1, exclude_min=True, exclude_max=True),
+       b=st.data())
+def test_from_mayer_skip_keeps_every_key_bit_and_refusal(N, rho, b):
+    # past s = 170 the exact product is skipped where log|zeta_s| proves a 0.0
+    sizes = b.draw(st.lists(st.integers(2, N), max_size=12)) + list(range(max(2, N - 3), N + 1))
+    b = {s: b.draw(_B_VALUES) for s in sizes}
+    assert (_profile_or_refusal(ActivityProfile.from_mayer, b, N, rho)
+            == _profile_or_refusal(_from_mayer_forming_every_product, b, N, rho))
+
+
+@pytest.mark.parametrize("exponent, kept", [(-1074, 5e-324), (-1075, None), (-1077, None)])
+def test_from_mayer_keeps_the_smallest_subnormal_activity(exponent, kept):
+    # b_200 makes zeta_200 = 2^exponent exactly: 2^-1074 is kept, 2^-1075
+    # rounds to even (0.0) and 2^-1077 is skipped, both dropped
+    N, s, rho = 200, 200, 0.5
+    val = Fraction(N ** (s - 1) * 2 ** (s - 1), math.factorial(s)) * Fraction(2) ** exponent
+    b = {2: -1.0, s: val}
+    prof = ActivityProfile.from_mayer(b, N, rho)
+    assert prof.zeta.get(s) == kept
+    assert repr(prof.zeta) == repr(_from_mayer_forming_every_product(b, N, rho).zeta)
 
 
 def test_c_rho_weights():
