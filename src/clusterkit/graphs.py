@@ -98,6 +98,9 @@ def _pair_bits(n: int) -> np.ndarray:
 
 
 def edge_mask(n: int, edges) -> int:
+    """The mask of ``edges`` on [n]; ValueError names an n that is not an
+    integer >= 1 (rule 1 of ``errors``) or a pair that is not an edge."""
+    n = _integer("vertex count n", n, 1, ValueError)
     idx = _pair_index(n)
     mask = 0
     for i, j in edges:
@@ -109,7 +112,8 @@ def edge_mask(n: int, edges) -> int:
 
 
 def mask_edges(n: int, mask: int) -> Tuple[Edge, ...]:
-    pairs = vertex_pairs(n)
+    """The edges of ``mask`` on [n], in pair order; n by rule 1 of ``errors``."""
+    pairs = vertex_pairs(_integer("vertex count n", n, 1, ValueError))
     return tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
 
 
@@ -741,8 +745,7 @@ def _grown_tree_masks(n: int, gmask: int, root: int = 1) -> list:
 
 def _penrose_trees(g: LabeledGraph, root: int) -> FrozenSet[RootedTree]:
     n, mask = g
-    if type(root) is not int:  # the trees hold an int root
-        root = _check_root(n, root)
+    root = _check_root(n, root)  # the trees hold an int root
     trees = _slack_free_tree_masks(n, mask, root)
     if not trees:
         raise DomainError("Penrose trees are defined for connected graphs only")

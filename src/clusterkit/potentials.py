@@ -204,8 +204,9 @@ def bond_level_values(p: PairPotential, beta: float) -> np.ndarray:
 
     Level k holds the separations with k breakpoints at or below them
     (``quadrature.bond_levels``): the core is -1, a well e^(beta epsilon) - 1,
-    and the outside 0.
+    and the outside 0.  ``beta`` follows rule 2 of ``errors``.
     """
+    beta = _positive("beta", beta, DomainError)
     if p.kind in ("hard_rod", "hard_sphere"):
         return np.array([-1.0, 0.0])
     if p.kind != "square_well":
@@ -220,10 +221,12 @@ def bond_level_values(p: PairPotential, beta: float) -> np.ndarray:
 
 def f_bond_array(p: PairPotential, beta: float, r: np.ndarray) -> np.ndarray:
     """Vectorized bond function: ``bond_level_values`` read at each
-    separation's bond level, or e^(-beta V) - 1 of the interpolated table."""
+    separation's bond level, or e^(-beta V) - 1 of the interpolated table;
+    ``beta`` follows rule 2 of ``errors``."""
     r = np.abs(np.asarray(r, dtype=float))
     if p.piecewise_constant_bond:
         return bond_level_values(p, beta)[bond_levels(r, p.breakpoints())]
+    beta = _positive("beta", beta, DomainError)
     rs, vs = np.array(p.table).T
     # as in PairPotential.value: the end samples held out to the cutoff, 0 beyond
     v = np.where(r >= p.cutoff, 0.0, np.interp(r, rs, vs))

@@ -24,7 +24,7 @@ from clusterkit.errors import CapacityError, ConfigError, DomainError
 from clusterkit.graphs import _mask_connected, edge_mask, enum_graphs, mask_edges, vertex_pairs
 from clusterkit.potentials import PairPotential, c_beta, f_bond_array
 from clusterkit.quadrature import distinct_ids
-from test_arguments import ARGUMENT_SURFACE, assert_refused, call, check_rule, former
+from test_arguments import ARGUMENT_SURFACE, assert_refused, call, check_rule
 
 # closed-form hard-sphere references (sigma = 1, d = 3):
 # pair integral -4 pi/3; third-order coefficients from the classical
@@ -128,9 +128,15 @@ def test_mc_seed_mandatory(sphere):
         mayer_bn(sphere, 1.0, 3, method="monte_carlo")
 
 
-#: the Monte Carlo rows of the argument surface, by the names their cases run under
-MC_ROWS = {label.split(".")[1]: label for label, row in ARGUMENT_SURFACE.items()
-           if "seed" in row.rules}
+# The tests down to test_parameters_are_refused_by_name run cases of
+# test_arguments' surface under the ids of the tables that it replaced (the
+# ids' entry names map to its rows here); test_argument_surface runs each
+# rule whole, and these add the well to the entry points that take a potential.
+
+#: the Monte Carlo rows of the surface
+MC_ROWS = {fn: f"{module}.{fn} (monte_carlo)" for module, fn in [
+    ("cluster", "mayer_bn"), ("cluster", "virial_bk_direct"), ("canonical", "ztilde_direct"),
+    ("canonical", "compare_series_direct")]}
 
 
 @pytest.mark.parametrize("entry", MC_ROWS)
@@ -198,10 +204,55 @@ def test_box_side_must_be_finite_and_positive(request, fn, pot, args, method, ma
         fn(request.getfixturevalue(pot), 1.0, *args, method=method, seed=1, samples=40_000)
 
 
-#: the argument surface's cases under the ids of the tables it replaced
-BETA_CASES = former(lambda key, rule: key == "beta")
-ORDER_CASES = former(lambda key, rule: rule.integer)
-PARAMETER_CASES = former(lambda key, rule: key != "beta" and not rule.integer)
+#: the rows that take beta
+BETA_ROWS = {
+    "b_3": "cluster.mayer_bn", "beta_1": "cluster.virial_bk_direct",
+    "ztilde": "canonical.ztilde_direct", "c_beta": "potentials.c_beta",
+    "f_bond": "potentials.f_bond",
+    "penrose_bound": "cluster.penrose_bn_bound", "rho_star": "radii.rho_star",
+    "mayer_radius": "radii.mayer_radius", "ck_bound": "radii.ck_bound",
+    "radius_report": "radii.radius_report", "free_energy": "series.free_energy_series",
+}
+#: (row, parameter) of each order, size or count
+ORDER_CASES = {
+    "b_n": ("cluster.mayer_bn", "n"), "beta_k": ("cluster.virial_bk_direct", "k"),
+    "ztilde": ("canonical.ztilde_direct", "N"),
+    "compare": ("canonical.compare_series_direct", "k_max"),
+    "penrose_bound": ("cluster.penrose_bn_bound", "n"), "ck_bound": ("radii.ck_bound", "k"),
+    "transform": ("series.virial_from_mayer", "k"),
+    "inversion": ("series.invert_mayer_oracle", "k_max"),
+    "free_energy": ("series.free_energy_series", "k_max"),
+    "combi": ("series.combi_identity_check", "n"), "xi": ("polymer.xi_exact", "N"),
+    "log_xi_N": ("polymer.log_xi_ursell", "N"), "log_xi_order": ("polymer.log_xi_ursell", "n_max"),
+    "p_exact": ("polymer.p_exact", "N"), "p_exact_part": ("polymer.p_exact", "s"),
+    "ckn_N": ("polymer.ck_finite_N", "N"), "ckn_k": ("polymer.ck_finite_N", "k"),
+    "identity_random": ("verify.penrose_identity_random", "count"),
+    "identity_random_n": ("verify.penrose_identity_random", "n"),
+    "identity_scan": ("verify.penrose_identity_scan", "n"),
+    "tonks_bn": ("tonks.bn_exact", "n"), "tonks_bn_value": ("tonks.bn_value", "n"),
+    "tonks_beta_k": ("tonks.beta_k_exact", "k"), "tonks_beta_k_value": ("tonks.beta_k_value", "k"),
+    "tonks_ztilde": ("tonks.ztilde_closed", "N"),
+    **{entry: (f"graphs.{fn}", "n") for entry, fn in [
+        ("graph", "LabeledGraph.from_edges"), ("enum_graphs", "enum_graphs"),
+        ("prufer", "prufer_tree_masks"), ("ursell_values", "ursell_values"),
+        ("ursell_table", "ursell_table"), ("tree_images", "mask_tree_images"),
+        ("tree_table", "mask_tree_table"), ("slack_masks", "slack_masks"),
+        ("weight_sum", "connected_weight_sum")]},
+}
+#: (row, parameter) of each other positive parameter, B and rho
+PARAMETER_CASES = {
+    **{f"{name} {entry}": (BETA_ROWS[entry], key)
+       for name, key in (("C(beta)", "cbeta"), ("B", "B"))
+       for entry in ("rho_star", "mayer_radius", "ck_bound", "radius_report", "penrose_bound",
+                     "free_energy")},
+    "a* ck_bound": ("radii.ck_bound", "a_star"), "a fp_check": ("polymer.fp_check", "a"),
+    "L ztilde": ("canonical.ztilde_direct", "L"), "box side b_3": ("cluster.mayer_bn", "volume"),
+    "rho free_energy": ("series.free_energy_series", "rho"),
+    "L tonks ztilde_closed": ("tonks.ztilde_closed", "L"),
+    **{f"sigma tonks {fn}": (f"tonks.{fn}", "sigma") for fn in (
+        "bn_value", "beta_k_value", "ztilde_closed", "pressure", "q_infinite_volume")},
+    **{f"rho tonks {fn}": (f"tonks.{fn}", "rho") for fn in ("pressure", "q_infinite_volume")},
+}
 
 
 def _potential(request, label, pot):
@@ -209,15 +260,15 @@ def _potential(request, label, pot):
     return {"p": request.getfixturevalue(pot)} if "p" in ARGUMENT_SURFACE[label].valid else {}
 
 
-@pytest.mark.parametrize("entry", BETA_CASES)
+@pytest.mark.parametrize("entry", BETA_ROWS)
 @pytest.mark.parametrize("pot", ["well", "rod"])
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0, True, 10**400])
 def test_beta_must_be_finite_and_positive(request, entry, pot, beta):
     # e^(beta epsilon) - 1 is inf at beta = inf with no overflow raised: a
     # well's b_3 was NaN, its ztilde NaN and C(beta) inf; a bool ran as 1;
     # an int past the float range raised a bare OverflowError, or ran
-    label, key = BETA_CASES[entry]
-    assert_refused(label, key, beta, **_potential(request, label, pot))
+    label = BETA_ROWS[entry]
+    assert_refused(label, "beta", beta, **_potential(request, label, pot))
 
 
 @pytest.mark.parametrize("entry", ORDER_CASES)

@@ -14,7 +14,6 @@ from clusterkit.potentials import (
     f_bond_array,
     potential_from_config,
 )
-from test_arguments import assert_refused
 
 
 def test_f_bond_hard_rod(rod):
@@ -199,18 +198,24 @@ def _names(message, key):
 TABLE = ((0.0, 1.0), (1.0, 0.5))
 
 
-#: PairPotential's refusals, in the order of their ids: a (field, value) pair
-#: is a case of the argument surface's rule for the field (the id keeps the
-#: text it ran under as a third item); the rest are refusals that are no
-#: rule: a field given to the wrong kind, a table's shape, an absent cutoff
-#: and the dimension's cap, each with the field its text names
 REFUSED_FIELDS = [
-    ("dimension", 2.5), ("dimension", True), ("dimension", math.nan), ("dimension", "3"),
-    ("sigma", True), ("sigma", math.inf), ("sigma", 10 ** 400), ("sigma", "1.5"),
-    ("epsilon", math.nan), ("lambda_w", math.inf), ("B", math.inf), ("B", False),
+    (("hard_sphere", 1.0, 2.5), {}, "dimension"),
+    (("hard_sphere", 1.0, True), {}, "dimension"),
+    (("hard_sphere", 1.0, math.nan), {}, "dimension"),
+    (("hard_sphere", 1.0, "3"), {}, "dimension"),
+    (("hard_rod", True, 1), {}, "sigma"),
+    (("hard_rod", math.inf, 1), {}, "sigma"),
+    (("hard_rod", 10 ** 400, 1), {}, "sigma"),
+    (("hard_rod", "1.5", 1), {}, "sigma"),
+    (("hard_rod", 1.0, 1), {"epsilon": math.nan}, "epsilon"),
+    (("hard_rod", 1.0, 1), {"lambda_w": math.inf}, "lambda_w"),
+    (("hard_rod", 1.0, 1), {"B": math.inf}, "B"),
+    (("hard_rod", 1.0, 1), {"B": False}, "B"),
     (("hard_rod", 1.0, 1), {"table": TABLE, "cutoff": 2.0}, "table"),
     (("hard_sphere", 1.0, 3), {"cutoff": 2.0}, "cutoff"),
-    ("epsilon", math.inf), ("cutoff", -1.0), ("cutoff", True),
+    (("square_well", 1.0, 1), {"epsilon": math.inf, "lambda_w": 1.5, "B": 1.0}, "epsilon"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": -1.0}, "cutoff"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": True}, "cutoff"),
     (("custom_tabulated", 1.0, 1), {"table": TABLE}, "cutoff"),
     (("custom_tabulated", 1.0, 1), {"table": ((0.0, math.nan),), "cutoff": 1.0}, "table"),
     (("custom_tabulated", 1.0, 1), {"table": ((0.0, 1.0), (math.inf, 0.0)), "cutoff": 1.0},
@@ -228,28 +233,28 @@ REFUSED_FIELDS = [
     (("hard_sphere", 1.0, 3), {"epsilon": 0.0}, "epsilon"),
     (("hard_sphere", 1.0, 3), {"lambda_w": 1.5}, "lambda_w"),
     (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": 1.0, "epsilon": 1.0}, "epsilon"),
-    ("dimension", 2.5, "dimension must be an integer >= 1, got 2.5"),
+    # the rules of clusterkit.errors, by their texts: an int past the float
+    # range is refused as inf is
+    (("hard_sphere", 1.0, 2.5), {}, "dimension must be an integer >= 1, got 2.5"),
     (("hard_sphere", 1.0, 342), {}, "dimension must be at most 341"),
     (("hard_sphere", 1.0, 10 ** 400), {}, "dimension must be at most 341"),
     (("custom_tabulated", 1.0, 1), {"table": ((0.0, 10 ** 400),), "cutoff": 1.0},
      "table value must be finite"),
     (("custom_tabulated", 1.0, 1), {"table": ((math.nan, 1.0),), "cutoff": 1.0},
      "table radius must be finite"),
-    ("B", 10 ** 400, "stability constant B must be >= 0 and finite"),
-    ("epsilon", 10 ** 400, "epsilon must be finite"),
-    ("lambda_w", -10 ** 400, "lambda_w must be finite"),
-    ("cutoff", 10 ** 400, "cutoff must be positive and finite"),
+    (("hard_rod", 1.0, 1), {"B": 10 ** 400}, "stability constant B must be >= 0 and finite"),
+    (("square_well", 1.0, 1), {"epsilon": 10 ** 400, "lambda_w": 1.5, "B": 1.0},
+     "epsilon must be finite"),
+    (("square_well", 1.0, 1), {"epsilon": 1.0, "lambda_w": -10 ** 400, "B": 1.0},
+     "lambda_w must be finite"),
+    (("custom_tabulated", 1.0, 1), {"table": TABLE, "cutoff": 10 ** 400},
+     "cutoff must be positive and finite"),
 ]
 
 
-@pytest.mark.parametrize("row", REFUSED_FIELDS, ids=[
-    f"{row[-1] if len(row) == 3 else row[0]}_{i}" for i, row in enumerate(REFUSED_FIELDS)])
-def test_construction_refuses_naming_the_field(row):
-    if isinstance(row[0], str):
-        label = "potentials.PairPotential" + (" (custom_tabulated)" if row[0] == "cutoff" else "")
-        assert_refused(label, *row[:2])
-        return
-    args, kwargs, key = row
+@pytest.mark.parametrize("args, kwargs, key", REFUSED_FIELDS,
+                         ids=[f"{key}_{i}" for i, (_, _, key) in enumerate(REFUSED_FIELDS)])
+def test_construction_refuses_naming_the_field(args, kwargs, key):
     with pytest.raises(ConfigError) as exc:
         PairPotential(*args, **kwargs)
     assert _names(str(exc.value), key), exc.value
